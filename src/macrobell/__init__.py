@@ -50,23 +50,15 @@ from .witnesses import (
     separability_gap,
 )
 from .measures import (
-    DistributionKind,
     MeasureReport,
-    NegativityResult,
-    PhotonNumberDistribution,
     WidthConvention,
-    effective_schmidt_number,
     fedorov_ratio,
-    fedorov_ratio_from_spectrum,
-    four_mode_negativity,
     gain_scan,
     kbar,
-    kbar_analytic,
     log_negativity,
     measure_report,
-    negativity_numeric,
-    pair_negativity,
-    photon_number_distributions,
+    negativity,
+    trace_norm,
 )
 from .truncation import (
     CompressionPoint,
@@ -110,11 +102,8 @@ __all__ = [
     "WitnessKind", "WitnessReport", "cross_witness_matrix",
     "cutoff_for_edge_mass", "evaluate_witness", "product_state_battery",
     "separability_gap",
-    "DistributionKind", "MeasureReport", "NegativityResult",
-    "PhotonNumberDistribution", "WidthConvention", "effective_schmidt_number",
-    "fedorov_ratio", "fedorov_ratio_from_spectrum", "four_mode_negativity",
-    "gain_scan", "kbar", "kbar_analytic", "log_negativity", "measure_report",
-    "negativity_numeric", "pair_negativity", "photon_number_distributions",
+    "MeasureReport", "WidthConvention", "fedorov_ratio", "gain_scan", "kbar",
+    "log_negativity", "measure_report", "negativity", "trace_norm",
     "CompressionPoint", "alpha_from_epsilon", "compression_scan",
     "cutoff_for_epsilon", "dimension_scan", "epsilon_brute_force",
     "epsilon_from_cutoff", "occupancy_at_epsilon", "subspace_dimension",

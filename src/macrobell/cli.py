@@ -176,6 +176,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             resolved[key] = file_vals[key]
         else:
             resolved[key] = builtin
+    if resolved.get("cutoff") is not None and resolved["cutoff"] <= 0:
+        raise UsageError(f"cutoff must be positive, got {resolved['cutoff']}")
     return resolved
 
 
@@ -197,9 +199,15 @@ def _convert(key: str, raw: str):
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"malformed {what} grid {text!r}") from exc
     if not values:
         raise UsageError(f"empty {what} grid")
+    for v in values:
+        if not (math.isfinite(v) and v >= 0.0):
+            raise UsageError(f"{what} grid values must be finite and nonnegative, got {v!r}")
     return values
 
 
@@ -277,7 +285,9 @@ def _cmd_witness(cfg: dict) -> list[str]:
         if cfg["eta"] != 1.0:
             raise UsageError("exact evaluation assumes unit efficiency; "
                              "pass --simulate to model eta < 1")
-        n_max = cfg["cutoff"] or (4 if gamma == 0.0 else cutoff_for_edge_mass(gamma))
+        n_max = cfg["cutoff"]
+        if n_max is None:
+            n_max = 4 if gamma == 0.0 else cutoff_for_edge_mass(gamma)
         state = build_bell_state(label, gamma, n_max)
         rep = evaluate_witness(kind, state, basis=FourModeBasis(n_max))
         row = ["exact", kind.value, shown, gamma, n_max, 1.0,
@@ -321,8 +331,10 @@ def _cmd_truncation(cfg: dict) -> list[str]:
     from .truncation import dimension_scan
 
     n0_list = _parse_grid(cfg["n0_grid"], "N0")
-    targets = [cfg["epsilon"]] if cfg["epsilon"] else _parse_grid(
+    targets = [cfg["epsilon"]] if cfg["epsilon"] is not None else _parse_grid(
         cfg["epsilon_grid"], "epsilon")
+    if not all(0.0 < eps < 1.0 for eps in targets):
+        raise UsageError(f"epsilon targets must lie in (0, 1), got {targets}")
     points = dimension_scan(n0_list, targets)
     header = ["epsilon", "n0", "ratio"]
     rows = [[p.epsilon_target, p.n0, p.occupancy] for p in points]
@@ -372,6 +384,7 @@ def _cmd_fedorov(cfg: dict) -> list[str]:
                     bin_width=cfg["bin_width"], workers=cfg["workers"])
     est = estimate_fedorov(sim, convention=cfg["convention"])
     exact = fedorov_ratio(cfg["gamma"], convention=WidthConvention(cfg["convention"]))
+    rel_deviation = abs(est.ratio - exact) / exact if exact else math.nan
     header = ["state", "gamma", "eta", "pulses", "seed", "bin_width", "convention",
               "ratio", "ratio_h", "ratio_v",
               "marginal_width_h", "conditional_width_h",
@@ -381,10 +394,10 @@ def _cmd_fedorov(cfg: dict) -> list[str]:
            cfg["bin_width"], cfg["convention"], est.ratio, est.ratio_h, est.ratio_v,
            est.marginal_width_h, est.conditional_width_h,
            est.marginal_width_v, est.conditional_width_v,
-           exact, abs(est.ratio - exact) / exact if exact else math.nan]
+           exact, rel_deviation]
     _write_csv(cfg["out"], header, [row])
     print(f"width ratio = {est.ratio:.6g} (exact {exact:.6g}, "
-          f"deviation {abs(est.ratio - exact) / exact:.3%})")
+          f"deviation {rel_deviation:.3%})")
     print(f"wrote {cfg['out']}")
     return [cfg["out"]]
 

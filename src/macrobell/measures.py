@@ -1,19 +1,28 @@
-"""Entanglement measures and two-beam correlation strength.
+"""Entanglement measures and two-beam correlation strength, in closed form.
 
 Everything here follows from the geometric Schmidt spectrum
-``lambda_n = q^n (1 - q)``, ``q = tanh(gamma)^2`` of the pair state:
+``lambda_n = q^n (1 - q)``, ``q = tanh(gamma)^2`` of one polarization
+pair.  A per-mode cutoff ``n_max`` keeps ``n <= n_max`` and drops the
+mass ``t = q^(n_max + 1)``; every measure is that of the renormalized
+truncated state, and ``n_max=None`` means ``t = 0``, the untruncated
+limit.  The four-mode state factors into two identical pairs, so each
+four-mode measure is the square of the pair one.
 
-* effective Schmidt number  K = 1 / sum(lambda_n^2) = 1 + 2 N0 per
-  polarization pair, squared for the four-mode state;
-* partial-transpose spectrum of a pure state with Schmidt coefficients
-  c_k: eigenvalues {c_k^2} and {+/- c_k c_l, k < l}, so the trace norm
-  is (sum_k c_k)^2 -- for the pair this converges to exp(2 gamma), for
-  the four-mode state to exp(4 gamma);
-* negativity N = ||rho^PT||_1 - 1 and logarithmic negativity
-  E_N = log2 ||rho^PT||_1;
+* trace norm of the partial transpose: a pure state with Schmidt
+  coefficients c_k has ``||rho^PT||_1 = (sum_k c_k)^2`` (Vidal & Werner,
+  PRA 65, 032314, 2002); the truncated geometric sum gives
+  ``e^{2 gamma} (1 - sqrt t) / (1 + sqrt t)`` per pair, ``e^{4 gamma}``
+  for the four-mode state without a cutoff;
+* negativity ``||rho^PT||_1 - 1`` and logarithmic negativity
+  ``log2 ||rho^PT||_1``;
+* effective Schmidt number ``K = 1 / sum(p_n^2)``, which is
+  ``(1 + 2 N0) (1 - t) / (1 + t)`` per pair;
 * photon-number correlation strength (a Fedorov-style width ratio):
   unconditional beam distribution width over conditional width, the
   conditional width being a single bin for perfectly correlated beams.
+  The truncated law has mean ``N0 - (n_max+1) t / (1-t)`` and variance
+  ``N0 (N0+1) - (n_max+1)^2 t / (1-t)^2``; the differences lose relative
+  accuracy only when ``n_max`` is far below N0.
 """
 
 from __future__ import annotations
@@ -22,270 +31,68 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .states import NumericError, mean_photons_per_mode, schmidt_spectrum
-
-#: dense-eigensolver guard for partial-transpose matrices
-DENSE_PT_DIM_LIMIT = 3000
+from .states import NumericError, mean_photons_per_mode
 
 
-def effective_schmidt_number(spectrum: np.ndarray, four_mode: bool = False) -> float:
-    """K = 1 / sum(p_n^2) of a (renormalized) probability spectrum.
+def _log_q(gamma: float) -> float:
+    """ln q = 2 ln tanh(gamma), accurate also where q rounds to 1."""
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gain must be finite and nonnegative, got {gamma!r}")
+    if gamma == 0.0:
+        return -math.inf
+    x = math.exp(-2.0 * gamma)
+    return 2.0 * (math.log1p(-x) - math.log1p(x))
 
-    With ``four_mode`` the result is squared: the full state factors into
-    two identical polarization pairs, and K multiplies over independent
-    subsystems.
-    """
-    p = np.asarray(spectrum, dtype=np.float64)
-    if np.any(p < 0):
-        raise ValueError("spectrum must be nonnegative")
-    total = p.sum()
-    if total <= 0.0:
-        raise ValueError("spectrum has no weight")
-    p = p / total
-    k_pair = float(1.0 / np.sum(p * p))
-    return k_pair * k_pair if four_mode else k_pair
+
+def _tail_mass(gamma: float, n_max: int | None) -> float:
+    """t = q^(n_max + 1), the pair spectrum mass beyond the cutoff (0 without one)."""
+    log_q = _log_q(gamma)
+    if n_max is None:
+        return 0.0
+    if n_max < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {n_max!r}")
+    return math.exp((n_max + 1) * log_q)
+
+
+def _log_trace_norm(gamma: float, n_max: int | None, four_mode: bool) -> float:
+    """ln ||rho^PT||_1 = 2 gamma + ln((1 - sqrt t) / (1 + sqrt t)) per pair."""
+    s = math.sqrt(_tail_mass(gamma, n_max))
+    pair = 2.0 * gamma + math.log1p(-s) - math.log1p(s)
+    return 2.0 * pair if four_mode else pair
+
+
+def trace_norm(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
+    """Partial-transpose trace norm across the beam split."""
+    return math.exp(_log_trace_norm(gamma, n_max, four_mode))
+
+
+def negativity(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
+    """N = ||rho^PT||_1 - 1; e^{4 gamma} - 1 for the four-mode state without a cutoff."""
+    return math.expm1(_log_trace_norm(gamma, n_max, four_mode))
+
+
+def log_negativity(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
+    """E_N = log2 ||rho^PT||_1; exactly 4 gamma / ln 2 for the four-mode state."""
+    return _log_trace_norm(gamma, n_max, four_mode) / math.log(2.0)
 
 
 def kbar(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
-    """Effective mode number from the (optionally truncated) spectrum."""
-    if n_max is None:
-        return kbar_analytic(gamma, four_mode=four_mode)
-    k_pair = effective_schmidt_number(schmidt_spectrum(gamma, n_max))
+    """Effective mode number: (1 + 2 N0)(1 - t)/(1 + t) per pair, squared for four modes."""
+    t = _tail_mass(gamma, n_max)
+    k_pair = (1.0 + 2.0 * mean_photons_per_mode(gamma)) * ((1.0 - t) / (1.0 + t))
     return k_pair * k_pair if four_mode else k_pair
-
-
-def kbar_analytic(gamma: float, four_mode: bool = True) -> float:
-    """Closed form: 1 + 2 sinh(gamma)^2 per pair, squared for four modes."""
-    k_pair = 1.0 + 2.0 * mean_photons_per_mode(gamma)
-    return k_pair * k_pair if four_mode else k_pair
-
-
-# -- partial transpose --------------------------------------------------------
-
-
-@dataclass
-class NegativityResult:
-    trace_norm: float
-    negativity: float
-    min_eigenvalue: float
-    method: str
-    cutoff: int | None = None
-
-    @property
-    def log_negativity(self) -> float:
-        return math.log2(self.trace_norm)
-
-
-def pt_spectrum_from_schmidt(coeffs: np.ndarray) -> np.ndarray:
-    """PT eigenvalues of a pure bipartite state from Schmidt coefficients.
-
-    For |psi> = sum_k c_k |k>|k> the partial transpose has eigenvalues
-    c_k^2 (k = 0..K-1) and +/- c_k c_l for every unordered pair k < l.
-    """
-    c = np.asarray(coeffs, dtype=np.float64)
-    diag = c * c
-    out = [diag]
-    prods = np.outer(c, c)[np.triu_indices(c.size, k=1)]
-    out.append(prods)
-    out.append(-prods)
-    return np.sort(np.concatenate(out))
-
-
-def _min_pt_eigenvalue_from_top(pair_coeffs: np.ndarray) -> float:
-    """-(c_(1) c_(2)) over the joint product spectrum outer(c, c) of a pair list.
-
-    The two largest joint coefficients are c0^2 and c0*c1 for the
-    descending pair coefficients, so no product matrix is needed.
-    """
-    c = np.sort(np.asarray(pair_coeffs, dtype=np.float64))[::-1]
-    if c.size < 2:
-        return float(c[0] ** 4)
-    return float(-(c[0] ** 2) * (c[0] * c[1]))
-
-
-def pt_spectrum_structured(gamma: float, n_max: int) -> np.ndarray:
-    """Pair-state PT eigenvalues from the geometric spectrum (normalized)."""
-    lam = schmidt_spectrum(gamma, n_max)
-    return pt_spectrum_from_schmidt(np.sqrt(lam / lam.sum()))
-
-
-def pt_spectrum_dense(amplitude_matrix: np.ndarray) -> np.ndarray:
-    """Brute-force PT eigenvalues of |psi><psi| via eigvalsh.
-
-    ``amplitude_matrix`` holds <i|<j|psi> as a (da, db) array.  The
-    density matrix is reshaped to (da, db, da, db) and the second ket
-    index is swapped with the second bra index.  Guarded: the PT matrix
-    is (da*db) square.
-    """
-    a = np.asarray(amplitude_matrix, dtype=np.complex128)
-    da, db = a.shape
-    dim = da * db
-    if dim > DENSE_PT_DIM_LIMIT:
-        raise ValueError(f"PT matrix dim {dim} exceeds dense limit {DENSE_PT_DIM_LIMIT}")
-    vec = a.reshape(-1)
-    vec = vec / np.linalg.norm(vec)
-    rho = np.outer(vec, vec.conj()).reshape(da, db, da, db)
-    rho_pt = rho.transpose(0, 3, 2, 1).reshape(dim, dim)
-    return np.linalg.eigvalsh(rho_pt)
-
-
-def pair_negativity(gamma: float, n_max: int = 60, method: str = "structured") -> NegativityResult:
-    """Negativity of one polarization pair across the beam split."""
-    if method == "structured":
-        eig = pt_spectrum_structured(gamma, n_max)
-    elif method == "dense":
-        lam = schmidt_spectrum(gamma, n_max)
-        amp = np.diag(np.sqrt(lam / lam.sum()))
-        eig = pt_spectrum_dense(amp)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    tn = float(np.abs(eig).sum())
-    return NegativityResult(
-        trace_norm=tn, negativity=tn - 1.0, min_eigenvalue=float(eig.min()),
-        method=method, cutoff=n_max,
-    )
-
-
-def four_mode_negativity(gamma: float, n_max: int = 60, method: str = "structured") -> NegativityResult:
-    """Negativity of the full four-mode state across the beam split.
-
-    The joint Schmidt coefficients factor into products of pair
-    coefficients, so the trace norm is the square of the pair trace
-    norm; with the ``dense`` method the (n, m) product spectrum is fed
-    to the generic pure-state formula instead, as an independent route.
-    """
-    lam = schmidt_spectrum(gamma, n_max)
-    lam = lam / lam.sum()
-    if method == "structured":
-        tn_pair = float(np.sum(np.sqrt(lam))) ** 2
-        tn = tn_pair * tn_pair
-        # most negative eigenvalue = -(product of the two largest joint
-        # Schmidt coefficients); the joint spectrum is outer(lam, lam)
-        min_eig = _min_pt_eigenvalue_from_top(np.sqrt(lam))
-    elif method == "dense":
-        joint = np.sqrt(np.outer(lam, lam)).ravel()
-        if joint.size > 1500:
-            raise ValueError(
-                f"dense four-mode PT needs {joint.size}^2 products; "
-                "use method='structured' or a smaller cutoff"
-            )
-        eig = pt_spectrum_from_schmidt(joint)
-        tn = float(np.abs(eig).sum())
-        min_eig = float(eig.min())
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return NegativityResult(
-        trace_norm=tn, negativity=tn - 1.0, min_eigenvalue=min_eig,
-        method=method, cutoff=n_max,
-    )
-
-
-def negativity_numeric(spectrum: np.ndarray, method: str = "auto") -> tuple[float, float]:
-    """(pair trace norm, four-mode negativity) from a Schmidt spectrum.
-
-    The pair density matrix is partially transposed on the far-beam mode
-    and its absolute eigenvalue sum taken; the four-mode trace norm is
-    the square of the pair one (the joint Schmidt coefficients factor
-    into products over the two pairs), so the negativity returned is
-    ``trace_norm**2 - 1``.  ``method='dense'`` builds the full
-    (K, K, K, K) matrix and eigensolves; ``'structured'`` uses the exact
-    closed-form PT spectrum of a pure state; ``'auto'`` picks dense when
-    the matrix fits under DENSE_PT_DIM_LIMIT.
-    """
-    lam = np.asarray(spectrum, dtype=np.float64)
-    deficit = abs(1.0 - float(lam.sum()))
-    if deficit > 1e-8:
-        raise ValueError(f"spectrum tail mass {deficit:.3e} too large for a trace-norm claim")
-    lam = lam / lam.sum()
-    if method == "auto":
-        method = "dense" if lam.size * lam.size <= DENSE_PT_DIM_LIMIT else "structured"
-    if method == "dense":
-        try:
-            eig = pt_spectrum_dense(np.diag(np.sqrt(lam)))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigensolver failure
-            raise NumericError(f"PT eigensolve failed: {exc}") from exc
-        tn_pair = float(np.abs(eig).sum())
-    elif method == "structured":
-        tn_pair = float(np.sum(np.sqrt(lam))) ** 2
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return tn_pair, tn_pair * tn_pair - 1.0
-
-
-def negativity_asymptote(gamma: float, four_mode: bool = True) -> float:
-    """Infinite-cutoff trace-norm limit minus one."""
-    return math.exp((4.0 if four_mode else 2.0) * gamma) - 1.0
-
-
-def log_negativity(gamma: float, n_max: int | None = None, copies: int = 2) -> float:
-    """E_N = copies * log2(pair PT trace norm); copies=2 is the four-mode state.
-
-    With no cutoff this is exactly ``copies * 2 gamma / ln 2``.
-    """
-    if n_max is None:
-        return copies * 2.0 * gamma / math.log(2.0)
-    lam = schmidt_spectrum(gamma, n_max)
-    tn_pair = float(np.sum(np.sqrt(lam / lam.sum()))) ** 2
-    return copies * math.log2(tn_pair)
 
 
 # -- photon-number correlation width ratio ------------------------------------
 
 
-class DistributionKind(enum.Enum):
-    MARGINAL = "marginal"
-    CONDITIONAL = "conditional"
-
-
-@dataclass
-class PhotonNumberDistribution:
-    """Normalized photon-number law of one beam mode.
-
-    ``conditioned_on`` is the partner-mode count for CONDITIONAL kind,
-    None for MARGINAL.
-    """
-
-    probabilities: np.ndarray
-    kind: DistributionKind
-    conditioned_on: int | None = None
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        total = p.sum()
-        if total <= 0.0:
-            raise ValueError("distribution has no weight")
-        self.probabilities = p / total
-
-    @property
-    def mean(self) -> float:
-        n = np.arange(self.probabilities.size, dtype=np.float64)
-        return float(np.sum(n * self.probabilities))
-
-
-def photon_number_distributions(spectrum: np.ndarray):
-    """Marginal and conditional count laws of one beam of a pair state.
-
-    Tracing out the partner beam leaves the Schmidt spectrum itself as
-    the unconditional distribution; conditioning on a partner count n_b
-    collapses it to a point mass at n_a = n_b.  Returns the marginal and
-    a callable mapping n_b to its conditional distribution.
-    """
-    lam = np.asarray(spectrum, dtype=np.float64)
-    marginal = PhotonNumberDistribution(lam, DistributionKind.MARGINAL)
-    size = lam.size
-
-    def conditional(n_b: int) -> PhotonNumberDistribution:
-        if not 0 <= n_b < size:
-            raise ValueError(f"partner count {n_b} outside 0..{size - 1}")
-        p = np.zeros(size)
-        p[n_b] = 1.0
-        return PhotonNumberDistribution(p, DistributionKind.CONDITIONAL, conditioned_on=n_b)
-
-    return marginal, conditional
+def photon_number_moments(gamma: float, n_max: int | None = None) -> tuple[float, float]:
+    """(mean, variance) of one mode's photon number, renormalized to the cutoff."""
+    t = _tail_mass(gamma, n_max)
+    n0 = mean_photons_per_mode(gamma)
+    c = 0.0 if n_max is None else (n_max + 1) / (1.0 - t)
+    # both differences cancel to zero at n_max = 0 and may round below it
+    return max(0.0, n0 - c * t), max(0.0, n0 * (n0 + 1.0) - c * c * t)
 
 
 class WidthConvention(enum.Enum):
@@ -302,44 +109,6 @@ class WidthConvention(enum.Enum):
     SQRT2_STDDEV = "sqrt2-stddev"
 
 
-def distribution_width(probs: np.ndarray, convention: WidthConvention) -> float:
-    p = np.asarray(probs, dtype=np.float64)
-    p = p / p.sum()
-    n = np.arange(p.size, dtype=np.float64)
-    mean = float(np.sum(n * p))
-    if convention is WidthConvention.SQRT2_STDDEV:
-        return math.sqrt(2.0) * mean
-    var = float(np.sum((n - mean) ** 2 * p))
-    return math.sqrt(var)
-
-
-def pair_marginal_distribution(gamma: float, n_max: int) -> np.ndarray:
-    """Unconditional photon-number distribution of one pair mode."""
-    lam = schmidt_spectrum(gamma, n_max)
-    return lam / lam.sum()
-
-
-def conditional_width_bins() -> float:
-    """Width of the conditioned distribution, in bins.
-
-    Perfect pairwise correlation pins the partner mode to a single
-    photon number, so the conditional distribution occupies one bin.
-    """
-    return 1.0
-
-
-def fedorov_ratio_from_spectrum(
-    spectrum: np.ndarray,
-    convention: WidthConvention = WidthConvention.SQRT2_STDDEV,
-    four_mode: bool = True,
-) -> float:
-    """Width ratio computed directly from a photon-number spectrum."""
-    if isinstance(convention, str):
-        convention = WidthConvention(convention)
-    r_pair = distribution_width(spectrum, convention) / conditional_width_bins()
-    return r_pair * r_pair if four_mode else r_pair
-
-
 def fedorov_ratio(
     gamma: float,
     n_max: int | None = None,
@@ -348,23 +117,20 @@ def fedorov_ratio(
 ) -> float:
     """Unconditional-over-conditional width ratio of the beam photon numbers.
 
-    Per polarization pair the ratio is width(marginal) / 1 bin; the two
+    Per polarization pair the ratio is width(marginal) / 1 bin: fixing
+    the partner count pins the mode to a single photon number.  The two
     pairs are independent, so the four-mode ratio is the square of the
-    pair ratio.  Large-gain limits: sqrt(2) N0 per pair and 2 N0^2 for
-    the four-mode state under the SQRT2_STDDEV convention;
-    sqrt(N0 (N0+1)) per pair under STDDEV.
+    pair ratio.  Without a cutoff: sqrt(2) N0 per pair and 2 N0^2 for the
+    four-mode state under SQRT2_STDDEV; sqrt(N0 (N0+1)) per pair under
+    STDDEV.
     """
-    if isinstance(convention, str):
-        convention = WidthConvention(convention)
-    if n_max is None:
-        n0 = mean_photons_per_mode(gamma)
-        if convention is WidthConvention.SQRT2_STDDEV:
-            r_pair = math.sqrt(2.0) * n0
-        else:
-            r_pair = math.sqrt(n0 * (n0 + 1.0))
-        return r_pair * r_pair if four_mode else r_pair
-    probs = pair_marginal_distribution(gamma, n_max)
-    return fedorov_ratio_from_spectrum(probs, convention, four_mode=four_mode)
+    convention = WidthConvention(convention)
+    mean, var = photon_number_moments(gamma, n_max)
+    if convention is WidthConvention.SQRT2_STDDEV:
+        r_pair = math.sqrt(2.0) * mean
+    else:
+        r_pair = math.sqrt(var)
+    return r_pair * r_pair if four_mode else r_pair
 
 
 # -- combined report and gain scan ---------------------------------------------
@@ -372,24 +138,38 @@ def fedorov_ratio(
 
 @dataclass
 class MeasureReport:
-    """All three measures at one gain, analytic and numeric side by side."""
+    """The four-mode measures at one gain, evaluated at a budgeted cutoff."""
 
     gamma: float
     n0: float
-    kbar_analytic: float
-    kbar_numeric: float
-    negativity_analytic: float
-    negativity_numeric: float
+    cutoff: int
+    negativity: float
     log_negativity: float
+    kbar: float
     fedorov_ratio: float
     width_convention: WidthConvention
 
     def __post_init__(self) -> None:
-        vals = (self.gamma, self.n0, self.kbar_analytic, self.kbar_numeric,
-                self.negativity_analytic, self.negativity_numeric,
-                self.log_negativity, self.fedorov_ratio)
+        vals = (self.gamma, self.n0, self.negativity, self.log_negativity,
+                self.kbar, self.fedorov_ratio)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("measure report entries must be finite")
+
+
+def cutoff_for_trace_norm(gamma: float, rel: float = 1e-13, floor: int = 8) -> int:
+    """Smallest n_max >= floor whose four-mode negativity is within ``rel`` of its limit.
+
+    Truncation lowers the four-mode trace norm by the factor
+    ((1 - s)/(1 + s))^2 >= 1 - 4 s with s = sqrt(t) = q^((n_max+1)/2), so
+    the negativity falls short of e^{4 gamma} - 1 by at most
+    4 s / (1 - e^{-4 gamma}) relative.  Budgeting s rather than t is what
+    the trace norm needs; K and the width ratio converge like t.
+    """
+    log_q = _log_q(gamma)
+    if gamma == 0.0:
+        return floor
+    budget = rel * -math.expm1(-4.0 * gamma) / 4.0
+    return max(floor, math.ceil(2.0 * math.log(budget) / log_q) - 1)
 
 
 def measure_report(
@@ -397,22 +177,18 @@ def measure_report(
     n_max: int | None = None,
     convention: WidthConvention = WidthConvention.SQRT2_STDDEV,
 ) -> MeasureReport:
-    """Evaluate every measure at one gain (cutoff defaults to tail < 1e-12)."""
-    if isinstance(convention, str):
-        convention = WidthConvention(convention)
+    """Every four-mode measure at one gain (cutoff defaults to ``cutoff_for_trace_norm``)."""
+    convention = WidthConvention(convention)
     if n_max is None:
-        n_max = cutoff_for_spectrum_tail(gamma)
-    lam = schmidt_spectrum(gamma, n_max)
-    _, neg_numeric = negativity_numeric(lam, method="auto")
+        n_max = cutoff_for_trace_norm(gamma)
     return MeasureReport(
         gamma=gamma,
         n0=mean_photons_per_mode(gamma),
-        kbar_analytic=kbar_analytic(gamma, four_mode=True),
-        kbar_numeric=effective_schmidt_number(lam, four_mode=True),
-        negativity_analytic=negativity_asymptote(gamma, four_mode=True),
-        negativity_numeric=neg_numeric,
-        log_negativity=log_negativity(gamma),
-        fedorov_ratio=fedorov_ratio_from_spectrum(lam, convention, four_mode=True),
+        cutoff=n_max,
+        negativity=negativity(gamma, n_max),
+        log_negativity=log_negativity(gamma, n_max),
+        kbar=kbar(gamma, n_max),
+        fedorov_ratio=fedorov_ratio(gamma, n_max, convention),
         width_convention=convention,
     )
 
@@ -424,15 +200,6 @@ def gamma_for_mean_photons(n0: float) -> float:
     return math.asinh(math.sqrt(n0))
 
 
-def cutoff_for_spectrum_tail(gamma: float, tail: float = 1e-12, floor: int = 8) -> int:
-    """Smallest n_max whose dropped spectrum mass q^{n_max+1} < tail."""
-    q = math.tanh(gamma) ** 2
-    if q == 0.0:
-        return floor
-    n = max(floor, int(math.ceil(math.log(tail) / math.log(q))) + 1)
-    return n
-
-
 def gain_scan(n0_grid, convention: WidthConvention = WidthConvention.SQRT2_STDDEV) -> list[dict]:
     """All three measures across a grid of mean photon numbers.
 
@@ -442,19 +209,16 @@ def gain_scan(n0_grid, convention: WidthConvention = WidthConvention.SQRT2_STDDE
     """
     rows = []
     for n0 in n0_grid:
-        g = gamma_for_mean_photons(float(n0))
-        n_max = cutoff_for_spectrum_tail(g)
-        neg = four_mode_negativity(g, n_max=n_max).negativity
-        k = kbar(g, n_max=n_max, four_mode=True)
-        fr = fedorov_ratio(g, n_max=n_max, convention=convention, four_mode=True)
+        rep = measure_report(gamma_for_mean_photons(float(n0)), convention=convention)
+        neg, k, fr = rep.negativity, rep.kbar, rep.fedorov_ratio
         if n0 >= 1.0 and not neg > k > fr:
             raise NumericError(
                 f"measure ordering negativity > kbar > width-ratio broke at N0={n0}"
             )
         rows.append({
             "n0": float(n0),
-            "gamma": g,
-            "cutoff": n_max,
+            "gamma": rep.gamma,
+            "cutoff": rep.cutoff,
             "negativity": neg,
             "kbar": k,
             "fedorov": fr,

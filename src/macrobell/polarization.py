@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from scipy.special import gammaln
 
 from .basis import FourModeBasis
-from .states import BellLabel, FourModeState, TruncationMode
+from .states import BellLabel, FourModeState, NumericError, TruncationMode
 
 BEAM_A, BEAM_B, BOTH_BEAMS = "a", "b", "both"
 
@@ -184,10 +184,11 @@ def apply_transform(state: FourModeState, transform: BasisTransform) -> FourMode
         t = beam_transform_matrix(transform.jones, state.n_max)
         psi = psi @ t.T
     norm_after = float(np.sum(np.abs(psi) ** 2))
-    assert abs(norm_after - norm_before) <= 1e-10 * max(norm_before, 1e-300), (
-        f"transform leaked norm {norm_before - norm_after:.3e}: state has "
-        f"appreciable mass in sectors the per-mode cutoff cannot represent"
-    )
+    if not abs(norm_after - norm_before) <= 1e-10 * max(norm_before, 1e-300):
+        raise NumericError(
+            f"transform leaked norm {norm_before - norm_after:.3e}: state has "
+            f"appreciable mass in sectors the per-mode cutoff cannot represent"
+        )
     vec = psi.reshape(-1)
     # global phase: vacuum amplitude real positive
     if abs(vec[0]) > 0:

@@ -143,9 +143,9 @@ def kbar_truncation_bounds(gamma: float, n_total: int) -> tuple[float, float]:
     either end within a few ulps once eps underflows, so comparisons
     should allow ~1e-12 relative slack.
     """
-    from .measures import kbar_analytic
+    from .measures import kbar
 
-    k = kbar_analytic(gamma, four_mode=True)
+    k = kbar(gamma)
     eps = epsilon_from_cutoff(gamma, n_total)
     return (((1.0 - eps) / (1.0 + eps)) ** 2 * k, (1.0 - eps) * k)
 

@@ -271,7 +271,8 @@ def cross_witness_matrix(
     columns states.  The diagonal (matched pairs) is ``-2<S_0>``,
     negative for any gamma > 0.
     """
-    n_max = n_max or cutoff_for_edge_mass(gamma)
+    if n_max is None:
+        n_max = cutoff_for_edge_mass(gamma)
     basis = FourModeBasis(n_max)
     kinds = list(WitnessKind)
     labels = [k.matched_state for k in kinds]

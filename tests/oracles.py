@@ -1,9 +1,10 @@
 """Independently constructed reference objects for the test suite.
 
 Everything here is assembled from single-mode ladder matrices chained
-with scipy.sparse.kron and explicit index loops -- deliberately a
-different construction from the library's stride arithmetic, so that
-agreement between the two is a meaningful check rather than a tautology.
+with scipy.sparse.kron, explicit index loops and dense eigensolves --
+deliberately a different construction from the library's stride
+arithmetic and closed forms, so that agreement between the two is a
+meaningful check rather than a tautology.
 """
 
 import math
@@ -78,3 +79,52 @@ def matvec_variance(op: sp.spmatrix, vec: np.ndarray) -> float:
     mean = float(np.vdot(vec, ov).real) / den
     second = float(np.vdot(ov, ov).real) / den
     return second - mean * mean
+
+
+def pair_spectrum(gamma: float, n_max: int) -> np.ndarray:
+    """Renormalized truncated pair weights q^n (1 - q), summed term by term."""
+    q = math.tanh(gamma) ** 2
+    lam = np.array([(q**k) * (1.0 - q) for k in range(n_max + 1)])
+    return lam / lam.sum()
+
+
+def schmidt_number(p: np.ndarray) -> float:
+    """K = 1 / sum(p^2) of a probability vector (renormalized first)."""
+    p = np.asarray(p, dtype=np.float64)
+    p = p / p.sum()
+    return float(1.0 / np.sum(p * p))
+
+
+def count_moments(p: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of a photon-number law indexed n = 0, 1, ..."""
+    n = np.arange(p.size, dtype=np.float64)
+    mean = float(np.sum(n * p))
+    return mean, float(np.sum((n - mean) ** 2 * p))
+
+
+#: dense-eigensolver guard: the partial transpose is (da*db) square
+DENSE_PT_DIM_LIMIT = 3000
+
+
+def pt_eigenvalues(amplitude_matrix: np.ndarray) -> np.ndarray:
+    """Partial-transpose eigenvalues of |psi><psi| by a dense eigensolve.
+
+    ``amplitude_matrix`` holds <i|<j|psi> as a (da, db) array.  The
+    density matrix is reshaped to (da, db, da, db) and the second ket
+    index is swapped with the second bra index (Vidal & Werner,
+    PRA 65, 032314, 2002).
+    """
+    a = np.asarray(amplitude_matrix, dtype=np.complex128)
+    da, db = a.shape
+    dim = da * db
+    if dim > DENSE_PT_DIM_LIMIT:
+        raise ValueError(f"PT matrix dim {dim} exceeds dense limit {DENSE_PT_DIM_LIMIT}")
+    vec = a.reshape(-1)
+    vec = vec / np.linalg.norm(vec)
+    rho = np.outer(vec, vec.conj()).reshape(da, db, da, db)
+    return np.linalg.eigvalsh(rho.transpose(0, 3, 2, 1).reshape(dim, dim))
+
+
+def pt_trace_norm(amplitude_matrix: np.ndarray) -> float:
+    """||rho^PT||_1 as the absolute eigenvalue sum of the dense solve."""
+    return float(np.abs(pt_eigenvalues(amplitude_matrix)).sum())

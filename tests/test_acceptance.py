@@ -15,13 +15,13 @@ from scipy import stats
 from macrobell import cli
 from macrobell.basis import FourModeBasis
 from macrobell.measures import (
-    cutoff_for_spectrum_tail,
+    cutoff_for_trace_norm,
     fedorov_ratio,
     gamma_for_mean_photons,
     kbar,
-    kbar_analytic,
     log_negativity,
-    negativity_numeric,
+    negativity,
+    trace_norm,
 )
 from macrobell.simulate import (
     SimConfig,
@@ -35,7 +35,6 @@ from macrobell.states import (
     build_bell_state,
     evolve_from_vacuum,
     mean_photons_per_mode,
-    schmidt_spectrum,
 )
 from macrobell.truncation import (
     alpha_from_epsilon,
@@ -59,29 +58,37 @@ from macrobell.witnesses import (
     witness_term_matrices,
 )
 
+import oracles
+
 
 def test_criterion_01_effective_mode_number_closed_form():
-    # numeric K-bar matches (1 + 2 N0)^2 to 1e-6 relative at three gains
+    # truncated K-bar matches (1 + 2 N0)^2 to 1e-12 relative at three gains
     t0 = time.perf_counter()
     for gamma in (0.2, 0.5, 1.0):
-        n_max = cutoff_for_spectrum_tail(gamma)
-        numeric = kbar(gamma, n_max=n_max)
-        analytic = kbar_analytic(gamma)
-        rel = abs(numeric / analytic - 1.0)
-        print(f"gamma={gamma}: kbar numeric {numeric:.12g} vs analytic "
+        n_max = cutoff_for_trace_norm(gamma)
+        truncated = kbar(gamma, n_max=n_max)
+        analytic = (1.0 + 2.0 * mean_photons_per_mode(gamma)) ** 2
+        rel = abs(truncated / analytic - 1.0)
+        print(f"gamma={gamma}: kbar at cutoff {n_max} {truncated:.12g} vs closed form "
               f"{analytic:.12g} (rel {rel:.2e})")
-        assert rel <= 1e-6
+        assert rel <= 1e-12
     elapsed = time.perf_counter() - t0
     print(f"wall time {elapsed:.3f} s")
     assert elapsed < 1.0
 
 
 def test_criterion_02_negativity_trace_norm():
-    # dense partial-transpose eigensolve at gamma=0.5, cutoff 25:
-    # pair trace norm -> e, four-mode negativity -> e^2 - 1
+    # closed-form truncated trace norm at gamma=0.5, cutoff 25, against the
+    # dense partial-transpose eigensolve: pair trace norm -> e, four-mode
+    # negativity -> e^2 - 1
     t0 = time.perf_counter()
-    lam = schmidt_spectrum(0.5, 25)
-    tn_pair, neg_four = negativity_numeric(lam, method="dense")
+    tn_pair = trace_norm(0.5, n_max=25, four_mode=False)
+    neg_four = negativity(0.5, n_max=25)
+    dense = oracles.pt_trace_norm(np.diag(np.sqrt(oracles.pair_spectrum(0.5, 25))))
+    rel_oracle = abs(tn_pair / dense - 1.0)
+    print(f"pair trace norm {tn_pair:.15f} vs dense eigensolve {dense:.15f} "
+          f"(rel {rel_oracle:.2e})")
+    assert rel_oracle <= 1e-12
     rel_tn = abs(tn_pair / math.e - 1.0)
     rel_neg = abs(neg_four / (math.e ** 2 - 1.0) - 1.0)
     print(f"pair trace norm {tn_pair:.10f} vs e (rel {rel_tn:.2e})")
@@ -273,7 +280,7 @@ def test_criterion_11_width_ratio():
     # reproduces the per-pair analytic ratio within 5%
     for n0 in (5.0, 10.0, 50.0):
         g = gamma_for_mean_photons(n0)
-        ratio = fedorov_ratio(g, n_max=cutoff_for_spectrum_tail(g))
+        ratio = fedorov_ratio(g, n_max=cutoff_for_trace_norm(g))
         norm = ratio / (2.0 * n0 * n0)
         print(f"N0={n0:g}: four-mode width ratio / 2 N0^2 = {norm:.4f}")
         assert 0.95 <= norm <= 1.05

@@ -140,12 +140,33 @@ def test_truncation_single_epsilon():
     assert float(rows[0]["n0"]) == 10.0
 
 
-def test_truncation_bad_epsilon_is_numeric_error():
-    assert cli.main(["truncation", "--epsilon", "1.5", "--out", "t.csv"]) == 3
+def test_truncation_bad_epsilon_is_usage_error():
+    assert cli.main(["truncation", "--epsilon", "1.5", "--out", "t.csv"]) == 2
 
 
 def test_empty_grid_is_usage_error():
     assert cli.main(["measures", "--n0-grid", ",", "--out", "m.csv"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "--n0-grid", "inf"],
+    ["measures", "--n0-grid", "nan"],
+    ["measures", "--n0-grid", "-1"],
+    ["measures", "--n0-grid", "1,abc"],
+    ["truncation", "--n0-grid", "inf"],
+    ["truncation", "--n0-grid", "-1"],
+    ["truncation", "--epsilon", "0"],
+    ["truncation", "--epsilon", "nan"],
+    ["truncation", "--epsilon-grid", "0.1,1"],
+    ["witness", "--cutoff", "0"],
+    ["witness", "--cutoff", "-3"],
+    ["crosswitness", "--cutoff", "0"],
+], ids=" ".join)
+def test_malformed_input_is_one_line_usage_error(argv, capsys):
+    assert cli.main(argv + ["--out", "bad.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
 
 
 # -- crosswitness ----------------------------------------------------------------
@@ -179,6 +200,15 @@ def test_fedorov_run():
     assert float(row["rel_deviation"]) < 0.10
     assert float(row["ratio"]) == pytest.approx(
         float(row["ratio_h"]) * float(row["ratio_v"]), rel=1e-12)
+
+
+def test_fedorov_zero_gain_reports_undefined_deviation(capsys):
+    assert cli.main(["fedorov", "--gamma", "0", "--pulses", "1000",
+                     "--out", "f0.csv"]) == 0
+    row = _read_csv("f0.csv")[0]
+    assert float(row["exact_ratio"]) == 0.0
+    assert row["rel_deviation"] == "nan"
+    assert "deviation nan%" in capsys.readouterr().out
 
 
 # -- sweep-eta --------------------------------------------------------------------

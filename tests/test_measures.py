@@ -5,213 +5,235 @@ import pytest
 from scipy.stats import unitary_group
 
 from macrobell.measures import (
-    DistributionKind,
-    PhotonNumberDistribution,
     WidthConvention,
-    cutoff_for_spectrum_tail,
-    distribution_width,
-    effective_schmidt_number,
+    cutoff_for_trace_norm,
     fedorov_ratio,
-    fedorov_ratio_from_spectrum,
-    four_mode_negativity,
     gain_scan,
     gamma_for_mean_photons,
     kbar,
-    kbar_analytic,
     log_negativity,
     measure_report,
-    negativity_asymptote,
-    negativity_numeric,
-    pair_marginal_distribution,
-    pair_negativity,
-    photon_number_distributions,
-    pt_spectrum_dense,
-    pt_spectrum_from_schmidt,
-    pt_spectrum_structured,
+    negativity,
+    photon_number_moments,
+    trace_norm,
 )
-from macrobell.states import mean_photons_per_mode, schmidt_spectrum
+from macrobell.states import mean_photons_per_mode
+
+from oracles import (
+    bell_vector,
+    count_moments,
+    pair_spectrum,
+    pt_eigenvalues,
+    pt_trace_norm,
+    schmidt_number,
+)
 
 
 # -- effective mode number ---------------------------------------------------------
 
 
 def test_schmidt_number_uniform_and_squaring():
-    p = np.full(8, 0.125)
-    assert effective_schmidt_number(p) == pytest.approx(8.0, rel=1e-13)
-    assert effective_schmidt_number(p, four_mode=True) == pytest.approx(64.0, rel=1e-13)
-    # unnormalized input is renormalized
-    assert effective_schmidt_number(3.0 * p) == pytest.approx(8.0, rel=1e-13)
+    assert schmidt_number(np.full(8, 0.375)) == pytest.approx(8.0, rel=1e-13)
+    # the truncated closed form is K of the renormalized truncated spectrum,
+    # squared for the four-mode state
+    for gamma, n_max in ((0.3, 5), (0.8, 12), (1.5, 40)):
+        k_pair = kbar(gamma, n_max=n_max, four_mode=False)
+        assert k_pair == pytest.approx(schmidt_number(pair_spectrum(gamma, n_max)), rel=1e-12)
+        assert kbar(gamma, n_max=n_max) == pytest.approx(k_pair * k_pair, rel=1e-15)
 
 
 def test_schmidt_number_validation():
+    for bad_gamma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            kbar(bad_gamma)
+        with pytest.raises(ValueError):
+            trace_norm(bad_gamma, n_max=10)
     with pytest.raises(ValueError):
-        effective_schmidt_number(np.array([0.5, -0.1]))
-    with pytest.raises(ValueError):
-        effective_schmidt_number(np.zeros(4))
+        kbar(0.5, n_max=-1)
 
 
 def test_kbar_closed_form():
     for gamma in (0.2, 0.5, 1.0):
         n0 = mean_photons_per_mode(gamma)
-        assert kbar_analytic(gamma, four_mode=False) == pytest.approx(1 + 2 * n0, rel=1e-14)
-        assert kbar_analytic(gamma) == pytest.approx((1 + 2 * n0) ** 2, rel=1e-14)
-        n_max = cutoff_for_spectrum_tail(gamma)
-        assert kbar(gamma, n_max=n_max) == pytest.approx(kbar_analytic(gamma), rel=1e-6)
+        assert kbar(gamma, four_mode=False) == pytest.approx(1 + 2 * n0, rel=1e-14)
+        assert kbar(gamma) == pytest.approx((1 + 2 * n0) ** 2, rel=1e-14)
+        n_max = cutoff_for_trace_norm(gamma)
+        assert kbar(gamma, n_max=n_max) == pytest.approx(kbar(gamma), rel=1e-12)
 
 
 def test_kbar_nine_at_unit_mean_photons():
     g = gamma_for_mean_photons(1.0)
-    assert kbar_analytic(g) == pytest.approx(9.0, rel=1e-12)
-    assert kbar(g, n_max=cutoff_for_spectrum_tail(g)) == pytest.approx(9.0, rel=1e-6)
+    assert kbar(g) == pytest.approx(9.0, rel=1e-12)
+    assert kbar(g, n_max=cutoff_for_trace_norm(g)) == pytest.approx(9.0, rel=1e-12)
 
 
 def test_purity_from_reduced_state_is_inverse_kbar():
     # partial trace over a unitarily-rotated partner mode must leave the
     # purity at sum(p^2): the Schmidt count is basis independent
-    lam = schmidt_spectrum(0.8, 30)
-    p = lam / lam.sum()
+    p = pair_spectrum(0.8, 30)
     u = unitary_group.rvs(31, random_state=np.random.default_rng(5))
     amp = np.diag(np.sqrt(p)) @ u.T
     rho = amp @ amp.conj().T
     purity = float(np.trace(rho @ rho).real)
-    assert 1.0 / purity == pytest.approx(effective_schmidt_number(lam), rel=1e-10)
+    assert 1.0 / purity == pytest.approx(kbar(0.8, n_max=30, four_mode=False), rel=1e-10)
 
 
 # -- partial transpose --------------------------------------------------------------
 
 
 def test_pt_spectrum_two_coefficient_case():
+    # the dense oracle reproduces the pure-state PT spectrum {c_k^2, +/- c_k c_l}
     c = np.array([math.cos(0.3), math.sin(0.3)])
-    eig = pt_spectrum_from_schmidt(c)
+    eig = pt_eigenvalues(np.diag(c))
     want = np.sort([c[0] ** 2, c[1] ** 2, c[0] * c[1], -c[0] * c[1]])
     assert np.allclose(eig, want, atol=1e-15)
     assert eig.sum() == pytest.approx(1.0, abs=1e-14)
+    assert pt_trace_norm(np.diag(c)) == pytest.approx(c.sum() ** 2, rel=1e-14)
 
 
 def test_pt_structured_matches_dense():
     gamma, n_max = 0.4, 20
-    structured = pt_spectrum_structured(gamma, n_max)
-    lam = schmidt_spectrum(gamma, n_max)
-    dense = pt_spectrum_dense(np.diag(np.sqrt(lam / lam.sum())))
-    assert np.allclose(np.sort(structured), np.sort(dense), atol=1e-12)
+    dense = pt_trace_norm(np.diag(np.sqrt(pair_spectrum(gamma, n_max))))
+    assert trace_norm(gamma, n_max=n_max, four_mode=False) == pytest.approx(dense, rel=1e-12)
 
 
 def test_pt_dense_guard():
     with pytest.raises(ValueError):
-        pt_spectrum_dense(np.zeros((60, 60)))
+        pt_eigenvalues(np.zeros((60, 60)))
 
 
 def test_pair_negativity_both_methods():
     gamma = 0.5
-    a = pair_negativity(gamma, n_max=40, method="structured")
-    b = pair_negativity(gamma, n_max=40, method="dense")
-    assert a.trace_norm == pytest.approx(b.trace_norm, rel=1e-10)
-    assert a.trace_norm == pytest.approx(math.exp(2 * gamma), rel=1e-8)
-    assert a.negativity == a.trace_norm - 1.0
-    assert a.min_eigenvalue == pytest.approx(b.min_eigenvalue, rel=1e-8)
-    assert a.log_negativity == pytest.approx(2 * gamma / math.log(2), rel=1e-8)
+    dense = pt_trace_norm(np.diag(np.sqrt(pair_spectrum(gamma, 40))))
+    tn = trace_norm(gamma, n_max=40, four_mode=False)
+    assert tn == pytest.approx(dense, rel=1e-12)
+    assert tn == pytest.approx(math.exp(2 * gamma), rel=1e-12)
+    assert negativity(gamma, n_max=40, four_mode=False) == pytest.approx(tn - 1.0, rel=1e-14)
+    assert log_negativity(gamma, n_max=40, four_mode=False) == pytest.approx(
+        2 * gamma / math.log(2), rel=1e-12)
 
 
 def test_four_mode_negativity_both_methods():
-    gamma = 0.5
-    a = four_mode_negativity(gamma, n_max=30, method="structured")
-    b = four_mode_negativity(gamma, n_max=30, method="dense")
-    assert a.trace_norm == pytest.approx(b.trace_norm, rel=1e-10)
-    assert a.min_eigenvalue == pytest.approx(b.min_eigenvalue, rel=1e-8)
-    assert a.negativity == pytest.approx(negativity_asymptote(gamma), rel=1e-8)
-    with pytest.raises(ValueError):
-        four_mode_negativity(gamma, n_max=60, method="dense")  # product spectrum too big
+    # the dense oracle sees the whole four-mode Bell vector across the beam
+    # split: (a_H, a_V) rows, (b_H, b_V) columns
+    gamma, n_max = 0.5, 5
+    d = n_max + 1
+    for sign, pairing in ((-1, "cross"), (+1, "parallel")):
+        amp = bell_vector(sign, pairing, gamma, n_max).reshape(d * d, d * d)
+        dense = pt_trace_norm(amp)
+        assert trace_norm(gamma, n_max=n_max) == pytest.approx(dense, rel=1e-12)
+        assert negativity(gamma, n_max=n_max) == pytest.approx(dense - 1.0, rel=1e-12)
+    assert trace_norm(gamma) == pytest.approx(
+        trace_norm(gamma, four_mode=False) ** 2, rel=1e-15)
+    assert negativity(gamma) == pytest.approx(math.expm1(4 * gamma), rel=1e-15)
 
 
 def test_negativity_numeric_routes_and_guard():
-    lam = schmidt_spectrum(0.5, 40)
-    tn_a, neg_a = negativity_numeric(lam, method="dense")
-    tn_b, neg_b = negativity_numeric(lam, method="structured")
-    assert tn_a == pytest.approx(tn_b, rel=1e-10)
-    assert neg_a == pytest.approx(math.exp(4 * 0.5) - 1.0, rel=1e-7)
-    assert neg_a == pytest.approx(tn_a * tn_a - 1.0, rel=1e-14)
+    tn_pair = trace_norm(0.5, n_max=40, four_mode=False)
+    assert negativity(0.5, n_max=40) == pytest.approx(math.exp(4 * 0.5) - 1.0, rel=1e-12)
+    assert negativity(0.5, n_max=40) == pytest.approx(tn_pair * tn_pair - 1.0, rel=1e-14)
+    # a heavy tail (mass 2.4e-3 dropped) is no longer refused: the value is
+    # exactly that of the renormalized truncated state
+    dense = pt_trace_norm(np.diag(np.sqrt(pair_spectrum(1.0, 10))))
+    assert trace_norm(1.0, n_max=10, four_mode=False) == pytest.approx(dense, rel=1e-12)
     with pytest.raises(ValueError):
-        negativity_numeric(schmidt_spectrum(1.0, 10))  # tail mass 2.4e-3
-    with pytest.raises(ValueError):
-        negativity_numeric(lam, method="bogus")
+        negativity(0.5, n_max=-1)
 
 
 def test_log_negativity_linear_in_gain():
     for gamma in (0.25, 0.5, 1.0):
         assert log_negativity(gamma) == pytest.approx(4 * gamma / math.log(2), rel=1e-14)
-        assert log_negativity(gamma, copies=1) == pytest.approx(2 * gamma / math.log(2), rel=1e-14)
-        # sum(sqrt(lambda)) truncates like sqrt(tail), so ask for a tiny tail
-        n_max = cutoff_for_spectrum_tail(gamma, tail=1e-24)
+        assert log_negativity(gamma, four_mode=False) == pytest.approx(
+            2 * gamma / math.log(2), rel=1e-14)
+        n_max = cutoff_for_trace_norm(gamma)
         assert log_negativity(gamma, n_max=n_max) == pytest.approx(
-            log_negativity(gamma), rel=1e-9)
+            log_negativity(gamma), rel=1e-12)
 
 
 # -- photon-number distributions ------------------------------------------------------
 
 
 def test_photon_number_distributions():
-    lam = schmidt_spectrum(0.7, 25)
-    marginal, conditional = photon_number_distributions(lam)
-    assert marginal.kind is DistributionKind.MARGINAL
-    assert marginal.conditioned_on is None
-    assert np.allclose(marginal.probabilities, lam / lam.sum(), atol=1e-15)
-    n0_trunc = float(np.sum(np.arange(26) * lam) / lam.sum())
-    assert marginal.mean == pytest.approx(n0_trunc, rel=1e-13)
-    cond = conditional(3)
-    assert cond.kind is DistributionKind.CONDITIONAL
-    assert cond.conditioned_on == 3
-    assert cond.probabilities[3] == 1.0
-    assert cond.mean == 3.0
-    with pytest.raises(ValueError):
-        conditional(26)
-    with pytest.raises(ValueError):
-        conditional(-1)
+    p = pair_spectrum(0.7, 25)
+    mean, var = photon_number_moments(0.7, 25)
+    want_mean, want_var = count_moments(p)
+    assert mean == pytest.approx(want_mean, rel=1e-13)
+    assert var == pytest.approx(want_var, rel=1e-12)
+    n0 = mean_photons_per_mode(0.7)
+    assert photon_number_moments(0.7) == (n0, n0 * (n0 + 1.0))
+    # a single retained level pins the count: zero width, not a domain error;
+    # the closed form cancels terms of size N0^2 to get there
+    for gamma in (0.1, 1.0, 3.0):
+        scale = (1.0 + mean_photons_per_mode(gamma)) ** 2
+        mean, var = photon_number_moments(gamma, 0)
+        assert 0.0 <= mean <= 1e-13 * scale and 0.0 <= var <= 1e-13 * scale
+        assert 0.0 <= fedorov_ratio(gamma, 0, "stddev") <= 1e-13 * scale
 
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        PhotonNumberDistribution(np.array([-0.1, 1.1]), DistributionKind.MARGINAL)
+        photon_number_moments(-0.1)
     with pytest.raises(ValueError):
-        PhotonNumberDistribution(np.zeros(3), DistributionKind.MARGINAL)
+        photon_number_moments(0.5, n_max=-3)
+    with pytest.raises(ValueError):
+        fedorov_ratio(0.5, convention="fwhm")
 
 
 def test_distribution_width_conventions():
     # geometric law: stddev = sqrt(N0 (N0 + 1)), mean = N0
     gamma = 0.9
     n0 = mean_photons_per_mode(gamma)
-    probs = pair_marginal_distribution(gamma, cutoff_for_spectrum_tail(gamma))
-    assert distribution_width(probs, WidthConvention.STDDEV) == pytest.approx(
-        math.sqrt(n0 * (n0 + 1.0)), rel=1e-9)
-    assert distribution_width(probs, WidthConvention.SQRT2_STDDEV) == pytest.approx(
-        math.sqrt(2.0) * n0, rel=1e-9)
+    n_max = cutoff_for_trace_norm(gamma)
+    assert fedorov_ratio(gamma, n_max, WidthConvention.STDDEV, four_mode=False) == pytest.approx(
+        math.sqrt(n0 * (n0 + 1.0)), rel=1e-12)
+    assert fedorov_ratio(gamma, n_max, four_mode=False) == pytest.approx(
+        math.sqrt(2.0) * n0, rel=1e-12)
+    # at a short cutoff both widths follow the truncated law term by term
+    mean, var = count_moments(pair_spectrum(gamma, 6))
+    assert fedorov_ratio(gamma, 6, "stddev", four_mode=False) == pytest.approx(
+        math.sqrt(var), rel=1e-12)
+    assert fedorov_ratio(gamma, 6, four_mode=False) == pytest.approx(
+        math.sqrt(2.0) * mean, rel=1e-12)
 
 
 def test_fedorov_ratio_conventions_and_asymptotes():
     gamma = 1.0
     n0 = mean_photons_per_mode(gamma)
-    n_max = cutoff_for_spectrum_tail(gamma)
+    n_max = cutoff_for_trace_norm(gamma)
     assert fedorov_ratio(gamma, four_mode=False) == pytest.approx(math.sqrt(2) * n0, rel=1e-14)
     assert fedorov_ratio(gamma) == pytest.approx(2.0 * n0 * n0, rel=1e-14)
     assert fedorov_ratio(gamma, convention="stddev", four_mode=False) == pytest.approx(
         math.sqrt(n0 * (n0 + 1.0)), rel=1e-14)
     # truncated route converges to the closed form
-    assert fedorov_ratio(gamma, n_max=n_max) == pytest.approx(fedorov_ratio(gamma), rel=1e-8)
-    # spectrum route is the same computation up to one renormalization pass
-    lam = schmidt_spectrum(gamma, n_max)
-    assert fedorov_ratio_from_spectrum(lam) == pytest.approx(
-        fedorov_ratio(gamma, n_max=n_max), rel=1e-13)
+    assert fedorov_ratio(gamma, n_max=n_max) == pytest.approx(fedorov_ratio(gamma), rel=1e-12)
+    # and equals the term-by-term sum over the truncated spectrum
+    mean, _ = count_moments(pair_spectrum(gamma, n_max))
+    assert fedorov_ratio(gamma, n_max=n_max) == pytest.approx(2.0 * mean * mean, rel=1e-13)
 
 
 def test_measure_report_consistency():
     rep = measure_report(0.5)
     assert rep.n0 == pytest.approx(mean_photons_per_mode(0.5), rel=1e-14)
-    assert rep.kbar_numeric == pytest.approx(rep.kbar_analytic, rel=1e-6)
-    assert rep.negativity_numeric == pytest.approx(rep.negativity_analytic, rel=1e-6)
+    assert rep.cutoff == cutoff_for_trace_norm(0.5)
+    assert rep.kbar == pytest.approx(kbar(0.5), rel=1e-12)
+    assert rep.negativity == pytest.approx(negativity(0.5), rel=1e-12)
     assert rep.log_negativity == pytest.approx(2.0 / math.log(2), rel=1e-12)
     assert rep.width_convention is WidthConvention.SQRT2_STDDEV
     rep2 = measure_report(0.5, convention="stddev")
     assert rep2.width_convention is WidthConvention.STDDEV
     assert rep2.fedorov_ratio != rep.fedorov_ratio
+
+
+@pytest.mark.parametrize("n0", [1.0, 10.0, 1e6])
+def test_gain_scan_rows_match_closed_forms(n0):
+    # every row sits within 1e-12 of its untruncated limit
+    (row,) = gain_scan([n0])
+    g = gamma_for_mean_photons(n0)
+    assert row["negativity"] == pytest.approx(math.expm1(4 * g), rel=1e-12)
+    assert row["kbar"] == pytest.approx((1 + 2 * n0) ** 2, rel=1e-12)
+    assert row["fedorov"] == pytest.approx(2 * n0 * n0, rel=1e-12)
+    (row,) = gain_scan([n0], convention="stddev")
+    assert row["fedorov"] == pytest.approx(n0 * (n0 + 1), rel=1e-12)
 
 
 def test_gain_scan_ordering_and_norms():
@@ -237,9 +259,12 @@ def test_gamma_inversion_round_trip():
         gamma_for_mean_photons(-1.0)
 
 
-def test_cutoff_for_spectrum_tail_property():
-    for gamma in (0.3, 0.8, 1.5):
-        q = math.tanh(gamma) ** 2
-        n = cutoff_for_spectrum_tail(gamma, tail=1e-12)
-        assert q ** (n + 1) < 1e-12
-    assert cutoff_for_spectrum_tail(0.0) == 8  # floor
+def test_cutoff_for_trace_norm_property():
+    for gamma in (0.05, 0.3, 0.8, 1.5, 4.0):
+        n = cutoff_for_trace_norm(gamma, rel=1e-12)
+        rel = 1.0 - negativity(gamma, n) / negativity(gamma)
+        assert 0.0 <= rel <= 1e-12
+        # minimal: one level fewer misses the budget (unless at the floor)
+        if n > 8:
+            assert 1.0 - negativity(gamma, n - 1) / negativity(gamma) > 1e-12 * 0.9
+    assert cutoff_for_trace_norm(0.0) == 8  # floor

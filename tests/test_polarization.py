@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import macrobell
+from macrobell.basis import FourModeBasis
 from macrobell.polarization import (
     BasisTransform,
     apply_transform,
@@ -16,7 +21,13 @@ from macrobell.polarization import (
     sector_matrix,
     unitarity_defect,
 )
-from macrobell.states import BellLabel, build_bell_state, geometric_ratio
+from macrobell.states import (
+    BellLabel,
+    FourModeState,
+    NumericError,
+    build_bell_state,
+    geometric_ratio,
+)
 
 
 # -- Jones matrices -----------------------------------------------------------
@@ -132,3 +143,31 @@ def test_generic_transform_preserves_norm():
     out = apply_transform(st, half_wave_plate(13.0, target="a"))
     assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-10)
     assert out.vector is not None  # leaves the paired subspaces
+
+
+_LEAK_CASE = """
+import numpy as np
+from macrobell.basis import FourModeBasis
+from macrobell.polarization import apply_transform, half_wave_plate
+from macrobell.states import FourModeState
+vec = np.zeros(5 ** 4, dtype=np.complex128)
+vec[FourModeBasis(4).index(4, 4, 0, 0)] = 1.0
+apply_transform(FourModeState(gamma=0.5, n_max=4, vector=vec), half_wave_plate(22.5))
+"""
+
+
+def test_transform_norm_leak_is_refused():
+    # |4,4> on beam a at n_max=4: a half-wave plate at 22.5 deg spreads the
+    # eight photons over (n_H, 8 - n_H), and 86% of the norm falls outside
+    # the per-mode cutoff
+    vec = np.zeros(5 ** 4, dtype=np.complex128)
+    vec[FourModeBasis(4).index(4, 4, 0, 0)] = 1.0
+    state = FourModeState(gamma=0.5, n_max=4, vector=vec)
+    with pytest.raises(NumericError, match="leaked norm 8.59"):
+        apply_transform(state, half_wave_plate(22.5))
+    # the refusal survives python -O, which strips assert statements
+    src = os.path.dirname(os.path.dirname(macrobell.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _LEAK_CASE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode != 0
+    assert "NumericError: transform leaked norm" in proc.stderr

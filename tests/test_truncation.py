@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from macrobell.states import geometric_ratio, mean_photons_per_mode
-from macrobell.measures import gamma_for_mean_photons, kbar_analytic
+from macrobell.measures import gamma_for_mean_photons, kbar
 from macrobell.truncation import (
     CompressionPoint,
     alpha_from_epsilon,
@@ -126,7 +126,7 @@ def test_truncated_kbar_converges_to_full():
         g = gamma_for_mean_photons(n0)
         n = cutoff_for_epsilon(g, 1e-14)
         assert truncated_kbar(g, n) == pytest.approx(
-            kbar_analytic(g, four_mode=True), rel=1e-10)
+            kbar(g), rel=1e-10)
 
 
 def test_cutoff_tracks_alpha_n0():
