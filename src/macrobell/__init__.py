@@ -33,7 +33,6 @@ from .polarization import (
     quarter_wave_plate,
 )
 from .stokes import (
-    HermitianOperator,
     combination_matrix,
     commutator,
     expectation,
@@ -97,7 +96,7 @@ __all__ = [
     "BasisTransform", "apply_transform", "half_wave_plate",
     "identify_bell_state", "pi_phase_on_bh", "polarization_rotator",
     "quarter_wave_plate",
-    "HermitianOperator", "combination_matrix", "commutator", "expectation",
+    "combination_matrix", "commutator", "expectation",
     "stokes_operator", "variance_of_combination",
     "WitnessKind", "WitnessReport", "cross_witness_matrix",
     "cutoff_for_edge_mass", "evaluate_witness", "product_state_battery",

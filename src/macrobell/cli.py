@@ -176,9 +176,24 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             resolved[key] = file_vals[key]
         else:
             resolved[key] = builtin
-    if resolved.get("cutoff") is not None and resolved["cutoff"] <= 0:
-        raise UsageError(f"cutoff must be positive, got {resolved['cutoff']}")
+    _check_bounds(resolved)
     return resolved
+
+
+def _check_bounds(cfg: dict) -> None:
+    """Refuse out-of-range scalar inputs before any work starts."""
+    import os
+
+    if cfg.get("cutoff") is not None and cfg["cutoff"] <= 0:
+        raise UsageError(f"cutoff must be positive, got {cfg['cutoff']}")
+    gamma = cfg.get("gamma", 0.0)
+    if gamma is None or not (math.isfinite(gamma) and gamma >= 0.0):
+        raise UsageError(f"gamma must be finite and nonnegative, got {gamma!r}")
+    if cfg.get("pulses") is not None and cfg["pulses"] < 3:
+        raise UsageError(f"jackknife errors need at least 3 pulses, got {cfg['pulses']}")
+    workers, cpus = cfg.get("workers", 1), os.cpu_count() or 1
+    if workers is None or not 1 <= workers <= cpus:
+        raise UsageError(f"workers must lie in 1..{cpus} (the CPU count), got {workers}")
 
 
 def _convert(key: str, raw: str):
@@ -254,7 +269,6 @@ def _write_manifest(command: str, cfg: dict, outputs: list[str], t0: float,
 
 
 def _cmd_witness(cfg: dict) -> list[str]:
-    from .basis import FourModeBasis
     from .states import build_bell_state
     from .witnesses import WitnessKind, cutoff_for_edge_mass, evaluate_witness
     from .simulate import SimConfig, estimate_witness, matched_witness
@@ -289,7 +303,7 @@ def _cmd_witness(cfg: dict) -> list[str]:
         if n_max is None:
             n_max = 4 if gamma == 0.0 else cutoff_for_edge_mass(gamma)
         state = build_bell_state(label, gamma, n_max)
-        rep = evaluate_witness(kind, state, basis=FourModeBasis(n_max))
+        rep = evaluate_witness(kind, state)
         row = ["exact", kind.value, shown, gamma, n_max, 1.0,
                None, None, rep.value, None, *rep.variance_terms,
                None, None, None, rep.mean_s0]

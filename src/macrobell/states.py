@@ -57,6 +57,30 @@ class TruncationMassError(ValueError):
         super().__init__(text)
 
 
+#: complex amplitudes a Stokes-moment route holds at its peak, per
+#: amplitude of the state it works on (with headroom over tracemalloc)
+PEAK_ARRAYS = 10
+
+
+def check_memory(n_amplitudes: int, what: str) -> None:
+    """Refuse work on ``n_amplitudes`` complex amplitudes that cannot fit.
+
+    The peak is estimated as ``PEAK_ARRAYS`` complex128 arrays of that
+    size; beyond the machine's physical memory this raises
+    :class:`NumericError` before anything is allocated.
+    """
+    import os
+
+    need = PEAK_ARRAYS * 16 * n_amplitudes
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise NumericError(
+            f"{what}: {n_amplitudes:.3g} amplitudes need an estimated "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of "
+            "physical memory"
+        )
+
+
 def mean_photons_per_mode(gamma: float) -> float:
     """N0 = sinh(gamma)^2, the mean occupation of each of the four modes."""
     return math.sinh(gamma) ** 2
@@ -224,6 +248,7 @@ class FourModeState:
         basis = basis or FourModeBasis(self.n_max)
         if basis.n_max < self.n_max:
             raise ValueError("target basis cutoff smaller than the state's")
+        check_memory(basis.dim, f"dense vector at cutoff {basis.n_max}")
         if self.vector is not None:
             if basis.n_max == self.n_max:
                 return self.vector.astype(np.complex128, copy=True)
@@ -325,6 +350,7 @@ def build_bell_state(
     mass (for TOTAL_PHOTON truncation, exactly ``1 - epsilon`` of the
     truncation analysis).
     """
+    check_memory((n_max + 1) ** 2, f"amplitude table at cutoff {n_max}")
     lam = schmidt_spectrum(gamma, n_max)
     root = np.sqrt(lam)
     signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, float(label.sign))

@@ -10,61 +10,41 @@ and likewise for beam ``b``; the compound-beam operators are the sums
 that no raising transition pushes past the cutoff) they satisfy the
 angular-momentum algebra ``[S_1, S_2] = 2i S_3`` and cyclic.
 
-Two evaluation routes are provided and cross-checked in the tests:
-explicit scipy.sparse matrices (the default), and a matrix-free
-application on the reshaped amplitude tensor used automatically for
-very large cutoffs, where building CSR matrices would waste memory.
+Moments of a combination ``O = sum c S_k^beam`` on a pure state take one
+route per storage form of the state:
+
+* a table-backed state never leaves its ``(n, m)`` table.  Every Stokes
+  operator conserves each beam's photon number (Schwinger's two-boson
+  picture), so ``O`` keeps the paired kets (``S_0`` and ``S_1`` are
+  diagonal) or moves one photon between H and V of one beam, landing on
+  one of two "defect" planes.  ``<O>`` and ``<O^2>`` cost O(n_max^2),
+  and cutoff amputation is array slicing.
+* a vector-backed state (from a polarization transform) is reshaped to
+  its ``(d, d, d, d)`` amplitude tensor and ``O psi`` is applied
+  matrix-free.
+
+Explicit scipy.sparse matrices are built only for the operator-level
+identities the tests check: Hermiticity, commutators, and the
+conjugation and substitution maps between witnesses.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import FourModeBasis
-from .states import FourModeState, NumericError
+from .states import FourModeState, NumericError, check_memory
 
 log = logging.getLogger(__name__)
 
 BEAMS = ("a", "b")
 #: beam -> (index of its H mode, index of its V mode) in the basis ordering
 _BEAM_MODES = {"a": (0, 1), "b": (2, 3)}
-
-#: above this dimension variance evaluation switches to the matrix-free path
-TENSOR_PATH_DIM = 1_500_000
-
-#: dense expansion guard
-DENSE_DIM_LIMIT = 5000
-
-
-@dataclass
-class HermitianOperator:
-    """A Hermitian observable as a sparse matrix over a FourModeBasis."""
-
-    matrix: sp.csr_matrix
-    basis: FourModeBasis
-    name: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        if self.dim > DENSE_DIM_LIMIT:
-            raise ValueError(
-                f"refusing dense expansion at dimension {self.dim} > {DENSE_DIM_LIMIT}"
-            )
-        return self.matrix.toarray()
-
-    def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.conj().T
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-
-    def __matmul__(self, other: "HermitianOperator") -> sp.csr_matrix:
-        return self.matrix @ other.matrix
+#: every (component, beam) a coefficient map may name
+_TERMS = tuple((k, beam) for k in range(4) for beam in BEAMS)
 
 
 def _hop_matrix(basis: FourModeBasis, i: int, j: int, coef: complex) -> tuple:
@@ -100,17 +80,13 @@ def _single_beam_matrix(component: int, beam: str, basis: FourModeBasis) -> sp.c
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def stokes_operator(component: int, beam: str, basis: FourModeBasis) -> HermitianOperator:
-    """S_component of one beam ('a', 'b') or of the compound beam ('total')."""
+def stokes_operator(component: int, beam: str, basis: FourModeBasis) -> sp.csr_matrix:
+    """Sparse S_component of one beam ('a', 'b') or of the compound beam ('total')."""
     if beam in _BEAM_MODES:
-        mat = _single_beam_matrix(component, beam, basis)
-        name = f"S_{component}^{beam}"
-    elif beam == "total":
-        mat = _single_beam_matrix(component, "a", basis) + _single_beam_matrix(component, "b", basis)
-        name = f"S_{component}"
-    else:
-        raise ValueError(f"beam must be 'a', 'b' or 'total', got {beam!r}")
-    return HermitianOperator(mat, basis, name)
+        return _single_beam_matrix(component, beam, basis)
+    if beam == "total":
+        return _single_beam_matrix(component, "a", basis) + _single_beam_matrix(component, "b", basis)
+    raise ValueError(f"beam must be 'a', 'b' or 'total', got {beam!r}")
 
 
 def combination_matrix(coeffs: dict, basis: FourModeBasis) -> sp.csr_matrix:
@@ -126,61 +102,42 @@ def combination_matrix(coeffs: dict, basis: FourModeBasis) -> sp.csr_matrix:
     return out.tocsr()
 
 
-def commutator(op1: HermitianOperator, op2: HermitianOperator) -> sp.csr_matrix:
-    return op1.matrix @ op2.matrix - op2.matrix @ op1.matrix
+def commutator(op1: sp.spmatrix, op2: sp.spmatrix) -> sp.csr_matrix:
+    return op1 @ op2 - op2 @ op1
 
 
 # -- matrix-free application -------------------------------------------------
 
 
-def _apply_single_tensor(component: int, beam: str, tensor: np.ndarray) -> np.ndarray:
-    """O tensor for one S_component^beam; tensor shape (d, d, d, d)."""
-    d = tensor.shape[0]
-    h, v = _BEAM_MODES[beam]
-    n = np.arange(d, dtype=np.float64)
-
-    def on_axes(arr, axis_h, axis_v):
-        nh = n.reshape([-1 if ax == axis_h else 1 for ax in range(4)])
-        nv = n.reshape([-1 if ax == axis_v else 1 for ax in range(4)])
-        if component == 0:
-            return arr * (nh + nv)
-        if component == 1:
-            return arr * (nh - nv)
-        # hopping weights: w[p, q] = sqrt((p+1)(q+1)) for the shifted blocks
-        w = np.sqrt(np.outer(np.arange(1, d), np.arange(1, d))) if d > 1 else np.zeros((0, 0))
-        out = np.zeros_like(arr)
-        if d == 1:
-            return out
-        sl_lo = [slice(None)] * 4
-        sl_hi = [slice(None)] * 4
-        # term "raise H, lower V": out[i, j] += sqrt(i (j+1)) psi[i-1, j+1]
-        sl_lo[axis_h], sl_lo[axis_v] = slice(1, None), slice(None, -1)
-        sl_hi[axis_h], sl_hi[axis_v] = slice(None, -1), slice(1, None)
-        shape = [1, 1, 1, 1]
-        shape[axis_h], shape[axis_v] = d - 1, d - 1
-        wb = w.reshape(shape)
-        t1 = wb * arr[tuple(sl_hi)]
-        # term "lower H, raise V": out[i, j] += sqrt((i+1) j) psi[i+1, j-1]
-        # (same symmetric weight array serves both shifted blocks)
-        t2 = wb * arr[tuple(sl_lo)]
-        if component == 2:
-            out[tuple(sl_lo)] += t1
-            out[tuple(sl_hi)] += t2
-        else:  # component == 3: i (aV+ aH - aH+ aV)
-            out[tuple(sl_lo)] += -1j * t1
-            out[tuple(sl_hi)] += 1j * t2
-        return out
-
-    return on_axes(tensor, h, v)
-
-
 def apply_combination_tensor(coeffs: dict, tensor: np.ndarray) -> np.ndarray:
-    """Matrix-free O @ psi on the (d, d, d, d) amplitude tensor."""
-    out = np.zeros_like(tensor, dtype=np.complex128)
-    for (component, beam), c in coeffs.items():
-        if c == 0.0:
-            continue
-        out += c * _apply_single_tensor(component, beam, tensor)
+    """Matrix-free O @ psi on the (d, d, d, d) amplitude tensor.
+
+    Per beam, ``c0 S_0 + c1 S_1`` is the diagonal ``(c0 + c1) n_H +
+    (c0 - c1) n_V`` and ``c2 S_2 + c3 S_3`` is ``(c2 - i c3) aH+ aV +
+    (c2 + i c3) aV+ aH``; both hops share the weights
+    ``sqrt((p + 1)(q + 1))`` on the shifted blocks.
+    """
+    n = np.arange(tensor.shape[0], dtype=np.float64)
+    out = np.zeros(tensor.shape, dtype=np.complex128)
+
+    def along(arr, axis_h, axis_v):
+        shape = [1, 1, 1, 1]
+        shape[axis_h], shape[axis_v] = arr.shape
+        return arr.reshape(shape)
+
+    for beam, (h, v) in _BEAM_MODES.items():
+        c0, c1, c2, c3 = (coeffs.get((k, beam), 0.0) for k in range(4))
+        if c0 or c1:
+            out += along(np.add.outer((c0 + c1) * n, (c0 - c1) * n), h, v) * tensor
+        if c2 or c3:
+            w = along(np.sqrt(np.outer(n[1:], n[1:])), h, v)
+            raised, lowered = [slice(None)] * 4, [slice(None)] * 4
+            raised[h], raised[v] = slice(1, None), slice(None, -1)
+            lowered[h], lowered[v] = slice(None, -1), slice(1, None)
+            raised, lowered = tuple(raised), tuple(lowered)
+            # aH+ aV: out[i, j] += sqrt(i (j+1)) psi[i-1, j+1], and its adjoint
+            out[raised] += complex(c2, -c3) * (w * tensor[lowered])
+            out[lowered] += complex(c2, c3) * (w * tensor[raised])
     return out
 
 
@@ -200,49 +157,103 @@ def _as_vector(state, basis: FourModeBasis | None) -> tuple[np.ndarray, FourMode
     return vec.astype(np.complex128, copy=False), basis
 
 
-def _real_expectation(num: complex, den: float, what: str) -> float:
-    val = num / den
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise NumericError(f"{what}: imaginary leakage {val.imag:.3e}")
-    return float(val.real)
+def _norm_sq(arr: np.ndarray) -> float:
+    return float(np.vdot(arr, arr).real)
 
 
-def expectation(op: HermitianOperator, state) -> float:
-    """<state|op|state> / <state|state>, asserting a real result."""
-    vec, _ = _as_vector(state, op.basis)
-    den = float(np.vdot(vec, vec).real)
-    if den == 0.0:
-        raise ValueError("zero state")
-    return _real_expectation(np.vdot(vec, op.matrix @ vec), den, op.name or "expectation")
+def _table_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
+    """Normalized (<O>, <O^2>) straight from the (n, m) table.
 
+    With T the table and 0 <= n, m <= n_max, O psi has three parts:
 
-def variance_of_combination(
-    coeffs: dict, state, basis: FourModeBasis | None = None, method: str = "auto"
-) -> float:
-    """Variance of O = sum c_k S_k on a pure state.
+    * on the paired kets, ``((c1a -+ c1b)(n - m) + (c0a + c0b)(n + m)) T[n, m]``
+      (- for cross pairing, + for parallel);
+    * the "+1" plane over ``T[:-1, 1:]``,
+      ``sqrt((n+1) m) (ra T[n, m] + rb T[n+1, m-1])``;
+    * the "-1" plane over ``T[1:, :-1]``,
+      ``sqrt(n (m+1)) (la T[n, m] + lb T[n-1, m+1])``;
 
-    coeffs maps ``(component, beam)`` to a real coefficient, e.g.
-    ``{(2, 'a'): 1.0, (2, 'b'): -1.0}`` for ``S_2^a - S_2^b``.  Since O
-    is Hermitian, ``<O^2>`` is evaluated as ``||O psi||^2`` -- one
-    operator application, never an operator product.  Tiny negative
-    results from roundoff are clamped to zero (logged); negative values
-    beyond roundoff raise :class:`NumericError`.
+    with ``ra = c2a - i c3a``, ``la = c2a + i c3a`` and, for cross
+    pairing, ``rb = c2b - i c3b``, ``lb = c2b + i c3b`` (swapped for
+    parallel pairing).  The three parts are mutually orthogonal, so the
+    mean comes from the paired part alone and ``<O^2> = ||O psi||^2`` is
+    the sum of their squared norms.  A basis larger than the state's
+    cutoff zero-pads the table, which moves the amputation to its edge.
     """
-    vec, basis = _as_vector(state, basis)
-    den = float(np.vdot(vec, vec).real)
+    table = state.table
+    if basis is not None and basis.n_max != state.n_max:
+        if basis.n_max < state.n_max:
+            raise ValueError("target basis cutoff smaller than the state's")
+        check_memory(basis.n_levels**2, f"amplitude table padded to cutoff {basis.n_max}")
+        pad = basis.n_max - state.n_max
+        table = np.pad(table, ((0, pad), (0, pad)))
+    c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
+    cross = state.pairing == "cross"
+    weight = np.abs(table) ** 2
+    den = float(weight.sum())
     if den == 0.0:
         raise ValueError("zero state")
-    if method == "auto":
-        method = "tensor" if basis.dim > TENSOR_PATH_DIM else "sparse"
-    if method == "sparse":
-        ov = combination_matrix(coeffs, basis) @ vec
-    elif method == "tensor":
-        d = basis.n_levels
-        ov = apply_combination_tensor(coeffs, vec.reshape(d, d, d, d)).reshape(-1)
-    else:
-        raise ValueError(f"method must be auto/sparse/tensor, got {method!r}")
-    mean = _real_expectation(np.vdot(vec, ov), den, "combination mean")
-    second = float(np.vdot(ov, ov).real) / den
+    n = np.arange(table.shape[0], dtype=np.float64)
+    c0 = c[0, "a"] + c[0, "b"]
+    c1 = c[1, "a"] - c[1, "b"] if cross else c[1, "a"] + c[1, "b"]
+    mean = second = 0.0
+    if c0 or c1:
+        diag = c1 * (n[:, None] - n) + c0 * (n[:, None] + n)
+        mean = float(np.sum(diag * weight)) / den
+        second = float(np.sum(diag * diag * weight))
+    ra, la = complex(c[2, "a"], -c[3, "a"]), complex(c[2, "a"], c[3, "a"])
+    rb, lb = complex(c[2, "b"], -c[3, "b"]), complex(c[2, "b"], c[3, "b"])
+    if not cross:
+        rb, lb = lb, rb
+    if ra or rb:
+        w = np.sqrt(np.outer(n[1:], n[1:]))
+        up, down = w * table[:-1, 1:], w * table[1:, :-1]
+        second += _norm_sq(ra * up + rb * down) + _norm_sq(la * down + lb * up)
+    return mean, second / den
+
+
+def _vector_moments(coeffs: dict, state, basis: FourModeBasis | None) -> tuple:
+    vec, basis = _as_vector(state, basis)
+    den = _norm_sq(vec)
+    if den == 0.0:
+        raise ValueError("zero state")
+    d = basis.n_levels
+    ov = apply_combination_tensor(coeffs, vec.reshape(d, d, d, d)).reshape(-1)
+    mean = np.vdot(vec, ov) / den
+    if abs(mean.imag) > 1e-10 * max(1.0, abs(mean)):
+        raise NumericError(f"combination mean: imaginary leakage {mean.imag:.3e}")
+    return float(mean.real), _norm_sq(ov) / den
+
+
+def moments(coeffs: dict, state, basis: FourModeBasis | None = None) -> tuple[float, float]:
+    """(<O>, <O^2>) of O = sum c_k S_k on a pure state, normalized by <psi|psi>.
+
+    ``coeffs`` maps ``(component, beam)`` to a real coefficient, e.g.
+    ``{(2, 'a'): 1.0, (2, 'b'): -1.0}`` for ``S_2^a - S_2^b``.  ``state``
+    is a :class:`FourModeState` or a dense vector over ``basis``; since
+    O is Hermitian, ``<O^2>`` is ``||O psi||^2``, never an operator
+    product.
+    """
+    unknown = set(coeffs) - set(_TERMS)
+    if unknown:
+        raise ValueError(f"Stokes terms must be (0..3, 'a'|'b'), got {unknown}")
+    if isinstance(state, FourModeState) and state.table is not None:
+        return _table_moments(coeffs, state, basis)
+    return _vector_moments(coeffs, state, basis)
+
+
+def expectation(coeffs: dict, state, basis: FourModeBasis | None = None) -> float:
+    """<O> / <psi|psi> for O = sum c_k S_k (see :func:`moments`)."""
+    return moments(coeffs, state, basis)[0]
+
+
+def variance_of_combination(coeffs: dict, state, basis: FourModeBasis | None = None) -> float:
+    """Variance of O = sum c_k S_k on a pure state (see :func:`moments`).
+
+    Tiny negative results from roundoff are clamped to zero (logged);
+    negative values beyond roundoff raise :class:`NumericError`.
+    """
+    mean, second = moments(coeffs, state, basis)
     var = second - mean * mean
     if var < 0.0:
         scale = max(second, 1.0)

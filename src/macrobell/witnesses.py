@@ -35,17 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import FourModeBasis
-from .states import BellLabel, FourModeState, TruncationMassError, build_bell_state
-from .stokes import (
-    combination_matrix,
-    stokes_operator,
-    variance_of_combination,
-    _as_vector,
-    _real_expectation,
-)
+from .states import BellLabel, FourModeState, NumericError, TruncationMassError, build_bell_state
+from .stokes import combination_matrix, expectation, moments, variance_of_combination
 
 #: gate for exact variance claims (see stokes module docstring)
 EDGE_MASS_TOL = 1e-10
+
+#: S_0 of the compound beam
+_S0_TOTAL = {(0, "a"): 1.0, (0, "b"): 1.0}
 
 
 class WitnessKind(enum.Enum):
@@ -105,28 +102,21 @@ def evaluate_witness(
     kind: WitnessKind,
     state: FourModeState,
     basis: FourModeBasis | None = None,
-    method: str = "auto",
 ) -> WitnessReport:
     """Exact witness value on a truncated state.
 
-    Refuses (raises :class:`TruncationMassError`) when the state keeps
-    more than ``EDGE_MASS_TOL`` of its mass within two photons of the
-    cutoff -- variances would then be truncation artifacts rather than
-    physics.
+    A table-backed state is evaluated on its ``(n, m)`` table, a
+    vector-backed one matrix-free (see the stokes module docstring);
+    ``basis`` may raise the cutoff above the state's.  Refuses (raises
+    :class:`TruncationMassError`) when the state keeps more than
+    ``EDGE_MASS_TOL`` of its mass within two photons of the cutoff --
+    variances would then be truncation artifacts rather than physics.
     """
     mass = state.edge_mass(depth=2)
     if mass > EDGE_MASS_TOL:
         raise TruncationMassError(mass, EDGE_MASS_TOL)
-    basis = basis or FourModeBasis(state.n_max)
-    terms = tuple(
-        variance_of_combination(c, state, basis=basis, method=method)
-        for c in witness_term_coeffs(kind)
-    )
-    vec, _ = _as_vector(state, basis)
-    den = float(np.vdot(vec, vec).real)
-    occ = basis.occupations()
-    s0_diag = (occ[0] + occ[1] + occ[2] + occ[3]).astype(np.float64)
-    mean_s0 = float(np.sum(s0_diag * np.abs(vec) ** 2) / den)
+    terms = tuple(variance_of_combination(c, state, basis) for c in witness_term_coeffs(kind))
+    mean_s0 = expectation(_S0_TOTAL, state, basis)
     value = float(sum(terms) - 2.0 * mean_s0)
     return WitnessReport(
         kind=kind, value=value, variance_terms=terms, mean_s0=mean_s0,
@@ -140,21 +130,21 @@ def cutoff_for_edge_mass(gamma: float, tol: float = EDGE_MASS_TOL, margin: int =
     """Smallest per-mode cutoff that passes the witness edge-mass gate.
 
     For the geometric spectrum the mass with either Schmidt index at
-    ``n_max - 1`` or above is ``1 - (1 - q^{n_max-1})^2`` with
-    ``q = tanh(gamma)^2``; a couple of extra levels of headroom are
+    ``n - 1`` or above is ``1 - (1 - q^{n-1})^2`` with
+    ``q = tanh(gamma)^2``.  It falls below ``tol`` exactly when
+    ``q^{n-1} < tol / (1 + sqrt(1 - tol))``, so the smallest ``n >= 2``
+    is read off a logarithm; ``margin`` extra levels of headroom are
     added on top.
     """
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     q = math.tanh(gamma) ** 2
     if q == 0.0:
         return 2
-    n = 2
-    while True:
-        mass = 1.0 - (1.0 - q ** (n - 1)) ** 2
-        if mass < tol:
-            return n + margin
-        n += 1
-        if n > 10_000:
-            raise ValueError("no feasible cutoff below 10000; gamma too large")
+    if q == 1.0:
+        raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff")
+    bound = math.log(tol / (1.0 + math.sqrt(1.0 - tol))) / math.log(q)
+    return max(2, math.floor(bound) + 2) + margin
 
 
 # -- separability -------------------------------------------------------------
@@ -169,41 +159,21 @@ def separability_gap(state, basis: FourModeBasis | None = None) -> float:
     summing to 1); mixing can only increase the gap, so separable
     mixtures of product vectors stay >= 0.
     """
-    ensemble = _as_ensemble(state, basis)
-    basis = ensemble[0][2]
-    total = 0.0
-    mats = [combination_matrix({(i, "a"): 1.0, (i, "b"): 1.0}, basis) for i in (1, 2, 3)]
-    occ = basis.occupations()
-    s0_diag = (occ.sum(axis=0)).astype(np.float64)
-    mean_s0 = 0.0
-    for i, mat in enumerate(mats):
-        second = 0.0
-        first = 0.0
-        for w, vec, _ in ensemble:
-            ov = mat @ vec
-            den = float(np.vdot(vec, vec).real)
-            first += w * _real_expectation(np.vdot(vec, ov), den, "gap mean")
-            second += w * float(np.vdot(ov, ov).real) / den
-        total += second - first * first
-    for w, vec, _ in ensemble:
-        den = float(np.vdot(vec, vec).real)
-        mean_s0 += w * float(np.sum(s0_diag * np.abs(vec) ** 2) / den)
-    return float(total - 2.0 * mean_s0)
-
-
-def _as_ensemble(state, basis):
-    from .stokes import _as_vector as asv
-
-    if isinstance(state, FourModeState) or isinstance(state, np.ndarray):
-        vec, basis = asv(state, basis)
-        return [(1.0, vec, basis)]
-    out = []
-    for w, vec in state:
-        v, basis = asv(vec, basis)
-        out.append((float(w), v, basis))
-    if abs(sum(w for w, _, _ in out) - 1.0) > 1e-12:
+    if isinstance(state, (FourModeState, np.ndarray)):
+        state = [(1.0, state)]
+    ensemble = [(float(w), member) for w, member in state]
+    if abs(sum(w for w, _ in ensemble) - 1.0) > 1e-12:
         raise ValueError("ensemble weights must sum to 1")
-    return out
+    gap = -2.0 * sum(w * expectation(_S0_TOTAL, member, basis) for w, member in ensemble)
+    for i in (1, 2, 3):
+        coeffs = {(i, "a"): 1.0, (i, "b"): 1.0}
+        mean = second = 0.0
+        for w, member in ensemble:
+            m1, m2 = moments(coeffs, member, basis)
+            mean += w * m1
+            second += w * m2
+        gap += second - mean * mean
+    return float(gap)
 
 
 def product_state_battery(seed: int, n_states: int = 24, n_max: int = 12) -> list:
@@ -263,7 +233,7 @@ def product_state_battery(seed: int, n_states: int = 24, n_max: int = 12) -> lis
 
 
 def cross_witness_matrix(
-    gamma: float, n_max: int | None = None, method: str = "auto"
+    gamma: float, n_max: int | None = None
 ) -> tuple[np.ndarray, list[WitnessKind], list[BellLabel]]:
     """All four witnesses on all four Bell states at one gain.
 
@@ -273,14 +243,13 @@ def cross_witness_matrix(
     """
     if n_max is None:
         n_max = cutoff_for_edge_mass(gamma)
-    basis = FourModeBasis(n_max)
     kinds = list(WitnessKind)
     labels = [k.matched_state for k in kinds]
     out = np.empty((4, 4))
     for j, label in enumerate(labels):
         state = build_bell_state(label, gamma, n_max)
         for i, kind in enumerate(kinds):
-            out[i, j] = evaluate_witness(kind, state, basis=basis, method=method).value
+            out[i, j] = evaluate_witness(kind, state).value
     return out, kinds, labels
 
 

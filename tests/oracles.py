@@ -50,21 +50,43 @@ def kron_stokes(component: int, beam: str, d: int) -> sp.csr_matrix:
     raise ValueError(component)
 
 
+def table_vector(table: np.ndarray, pairing: str, d: int) -> np.ndarray:
+    """Dense amplitudes of a paired (n, m) table over d levels per mode,
+    by an explicit per-ket loop."""
+    vec = np.zeros(d**4, dtype=np.complex128)
+    for n in range(table.shape[0]):
+        for m in range(table.shape[1]):
+            if pairing == "cross":
+                idx = ((n * d + m) * d + m) * d + n
+            else:
+                idx = ((n * d + m) * d + n) * d + m
+            vec[idx] = table[n, m]
+    return vec
+
+
 def bell_vector(sign: int, pairing: str, gamma: float, n_max: int) -> np.ndarray:
     """Dense Bell-state amplitudes by an explicit per-ket loop."""
     d = n_max + 1
     q = math.tanh(gamma) ** 2
     lam = [(q**k) * (1.0 - q) if q > 0 else (1.0 if k == 0 else 0.0) for k in range(d)]
-    vec = np.zeros(d**4, dtype=np.complex128)
-    for n in range(d):
-        for m in range(d):
-            amp = (sign**m) * math.sqrt(lam[n] * lam[m])
-            if pairing == "cross":
-                idx = ((n * d + m) * d + m) * d + n
-            else:
-                idx = ((n * d + m) * d + n) * d + m
-            vec[idx] = amp
-    return vec
+    table = np.array([[(sign**m) * math.sqrt(lam[n] * lam[m]) for m in range(d)]
+                      for n in range(d)])
+    return table_vector(table, pairing, d)
+
+
+def edge_mass_cutoff(gamma: float, tol: float = 1e-10, margin: int = 2) -> int:
+    """Smallest per-mode cutoff passing the witness edge-mass gate, by
+    stepping the cutoff until the mass ``1 - (1 - q^(n-1))^2`` drops
+    below ``tol``."""
+    q = math.tanh(gamma) ** 2
+    if q == 0.0:
+        return 2
+    n = 2
+    while True:
+        mass = 1.0 - (1.0 - q ** (n - 1)) ** 2
+        if mass < tol:
+            return n + margin
+        n += 1
 
 
 def matvec_expectation(op: sp.spmatrix, vec: np.ndarray) -> float:

@@ -6,6 +6,7 @@ criterion shows its measured values directly in the report.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -295,8 +296,10 @@ def test_criterion_11_width_ratio():
 
 def test_criterion_12_reproducible_cli_runs(tmp_path, monkeypatch):
     # a manifest rerun and any worker count reproduce a simulated run
-    # byte for byte (16385 pulses span five RNG blocks)
+    # byte for byte (16385 pulses span five RNG blocks); --workers may not
+    # exceed the CPU count, so report enough CPUs for the 8-worker rerun
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     argv = ["witness", "--state", "psi-minus", "--gamma", "0.8", "--simulate",
             "--eta", "0.85", "--pulses", "16385", "--seed", "9",
             "--pulse-log", "pulses.ndjson", "--workers", "1", "--out", "run.csv"]

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -161,12 +163,54 @@ def test_empty_grid_is_usage_error():
     ["witness", "--cutoff", "0"],
     ["witness", "--cutoff", "-3"],
     ["crosswitness", "--cutoff", "0"],
+    ["witness", "--gamma", "nan"],
+    ["witness", "--gamma", "-1"],
+    ["crosswitness", "--gamma", "inf"],
+    ["fedorov", "--gamma", "nan"],
+    ["sweep-eta", "--gamma", "-1"],
+    ["witness", "--simulate", "--pulses", "2"],
+    ["sweep-eta", "--pulses", "2"],
+    ["witness", "--simulate", "--pulses", "100", "--workers", "0"],
 ], ids=" ".join)
 def test_malformed_input_is_one_line_usage_error(argv, capsys):
     assert cli.main(argv + ["--out", "bad.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1
+
+
+def test_workers_beyond_cpu_count_is_usage_error(monkeypatch, capsys):
+    # refused at the boundary: a thread pool started anyway would fail here
+    from macrobell import simulate
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", None)
+    workers = str((os.cpu_count() or 1) + 1)
+    assert cli.main(["witness", "--simulate", "--pulses", "100", "--workers", workers,
+                     "--out", "w.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--gamma", "6"],
+    ["witness", "--gamma", "0.5", "--cutoff", "1000000"],
+    ["crosswitness", "--cutoff", "1000000"],
+], ids=" ".join)
+def test_memory_preflight_refuses(argv, capsys):
+    # the estimates run to terabytes; the refusal comes before any allocation
+    assert cli.main(argv + ["--out", "big.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GiB" in err
+    assert err.count("\n") == 1
+
+
+def test_witness_reaches_macroscopic_gain():
+    # gamma = 3 (N0 = 100, cutoff 2396) runs on the (n, m) table alone
+    assert cli.main(["witness", "--gamma", "3", "--out", "w.csv"]) == 0
+    row = _read_csv("w.csv")[0]
+    want = -8.0 * math.sinh(3.0) ** 2
+    assert int(row["cutoff"]) == 2396
+    assert abs(float(row["value"]) / want - 1.0) <= 1e-8
 
 
 # -- crosswitness ----------------------------------------------------------------
@@ -259,7 +303,10 @@ def test_config_file_bad_bool(tmp_path):
 # -- reproducibility ---------------------------------------------------------------
 
 
-def test_manifest_round_trip_and_worker_invariance():
+def test_manifest_round_trip_and_worker_invariance(monkeypatch):
+    # --workers may not exceed the CPU count; report enough CPUs that the
+    # 4-worker rerun below is accepted on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     argv = ["witness", "--state", "psi-minus", "--gamma", "0.8", "--simulate",
             "--eta", "0.85", "--pulses", "8193", "--seed", "9",
             "--pulse-log", "pl.ndjson", "--out", "c.csv"]

@@ -2,18 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from macrobell.basis import FourModeBasis
-from macrobell.states import BellLabel, build_bell_state, schmidt_spectrum
+from macrobell.states import (
+    BellLabel,
+    FourModeState,
+    NumericError,
+    build_bell_state,
+    schmidt_spectrum,
+)
 from macrobell.stokes import (
     combination_matrix,
     commutator,
     expectation,
+    moments,
     stokes_operator,
     variance_of_combination,
 )
 
-from oracles import kron_stokes, matvec_variance
+from oracles import kron_stokes, matvec_expectation, matvec_variance, table_vector
 
 #: frozen reference values at gamma = 0.5, per-mode cutoff 15 (see test bodies)
 GOLDEN_VAR_S1A_PSI_MINUS = 0.69054891319153811
@@ -23,15 +31,15 @@ def test_hermiticity():
     basis = FourModeBasis(3)
     for component in range(4):
         for beam in ("a", "b", "total"):
-            assert stokes_operator(component, beam, basis).hermiticity_defect() == 0.0
+            op = stokes_operator(component, beam, basis)
+            assert (op - op.conj().T).count_nonzero() == 0
 
 
 def test_compound_beam_additivity():
     basis = FourModeBasis(3)
     for component in range(4):
-        total = stokes_operator(component, "total", basis).matrix
-        parts = (stokes_operator(component, "a", basis).matrix
-                 + stokes_operator(component, "b", basis).matrix)
+        total = stokes_operator(component, "total", basis)
+        parts = stokes_operator(component, "a", basis) + stokes_operator(component, "b", basis)
         diff = (total - parts).tocoo()
         assert diff.nnz == 0
 
@@ -41,7 +49,7 @@ def test_matches_kron_ladder_oracle():
     basis = FourModeBasis(d - 1)
     for component in range(4):
         for beam in ("a", "b"):
-            lib = stokes_operator(component, beam, basis).matrix
+            lib = stokes_operator(component, beam, basis)
             ref = kron_stokes(component, beam, d)
             diff = (lib - ref).tocoo()
             worst = 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
@@ -56,7 +64,7 @@ def test_interior_angular_momentum_algebra():
     for beam in ("a", "b"):
         ops = {i: stokes_operator(i, beam, basis) for i in (1, 2, 3)}
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            defect = (commutator(ops[i], ops[j]) - 2j * ops[k].matrix).toarray()
+            defect = (commutator(ops[i], ops[j]) - 2j * ops[k]).toarray()
             assert np.max(np.abs(defect[np.ix_(sel, sel)])) < 1e-12
 
 
@@ -65,19 +73,17 @@ def test_expectation_against_dense_arithmetic():
     rng = np.random.default_rng(99)
     vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     for component in range(4):
-        op = stokes_operator(component, "a", basis)
-        dense = op.matrix.toarray()
+        dense = stokes_operator(component, "a", basis).toarray()
         want = (vec.conj() @ dense @ vec).real / (vec.conj() @ vec).real
-        assert expectation(op, vec) == pytest.approx(want, rel=1e-12)
+        assert expectation({(component, "a"): 1.0}, vec, basis) == pytest.approx(want, rel=1e-12)
 
 
 def test_s0_expectation_is_total_mean_photons():
     gamma, n_max = 0.6, 20
     lam = schmidt_spectrum(gamma, n_max)
     n0_trunc = float(np.sum(np.arange(n_max + 1) * lam) / lam.sum())
-    basis = FourModeBasis(n_max)
-    st = build_bell_state(BellLabel.PSI_MINUS, gamma, n_max)
-    got = expectation(stokes_operator(0, "total", basis), st)
+    state = build_bell_state(BellLabel.PSI_MINUS, gamma, n_max)
+    got = expectation({(0, "a"): 1.0, (0, "b"): 1.0}, state)
     assert got == pytest.approx(4.0 * n0_trunc, rel=1e-12)
 
 
@@ -89,27 +95,29 @@ def test_eigenstate_moments_exact():
     vec = np.zeros(basis.dim, dtype=np.complex128)
     vec[basis.index(2, 1, 0, 0)] = 1.0
     assert variance_of_combination({(1, "a"): 1.0}, vec, basis=basis) == 0.0
-    assert expectation(stokes_operator(1, "a", basis), vec) == 1.0
+    assert expectation({(1, "a"): 1.0}, vec, basis) == 1.0
     assert variance_of_combination({(2, "a"): 1.0}, vec, basis=basis) == pytest.approx(7.0, rel=1e-14)
 
 
 def test_variance_methods_agree_on_random_states():
+    # the matrix-free tensor route (dense vectors) against the kron oracle
     basis = FourModeBasis(3)
     rng = np.random.default_rng(2025)
     coeffs = {(1, "a"): 0.7, (2, "b"): -1.3, (3, "a"): 0.4, (2, "a"): 1.0}
+    op = sum(c * kron_stokes(k, beam, basis.n_levels) for (k, beam), c in coeffs.items())
     for _ in range(10):
         vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-        vs = variance_of_combination(coeffs, vec, basis=basis, method="sparse")
-        vt = variance_of_combination(coeffs, vec, basis=basis, method="tensor")
-        assert vt == pytest.approx(vs, rel=1e-11)
+        vt = variance_of_combination(coeffs, vec, basis=basis)
+        assert vt == pytest.approx(matvec_variance(op, vec), rel=1e-11)
 
 
 def test_variance_golden_and_method_agreement():
-    # frozen from an independent kron-ladder evaluation at this exact cutoff
+    # frozen from an independent kron-ladder evaluation at this exact cutoff;
+    # the table route and the tensor route (on the dense vector) both hit it
     basis = FourModeBasis(15)
-    st = build_bell_state(BellLabel.PSI_MINUS, 0.5, 15)
-    for method in ("sparse", "tensor"):
-        v = variance_of_combination({(1, "a"): 1.0}, st, basis=basis, method=method)
+    state = build_bell_state(BellLabel.PSI_MINUS, 0.5, 15)
+    for form in (state, state.dense()):
+        v = variance_of_combination({(1, "a"): 1.0}, form, basis=basis)
         assert v == pytest.approx(GOLDEN_VAR_S1A_PSI_MINUS, rel=1e-12)
     # infinite-cutoff value is 2 N0 (N0 + 1); truncation shifts the 9th digit
     n0 = math.sinh(0.5) ** 2
@@ -131,18 +139,23 @@ def test_variance_matches_matvec_oracle():
 
 def test_error_paths():
     basis = FourModeBasis(2)
-    op = stokes_operator(1, "a", basis)
+    s1a = {(1, "a"): 1.0}
     with pytest.raises(ValueError):
-        expectation(op, np.zeros(basis.dim, dtype=np.complex128))
-    # state cutoff larger than the operator basis
+        expectation(s1a, np.zeros(basis.dim, dtype=np.complex128), basis)
+    with pytest.raises(ValueError):
+        expectation(s1a, FourModeState(gamma=0.0, n_max=2, pairing="cross",
+                                       table=np.zeros((3, 3), complex)))
+    # state cutoff larger than the basis, for both storage forms
     big = build_bell_state(BellLabel.PSI_MINUS, 0.3, 4)
     with pytest.raises(ValueError):
-        expectation(op, big)
+        expectation(s1a, big, basis)
     with pytest.raises(ValueError):
-        variance_of_combination({(1, "a"): 1.0}, np.ones(7))  # not a 4th power
+        expectation(s1a, FourModeState(gamma=0.3, n_max=4, vector=big.dense()), basis)
     with pytest.raises(ValueError):
-        variance_of_combination({(1, "a"): 1.0}, big.dense(), basis=FourModeBasis(4),
-                                method="bogus")
+        variance_of_combination(s1a, np.ones(7))  # not a 4th power
+    for bad in ({(4, "a"): 1.0}, {(1, "c"): 1.0}):
+        with pytest.raises(ValueError):
+            variance_of_combination(bad, big)
     with pytest.raises(ValueError):
         stokes_operator(5, "a", basis)
     with pytest.raises(ValueError):
@@ -156,7 +169,38 @@ def test_combination_matrix_empty_and_zero_coeff():
 
 
 def test_dense_guard():
-    basis = FourModeBasis(9)  # dim 10_000 > DENSE_DIM_LIMIT
-    op = stokes_operator(1, "a", basis)
-    with pytest.raises(ValueError):
-        op.dense()
+    # the memory pre-flight refuses before allocating: a dense vector at
+    # cutoff 10^5 (10^20 amplitudes) and a table zero-padded to 10^6
+    state = build_bell_state(BellLabel.PSI_MINUS, 0.5, 20)
+    with pytest.raises(NumericError, match="GiB"):
+        state.dense(FourModeBasis(100_000))
+    with pytest.raises(NumericError, match="GiB"):
+        variance_of_combination({(1, "a"): 1.0}, state, basis=FourModeBasis(1_000_000))
+    with pytest.raises(NumericError, match="GiB"):
+        build_bell_state(BellLabel.PSI_MINUS, 0.5, 1_000_000)
+
+
+_TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(n_max=hs.integers(0, 5), pad=hs.integers(0, 2),
+       pairing=hs.sampled_from(["cross", "parallel"]),
+       coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8),
+       seed=hs.integers(0, 2**32 - 1))
+def test_table_route_matches_kron_oracle(n_max, pad, pairing, coeffs, seed):
+    # random complex paired tables, evaluated on their own cutoff or
+    # zero-padded into a larger basis, against kron-built operators
+    rng = np.random.default_rng(seed)
+    d = n_max + 1
+    table = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    state = FourModeState(gamma=0.0, n_max=n_max, pairing=pairing, table=table)
+    vec = table_vector(table, pairing, d + pad)
+    op = sum(c * kron_stokes(k, beam, d + pad) for (k, beam), c in coeffs.items())
+    ov = op @ vec
+    want_mean = matvec_expectation(op, vec)
+    want_second = float(np.vdot(ov, ov).real / np.vdot(vec, vec).real)
+    mean, second = moments(coeffs, state, FourModeBasis(n_max + pad))
+    scale = max(1.0, want_second)
+    assert abs(mean - want_mean) <= 1e-12 * scale
+    assert abs(second - want_second) <= 1e-12 * scale

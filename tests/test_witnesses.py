@@ -6,11 +6,12 @@ import pytest
 from macrobell.basis import FourModeBasis
 from macrobell.states import (
     BellLabel,
+    NumericError,
     TruncationMassError,
     build_bell_state,
     mean_photons_per_mode,
 )
-from macrobell.stokes import expectation, stokes_operator, variance_of_combination
+from macrobell.stokes import expectation, variance_of_combination
 from macrobell.witnesses import (
     WitnessKind,
     conjugated_term_matrices,
@@ -25,6 +26,8 @@ from macrobell.witnesses import (
     witness_term_matrices,
 )
 
+from oracles import edge_mass_cutoff
+
 #: frozen references at gamma = 0.5, per-mode cutoff 15, from an independent
 #: kron-ladder evaluation (matvec moments only)
 GOLDEN_WS_ON_PSI_PLUS = 3.3520688331205752
@@ -35,7 +38,7 @@ def _assemble_witness(kind, state, basis):
     """Witness value from public parts, bypassing the edge-mass gate."""
     terms = [variance_of_combination(c, state, basis=basis)
              for c in witness_term_coeffs(kind)]
-    s0 = expectation(stokes_operator(0, "total", basis), state)
+    s0 = expectation({(0, "a"): 1.0, (0, "b"): 1.0}, state, basis)
     return sum(terms) - 2.0 * s0
 
 
@@ -102,6 +105,23 @@ def test_cutoff_for_edge_mass_passes_gate():
     assert cutoff_for_edge_mass(0.0) == 2
 
 
+def test_cutoff_for_edge_mass_closed_form_matches_loop():
+    gains = np.concatenate([np.linspace(1e-4, 2.0, 4000), [1e-9, 0.5, 1.0, 3.0]])
+    for gamma in gains:
+        assert cutoff_for_edge_mass(gamma) == edge_mass_cutoff(gamma), gamma
+    for tol, margin in ((1e-6, 0), (1e-12, 3)):
+        for gamma in gains[::40]:
+            got = cutoff_for_edge_mass(gamma, tol=tol, margin=margin)
+            assert got == edge_mass_cutoff(gamma, tol=tol, margin=margin), (gamma, tol)
+    assert cutoff_for_edge_mass(3.0) == 2396
+    with pytest.raises(ValueError):
+        cutoff_for_edge_mass(float("nan"))
+    with pytest.raises(ValueError):
+        cutoff_for_edge_mass(-1.0)
+    with pytest.raises(NumericError):
+        cutoff_for_edge_mass(25.0)  # tanh(25)^2 == 1 in double precision
+
+
 def test_cross_witness_matrix_structure():
     mat, kinds, labels = cross_witness_matrix(0.5)
     n0 = mean_photons_per_mode(0.5)
@@ -112,6 +132,28 @@ def test_cross_witness_matrix_structure():
                 assert mat[i, j] == pytest.approx(-8.0 * n0, rel=1e-7)
             else:
                 assert mat[i, j] == pytest.approx(16.0 * n0 * n0 + 8.0 * n0, rel=1e-7)
+
+
+def test_table_route_matches_tensor_route():
+    # every witness on every Bell state at gamma = 1.0 (cutoff 47): the
+    # table-native moments against the matrix-free tensor route applied to
+    # the same state expanded to a dense vector
+    gamma = 1.0
+    n_max = cutoff_for_edge_mass(gamma)
+    for label in BellLabel:
+        state = build_bell_state(label, gamma, n_max)
+        vec = state.dense()
+        tensor = {(k, s): variance_of_combination({(k, "a"): 1.0, (k, "b"): float(s)}, vec)
+                  for k in (1, 2, 3) for s in (1, -1)}
+        mean_s0 = expectation({(0, "a"): 1.0, (0, "b"): 1.0}, vec)
+        for kind in WitnessKind:
+            rep = evaluate_witness(kind, state)
+            terms = [tensor[k, s] for k, s in zip((1, 2, 3), kind.signs)]
+            scale = abs(rep.value) + rep.mean_s0
+            assert abs(rep.mean_s0 - mean_s0) <= 1e-12 * scale
+            assert abs(rep.value - (sum(terms) - 2.0 * mean_s0)) <= 1e-12 * scale
+            for got, want in zip(rep.variance_terms, terms):
+                assert abs(got - want) <= 1e-12 * scale
 
 
 def test_separable_battery_nonnegative():
