@@ -32,19 +32,14 @@ from .polarization import (
     polarization_rotator,
     quarter_wave_plate,
 )
-from .stokes import (
-    combination_matrix,
-    commutator,
-    expectation,
-    stokes_operator,
-    variance_of_combination,
-)
+from .stokes import expectation, variance_of_combination
 from .witnesses import (
     WitnessKind,
     WitnessReport,
     cross_witness_matrix,
     cutoff_for_edge_mass,
     evaluate_witness,
+    matched_witness,
     product_state_battery,
     separability_gap,
 )
@@ -81,7 +76,6 @@ from .simulate import (
     efficiency_sweep,
     estimate_fedorov,
     estimate_witness,
-    matched_witness,
     sample_pulse,
     witness_under_loss,
 )
@@ -96,11 +90,10 @@ __all__ = [
     "BasisTransform", "apply_transform", "half_wave_plate",
     "identify_bell_state", "pi_phase_on_bh", "polarization_rotator",
     "quarter_wave_plate",
-    "combination_matrix", "commutator", "expectation",
-    "stokes_operator", "variance_of_combination",
+    "expectation", "variance_of_combination",
     "WitnessKind", "WitnessReport", "cross_witness_matrix",
-    "cutoff_for_edge_mass", "evaluate_witness", "product_state_battery",
-    "separability_gap",
+    "cutoff_for_edge_mass", "evaluate_witness", "matched_witness",
+    "product_state_battery", "separability_gap",
     "MeasureReport", "WidthConvention", "fedorov_ratio", "gain_scan", "kbar",
     "log_negativity", "measure_report", "negativity", "trace_norm",
     "CompressionPoint", "alpha_from_epsilon", "compression_scan",
@@ -109,6 +102,5 @@ __all__ = [
     "truncated_kbar",
     "FedorovEstimate", "MeasurementSetting", "PulseRecord", "SimConfig",
     "SweepPoint", "SweepResult", "efficiency_sweep", "estimate_fedorov",
-    "estimate_witness", "matched_witness", "sample_pulse",
-    "witness_under_loss",
+    "estimate_witness", "sample_pulse", "witness_under_loss",
 ]

@@ -9,8 +9,8 @@ Kets are flattened C-style (``a_H`` slowest, ``b_V`` fastest)::
 
     index = ((n_ah * D + n_av) * D + n_bh) * D + n_bv,   D = n_max + 1
 
-All operator-level work in this package (Stokes operators, witnesses,
-the Hamiltonian-evolution cross-check) runs on this enumeration.
+Vector-backed states, dense expansions of table-backed ones and the
+Hamiltonian-evolution cross-check run on this enumeration.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class FourModeBasis:
             self._occupations = occ
         return self._occupations
 
-    def mode_number(self, mode: int) -> np.ndarray:
-        """Occupation of one mode (0..3) for every ket, as float diagonal."""
-        return self.occupations()[mode].astype(np.float64)
-
     def vacuum(self, dtype=np.complex128) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=dtype)
         vec[0] = 1.0
@@ -73,17 +69,3 @@ class FourModeBasis:
         """
         occ = self.occupations()
         return (occ <= self.n_max - margin).all(axis=0)
-
-    def edge_mass(self, vec: np.ndarray, depth: int = 2) -> float:
-        """Fraction of |vec|^2 on kets within `depth` photons of the cutoff.
-
-        ``depth=2`` means any mode occupation in {n_max-1, n_max}.  Used
-        to gate variance claims: a state with appreciable mass here has
-        operator moments contaminated by truncation.
-        """
-        occ = self.occupations()
-        near = (occ >= self.n_levels - depth).any(axis=0)
-        total = float(np.vdot(vec, vec).real)
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(vec[near]) ** 2).real) / total

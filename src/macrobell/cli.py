@@ -158,15 +158,13 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     defaults = dict(_DEFAULTS[command])
     file_vals: dict = {}
     if getattr(args, "config", None):
-        ini = configparser.ConfigParser()
-        with open(args.config) as fh:
-            ini.read_file(fh)
-        if ini.has_section(command):
-            for key, raw in ini.items(command):
-                key = key.replace("-", "_")
-                if key not in defaults:
-                    raise UsageError(f"unknown config key {key!r} for command {command!r}")
-                file_vals[key] = _convert(key, raw)
+        for key, raw in _read_config(args.config, command):
+            key = key.replace("-", "_")
+            if key not in defaults:
+                raise UsageError(f"unknown config key {key!r} for command {command!r}")
+            file_vals[key] = _convert(key, raw)
+            if file_vals[key] is None and defaults[key] not in (None, ""):
+                raise UsageError(f"config key {key!r} needs a value")
     resolved = {}
     for key, builtin in defaults.items():
         cli_val = getattr(args, key, None)
@@ -180,30 +178,56 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _read_config(path: str, command: str) -> list[tuple[str, str]]:
+    """(key, raw value) pairs of the INI file's section for ``command``."""
+    ini = configparser.ConfigParser()
+    try:
+        with open(path) as fh:
+            ini.read_file(fh)
+        return ini.items(command) if ini.has_section(command) else []
+    except (OSError, UnicodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    except configparser.Error as exc:
+        raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from exc
+
+
 def _check_bounds(cfg: dict) -> None:
-    """Refuse out-of-range scalar inputs before any work starts."""
+    """Refuse out-of-range scalar inputs and unwritable outputs before any work starts."""
     import os
 
     if cfg.get("cutoff") is not None and cfg["cutoff"] <= 0:
         raise UsageError(f"cutoff must be positive, got {cfg['cutoff']}")
     gamma = cfg.get("gamma", 0.0)
-    if gamma is None or not (math.isfinite(gamma) and gamma >= 0.0):
+    if not (math.isfinite(gamma) and gamma >= 0.0):
         raise UsageError(f"gamma must be finite and nonnegative, got {gamma!r}")
+    for key in ("eta", "eta_min", "eta_max"):
+        if not 0.0 < cfg.get(key, 1.0) <= 1.0:
+            raise UsageError(f"{key} must lie in (0, 1], got {cfg[key]!r}")
     if cfg.get("pulses") is not None and cfg["pulses"] < 3:
         raise UsageError(f"jackknife errors need at least 3 pulses, got {cfg['pulses']}")
+    for key in ("bin_width", "eta_points"):
+        if cfg.get(key, 1) < 1:
+            raise UsageError(f"{key} must be at least 1, got {cfg[key]}")
+    if cfg.get("seed", 0) < 0:
+        raise UsageError(f"seed must be nonnegative, got {cfg['seed']}")
     workers, cpus = cfg.get("workers", 1), os.cpu_count() or 1
-    if workers is None or not 1 <= workers <= cpus:
+    if not 1 <= workers <= cpus:
         raise UsageError(f"workers must lie in 1..{cpus} (the CPU count), got {workers}")
+    for key in ("out", "pulse_log"):
+        path = cfg.get(key)
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise UsageError(f"cannot write {key} {path!r}: not a file in an existing directory")
 
 
 def _convert(key: str, raw: str):
     raw = raw.strip()
     if raw.lower() in ("none", ""):
         return None
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _INT_KEYS:
-        return int(raw)
+    if key in _FLOAT_KEYS | _INT_KEYS:
+        try:
+            return float(raw) if key in _FLOAT_KEYS else int(raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r} must be a number, got {raw!r}") from exc
     if key in _BOOL_KEYS:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
@@ -422,6 +446,8 @@ def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
 
     if cfg["eta_grid"]:
         grid = _parse_grid(cfg["eta_grid"], "eta")
+        if not all(0.0 < eta <= 1.0 for eta in grid):
+            raise UsageError(f"eta grid values must lie in (0, 1], got {grid}")
     else:
         grid = list(np.linspace(cfg["eta_min"], cfg["eta_max"], cfg["eta_points"]))
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
@@ -462,6 +488,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if any(isinstance(value, list) for value in vars(args).values()):
+        parser.error("an option value may not be '--'")  # argparse turns --opt=-- into []
     t0 = time.time()
     try:
         cfg = _resolve_config(args)
@@ -469,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationMassError, NumericError, ValueError) as exc:
+    except (TruncationMassError, NumericError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if isinstance(result, tuple):

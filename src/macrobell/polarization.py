@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from scipy.special import gammaln
 
 from .basis import FourModeBasis
-from .states import BellLabel, FourModeState, NumericError, TruncationMode
+from .states import BellLabel, FourModeState, NumericError, paired_modes
 
 BEAM_A, BEAM_B, BOTH_BEAMS = "a", "b", "both"
 
@@ -149,18 +149,18 @@ def beam_transform_matrix(jones: np.ndarray, n_max: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
-def _detect_pairing(tensor: np.ndarray, tol: float) -> str | None:
-    """Which paired subspace, if any, carries all of the state's mass."""
-    d = tensor.shape[0]
-    n = np.arange(d)
+def _paired_table(tensor: np.ndarray, tol: float) -> tuple[str, np.ndarray] | None:
+    """(pairing, (n, m) table) of the paired subspace carrying all of the
+    state's mass, if there is one."""
+    n = np.arange(tensor.shape[0])
     total = float(np.sum(np.abs(tensor) ** 2))
     if total == 0.0:
         return None
     nn, mm = np.meshgrid(n, n, indexing="ij")
-    for pairing, idx in (("cross", (nn, mm, mm, nn)), ("parallel", (nn, mm, nn, mm))):
-        mass = float(np.sum(np.abs(tensor[idx]) ** 2))
-        if abs(mass - total) <= tol * total:
-            return pairing
+    for pairing in ("cross", "parallel"):
+        table = tensor[paired_modes(nn, mm, pairing)]
+        if abs(float(np.sum(np.abs(table) ** 2)) - total) <= tol * total:
+            return pairing, table
     return None
 
 
@@ -193,13 +193,9 @@ def apply_transform(state: FourModeState, transform: BasisTransform) -> FourMode
     # global phase: vacuum amplitude real positive
     if abs(vec[0]) > 0:
         vec = vec * (abs(vec[0]) / vec[0])
-    tensor = vec.reshape(d, d, d, d)
-    pairing = _detect_pairing(tensor, tol=1e-12)
-    if pairing is not None:
-        n = np.arange(d)
-        nn, mm = np.meshgrid(n, n, indexing="ij")
-        idx = (nn, mm, mm, nn) if pairing == "cross" else (nn, mm, nn, mm)
-        table = tensor[idx]
+    paired = _paired_table(vec.reshape(d, d, d, d), tol=1e-12)
+    if paired is not None:
+        pairing, table = paired
         return FourModeState(
             gamma=state.gamma, n_max=state.n_max, truncation_mode=state.truncation_mode,
             label=None, pairing=pairing, table=np.array(table, dtype=np.complex128),

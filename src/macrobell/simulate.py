@@ -6,18 +6,12 @@ joint photocount distribution of a Bell state is known in closed form:
 the pair occupation (n, m) is drawn with probability
 ``lambda_n lambda_m`` and the two beams' analyzer-basis counts are
 either crossed, (x_a, y_a; x_b, y_b) = (n, m; m, n), or parallel,
-(n, m; n, m), depending on the state and the measured component:
-
-    state       S_1       S_2       S_3
-    psi-minus   cross     cross     cross
-    psi-plus    cross     parallel  parallel
-    phi-plus    parallel  parallel  cross
-    phi-minus   parallel  cross     parallel
-
-The crossed columns make x - y sum to zero across the beams, the
-parallel ones make it cancel under subtraction -- exactly the sign
-pattern of the witness matched to the state.  Detection loss is
-binomial thinning, applied per mode.
+(n, m; n, m) (:func:`~macrobell.states.paired_modes`).  Crossed counts
+make x - y sum to zero across the beams, parallel ones make it cancel
+under subtraction, so the pairing of component i is read off the
+matched witness's sign pattern: crossed exactly where ``s_i = +1``
+(:func:`count_pairing`).  Detection loss is binomial thinning, applied
+per mode.
 
 Reproducibility: pulses are generated in fixed blocks of
 ``BLOCK_PULSES``; each block owns a counter-addressed Philox stream
@@ -35,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import BellLabel, FourModeState, geometric_ratio, mean_photons_per_mode
-from .witnesses import WitnessKind, WitnessReport
+from .states import BellLabel, FourModeState, geometric_ratio, mean_photons_per_mode, paired_modes
+from .witnesses import WitnessKind, WitnessReport, matched_witness
 
 log = logging.getLogger(__name__)
 
@@ -46,13 +40,10 @@ BLOCK_PULSES = 4096
 #: analyzer plate angles (hwp_deg, qwp_deg) realizing each Stokes component
 CANONICAL_SETTINGS = {1: (0.0, 0.0), 2: (22.5, 45.0), 3: (0.0, 45.0)}
 
-#: count pairing per (state, component); see module docstring
-PAIRING_TABLE = {
-    BellLabel.PSI_MINUS: ("cross", "cross", "cross"),
-    BellLabel.PSI_PLUS: ("cross", "parallel", "parallel"),
-    BellLabel.PHI_PLUS: ("parallel", "parallel", "cross"),
-    BellLabel.PHI_MINUS: ("parallel", "cross", "parallel"),
-}
+
+def count_pairing(label: BellLabel, component: int) -> str:
+    """'cross' or 'parallel' pairing of the counts of Stokes component 1..3."""
+    return "cross" if matched_witness(label).signs[component - 1] > 0 else "parallel"
 
 
 @dataclass(frozen=True)
@@ -124,14 +115,8 @@ def _sample_series_counts(
         size = hi - lo
         n = rng.geometric(p_geom, size) - 1
         m = rng.geometric(p_geom, size) - 1
-        if pairing == "cross":
-            ideal = (n, m, m, n)
-        elif pairing == "parallel":
-            ideal = (n, m, n, m)
-        else:
-            raise ValueError(f"unknown pairing {pairing!r}")
         # fixed thinning order keeps the stream schedule-independent
-        for col, arr in enumerate(ideal):
+        for col, arr in enumerate(paired_modes(n, m, pairing)):
             counts[lo:hi, col] = rng.binomial(arr, config.eta)
 
     if config.workers > 1:
@@ -197,8 +182,7 @@ def sample_pulse(
     q = geometric_ratio(gamma)
     n = int(rng.geometric(1.0 - q)) - 1
     m = int(rng.geometric(1.0 - q)) - 1
-    pairing = PAIRING_TABLE[label][comp - 1]
-    ideal = (n, m, m, n) if pairing == "cross" else (n, m, n, m)
+    ideal = paired_modes(n, m, count_pairing(label, comp))
     detected = tuple(int(rng.binomial(k, eta)) for k in ideal)
     return PulseRecord(pulse_id=pulse_id, counts=detected, setting=setting)
 
@@ -250,7 +234,6 @@ def estimate_witness(
     """
     kind = kind or matched_witness(config.label)
     signs = kind.signs
-    pairings = PAIRING_TABLE[config.label]
     log_fh = open(pulse_log, "w") if pulse_log else None
 
     variance_terms = []
@@ -260,9 +243,10 @@ def estimate_witness(
     theta_sum = 0.0
     mean_s0_acc = 0.0
     try:
-        for series, (sign, pairing) in enumerate(zip(signs, pairings)):
+        for series, sign in enumerate(signs):
             # counts always follow the state's own pairing; a mismatched witness
             # only changes the sign in the readout combination below
+            pairing = count_pairing(config.label, series + 1)
             counts = _sample_series_counts(config, pairing, series, run)
             readout = (counts[:, 0] - counts[:, 1]) + sign * (counts[:, 2] - counts[:, 3])
             totals = counts.sum(axis=1)
@@ -315,15 +299,6 @@ def estimate_witness(
     )
 
 
-def matched_witness(label: BellLabel) -> WitnessKind:
-    return {
-        BellLabel.PSI_MINUS: WitnessKind.W_S,
-        BellLabel.PSI_PLUS: WitnessKind.W_T1,
-        BellLabel.PHI_PLUS: WitnessKind.W_T2,
-        BellLabel.PHI_MINUS: WitnessKind.W_T3,
-    }[label]
-
-
 def witness_under_loss(gamma: float, eta: float) -> float:
     """Detected-level matched witness at efficiency eta (exact, no cutoff).
 
@@ -347,17 +322,11 @@ def pairing_distribution(label: BellLabel, component: int, gamma: float, n_max: 
 
     lam = schmidt_spectrum(gamma, n_max)
     lam = lam / lam.sum()
-    pairing = PAIRING_TABLE[label][component - 1]
-    rows = []
-    probs = []
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            if pairing == "cross":
-                rows.append((n, m, m, n))
-            else:
-                rows.append((n, m, n, m))
-            probs.append(lam[n] * lam[m])
-    return np.array(rows, dtype=np.int64), np.array(probs)
+    n = np.arange(n_max + 1, dtype=np.int64)
+    nn, mm = np.meshgrid(n, n, indexing="ij")
+    support = np.stack(paired_modes(nn.ravel(), mm.ravel(), count_pairing(label, component)),
+                       axis=1)
+    return support, np.outer(lam, lam).ravel()
 
 
 def analyzer_distribution(state: FourModeState, setting: MeasurementSetting):
@@ -365,7 +334,7 @@ def analyzer_distribution(state: FourModeState, setting: MeasurementSetting):
 
     Rotates the state through the setting's plates on both beams and
     reads |amplitude|^2 in the H/V number basis -- the generic (slow)
-    route the pairing table shortcuts.
+    route that :func:`count_pairing` shortcuts.
     """
     from .basis import FourModeBasis
     from .polarization import BasisTransform, apply_transform
@@ -467,11 +436,10 @@ def estimate_fedorov(
     ratios, each marginal width over conditional width, the latter
     floored at one bin.
     """
-    pairing = PAIRING_TABLE[config.label][0]
+    pairing = count_pairing(config.label, 1)
     counts = _sample_series_counts(config, pairing, series=0, run=run)
     xa, ya, xb, yb = counts.T
-    partner_h = yb if pairing == "cross" else xb
-    partner_v = xb if pairing == "cross" else yb
+    partner_h, partner_v = paired_modes(xb, yb, pairing)[2:]
     mw_h = _marginal_width(xa, convention)
     cw_h = _conditional_width(xa, partner_h, config.bin_width)
     mw_v = _marginal_width(ya, convention)

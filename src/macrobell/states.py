@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,23 +63,49 @@ class TruncationMassError(ValueError):
 PEAK_ARRAYS = 10
 
 
+def available_memory() -> int:
+    """Bytes free for new allocations: ``MemAvailable`` from
+    ``/proc/meminfo`` where the kernel reports it, else physical memory."""
+    try:
+        with open("/proc/meminfo", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_memory(n_amplitudes: int, what: str) -> None:
     """Refuse work on ``n_amplitudes`` complex amplitudes that cannot fit.
 
     The peak is estimated as ``PEAK_ARRAYS`` complex128 arrays of that
-    size; beyond the machine's physical memory this raises
+    size; beyond :func:`available_memory` this raises
     :class:`NumericError` before anything is allocated.
     """
-    import os
-
     need = PEAK_ARRAYS * 16 * n_amplitudes
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = available_memory()
     if need > have:
         raise NumericError(
             f"{what}: {n_amplitudes:.3g} amplitudes need an estimated "
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of "
-            "physical memory"
+            "available memory"
         )
+
+
+def paired_modes(n, m, pairing: str) -> tuple:
+    """Occupations ``(n_aH, n_aV, n_bH, n_bV)`` of table entry ``(n, m)``.
+
+    'cross' pairing puts it on ``|n,m>_a|m,n>_b``, 'parallel' on
+    ``|n,m>_a|n,m>_b``; scalars and arrays alike.  The beam-*b* half is
+    its own inverse, so ``paired_modes(x_b, y_b, pairing)[2:]`` reads
+    back the beam-*b* partners of ``(n_aH, n_aV)``.
+    """
+    if pairing == "cross":
+        return n, m, m, n
+    if pairing == "parallel":
+        return n, m, n, m
+    raise ValueError(f"unknown pairing {pairing!r}")
 
 
 def mean_photons_per_mode(gamma: float) -> float:
@@ -259,26 +286,25 @@ class FourModeState:
             return out
         n = np.arange(self.n_levels)
         nn, mm = np.meshgrid(n, n, indexing="ij")
-        if self.pairing == "cross":
-            idx = basis.index(nn, mm, mm, nn)
-        else:
-            idx = basis.index(nn, mm, nn, mm)
+        idx = basis.index(*paired_modes(nn, mm, self.pairing))
         out = np.zeros(basis.dim, dtype=np.complex128)
         out[idx.ravel()] = self.table.ravel()
         return out
 
     def edge_mass(self, depth: int = 2) -> float:
-        """Fraction of the state's mass within `depth` photons of the cutoff."""
-        if self.vector is not None:
-            return FourModeBasis(self.n_max).edge_mass(self.vector, depth=depth)
-        w = np.abs(self.table) ** 2
+        """Fraction of the state's mass within `depth` photons of the cutoff.
+
+        ``depth=2`` means any mode occupation in {n_max-1, n_max}: the
+        mass left after zeroing the interior block of ``|amplitude|^2``,
+        the table or the ``(d, d, d, d)`` tensor alike.
+        """
+        data = self.table if self.table is not None else self.vector.reshape((self.n_levels,) * 4)
+        w = np.abs(data) ** 2
         total = w.sum()
         if total == 0.0:
             return 0.0
-        k = self.n_levels - depth
-        near = w.copy()
-        near[:k, :k] = 0.0
-        return float(near.sum() / total)
+        w[(slice(max(self.n_levels - depth, 0)),) * w.ndim] = 0.0
+        return float(w.sum() / total)
 
     def fidelity(self, other: "FourModeState") -> float:
         """|<self|other>|^2 for the normalized states."""

@@ -23,9 +23,10 @@ route per storage form of the state:
   its ``(d, d, d, d)`` amplitude tensor and ``O psi`` is applied
   matrix-free.
 
-Explicit scipy.sparse matrices are built only for the operator-level
-identities the tests check: Hermiticity, commutators, and the
-conjugation and substitution maps between witnesses.
+No operator matrix is ever built here.  The tests tabulate the
+matrix-free route column by column to check its Hermiticity, its
+agreement with kron-built operators, the su(2) algebra above and the
+conjugation between witnesses.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import FourModeBasis
 from .states import FourModeState, NumericError, check_memory
@@ -45,65 +45,6 @@ BEAMS = ("a", "b")
 _BEAM_MODES = {"a": (0, 1), "b": (2, 3)}
 #: every (component, beam) a coefficient map may name
 _TERMS = tuple((k, beam) for k in range(4) for beam in BEAMS)
-
-
-def _hop_matrix(basis: FourModeBasis, i: int, j: int, coef: complex) -> tuple:
-    """COO pieces of coef * c_i+ c_j (i != j)."""
-    occ = basis.occupations()
-    s = basis.strides
-    src = np.arange(basis.dim)
-    ok = (occ[i] < basis.n_max) & (occ[j] > 0)
-    amp = coef * np.sqrt((occ[i][ok] + 1.0) * occ[j][ok])
-    tgt = src[ok] + s[i] - s[j]
-    return tgt, src[ok], amp
-
-
-def _single_beam_matrix(component: int, beam: str, basis: FourModeBasis) -> sp.csr_matrix:
-    h, v = _BEAM_MODES[beam]
-    occ = basis.occupations()
-    dim = basis.dim
-    if component == 0:
-        return sp.diags((occ[h] + occ[v]).astype(np.float64)).tocsr()
-    if component == 1:
-        return sp.diags((occ[h] - occ[v]).astype(np.float64)).tocsr()
-    if component == 2:
-        r1, c1, v1 = _hop_matrix(basis, h, v, 1.0)
-        r2, c2, v2 = _hop_matrix(basis, v, h, 1.0)
-    elif component == 3:
-        r1, c1, v1 = _hop_matrix(basis, v, h, 1.0j)
-        r2, c2, v2 = _hop_matrix(basis, h, v, -1.0j)
-    else:
-        raise ValueError(f"Stokes component must be 0..3, got {component}")
-    rows = np.concatenate([r1, r2])
-    cols = np.concatenate([c1, c2])
-    vals = np.concatenate([v1, v2])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-
-def stokes_operator(component: int, beam: str, basis: FourModeBasis) -> sp.csr_matrix:
-    """Sparse S_component of one beam ('a', 'b') or of the compound beam ('total')."""
-    if beam in _BEAM_MODES:
-        return _single_beam_matrix(component, beam, basis)
-    if beam == "total":
-        return _single_beam_matrix(component, "a", basis) + _single_beam_matrix(component, "b", basis)
-    raise ValueError(f"beam must be 'a', 'b' or 'total', got {beam!r}")
-
-
-def combination_matrix(coeffs: dict, basis: FourModeBasis) -> sp.csr_matrix:
-    """Sparse matrix of O = sum coeffs[(component, beam)] * S_component^beam."""
-    out = None
-    for (component, beam), c in coeffs.items():
-        if c == 0.0:
-            continue
-        term = _single_beam_matrix(component, beam, basis) * c
-        out = term if out is None else out + term
-    if out is None:
-        return sp.csr_matrix((basis.dim, basis.dim))
-    return out.tocsr()
-
-
-def commutator(op1: sp.spmatrix, op2: sp.spmatrix) -> sp.csr_matrix:
-    return op1 @ op2 - op2 @ op1
 
 
 # -- matrix-free application -------------------------------------------------
@@ -146,7 +87,8 @@ def apply_combination_tensor(coeffs: dict, tensor: np.ndarray) -> np.ndarray:
 
 def _as_vector(state, basis: FourModeBasis | None) -> tuple[np.ndarray, FourModeBasis]:
     if isinstance(state, FourModeState):
-        basis = basis or FourModeBasis(state.n_max)
+        if basis is None or basis.n_max == state.n_max:
+            return np.asarray(state.vector, dtype=np.complex128), FourModeBasis(state.n_max)
         return state.dense(basis), basis
     vec = np.asarray(state)
     if basis is None:

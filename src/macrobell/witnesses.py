@@ -5,25 +5,23 @@ Any state separable across the beams obeys
     Var(S_1) + Var(S_2) + Var(S_3)  >=  2 <S_0>,
 
 with ``S_i = S_i^a + S_i^b``.  Replacing selected beam-*b* operators by
-their negatives gives three more inequalities; each of the four sign
-patterns is violated maximally (all three variances vanish) by exactly
-one of the macroscopic Bell states:
+their negatives gives three more inequalities.  Each sign pattern is
+violated maximally (all three variances vanish) by exactly one of the
+macroscopic Bell states, ``WitnessKind.matched_state``; the signs are
+read off that state's pairing ``p`` (+1 cross, -1 parallel) and
+amplitude sign ``sigma``:
 
-    kind    signs (s_1, s_2, s_3)    maximally violated by
-    W_S        (+, +, +)             psi-minus
-    W_T1       (+, -, -)             psi-plus
-    W_T2       (-, -, +)             phi-plus
-    W_T3       (-, +, -)             phi-minus
+    (s_1, s_2, s_3) = (p, -sigma, -p sigma),
 
-where the witness value is ``sum_i Var(S_i^a + s_i S_i^b) - 2 <S_0>``;
-a negative value certifies entanglement, and on the matched state it
-equals ``-2 <S_0>``.
+so W_S = (+, +, +) is matched to psi-minus.  The witness value is
+``sum_i Var(S_i^a + s_i S_i^b) - 2 <S_0>``; a negative value certifies
+entanglement, and on the matched state it equals ``-2 <S_0>``.
 
 The sign patterns are connected by local unitaries: conjugating W_S by
-``exp(i pi n_bH)`` flips the beam-*b* sign of S_2 and S_3 and yields
-W_T1 (exactly, at the matrix level); substituting S_1 -> S_3,
-S_3 -> -S_1 (a quarter-wave rotation of the Poincare sphere) turns W_T1
-into W_T2.
+``exp(i pi n_bH)`` flips sigma, hence the beam-*b* sign of S_2 and S_3,
+and yields W_T1 (exactly, at the matrix level); substituting S_1 -> S_3,
+S_3 -> -S_1 (a quarter-wave rotation of the Poincare sphere) reverses
+the sign pattern and turns W_T1 into W_T2.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 
 from .basis import FourModeBasis
 from .states import BellLabel, FourModeState, NumericError, TruncationMassError, build_bell_state
-from .stokes import combination_matrix, expectation, moments, variance_of_combination
+from .stokes import expectation, moments, variance_of_combination
 
 #: gate for exact variance claims (see stokes module docstring)
 EDGE_MASS_TOL = 1e-10
@@ -52,15 +50,6 @@ class WitnessKind(enum.Enum):
     W_T3 = "W_T3"
 
     @property
-    def signs(self) -> tuple[int, int, int]:
-        return {
-            WitnessKind.W_S: (+1, +1, +1),
-            WitnessKind.W_T1: (+1, -1, -1),
-            WitnessKind.W_T2: (-1, -1, +1),
-            WitnessKind.W_T3: (-1, +1, -1),
-        }[self]
-
-    @property
     def matched_state(self) -> BellLabel:
         return {
             WitnessKind.W_S: BellLabel.PSI_MINUS,
@@ -68,6 +57,18 @@ class WitnessKind(enum.Enum):
             WitnessKind.W_T2: BellLabel.PHI_PLUS,
             WitnessKind.W_T3: BellLabel.PHI_MINUS,
         }[self]
+
+    @property
+    def signs(self) -> tuple[int, int, int]:
+        """(s_1, s_2, s_3) = (p, -sigma, -p sigma) of the matched state."""
+        label = self.matched_state
+        p = 1 if label.pairing == "cross" else -1
+        return (p, -label.sign, -p * label.sign)
+
+
+def matched_witness(label: BellLabel) -> WitnessKind:
+    """The witness kind maximally violated by ``label``."""
+    return next(kind for kind in WitnessKind if kind.matched_state is label)
 
 
 @dataclass
@@ -229,7 +230,7 @@ def product_state_battery(seed: int, n_states: int = 24, n_max: int = 12) -> lis
     return battery
 
 
-# -- cross-witness table and local-unitary structure -------------------------
+# -- cross-witness table ------------------------------------------------------
 
 
 def cross_witness_matrix(
@@ -251,47 +252,3 @@ def cross_witness_matrix(
         for i, kind in enumerate(kinds):
             out[i, j] = evaluate_witness(kind, state).value
     return out, kinds, labels
-
-
-def u_b_pi_phase_diagonal(basis: FourModeBasis) -> np.ndarray:
-    """Diagonal of exp(i pi n_bH): +/-1 per ket."""
-    return np.where(basis.occupations()[2] % 2 == 0, 1.0, -1.0)
-
-
-def witness_term_matrices(kind: WitnessKind, basis: FourModeBasis) -> list:
-    """Sparse matrices of the three signed combinations of a witness."""
-    return [combination_matrix(c, basis) for c in witness_term_coeffs(kind)]
-
-
-def conjugated_term_matrices(kind: WitnessKind, basis: FourModeBasis) -> list:
-    """The witness term matrices conjugated by exp(i pi n_bH).
-
-    Conjugation by the (real, diagonal, involutive) pi-phase flips the
-    sign of every operator entry that changes n_bH parity -- S_2^b and
-    S_3^b flip, S_1 and S_0 do not.  Exact in floating point.
-    """
-    u = u_b_pi_phase_diagonal(basis)
-    out = []
-    for m in witness_term_matrices(kind, basis):
-        m = m.tocoo()
-        vals = m.data * u[m.row] * u[m.col]
-        import scipy.sparse as sp
-
-        out.append(sp.csr_matrix((vals, (m.row, m.col)), shape=m.shape))
-    return out
-
-
-def substituted_t1_matrices(basis: FourModeBasis) -> list:
-    """W_T1 terms under S_1 -> S_3, S_3 -> -S_1 (per beam).
-
-    Term order follows the substituted component order (3, 2, 1); the
-    third matrix comes out as minus the corresponding W_T2 term, which
-    leaves its variance unchanged.
-    """
-    signs = WitnessKind.W_T1.signs
-    subbed = []
-    # term for component 1 becomes component 3, same signs
-    subbed.append(combination_matrix({(3, "a"): 1.0, (3, "b"): float(signs[0])}, basis))
-    subbed.append(combination_matrix({(2, "a"): 1.0, (2, "b"): float(signs[1])}, basis))
-    subbed.append(combination_matrix({(1, "a"): -1.0, (1, "b"): -float(signs[2])}, basis))
-    return subbed

@@ -150,3 +150,24 @@ def pt_eigenvalues(amplitude_matrix: np.ndarray) -> np.ndarray:
 def pt_trace_norm(amplitude_matrix: np.ndarray) -> float:
     """||rho^PT||_1 as the absolute eigenvalue sum of the dense solve."""
     return float(np.abs(pt_eigenvalues(amplitude_matrix)).sum())
+
+
+def tensor_route_matrix(coeffs: dict, d: int) -> np.ndarray:
+    """Dense matrix of the library's matrix-free ``apply_combination_tensor``
+    over d levels per mode, tabulated column by column (d**4 applications,
+    so keep d <= 6).
+
+    Not an oracle: it exposes the production route at the matrix level so
+    that operator identities can be checked on it and against the
+    kron-built operators above.
+    """
+    from macrobell.stokes import apply_combination_tensor
+
+    dim = d**4
+    out = np.empty((dim, dim), dtype=np.complex128)
+    unit = np.zeros(dim, dtype=np.complex128)
+    for col in range(dim):
+        unit[col] = 1.0
+        out[:, col] = apply_combination_tensor(coeffs, unit.reshape(d, d, d, d)).ravel()
+        unit[col] = 0.0
+    return out

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hs
 
 from macrobell import cli
 from macrobell.basis import FourModeBasis
@@ -171,12 +172,102 @@ def test_empty_grid_is_usage_error():
     ["witness", "--simulate", "--pulses", "2"],
     ["sweep-eta", "--pulses", "2"],
     ["witness", "--simulate", "--pulses", "100", "--workers", "0"],
+    ["witness", "--simulate", "--pulses", "100", "--eta", "0"],
+    ["fedorov", "--eta", "0"],
+    ["fedorov", "--bin-width", "0"],
+    ["sweep-eta", "--eta-min", "2"],
+    ["sweep-eta", "--eta-grid", "0,0.5"],
+    ["sweep-eta", "--eta-points", "0"],
+    ["witness", "--simulate", "--pulses", "100", "--seed", "-1"],
 ], ids=" ".join)
 def test_malformed_input_is_one_line_usage_error(argv, capsys):
     assert cli.main(argv + ["--out", "bad.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ini, argv", [
+    ("gamma = 0.5\n", []),
+    ("[witness]\ngamma = 0.5\ngamma = 0.6\n", []),
+    ("[witness]\ngamma = abc\n", []),
+    ("[witness]\nseed = none\n", []),
+    ("[witness]\ngamma = 100%\n", []),
+    (None, ["--config", "missing.ini"]),
+    (None, ["--out", "nowhere/w.csv"]),
+    (None, ["--out", "."]),
+    (None, ["--pulses", "100", "--pulse-log", "nowhere/p.ndjson"]),
+], ids=["no-section", "duplicate-key", "gamma-abc", "seed-none", "bad-interpolation",
+        "missing-config", "out-dir-missing", "out-is-dir", "pulse-log-dir-missing"])
+def test_config_and_path_errors_are_one_line_usage_errors(ini, argv, capsys):
+    if ini is not None:
+        with open("run.ini", "w") as fh:
+            fh.write(ini)
+        argv = ["--config", "run.ini"] + argv
+    if "--out" not in argv:
+        argv = argv + ["--out", "w.csv"]
+    assert cli.main(["witness"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+    assert not os.path.exists("w.csv")
+
+
+#: a few dozen examples each; every example runs in the same temporary directory
+_FUZZ = settings(max_examples=40, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+#: what number grids are made of, plus a few characters that do not belong
+_GRID_TEXT = hs.text(alphabet="0123456789.,eE+-naif x", max_size=16)
+_ANY_TEXT = hs.text(hs.characters(exclude_categories=("Cs",)), max_size=12)
+_INI_KEYS = sorted({key for keys in cli._DEFAULTS.values() for key in keys}) + ["bogus"]
+_INI_TEXT = hs.lists(hs.one_of(
+    hs.sampled_from(["[measures]", "[truncation]", "[witness]", "[DEFAULT]"]),
+    hs.builds("{} = {}".format, hs.sampled_from(_INI_KEYS), hs.one_of(_GRID_TEXT, _ANY_TEXT)),
+    _ANY_TEXT,
+), max_size=6).map("\n".join)
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a malformed command line itself
+        return exc.code
+
+
+@_FUZZ
+@given(text=_GRID_TEXT, option=hs.sampled_from(
+    ["measures --n0-grid", "truncation --n0-grid", "truncation --epsilon-grid"]))
+def test_grid_text_never_escapes_main(text, option):
+    command, flag = option.split()
+    assert _exit_code([command, f"{flag}={text}", "--out", "g.csv"]) in (0, 2, 3)
+
+
+def test_double_dash_option_value_is_usage_error():
+    # argparse hands "--opt=--" over as an empty list instead of a string
+    assert _exit_code(["measures", "--n0-grid=--", "--out", "g.csv"]) == 2
+    assert _exit_code(["witness", "--gamma=--", "--out", "w.csv"]) == 2
+
+
+@_FUZZ
+@given(ini=_INI_TEXT, command=hs.sampled_from(["measures", "truncation"]))
+def test_config_text_never_escapes_main(ini, command):
+    with open("fuzz.ini", "w", encoding="utf-8") as fh:
+        fh.write(ini)
+    assert _exit_code([command, "--config", "fuzz.ini", "--out", "g.csv"]) in (0, 2, 3)
+
+
+@_FUZZ
+@given(ini=_INI_TEXT, command=hs.sampled_from(sorted(cli._DEFAULTS)))
+def test_config_text_resolves_or_is_usage_error(ini, command):
+    # every command's configuration, resolved without running the command
+    with open("fuzz.ini", "w", encoding="utf-8") as fh:
+        fh.write(ini)
+    args = cli._build_parser().parse_args([command, "--config", "fuzz.ini"])
+    try:
+        cfg = cli._resolve_config(args)
+    except cli.UsageError:
+        return
+    assert set(cfg) == set(cli._DEFAULTS[command])
 
 
 def test_workers_beyond_cpu_count_is_usage_error(monkeypatch, capsys):
@@ -202,6 +293,25 @@ def test_memory_preflight_refuses(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "GiB" in err
     assert err.count("\n") == 1
+
+
+def test_memory_preflight_reads_available_memory(monkeypatch, capsys):
+    # with 10 kB reported free, the default psi-minus witness (cutoff 19,
+    # an estimated 64 kB for its table) is refused before anything runs
+    from macrobell import states
+
+    monkeypatch.setattr(states, "available_memory", lambda: 10_000)
+    assert cli.main(["witness", "--out", "w.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "available memory" in err
+    assert err.count("\n") == 1
+
+
+def test_arithmetic_overflow_is_numeric_refusal(capsys):
+    # e^{4 gamma} overflows a double past N0 of about 1e154
+    assert cli.main(["measures", "--n0-grid", "1e200", "--out", "m.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_witness_reaches_macroscopic_gain():

@@ -10,13 +10,13 @@ from macrobell.measures import fedorov_ratio
 from macrobell.simulate import (
     BLOCK_PULSES,
     CANONICAL_SETTINGS,
-    PAIRING_TABLE,
     FedorovEstimate,
     MeasurementSetting,
     SimConfig,
     _jackknife_series,
     _sample_series_counts,
     analyzer_distribution,
+    count_pairing,
     efficiency_sweep,
     estimate_fedorov,
     estimate_witness,
@@ -53,10 +53,11 @@ def test_measurement_setting_components():
 
 
 def test_pairing_table_shape():
-    assert set(PAIRING_TABLE) == set(BellLabel)
-    for pairings in PAIRING_TABLE.values():
-        assert len(pairings) == 3
+    for label in BellLabel:
+        pairings = [count_pairing(label, comp) for comp in CANONICAL_SETTINGS]
         assert set(pairings) <= {"cross", "parallel"}
+        # the H/V analyzer (S_1) sees the state's own ket pairing
+        assert pairings[0] == label.pairing
 
 
 # -- single pulses ---------------------------------------------------------------------

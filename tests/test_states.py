@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -94,6 +95,22 @@ def test_basis_vacuum_and_interior():
     assert np.array_equal(mask, (occ <= 1).all(axis=0))
     with pytest.raises(ValueError):
         FourModeBasis(-1)
+
+
+def test_memory_preflight_boundary(monkeypatch):
+    # the estimate is PEAK_ARRAYS complex128 arrays; exactly filling the
+    # reported free memory passes, one amplitude more is refused
+    from macrobell import states
+
+    monkeypatch.setattr(states, "available_memory", lambda: states.PEAK_ARRAYS * 16 * 1000)
+    states.check_memory(1000, "probe")
+    with pytest.raises(NumericError, match="available memory"):
+        states.check_memory(1001, "probe")
+    with pytest.raises(NumericError):
+        build_bell_state(BellLabel.PSI_MINUS, 0.5, 31)  # 1024 amplitudes
+    monkeypatch.undo()
+    pages = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 0 < states.available_memory() <= pages
 
 
 def test_edge_mass_routes_agree():
