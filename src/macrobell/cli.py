@@ -41,10 +41,13 @@ class UsageError(ValueError):
     """Bad flag combination or malformed grid (exit code 2)."""
 
 
-def _witness_kinds() -> list[str]:
+def _choices(command: str) -> dict[str, list[str]]:
+    """Allowed values of the enumerated options of ``command``, flag or INI key."""
     from .witnesses import WitnessKind
 
-    return [k.value for k in WitnessKind]
+    states = _STATES + ["vacuum"] if command == "witness" else _STATES
+    return {"state": states, "convention": _CONVENTIONS,
+            "witness": [k.value for k in WitnessKind]}
 
 
 #: builtin defaults, also the flag inventory used for config-file merging
@@ -91,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-    kinds = _witness_kinds()
 
     def add(name, help_):
         p = sub.add_parser(name, help=help_)
@@ -99,11 +101,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output CSV path")
         return p
 
+    choices = _choices("witness")  # "vacuum" among the states; other lists are shared
     p = add("witness", "exact or sampled entanglement witness")
-    p.add_argument("--state", choices=_STATES + ["vacuum"])
+    p.add_argument("--state", choices=choices["state"])
     p.add_argument("--gamma", type=float)
     p.add_argument("--cutoff", type=int, help="per-mode Fock cutoff (default: auto)")
-    p.add_argument("--witness", choices=kinds, help="default: the matched witness")
+    p.add_argument("--witness", choices=choices["witness"],
+                   help="default: the matched witness")
     p.add_argument("--simulate", action="store_const", const=True,
                    help="Monte-Carlo estimation instead of exact evaluation")
     p.add_argument("--eta", type=float, help="detection efficiency (simulation only)")
@@ -115,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("measures", "entanglement measures across mean photon number")
     p.add_argument("--n0-grid", dest="n0_grid", help="comma-separated N0 values")
-    p.add_argument("--convention", choices=_CONVENTIONS)
+    p.add_argument("--convention", choices=choices["convention"])
 
     p = add("truncation", "error budget and subspace size for photon-number cutoffs")
     p.add_argument("--n0-grid", dest="n0_grid", help="comma-separated N0 values")
@@ -126,8 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--cutoff", type=int)
 
+    choices = _choices("fedorov")  # the Bell states only, here and in sweep-eta
     p = add("fedorov", "simulated photon-number width ratio")
-    p.add_argument("--state", choices=_STATES)
+    p.add_argument("--state", choices=choices["state"])
     p.add_argument("--gamma", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--pulses", type=int)
@@ -135,10 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=int, dest="bin_width",
                    help="partner-count bin width for conditional histograms")
     p.add_argument("--workers", type=int)
-    p.add_argument("--convention", choices=_CONVENTIONS)
+    p.add_argument("--convention", choices=choices["convention"])
 
     p = add("sweep-eta", "witness vs detection efficiency")
-    p.add_argument("--state", choices=_STATES)
+    p.add_argument("--state", choices=choices["state"])
     p.add_argument("--gamma", type=float)
     p.add_argument("--eta-grid", dest="eta_grid", help="comma-separated efficiencies")
     p.add_argument("--eta-min", dest="eta_min", type=float)
@@ -148,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--bin-width", dest="bin_width", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--witness", choices=kinds)
+    p.add_argument("--witness", choices=choices["witness"])
     return top
 
 
@@ -158,6 +163,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     defaults = dict(_DEFAULTS[command])
     file_vals: dict = {}
     if getattr(args, "config", None):
+        choices = _choices(command)
         for key, raw in _read_config(args.config, command):
             key = key.replace("-", "_")
             if key not in defaults:
@@ -165,6 +171,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             file_vals[key] = _convert(key, raw)
             if file_vals[key] is None and defaults[key] not in (None, ""):
                 raise UsageError(f"config key {key!r} needs a value")
+            allowed = choices.get(key)
+            if allowed and file_vals[key] is not None and file_vals[key] not in allowed:
+                raise UsageError(f"config key {key!r} must be one of "
+                                 f"{', '.join(allowed)}, got {file_vals[key]!r}")
     resolved = {}
     for key, builtin in defaults.items():
         cli_val = getattr(args, key, None)

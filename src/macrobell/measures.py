@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .states import NumericError, mean_photons_per_mode
@@ -41,6 +42,8 @@ def _log_q(gamma: float) -> float:
     if gamma == 0.0:
         return -math.inf
     x = math.exp(-2.0 * gamma)
+    if x == 1.0:  # gamma below ~5.5e-17, where tanh(gamma) = gamma to the last bit
+        return 2.0 * math.log(math.tanh(gamma))
     return 2.0 * (math.log1p(-x) - math.log1p(x))
 
 
@@ -209,6 +212,11 @@ def gain_scan(n0_grid, convention: WidthConvention = WidthConvention.SQRT2_STDDE
     """
     rows = []
     for n0 in n0_grid:
+        if n0 > 0.0 and n0 * n0 < sys.float_info.min:
+            raise NumericError(
+                f"N0={n0!r} is below 1.5e-154, where N0^2 (the scale of the width "
+                f"ratio and of the normalizations) underflows a double"
+            )
         rep = measure_report(gamma_for_mean_photons(float(n0)), convention=convention)
         neg, k, fr = rep.negativity, rep.kbar, rep.fedorov_ratio
         if n0 >= 1.0 and not neg > k > fr:

@@ -37,6 +37,9 @@ log = logging.getLogger(__name__)
 #: pulses per atomic RNG block (the merge unit for multi-worker runs)
 BLOCK_PULSES = 4096
 
+#: pulses formatted per write of the NDJSON pulse log (bounds its buffers)
+LOG_CHUNK_PULSES = 1024
+
 #: analyzer plate angles (hwp_deg, qwp_deg) realizing each Stokes component
 CANONICAL_SETTINGS = {1: (0.0, 0.0), 2: (22.5, 45.0), 3: (0.0, 45.0)}
 
@@ -219,6 +222,30 @@ def _jackknife_series(readout: np.ndarray, totals: np.ndarray):
     return var_full, mean_full, theta_full, sigma_theta, sigma_var
 
 
+def _write_pulse_log(fh, series: int, counts: np.ndarray) -> None:
+    """Append one series' NDJSON records to the binary file ``fh``.
+
+    One line per pulse j, ``{"pulse_id":series*pulses+j,"setting":{...},
+    "counts":[x_a,y_a,x_b,y_b]}``, in compact JSON.  The line template is
+    built once and filled ``LOG_CHUNK_PULSES`` pulses at a time from a
+    reused (chunk, 5) buffer of pulse ids and counts, byte for byte what
+    ``json.dumps`` gives per record.
+    """
+    pulses = counts.shape[0]
+    comp = series + 1
+    h, qw = CANONICAL_SETTINGS[comp]
+    setting = json.dumps({"hwp_deg": h, "qwp_deg": qw, "component": comp},
+                         separators=(",", ":"))
+    line = b'{"pulse_id":%d,"setting":' + setting.encode() + b',"counts":[%d,%d,%d,%d]}\n'
+    buf = np.empty((LOG_CHUNK_PULSES, 5), dtype=np.int64)
+    for lo in range(0, pulses, LOG_CHUNK_PULSES):
+        n = min(LOG_CHUNK_PULSES, pulses - lo)
+        first = series * pulses + lo
+        buf[:n, 0] = np.arange(first, first + n)
+        buf[:n, 1:] = counts[lo:lo + n]
+        fh.write((line * n) % tuple(buf[:n].ravel().tolist()))
+
+
 def estimate_witness(
     config: SimConfig,
     kind: WitnessKind | None = None,
@@ -234,7 +261,7 @@ def estimate_witness(
     """
     kind = kind or matched_witness(config.label)
     signs = kind.signs
-    log_fh = open(pulse_log, "w") if pulse_log else None
+    log_fh = open(pulse_log, "wb") if pulse_log else None
 
     variance_terms = []
     theta_sigmas = []
@@ -259,15 +286,7 @@ def estimate_witness(
             theta_sum += theta
             mean_s0_acc += mean_full / 3.0
             if log_fh is not None:
-                comp = series + 1
-                h, qw = CANONICAL_SETTINGS[comp]
-                setting = {"hwp_deg": h, "qwp_deg": qw, "component": comp}
-                for j in range(config.pulses):
-                    log_fh.write(json.dumps({
-                        "pulse_id": series * config.pulses + j,
-                        "setting": setting,
-                        "counts": counts[j].tolist(),
-                    }, separators=(",", ":")) + "\n")
+                _write_pulse_log(log_fh, series, counts)
     finally:
         if log_fh is not None:
             log_fh.close()

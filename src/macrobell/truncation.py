@@ -125,9 +125,10 @@ def truncated_kbar(gamma: float, n_total: int) -> float:
         return 1.0
     eps = epsilon_from_cutoff(gamma, n_total)
     x = q * q
+    log_x = math.log(x) if x > 0.0 else 2.0 * math.log(q)  # q*q underflows below q ~ 2e-162
     s = np.arange(n_total + 1, dtype=np.float64)
     # sum (s+1) x^s over the kept totals, evaluated stably in logs
-    log_terms = s * math.log(x) + np.log(s + 1.0)
+    log_terms = s * log_x + np.log(s + 1.0)
     m = log_terms.max()
     ssum = math.exp(m) * np.exp(log_terms - m).sum()
     denom = (1.0 - q) ** 4 * ssum

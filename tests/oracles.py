@@ -7,6 +7,7 @@ arithmetic and closed forms, so that agreement between the two is a
 meaningful check rather than a tautology.
 """
 
+import json
 import math
 
 import numpy as np
@@ -171,3 +172,27 @@ def tensor_route_matrix(coeffs: dict, d: int) -> np.ndarray:
         out[:, col] = apply_combination_tensor(coeffs, unit.reshape(d, d, d, d)).ravel()
         unit[col] = 0.0
     return out
+
+
+def pulse_log_bytes(config, run: int = 0) -> bytes:
+    """The NDJSON pulse log of ``estimate_witness``, one ``json.dumps`` per pulse.
+
+    Re-draws each series' counts from the library's block sampler and
+    serializes every pulse record on its own, the reference for the
+    library's chunked template writer.
+    """
+    from macrobell.simulate import CANONICAL_SETTINGS, _sample_series_counts, count_pairing
+
+    lines = []
+    for series in range(3):
+        comp = series + 1
+        counts = _sample_series_counts(config, count_pairing(config.label, comp), series, run)
+        h, qw = CANONICAL_SETTINGS[comp]
+        setting = {"hwp_deg": h, "qwp_deg": qw, "component": comp}
+        for j in range(config.pulses):
+            lines.append(json.dumps({
+                "pulse_id": series * config.pulses + j,
+                "setting": setting,
+                "counts": counts[j].tolist(),
+            }, separators=(",", ":")) + "\n")
+    return "".join(lines).encode()

@@ -187,26 +187,30 @@ def test_malformed_input_is_one_line_usage_error(argv, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("ini, argv", [
-    ("gamma = 0.5\n", []),
-    ("[witness]\ngamma = 0.5\ngamma = 0.6\n", []),
-    ("[witness]\ngamma = abc\n", []),
-    ("[witness]\nseed = none\n", []),
-    ("[witness]\ngamma = 100%\n", []),
-    (None, ["--config", "missing.ini"]),
-    (None, ["--out", "nowhere/w.csv"]),
-    (None, ["--out", "."]),
-    (None, ["--pulses", "100", "--pulse-log", "nowhere/p.ndjson"]),
+@pytest.mark.parametrize("command, ini, argv", [
+    ("witness", "gamma = 0.5\n", []),
+    ("witness", "[witness]\ngamma = 0.5\ngamma = 0.6\n", []),
+    ("witness", "[witness]\ngamma = abc\n", []),
+    ("witness", "[witness]\nseed = none\n", []),
+    ("witness", "[witness]\ngamma = 100%\n", []),
+    ("witness", None, ["--config", "missing.ini"]),
+    ("witness", None, ["--out", "nowhere/w.csv"]),
+    ("witness", None, ["--out", "."]),
+    ("witness", None, ["--pulses", "100", "--pulse-log", "nowhere/p.ndjson"]),
+    ("fedorov", "[fedorov]\nstate = foo\n", []),
+    ("measures", "[measures]\nconvention = foo\n", []),
+    ("witness", "[witness]\nwitness = foo\n", []),
 ], ids=["no-section", "duplicate-key", "gamma-abc", "seed-none", "bad-interpolation",
-        "missing-config", "out-dir-missing", "out-is-dir", "pulse-log-dir-missing"])
-def test_config_and_path_errors_are_one_line_usage_errors(ini, argv, capsys):
+        "missing-config", "out-dir-missing", "out-is-dir", "pulse-log-dir-missing",
+        "state-foo", "convention-foo", "witness-foo"])
+def test_config_and_path_errors_are_one_line_usage_errors(command, ini, argv, capsys):
     if ini is not None:
         with open("run.ini", "w") as fh:
             fh.write(ini)
         argv = ["--config", "run.ini"] + argv
     if "--out" not in argv:
         argv = argv + ["--out", "w.csv"]
-    assert cli.main(["witness"] + argv) == 2
+    assert cli.main([command] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1
@@ -312,6 +316,32 @@ def test_arithmetic_overflow_is_numeric_refusal(capsys):
     assert cli.main(["measures", "--n0-grid", "1e200", "--out", "m.csv"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n0, measures_code", [("1e-300", 3), ("1e-40", 0)])
+def test_tiny_gain_is_closed_form_or_named_refusal(n0, measures_code, capsys):
+    # below N0 ~ 3e-33, exp(-2 gamma) rounds to 1 and tanh(gamma)^4 underflows
+    value = float(n0)
+    assert cli.main(["truncation", "--n0-grid", n0, "--out", "t.csv"]) == 0
+    with open("t.csv.meta.json") as fh:
+        point = json.load(fh)["points"][0]
+    assert point["n_total"] == 0 and point["kbar_truncated"] == 1.0
+    assert point["achieved_epsilon"] == pytest.approx(2.0 * value, rel=1e-12)
+    capsys.readouterr()
+    assert cli.main(["measures", "--n0-grid", n0, "--out", "m.csv"]) == measures_code
+    if measures_code == 3:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: N0={value!r} is below") and err.count("\n") == 1
+        assert not os.path.exists("m.csv")
+        return
+    row = _read_csv("m.csv")[0]
+    assert float(row["negativity"]) == pytest.approx(4.0 * math.sqrt(value), rel=1e-12)
+    assert float(row["kbar"]) == pytest.approx(1.0, rel=1e-15)
+    assert float(row["fedorov"]) == pytest.approx(2.0 * value * value, rel=1e-12)
+    with open("m.csv.plot.json") as fh:
+        point = json.load(fh)["points"][0]
+    assert all(math.isfinite(point[k]) for k in ("negativity_norm", "kbar_norm",
+                                                 "fedorov_norm"))
 
 
 def test_witness_reaches_macroscopic_gain():

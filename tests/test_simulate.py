@@ -10,6 +10,7 @@ from macrobell.measures import fedorov_ratio
 from macrobell.simulate import (
     BLOCK_PULSES,
     CANONICAL_SETTINGS,
+    LOG_CHUNK_PULSES,
     FedorovEstimate,
     MeasurementSetting,
     SimConfig,
@@ -28,6 +29,7 @@ from macrobell.simulate import (
 )
 from macrobell.states import BellLabel, build_bell_state, mean_photons_per_mode, schmidt_spectrum
 from macrobell.witnesses import WitnessKind
+from oracles import pulse_log_bytes
 
 
 # -- configuration and settings -------------------------------------------------------
@@ -236,6 +238,22 @@ def test_pulse_log_format(tmp_path):
         assert rec["setting"]["qwp_deg"] == qw
         assert len(rec["counts"]) == 4
         assert all(isinstance(c, int) and c >= 0 for c in rec["counts"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("pulses", [3, LOG_CHUNK_PULSES - 1, LOG_CHUNK_PULSES,
+                                    LOG_CHUNK_PULSES + 1, 2 * BLOCK_PULSES + 1])
+def test_pulse_log_matches_per_pulse_reference(tmp_path, pulses, workers):
+    # gamma=2 (N0 ~ 13) gives multi-digit counts; the pulse counts straddle
+    # the log chunk and, at 8193, two RNG block boundaries
+    cfg = SimConfig(label="phi-minus", gamma=2.0, eta=0.85, pulses=pulses, seed=5,
+                    workers=workers)
+    path = tmp_path / "pulses.ndjson"
+    estimate_witness(cfg, kind=WitnessKind.W_S, run=1, pulse_log=str(path))
+    expected = pulse_log_bytes(cfg, run=1)
+    assert path.read_bytes() == expected
+    if pulses > 1000:
+        assert max(max(json.loads(line)["counts"]) for line in expected.splitlines()) >= 100
 
 
 # -- exact distributions and the generic analyzer route ------------------------------
