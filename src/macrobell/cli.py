@@ -15,7 +15,8 @@ duration) next to it, so any result can be reproduced bit-for-bit with
 ``run_from_manifest``.  A ``--config`` INI file supplies defaults per
 command section; explicit flags win.
 
-Exit codes: 0 success, 2 usage error, 3 numeric/truncation failure.
+Exit codes: 0 success, 2 usage error, 3 numeric/truncation failure, 4 an
+output that cannot be written (e.g. a full disk).
 """
 
 from __future__ import annotations
@@ -27,63 +28,78 @@ import json
 import math
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .states import BellLabel, NumericError, TruncationMassError
-
-_STATES = [l.value for l in BellLabel]
-_CONVENTIONS = ["stddev", "sqrt2-stddev"]
+from .witnesses import WitnessKind
 
 
 class UsageError(ValueError):
     """Bad flag combination or malformed grid (exit code 2)."""
 
 
-def _choices(command: str) -> dict[str, list[str]]:
-    """Allowed values of the enumerated options of ``command``, flag or INI key."""
-    from .witnesses import WitnessKind
+class _Opt(NamedTuple):
+    """One option: flag ``--name`` (dashes for underscores) and INI key ``name``."""
 
-    states = _STATES + ["vacuum"] if command == "witness" else _STATES
-    return {"state": states, "convention": _CONVENTIONS,
-            "witness": [k.value for k in WitnessKind]}
+    name: str
+    default: object = None
+    type: type = str  # str, int, float, or bool for a flag that takes no value
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
 
 
-#: builtin defaults, also the flag inventory used for config-file merging
-_DEFAULTS: dict[str, dict] = {
-    "witness": {
-        "state": "psi-minus", "gamma": 0.5, "cutoff": None, "witness": None,
-        "simulate": False, "eta": 1.0, "pulses": None, "seed": 0,
-        "bin_width": 200, "workers": 1, "pulse_log": None, "out": "witness.csv",
-    },
-    "measures": {
-        "n0_grid": "1,2,5,10,20,50,100", "convention": "sqrt2-stddev",
-        "out": "measures.csv",
-    },
-    "truncation": {
-        "n0_grid": "10", "epsilon": None,
-        "epsilon_grid": "0.9,0.5,0.2,0.1,0.05,0.02,0.01",
-        "out": "truncation.csv",
-    },
-    "crosswitness": {
-        "gamma": 0.5, "cutoff": None, "out": "crosswitness.csv",
-    },
-    "fedorov": {
-        "state": "psi-minus", "gamma": 1.5, "eta": 1.0, "pulses": 1_000_000,
-        "seed": 0, "bin_width": 1, "workers": 1, "convention": "sqrt2-stddev",
-        "out": "fedorov.csv",
-    },
-    "sweep-eta": {
-        "state": "psi-minus", "gamma": 0.8, "eta_grid": "", "eta_min": 0.15,
-        "eta_max": 0.95, "eta_points": 9, "pulses": 100_000, "seed": 0,
-        "bin_width": 200, "workers": 1, "witness": None, "out": "sweep_eta.csv",
-    },
+def _options(*opts: _Opt, **defaults) -> dict[str, _Opt]:
+    """Options by name plus ``--out``; a later entry replaces an earlier one of
+    the same name, and ``defaults`` override the entries' builtin defaults."""
+    table = {o.name: o for o in (*opts, _Opt("out", help="output CSV path"))}
+    return {k: o._replace(default=defaults.get(k, o.default)) for k, o in table.items()}
+
+
+_STATE = _Opt("state", "psi-minus", choices=tuple(l.value for l in BellLabel))
+_GAMMA = _Opt("gamma", type=float)
+_ETA = _Opt("eta", 1.0, float, "detection efficiency")
+_CUTOFF = _Opt("cutoff", type=int, help="per-mode Fock cutoff (default: auto)")
+_WITNESS = _Opt("witness", help="default: the matched witness",
+                choices=tuple(k.value for k in WitnessKind))
+_CONVENTION = _Opt("convention", "sqrt2-stddev", choices=("stddev", "sqrt2-stddev"))
+_N0_GRID = _Opt("n0_grid", help="comma-separated N0 values")
+#: the sampling options of witness, fedorov and sweep-eta
+_SAMPLING = (
+    _STATE, _GAMMA,
+    _Opt("pulses", 100_000, int, "pulse count"),
+    _Opt("seed", 0, int),
+    _Opt("bin_width", 200, int, "partner-count bin width for conditional histograms"),
+    _Opt("workers", 1, int, "accepted for compatibility; sampling is serial"),
+)
+
+#: the one flag and INI-key inventory: name, builtin default, type, help, choices
+_OPTIONS: dict[str, dict[str, _Opt]] = {
+    "witness": _options(
+        *_SAMPLING, _STATE._replace(choices=_STATE.choices + ("vacuum",)), _CUTOFF, _WITNESS,
+        _Opt("simulate", False, bool, "Monte-Carlo estimation instead of exact "
+                                      "evaluation (implied by --pulses)"),
+        _ETA, _Opt("pulse_log", help="NDJSON per-pulse record path"),
+        gamma=0.5, pulses=None, out="witness.csv"),
+    "measures": _options(_N0_GRID, _CONVENTION, n0_grid="1,2,5,10,20,50,100",
+                         out="measures.csv"),
+    "truncation": _options(
+        _N0_GRID, _Opt("epsilon", type=float, help="single target (otherwise a grid scan)"),
+        _Opt("epsilon_grid", "0.9,0.5,0.2,0.1,0.05,0.02,0.01"),
+        n0_grid="10", out="truncation.csv"),
+    "crosswitness": _options(_GAMMA, _CUTOFF, gamma=0.5, out="crosswitness.csv"),
+    "fedorov": _options(*_SAMPLING, _ETA, _CONVENTION,
+                        gamma=1.5, pulses=1_000_000, bin_width=1, out="fedorov.csv"),
+    "sweep-eta": _options(
+        *_SAMPLING, _Opt("eta_grid", "", help="comma-separated efficiencies"),
+        _Opt("eta_min", 0.15, float), _Opt("eta_max", 0.95, float),
+        _Opt("eta_points", 9, int), _WITNESS, gamma=0.8, out="sweep_eta.csv"),
 }
 
-_FLOAT_KEYS = {"gamma", "eta", "epsilon", "eta_min", "eta_max"}
-_INT_KEYS = {"cutoff", "pulses", "seed", "bin_width", "workers", "eta_points"}
-_BOOL_KEYS = {"simulate"}
+#: builtin defaults per command
+_DEFAULTS = {cmd: {k: o.default for k, o in opts.items()} for cmd, opts in _OPTIONS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,96 +110,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, help_):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", help="INI file; section [%s] supplies defaults" % name)
-        p.add_argument("--out", help="output CSV path")
-        return p
-
-    choices = _choices("witness")  # "vacuum" among the states; other lists are shared
-    p = add("witness", "exact or sampled entanglement witness")
-    p.add_argument("--state", choices=choices["state"])
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--cutoff", type=int, help="per-mode Fock cutoff (default: auto)")
-    p.add_argument("--witness", choices=choices["witness"],
-                   help="default: the matched witness")
-    p.add_argument("--simulate", action="store_const", const=True,
-                   help="Monte-Carlo estimation instead of exact evaluation")
-    p.add_argument("--eta", type=float, help="detection efficiency (simulation only)")
-    p.add_argument("--pulses", type=int, help="pulse count (implies --simulate)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bin-width", type=int, dest="bin_width")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--pulse-log", dest="pulse_log", help="NDJSON per-pulse record path")
-
-    p = add("measures", "entanglement measures across mean photon number")
-    p.add_argument("--n0-grid", dest="n0_grid", help="comma-separated N0 values")
-    p.add_argument("--convention", choices=choices["convention"])
-
-    p = add("truncation", "error budget and subspace size for photon-number cutoffs")
-    p.add_argument("--n0-grid", dest="n0_grid", help="comma-separated N0 values")
-    p.add_argument("--epsilon", type=float, help="single target (otherwise a grid scan)")
-    p.add_argument("--epsilon-grid", dest="epsilon_grid")
-
-    p = add("crosswitness", "4x4 witness-by-state table")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--cutoff", type=int)
-
-    choices = _choices("fedorov")  # the Bell states only, here and in sweep-eta
-    p = add("fedorov", "simulated photon-number width ratio")
-    p.add_argument("--state", choices=choices["state"])
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--pulses", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bin-width", type=int, dest="bin_width",
-                   help="partner-count bin width for conditional histograms")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--convention", choices=choices["convention"])
-
-    p = add("sweep-eta", "witness vs detection efficiency")
-    p.add_argument("--state", choices=choices["state"])
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eta-grid", dest="eta_grid", help="comma-separated efficiencies")
-    p.add_argument("--eta-min", dest="eta_min", type=float)
-    p.add_argument("--eta-max", dest="eta_max", type=float)
-    p.add_argument("--eta-points", dest="eta_points", type=int)
-    p.add_argument("--pulses", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bin-width", dest="bin_width", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--witness", choices=choices["witness"])
+    for command, opts in _OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        p.add_argument("--config", help=f"INI file; section [{command}] supplies defaults")
+        for o in opts.values():
+            kind = (dict(action="store_const", const=True) if o.type is bool
+                    else dict(type=o.type, choices=o.choices))
+            p.add_argument("--" + o.name.replace("_", "-"), dest=o.name, help=o.help, **kind)
     return top
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """CLI flag > config-file entry > builtin default."""
     command = args.command
-    defaults = dict(_DEFAULTS[command])
+    opts = _OPTIONS[command]
     file_vals: dict = {}
     if getattr(args, "config", None):
-        choices = _choices(command)
         for key, raw in _read_config(args.config, command):
             key = key.replace("-", "_")
-            if key not in defaults:
+            if key not in opts:
                 raise UsageError(f"unknown config key {key!r} for command {command!r}")
-            file_vals[key] = _convert(key, raw)
-            if file_vals[key] is None and defaults[key] not in (None, ""):
+            opt = opts[key]
+            value = file_vals[key] = _convert(opt, raw)
+            if value is None and opt.default not in (None, ""):
                 raise UsageError(f"config key {key!r} needs a value")
-            allowed = choices.get(key)
-            if allowed and file_vals[key] is not None and file_vals[key] not in allowed:
+            if opt.choices and value is not None and value not in opt.choices:
                 raise UsageError(f"config key {key!r} must be one of "
-                                 f"{', '.join(allowed)}, got {file_vals[key]!r}")
+                                 f"{', '.join(opt.choices)}, got {value!r}")
     resolved = {}
-    for key, builtin in defaults.items():
+    for key, opt in opts.items():
         cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            resolved[key] = cli_val
-        elif key in file_vals:
-            resolved[key] = file_vals[key]
-        else:
-            resolved[key] = builtin
+        resolved[key] = cli_val if cli_val is not None else file_vals.get(key, opt.default)
     _check_bounds(resolved)
     return resolved
 
@@ -229,22 +186,21 @@ def _check_bounds(cfg: dict) -> None:
             raise UsageError(f"cannot write {key} {path!r}: not a file in an existing directory")
 
 
-def _convert(key: str, raw: str):
+def _convert(opt: _Opt, raw: str):
+    """An INI value as the option's type; ``none`` or nothing is None."""
     raw = raw.strip()
     if raw.lower() in ("none", ""):
         return None
-    if key in _FLOAT_KEYS | _INT_KEYS:
-        try:
-            return float(raw) if key in _FLOAT_KEYS else int(raw)
-        except ValueError as exc:
-            raise UsageError(f"config key {key!r} must be a number, got {raw!r}") from exc
-    if key in _BOOL_KEYS:
+    if opt.type is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
-        raise UsageError(f"boolean config key {key!r} got {raw!r}")
-    return raw
+        raise UsageError(f"boolean config key {opt.name!r} got {raw!r}")
+    try:
+        return opt.type(raw)
+    except ValueError as exc:
+        raise UsageError(f"config key {opt.name!r} must be a number, got {raw!r}") from exc
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
@@ -303,6 +259,7 @@ def _write_manifest(command: str, cfg: dict, outputs: list[str], t0: float,
 
 
 def _cmd_witness(cfg: dict) -> list[str]:
+    """exact or sampled entanglement witness"""
     from .states import build_bell_state
     from .witnesses import WitnessKind, cutoff_for_edge_mass, evaluate_witness
     from .simulate import SimConfig, estimate_witness, matched_witness
@@ -323,8 +280,7 @@ def _cmd_witness(cfg: dict) -> list[str]:
     if simulate:
         pulses = cfg["pulses"] if cfg["pulses"] is not None else 100_000
         sim = SimConfig(label=label, gamma=gamma, eta=cfg["eta"],
-                        pulses=pulses, seed=cfg["seed"],
-                        bin_width=cfg["bin_width"], workers=cfg["workers"])
+                        pulses=pulses, seed=cfg["seed"], bin_width=cfg["bin_width"])
         rep = estimate_witness(sim, kind=kind, pulse_log=cfg["pulse_log"])
         row = ["simulated", kind.value, shown, gamma, None, cfg["eta"],
                pulses, cfg["seed"], rep.value, rep.value_error,
@@ -352,6 +308,7 @@ def _cmd_witness(cfg: dict) -> list[str]:
 
 
 def _cmd_measures(cfg: dict) -> list[str]:
+    """entanglement measures across mean photon number"""
     from .measures import WidthConvention, gain_scan
 
     grid = _parse_grid(cfg["n0_grid"], "N0")
@@ -376,6 +333,7 @@ def _cmd_measures(cfg: dict) -> list[str]:
 
 
 def _cmd_truncation(cfg: dict) -> list[str]:
+    """error budget and subspace size for photon-number cutoffs"""
     from .truncation import dimension_scan
 
     n0_list = _parse_grid(cfg["n0_grid"], "N0")
@@ -409,6 +367,7 @@ def _cmd_truncation(cfg: dict) -> list[str]:
 
 
 def _cmd_crosswitness(cfg: dict) -> list[str]:
+    """4x4 witness-by-state table"""
     from .witnesses import cross_witness_matrix
 
     mat, kinds, labels = cross_witness_matrix(cfg["gamma"], n_max=cfg["cutoff"])
@@ -424,12 +383,13 @@ def _cmd_crosswitness(cfg: dict) -> list[str]:
 
 
 def _cmd_fedorov(cfg: dict) -> list[str]:
+    """simulated photon-number width ratio"""
     from .measures import WidthConvention, fedorov_ratio
     from .simulate import SimConfig, estimate_fedorov
 
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
                     eta=cfg["eta"], pulses=cfg["pulses"], seed=cfg["seed"],
-                    bin_width=cfg["bin_width"], workers=cfg["workers"])
+                    bin_width=cfg["bin_width"])
     est = estimate_fedorov(sim, convention=cfg["convention"])
     exact = fedorov_ratio(cfg["gamma"], convention=WidthConvention(cfg["convention"]))
     rel_deviation = abs(est.ratio - exact) / exact if exact else math.nan
@@ -451,6 +411,7 @@ def _cmd_fedorov(cfg: dict) -> list[str]:
 
 
 def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
+    """witness vs detection efficiency"""
     from .witnesses import WitnessKind
     from .simulate import SimConfig, efficiency_sweep
 
@@ -461,8 +422,7 @@ def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
     else:
         grid = list(np.linspace(cfg["eta_min"], cfg["eta_max"], cfg["eta_points"]))
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
-                    pulses=cfg["pulses"], seed=cfg["seed"],
-                    bin_width=cfg["bin_width"], workers=cfg["workers"])
+                    pulses=cfg["pulses"], seed=cfg["seed"], bin_width=cfg["bin_width"])
     kind = WitnessKind(cfg["witness"]) if cfg["witness"] else None
     result = efficiency_sweep(sim, grid, kind=kind)
     header = ["eta", "value", "sigma", "certifies", "exact"]
@@ -504,17 +464,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         result = _COMMANDS[args.command](cfg)
+        outputs, extra = result if isinstance(result, tuple) else (result, None)
+        manifest = _write_manifest(args.command, cfg, outputs, t0, extra)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (TruncationMassError, NumericError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if isinstance(result, tuple):
-        outputs, extra = result
-    else:
-        outputs, extra = result, None
-    manifest = _write_manifest(args.command, cfg, outputs, t0, extra)
+    except OSError as exc:  # e.g. a full disk under --out or --pulse-log
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 4
     print(f"wrote {manifest}")
     return 0
 

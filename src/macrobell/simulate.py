@@ -15,8 +15,8 @@ per mode.
 
 Reproducibility: pulses are generated in fixed blocks of
 ``BLOCK_PULSES``; each block owns a counter-addressed Philox stream
-keyed by (seed; block, series, run), so results are byte-identical for
-any worker count and any schedule.
+keyed by (seed; block, series, run), so the blocks fix the RNG stream
+and a seed gives the same bytes on every run.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +33,8 @@ from .witnesses import WitnessKind, WitnessReport, matched_witness
 
 log = logging.getLogger(__name__)
 
-#: pulses per atomic RNG block (the merge unit for multi-worker runs)
+#: pulses per RNG block; each block draws from its own Philox stream, which fixes
+#: the RNG stream of a run
 BLOCK_PULSES = 4096
 
 #: pulses formatted per write of the NDJSON pulse log (bounds its buffers)
@@ -78,7 +78,6 @@ class SimConfig:
     pulses: int = 100_000
     seed: int = 0
     bin_width: int = 200  # partner-count bin width for conditional histograms
-    workers: int = 1
 
     def __post_init__(self):
         if isinstance(self.label, str):
@@ -109,25 +108,14 @@ def _sample_series_counts(
     q = geometric_ratio(config.gamma)
     p_geom = 1.0 - q
     counts = np.empty((pulses, 4), dtype=np.int64)
-    n_blocks = -(-pulses // BLOCK_PULSES)
-
-    def fill(block: int) -> None:
-        rng = _block_generator(config.seed, run, series, block)
-        lo = block * BLOCK_PULSES
+    for lo in range(0, pulses, BLOCK_PULSES):
+        rng = _block_generator(config.seed, run, series, lo // BLOCK_PULSES)
         hi = min(pulses, lo + BLOCK_PULSES)
-        size = hi - lo
-        n = rng.geometric(p_geom, size) - 1
-        m = rng.geometric(p_geom, size) - 1
-        # fixed thinning order keeps the stream schedule-independent
+        n = rng.geometric(p_geom, hi - lo) - 1
+        m = rng.geometric(p_geom, hi - lo) - 1
+        # fixed thinning order: x_a, y_a, x_b, y_b
         for col, arr in enumerate(paired_modes(n, m, pairing)):
             counts[lo:hi, col] = rng.binomial(arr, config.eta)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            fill(b)
     return counts
 
 
@@ -302,7 +290,6 @@ def estimate_witness(
         "pulses": config.pulses,
         "seed": config.seed,
         "bin_width": config.bin_width,
-        "workers": config.workers,
         "run": run,
     }
     if degenerate:
@@ -318,15 +305,20 @@ def estimate_witness(
     )
 
 
-def witness_under_loss(gamma: float, eta: float) -> float:
-    """Detected-level matched witness at efficiency eta (exact, no cutoff).
+def witness_under_loss(gamma: float, eta: float, matched: bool = True) -> float:
+    """Detected-level witness at efficiency eta (exact, no cutoff).
 
     Each matched variance term is 4 eta (1 - eta) N0 of thinning noise
-    and <S_0> drops to 4 eta N0, so the value is 4 eta N0 (1 - 3 eta):
-    entanglement stays certified for eta > 1/3 at any gain.
+    and <S_0> drops to 4 eta N0, so the matched value is 4 eta N0 (1 - 3 eta):
+    entanglement stays certified for eta > 1/3 at any gain.  A mismatched
+    witness flips the sign of two of its three terms, each of which then
+    gains 8 eta^2 N0 (N0 + 1).
     """
     n0 = mean_photons_per_mode(gamma)
-    return 4.0 * eta * n0 * (1.0 - 3.0 * eta)
+    value = 4.0 * eta * n0 * (1.0 - 3.0 * eta)
+    if not matched:
+        value += 16.0 * eta * eta * n0 * (n0 + 1.0)
+    return value
 
 
 # -- exact count distributions (slow path / oracles) ---------------------------
@@ -521,20 +513,16 @@ def efficiency_sweep(
     etas = [float(e) for e in eta_grid]
     if any(not 0.0 < e <= 1.0 for e in etas):
         raise ValueError("efficiency grid must lie in (0, 1]")
+    matched = kind in (None, matched_witness(config.label))
     points = []
     for i, eta in enumerate(etas):
-        cfg = SimConfig(
-            label=config.label, gamma=config.gamma, eta=eta,
-            pulses=config.pulses, seed=config.seed,
-            bin_width=config.bin_width, workers=config.workers,
-        )
-        rep = estimate_witness(cfg, kind=kind, run=i)
+        rep = estimate_witness(replace(config, eta=eta), kind=kind, run=i)
         points.append(SweepPoint(
             eta=eta,
             value=rep.value,
             sigma=rep.value_error,
             certifies=bool(rep.value + 3.0 * rep.value_error < 0.0),
-            exact=witness_under_loss(config.gamma, eta),
+            exact=witness_under_loss(config.gamma, eta, matched),
         ))
     certified = [p.eta for p in points if p.certifies]
     threshold = min(certified) if certified else None

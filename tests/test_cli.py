@@ -274,11 +274,83 @@ def test_config_text_resolves_or_is_usage_error(ini, command):
     assert set(cfg) == set(cli._DEFAULTS[command])
 
 
-def test_workers_beyond_cpu_count_is_usage_error(monkeypatch, capsys):
-    # refused at the boundary: a thread pool started anyway would fail here
-    from macrobell import simulate
+#: every subcommand's flags and builtin defaults, as released before the option
+#: table; a flag, INI key or default the table drops or renames fails below
+_PINNED_DEFAULTS = {
+    "witness": {
+        "state": "psi-minus", "gamma": 0.5, "cutoff": None, "witness": None,
+        "simulate": False, "eta": 1.0, "pulses": None, "seed": 0,
+        "bin_width": 200, "workers": 1, "pulse_log": None, "out": "witness.csv",
+    },
+    "measures": {
+        "n0_grid": "1,2,5,10,20,50,100", "convention": "sqrt2-stddev",
+        "out": "measures.csv",
+    },
+    "truncation": {
+        "n0_grid": "10", "epsilon": None,
+        "epsilon_grid": "0.9,0.5,0.2,0.1,0.05,0.02,0.01",
+        "out": "truncation.csv",
+    },
+    "crosswitness": {"gamma": 0.5, "cutoff": None, "out": "crosswitness.csv"},
+    "fedorov": {
+        "state": "psi-minus", "gamma": 1.5, "eta": 1.0, "pulses": 1_000_000,
+        "seed": 0, "bin_width": 1, "workers": 1, "convention": "sqrt2-stddev",
+        "out": "fedorov.csv",
+    },
+    "sweep-eta": {
+        "state": "psi-minus", "gamma": 0.8, "eta_grid": "", "eta_min": 0.15,
+        "eta_max": 0.95, "eta_points": 9, "pulses": 100_000, "seed": 0,
+        "bin_width": 200, "workers": 1, "witness": None, "out": "sweep_eta.csv",
+    },
+}
+#: per key, a raw value and what both its flag and its INI key must make of it
+_PINNED_VALUES = {
+    "state": ("phi-plus", "phi-plus"), "gamma": ("0.25", 0.25), "cutoff": ("7", 7),
+    "witness": ("W_T2", "W_T2"), "simulate": ("yes", True), "eta": ("0.5", 0.5),
+    "pulses": ("7", 7), "seed": ("7", 7), "bin_width": ("7", 7), "workers": ("1", 1),
+    "pulse_log": ("p.ndjson", "p.ndjson"), "out": ("o.csv", "o.csv"),
+    "n0_grid": ("3", "3"), "convention": ("stddev", "stddev"), "epsilon": ("0.5", 0.5),
+    "epsilon_grid": ("0.5", "0.5"), "eta_grid": ("0.5", "0.5"), "eta_min": ("0.5", 0.5),
+    "eta_max": ("0.5", 0.5), "eta_points": ("7", 7),
+}
 
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", None)
+
+def _typed(cfg):
+    return {key: (value, type(value)) for key, value in cfg.items()}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_DEFAULTS))
+def test_flag_inventory_is_pinned(command):
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    flags = {flag for flag in subparsers.choices[command]._option_string_actions
+             if flag.startswith("--") and flag != "--help"}
+    pinned = _PINNED_DEFAULTS[command]
+    assert flags == {"--config"} | {"--" + key.replace("_", "-") for key in pinned}
+    assert _typed(cli._resolve_config(parser.parse_args([command]))) == _typed(pinned)
+    for key in pinned:
+        raw, want = _PINNED_VALUES[key]
+        flag = "--" + key.replace("_", "-")
+        argv = [command, flag] if key == "simulate" else [command, flag, raw]
+        assert _typed(cli._resolve_config(parser.parse_args(argv)))[key] == _typed({key: want})[key]
+        with open("pin.ini", "w") as fh:
+            fh.write(f"[{command}]\n{key.replace('_', '-')} = {raw}\n")
+        cfg = cli._resolve_config(parser.parse_args([command, "--config", "pin.ini"]))
+        assert _typed(cfg)[key] == _typed({key: want})[key]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full-disk device")
+@pytest.mark.parametrize("argv", [
+    ["witness", "--simulate", "--pulses", "100", "--pulse-log", "/dev/full", "--out", "w.csv"],
+    ["witness", "--out", "/dev/full"],
+], ids=" ".join)
+def test_unwritable_output_is_one_line_exit_4(argv, capsys):
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def test_workers_beyond_cpu_count_is_usage_error(capsys):
     workers = str((os.cpu_count() or 1) + 1)
     assert cli.main(["witness", "--simulate", "--pulses", "100", "--workers", workers,
                      "--out", "w.csv"]) == 2
@@ -410,6 +482,23 @@ def test_sweep_eta_run():
     manifest = json.load(open("sw.csv.manifest.json"))
     assert "certification_threshold_eta" in manifest
     assert "zero_crossing_eta" in manifest
+
+
+def test_sweep_eta_mismatched_witness_exact_column():
+    # a mismatched witness adds 16 eta^2 N0 (N0 + 1) to the matched loss law;
+    # at eta = 1 that is the exact cross-witness value on the state
+    assert cli.main(["sweep-eta", "--state", "psi-minus", "--witness", "W_T1",
+                     "--eta-grid", "0.2,0.5,1", "--pulses", "2000", "--out", "sw.csv"]) == 0
+    rows = _read_csv("sw.csv")
+    n0 = math.sinh(0.8) ** 2
+    for r in rows:
+        eta = float(r["eta"])
+        want = 4.0 * eta * n0 * (1.0 - 3.0 * eta) + 16.0 * eta * eta * n0 * (n0 + 1.0)
+        assert float(r["exact"]) == pytest.approx(want, rel=1e-12)
+        assert abs(float(r["value"]) - want) <= 5.0 * float(r["sigma"])
+    mat, kinds, labels = cross_witness_matrix(0.8)
+    cross = mat[kinds.index(WitnessKind.W_T1), labels.index(BellLabel.PSI_MINUS)]
+    assert float(rows[-1]["exact"]) == pytest.approx(cross, rel=1e-8)
 
 
 # -- config files ------------------------------------------------------------------
