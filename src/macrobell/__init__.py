@@ -16,7 +16,6 @@ from .states import (
     TruncationMassError,
     TruncationMode,
     build_bell_state,
-    evolve_from_vacuum,
     geometric_ratio,
     mean_photons_per_mode,
     project_total_sector,
@@ -60,7 +59,6 @@ from .truncation import (
     compression_scan,
     cutoff_for_epsilon,
     dimension_scan,
-    epsilon_brute_force,
     epsilon_from_cutoff,
     occupancy_at_epsilon,
     subspace_dimension,
@@ -84,9 +82,9 @@ __all__ = [
     "__version__",
     "FourModeBasis",
     "BellLabel", "FourModeState", "NumericError", "TruncationMassError",
-    "TruncationMode", "build_bell_state", "evolve_from_vacuum",
-    "geometric_ratio", "mean_photons_per_mode", "project_total_sector",
-    "schmidt_spectrum", "sector_weights",
+    "TruncationMode", "build_bell_state", "geometric_ratio",
+    "mean_photons_per_mode", "project_total_sector", "schmidt_spectrum",
+    "sector_weights",
     "BasisTransform", "apply_transform", "half_wave_plate",
     "identify_bell_state", "pi_phase_on_bh", "polarization_rotator",
     "quarter_wave_plate",
@@ -97,9 +95,8 @@ __all__ = [
     "MeasureReport", "WidthConvention", "fedorov_ratio", "gain_scan", "kbar",
     "log_negativity", "measure_report", "negativity", "trace_norm",
     "CompressionPoint", "alpha_from_epsilon", "compression_scan",
-    "cutoff_for_epsilon", "dimension_scan", "epsilon_brute_force",
-    "epsilon_from_cutoff", "occupancy_at_epsilon", "subspace_dimension",
-    "truncated_kbar",
+    "cutoff_for_epsilon", "dimension_scan", "epsilon_from_cutoff",
+    "occupancy_at_epsilon", "subspace_dimension", "truncated_kbar",
     "FedorovEstimate", "MeasurementSetting", "PulseRecord", "SimConfig",
     "SweepPoint", "SweepResult", "efficiency_sweep", "estimate_fedorov",
     "estimate_witness", "sample_pulse", "witness_under_loss",

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln
 
 from .basis import FourModeBasis
 from .states import BellLabel, FourModeState, NumericError, paired_modes
@@ -108,7 +106,7 @@ def sector_matrix(jones: np.ndarray, n: int) -> np.ndarray:
     J_VV aV+)^{n-k}`` binomially gives the matrix column of ``|k, n-k>``.
     """
     out = np.zeros((n + 1, n + 1), dtype=complex)
-    lf = gammaln(np.arange(n + 2, dtype=np.float64) + 1.0) / 2.0  # log sqrt(k!)
+    lf = np.array([math.lgamma(k + 1.0) for k in range(n + 2)]) / 2.0  # log sqrt(k!)
     for k in range(n + 1):
         # coefficient polynomials in aH+ of the two binomials
         p1 = np.array([math.comb(k, i) * jones[0, 0] ** i * jones[1, 0] ** (k - i)
@@ -122,8 +120,8 @@ def sector_matrix(jones: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def beam_transform_matrix(jones: np.ndarray, n_max: int) -> sp.csr_matrix:
-    """Sparse transform on one beam's flattened (n_H, n_V) two-mode space.
+def beam_transform_matrix(jones: np.ndarray, n_max: int) -> np.ndarray:
+    """Dense transform on one beam's flattened (n_H, n_V) two-mode space.
 
     Sectors with total photon number above ``n_max`` are only partially
     representable under a per-mode cutoff; their blocks are the sector
@@ -132,21 +130,13 @@ def beam_transform_matrix(jones: np.ndarray, n_max: int) -> sp.csr_matrix:
     cutoff.
     """
     d = n_max + 1
-    rows, cols, vals = [], [], []
+    out = np.zeros((d * d, d * d), dtype=complex)
     for total in range(2 * n_max + 1):
-        full = sector_matrix(jones, total)
         kmin, kmax = max(0, total - n_max), min(total, n_max)
         ks = np.arange(kmin, kmax + 1)
-        block = full[np.ix_(ks, ks)]
         flat = ks * d + (total - ks)  # (n_H, n_V) -> n_H * d + n_V
-        r, c = np.meshgrid(flat, flat, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(block.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+        out[np.ix_(flat, flat)] = sector_matrix(jones, total)[np.ix_(ks, ks)]
+    return out
 
 
 def _paired_table(tensor: np.ndarray, tol: float) -> tuple[str, np.ndarray] | None:
@@ -177,11 +167,10 @@ def apply_transform(state: FourModeState, transform: BasisTransform) -> FourMode
     basis = FourModeBasis(state.n_max)
     psi = state.dense(basis).reshape(d * d, d * d)  # rows: beam a, cols: beam b
     norm_before = float(np.sum(np.abs(psi) ** 2))
+    t = beam_transform_matrix(transform.jones, state.n_max)
     if transform.target in (BEAM_A, BOTH_BEAMS):
-        t = beam_transform_matrix(transform.jones, state.n_max)
         psi = t @ psi
     if transform.target in (BEAM_B, BOTH_BEAMS):
-        t = beam_transform_matrix(transform.jones, state.n_max)
         psi = psi @ t.T
     norm_after = float(np.sum(np.abs(psi) ** 2))
     if not abs(norm_after - norm_before) <= 1e-10 * max(norm_before, 1e-300):

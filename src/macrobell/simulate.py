@@ -27,8 +27,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# numpy imports numpy.random on first use; importing it here keeps that cost in start-up
+from numpy.random import Generator, Philox, SeedSequence
 
-from .states import BellLabel, FourModeState, geometric_ratio, mean_photons_per_mode, paired_modes
+from .states import BellLabel, geometric_ratio, mean_photons_per_mode, paired_modes
 from .witnesses import WitnessKind, WitnessReport, matched_witness
 
 log = logging.getLogger(__name__)
@@ -64,11 +66,6 @@ class MeasurementSetting:
                 return comp
         return None
 
-    def jones(self) -> np.ndarray:
-        from .polarization import half_wave_plate, quarter_wave_plate
-
-        return half_wave_plate(self.hwp_deg).jones @ quarter_wave_plate(self.qwp_deg).jones
-
 
 @dataclass
 class SimConfig:
@@ -93,11 +90,11 @@ class SimConfig:
 # -- block sampling ------------------------------------------------------------
 
 
-def _block_generator(seed: int, run: int, series: int, block: int) -> np.random.Generator:
+def _block_generator(seed: int, run: int, series: int, block: int) -> Generator:
     """Counter-addressed stream: one Philox per (seed; block, series, run)."""
-    key = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
+    key = SeedSequence(seed).generate_state(2, dtype=np.uint64)
     counter = np.array([0, block, series, run], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return Generator(Philox(counter=counter, key=key))
 
 
 def _sample_series_counts(
@@ -153,7 +150,7 @@ def sample_pulse(
     gamma: float,
     setting: MeasurementSetting,
     eta: float,
-    rng: np.random.Generator,
+    rng: Generator,
     pulse_id: int = 0,
 ) -> PulseRecord:
     """One pulse through the closed-form sampling path.
@@ -321,7 +318,7 @@ def witness_under_loss(gamma: float, eta: float, matched: bool = True) -> float:
     return value
 
 
-# -- exact count distributions (slow path / oracles) ---------------------------
+# -- exact count distribution ---------------------------------------------------
 
 
 def pairing_distribution(label: BellLabel, component: int, gamma: float, n_max: int):
@@ -338,41 +335,6 @@ def pairing_distribution(label: BellLabel, component: int, gamma: float, n_max: 
     support = np.stack(paired_modes(nn.ravel(), mm.ravel(), count_pairing(label, component)),
                        axis=1)
     return support, np.outer(lam, lam).ravel()
-
-
-def analyzer_distribution(state: FourModeState, setting: MeasurementSetting):
-    """Joint count probabilities straight from the transformed amplitudes.
-
-    Rotates the state through the setting's plates on both beams and
-    reads |amplitude|^2 in the H/V number basis -- the generic (slow)
-    route that :func:`count_pairing` shortcuts.
-    """
-    from .basis import FourModeBasis
-    from .polarization import BasisTransform, apply_transform
-
-    tr = BasisTransform(kind="analyzer", target="both", jones=setting.jones())
-    rotated = apply_transform(state, tr)
-    basis = FourModeBasis(state.n_max)
-    vec = rotated.dense(basis)
-    probs = np.abs(vec) ** 2
-    probs = probs / probs.sum()
-    return basis.occupations().T.copy(), probs
-
-
-def sample_analyzer_counts(
-    state: FourModeState,
-    setting: MeasurementSetting,
-    pulses: int,
-    rng: np.random.Generator,
-    eta: float = 1.0,
-) -> np.ndarray:
-    """Sample (pulses, 4) detected counts through the generic slow path."""
-    support, probs = analyzer_distribution(state, setting)
-    idx = rng.choice(probs.size, size=pulses, p=probs)
-    counts = support[idx]
-    if eta < 1.0:
-        counts = rng.binomial(counts, eta)
-    return counts.astype(np.int64)
 
 
 # -- photon-number correlation estimate ----------------------------------------

@@ -35,8 +35,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .basis import FourModeBasis
 
@@ -420,75 +418,3 @@ def project_total_sector(state: FourModeState, n: int) -> tuple[float, np.ndarra
 def sector_weights(state: FourModeState) -> np.ndarray:
     """Weights of all complete total-photon sectors n = 0..n_max."""
     return np.array([project_total_sector(state, n)[0] for n in range(state.n_levels)])
-
-
-# -- Hamiltonian-evolution cross-check --------------------------------------
-
-
-def _pair_creation_generator(label: BellLabel, gamma: float, basis: FourModeBasis) -> sp.csr_matrix:
-    """Sparse anti-Hermitian generator gamma*(K+ - K-) of the label's Hamiltonian.
-
-    K+ = aH+ bV+ + sign * aV+ bH+   (cross pairing, psi labels)
-    K+ = aH+ bH+ + sign * aV+ bV+   (parallel pairing, phi labels)
-    """
-    occ = basis.occupations()
-    s = basis.strides
-    if label.pairing == "cross":
-        pairs = [((0, 3), 1.0), ((1, 2), float(label.sign))]
-    else:
-        pairs = [((0, 2), 1.0), ((1, 3), float(label.sign))]
-    rows, cols, vals = [], [], []
-    src = np.arange(basis.dim)
-    for (i, j), coef in pairs:
-        ok = (occ[i] < basis.n_max) & (occ[j] < basis.n_max)
-        amp = coef * np.sqrt((occ[i][ok] + 1.0) * (occ[j][ok] + 1.0))
-        tgt = src[ok] + s[i] + s[j]
-        # creation part K+
-        rows.append(tgt)
-        cols.append(src[ok])
-        vals.append(gamma * amp)
-        # minus the annihilation part K-
-        rows.append(src[ok])
-        cols.append(tgt)
-        vals.append(-gamma * amp)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
-
-
-def evolve_from_vacuum(
-    label: BellLabel, gamma: float, n_max: int, steps: int = 1
-) -> FourModeState:
-    """Bell state by numerically exponentiating the two-process Hamiltonian.
-
-    This is the independent cross-check of :func:`build_bell_state`: the
-    generator ``gamma (K+ - K-)`` is applied to the vacuum with a
-    truncated matrix exponential (``steps`` > 1 splits it into equal
-    substeps).  The truncated generator is still anti-Hermitian, so the
-    evolution is exactly unitary; truncation error appears as amplitude
-    reaching the cutoff edge, which is measured and gated rather than
-    showing up as norm loss.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    basis = FourModeBasis(n_max)
-    gen = _pair_creation_generator(label, gamma / steps, basis)
-    vec = basis.vacuum(dtype=np.float64)
-    for _ in range(steps):
-        vec = expm_multiply(gen, vec)
-    drift = abs(float(vec @ vec) - 1.0)
-    if drift > 1e-8:
-        raise NumericError(f"unitarity drift {drift:.3e} in truncated evolution")
-    state = FourModeState(
-        gamma=gamma, n_max=n_max, truncation_mode=TruncationMode.PER_MODE,
-        label=None, vector=vec.astype(np.complex128),
-    )
-    leak = state.edge_mass(depth=2)
-    if leak > 1e-8:
-        raise TruncationMassError(
-            leak, 1e-8,
-            f"evolved state puts mass {leak:.3e} within two photons of the "
-            f"cutoff {n_max}; raise the cutoff or lower gamma",
-        )
-    return state

@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .states import NumericError, geometric_ratio, mean_photons_per_mode
+from .states import NumericError, geometric_ratio
 
-#: search ceiling for cutoff selection
+#: largest total-photon cutoff a budget may ask for
 MAX_CUTOFF = 1_000_000
 
 
@@ -41,49 +40,51 @@ def epsilon_from_cutoff(gamma: float, n_total: int) -> float:
     return math.exp(log_eps)
 
 
-def epsilon_brute_force(gamma: float, n_total: int, rel_tol: float = 1e-18) -> float:
-    """Direct positive tail sum sum_{s > N} (s+1) q^s (1-q)^2.
+def _solve_log1p(c: float, log_eps: float) -> float:
+    """The a > 0 with ``log1p(c a) - a = log_eps``, for c in (0, 1] and log_eps < 0.
 
-    No cancellation: terms are added until they stop mattering at
-    ``rel_tol`` relative to the accumulated tail (the neglected
-    remainder is then O(rel_tol * q / (1-q)) relative).
+    The left side is concave and falls from 0 at a = 0, so Newton's
+    iteration started to the right of the root descends to it
+    monotonically; it stops when a step no longer decreases a.  The
+    start is one fixed-point step ``a -> log1p(c a) - log_eps`` from
+    ``3 - 2 log_eps``, which already lies right of the root.
     """
-    q = geometric_ratio(gamma)
-    if q == 0.0:
-        return 0.0
-    acc = 0.0
-    s = n_total + 1
-    w = (1.0 - q) ** 2
-    # log-domain start to survive q^s underflow territory
-    log_term = s * math.log(q) + math.log(s + 1.0) + 2.0 * math.log1p(-q)
-    term = math.exp(log_term)
+    a = math.log1p(c * (3.0 - 2.0 * log_eps)) - log_eps
     while True:
-        acc += term
-        s += 1
-        term = w * (s + 1.0) * math.exp(s * math.log(q))
-        if term <= rel_tol * acc or term == 0.0:
-            return acc + term
+        f = math.log1p(c * a) - a - log_eps
+        step = a + f * (1.0 + c * a) / (1.0 - c + c * a)
+        if not step < a:
+            return a
+        a = step
 
 
 def cutoff_for_epsilon(gamma: float, epsilon: float) -> int:
-    """Smallest total-photon cutoff N with epsilon(N) <= epsilon."""
+    """Smallest total-photon cutoff N with epsilon(N) <= epsilon.
+
+    With a = (N + 1)(-ln q), epsilon(N) = exp(-a) (1 + c a) for
+    c = (1 - q) / (-ln q), so the continuous root gives N directly; the
+    integer is then stepped against :func:`epsilon_from_cutoff` so that
+    rounding cannot leave it one off.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon target must be in (0, 1)")
-    if epsilon_from_cutoff(gamma, 0) <= epsilon:
+    q = geometric_ratio(gamma)
+    if q == 0.0:
         return 0
-    lo, hi = 0, 1
-    while epsilon_from_cutoff(gamma, hi) > epsilon:
-        lo, hi = hi, hi * 2
-        if hi > MAX_CUTOFF:
-            raise ValueError(f"required cutoff exceeds {MAX_CUTOFF}")
-    # invariant: eps(lo) > target >= eps(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if epsilon_from_cutoff(gamma, mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if q == 1.0:
+        raise ValueError(f"required cutoff exceeds {MAX_CUTOFF}")
+    neg_log_q = -math.log(q)
+    c = 1.0 / (math.cosh(gamma) ** 2 * neg_log_q)  # 1 - q = 1 / cosh^2
+    n = max(0, math.ceil(_solve_log1p(c, math.log(epsilon)) / neg_log_q) - 1)
+    if n > MAX_CUTOFF + 1:  # past the bound even if rounding put n one too high
+        raise ValueError(f"required cutoff exceeds {MAX_CUTOFF}")
+    while epsilon_from_cutoff(gamma, n) > epsilon:
+        n += 1
+    while n > 0 and epsilon_from_cutoff(gamma, n - 1) <= epsilon:
+        n -= 1
+    if n > MAX_CUTOFF:
+        raise ValueError(f"required cutoff exceeds {MAX_CUTOFF}")
+    return n
 
 
 def alpha_from_epsilon(epsilon: float) -> float:
@@ -94,16 +95,7 @@ def alpha_from_epsilon(epsilon: float) -> float:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-
-    def f(a):
-        return math.exp(-a) * (1.0 + a) - epsilon
-
-    hi = 10.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e4:
-            raise RuntimeError("no bracket found")
-    return float(brentq(f, 1e-15, hi, xtol=1e-14, rtol=8.9e-16))
+    return _solve_log1p(1.0, math.log(epsilon))
 
 
 def subspace_dimension(n_total: int) -> int:
@@ -117,22 +109,22 @@ def truncated_kbar(gamma: float, n_total: int) -> float:
     """Effective mode number of the renormalized truncated joint spectrum.
 
     K^T = (1 - eps)^2 / sum_{n+m<=N} (lambda_n lambda_m)^2; the inner
-    sum collapses to sum_{s<=N} (s+1) q^{2s} (1-q)^4 because the joint
-    weight depends on n + m only.
+    sum collapses to sum_{s<=N} (s+1) x^s (1-q)^4 with x = q^2 because
+    the joint weight depends on n + m only, and in closed form
+
+        K^T = (1 - eps)^2 (1 + q)^2 / ((1 - q)^2 [1 - t (1 + (N+1)(1-x))]),
+
+    t = x^(N+1).
     """
     q = geometric_ratio(gamma)
     if q == 0.0:
         return 1.0
     eps = epsilon_from_cutoff(gamma, n_total)
-    x = q * q
-    log_x = math.log(x) if x > 0.0 else 2.0 * math.log(q)  # q*q underflows below q ~ 2e-162
-    s = np.arange(n_total + 1, dtype=np.float64)
-    # sum (s+1) x^s over the kept totals, evaluated stably in logs
-    log_terms = s * log_x + np.log(s + 1.0)
-    m = log_terms.max()
-    ssum = math.exp(m) * np.exp(log_terms - m).sum()
-    denom = (1.0 - q) ** 4 * ssum
-    return (1.0 - eps) ** 2 / denom
+    log_x = 2.0 * math.log(q)  # q*q underflows below q ~ 2e-162
+    log_t = (n_total + 1) * log_x
+    bracket = -math.expm1(log_t) + math.exp(log_t) * (n_total + 1) * math.expm1(log_x)
+    one_minus_q = 1.0 / math.cosh(gamma) ** 2
+    return (1.0 - eps) ** 2 * (1.0 + q) ** 2 / (one_minus_q ** 2 * bracket)
 
 
 def kbar_truncation_bounds(gamma: float, n_total: int) -> tuple[float, float]:

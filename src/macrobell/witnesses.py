@@ -188,17 +188,15 @@ def product_state_battery(seed: int, n_states: int = 24, n_max: int = 12) -> lis
     rng = np.random.default_rng(seed)
     d = n_max + 1
     basis = FourModeBasis(n_max)
+    sqrt_factorial = np.exp(0.5 * np.array([math.lgamma(k + 1.0) for k in range(d)]))
 
     def coherent_mode(alpha):
         # exp(-|a|^2/2) a^n / sqrt(n!), renormalized after the cutoff
-        n = np.arange(d)
-        from scipy.special import gammaln
-
         if alpha == 0:
             amp = np.zeros(d, complex)
             amp[0] = 1.0
         else:
-            amp = np.exp(-abs(alpha) ** 2 / 2.0) * alpha ** n / np.exp(0.5 * gammaln(n + 1.0))
+            amp = np.exp(-abs(alpha) ** 2 / 2.0) * alpha ** np.arange(d) / sqrt_factorial
         return amp / np.linalg.norm(amp)
 
     def beam_vec(kind):

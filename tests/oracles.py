@@ -1,10 +1,11 @@
 """Independently constructed reference objects for the test suite.
 
 Everything here is assembled from single-mode ladder matrices chained
-with scipy.sparse.kron, explicit index loops and dense eigensolves --
-deliberately a different construction from the library's stride
-arithmetic and closed forms, so that agreement between the two is a
-meaningful check rather than a tautology.
+with scipy.sparse.kron, a sparse matrix exponential, explicit index
+loops, term-by-term tail sums and dense eigensolves -- deliberately a
+different construction from the library's stride arithmetic and closed
+forms, so that agreement between the two is a meaningful check rather
+than a tautology.
 """
 
 import json
@@ -12,6 +13,18 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
+
+from macrobell.basis import FourModeBasis
+from macrobell.polarization import BasisTransform, apply_transform, half_wave_plate, quarter_wave_plate
+from macrobell.states import (
+    BellLabel,
+    FourModeState,
+    NumericError,
+    TruncationMassError,
+    TruncationMode,
+    geometric_ratio,
+)
 
 
 def mode_annihilator(d: int) -> sp.csr_matrix:
@@ -196,3 +209,134 @@ def pulse_log_bytes(config, run: int = 0) -> bytes:
                 "counts": counts[j].tolist(),
             }, separators=(",", ":")) + "\n")
     return "".join(lines).encode()
+
+
+def epsilon_brute_force(gamma: float, n_total: int, rel_tol: float = 1e-18) -> float:
+    """Direct positive tail sum sum_{s > N} (s+1) q^s (1-q)^2.
+
+    No cancellation: terms are added until they stop mattering at
+    ``rel_tol`` relative to the accumulated tail (the neglected
+    remainder is then O(rel_tol * q / (1-q)) relative).
+    """
+    q = geometric_ratio(gamma)
+    if q == 0.0:
+        return 0.0
+    acc = 0.0
+    s = n_total + 1
+    w = (1.0 - q) ** 2
+    # log-domain start to survive q^s underflow territory
+    log_term = s * math.log(q) + math.log(s + 1.0) + 2.0 * math.log1p(-q)
+    term = math.exp(log_term)
+    while True:
+        acc += term
+        s += 1
+        term = w * (s + 1.0) * math.exp(s * math.log(q))
+        if term <= rel_tol * acc or term == 0.0:
+            return acc + term
+
+
+def _pair_creation_generator(label: BellLabel, gamma: float, basis: FourModeBasis) -> sp.csr_matrix:
+    """Sparse anti-Hermitian generator gamma*(K+ - K-) of the label's Hamiltonian.
+
+    K+ = aH+ bV+ + sign * aV+ bH+   (cross pairing, psi labels)
+    K+ = aH+ bH+ + sign * aV+ bV+   (parallel pairing, phi labels)
+    """
+    occ = basis.occupations()
+    s = basis.strides
+    if label.pairing == "cross":
+        pairs = [((0, 3), 1.0), ((1, 2), float(label.sign))]
+    else:
+        pairs = [((0, 2), 1.0), ((1, 3), float(label.sign))]
+    rows, cols, vals = [], [], []
+    src = np.arange(basis.dim)
+    for (i, j), coef in pairs:
+        ok = (occ[i] < basis.n_max) & (occ[j] < basis.n_max)
+        amp = coef * np.sqrt((occ[i][ok] + 1.0) * (occ[j][ok] + 1.0))
+        tgt = src[ok] + s[i] + s[j]
+        # creation part K+
+        rows.append(tgt)
+        cols.append(src[ok])
+        vals.append(gamma * amp)
+        # minus the annihilation part K-
+        rows.append(src[ok])
+        cols.append(tgt)
+        vals.append(-gamma * amp)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+
+
+def evolve_from_vacuum(
+    label: BellLabel, gamma: float, n_max: int, steps: int = 1
+) -> FourModeState:
+    """Bell state by numerically exponentiating the two-process Hamiltonian.
+
+    This is the independent cross-check of :func:`build_bell_state`: the
+    generator ``gamma (K+ - K-)`` is applied to the vacuum with a
+    truncated matrix exponential (``steps`` > 1 splits it into equal
+    substeps).  The truncated generator is still anti-Hermitian, so the
+    evolution is exactly unitary; truncation error appears as amplitude
+    reaching the cutoff edge, which is measured and gated rather than
+    showing up as norm loss.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    basis = FourModeBasis(n_max)
+    gen = _pair_creation_generator(label, gamma / steps, basis)
+    vec = basis.vacuum(dtype=np.float64)
+    for _ in range(steps):
+        vec = expm_multiply(gen, vec)
+    drift = abs(float(vec @ vec) - 1.0)
+    if drift > 1e-8:
+        raise NumericError(f"unitarity drift {drift:.3e} in truncated evolution")
+    state = FourModeState(
+        gamma=gamma, n_max=n_max, truncation_mode=TruncationMode.PER_MODE,
+        label=None, vector=vec.astype(np.complex128),
+    )
+    leak = state.edge_mass(depth=2)
+    if leak > 1e-8:
+        raise TruncationMassError(
+            leak, 1e-8,
+            f"evolved state puts mass {leak:.3e} within two photons of the "
+            f"cutoff {n_max}; raise the cutoff or lower gamma",
+        )
+    return state
+
+
+def analyzer_jones(setting) -> np.ndarray:
+    """Jones matrix of a ``MeasurementSetting``: the half-wave plate after
+    the quarter-wave plate."""
+    return half_wave_plate(setting.hwp_deg).jones @ quarter_wave_plate(setting.qwp_deg).jones
+
+
+def analyzer_distribution(state: FourModeState, setting):
+    """Joint count probabilities straight from the transformed amplitudes.
+
+    Rotates the state through the setting's plates on both beams and
+    reads |amplitude|^2 in the H/V number basis -- the generic (slow)
+    route that the library's ``count_pairing`` shortcuts.
+    """
+    tr = BasisTransform(kind="analyzer", target="both", jones=analyzer_jones(setting))
+    rotated = apply_transform(state, tr)
+    basis = FourModeBasis(state.n_max)
+    vec = rotated.dense(basis)
+    probs = np.abs(vec) ** 2
+    probs = probs / probs.sum()
+    return basis.occupations().T.copy(), probs
+
+
+def sample_analyzer_counts(
+    state: FourModeState,
+    setting,
+    pulses: int,
+    rng: np.random.Generator,
+    eta: float = 1.0,
+) -> np.ndarray:
+    """Sample (pulses, 4) detected counts through the generic slow path."""
+    support, probs = analyzer_distribution(state, setting)
+    idx = rng.choice(probs.size, size=pulses, p=probs)
+    counts = support[idx]
+    if eta < 1.0:
+        counts = rng.binomial(counts, eta)
+    return counts.astype(np.int64)

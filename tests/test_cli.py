@@ -143,6 +143,19 @@ def test_truncation_single_epsilon():
     assert float(rows[0]["n0"]) == 10.0
 
 
+@pytest.mark.parametrize("n0, n_total", [("4e5", 671_339), ("6e5", None)])
+def test_truncation_cutoff_near_the_bound(n0, n_total, capsys):
+    code = cli.main(["truncation", "--n0-grid", n0, "--epsilon", "0.5", "--out", "t.csv"])
+    if n_total is None:
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: required cutoff exceeds 1000000\n"
+        return
+    assert code == 0
+    with open("t.csv.meta.json") as fh:
+        assert json.load(fh)["points"][0]["n_total"] == n_total
+
+
 def test_truncation_bad_epsilon_is_usage_error():
     assert cli.main(["truncation", "--epsilon", "1.5", "--out", "t.csv"]) == 2
 

@@ -10,6 +10,18 @@ import pytest
 import macrobell
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+SRC = os.path.dirname(os.path.dirname(macrobell.__file__))
+
+
+@pytest.fixture(scope="module")
+def no_scipy_env(tmp_path_factory):
+    """Environment whose import path puts a ``scipy`` that refuses to import
+    ahead of the installed one, so any run-time scipy import fails."""
+    stub = tmp_path_factory.mktemp("no-scipy")
+    (stub / "scipy").mkdir()
+    (stub / "scipy" / "__init__.py").write_text(
+        'raise ImportError("scipy is a test-only dependency")\n')
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(stub)])}
 
 
 def test_every_export_resolves():
@@ -19,9 +31,30 @@ def test_every_export_resolves():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
-    src = os.path.dirname(os.path.dirname(macrobell.__file__))
+def test_demo_runs(demo, tmp_path, no_scipy_env):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+                          text=True, env=no_scipy_env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("module", ["macrobell", "macrobell.cli"])
+def test_import_loads_no_scipy(module):
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_truncation_runs_without_scipy(tmp_path, no_scipy_env):
+    # the stub must bite: importing scipy under this environment fails
+    probe = subprocess.run([sys.executable, "-c", "import scipy"], capture_output=True,
+                           text=True, env=no_scipy_env, timeout=60)
+    assert "scipy is a test-only dependency" in probe.stderr
+    proc = subprocess.run([sys.executable, "-m", "macrobell.cli", "truncation", "--n0-grid",
+                           "10,1e3", "--epsilon", "0.1", "--out", "t.csv"], cwd=tmp_path,
+                          capture_output=True, text=True, env=no_scipy_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "t.csv.meta.json").exists()

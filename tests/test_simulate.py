@@ -16,20 +16,18 @@ from macrobell.simulate import (
     SimConfig,
     _jackknife_series,
     _sample_series_counts,
-    analyzer_distribution,
     count_pairing,
     efficiency_sweep,
     estimate_fedorov,
     estimate_witness,
     matched_witness,
     pairing_distribution,
-    sample_analyzer_counts,
     sample_pulse,
     witness_under_loss,
 )
 from macrobell.states import BellLabel, build_bell_state, mean_photons_per_mode, schmidt_spectrum
 from macrobell.witnesses import WitnessKind
-from oracles import pulse_log_bytes
+from oracles import analyzer_distribution, analyzer_jones, pulse_log_bytes, sample_analyzer_counts
 
 
 # -- configuration and settings -------------------------------------------------------
@@ -50,7 +48,7 @@ def test_measurement_setting_components():
     assert MeasurementSetting(0.0, 45.0).component == 3
     assert MeasurementSetting(10.0, 0.0).component is None
     for comp, (h, q) in CANONICAL_SETTINGS.items():
-        j = MeasurementSetting(h, q).jones()
+        j = analyzer_jones(MeasurementSetting(h, q))
         assert np.allclose(j @ j.conj().T, np.eye(2), atol=1e-14)
 
 

@@ -12,7 +12,6 @@ from macrobell.states import (
     TruncationMassError,
     TruncationMode,
     build_bell_state,
-    evolve_from_vacuum,
     geometric_ratio,
     mean_photons_per_mode,
     project_total_sector,
@@ -20,7 +19,7 @@ from macrobell.states import (
     sector_weights,
 )
 
-from oracles import bell_vector
+from oracles import bell_vector, evolve_from_vacuum
 
 
 # -- spectrum ------------------------------------------------------------------

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from macrobell.states import geometric_ratio, mean_photons_per_mode
 from macrobell.measures import gamma_for_mean_photons, kbar
 from macrobell.truncation import (
+    MAX_CUTOFF,
     CompressionPoint,
     alpha_from_epsilon,
     compression_scan,
     cutoff_for_epsilon,
     dimension_scan,
-    epsilon_brute_force,
     epsilon_from_cutoff,
     kbar_truncation_bounds,
     occupancy_at_epsilon,
@@ -19,18 +20,20 @@ from macrobell.truncation import (
     subspace_dimension,
     truncated_kbar,
 )
+from oracles import epsilon_brute_force
 
 
 def _brute_truncated_kbar(gamma: float, n_total: int) -> float:
-    # direct joint-spectrum construction: outer(lam, lam) masked to the
-    # kept triangle n + m <= N, then (sum)^2 / sum-of-squares
+    # direct joint-spectrum construction, one row n of the kept triangle
+    # n + m <= N at a time, then (sum)^2 / sum-of-squares
     q = geometric_ratio(gamma)
     lam = q ** np.arange(n_total + 1) * (1.0 - q)
-    joint = np.outer(lam, lam)
-    n = np.arange(n_total + 1)
-    mask = n[:, None] + n[None, :] <= n_total
-    kept = joint[mask]
-    return float(kept.sum() ** 2 / np.sum(kept * kept))
+    total = squares = 0.0
+    for n in range(n_total + 1):
+        row = lam[n] * lam[: n_total + 1 - n]
+        total += row.sum()
+        squares += np.sum(row * row)
+    return float(total ** 2 / squares)
 
 
 # -- dropped-mass formula ------------------------------------------------------------
@@ -63,13 +66,26 @@ def test_epsilon_monotone_and_edges():
 
 def test_cutoff_for_epsilon_minimality():
     rng = np.random.default_rng(99)
-    for _ in range(20):
-        gamma = rng.uniform(0.2, 1.5)
-        target = 10.0 ** rng.uniform(-12, -0.5)
-        n = cutoff_for_epsilon(gamma, target)
+    draws = [(rng.uniform(0.2, 1.5), 10.0 ** rng.uniform(-12, -0.5)) for _ in range(20)]
+    draws += [(gamma_for_mean_photons(10.0 ** rng.uniform(-8, math.log10(5.9e5))),
+               10.0 ** rng.uniform(-300, math.log10(0.9))) for _ in range(2000)]
+    # the largest answered cutoffs, past the last power of two below MAX_CUTOFF
+    draws += [(gamma_for_mean_photons(4e5), 0.5), (gamma_for_mean_photons(5.9e5), 0.5)]
+    for gamma, target in draws:
+        try:
+            n = cutoff_for_epsilon(gamma, target)
+        except ValueError:
+            # refused only when no cutoff within the bound reaches the target
+            assert epsilon_from_cutoff(gamma, MAX_CUTOFF) > target
+            continue
         assert epsilon_from_cutoff(gamma, n) <= target
         if n > 0:
             assert epsilon_from_cutoff(gamma, n - 1) > target
+    assert cutoff_for_epsilon(gamma_for_mean_photons(4e5), 0.5) == 671_339
+    assert cutoff_for_epsilon(gamma_for_mean_photons(5.9e5), 0.5) == 990_225
+    for n0 in (6e5, 1e20):  # at 1e20, q = tanh^2 gamma rounds to 1
+        with pytest.raises(ValueError, match=f"exceeds {MAX_CUTOFF}"):
+            cutoff_for_epsilon(gamma_for_mean_photons(n0), 0.5)
     assert cutoff_for_epsilon(0.0, 0.5) == 0
     for bad in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
@@ -81,6 +97,10 @@ def test_alpha_solver():
         a = alpha_from_epsilon(target)
         assert abs(a - expect) < 0.5
         assert abs(math.exp(-a) * (1.0 + a) - target) < 1e-12
+    for target in np.geomspace(1e-300, 0.9, 3003):
+        ref = brentq(lambda a: math.exp(-a) * (1.0 + a) - target, 1e-15, 2000.0,
+                     xtol=1e-14, rtol=8.9e-16)
+        assert abs(alpha_from_epsilon(float(target)) - ref) <= 2e-15 * ref
     alphas = [alpha_from_epsilon(e) for e in (0.9, 0.5, 0.1, 1e-3, 1e-9)]
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
     for bad in (0.0, 1.0):
@@ -107,6 +127,10 @@ def test_truncated_kbar_against_brute_force():
     for _ in range(25):
         g = rng.uniform(0.2, 1.5)
         n = int(rng.integers(1, 60))
+        assert truncated_kbar(g, n) == pytest.approx(_brute_truncated_kbar(g, n), rel=1e-12)
+    g = gamma_for_mean_photons(1e3)
+    for eps in (0.9, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01):
+        n = cutoff_for_epsilon(g, eps)
         assert truncated_kbar(g, n) == pytest.approx(_brute_truncated_kbar(g, n), rel=1e-12)
     assert truncated_kbar(0.0, 5) == 1.0
 
