@@ -48,8 +48,8 @@ def main():
 
     print(f"gain gamma = {gamma}, mean photons per mode N0 = {n0:.4f}, "
           f"geometric ratio q = {q:.4f}")
-    print(f"per-mode cutoff {n_max} -> compressed (n, m) tables with "
-          f"{(n_max + 1) ** 2} entries")
+    print(f"per-mode cutoff {n_max} -> two Schmidt factors of {n_max + 1} "
+          f"amplitudes each, an (n, m) table of {(n_max + 1) ** 2} entries")
     print()
 
     for label in BellLabel:

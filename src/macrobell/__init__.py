@@ -14,7 +14,6 @@ from .states import (
     FourModeState,
     NumericError,
     TruncationMassError,
-    TruncationMode,
     build_bell_state,
     geometric_ratio,
     mean_photons_per_mode,
@@ -82,7 +81,7 @@ __all__ = [
     "__version__",
     "FourModeBasis",
     "BellLabel", "FourModeState", "NumericError", "TruncationMassError",
-    "TruncationMode", "build_bell_state", "geometric_ratio",
+    "build_bell_state", "geometric_ratio",
     "mean_photons_per_mode", "project_total_sector", "schmidt_spectrum",
     "sector_weights",
     "BasisTransform", "apply_transform", "half_wave_plate",

@@ -9,7 +9,7 @@ Kets are flattened C-style (``a_H`` slowest, ``b_V`` fastest)::
 
     index = ((n_ah * D + n_av) * D + n_bh) * D + n_bv,   D = n_max + 1
 
-Vector-backed states, dense expansions of table-backed ones and the
+Vector-backed states, dense expansions of factored ones and the
 Hamiltonian-evolution cross-check run on this enumeration.
 """
 

@@ -32,19 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .states import NumericError, mean_photons_per_mode
-
-
-def _log_q(gamma: float) -> float:
-    """ln q = 2 ln tanh(gamma), accurate also where q rounds to 1."""
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gain must be finite and nonnegative, got {gamma!r}")
-    if gamma == 0.0:
-        return -math.inf
-    x = math.exp(-2.0 * gamma)
-    if x == 1.0:  # gamma below ~5.5e-17, where tanh(gamma) = gamma to the last bit
-        return 2.0 * math.log(math.tanh(gamma))
-    return 2.0 * (math.log1p(-x) - math.log1p(x))
+from .states import NumericError, _log_q, mean_photons_per_mode
 
 
 def _tail_mass(gamma: float, n_max: int | None) -> float:

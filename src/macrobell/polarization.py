@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FourModeBasis
-from .states import BellLabel, FourModeState, NumericError, paired_modes
+from .states import (BellLabel, FourModeState, NumericError, build_bell_state, factor_table,
+                     paired_modes)
 
 BEAM_A, BEAM_B, BOTH_BEAMS = "a", "b", "both"
 
@@ -139,9 +140,9 @@ def beam_transform_matrix(jones: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def _paired_table(tensor: np.ndarray, tol: float) -> tuple[str, np.ndarray] | None:
-    """(pairing, (n, m) table) of the paired subspace carrying all of the
-    state's mass, if there is one."""
+def _paired_factors(tensor: np.ndarray, tol: float) -> tuple | None:
+    """(pairing, u, v) of the paired subspace carrying all of the state's
+    mass, if there is one and its ``(n, m)`` table is rank one."""
     n = np.arange(tensor.shape[0])
     total = float(np.sum(np.abs(tensor) ** 2))
     if total == 0.0:
@@ -150,18 +151,19 @@ def _paired_table(tensor: np.ndarray, tol: float) -> tuple[str, np.ndarray] | No
     for pairing in ("cross", "parallel"):
         table = tensor[paired_modes(nn, mm, pairing)]
         if abs(float(np.sum(np.abs(table) ** 2)) - total) <= tol * total:
-            return pairing, table
+            factors = factor_table(table)
+            return None if factors is None else (pairing, *factors)
     return None
 
 
 def apply_transform(state: FourModeState, transform: BasisTransform) -> FourModeState:
     """Apply a polarization transform, sector by sector, to a truncated state.
 
-    The result is re-compressed onto an ``(n, m)`` table whenever its
-    mass lies entirely on one of the two paired subspaces (as happens
-    for the Bell-family relations); otherwise it is returned
-    vector-backed.  The output keeps the input's overall normalization
-    but fixes the global phase so the vacuum amplitude is real positive.
+    The result is re-factored whenever its mass lies entirely on one of
+    the two paired subspaces with a rank-one ``(n, m)`` table (as for the
+    Bell-family relations); otherwise it is returned vector-backed.  The
+    output keeps the input's overall normalization but fixes the global
+    phase so the vacuum amplitude is real positive.
     """
     d = state.n_levels
     basis = FourModeBasis(state.n_max)
@@ -182,25 +184,17 @@ def apply_transform(state: FourModeState, transform: BasisTransform) -> FourMode
     # global phase: vacuum amplitude real positive
     if abs(vec[0]) > 0:
         vec = vec * (abs(vec[0]) / vec[0])
-    paired = _paired_table(vec.reshape(d, d, d, d), tol=1e-12)
+    paired = _paired_factors(vec.reshape(d, d, d, d), tol=1e-12)
     if paired is not None:
-        pairing, table = paired
-        return FourModeState(
-            gamma=state.gamma, n_max=state.n_max, truncation_mode=state.truncation_mode,
-            label=None, pairing=pairing, table=np.array(table, dtype=np.complex128),
-        )
-    return FourModeState(
-        gamma=state.gamma, n_max=state.n_max, truncation_mode=state.truncation_mode,
-        label=None, vector=vec,
-    )
+        pairing, u, v = paired
+        return FourModeState(gamma=state.gamma, n_max=state.n_max, pairing=pairing, u=u, v=v)
+    return FourModeState(gamma=state.gamma, n_max=state.n_max, vector=vec)
 
 
 def identify_bell_state(state: FourModeState, tol: float = 1e-9) -> BellLabel | None:
-    """Label whose closed-form table matches `state` up to global phase."""
-    from .states import build_bell_state  # local import to keep module load light
-
+    """Label whose closed-form state matches `state` up to global phase."""
     for label in BellLabel:
-        ref = build_bell_state(label, state.gamma, state.n_max, state.truncation_mode)
+        ref = build_bell_state(label, state.gamma, state.n_max)
         if 1.0 - state.fidelity(ref) <= tol:
             return label
     return None

@@ -318,25 +318,6 @@ def witness_under_loss(gamma: float, eta: float, matched: bool = True) -> float:
     return value
 
 
-# -- exact count distribution ---------------------------------------------------
-
-
-def pairing_distribution(label: BellLabel, component: int, gamma: float, n_max: int):
-    """Exact joint photocount probabilities for a canonical setting.
-
-    Returns (support, probs): support rows are (x_a, y_a, x_b, y_b).
-    """
-    from .states import schmidt_spectrum
-
-    lam = schmidt_spectrum(gamma, n_max)
-    lam = lam / lam.sum()
-    n = np.arange(n_max + 1, dtype=np.int64)
-    nn, mm = np.meshgrid(n, n, indexing="ij")
-    support = np.stack(paired_modes(nn.ravel(), mm.ravel(), count_pairing(label, component)),
-                       axis=1)
-    return support, np.outer(lam, lam).ravel()
-
-
 # -- photon-number correlation estimate ----------------------------------------
 
 

@@ -21,8 +21,11 @@ cross-paired (Schmidt) form in their natural polarization bases instead
 (circular for phi-plus, +/-45 degrees linear for phi-minus); that basis
 is carried as metadata.
 
-Amplitudes are stored as a compressed ``(n, m)`` table exploiting the
-pairing constraint; :meth:`FourModeState.dense` expands onto a
+The ``(n, m)`` amplitude table is rank one, ``u_n v_m``: the state is a
+product of two truncated two-mode squeezed vacua.  It is stored as the
+two Schmidt factors ``u``, ``v`` (O(n_max) numbers), so norms, edge
+masses, fidelities and sectors are products of 1-D sums; the table is a
+view built on request, and :meth:`FourModeState.dense` expands onto a
 :class:`~macrobell.basis.FourModeBasis` enumeration for operator work.
 """
 
@@ -32,7 +35,7 @@ import enum
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,6 +119,20 @@ def geometric_ratio(gamma: float) -> float:
     return math.tanh(gamma) ** 2
 
 
+def _log_q(gamma: float) -> float:
+    """ln q = 2 ln tanh(gamma) to a few ulps: 2 (log1p(-x) - log1p(x)) with
+    x = e^(-2 gamma) where q nears 1, 2 ln tanh(gamma) where x > 1/2 (the
+    rounding of x would be amplified by 1 / (1 - x) there)."""
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gain must be finite and nonnegative, got {gamma!r}")
+    if gamma == 0.0:
+        return -math.inf
+    x = math.exp(-2.0 * gamma)
+    if x > 0.5:
+        return 2.0 * math.log(math.tanh(gamma))
+    return 2.0 * (math.log1p(-x) - math.log1p(x))
+
+
 def schmidt_spectrum(gamma: float, n_max: int) -> np.ndarray:
     """Per-pair weights lambda_n = tanh(gamma)^{2n}/cosh(gamma)^2, n=0..n_max.
 
@@ -137,27 +154,9 @@ def schmidt_spectrum(gamma: float, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     q = math.tanh(gamma) ** 2
-    n = np.arange(n_max + 1, dtype=np.float64)
-    # 1/cosh^2 = 1 - tanh^2; exact geometric law in double precision.
-    with np.errstate(divide="ignore"):
-        logq = np.log(q) if q > 0 else -np.inf
-    out = np.exp(n * logq) * (1.0 - q) if q > 0 else np.zeros(n_max + 1)
     if q == 0.0:
-        out[0] = 1.0
-    return out
-
-
-class TruncationMode(enum.Enum):
-    """How the compressed (n, m) table is cut.
-
-    PER_MODE keeps n <= n_max and m <= n_max independently; this is the
-    mode operator calculations assume.  TOTAL_PHOTON keeps n + m <= n_max
-    (a triangular table), the natural cut for Hilbert-space dimension
-    accounting.
-    """
-
-    PER_MODE = "per-mode"
-    TOTAL_PHOTON = "total-photon"
+        return (np.arange(n_max + 1) == 0).astype(np.float64)
+    return np.exp(np.arange(n_max + 1, dtype=np.float64) * np.log(q)) * (1.0 - q)
 
 
 class BellLabel(enum.Enum):
@@ -187,12 +186,22 @@ class BellLabel(enum.Enum):
         }[self]
 
 
-def _table_mask(n_levels: int, mode: TruncationMode) -> np.ndarray:
-    """Boolean mask of (n, m) entries kept by the truncation mode."""
-    if mode is TruncationMode.PER_MODE:
-        return np.ones((n_levels, n_levels), dtype=bool)
-    n = np.arange(n_levels)
-    return (n[:, None] + n[None, :]) <= (n_levels - 1)
+def _norm_sq(arr: np.ndarray) -> float:
+    return float(np.vdot(arr, arr).real)
+
+
+def factor_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Schmidt factors ``(u, v)`` of a nonzero rank-one ``(n, m)`` table, else None.
+
+    ``u`` is the column and ``v`` the row through the largest entry, ``v``
+    divided by that entry; they are kept when ``||T - u v^T||^2 <= 1e-12 ||T||^2``.
+    """
+    weight = np.abs(table) ** 2
+    i0, j0 = np.unravel_index(np.argmax(weight), table.shape)
+    if weight[i0, j0] == 0.0:
+        return None
+    u, v = table[:, j0].copy(), table[i0, :] / table[i0, j0]
+    return (u, v) if _norm_sq(table - np.outer(u, v)) <= 1e-12 * weight.sum() else None
 
 
 @dataclass
@@ -201,9 +210,10 @@ class FourModeState:
 
     Exactly one of two storage forms is populated:
 
-    * ``table`` -- compressed ``(n, m)`` amplitude table with the pairing
-      given by ``pairing`` ('cross' or 'parallel'); entry ``(n, m)`` is
-      the amplitude of ket ``|n,m>_a|m,n>_b`` resp. ``|n,m>_a|n,m>_b``.
+    * ``u``, ``v`` -- the Schmidt factors of a paired state, each of
+      length ``n_max + 1``, with the pairing given by ``pairing``
+      ('cross' or 'parallel'): ket ``|n,m>_a|m,n>_b`` resp.
+      ``|n,m>_a|n,m>_b`` has amplitude ``u_n v_m``.
     * ``vector`` -- dense amplitudes over :class:`FourModeBasis`;
       produced by generic polarization transforms that leave the paired
       subspaces.
@@ -214,17 +224,24 @@ class FourModeState:
 
     gamma: float
     n_max: int
-    truncation_mode: TruncationMode = TruncationMode.PER_MODE
     label: BellLabel | None = None
     pairing: str | None = None
-    table: np.ndarray | None = field(default=None, repr=False)
+    u: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
     vector: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if (self.table is None) == (self.vector is None):
-            raise ValueError("exactly one of table/vector must be set")
-        if self.table is not None and self.pairing not in ("cross", "parallel"):
-            raise ValueError("table storage requires pairing 'cross' or 'parallel'")
+        d = self.n_max + 1
+        if (self.u is None and self.v is None) == (self.vector is None):
+            raise ValueError("exactly one of the factors u, v or vector must be set")
+        if self.vector is not None and np.shape(self.vector) != (d**4,):
+            raise ValueError(f"vector must have length (n_max + 1)^4 = {d**4}, "
+                             f"got shape {np.shape(self.vector)}")
+        if self.vector is None and not np.shape(self.u) == np.shape(self.v) == (d,):
+            raise ValueError(f"factors u, v must have length n_max + 1 = {d}, "
+                             f"got shapes {np.shape(self.u)} and {np.shape(self.v)}")
+        if self.vector is None and self.pairing not in ("cross", "parallel"):
+            raise ValueError("factored storage requires pairing 'cross' or 'parallel'")
 
     # -- basic quantities -------------------------------------------------
 
@@ -232,15 +249,26 @@ class FourModeState:
     def n_levels(self) -> int:
         return self.n_max + 1
 
+    @property
+    def table(self) -> np.ndarray | None:
+        """Read-only ``(n, m)`` table ``u_n v_m``, built on request (None if vector-backed)."""
+        if self.u is None:
+            return None
+        check_memory(self.n_levels**2, f"amplitude table at cutoff {self.n_max}")
+        out = np.outer(self.u, self.v)
+        out.flags.writeable = False
+        return out
+
     def norm_sq(self) -> float:
-        data = self.table if self.table is not None else self.vector
-        return float(np.sum(np.abs(data) ** 2))
+        if self.u is not None:
+            return _norm_sq(self.u) * _norm_sq(self.v)
+        return float(np.sum(np.abs(self.vector) ** 2))
 
     def amplitude(self, n: int, m: int) -> complex:
-        """Compressed-table amplitude (table-backed states only)."""
-        if self.table is None:
-            raise ValueError("state is not table-backed")
-        return complex(self.table[n, m])
+        """Amplitude ``u_n v_m`` of table entry (n, m) (factored states only)."""
+        if self.u is None:
+            raise ValueError("state is not factored")
+        return complex(self.u[n] * self.v[m])
 
     def normalized(self) -> "FourModeState":
         """Unit-norm copy with the global phase fixed: amplitude(0,0) (or the
@@ -248,19 +276,11 @@ class FourModeState:
         nrm = math.sqrt(self.norm_sq())
         if nrm == 0.0:
             raise NumericError("cannot normalize the zero state")
-        if self.table is not None:
-            ref = self.table[0, 0]
-            phase = ref / abs(ref) if abs(ref) > 0 else 1.0
-            return FourModeState(
-                gamma=self.gamma, n_max=self.n_max, truncation_mode=self.truncation_mode,
-                label=self.label, pairing=self.pairing, table=self.table / (nrm * phase),
-            )
-        ref = self.vector[0]
-        phase = ref / abs(ref) if abs(ref) > 0 else 1.0
-        return FourModeState(
-            gamma=self.gamma, n_max=self.n_max, truncation_mode=self.truncation_mode,
-            label=self.label, pairing=None, vector=self.vector / (nrm * phase),
-        )
+        ref = self.vector[0] if self.u is None else self.u[0] * self.v[0]
+        scale = nrm * (ref / abs(ref) if abs(ref) > 0 else 1.0)
+        if self.u is None:
+            return replace(self, vector=self.vector / scale)
+        return replace(self, u=self.u / scale)
 
     # -- dense expansion ---------------------------------------------------
 
@@ -292,22 +312,31 @@ class FourModeState:
     def edge_mass(self, depth: int = 2) -> float:
         """Fraction of the state's mass within `depth` photons of the cutoff.
 
-        ``depth=2`` means any mode occupation in {n_max-1, n_max}: the
-        mass left after zeroing the interior block of ``|amplitude|^2``,
-        the table or the ``(d, d, d, d)`` tensor alike.
+        ``depth=2`` means any mode occupation in {n_max-1, n_max}.  For the
+        factors it is ``(t_u s_v + s_u t_v - t_u t_v) / (s_u s_v)`` from
+        totals ``s`` and tail sums ``t``, never one minus the interior,
+        which would lose the tiny masses the witness gate compares.
         """
-        data = self.table if self.table is not None else self.vector.reshape((self.n_levels,) * 4)
-        w = np.abs(data) ** 2
+        k = max(self.n_levels - depth, 0)
+        if self.u is not None:
+            wu, wv = np.abs(self.u) ** 2, np.abs(self.v) ** 2
+            su, sv = float(wu.sum()), float(wv.sum())
+            if su * sv == 0.0:
+                return 0.0
+            tu, tv = float(wu[k:].sum()), float(wv[k:].sum())
+            return (tu * sv + su * tv - tu * tv) / (su * sv)
+        w = np.abs(self.vector.reshape((self.n_levels,) * 4)) ** 2
         total = w.sum()
         if total == 0.0:
             return 0.0
-        w[(slice(max(self.n_levels - depth, 0)),) * w.ndim] = 0.0
+        w[(slice(k),) * 4] = 0.0
         return float(w.sum() / total)
 
     def fidelity(self, other: "FourModeState") -> float:
         """|<self|other>|^2 for the normalized states."""
-        if self.table is not None and other.table is not None and self.pairing == other.pairing:
-            ov = np.vdot(self.table, other.table)
+        if self.u is not None and other.u is not None and self.pairing == other.pairing:
+            k = min(self.n_levels, other.n_levels)  # beyond it one of the two is zero
+            ov = np.vdot(self.u[:k], other.u[:k]) * np.vdot(self.v[:k], other.v[:k])
         else:
             n = max(self.n_max, other.n_max)
             basis = FourModeBasis(n)
@@ -317,29 +346,26 @@ class FourModeState:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """Schema: {label, gamma, cutoff, truncation_mode, amplitudes: [[n, m, re, im], ...]}."""
-        if self.table is None:
-            raise ValueError("only table-backed states serialize to the (n, m) schema")
-        rows = []
-        for n in range(self.n_levels):
-            for m in range(self.n_levels):
-                a = self.table[n, m]
-                if a != 0.0:
-                    rows.append([n, m, float(a.real), float(a.imag)])
+        """Schema: {label, gamma, cutoff, amplitudes: [[n, m, re, im], ...]}."""
+        table = self.table
+        if table is None:
+            raise ValueError("only factored states serialize to the (n, m) schema")
+        rows = [[n, m, float(a.real), float(a.imag)]
+                for (n, m), a in np.ndenumerate(table) if a != 0.0]
         return {
             "label": self.label.value if self.label else None,
             "gamma": self.gamma,
             "cutoff": self.n_max,
-            "truncation_mode": self.truncation_mode.value,
             "amplitudes": rows,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourModeState":
+        """Read the (n, m) schema; the table must be rank one (a product u_n v_m)."""
         label = BellLabel(data["label"]) if data.get("label") else None
-        mode = TruncationMode(data["truncation_mode"])
         n_max = int(data["cutoff"])
         gamma = float(data["gamma"])
+        check_memory((n_max + 1) ** 2, f"amplitude table at cutoff {n_max}")
         table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
         for n, m, re, im in data["amplitudes"]:
             n, m = int(n), int(m)
@@ -348,9 +374,12 @@ class FourModeState:
             table[n, m] = complex(re, im)
         if not np.isfinite(table).all():
             raise ValueError("non-finite amplitude in state file")
+        factors = factor_table(table)
+        if factors is None:
+            raise ValueError("state file amplitudes are not a rank-one (n, m) table")
         pairing = label.pairing if label else "cross"
-        return cls(gamma=gamma, n_max=n_max, truncation_mode=mode,
-                   label=label, pairing=pairing, table=table)
+        return cls(gamma=gamma, n_max=n_max, label=label, pairing=pairing,
+                   u=factors[0], v=factors[1])
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)
@@ -360,30 +389,19 @@ class FourModeState:
         return cls.from_json_dict(json.loads(text))
 
 
-def build_bell_state(
-    label: BellLabel,
-    gamma: float,
-    n_max: int,
-    truncation_mode: TruncationMode = TruncationMode.PER_MODE,
-) -> FourModeState:
-    """Closed-form amplitude table of one of the four macroscopic Bell states.
+def build_bell_state(label: BellLabel, gamma: float, n_max: int) -> FourModeState:
+    """Closed-form Schmidt factors of one of the four macroscopic Bell states.
 
-    The table entry is ``(sign)^m sqrt(lambda_n lambda_m)`` on the kets
-    fixed by the label's pairing; see the module docstring.  The result
-    is left unnormalized: its squared norm is the retained probability
-    mass (for TOTAL_PHOTON truncation, exactly ``1 - epsilon`` of the
-    truncation analysis).
+    ``u_n = sqrt(lambda_n)`` and ``v_m = (sign)^m sqrt(lambda_m)`` on the
+    kets fixed by the label's pairing; see the module docstring.  The
+    result is left unnormalized: its squared norm is the retained
+    probability mass ``(1 - q^(n_max+1))^2``.
     """
-    check_memory((n_max + 1) ** 2, f"amplitude table at cutoff {n_max}")
-    lam = schmidt_spectrum(gamma, n_max)
-    root = np.sqrt(lam)
+    check_memory(2 * (n_max + 1), f"Schmidt factors at cutoff {n_max}")
+    root = np.sqrt(schmidt_spectrum(gamma, n_max))
     signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, float(label.sign))
-    table = np.outer(root, root * signs).astype(np.complex128)
-    table *= _table_mask(n_max + 1, truncation_mode)
-    return FourModeState(
-        gamma=gamma, n_max=n_max, truncation_mode=truncation_mode,
-        label=label, pairing=label.pairing, table=table,
-    )
+    return FourModeState(gamma=gamma, n_max=n_max, label=label, pairing=label.pairing,
+                         u=root, v=root * signs)
 
 
 def project_total_sector(state: FourModeState, n: int) -> tuple[float, np.ndarray]:
@@ -403,12 +421,12 @@ def project_total_sector(state: FourModeState, n: int) -> tuple[float, np.ndarra
         (unnormalized) truncated state; the amplitude vector has unit
         norm, or is all-zero for an empty sector.
     """
-    if state.table is None:
-        raise ValueError("sector projection requires a table-backed state")
+    if state.u is None:
+        raise ValueError("sector projection requires a factored state")
     if not (0 <= n <= state.n_max):
         raise ValueError(f"sector {n} outside 0..{state.n_max}")
     m = np.arange(n + 1)
-    amps = state.table[n - m, m]
+    amps = state.u[n - m] * state.v[m]
     weight = float(np.sum(np.abs(amps) ** 2))
     if weight > 0.0:
         amps = amps / math.sqrt(weight)

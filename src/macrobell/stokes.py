@@ -13,12 +13,13 @@ angular-momentum algebra ``[S_1, S_2] = 2i S_3`` and cyclic.
 Moments of a combination ``O = sum c S_k^beam`` on a pure state take one
 route per storage form of the state:
 
-* a table-backed state never leaves its ``(n, m)`` table.  Every Stokes
+* a factored state never leaves its Schmidt factors.  Every Stokes
   operator conserves each beam's photon number (Schwinger's two-boson
   picture), so ``O`` keeps the paired kets (``S_0`` and ``S_1`` are
   diagonal) or moves one photon between H and V of one beam, landing on
-  one of two "defect" planes.  ``<O>`` and ``<O^2>`` cost O(n_max^2),
-  and cutoff amputation is array slicing.
+  one of two "defect" planes.  Each of the three parts of ``O psi`` is a
+  sum of two outer products of (shifted) factors, so ``<O>`` and
+  ``<O^2>`` are built from 1-D sums in O(n_max).
 * a vector-backed state (from a polarization transform) is reshaped to
   its ``(d, d, d, d)`` amplitude tensor and ``O psi`` is applied
   matrix-free.
@@ -36,7 +37,7 @@ import logging
 import numpy as np
 
 from .basis import FourModeBasis
-from .states import FourModeState, NumericError, check_memory
+from .states import FourModeState, NumericError, _norm_sq
 
 log = logging.getLogger(__name__)
 
@@ -99,59 +100,62 @@ def _as_vector(state, basis: FourModeBasis | None) -> tuple[np.ndarray, FourMode
     return vec.astype(np.complex128, copy=False), basis
 
 
-def _norm_sq(arr: np.ndarray) -> float:
-    return float(np.vdot(arr, arr).real)
+def _outer_pair_norm(x1, y1, x2, y2) -> float:
+    """||x1 y1^T + x2 y2^T||^2 without cancellation: splitting x2 into
+    kappa x1 plus a part orthogonal to x1 leaves two orthogonal outer products."""
+    xx = _norm_sq(x1)
+    kappa = np.vdot(x1, x2) / xx if xx else 0.0
+    return xx * _norm_sq(y1 + kappa * y2) + _norm_sq(x2 - kappa * x1) * _norm_sq(y2)
 
 
-def _table_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
-    """Normalized (<O>, <O^2>) straight from the (n, m) table.
+def _factored_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
+    """Normalized (<O>, <O^2>) from the Schmidt factors of a paired state.
 
-    With T the table and 0 <= n, m <= n_max, O psi has three parts:
+    With amplitudes ``u_n v_m``, O psi has three mutually orthogonal
+    parts, each a sum of two outer products:
 
-    * on the paired kets, ``((c1a -+ c1b)(n - m) + (c0a + c0b)(n + m)) T[n, m]``
-      (- for cross pairing, + for parallel);
-    * the "+1" plane over ``T[:-1, 1:]``,
-      ``sqrt((n+1) m) (ra T[n, m] + rb T[n+1, m-1])``;
-    * the "-1" plane over ``T[1:, :-1]``,
-      ``sqrt(n (m+1)) (la T[n, m] + lb T[n-1, m+1])``;
+    * ``(A n u) v^T + u (B m v)^T`` on the paired kets, ``A, B = c0 +- c1``
+      with ``c0 = c0a + c0b`` and ``c1 = c1a -+ c1b`` (- for cross
+      pairing, + for parallel);
+    * ``ra p q^T + rb r s^T`` and ``conj(rb) p q^T + conj(ra) r s^T`` on
+      the two hop planes, with ``p_i, r_i = sqrt(i+1) (u_i, u_{i+1})``,
+      ``q_j, s_j = sqrt(j+1) (v_{j+1}, v_j)``, ``ra = c2a - i c3a`` and
+      ``rb = c2b - i c3b`` (conjugated for parallel pairing).
 
-    with ``ra = c2a - i c3a``, ``la = c2a + i c3a`` and, for cross
-    pairing, ``rb = c2b - i c3b``, ``lb = c2b + i c3b`` (swapped for
-    parallel pairing).  The three parts are mutually orthogonal, so the
-    mean comes from the paired part alone and ``<O^2> = ||O psi||^2`` is
-    the sum of their squared norms.  A basis larger than the state's
-    cutoff zero-pads the table, which moves the amputation to its edge.
+    The mean comes from the paired part alone and ``<O^2> = ||O psi||^2``.
+    On a Bell state the two terms of a matched hop plane cancel to the
+    last digit, which :func:`_outer_pair_norm` survives.  A basis larger
+    than the state's cutoff zero-pads the factors, which moves the
+    amputation to its edge.
     """
-    table = state.table
+    u, v = state.u, state.v
     if basis is not None and basis.n_max != state.n_max:
         if basis.n_max < state.n_max:
             raise ValueError("target basis cutoff smaller than the state's")
-        check_memory(basis.n_levels**2, f"amplitude table padded to cutoff {basis.n_max}")
-        pad = basis.n_max - state.n_max
-        table = np.pad(table, ((0, pad), (0, pad)))
+        pad = (0, basis.n_max - state.n_max)
+        u, v = np.pad(u, pad), np.pad(v, pad)
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
     cross = state.pairing == "cross"
-    weight = np.abs(table) ** 2
-    den = float(weight.sum())
-    if den == 0.0:
+    su, sv = _norm_sq(u), _norm_sq(v)
+    if su * sv == 0.0:
         raise ValueError("zero state")
-    n = np.arange(table.shape[0], dtype=np.float64)
+    n = np.arange(u.size, dtype=np.float64)
     c0 = c[0, "a"] + c[0, "b"]
     c1 = c[1, "a"] - c[1, "b"] if cross else c[1, "a"] + c[1, "b"]
     mean = second = 0.0
     if c0 or c1:
-        diag = c1 * (n[:, None] - n) + c0 * (n[:, None] + n)
-        mean = float(np.sum(diag * weight)) / den
-        second = float(np.sum(diag * diag * weight))
-    ra, la = complex(c[2, "a"], -c[3, "a"]), complex(c[2, "a"], c[3, "a"])
-    rb, lb = complex(c[2, "b"], -c[3, "b"]), complex(c[2, "b"], c[3, "b"])
+        a, b = c0 + c1, c0 - c1
+        mean = a * float(n @ np.abs(u) ** 2) / su + b * float(n @ np.abs(v) ** 2) / sv
+        second = _outer_pair_norm(n * u, a * v, u, b * n * v)
+    ra, rb = complex(c[2, "a"], -c[3, "a"]), complex(c[2, "b"], -c[3, "b"])
     if not cross:
-        rb, lb = lb, rb
+        rb = rb.conjugate()
     if ra or rb:
-        w = np.sqrt(np.outer(n[1:], n[1:]))
-        up, down = w * table[:-1, 1:], w * table[1:, :-1]
-        second += _norm_sq(ra * up + rb * down) + _norm_sq(la * down + lb * up)
-    return mean, second / den
+        k = np.sqrt(n[1:])
+        p, r, q, s = k * u[:-1], k * u[1:], k * v[1:], k * v[:-1]
+        second += (_outer_pair_norm(p, ra * q, r, rb * s)
+                   + _outer_pair_norm(p, rb.conjugate() * q, r, ra.conjugate() * s))
+    return mean, second / (su * sv)
 
 
 def _vector_moments(coeffs: dict, state, basis: FourModeBasis | None) -> tuple:
@@ -179,8 +183,8 @@ def moments(coeffs: dict, state, basis: FourModeBasis | None = None) -> tuple[fl
     unknown = set(coeffs) - set(_TERMS)
     if unknown:
         raise ValueError(f"Stokes terms must be (0..3, 'a'|'b'), got {unknown}")
-    if isinstance(state, FourModeState) and state.table is not None:
-        return _table_moments(coeffs, state, basis)
+    if isinstance(state, FourModeState) and state.u is not None:
+        return _factored_moments(coeffs, state, basis)
     return _vector_moments(coeffs, state, basis)
 
 

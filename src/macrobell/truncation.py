@@ -22,22 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import NumericError, geometric_ratio
+from .states import NumericError, _log_q, geometric_ratio
 
 #: largest total-photon cutoff a budget may ask for
 MAX_CUTOFF = 1_000_000
 
 
 def epsilon_from_cutoff(gamma: float, n_total: int) -> float:
-    """Dropped joint mass outside n + m <= n_total (log-domain evaluation)."""
+    """Dropped joint mass outside n + m <= n_total, in logs; the bracket
+    N + 2 - (N + 1) q is 1 + (N + 1) (1 - q) with 1 - q = 4 x / (1 + x)^2,
+    x = exp(-2 gamma), so no rounded q enters."""
     if n_total < 0:
         return 1.0
-    q = geometric_ratio(gamma)
-    if q == 0.0:
-        return 0.0
+    x = math.exp(-2.0 * gamma)
     # (N+1) log q can underflow well past 1e-308; do the product in logs
-    log_eps = (n_total + 1) * math.log(q) + math.log(n_total + 2 - (n_total + 1) * q)
-    return math.exp(log_eps)
+    bracket = math.log1p((n_total + 1) * 4.0 * x / (1.0 + x) ** 2)
+    return math.exp((n_total + 1) * _log_q(gamma) + bracket)
 
 
 def _solve_log1p(c: float, log_eps: float) -> float:
@@ -73,7 +73,7 @@ def cutoff_for_epsilon(gamma: float, epsilon: float) -> int:
         return 0
     if q == 1.0:
         raise ValueError(f"required cutoff exceeds {MAX_CUTOFF}")
-    neg_log_q = -math.log(q)
+    neg_log_q = -_log_q(gamma)
     c = 1.0 / (math.cosh(gamma) ** 2 * neg_log_q)  # 1 - q = 1 / cosh^2
     n = max(0, math.ceil(_solve_log1p(c, math.log(epsilon)) / neg_log_q) - 1)
     if n > MAX_CUTOFF + 1:  # past the bound even if rounding put n one too high
@@ -120,7 +120,7 @@ def truncated_kbar(gamma: float, n_total: int) -> float:
     if q == 0.0:
         return 1.0
     eps = epsilon_from_cutoff(gamma, n_total)
-    log_x = 2.0 * math.log(q)  # q*q underflows below q ~ 2e-162
+    log_x = 2.0 * _log_q(gamma)  # q*q underflows below q ~ 2e-162
     log_t = (n_total + 1) * log_x
     bracket = -math.expm1(log_t) + math.exp(log_t) * (n_total + 1) * math.expm1(log_x)
     one_minus_q = 1.0 / math.cosh(gamma) ** 2

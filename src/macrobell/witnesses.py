@@ -106,7 +106,7 @@ def evaluate_witness(
 ) -> WitnessReport:
     """Exact witness value on a truncated state.
 
-    A table-backed state is evaluated on its ``(n, m)`` table, a
+    A factored state is evaluated on its Schmidt factors, a
     vector-backed one matrix-free (see the stokes module docstring);
     ``basis`` may raise the cutoff above the state's.  Refuses (raises
     :class:`TruncationMassError`) when the state keeps more than

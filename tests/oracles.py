@@ -2,7 +2,8 @@
 
 Everything here is assembled from single-mode ladder matrices chained
 with scipy.sparse.kron, a sparse matrix exponential, explicit index
-loops, term-by-term tail sums and dense eigensolves -- deliberately a
+loops, full ``(n, m)`` amplitude tables, term-by-term tail sums and
+dense eigensolves -- deliberately a
 different construction from the library's stride arithmetic and closed
 forms, so that agreement between the two is a meaningful check rather
 than a tautology.
@@ -17,14 +18,19 @@ from scipy.sparse.linalg import expm_multiply
 
 from macrobell.basis import FourModeBasis
 from macrobell.polarization import BasisTransform, apply_transform, half_wave_plate, quarter_wave_plate
+from macrobell.simulate import count_pairing
 from macrobell.states import (
     BellLabel,
     FourModeState,
     NumericError,
     TruncationMassError,
-    TruncationMode,
+    _norm_sq,
+    check_memory,
     geometric_ratio,
+    paired_modes,
+    schmidt_spectrum,
 )
+from macrobell.stokes import _TERMS
 
 
 def mode_annihilator(d: int) -> sp.csr_matrix:
@@ -290,10 +296,7 @@ def evolve_from_vacuum(
     drift = abs(float(vec @ vec) - 1.0)
     if drift > 1e-8:
         raise NumericError(f"unitarity drift {drift:.3e} in truncated evolution")
-    state = FourModeState(
-        gamma=gamma, n_max=n_max, truncation_mode=TruncationMode.PER_MODE,
-        label=None, vector=vec.astype(np.complex128),
-    )
+    state = FourModeState(gamma=gamma, n_max=n_max, label=None, vector=vec.astype(np.complex128))
     leak = state.edge_mass(depth=2)
     if leak > 1e-8:
         raise TruncationMassError(
@@ -302,6 +305,71 @@ def evolve_from_vacuum(
             f"cutoff {n_max}; raise the cutoff or lower gamma",
         )
     return state
+
+
+def _table_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
+    """Normalized (<O>, <O^2>) straight from the (n, m) table.
+
+    With T the table and 0 <= n, m <= n_max, O psi has three parts:
+
+    * on the paired kets, ``((c1a -+ c1b)(n - m) + (c0a + c0b)(n + m)) T[n, m]``
+      (- for cross pairing, + for parallel);
+    * the "+1" plane over ``T[:-1, 1:]``,
+      ``sqrt((n+1) m) (ra T[n, m] + rb T[n+1, m-1])``;
+    * the "-1" plane over ``T[1:, :-1]``,
+      ``sqrt(n (m+1)) (la T[n, m] + lb T[n-1, m+1])``;
+
+    with ``ra = c2a - i c3a``, ``la = c2a + i c3a`` and, for cross
+    pairing, ``rb = c2b - i c3b``, ``lb = c2b + i c3b`` (swapped for
+    parallel pairing).  The three parts are mutually orthogonal, so the
+    mean comes from the paired part alone and ``<O^2> = ||O psi||^2`` is
+    the sum of their squared norms.  A basis larger than the state's
+    cutoff zero-pads the table, which moves the amputation to its edge.
+    """
+    table = state.table
+    if basis is not None and basis.n_max != state.n_max:
+        if basis.n_max < state.n_max:
+            raise ValueError("target basis cutoff smaller than the state's")
+        check_memory(basis.n_levels**2, f"amplitude table padded to cutoff {basis.n_max}")
+        pad = basis.n_max - state.n_max
+        table = np.pad(table, ((0, pad), (0, pad)))
+    c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
+    cross = state.pairing == "cross"
+    weight = np.abs(table) ** 2
+    den = float(weight.sum())
+    if den == 0.0:
+        raise ValueError("zero state")
+    n = np.arange(table.shape[0], dtype=np.float64)
+    c0 = c[0, "a"] + c[0, "b"]
+    c1 = c[1, "a"] - c[1, "b"] if cross else c[1, "a"] + c[1, "b"]
+    mean = second = 0.0
+    if c0 or c1:
+        diag = c1 * (n[:, None] - n) + c0 * (n[:, None] + n)
+        mean = float(np.sum(diag * weight)) / den
+        second = float(np.sum(diag * diag * weight))
+    ra, la = complex(c[2, "a"], -c[3, "a"]), complex(c[2, "a"], c[3, "a"])
+    rb, lb = complex(c[2, "b"], -c[3, "b"]), complex(c[2, "b"], c[3, "b"])
+    if not cross:
+        rb, lb = lb, rb
+    if ra or rb:
+        w = np.sqrt(np.outer(n[1:], n[1:]))
+        up, down = w * table[:-1, 1:], w * table[1:, :-1]
+        second += _norm_sq(ra * up + rb * down) + _norm_sq(la * down + lb * up)
+    return mean, second / den
+
+
+def pairing_distribution(label: BellLabel, component: int, gamma: float, n_max: int):
+    """Exact joint photocount probabilities for a canonical setting.
+
+    Returns (support, probs): support rows are (x_a, y_a, x_b, y_b).
+    """
+    lam = schmidt_spectrum(gamma, n_max)
+    lam = lam / lam.sum()
+    n = np.arange(n_max + 1, dtype=np.int64)
+    nn, mm = np.meshgrid(n, n, indexing="ij")
+    support = np.stack(paired_modes(nn.ravel(), mm.ravel(), count_pairing(label, component)),
+                       axis=1)
+    return support, np.outer(lam, lam).ravel()
 
 
 def analyzer_jones(setting) -> np.ndarray:

@@ -372,9 +372,8 @@ def test_workers_beyond_cpu_count_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["witness", "--gamma", "6"],
-    ["witness", "--gamma", "0.5", "--cutoff", "1000000"],
-    ["crosswitness", "--cutoff", "1000000"],
+    ["witness", "--gamma", "0.5", "--cutoff", "1000000000000"],
+    ["crosswitness", "--cutoff", "1000000000000"],
 ], ids=" ".join)
 def test_memory_preflight_refuses(argv, capsys):
     # the estimates run to terabytes; the refusal comes before any allocation
@@ -385,11 +384,11 @@ def test_memory_preflight_refuses(argv, capsys):
 
 
 def test_memory_preflight_reads_available_memory(monkeypatch, capsys):
-    # with 10 kB reported free, the default psi-minus witness (cutoff 19,
-    # an estimated 64 kB for its table) is refused before anything runs
+    # with 1 kB reported free, the default psi-minus witness (cutoff 19,
+    # an estimated 6.4 kB for its two factors) is refused before anything runs
     from macrobell import states
 
-    monkeypatch.setattr(states, "available_memory", lambda: 10_000)
+    monkeypatch.setattr(states, "available_memory", lambda: 1_000)
     assert cli.main(["witness", "--out", "w.csv"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "available memory" in err
@@ -430,12 +429,23 @@ def test_tiny_gain_is_closed_form_or_named_refusal(n0, measures_code, capsys):
 
 
 def test_witness_reaches_macroscopic_gain():
-    # gamma = 3 (N0 = 100, cutoff 2396) runs on the (n, m) table alone
-    assert cli.main(["witness", "--gamma", "3", "--out", "w.csv"]) == 0
-    row = _read_csv("w.csv")[0]
-    want = -8.0 * math.sinh(3.0) ** 2
-    assert int(row["cutoff"]) == 2396
-    assert abs(float(row["value"]) / want - 1.0) <= 1e-8
+    # gamma = 3 (N0 = 100) and gamma = 6 (N0 = 4.1e4) run on the two
+    # Schmidt factors alone, in O(cutoff)
+    for gamma, cutoff in (("3", 2396), ("6", 965_099)):
+        assert cli.main(["witness", "--gamma", gamma, "--out", "w.csv"]) == 0
+        row = _read_csv("w.csv")[0]
+        n0 = math.sinh(float(gamma)) ** 2
+        assert int(row["cutoff"]) == cutoff
+        assert abs(float(row["value"]) / (-8.0 * n0) - 1.0) <= 1e-8
+    # the full 4x4 table at gamma = 6: -8 N0 on the diagonal, 16 N0^2 + 8 N0 off it
+    assert cli.main(["crosswitness", "--gamma", "6", "--out", "x.csv"]) == 0
+    n0 = math.sinh(6.0) ** 2
+    rows = _read_csv("x.csv")
+    got = np.array([[float(v) for k, v in r.items() if k != "witness"] for r in rows])
+    diag = np.diag(got)
+    off = got[~np.eye(4, dtype=bool)]
+    assert np.all(np.abs(diag / (-8.0 * n0) - 1.0) <= 1e-8)
+    assert np.all(np.abs(off / (16.0 * n0 * n0 + 8.0 * n0) - 1.0) <= 1e-7)
 
 
 # -- crosswitness ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Package surface: the export list and the narrative demos."""
 
+import json
 import os
 import subprocess
 import sys
@@ -48,13 +49,18 @@ def test_import_loads_no_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
-def test_truncation_runs_without_scipy(tmp_path, no_scipy_env):
+@pytest.mark.parametrize("argv", [
+    ["truncation", "--n0-grid", "10,1e3", "--epsilon", "0.1"],
+    ["witness", "--gamma", "6"],
+], ids=" ".join)
+def test_cli_runs_without_scipy(argv, tmp_path, no_scipy_env):
     # the stub must bite: importing scipy under this environment fails
     probe = subprocess.run([sys.executable, "-c", "import scipy"], capture_output=True,
                            text=True, env=no_scipy_env, timeout=60)
     assert "scipy is a test-only dependency" in probe.stderr
-    proc = subprocess.run([sys.executable, "-m", "macrobell.cli", "truncation", "--n0-grid",
-                           "10,1e3", "--epsilon", "0.1", "--out", "t.csv"], cwd=tmp_path,
-                          capture_output=True, text=True, env=no_scipy_env, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "macrobell.cli", *argv, "--out", "t.csv"],
+                          cwd=tmp_path, capture_output=True, text=True, env=no_scipy_env,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "t.csv.meta.json").exists()
+    manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+    assert manifest["outputs"] and all((tmp_path / f).exists() for f in manifest["outputs"])

@@ -21,13 +21,18 @@ from macrobell.simulate import (
     estimate_fedorov,
     estimate_witness,
     matched_witness,
-    pairing_distribution,
     sample_pulse,
     witness_under_loss,
 )
 from macrobell.states import BellLabel, build_bell_state, mean_photons_per_mode, schmidt_spectrum
 from macrobell.witnesses import WitnessKind
-from oracles import analyzer_distribution, analyzer_jones, pulse_log_bytes, sample_analyzer_counts
+from oracles import (
+    analyzer_distribution,
+    analyzer_jones,
+    pairing_distribution,
+    pulse_log_bytes,
+    sample_analyzer_counts,
+)
 
 
 # -- configuration and settings -------------------------------------------------------

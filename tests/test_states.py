@@ -10,7 +10,6 @@ from macrobell.states import (
     FourModeState,
     NumericError,
     TruncationMassError,
-    TruncationMode,
     build_bell_state,
     geometric_ratio,
     mean_photons_per_mode,
@@ -105,8 +104,9 @@ def test_memory_preflight_boundary(monkeypatch):
     states.check_memory(1000, "probe")
     with pytest.raises(NumericError, match="available memory"):
         states.check_memory(1001, "probe")
+    build_bell_state(BellLabel.PSI_MINUS, 0.5, 499)  # two factors of 500 amplitudes
     with pytest.raises(NumericError):
-        build_bell_state(BellLabel.PSI_MINUS, 0.5, 31)  # 1024 amplitudes
+        build_bell_state(BellLabel.PSI_MINUS, 0.5, 500)  # two factors of 501
     monkeypatch.undo()
     pages = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert 0 < states.available_memory() <= pages
@@ -114,10 +114,15 @@ def test_memory_preflight_boundary(monkeypatch):
 
 def test_edge_mass_routes_agree():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.9, 7)
-    via_table = st.edge_mass(depth=2)
+    via_factors = st.edge_mass(depth=2)
     vec_state = FourModeState(gamma=st.gamma, n_max=st.n_max, vector=st.dense())
-    assert vec_state.edge_mass(depth=2) == pytest.approx(via_table, rel=1e-12)
-    assert via_table > 1e-10  # gamma too hot for this cutoff, mass visible
+    assert vec_state.edge_mass(depth=2) == pytest.approx(via_factors, rel=1e-12)
+    assert via_factors > 1e-10  # gamma too hot for this cutoff, mass visible
+    # the tail-sum form against the closed form 1 - (1 - f)^2, f being each
+    # factor's share of its kept mass at levels n_max - 1 and n_max
+    q = geometric_ratio(st.gamma)
+    f = q ** (st.n_max - 1) * (1.0 - q * q) / (1.0 - q ** (st.n_max + 1))
+    assert via_factors == pytest.approx(1.0 - (1.0 - f) ** 2, rel=1e-12)
 
 
 # -- state construction -----------------------------------------------------------
@@ -151,14 +156,6 @@ def test_norm_is_retained_mass_per_mode():
     assert st.norm_sq() == pytest.approx(kept * kept, rel=1e-12)
 
 
-def test_norm_total_photon_truncation():
-    from macrobell.truncation import epsilon_from_cutoff
-
-    gamma, n_max = 0.8, 12
-    st = build_bell_state(BellLabel.PHI_PLUS, gamma, n_max, TruncationMode.TOTAL_PHOTON)
-    assert st.norm_sq() == pytest.approx(1.0 - epsilon_from_cutoff(gamma, n_max), rel=1e-12)
-
-
 def test_dense_ket_placement():
     basis = FourModeBasis(4)
     st = build_bell_state(BellLabel.PSI_PLUS, 0.5, 4)
@@ -189,13 +186,22 @@ def test_dense_into_larger_basis():
 
 
 def test_storage_validation():
+    two = np.zeros(2)
     with pytest.raises(ValueError):
         FourModeState(gamma=0.0, n_max=1)
     with pytest.raises(ValueError):
-        FourModeState(gamma=0.0, n_max=1, pairing="cross",
-                      table=np.zeros((2, 2)), vector=np.zeros(16))
+        FourModeState(gamma=0.0, n_max=1, pairing="cross", u=two, v=two, vector=np.zeros(16))
     with pytest.raises(ValueError):
-        FourModeState(gamma=0.0, n_max=1, table=np.zeros((2, 2)))  # pairing missing
+        FourModeState(gamma=0.0, n_max=1, u=two, v=two)  # pairing missing
+    with pytest.raises(ValueError):
+        FourModeState(gamma=0.0, n_max=1, pairing="cross", u=two)  # v missing
+    # malformed storage is refused at construction, naming the expected length
+    with pytest.raises(ValueError, match=r"length \(n_max \+ 1\)\^4 = 625"):
+        FourModeState(gamma=0.0, n_max=4, vector=np.zeros(16))
+    with pytest.raises(ValueError, match=r"length n_max \+ 1 = 5"):
+        FourModeState(gamma=0.0, n_max=4, pairing="cross", u=np.zeros(5), v=np.zeros(3))
+    with pytest.raises(ValueError, match=r"length n_max \+ 1 = 5"):
+        FourModeState(gamma=0.0, n_max=4, pairing="cross", u=np.zeros((2, 3)), v=np.zeros(5))
 
 
 def test_amplitude_requires_table():
@@ -242,7 +248,7 @@ def test_sector_errors():
 def test_normalized_fixes_norm_and_phase():
     st = build_bell_state(BellLabel.PHI_MINUS, 0.7, 9)
     twisted = FourModeState(gamma=st.gamma, n_max=st.n_max, label=st.label,
-                            pairing=st.pairing, table=st.table * (2.0 * np.exp(0.3j)))
+                            pairing=st.pairing, u=st.u * (2.0 * np.exp(0.3j)), v=st.v)
     unit = twisted.normalized()
     assert unit.norm_sq() == pytest.approx(1.0, rel=1e-13)
     assert abs(unit.table[0, 0].imag) < 1e-15
@@ -251,7 +257,7 @@ def test_normalized_fixes_norm_and_phase():
 
 def test_normalize_zero_state_raises():
     zero = FourModeState(gamma=0.0, n_max=2, pairing="cross",
-                         table=np.zeros((3, 3), dtype=np.complex128))
+                         u=np.zeros(3, dtype=np.complex128), v=np.zeros(3, dtype=np.complex128))
     with pytest.raises(NumericError):
         zero.normalized()
 
@@ -264,6 +270,10 @@ def test_fidelity_table_and_dense_routes():
     assert f < 1.0
     densified = FourModeState(gamma=b.gamma, n_max=b.n_max, vector=b.dense())
     assert a.fidelity(densified) == pytest.approx(f, rel=1e-12)
+    # factors at different cutoffs overlap on the shorter one's levels
+    c = build_bell_state(BellLabel.PSI_PLUS, 0.5, 10)
+    densified = FourModeState(gamma=c.gamma, n_max=c.n_max, vector=c.dense())
+    assert a.fidelity(c) == pytest.approx(a.fidelity(densified), rel=1e-12)
 
 
 # -- serialization -------------------------------------------------------------------
@@ -275,8 +285,9 @@ def test_json_round_trip():
     assert again.label is BellLabel.PHI_MINUS
     assert again.gamma == st.gamma
     assert again.n_max == st.n_max
-    assert again.truncation_mode is st.truncation_mode
-    assert np.array_equal(again.table, st.table)
+    # reading factors the table through its largest entry: a product and
+    # a quotient of stored entries, so each entry is back to 6 roundings
+    np.testing.assert_allclose(again.table, st.table, rtol=3 * np.finfo(float).eps, atol=0)
 
 
 def test_json_rejects_bad_entries():
@@ -288,6 +299,16 @@ def test_json_rejects_bad_entries():
     doc = st.to_json_dict()
     doc["amplitudes"][0] = [0, 0, math.nan, 0.0]
     with pytest.raises(ValueError):
+        FourModeState.from_json_dict(doc)
+    # the (n, m) schema only carries rank-one tables u_n v_m; a file with
+    # one entry off the product (or a total-photon triangle) is refused
+    doc = st.to_json_dict()
+    doc["amplitudes"][1][2] *= 1.5
+    with pytest.raises(ValueError, match="rank-one"):
+        FourModeState.from_json_dict(doc)
+    doc = st.to_json_dict()
+    doc["amplitudes"] = [row for row in doc["amplitudes"] if row[0] + row[1] <= 3]
+    with pytest.raises(ValueError, match="rank-one"):
         FourModeState.from_json_dict(doc)
 
 

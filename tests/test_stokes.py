@@ -14,7 +14,10 @@ from macrobell.states import (
 )
 from macrobell.stokes import expectation, moments, variance_of_combination
 
+from macrobell.witnesses import WitnessKind, cutoff_for_edge_mass, witness_term_coeffs
+
 from oracles import (
+    _table_moments,
     kron_stokes,
     matvec_expectation,
     matvec_variance,
@@ -103,7 +106,7 @@ def test_variance_methods_agree_on_random_states():
 
 def test_variance_golden_and_method_agreement():
     # frozen from an independent kron-ladder evaluation at this exact cutoff;
-    # the table route and the tensor route (on the dense vector) both hit it
+    # the factored route and the tensor route (on the dense vector) both hit it
     basis = FourModeBasis(15)
     state = build_bell_state(BellLabel.PSI_MINUS, 0.5, 15)
     for form in (state, state.dense()):
@@ -134,7 +137,7 @@ def test_error_paths():
         expectation(s1a, np.zeros(basis.dim, dtype=np.complex128), basis)
     with pytest.raises(ValueError):
         expectation(s1a, FourModeState(gamma=0.0, n_max=2, pairing="cross",
-                                       table=np.zeros((3, 3), complex)))
+                                       u=np.zeros(3, complex), v=np.zeros(3, complex)))
     # state cutoff larger than the basis, for both storage forms
     big = build_bell_state(BellLabel.PSI_MINUS, 0.3, 4)
     with pytest.raises(ValueError):
@@ -150,14 +153,12 @@ def test_error_paths():
 
 def test_dense_guard():
     # the memory pre-flight refuses before allocating: a dense vector at
-    # cutoff 10^5 (10^20 amplitudes) and a table zero-padded to 10^6
+    # cutoff 10^5 (10^20 amplitudes) and the factors at cutoff 10^12
     state = build_bell_state(BellLabel.PSI_MINUS, 0.5, 20)
     with pytest.raises(NumericError, match="GiB"):
         state.dense(FourModeBasis(100_000))
     with pytest.raises(NumericError, match="GiB"):
-        variance_of_combination({(1, "a"): 1.0}, state, basis=FourModeBasis(1_000_000))
-    with pytest.raises(NumericError, match="GiB"):
-        build_bell_state(BellLabel.PSI_MINUS, 0.5, 1_000_000)
+        build_bell_state(BellLabel.PSI_MINUS, 0.5, 1_000_000_000_000)
 
 
 _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
@@ -169,13 +170,13 @@ _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
        coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8),
        seed=hs.integers(0, 2**32 - 1))
 def test_table_route_matches_kron_oracle(n_max, pad, pairing, coeffs, seed):
-    # random complex paired tables, evaluated on their own cutoff or
+    # random complex Schmidt factors, evaluated on their own cutoff or
     # zero-padded into a larger basis, against kron-built operators
     rng = np.random.default_rng(seed)
     d = n_max + 1
-    table = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    state = FourModeState(gamma=0.0, n_max=n_max, pairing=pairing, table=table)
-    vec = table_vector(table, pairing, d + pad)
+    u, v = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+    state = FourModeState(gamma=0.0, n_max=n_max, pairing=pairing, u=u, v=v)
+    vec = table_vector(np.outer(u, v), pairing, d + pad)
     op = sum(c * kron_stokes(k, beam, d + pad) for (k, beam), c in coeffs.items())
     ov = op @ vec
     want_mean = matvec_expectation(op, vec)
@@ -184,3 +185,22 @@ def test_table_route_matches_kron_oracle(n_max, pad, pairing, coeffs, seed):
     scale = max(1.0, want_second)
     assert abs(mean - want_mean) <= 1e-12 * scale
     assert abs(second - want_second) <= 1e-12 * scale
+
+
+def test_factored_route_matches_table_oracle():
+    # at gamma = 3 (N0 = 100, cutoff 2396) the kron oracle cannot reach;
+    # the (n, m) table route of the oracles module can, on all 16
+    # witness x state pairs (their distinct term maps) and the <S_0> map
+    gamma = 3.0
+    n_max = cutoff_for_edge_mass(gamma)
+    assert n_max == 2396
+    maps = {tuple(sorted(c.items())) for kind in WitnessKind for c in witness_term_coeffs(kind)}
+    maps.add((((0, "a"), 1.0), ((0, "b"), 1.0)))
+    for label in BellLabel:
+        state = build_bell_state(label, gamma, n_max)
+        for items in sorted(maps):
+            coeffs = dict(items)
+            got = moments(coeffs, state)
+            want = _table_moments(coeffs, state, None)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w))

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -53,6 +54,32 @@ def test_epsilon_closed_form_matches_tail_sum():
         closed = epsilon_from_cutoff(gamma, n)
         brute = epsilon_brute_force(gamma, n)
         assert closed == pytest.approx(brute, rel=1e-12)
+
+
+def _decimal_budget(gamma: float, n_total: int) -> tuple[Decimal, Decimal]:
+    # epsilon(N) and K^T from the defining formulas, in 50-digit decimal
+    # arithmetic on the exact binary value of gamma
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = (-2 * Decimal(gamma)).exp()
+        q = ((1 - e) / (1 + e)) ** 2
+        n = n_total + 1
+        eps = (n * q.ln()).exp() * (n + 1 - n * q)
+        x = q * q
+        t = (n * x.ln()).exp()
+        kt = (1 - eps) ** 2 * (1 + q) ** 2 / ((1 - q) ** 2 * (1 - t * (1 + n * (1 - x))))
+        return eps, kt
+
+
+@pytest.mark.parametrize("n0", [1e3, 1e5, 5e5])
+def test_budget_against_decimal_reference(n0):
+    # at macroscopic N0 the bracket N + 2 - (N + 1) q cancels and (N + 1) ln q
+    # amplifies the rounding of q; both are evaluated without q itself
+    gamma = math.asinh(math.sqrt(n0))
+    n_total = cutoff_for_epsilon(gamma, 0.5)
+    eps, kt = _decimal_budget(gamma, n_total)
+    assert abs(Decimal(epsilon_from_cutoff(gamma, n_total)) / eps - 1) <= Decimal("1e-15")
+    assert abs(Decimal(truncated_kbar(gamma, n_total)) / kt - 1) <= Decimal("2e-15")
 
 
 def test_epsilon_monotone_and_edges():
