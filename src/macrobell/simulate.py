@@ -16,7 +16,11 @@ per mode.
 Reproducibility: pulses are generated in fixed blocks of
 ``BLOCK_PULSES``; each block owns a counter-addressed Philox stream
 keyed by (seed; block, series, run), so the blocks fix the RNG stream
-and a seed gives the same bytes on every run.
+and a seed gives the same bytes on every run.  Counts are stored one
+contiguous row per detector; at eta = 1 no thinning variates are drawn
+(they would come last in a block's own stream, so skipping them moves
+no count).  The stream and every output byte are the same as when
+counts were stored one row per pulse.
 """
 
 from __future__ import annotations
@@ -90,30 +94,29 @@ class SimConfig:
 # -- block sampling ------------------------------------------------------------
 
 
-def _block_generator(seed: int, run: int, series: int, block: int) -> Generator:
-    """Counter-addressed stream: one Philox per (seed; block, series, run)."""
-    key = SeedSequence(seed).generate_state(2, dtype=np.uint64)
-    counter = np.array([0, block, series, run], dtype=np.uint64)
-    return Generator(Philox(counter=counter, key=key))
-
-
 def _sample_series_counts(
     config: SimConfig, pairing: str, series: int, run: int
 ) -> np.ndarray:
-    """Detected counts (pulses, 4) = (x_a, y_a, x_b, y_b) for one series."""
+    """Detected counts (pulses, 4) = (x_a, y_a, x_b, y_b) for one series.
+
+    Filled as a (4, pulses) buffer, one contiguous row per detector; the
+    result is its transposed view.
+    """
     pulses = config.pulses
-    q = geometric_ratio(config.gamma)
-    p_geom = 1.0 - q
-    counts = np.empty((pulses, 4), dtype=np.int64)
+    p_geom = 1.0 - geometric_ratio(config.gamma)
+    key = SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
+    cols = np.empty((4, pulses), dtype=np.int64)
     for lo in range(0, pulses, BLOCK_PULSES):
-        rng = _block_generator(config.seed, run, series, lo // BLOCK_PULSES)
+        # counter-addressed stream: one Philox per (seed; block, series, run)
+        counter = np.array([0, lo // BLOCK_PULSES, series, run], dtype=np.uint64)
+        rng = Generator(Philox(counter=counter, key=key))
         hi = min(pulses, lo + BLOCK_PULSES)
         n = rng.geometric(p_geom, hi - lo) - 1
         m = rng.geometric(p_geom, hi - lo) - 1
-        # fixed thinning order: x_a, y_a, x_b, y_b
-        for col, arr in enumerate(paired_modes(n, m, pairing)):
-            counts[lo:hi, col] = rng.binomial(arr, config.eta)
-    return counts
+        # fixed thinning order: x_a, y_a, x_b, y_b; binomial(k, 1.0) == k
+        for row, arr in zip(cols[:, lo:hi], paired_modes(n, m, pairing)):
+            row[:] = arr if config.eta == 1.0 else rng.binomial(arr, config.eta)
+    return cols.T
 
 
 # -- single-pulse view ----------------------------------------------------------
@@ -195,15 +198,24 @@ def _jackknife_series(readout: np.ndarray, totals: np.ndarray):
     if n < 3:
         return var_full, mean_full, theta_full, math.inf, math.inf
 
+    # leave-one-out statistics in place on the two copies and one more buffer,
+    # with the roundings of (s2 - s1 s1 / m) / (m - 1) - (2/3) t1 / m
     m = n - 1.0
-    s1 = S1 - x
-    s2 = S2 - x * x
-    t1 = T1 - t
-    var_del = (s2 - s1 * s1 / m) / (m - 1.0)
-    mean_del = t1 / m
-    theta_del = var_del - (2.0 / 3.0) * mean_del
-    sigma_theta = math.sqrt((n - 1) / n * np.sum((theta_del - theta_del.mean()) ** 2))
-    sigma_var = math.sqrt((n - 1) / n * np.sum((var_del - var_del.mean()) ** 2))
+    var_del = np.square(x)
+    np.subtract(S2, var_del, out=var_del)
+    s1 = np.subtract(S1, x, out=x)
+    np.square(s1, out=s1)
+    s1 /= m
+    var_del -= s1
+    var_del /= m - 1.0
+    theta_del = np.subtract(T1, t, out=t)
+    theta_del /= m
+    theta_del *= 2.0 / 3.0
+    np.subtract(var_del, theta_del, out=theta_del)
+    theta_del -= theta_del.mean()
+    var_del -= var_del.mean()
+    sigma_theta = math.sqrt((n - 1) / n * np.sum(np.square(theta_del, out=theta_del)))
+    sigma_var = math.sqrt((n - 1) / n * np.sum(np.square(var_del, out=var_del)))
     return var_full, mean_full, theta_full, sigma_theta, sigma_var
 
 
@@ -260,8 +272,10 @@ def estimate_witness(
             # only changes the sign in the readout combination below
             pairing = count_pairing(config.label, series + 1)
             counts = _sample_series_counts(config, pairing, series, run)
-            readout = (counts[:, 0] - counts[:, 1]) + sign * (counts[:, 2] - counts[:, 3])
-            totals = counts.sum(axis=1)
+            xa, ya, xb, yb = counts.T  # contiguous detector rows
+            readout = xa - ya
+            readout += sign * (xb - yb)
+            totals = xa + ya + xb + yb
             var_full, mean_full, theta, s_theta, s_var = _jackknife_series(readout, totals)
             if var_full == 0.0 and mean_full == 0.0:
                 degenerate.append(series + 1)
@@ -354,10 +368,13 @@ def _conditional_width(values: np.ndarray, partners: np.ndarray, bin_width: int)
     on a point, so the width is floored at one count.
     """
     bins = partners // bin_width
-    order = np.argsort(bins, kind="stable")
-    b_sorted = bins[order]
+    bins -= bins.min() if bins.size else 0
+    span = int(bins.max(initial=-1)) + 1
+    # a stable sort gives one permutation for any key dtype; spans under 2**16 sort by radix
+    key = bins.astype(np.min_scalar_type(span))
+    order = np.argsort(key, kind="stable")
     v_sorted = values[order].astype(np.float64)
-    cuts = np.flatnonzero(np.diff(b_sorted)) + 1
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
     groups = np.split(v_sorted, cuts)
     total = 0.0
     weight = 0.0
@@ -368,7 +385,6 @@ def _conditional_width(values: np.ndarray, partners: np.ndarray, bin_width: int)
             weight += grp.size
         else:
             skipped += 1
-    span = int(b_sorted[-1] - b_sorted[0]) + 1 if b_sorted.size else 0
     empty = span - len(groups)
     if skipped or empty > 0:
         log.warning(

@@ -120,6 +120,8 @@ def truncated_kbar(gamma: float, n_total: int) -> float:
     if q == 0.0:
         return 1.0
     eps = epsilon_from_cutoff(gamma, n_total)
+    if eps == 1.0:  # as cutoff_for_epsilon, refuse before cosh(gamma) can overflow
+        raise ValueError(f"epsilon rounds to 1 at gamma {gamma}, cutoff {n_total}")
     log_x = 2.0 * _log_q(gamma)  # q*q underflows below q ~ 2e-162
     log_t = (n_total + 1) * log_x
     bracket = -math.expm1(log_t) + math.exp(log_t) * (n_total + 1) * math.expm1(log_x)

@@ -6,7 +6,9 @@ loops, full ``(n, m)`` amplitude tables, term-by-term tail sums and
 dense eigensolves -- deliberately a
 different construction from the library's stride arithmetic and closed
 forms, so that agreement between the two is a meaningful check rather
-than a tautology.
+than a tautology.  The simulation references repeat the library's
+arithmetic with a full-length temporary per expression and an int64
+sort, so there the two must agree exactly.
 """
 
 import json
@@ -215,6 +217,56 @@ def pulse_log_bytes(config, run: int = 0) -> bytes:
                 "counts": counts[j].tolist(),
             }, separators=(",", ":")) + "\n")
     return "".join(lines).encode()
+
+
+def jackknife_reference(readout: np.ndarray, totals: np.ndarray):
+    """``_jackknife_series`` as full-length temporaries, one per expression.
+
+    The library computes the same float64 operations in the same order in
+    place, so the two must agree exactly, not to a tolerance.
+    """
+    x = readout.astype(np.float64)
+    t = totals.astype(np.float64)
+    n = x.size
+    S1, S2, T1 = x.sum(), float(x @ x), t.sum()
+    mean_full = T1 / n
+    var_full = (S2 - S1 * S1 / n) / (n - 1) if n > 1 else 0.0
+    theta_full = var_full - (2.0 / 3.0) * mean_full
+    if n < 3:
+        return var_full, mean_full, theta_full, math.inf, math.inf
+    m = n - 1.0
+    s1 = S1 - x
+    s2 = S2 - x * x
+    t1 = T1 - t
+    var_del = (s2 - s1 * s1 / m) / (m - 1.0)
+    mean_del = t1 / m
+    theta_del = var_del - (2.0 / 3.0) * mean_del
+    sigma_theta = math.sqrt((n - 1) / n * np.sum((theta_del - theta_del.mean()) ** 2))
+    sigma_var = math.sqrt((n - 1) / n * np.sum((var_del - var_del.mean()) ** 2))
+    return var_full, mean_full, theta_full, sigma_theta, sigma_var
+
+
+def conditional_width_reference(values: np.ndarray, partners: np.ndarray, bin_width: int):
+    """``_conditional_width`` sorting the int64 bin numbers themselves.
+
+    Returns (width, empty bins, singleton bins); the library sorts a
+    narrowed key stably, which must give the same permutation.
+    """
+    bins = partners // bin_width
+    order = np.argsort(bins, kind="stable")
+    b_sorted = bins[order]
+    groups = np.split(values[order].astype(np.float64), np.flatnonzero(np.diff(b_sorted)) + 1)
+    total = weight = 0.0
+    skipped = 0
+    for grp in groups:
+        if grp.size >= 2:
+            total += grp.size * grp.std(ddof=1)
+            weight += grp.size
+        else:
+            skipped += 1
+    span = int(b_sorted[-1] - b_sorted[0]) + 1 if b_sorted.size else 0
+    width = total / weight if weight > 0 else 0.0
+    return max(width, 1.0), max(span - len(groups), 0), skipped
 
 
 def epsilon_brute_force(gamma: float, n_total: int, rel_tol: float = 1e-18) -> float:

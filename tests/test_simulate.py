@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from macrobell.simulate import (
     FedorovEstimate,
     MeasurementSetting,
     SimConfig,
+    _conditional_width,
     _jackknife_series,
     _sample_series_counts,
     count_pairing,
@@ -29,6 +33,8 @@ from macrobell.witnesses import WitnessKind
 from oracles import (
     analyzer_distribution,
     analyzer_jones,
+    conditional_width_reference,
+    jackknife_reference,
     pairing_distribution,
     pulse_log_bytes,
     sample_analyzer_counts,
@@ -161,6 +167,87 @@ def test_jackknife_tiny_series():
     var, mean, theta, s_theta, s_var = _jackknife_series(
         np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     assert math.isinf(s_theta) and math.isinf(s_var)
+
+
+# sha256 of the (pulses, 4) counts of series 1 at gamma 2.5, seed 5 and
+# 2 * BLOCK_PULSES + 1 pulses, as the row-per-pulse sampler drew them
+PINNED_COUNTS = {
+    ("cross", 1.0, 0): "ac2a3bd1cdd6e0ed88e9c9eeafb8c28eb52b32a8df3e99a912c16aace6f5bb23",
+    ("cross", 1.0, 1): "206bece02b57540f6bd31b8bcdf988ebf9440cdd646970b7c6d8eb9faf0568f1",
+    ("cross", 0.85, 0): "9bb3fd7b5eb4276dd825a27e12c2f80329c061d85f7c76155fa5df9614d58a8e",
+    ("cross", 0.85, 1): "dee474c1ed06ce2c69d2e39c1efe7b4dfd71f20b0d39615148f10b70cd94de96",
+    ("parallel", 1.0, 0): "840e3cb40529f79d0e92074bcbdd20d62c8f663770e83db994a064c94ceeb58e",
+    ("parallel", 1.0, 1): "d4c65f9a17f3eb35b1d88b6c63f70b0d9571e9b03a55ab54571e385c0264bb1c",
+    ("parallel", 0.85, 0): "8b706875afd73883722f850a56753b392cae11bceee4b605b060ca80beeefc33",
+    ("parallel", 0.85, 1): "07d1d6c59a7a2eade39d8b58da132da62f1c2ff678ec574d5ac5fb31b14ea3e9",
+}
+
+
+@pytest.mark.parametrize("pairing, eta, run", sorted(PINNED_COUNTS))
+def test_sampled_stream_is_pinned(pairing, eta, run):
+    # any change to the draws, their order or the stream keying moves these
+    cfg = SimConfig(label="phi-minus", gamma=2.5, eta=eta, pulses=2 * BLOCK_PULSES + 1, seed=5)
+    counts = _sample_series_counts(cfg, pairing, series=1, run=run)
+    assert counts.shape == (cfg.pulses, 4) and counts.dtype == np.int64
+    digest = hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest()
+    assert digest == PINNED_COUNTS[pairing, eta, run]
+
+
+def test_estimates_are_pinned():
+    base = dict(label="phi-minus", gamma=2.5, pulses=2 * BLOCK_PULSES + 1, seed=5)
+    matched = estimate_witness(SimConfig(eta=1.0, **base), run=1)
+    assert (repr(matched.value), repr(matched.value_error)) == (
+        "-291.1358476748444", "1.3323331057311578")
+    crossed = estimate_witness(SimConfig(eta=0.85, **base), kind=WitnessKind.W_S, run=1)
+    assert (repr(crossed.value), repr(crossed.value_error)) == (
+        "15830.873227981472", "281.8143243517508")
+    for eta, ratio in ((1.0, "2683.896316034523"), (0.85, "278.15878781804196")):
+        est = estimate_fedorov(SimConfig(eta=eta, bin_width=1, **base), run=1)
+        assert repr(float(est.ratio)) == ratio
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("pulses", [3, 4096, 100_001])
+def test_jackknife_matches_reference_exactly(pulses, sign):
+    cfg = SimConfig(label="psi-plus", gamma=1.5, eta=0.85, pulses=pulses, seed=8)
+    xa, ya, xb, yb = _sample_series_counts(cfg, "parallel", series=0, run=0).T
+    readout = (xa - ya) + sign * (xb - yb)
+    totals = xa + ya + xb + yb
+    kept = readout.copy(), totals.copy()
+    assert _jackknife_series(readout, totals) == jackknife_reference(readout, totals)
+    # the in-place route works on copies, never on the caller's arrays
+    assert np.array_equal(readout, kept[0]) and np.array_equal(totals, kept[1])
+
+
+@pytest.mark.parametrize("bin_width, scale", [(1, 1), (200, 1), (1, 2**17)])
+def test_conditional_width_matches_int64_sort(caplog, bin_width, scale):
+    # scale 2**17 spreads the partners over a span of at least 2**16 bins,
+    # past the 16-bit keys, so the wide-key sort runs
+    cfg = SimConfig(label="psi-minus", gamma=2.0, eta=0.85, pulses=50_000, seed=4)
+    xa, _, _, yb = _sample_series_counts(cfg, "cross", series=0, run=0).T
+    partners = yb * scale + xa % scale
+    assert int(partners.max() - partners.min()) // bin_width >= (2**16 if scale > 1 else 0)
+    width, empty, singles = conditional_width_reference(xa, partners, bin_width)
+    with caplog.at_level("WARNING", logger="macrobell.simulate"):
+        assert _conditional_width(xa, partners, bin_width) == width
+    if empty or singles:
+        assert f"{empty} empty and {singles} singleton" in caplog.text
+    else:
+        assert "conditional histograms" not in caplog.text
+
+
+def test_estimate_witness_memory_per_pulse():
+    # 72 bytes per pulse: one (4, pulses) int64 count buffer, the int64 readout
+    # and totals, and the jackknife's three float64 buffers
+    cfg = SimConfig(label="psi-minus", gamma=0.5, eta=0.85, pulses=200_000, seed=3)
+    estimate_witness(replace(cfg, pulses=10))  # first-call imports stay out of the peak
+    tracemalloc.start()
+    try:
+        estimate_witness(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.pulses <= 96
 
 
 def test_sampled_marginal_photon_law():

@@ -180,6 +180,15 @@ def test_truncated_kbar_converges_to_full():
             kbar(g), rel=1e-10)
 
 
+@pytest.mark.parametrize("gamma", [18.0, 20.0, 100.0, 400.0])
+def test_truncated_kbar_refuses_epsilon_one(gamma):
+    # the 21 retained states of cutoff 5 have K^T near 21, but their mass
+    # (1 - eps) rounds to 0, so no K^T can be formed from it
+    assert epsilon_from_cutoff(gamma, 5) == 1.0
+    with pytest.raises(ValueError, match="epsilon rounds to 1"):
+        truncated_kbar(gamma, 5)
+
+
 def test_cutoff_tracks_alpha_n0():
     alpha = alpha_from_epsilon(0.01)
     for n0 in (20.0, 40.0, 80.0):
