@@ -16,11 +16,14 @@ per mode.
 Reproducibility: pulses are generated in fixed blocks of
 ``BLOCK_PULSES``; each block owns a counter-addressed Philox stream
 keyed by (seed; block, series, run), so the blocks fix the RNG stream
-and a seed gives the same bytes on every run.  Counts are stored one
-contiguous row per detector; at eta = 1 no thinning variates are drawn
-(they would come last in a block's own stream, so skipping them moves
-no count).  The stream and every output byte are the same as when
-counts were stored one row per pulse.
+and a seed gives the same bytes on every run.  Each block is reduced as
+it is drawn: a witness series holds only its per-pulse readouts and
+totals (and writes its pulse log block by block), never a count table;
+the width-ratio estimate keeps one contiguous row per detector.  At
+eta = 1 no thinning variates are drawn (they would come last in a
+block's own stream, so skipping them moves no count).  The stream and
+every output byte are the same as when counts were stored one row per
+pulse.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 # numpy imports numpy.random on first use; importing it here keeps that cost in start-up
 from numpy.random import Generator, Philox, SeedSequence
 
-from .states import BellLabel, geometric_ratio, mean_photons_per_mode, paired_modes
+from .states import BellLabel, check_memory, geometric_ratio, mean_photons_per_mode, paired_modes
 from .witnesses import WitnessKind, WitnessReport, matched_witness
 
 log = logging.getLogger(__name__)
@@ -94,6 +97,28 @@ class SimConfig:
 # -- block sampling ------------------------------------------------------------
 
 
+def _count_blocks(config: SimConfig, pairing: str, series: int, run: int):
+    """Detected counts of one series, one ``BLOCK_PULSES`` block at a time.
+
+    Yields ``(lo, (x_a, y_a, x_b, y_b))`` with the block's first pulse
+    index and one int64 array per detector.  At eta = 1 the rows alias
+    the two geometric draws, so they are read, never written.
+    """
+    p_geom = 1.0 - geometric_ratio(config.gamma)
+    key = SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
+    for lo in range(0, config.pulses, BLOCK_PULSES):
+        # counter-addressed stream: one Philox per (seed; block, series, run)
+        counter = np.array([0, lo // BLOCK_PULSES, series, run], dtype=np.uint64)
+        rng = Generator(Philox(counter=counter, key=key))
+        size = min(config.pulses - lo, BLOCK_PULSES)
+        n = rng.geometric(p_geom, size) - 1
+        m = rng.geometric(p_geom, size) - 1
+        rows = paired_modes(n, m, pairing)
+        if config.eta < 1.0:  # fixed thinning order: x_a, y_a, x_b, y_b
+            rows = tuple(rng.binomial(k, config.eta) for k in rows)
+        yield lo, rows
+
+
 def _sample_series_counts(
     config: SimConfig, pairing: str, series: int, run: int
 ) -> np.ndarray:
@@ -102,20 +127,9 @@ def _sample_series_counts(
     Filled as a (4, pulses) buffer, one contiguous row per detector; the
     result is its transposed view.
     """
-    pulses = config.pulses
-    p_geom = 1.0 - geometric_ratio(config.gamma)
-    key = SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
-    cols = np.empty((4, pulses), dtype=np.int64)
-    for lo in range(0, pulses, BLOCK_PULSES):
-        # counter-addressed stream: one Philox per (seed; block, series, run)
-        counter = np.array([0, lo // BLOCK_PULSES, series, run], dtype=np.uint64)
-        rng = Generator(Philox(counter=counter, key=key))
-        hi = min(pulses, lo + BLOCK_PULSES)
-        n = rng.geometric(p_geom, hi - lo) - 1
-        m = rng.geometric(p_geom, hi - lo) - 1
-        # fixed thinning order: x_a, y_a, x_b, y_b; binomial(k, 1.0) == k
-        for row, arr in zip(cols[:, lo:hi], paired_modes(n, m, pairing)):
-            row[:] = arr if config.eta == 1.0 else rng.binomial(arr, config.eta)
+    cols = np.empty((4, config.pulses), dtype=np.int64)
+    for lo, rows in _count_blocks(config, pairing, series, run):
+        cols[:, lo:lo + BLOCK_PULSES] = rows
     return cols.T
 
 
@@ -219,27 +233,27 @@ def _jackknife_series(readout: np.ndarray, totals: np.ndarray):
     return var_full, mean_full, theta_full, sigma_theta, sigma_var
 
 
-def _write_pulse_log(fh, series: int, counts: np.ndarray) -> None:
-    """Append one series' NDJSON records to the binary file ``fh``.
+def _write_pulse_log(fh, series: int, first: int, rows) -> None:
+    """Append the NDJSON records of one block of a series to the binary file ``fh``.
 
-    One line per pulse j, ``{"pulse_id":series*pulses+j,"setting":{...},
-    "counts":[x_a,y_a,x_b,y_b]}``, in compact JSON.  The line template is
-    built once and filled ``LOG_CHUNK_PULSES`` pulses at a time from a
-    reused (chunk, 5) buffer of pulse ids and counts, byte for byte what
-    ``json.dumps`` gives per record.
+    One line per pulse j of the block, ``{"pulse_id":first+j,"setting":{...},
+    "counts":[x_a,y_a,x_b,y_b]}``, in compact JSON, from the block's four
+    detector rows.  The line template is filled ``LOG_CHUNK_PULSES``
+    pulses at a time from a (chunk, 5) buffer of pulse ids and counts,
+    byte for byte what ``json.dumps`` gives per record.
     """
-    pulses = counts.shape[0]
     comp = series + 1
     h, qw = CANONICAL_SETTINGS[comp]
     setting = json.dumps({"hwp_deg": h, "qwp_deg": qw, "component": comp},
                          separators=(",", ":"))
     line = b'{"pulse_id":%d,"setting":' + setting.encode() + b',"counts":[%d,%d,%d,%d]}\n'
     buf = np.empty((LOG_CHUNK_PULSES, 5), dtype=np.int64)
-    for lo in range(0, pulses, LOG_CHUNK_PULSES):
-        n = min(LOG_CHUNK_PULSES, pulses - lo)
-        first = series * pulses + lo
-        buf[:n, 0] = np.arange(first, first + n)
-        buf[:n, 1:] = counts[lo:lo + n]
+    size = rows[0].size
+    for j in range(0, size, LOG_CHUNK_PULSES):
+        n = min(LOG_CHUNK_PULSES, size - j)
+        buf[:n, 0] = np.arange(first + j, first + j + n)
+        for col, row in enumerate(rows, 1):
+            buf[:n, col] = row[j:j + n]
         fh.write((line * n) % tuple(buf[:n].ravel().tolist()))
 
 
@@ -256,6 +270,8 @@ def estimate_witness(
     unbiased estimate of sum Var(S_i^a + s_i S_i^b) - 2 <S_0> at the
     detected-photon level.
     """
+    # peak: int64 readout and totals plus the jackknife's three float64 buffers
+    check_memory(config.pulses, "witness estimate", 40, "pulses")
     kind = kind or matched_witness(config.label)
     signs = kind.signs
     log_fh = open(pulse_log, "wb") if pulse_log else None
@@ -271,11 +287,22 @@ def estimate_witness(
             # counts always follow the state's own pairing; a mismatched witness
             # only changes the sign in the readout combination below
             pairing = count_pairing(config.label, series + 1)
-            counts = _sample_series_counts(config, pairing, series, run)
-            xa, ya, xb, yb = counts.T  # contiguous detector rows
-            readout = xa - ya
-            readout += sign * (xb - yb)
-            totals = xa + ya + xb + yb
+            # each block is reduced as it is drawn, so no count table is held
+            readout = np.empty(config.pulses, dtype=np.int64)
+            totals = np.empty(config.pulses, dtype=np.int64)
+            add_b, sub_b = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
+            for lo, (xa, ya, xb, yb) in _count_blocks(config, pairing, series, run):
+                r = readout[lo:lo + BLOCK_PULSES]
+                t = totals[lo:lo + BLOCK_PULSES]
+                np.subtract(xa, ya, out=r)  # (xa - ya) + sign * (xb - yb), exact in int64
+                add_b(r, xb, out=r)
+                sub_b(r, yb, out=r)
+                np.add(xa, ya, out=t)
+                t += xb
+                t += yb
+                if log_fh is not None:
+                    _write_pulse_log(log_fh, series, series * config.pulses + lo,
+                                     (xa, ya, xb, yb))
             var_full, mean_full, theta, s_theta, s_var = _jackknife_series(readout, totals)
             if var_full == 0.0 and mean_full == 0.0:
                 degenerate.append(series + 1)
@@ -284,8 +311,6 @@ def estimate_witness(
             var_sigmas.append(s_var)
             theta_sum += theta
             mean_s0_acc += mean_full / 3.0
-            if log_fh is not None:
-                _write_pulse_log(log_fh, series, counts)
     finally:
         if log_fh is not None:
             log_fh.close()
@@ -372,9 +397,12 @@ def _conditional_width(values: np.ndarray, partners: np.ndarray, bin_width: int)
     span = int(bins.max(initial=-1)) + 1
     # a stable sort gives one permutation for any key dtype; spans under 2**16 sort by radix
     key = bins.astype(np.min_scalar_type(span))
+    del bins  # each array goes as soon as it is spent, which bounds the peak
     order = np.argsort(key, kind="stable")
-    v_sorted = values[order].astype(np.float64)
     cuts = np.flatnonzero(np.diff(key[order])) + 1
+    del key
+    v_sorted = values[order].astype(np.float64)
+    del order
     groups = np.split(v_sorted, cuts)
     total = 0.0
     weight = 0.0
@@ -406,6 +434,8 @@ def estimate_fedorov(
     ratios, each marginal width over conditional width, the latter
     floored at one bin.
     """
+    # peak: four int64 count rows, the sort order and the sorted values as int64 and float64
+    check_memory(config.pulses, "width-ratio estimate", 56, "pulses")
     pairing = count_pairing(config.label, 1)
     counts = _sample_series_counts(config, pairing, series=0, run=run)
     xa, ya, xb, yb = counts.T

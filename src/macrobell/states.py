@@ -77,18 +77,20 @@ def available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_memory(n_amplitudes: int, what: str) -> None:
-    """Refuse work on ``n_amplitudes`` complex amplitudes that cannot fit.
+def check_memory(count: int, what: str, item_bytes: int = PEAK_ARRAYS * 16,
+                 unit: str = "amplitudes") -> None:
+    """Refuse work on ``count`` items that cannot fit.
 
-    The peak is estimated as ``PEAK_ARRAYS`` complex128 arrays of that
-    size; beyond :func:`available_memory` this raises
-    :class:`NumericError` before anything is allocated.
+    The peak is estimated as ``item_bytes`` per item, by default
+    ``PEAK_ARRAYS`` complex128 arrays per complex amplitude; beyond
+    :func:`available_memory` this raises :class:`NumericError` before
+    anything is allocated.
     """
-    need = PEAK_ARRAYS * 16 * n_amplitudes
+    need = item_bytes * count
     have = available_memory()
     if need > have:
         raise NumericError(
-            f"{what}: {n_amplitudes:.3g} amplitudes need an estimated "
+            f"{what}: {count:.3g} {unit} need an estimated "
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of "
             "available memory"
         )

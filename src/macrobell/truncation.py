@@ -140,8 +140,10 @@ def kbar_truncation_bounds(gamma: float, n_total: int) -> tuple[float, float]:
     """
     from .measures import kbar
 
-    k = kbar(gamma)
     eps = epsilon_from_cutoff(gamma, n_total)
+    if eps == 1.0:  # as truncated_kbar: no K^T to bound, and kbar can overflow
+        raise ValueError(f"epsilon rounds to 1 at gamma {gamma}, cutoff {n_total}")
+    k = kbar(gamma)
     return (((1.0 - eps) / (1.0 + eps)) ** 2 * k, (1.0 - eps) * k)
 
 

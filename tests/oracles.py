@@ -7,8 +7,8 @@ dense eigensolves -- deliberately a
 different construction from the library's stride arithmetic and closed
 forms, so that agreement between the two is a meaningful check rather
 than a tautology.  The simulation references repeat the library's
-arithmetic with a full-length temporary per expression and an int64
-sort, so there the two must agree exactly.
+arithmetic with a full count table, a full-length temporary per
+expression and an int64 sort, so there the two must agree exactly.
 """
 
 import json
@@ -217,6 +217,34 @@ def pulse_log_bytes(config, run: int = 0) -> bytes:
                 "counts": counts[j].tolist(),
             }, separators=(",", ":")) + "\n")
     return "".join(lines).encode()
+
+
+def witness_reference(config, kind=None, run: int = 0) -> tuple:
+    """``estimate_witness`` reducing each series' full (pulses, 4) count table.
+
+    Returns (value, value_error, variance_terms, variance_errors, mean_s0).
+    The library reduces each block as it is drawn instead; integer sums
+    are exact, so the two must agree exactly.
+    """
+    from macrobell.simulate import _jackknife_series, _sample_series_counts, matched_witness
+
+    kind = kind or matched_witness(config.label)
+    variance_terms, theta_sigmas, var_sigmas = [], [], []
+    theta_sum = mean_s0 = 0.0
+    for series, sign in enumerate(kind.signs):
+        pairing = count_pairing(config.label, series + 1)
+        xa, ya, xb, yb = _sample_series_counts(config, pairing, series, run).T
+        readout = xa - ya
+        readout += sign * (xb - yb)
+        totals = xa + ya + xb + yb
+        var_full, mean_full, theta, s_theta, s_var = _jackknife_series(readout, totals)
+        variance_terms.append(var_full)
+        theta_sigmas.append(s_theta)
+        var_sigmas.append(s_var)
+        theta_sum += theta
+        mean_s0 += mean_full / 3.0
+    sigma = math.sqrt(sum(s * s for s in theta_sigmas))
+    return float(theta_sum), float(sigma), tuple(variance_terms), tuple(var_sigmas), float(mean_s0)
 
 
 def jackknife_reference(readout: np.ndarray, totals: np.ndarray):

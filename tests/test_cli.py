@@ -395,6 +395,25 @@ def test_memory_preflight_reads_available_memory(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, pulse_bytes", [
+    (["witness", "--simulate", "--pulse-log", "p.ndjson"], 40),
+    (["sweep-eta", "--eta-points", "2"], 40),
+    (["fedorov"], 56),
+])
+def test_sampled_run_memory_preflight(monkeypatch, capsys, argv, pulse_bytes):
+    # free memory for exactly 1000 pulses at the estimate's peak bytes per
+    # pulse: 1001 pulses are refused before any file is opened, 1000 run
+    from macrobell import states
+
+    monkeypatch.setattr(states, "available_memory", lambda: 1000 * pulse_bytes)
+    assert cli.main([*argv, "--pulses", "1001", "--out", "big.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1e+03 pulses" in err and "available memory" in err
+    assert err.count("\n") == 1
+    assert not os.path.exists("big.csv") and not os.path.exists("p.ndjson")
+    assert cli.main([*argv, "--pulses", "1000", "--out", "ok.csv"]) == 0
+
+
 def test_arithmetic_overflow_is_numeric_refusal(capsys):
     # e^{4 gamma} overflows a double past N0 of about 1e154
     assert cli.main(["measures", "--n0-grid", "1e200", "--out", "m.csv"]) == 3

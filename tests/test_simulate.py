@@ -38,6 +38,7 @@ from oracles import (
     pairing_distribution,
     pulse_log_bytes,
     sample_analyzer_counts,
+    witness_reference,
 )
 
 
@@ -236,18 +237,43 @@ def test_conditional_width_matches_int64_sort(caplog, bin_width, scale):
         assert "conditional histograms" not in caplog.text
 
 
-def test_estimate_witness_memory_per_pulse():
-    # 72 bytes per pulse: one (4, pulses) int64 count buffer, the int64 readout
-    # and totals, and the jackknife's three float64 buffers
-    cfg = SimConfig(label="psi-minus", gamma=0.5, eta=0.85, pulses=200_000, seed=3)
-    estimate_witness(replace(cfg, pulses=10))  # first-call imports stay out of the peak
+@pytest.mark.parametrize("pulses", [3, BLOCK_PULSES, 2 * BLOCK_PULSES + 1, 100_001])
+@pytest.mark.parametrize("eta", [1.0, 0.85])
+@pytest.mark.parametrize("label, kind", [("psi-minus", None), ("psi-minus", WitnessKind.W_T1),
+                                         ("phi-plus", None), ("phi-plus", WitnessKind.W_T1)])
+def test_streamed_witness_matches_count_table(label, kind, eta, pulses):
+    # psi-minus pairs every series crossed, phi-plus mixes both pairings; W_T1
+    # mismatches both states, so readouts take both signs
+    cfg = SimConfig(label=label, gamma=1.5, eta=eta, pulses=pulses, seed=9)
+    rep = estimate_witness(cfg, kind=kind, run=1)
+    assert (rep.value, rep.value_error, rep.variance_terms, rep.variance_errors,
+            rep.mean_s0) == witness_reference(cfg, kind, run=1)
+
+
+def _peak_bytes_per_pulse(estimate, cfg) -> float:
+    estimate(replace(cfg, pulses=10))  # first-call imports stay out of the peak
     tracemalloc.start()
     try:
-        estimate_witness(cfg)
+        estimate(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / cfg.pulses <= 96
+    return peak / cfg.pulses
+
+
+def test_estimate_witness_memory_per_pulse():
+    # 40 bytes per pulse: the int64 readout and totals and the jackknife's
+    # three float64 buffers; blocks are reduced as drawn, so no count table
+    cfg = SimConfig(label="psi-minus", gamma=0.5, eta=0.85, pulses=200_000, seed=3)
+    assert _peak_bytes_per_pulse(estimate_witness, cfg) <= 48
+
+
+def test_estimate_fedorov_memory_per_pulse():
+    # 56 bytes per pulse: the (4, pulses) int64 count table, then the sort
+    # order and the sorted values as int64 and float64
+    cfg = SimConfig(label="psi-minus", gamma=1.5, eta=0.85, pulses=200_000, seed=3,
+                    bin_width=1)
+    assert _peak_bytes_per_pulse(estimate_fedorov, cfg) <= 60
 
 
 def test_sampled_marginal_photon_law():
@@ -326,12 +352,13 @@ def test_pulse_log_format(tmp_path):
 
 
 @pytest.mark.parametrize("run", [1, 2])
-@pytest.mark.parametrize("pulses", [3, LOG_CHUNK_PULSES - 1, LOG_CHUNK_PULSES,
-                                    LOG_CHUNK_PULSES + 1, 2 * BLOCK_PULSES + 1])
+@pytest.mark.parametrize("pulses", [1, 3, LOG_CHUNK_PULSES - 1, LOG_CHUNK_PULSES,
+                                    LOG_CHUNK_PULSES + 1, BLOCK_PULSES + 1,
+                                    2 * BLOCK_PULSES + 1])
 def test_pulse_log_matches_per_pulse_reference(tmp_path, pulses, run):
     # gamma=2.5 (N0 ~ 37) gives multi-digit counts; the pulse counts straddle
-    # the log chunk and, at 8193, two RNG block boundaries; each run index
-    # keys its own Philox streams
+    # the log chunk and, at 4097 and 8193, the RNG blocks the log is written
+    # in; each run index keys its own Philox streams
     cfg = SimConfig(label="phi-minus", gamma=2.5, eta=0.85, pulses=pulses, seed=5)
     path = tmp_path / "pulses.ndjson"
     estimate_witness(cfg, kind=WitnessKind.W_S, run=run, pulse_log=str(path))

@@ -189,6 +189,15 @@ def test_truncated_kbar_refuses_epsilon_one(gamma):
         truncated_kbar(gamma, 5)
 
 
+@pytest.mark.parametrize("gamma", [18.0, 100.0, 400.0])
+def test_kbar_truncation_bounds_refuses_epsilon_one(gamma):
+    # with (1 - eps) rounded to 0 the sandwich collapses to (0, 0), and at
+    # gamma 400 the full K itself overflows a double
+    assert epsilon_from_cutoff(gamma, 5) == 1.0
+    with pytest.raises(ValueError, match="epsilon rounds to 1"):
+        kbar_truncation_bounds(gamma, 5)
+
+
 def test_cutoff_tracks_alpha_n0():
     alpha = alpha_from_epsilon(0.01)
     for n0 in (20.0, 40.0, 80.0):
