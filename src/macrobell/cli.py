@@ -258,7 +258,7 @@ def _write_manifest(command: str, cfg: dict, outputs: list[str], t0: float,
 # -- command bodies -------------------------------------------------------------
 
 
-def _cmd_witness(cfg: dict) -> list[str]:
+def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
     """exact or sampled entanglement witness"""
     from .states import build_bell_state
     from .witnesses import WitnessKind, cutoff_for_edge_mass, evaluate_witness
@@ -304,7 +304,7 @@ def _cmd_witness(cfg: dict) -> list[str]:
     files = [cfg["out"]]
     if cfg.get("pulse_log"):
         files.append(cfg["pulse_log"])
-    return files
+    return files, (None if simulate else {"cutoff": n_max, "edge_mass": rep.meta["edge_mass"]})
 
 
 def _cmd_measures(cfg: dict) -> list[str]:
@@ -366,11 +366,13 @@ def _cmd_truncation(cfg: dict) -> list[str]:
     return [cfg["out"], meta_path]
 
 
-def _cmd_crosswitness(cfg: dict) -> list[str]:
+def _cmd_crosswitness(cfg: dict) -> tuple[list[str], dict]:
     """4x4 witness-by-state table"""
-    from .witnesses import cross_witness_matrix
+    from .states import build_bell_state
+    from .witnesses import cross_witness_matrix, cutoff_for_edge_mass
 
-    mat, kinds, labels = cross_witness_matrix(cfg["gamma"], n_max=cfg["cutoff"])
+    n_max = cfg["cutoff"] or cutoff_for_edge_mass(cfg["gamma"])
+    mat, kinds, labels = cross_witness_matrix(cfg["gamma"], n_max=n_max)
     header = ["witness"] + [l.value for l in labels]
     rows = [[k.value, *mat[i]] for i, k in enumerate(kinds)]
     _write_csv(cfg["out"], header, rows)
@@ -379,7 +381,8 @@ def _cmd_crosswitness(cfg: dict) -> list[str]:
     print(f"gamma={cfg['gamma']}: diagonal negative: {diag_ok}; "
           f"off-diagonal positive: {off_ok}")
     print(f"wrote {cfg['out']}")
-    return [cfg["out"]]
+    mass = build_bell_state(labels[0], cfg["gamma"], n_max).edge_mass()  # the same for all four
+    return [cfg["out"]], {"cutoff": n_max, "edge_mass": mass}
 
 
 def _cmd_fedorov(cfg: dict) -> list[str]:

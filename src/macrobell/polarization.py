@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FourModeBasis
-from .states import (BellLabel, FourModeState, NumericError, build_bell_state, factor_table,
-                     paired_modes)
+from .states import (BellLabel, FourModeState, NumericError, build_bell_state,
+                     geometric_factors, paired_modes)
 
 BEAM_A, BEAM_B, BOTH_BEAMS = "a", "b", "both"
 
@@ -140,30 +140,14 @@ def beam_transform_matrix(jones: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def _paired_factors(tensor: np.ndarray, tol: float) -> tuple | None:
-    """(pairing, u, v) of the paired subspace carrying all of the state's
-    mass, if there is one and its ``(n, m)`` table is rank one."""
-    n = np.arange(tensor.shape[0])
-    total = float(np.sum(np.abs(tensor) ** 2))
-    if total == 0.0:
-        return None
-    nn, mm = np.meshgrid(n, n, indexing="ij")
-    for pairing in ("cross", "parallel"):
-        table = tensor[paired_modes(nn, mm, pairing)]
-        if abs(float(np.sum(np.abs(table) ** 2)) - total) <= tol * total:
-            factors = factor_table(table)
-            return None if factors is None else (pairing, *factors)
-    return None
-
-
 def apply_transform(state: FourModeState, transform: BasisTransform) -> FourModeState:
     """Apply a polarization transform, sector by sector, to a truncated state.
 
-    The result is re-factored whenever its mass lies entirely on one of
-    the two paired subspaces with a rank-one ``(n, m)`` table (as for the
-    Bell-family relations); otherwise it is returned vector-backed.  The
-    output keeps the input's overall normalization but fixes the global
-    phase so the vacuum amplitude is real positive.
+    The result is in closed form whenever one paired subspace holds all its
+    mass as a geometric table at the state's gain (as for the Bell-family
+    relations), else vector-backed, a rank-one table included.  It keeps
+    the input's norm, with the global phase fixed so the vacuum amplitude
+    is real positive.
     """
     d = state.n_levels
     basis = FourModeBasis(state.n_max)
@@ -184,10 +168,14 @@ def apply_transform(state: FourModeState, transform: BasisTransform) -> FourMode
     # global phase: vacuum amplitude real positive
     if abs(vec[0]) > 0:
         vec = vec * (abs(vec[0]) / vec[0])
-    paired = _paired_factors(vec.reshape(d, d, d, d), tol=1e-12)
-    if paired is not None:
-        pairing, u, v = paired
-        return FourModeState(gamma=state.gamma, n_max=state.n_max, pairing=pairing, u=u, v=v)
+    # closed form if one paired subspace carries all the mass as a geometric table
+    nn, mm = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    for pairing in ("cross", "parallel"):
+        table = vec.reshape(d, d, d, d)[paired_modes(nn, mm, pairing)]
+        if abs(float(np.sum(np.abs(table) ** 2)) - norm_after) <= 1e-12 * norm_after:
+            params = geometric_factors(table, state.gamma)
+            if params is not None:
+                return FourModeState(state.gamma, state.n_max, None, pairing, *params)
     return FourModeState(gamma=state.gamma, n_max=state.n_max, vector=vec)
 
 

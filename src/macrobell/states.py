@@ -21,12 +21,12 @@ cross-paired (Schmidt) form in their natural polarization bases instead
 (circular for phi-plus, +/-45 degrees linear for phi-minus); that basis
 is carried as metadata.
 
-The ``(n, m)`` amplitude table is rank one, ``u_n v_m``: the state is a
-product of two truncated two-mode squeezed vacua.  It is stored as the
-two Schmidt factors ``u``, ``v`` (O(n_max) numbers), so norms, edge
-masses, fidelities and sectors are products of 1-D sums; the table is a
-view built on request, and :meth:`FourModeState.dense` expands onto a
-:class:`~macrobell.basis.FourModeBasis` enumeration for operator work.
+The ``(n, m)`` amplitude table is rank one, ``u_n v_m``, and both Schmidt
+factors are geometric: ``u_n = a w_u^n sqrt(lambda_n)``, ``v_m = w_v^m
+sqrt(lambda_m)`` (``w_u = 1``, ``w_v = sign`` for the Bell labels).  A
+state is stored as the scale ``a`` and the unit phase steps, so its norm
+and edge mass are closed forms at any cutoff; the factors, the table and
+:meth:`FourModeState.dense` are built on request, behind the pre-flight.
 """
 
 from __future__ import annotations
@@ -79,13 +79,9 @@ def available_memory() -> int:
 
 def check_memory(count: int, what: str, item_bytes: int = PEAK_ARRAYS * 16,
                  unit: str = "amplitudes") -> None:
-    """Refuse work on ``count`` items that cannot fit.
-
-    The peak is estimated as ``item_bytes`` per item, by default
-    ``PEAK_ARRAYS`` complex128 arrays per complex amplitude; beyond
-    :func:`available_memory` this raises :class:`NumericError` before
-    anything is allocated.
-    """
+    """Refuse work on ``count`` items that cannot fit: at ``item_bytes`` per
+    item (by default ``PEAK_ARRAYS`` complex128 arrays per amplitude) past
+    :func:`available_memory`, raise :class:`NumericError` before allocating."""
     need = item_bytes * count
     have = available_memory()
     if need > have:
@@ -136,20 +132,10 @@ def _log_q(gamma: float) -> float:
 
 
 def schmidt_spectrum(gamma: float, n_max: int) -> np.ndarray:
-    """Per-pair weights lambda_n = tanh(gamma)^{2n}/cosh(gamma)^2, n=0..n_max.
+    """Per-pair weights lambda_n = tanh(gamma)^{2n}/cosh(gamma)^2, n = 0..n_max.
 
-    Parameters
-    ----------
-    gamma : float
-        Parametric gain, >= 0.  gamma = 0 gives the vacuum spectrum
-        (1, 0, 0, ...).
-    n_max : int
-        Largest photon number retained.
-
-    Returns
-    -------
-    ndarray, shape (n_max + 1,)
-        The weights sum to 1 - tanh(gamma)^{2(n_max+1)}.
+    ``gamma >= 0``; 0 gives the vacuum spectrum (1, 0, 0, ...).  The
+    weights sum to 1 - tanh(gamma)^{2(n_max+1)}.
     """
     if not math.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
@@ -159,6 +145,30 @@ def schmidt_spectrum(gamma: float, n_max: int) -> np.ndarray:
     if q == 0.0:
         return (np.arange(n_max + 1) == 0).astype(np.float64)
     return np.exp(np.arange(n_max + 1, dtype=np.float64) * np.log(q)) * (1.0 - q)
+
+
+def _photon_moments(gamma: float, n_levels: int) -> tuple[float, float]:
+    """Mean and variance of n under lambda_n on 0..K-1 (K = n_levels) in O(1):
+    ``1/expm1(y) - K/expm1(K y)`` and ``1/(4 sinh(y/2)^2) - K^2/(4 sinh(K
+    y/2)^2)``, y = -ln q.  Below y = 1 the poles 1/z, 1/z^2 that cancel
+    between the terms are taken out first; below z = 1 the rest is ``-e /
+    (z (z + e))``, ``-f / (z^2 (z^2 + f))`` with series of positive terms
+    ``e = expm1(z) - z``, ``f = 2 cosh(z) - 2 - z^2``, so nothing cancels."""
+    y = -_log_q(gamma)
+    poles = int(y < 1.0)
+    parts = []
+    for z in (y, n_levels * y):
+        if poles and z < 1.0:
+            term, e, f = z * z / 2.0, 0.0, 0.0
+            for k in range(2, 22):
+                e, f = e + term, f + (2.0 * term if k % 2 == 0 and k > 2 else 0.0)
+                term *= z / (k + 1)
+            parts.append((-e / (z * (z + e)), -f / (z * z * (z * z + f))))
+        else:
+            inv = 1.0 / math.expm1(z) if z < 700.0 else 0.0
+            parts.append((inv - poles / z, inv * (1.0 + inv) - poles / (z * z)))
+    (h1, j1), (hk, jk) = parts
+    return h1 - n_levels * hk, j1 - n_levels * n_levels * jk
 
 
 class BellLabel(enum.Enum):
@@ -192,58 +202,68 @@ def _norm_sq(arr: np.ndarray) -> float:
     return float(np.vdot(arr, arr).real)
 
 
-def factor_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Schmidt factors ``(u, v)`` of a nonzero rank-one ``(n, m)`` table, else None.
+def _geometric_factor(gamma: float, n_max: int, step=1.0) -> np.ndarray:
+    check_memory(n_max + 1, f"Schmidt factor at cutoff {n_max}")
+    root = np.sqrt(schmidt_spectrum(gamma, n_max))
+    return root if step == 1.0 else root * step ** np.arange(n_max + 1)
 
-    ``u`` is the column and ``v`` the row through the largest entry, ``v``
-    divided by that entry; they are kept when ``||T - u v^T||^2 <= 1e-12 ||T||^2``.
-    """
-    weight = np.abs(table) ** 2
-    i0, j0 = np.unravel_index(np.argmax(weight), table.shape)
-    if weight[i0, j0] == 0.0:
+
+def geometric_factors(table: np.ndarray, gamma: float) -> tuple | None:
+    """``(scale, step_u, step_v)`` of an ``(n, m)`` table that is, to 1e-12
+    of its squared norm, ``scale step_u^n step_v^m sqrt(lambda_n lambda_m)``
+    at this gain, else None; read off entries (0, 0), (1, 0) and (0, 1)."""
+    n_max = table.shape[0] - 1
+    scale = complex(table[0, 0]) / _geometric_factor(gamma, 0)[0] ** 2  # u_0 v_0 as built
+    if scale == 0:
         return None
-    u, v = table[:, j0].copy(), table[i0, :] / table[i0, j0]
-    return (u, v) if _norm_sq(table - np.outer(u, v)) <= 1e-12 * weight.sum() else None
+    steps = []
+    for entry in (table[1:2, 0], table[0, 1:2]):
+        w = complex(entry[0]) / scale if entry.size and entry[0] else 1.0
+        steps.append((w / abs(w)).real if w.imag == 0 else w / abs(w))
+    fit = scale * np.outer(*(_geometric_factor(gamma, n_max, w) for w in steps))
+    return (scale, *steps) if _norm_sq(table - fit) <= 1e-12 * _norm_sq(table) else None
 
 
 @dataclass
 class FourModeState:
-    """A (possibly truncated) state of the four modes.
+    """A (possibly truncated) state of the four modes, in one of two forms:
 
-    Exactly one of two storage forms is populated:
+    * ``pairing`` -- closed form: ket ``|n,m>_a|m,n>_b`` ('cross') resp.
+      ``|n,m>_a|n,m>_b`` ('parallel') has amplitude ``u_n v_m`` for ``n,
+      m <= n_max``, ``u_n = scale step_u^n sqrt(lambda_n)`` and ``v_m =
+      step_v^m sqrt(lambda_m)``, with unit phase steps.
+    * ``vector`` -- dense amplitudes over :class:`FourModeBasis`, from
+      polarization transforms that leave the closed form.
 
-    * ``u``, ``v`` -- the Schmidt factors of a paired state, each of
-      length ``n_max + 1``, with the pairing given by ``pairing``
-      ('cross' or 'parallel'): ket ``|n,m>_a|m,n>_b`` resp.
-      ``|n,m>_a|n,m>_b`` has amplitude ``u_n v_m``.
-    * ``vector`` -- dense amplitudes over :class:`FourModeBasis`;
-      produced by generic polarization transforms that leave the paired
-      subspaces.
-
-    States are allowed to be unnormalized (truncation removes mass);
-    consumers divide by the norm.
+    States may be unnormalized (truncation removes mass); consumers
+    divide by the norm.
     """
 
     gamma: float
     n_max: int
     label: BellLabel | None = None
     pairing: str | None = None
-    u: np.ndarray | None = field(default=None, repr=False)
-    v: np.ndarray | None = field(default=None, repr=False)
+    scale: complex = 1.0
+    step_u: complex = 1.0
+    step_v: complex = 1.0
     vector: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        log_q = _log_q(self.gamma)  # refuses a gain that is negative or not finite
         d = self.n_max + 1
-        if (self.u is None and self.v is None) == (self.vector is None):
-            raise ValueError("exactly one of the factors u, v or vector must be set")
+        if self.n_max < 0 or (self.pairing is None) == (self.vector is None):
+            raise ValueError(f"need n_max >= 0 (got {self.n_max}) and exactly one of "
+                             "pairing (closed form) or vector")
         if self.vector is not None and np.shape(self.vector) != (d**4,):
             raise ValueError(f"vector must have length (n_max + 1)^4 = {d**4}, "
                              f"got shape {np.shape(self.vector)}")
-        if self.vector is None and not np.shape(self.u) == np.shape(self.v) == (d,):
-            raise ValueError(f"factors u, v must have length n_max + 1 = {d}, "
-                             f"got shapes {np.shape(self.u)} and {np.shape(self.v)}")
         if self.vector is None and self.pairing not in ("cross", "parallel"):
-            raise ValueError("factored storage requires pairing 'cross' or 'parallel'")
+            raise ValueError("closed-form storage requires pairing 'cross' or 'parallel'")
+        if max(abs(abs(w) - 1.0) for w in (self.step_u, self.step_v)) > 1e-12:
+            raise ValueError(f"phase steps need unit modulus: {self.step_u!r}, {self.step_v!r}")
+        if self.vector is None and log_q == 0.0:
+            raise NumericError(f"ln tanh(gamma)^2 rounds to 0 at gamma={self.gamma}: "
+                               "no representable weights")
 
     # -- basic quantities -------------------------------------------------
 
@@ -252,23 +272,44 @@ class FourModeState:
         return self.n_max + 1
 
     @property
+    def u(self) -> np.ndarray | None:
+        """Schmidt factor ``u``, built on request (None if vector-backed)."""
+        if self.vector is None:
+            return self.scale * _geometric_factor(self.gamma, self.n_max, self.step_u)
+
+    @property
+    def v(self) -> np.ndarray | None:
+        """Schmidt factor ``v``, built on request (None if vector-backed)."""
+        if self.vector is None:
+            return _geometric_factor(self.gamma, self.n_max, self.step_v)
+
+    @property
     def table(self) -> np.ndarray | None:
         """Read-only ``(n, m)`` table ``u_n v_m``, built on request (None if vector-backed)."""
-        if self.u is None:
+        if self.vector is not None:
             return None
         check_memory(self.n_levels**2, f"amplitude table at cutoff {self.n_max}")
         out = np.outer(self.u, self.v)
         out.flags.writeable = False
         return out
 
+    def _tail_share(self, k: int) -> float:
+        """Each factor's share of its kept mass at levels ``k..n_max``,
+        ``q^k (1 - q^(n_max + 1 - k)) / (1 - q^(n_max + 1))``."""
+        if k <= 0:
+            return 1.0
+        log_q = _log_q(self.gamma)
+        return (math.exp(k * log_q) * math.expm1((self.n_levels - k) * log_q)
+                / math.expm1(self.n_levels * log_q))
+
     def norm_sq(self) -> float:
-        if self.u is not None:
-            return _norm_sq(self.u) * _norm_sq(self.v)
+        if self.vector is None:
+            return abs(self.scale) ** 2 * math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
         return float(np.sum(np.abs(self.vector) ** 2))
 
     def amplitude(self, n: int, m: int) -> complex:
-        """Amplitude ``u_n v_m`` of table entry (n, m) (factored states only)."""
-        if self.u is None:
+        """Amplitude ``u_n v_m`` of table entry (n, m) (closed-form states only)."""
+        if self.vector is not None:
             raise ValueError("state is not factored")
         return complex(self.u[n] * self.v[m])
 
@@ -278,11 +319,10 @@ class FourModeState:
         nrm = math.sqrt(self.norm_sq())
         if nrm == 0.0:
             raise NumericError("cannot normalize the zero state")
-        ref = self.vector[0] if self.u is None else self.u[0] * self.v[0]
-        scale = nrm * (ref / abs(ref) if abs(ref) > 0 else 1.0)
-        if self.u is None:
-            return replace(self, vector=self.vector / scale)
-        return replace(self, u=self.u / scale)
+        if self.vector is None:  # amplitude(0, 0) has the phase of the scale
+            return replace(self, scale=abs(self.scale) / nrm)
+        ref = self.vector[0]
+        return replace(self, vector=self.vector / (nrm * (ref / abs(ref) if abs(ref) else 1.0)))
 
     # -- dense expansion ---------------------------------------------------
 
@@ -314,19 +354,14 @@ class FourModeState:
     def edge_mass(self, depth: int = 2) -> float:
         """Fraction of the state's mass within `depth` photons of the cutoff.
 
-        ``depth=2`` means any mode occupation in {n_max-1, n_max}.  For the
-        factors it is ``(t_u s_v + s_u t_v - t_u t_v) / (s_u s_v)`` from
-        totals ``s`` and tail sums ``t``, never one minus the interior,
-        which would lose the tiny masses the witness gate compares.
+        ``depth=2`` means any mode occupation in {n_max-1, n_max}.  In closed
+        form it is ``f (2 - f)`` from each factor's tail share ``f``, never
+        one minus the interior, which would lose the tiny masses the gate compares.
         """
         k = max(self.n_levels - depth, 0)
-        if self.u is not None:
-            wu, wv = np.abs(self.u) ** 2, np.abs(self.v) ** 2
-            su, sv = float(wu.sum()), float(wv.sum())
-            if su * sv == 0.0:
-                return 0.0
-            tu, tv = float(wu[k:].sum()), float(wv[k:].sum())
-            return (tu * sv + su * tv - tu * tv) / (su * sv)
+        if self.vector is None:
+            f = self._tail_share(k) if self.scale != 0 else 0.0
+            return f * (2.0 - f)
         w = np.abs(self.vector.reshape((self.n_levels,) * 4)) ** 2
         total = w.sum()
         if total == 0.0:
@@ -336,12 +371,11 @@ class FourModeState:
 
     def fidelity(self, other: "FourModeState") -> float:
         """|<self|other>|^2 for the normalized states."""
-        if self.u is not None and other.u is not None and self.pairing == other.pairing:
+        if self.vector is None and other.vector is None and self.pairing == other.pairing:
             k = min(self.n_levels, other.n_levels)  # beyond it one of the two is zero
             ov = np.vdot(self.u[:k], other.u[:k]) * np.vdot(self.v[:k], other.v[:k])
         else:
-            n = max(self.n_max, other.n_max)
-            basis = FourModeBasis(n)
+            basis = FourModeBasis(max(self.n_max, other.n_max))
             ov = np.vdot(self.dense(basis), other.dense(basis))
         return float(abs(ov) ** 2 / (self.norm_sq() * other.norm_sq()))
 
@@ -363,7 +397,7 @@ class FourModeState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourModeState":
-        """Read the (n, m) schema; the table must be rank one (a product u_n v_m)."""
+        """Read the (n, m) schema; the table must be a closed form at its gain."""
         label = BellLabel(data["label"]) if data.get("label") else None
         n_max = int(data["cutoff"])
         gamma = float(data["gamma"])
@@ -376,12 +410,11 @@ class FourModeState:
             table[n, m] = complex(re, im)
         if not np.isfinite(table).all():
             raise ValueError("non-finite amplitude in state file")
-        factors = factor_table(table)
-        if factors is None:
-            raise ValueError("state file amplitudes are not a rank-one (n, m) table")
-        pairing = label.pairing if label else "cross"
-        return cls(gamma=gamma, n_max=n_max, label=label, pairing=pairing,
-                   u=factors[0], v=factors[1])
+        params = geometric_factors(table, gamma)  # (scale, step_u, step_v)
+        if params is None:
+            raise ValueError("state file amplitudes are not the rank-one (n, m) table "
+                             "of a squeezed-vacuum pair at its gain")
+        return cls(gamma, n_max, label, label.pairing if label else "cross", *params)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)
@@ -392,18 +425,15 @@ class FourModeState:
 
 
 def build_bell_state(label: BellLabel, gamma: float, n_max: int) -> FourModeState:
-    """Closed-form Schmidt factors of one of the four macroscopic Bell states.
+    """One of the four macroscopic Bell states, in closed form at any cutoff.
 
     ``u_n = sqrt(lambda_n)`` and ``v_m = (sign)^m sqrt(lambda_m)`` on the
-    kets fixed by the label's pairing; see the module docstring.  The
-    result is left unnormalized: its squared norm is the retained
-    probability mass ``(1 - q^(n_max+1))^2``.
+    kets fixed by the label's pairing (phase steps 1 and ``sign``), with
+    nothing allocated; see the module docstring.  It is left unnormalized:
+    its squared norm is the retained probability mass ``(1 - q^(n_max+1))^2``.
     """
-    check_memory(2 * (n_max + 1), f"Schmidt factors at cutoff {n_max}")
-    root = np.sqrt(schmidt_spectrum(gamma, n_max))
-    signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, float(label.sign))
     return FourModeState(gamma=gamma, n_max=n_max, label=label, pairing=label.pairing,
-                         u=root, v=root * signs)
+                         step_v=float(label.sign))
 
 
 def project_total_sector(state: FourModeState, n: int) -> tuple[float, np.ndarray]:
@@ -411,19 +441,12 @@ def project_total_sector(state: FourModeState, n: int) -> tuple[float, np.ndarra
 
     Sector ``n`` collects the kets with ``n`` photons in beam *a* (and,
     by pairing, ``n`` in beam *b*); its basis is indexed by
-    ``m = 0..n`` photons in the second Schmidt index.  For the
-    psi-minus state the normalized sector amplitudes are the maximally
-    entangled pattern ``(-1)^m / sqrt(n+1)`` and the weight is
-    ``(n+1) tanh(gamma)^{2n} / cosh(gamma)^4``.
-
-    Returns
-    -------
-    (weight, amplitudes)
-        ``weight`` is the squared amplitude mass of the sector in the
-        (unnormalized) truncated state; the amplitude vector has unit
-        norm, or is all-zero for an empty sector.
+    ``m = 0..n`` photons in the second Schmidt index.  Returns the sector's
+    squared mass in the (unnormalized) state and its unit-norm amplitudes
+    (all zero if empty); for psi-minus they are the maximally entangled
+    ``(-1)^m / sqrt(n+1)``, with weight ``(n+1) tanh(gamma)^{2n} / cosh(gamma)^4``.
     """
-    if state.u is None:
+    if state.vector is not None:
         raise ValueError("sector projection requires a factored state")
     if not (0 <= n <= state.n_max):
         raise ValueError(f"sector {n} outside 0..{state.n_max}")

@@ -13,13 +13,13 @@ angular-momentum algebra ``[S_1, S_2] = 2i S_3`` and cyclic.
 Moments of a combination ``O = sum c S_k^beam`` on a pure state take one
 route per storage form of the state:
 
-* a factored state never leaves its Schmidt factors.  Every Stokes
-  operator conserves each beam's photon number (Schwinger's two-boson
-  picture), so ``O`` keeps the paired kets (``S_0`` and ``S_1`` are
-  diagonal) or moves one photon between H and V of one beam, landing on
-  one of two "defect" planes.  Each of the three parts of ``O psi`` is a
-  sum of two outer products of (shifted) factors, so ``<O>`` and
-  ``<O^2>`` are built from 1-D sums in O(n_max).
+* a closed-form paired state is never expanded.  Every Stokes operator
+  conserves each beam's photon number (Schwinger's two-boson picture),
+  so ``O`` keeps the paired kets (``S_0`` and ``S_1`` are diagonal) or
+  moves one photon between H and V of one beam, onto one of two "defect"
+  planes.  The geometric factors shift into themselves, so each part of
+  ``O psi`` is one outer product, and ``<O>``, ``<O^2>`` follow in O(1)
+  from the mean and variance of the truncated thermal law.
 * a vector-backed state (from a polarization transform) is reshaped to
   its ``(d, d, d, d)`` amplitude tensor and ``O psi`` is applied
   matrix-free.
@@ -27,7 +27,7 @@ route per storage form of the state:
 No operator matrix is ever built here.  The tests tabulate the
 matrix-free route column by column to check its Hermiticity, its
 agreement with kron-built operators, the su(2) algebra above and the
-conjugation between witnesses.
+conjugation between witnesses, and the closed form against factor-array sums.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import logging
 import numpy as np
 
 from .basis import FourModeBasis
-from .states import FourModeState, NumericError, _norm_sq
+from .states import FourModeState, NumericError, _norm_sq, _photon_moments, geometric_ratio
 
 log = logging.getLogger(__name__)
 
@@ -100,62 +100,43 @@ def _as_vector(state, basis: FourModeBasis | None) -> tuple[np.ndarray, FourMode
     return vec.astype(np.complex128, copy=False), basis
 
 
-def _outer_pair_norm(x1, y1, x2, y2) -> float:
-    """||x1 y1^T + x2 y2^T||^2 without cancellation: splitting x2 into
-    kappa x1 plus a part orthogonal to x1 leaves two orthogonal outer products."""
-    xx = _norm_sq(x1)
-    kappa = np.vdot(x1, x2) / xx if xx else 0.0
-    return xx * _norm_sq(y1 + kappa * y2) + _norm_sq(x2 - kappa * x1) * _norm_sq(y2)
+def _closed_form_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
+    """Normalized (<O>, <O^2>) of a closed-form paired state, in O(1).
 
-
-def _factored_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
-    """Normalized (<O>, <O^2>) from the Schmidt factors of a paired state.
-
-    With amplitudes ``u_n v_m``, O psi has three mutually orthogonal
-    parts, each a sum of two outer products:
-
-    * ``(A n u) v^T + u (B m v)^T`` on the paired kets, ``A, B = c0 +- c1``
-      with ``c0 = c0a + c0b`` and ``c1 = c1a -+ c1b`` (- for cross
-      pairing, + for parallel);
-    * ``ra p q^T + rb r s^T`` and ``conj(rb) p q^T + conj(ra) r s^T`` on
-      the two hop planes, with ``p_i, r_i = sqrt(i+1) (u_i, u_{i+1})``,
-      ``q_j, s_j = sqrt(j+1) (v_{j+1}, v_j)``, ``ra = c2a - i c3a`` and
-      ``rb = c2b - i c3b`` (conjugated for parallel pairing).
-
-    The mean comes from the paired part alone and ``<O^2> = ||O psi||^2``.
-    On a Bell state the two terms of a matched hop plane cancel to the
-    last digit, which :func:`_outer_pair_norm` survives.  A basis larger
-    than the state's cutoff zero-pads the factors, which moves the
-    amputation to its edge.
+    O psi has three orthogonal parts: ``(A n + B m) u_n v_m`` on the paired
+    kets (``A, B = c0 +- c1``, ``c0 = c0a + c0b``, ``c1 = c1a -+ c1b``, -
+    for cross pairing), and ``ra p q^T + rb r s^T``, ``conj(rb) p q^T +
+    conj(ra) r s^T`` on the two hop planes (``p_i, r_i = sqrt(i+1) (u_i,
+    u_{i+1})``, ``q_j, s_j = sqrt(j+1) (v_{j+1}, v_j)``, ``ra = c2a - i
+    c3a``, ``rb = c2b - i c3b``, conjugated for parallel pairing).  The
+    factors shift into themselves, ``r = step_u sqrt(q) p``, ``q = step_v
+    sqrt(q) s``, so a hop plane is ``sqrt(q) (ra step_v + rb step_u) p
+    s^T`` -- exactly zero on a matched witness -- and every moment follows
+    from the mean and variance of n under lambda_n (``|p|^2 = M1 / q``); a
+    larger basis adds the top row and column the state's cutoff drops.
     """
-    u, v = state.u, state.v
-    if basis is not None and basis.n_max != state.n_max:
-        if basis.n_max < state.n_max:
-            raise ValueError("target basis cutoff smaller than the state's")
-        pad = (0, basis.n_max - state.n_max)
-        u, v = np.pad(u, pad), np.pad(v, pad)
+    if basis is not None and basis.n_max < state.n_max:
+        raise ValueError("target basis cutoff smaller than the state's")
+    if state.scale == 0:
+        raise ValueError("zero state")
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
     cross = state.pairing == "cross"
-    su, sv = _norm_sq(u), _norm_sq(v)
-    if su * sv == 0.0:
-        raise ValueError("zero state")
-    n = np.arange(u.size, dtype=np.float64)
     c0 = c[0, "a"] + c[0, "b"]
     c1 = c[1, "a"] - c[1, "b"] if cross else c[1, "a"] + c[1, "b"]
-    mean = second = 0.0
-    if c0 or c1:
-        a, b = c0 + c1, c0 - c1
-        mean = a * float(n @ np.abs(u) ** 2) / su + b * float(n @ np.abs(v) ** 2) / sv
-        second = _outer_pair_norm(n * u, a * v, u, b * n * v)
+    a, b = c0 + c1, c0 - c1
     ra, rb = complex(c[2, "a"], -c[3, "a"]), complex(c[2, "b"], -c[3, "b"])
     if not cross:
         rb = rb.conjugate()
-    if ra or rb:
-        k = np.sqrt(n[1:])
-        p, r, q, s = k * u[:-1], k * u[1:], k * v[1:], k * v[:-1]
-        second += (_outer_pair_norm(p, ra * q, r, rb * s)
-                   + _outer_pair_norm(p, rb.conjugate() * q, r, ra.conjugate() * s))
-    return mean, second / (su * sv)
+    mean_n, var_n = _photon_moments(state.gamma, state.n_levels)
+    second = (a * a + b * b) * var_n + (a + b) ** 2 * mean_n**2
+    hop = (abs(ra * state.step_v + rb * state.step_u) ** 2
+           + abs(rb.conjugate() * state.step_v + ra.conjugate() * state.step_u) ** 2)
+    if hop and mean_n:
+        second += hop * mean_n * (mean_n / geometric_ratio(state.gamma))
+    if (ra or rb) and basis is not None and basis.n_max > state.n_max:
+        top = state.n_levels * state._tail_share(state.n_max)
+        second += 2.0 * (abs(ra) ** 2 + abs(rb) ** 2) * top * mean_n
+    return (a + b) * mean_n, second
 
 
 def _vector_moments(coeffs: dict, state, basis: FourModeBasis | None) -> tuple:
@@ -183,8 +164,8 @@ def moments(coeffs: dict, state, basis: FourModeBasis | None = None) -> tuple[fl
     unknown = set(coeffs) - set(_TERMS)
     if unknown:
         raise ValueError(f"Stokes terms must be (0..3, 'a'|'b'), got {unknown}")
-    if isinstance(state, FourModeState) and state.u is not None:
-        return _factored_moments(coeffs, state, basis)
+    if isinstance(state, FourModeState) and state.vector is None:
+        return _closed_form_moments(coeffs, state, basis)
     return _vector_moments(coeffs, state, basis)
 
 

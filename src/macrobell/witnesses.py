@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import FourModeBasis
-from .states import BellLabel, FourModeState, NumericError, TruncationMassError, build_bell_state
+from .states import (BellLabel, FourModeState, NumericError, TruncationMassError, _log_q,
+                     build_bell_state)
 from .stokes import expectation, moments, variance_of_combination
 
 #: gate for exact variance claims (see stokes module docstring)
@@ -106,8 +107,8 @@ def evaluate_witness(
 ) -> WitnessReport:
     """Exact witness value on a truncated state.
 
-    A factored state is evaluated on its Schmidt factors, a
-    vector-backed one matrix-free (see the stokes module docstring);
+    A closed-form state is evaluated in O(1), a vector-backed one
+    matrix-free (see the stokes module docstring);
     ``basis`` may raise the cutoff above the state's.  Refuses (raises
     :class:`TruncationMassError`) when the state keeps more than
     ``EDGE_MASS_TOL`` of its mass within two photons of the cutoff --
@@ -121,7 +122,7 @@ def evaluate_witness(
     value = float(sum(terms) - 2.0 * mean_s0)
     return WitnessReport(
         kind=kind, value=value, variance_terms=terms, mean_s0=mean_s0,
-        meta={"gamma": state.gamma, "cutoff": state.n_max,
+        meta={"gamma": state.gamma, "cutoff": state.n_max, "edge_mass": mass,
               "label": state.label.value if state.label else None,
               "source": "exact"},
     )
@@ -134,8 +135,8 @@ def cutoff_for_edge_mass(gamma: float, tol: float = EDGE_MASS_TOL, margin: int =
     ``n - 1`` or above is ``1 - (1 - q^{n-1})^2`` with
     ``q = tanh(gamma)^2``.  It falls below ``tol`` exactly when
     ``q^{n-1} < tol / (1 + sqrt(1 - tol))``, so the smallest ``n >= 2``
-    is read off a logarithm; ``margin`` extra levels of headroom are
-    added on top.
+    is read off ``_log_q`` (past gamma ~ 15 the rounding of q would dominate
+    ``ln q``), plus ``margin`` levels; past 2^53 (gamma ~ 17.5) it stays an int.
     """
     if not math.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
@@ -144,7 +145,7 @@ def cutoff_for_edge_mass(gamma: float, tol: float = EDGE_MASS_TOL, margin: int =
         return 2
     if q == 1.0:
         raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff")
-    bound = math.log(tol / (1.0 + math.sqrt(1.0 - tol))) / math.log(q)
+    bound = math.log(tol / (1.0 + math.sqrt(1.0 - tol))) / _log_q(gamma)
     return max(2, math.floor(bound) + 2) + margin
 
 

@@ -387,6 +387,64 @@ def evolve_from_vacuum(
     return state
 
 
+def _outer_pair_norm(x1, y1, x2, y2) -> float:
+    """||x1 y1^T + x2 y2^T||^2 without cancellation: splitting x2 into
+    kappa x1 plus a part orthogonal to x1 leaves two orthogonal outer products."""
+    xx = _norm_sq(x1)
+    kappa = np.vdot(x1, x2) / xx if xx else 0.0
+    return xx * _norm_sq(y1 + kappa * y2) + _norm_sq(x2 - kappa * x1) * _norm_sq(y2)
+
+
+def factored_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
+    """Normalized (<O>, <O^2>) from the Schmidt factor arrays of a paired state.
+
+    With amplitudes ``u_n v_m``, O psi has three mutually orthogonal
+    parts, each a sum of two outer products:
+
+    * ``(A n u) v^T + u (B m v)^T`` on the paired kets, ``A, B = c0 +- c1``
+      with ``c0 = c0a + c0b`` and ``c1 = c1a -+ c1b`` (- for cross
+      pairing, + for parallel);
+    * ``ra p q^T + rb r s^T`` and ``conj(rb) p q^T + conj(ra) r s^T`` on
+      the two hop planes, with ``p_i, r_i = sqrt(i+1) (u_i, u_{i+1})``,
+      ``q_j, s_j = sqrt(j+1) (v_{j+1}, v_j)``, ``ra = c2a - i c3a`` and
+      ``rb = c2b - i c3b`` (conjugated for parallel pairing).
+
+    The mean comes from the paired part alone and ``<O^2> = ||O psi||^2``,
+    each a sum over the arrays in O(n_max).  On a Bell state the two
+    terms of a matched hop plane cancel to the last digit, which
+    :func:`_outer_pair_norm` survives.  A basis larger than the state's
+    cutoff zero-pads the factors, which moves the amputation to its edge.
+    """
+    u, v = state.u, state.v
+    if basis is not None and basis.n_max != state.n_max:
+        if basis.n_max < state.n_max:
+            raise ValueError("target basis cutoff smaller than the state's")
+        pad = (0, basis.n_max - state.n_max)
+        u, v = np.pad(u, pad), np.pad(v, pad)
+    c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
+    cross = state.pairing == "cross"
+    su, sv = _norm_sq(u), _norm_sq(v)
+    if su * sv == 0.0:
+        raise ValueError("zero state")
+    n = np.arange(u.size, dtype=np.float64)
+    c0 = c[0, "a"] + c[0, "b"]
+    c1 = c[1, "a"] - c[1, "b"] if cross else c[1, "a"] + c[1, "b"]
+    mean = second = 0.0
+    if c0 or c1:
+        a, b = c0 + c1, c0 - c1
+        mean = a * float(n @ np.abs(u) ** 2) / su + b * float(n @ np.abs(v) ** 2) / sv
+        second = _outer_pair_norm(n * u, a * v, u, b * n * v)
+    ra, rb = complex(c[2, "a"], -c[3, "a"]), complex(c[2, "b"], -c[3, "b"])
+    if not cross:
+        rb = rb.conjugate()
+    if ra or rb:
+        k = np.sqrt(n[1:])
+        p, r, q, s = k * u[:-1], k * u[1:], k * v[1:], k * v[:-1]
+        second += (_outer_pair_norm(p, ra * q, r, rb * s)
+                   + _outer_pair_norm(p, rb.conjugate() * q, r, ra.conjugate() * s))
+    return mean, second / (su * sv)
+
+
 def _table_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
     """Normalized (<O>, <O^2>) straight from the (n, m) table.
 

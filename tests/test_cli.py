@@ -11,7 +11,7 @@ from macrobell import cli
 from macrobell.basis import FourModeBasis
 from macrobell.measures import fedorov_ratio, gain_scan
 from macrobell.simulate import witness_under_loss
-from macrobell.states import BellLabel, build_bell_state
+from macrobell.states import BellLabel, NumericError, build_bell_state
 from macrobell.truncation import dimension_scan
 from macrobell.witnesses import WitnessKind, cross_witness_matrix, cutoff_for_edge_mass, evaluate_witness
 
@@ -371,25 +371,59 @@ def test_workers_beyond_cpu_count_is_usage_error(capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
+_HUGE_CUTOFF = [
     ["witness", "--gamma", "0.5", "--cutoff", "1000000000000"],
     ["crosswitness", "--cutoff", "1000000000000"],
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_CUTOFF, ids=" ".join)
 def test_memory_preflight_refuses(argv, capsys):
-    # the estimates run to terabytes; the refusal comes before any allocation
-    assert cli.main(argv + ["--out", "big.csv"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "GiB" in err
-    assert err.count("\n") == 1
+    # these runs are answered in closed form without allocating (see
+    # test_huge_cutoff_is_answered); what their states can still build at
+    # that cutoff -- Schmidt factors, table, dense vector -- runs to
+    # terabytes and is refused before any allocation
+    cutoff = int(argv[argv.index("--cutoff") + 1])
+    labels = list(BellLabel) if argv[0] == "crosswitness" else [BellLabel.PSI_MINUS]
+    for label in labels:
+        state = build_bell_state(label, 0.5, cutoff)
+        for build in (lambda: state.u, lambda: state.v, lambda: state.table, state.dense):
+            with pytest.raises(NumericError, match="GiB"):
+                build()
+
+
+@pytest.mark.parametrize("argv", _HUGE_CUTOFF, ids=" ".join)
+def test_huge_cutoff_is_answered(argv):
+    # at cutoff 10^12 nothing is left to truncate: the table is the paper's
+    # -8 N0 on the diagonal and 16 N0^2 + 8 N0 off it to rounding, and the
+    # gated default run is within the edge-mass tolerance of it
+    assert cli.main(argv + ["--out", "big.csv"]) == 0
+    assert cli.main(argv[:-2] + ["--out", "gated.csv"]) == 0
+    n0 = math.sinh(0.5) ** 2
+    table = lambda path: np.array([[float(r["value"])] if argv[0] == "witness" else
+                                   [float(v) for k, v in r.items() if k != "witness"]
+                                   for r in _read_csv(path)])
+    big, gated = table("big.csv"), table("gated.csv")
+    want = np.where(np.eye(*big.shape, dtype=bool), -8.0 * n0, 16.0 * n0 * n0 + 8.0 * n0)
+    assert np.all(np.abs(big / want - 1.0) <= 1e-13)
+    assert np.all(np.abs(gated / big - 1.0) <= 1e-10)
+    manifest = json.load(open("big.csv.manifest.json"))
+    assert manifest["cutoff"] == 1_000_000_000_000 and manifest["edge_mass"] == 0.0
 
 
 def test_memory_preflight_reads_available_memory(monkeypatch, capsys):
-    # with 1 kB reported free, the default psi-minus witness (cutoff 19,
-    # an estimated 6.4 kB for its two factors) is refused before anything runs
+    # with 1 kB reported free the default psi-minus witness still runs, as
+    # its closed form allocates nothing; a Schmidt factor at its cutoff 19
+    # (an estimated 3.2 kB) and a 100-pulse sampled witness (4 kB) are
+    # refused before anything runs
     from macrobell import states
 
     monkeypatch.setattr(states, "available_memory", lambda: 1_000)
-    assert cli.main(["witness", "--out", "w.csv"]) == 3
+    assert cli.main(["witness", "--out", "w.csv"]) == 0
+    with pytest.raises(NumericError, match="available memory"):
+        build_bell_state(BellLabel.PSI_MINUS, 0.5, 19).u
+    capsys.readouterr()
+    assert cli.main(["witness", "--pulses", "100", "--out", "s.csv"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "available memory" in err
     assert err.count("\n") == 1
@@ -448,8 +482,7 @@ def test_tiny_gain_is_closed_form_or_named_refusal(n0, measures_code, capsys):
 
 
 def test_witness_reaches_macroscopic_gain():
-    # gamma = 3 (N0 = 100) and gamma = 6 (N0 = 4.1e4) run on the two
-    # Schmidt factors alone, in O(cutoff)
+    # gamma = 3 (N0 = 100) and gamma = 6 (N0 = 4.1e4) run in closed form
     for gamma, cutoff in (("3", 2396), ("6", 965_099)):
         assert cli.main(["witness", "--gamma", gamma, "--out", "w.csv"]) == 0
         row = _read_csv("w.csv")[0]
@@ -465,6 +498,63 @@ def test_witness_reaches_macroscopic_gain():
     off = got[~np.eye(4, dtype=bool)]
     assert np.all(np.abs(diag / (-8.0 * n0) - 1.0) <= 1e-8)
     assert np.all(np.abs(off / (16.0 * n0 * n0 + 8.0 * n0) - 1.0) <= 1e-7)
+
+
+@pytest.mark.parametrize("gamma", [6.0, 10.0, 15.0, 17.0, 17.5, 18.5, 19.0, 19.05, 19.1, 25.0])
+def test_witnesses_in_closed_form_up_to_the_tanh_limit(gamma, capsys):
+    # cutoffs 9.7e5 to 2.1e17 (exact ints past 2^53), N0 up to 8.8e15: -8 N0
+    # on the diagonal and 16 N0^2 + 8 N0 off it.  The gated truncation
+    # itself moves the values by 1.19e-9 (diagonal) and 1.53e-8 (the psi/phi
+    # cross pairs), as it does at gamma = 3, where the factor-array route
+    # gives the same gaps.  Past the gain where tanh(gamma)^2 rounds to 1
+    # (about 19.06) the run is refused in one line that says why.
+    n0 = math.sinh(gamma) ** 2
+    code = cli.main(["crosswitness", "--gamma", str(gamma), "--out", "x.csv"])
+    err = capsys.readouterr().err
+    if gamma > 19.06:
+        assert code == 3
+        assert err == f"error: tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff\n"
+        return
+    assert code == 0
+    got = np.array([[float(v) for k, v in r.items() if k != "witness"]
+                    for r in _read_csv("x.csv")])
+    assert np.all(np.abs(np.diag(got) / (-8.0 * n0) - 1.0) <= 1e-8)
+    assert np.all(np.abs(got[~np.eye(4, dtype=bool)] / (16.0 * n0 * n0 + 8.0 * n0) - 1.0) <= 2e-8)
+    assert json.load(open("x.csv.manifest.json"))["cutoff"] == cutoff_for_edge_mass(gamma)
+    for label in BellLabel:
+        assert cli.main(["witness", "--gamma", str(gamma), "--state", label.value,
+                         "--out", "w.csv"]) == 0
+        row = _read_csv("w.csv")[0]
+        assert int(row["cutoff"]) == cutoff_for_edge_mass(gamma)
+        assert abs(float(row["value"]) / (-8.0 * n0) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--state", "phi-plus", "--gamma", "1.2"],
+    ["witness", "--state", "vacuum"],
+    ["crosswitness", "--gamma", "0.7"],
+    ["crosswitness", "--gamma", "0.7", "--cutoff", "60"],
+], ids=" ".join)
+def test_exact_manifest_records_cutoff_and_edge_mass(argv):
+    assert cli.main(argv + ["--out", "e.csv"]) == 0
+    csv_bytes = open("e.csv", "rb").read()
+    manifest = json.load(open("e.csv.manifest.json"))
+    gamma = manifest["config"]["gamma"] if argv[1:3] != ["--state", "vacuum"] else 0.0
+    cutoff = manifest["config"]["cutoff"] or (4 if gamma == 0.0 else cutoff_for_edge_mass(gamma))
+    assert manifest["cutoff"] == cutoff
+    assert manifest["edge_mass"] == build_bell_state(BellLabel.PSI_MINUS, gamma, cutoff).edge_mass()
+    assert 0.0 <= manifest["edge_mass"] <= 1e-10
+    if argv[0] == "witness":
+        assert int(_read_csv("e.csv")[0]["cutoff"]) == cutoff
+    # the manifest still reproduces the run byte for byte
+    assert cli.run_from_manifest("e.csv.manifest.json") == 0
+    assert open("e.csv", "rb").read() == csv_bytes
+
+
+def test_sampled_manifest_has_no_cutoff():
+    assert cli.main(["witness", "--pulses", "1000", "--out", "s.csv"]) == 0
+    manifest = json.load(open("s.csv.manifest.json"))
+    assert "cutoff" not in manifest and "edge_mass" not in manifest
 
 
 # -- crosswitness ----------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Package surface: the export list and the narrative demos."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 
 import macrobell
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SRC = os.path.dirname(os.path.dirname(macrobell.__file__))
 
 
@@ -64,3 +67,18 @@ def test_cli_runs_without_scipy(argv, tmp_path, no_scipy_env):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
     assert manifest["outputs"] and all((tmp_path / f).exists() for f in manifest["outputs"])
+
+
+def test_readme_quick_start_runs(tmp_path, no_scipy_env):
+    # the README's Python block, run as written with numpy alone: the
+    # witness at gamma = 0.5 and the gamma = 17 cutoff and witness it prints
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", text, re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, capture_output=True,
+                          text=True, env=no_scipy_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    small, big = proc.stdout.split("\n")[:2]
+    assert float(small) == pytest.approx(-8.0 * math.sinh(0.5) ** 2, rel=1e-10)
+    cutoff, value = big.split()
+    assert int(cutoff) == 3459781992135850
+    assert float(value) == pytest.approx(-8.0 * math.sinh(17.0) ** 2, rel=1e-8)

@@ -145,6 +145,30 @@ def test_generic_transform_preserves_norm():
     assert out.vector is not None  # leaves the paired subspaces
 
 
+def test_phase_retarder_keeps_the_closed_form():
+    # a retarder with its axis along H delays each V photon by delta: on a
+    # psi state that is a phase step exp(i delta) on v (beam a) or on u
+    # (beam b), and the result stays in closed form
+    st = build_bell_state(BellLabel.PSI_MINUS, 0.6, 9)
+    for target, steps in (("a", (1.0, -np.exp(0.7j))), ("b", (np.exp(0.7j), -1.0))):
+        out = apply_transform(st, BasisTransform("retarder", target, retarder_jones(0.0, 0.7)))
+        assert out.vector is None and out.pairing == "cross"
+        assert out.step_u == pytest.approx(steps[0], abs=1e-14)
+        assert out.step_v == pytest.approx(steps[1], abs=1e-14)
+        assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-13)
+
+
+def test_rank_one_table_off_the_closed_form_stays_a_vector():
+    # |1, 0>_a |0, 1>_b is a rank-one cross-paired table (one entry at
+    # (n, m) = (1, 0)) but not a squeezed-vacuum pair: no closed form
+    basis = FourModeBasis(3)
+    vec = np.zeros(basis.dim, dtype=np.complex128)
+    vec[basis.index(1, 0, 0, 1)] = 1.0
+    out = apply_transform(FourModeState(gamma=0.5, n_max=3, vector=vec), pi_phase_on_bh())
+    assert out.vector is not None
+    np.testing.assert_array_equal(out.vector, vec)
+
+
 _LEAK_CASE = """
 import numpy as np
 from macrobell.basis import FourModeBasis

@@ -104,9 +104,15 @@ def test_memory_preflight_boundary(monkeypatch):
     states.check_memory(1000, "probe")
     with pytest.raises(NumericError, match="available memory"):
         states.check_memory(1001, "probe")
-    build_bell_state(BellLabel.PSI_MINUS, 0.5, 499)  # two factors of 500 amplitudes
-    with pytest.raises(NumericError):
-        build_bell_state(BellLabel.PSI_MINUS, 0.5, 500)  # two factors of 501
+    # a closed-form state allocates nothing; each Schmidt factor built from
+    # it is priced on its own: 1000 amplitudes fit, 1001 do not
+    fits = build_bell_state(BellLabel.PSI_MINUS, 0.5, 999)
+    assert fits.u.size == fits.v.size == 1000
+    too_big = build_bell_state(BellLabel.PSI_MINUS, 0.5, 1000)
+    assert too_big.norm_sq() == pytest.approx(1.0, rel=1e-15)
+    for factor in ("u", "v"):
+        with pytest.raises(NumericError, match="Schmidt factor at cutoff 1000"):
+            getattr(too_big, factor)
     monkeypatch.undo()
     pages = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert 0 < states.available_memory() <= pages
@@ -123,6 +129,45 @@ def test_edge_mass_routes_agree():
     q = geometric_ratio(st.gamma)
     f = q ** (st.n_max - 1) * (1.0 - q * q) / (1.0 - q ** (st.n_max + 1))
     assert via_factors == pytest.approx(1.0 - (1.0 - f) ** 2, rel=1e-12)
+
+
+def test_closed_forms_match_factor_sums():
+    # norm and edge mass in closed form against sums over the factor arrays
+    # (totals s, tail sums t: (t_u s_v + s_u t_v - t_u t_v) / (s_u s_v)),
+    # on random scales and phase steps
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        gamma = rng.uniform(0.0, 4.0)
+        n_max, depth = int(rng.integers(0, 60)), int(rng.integers(1, 4))
+        st = FourModeState(gamma=gamma, n_max=n_max, pairing="cross",
+                           scale=complex(*rng.normal(size=2)),
+                           step_u=np.exp(2j * np.pi * rng.uniform()),
+                           step_v=np.exp(2j * np.pi * rng.uniform()))
+        wu, wv = np.abs(st.u) ** 2, np.abs(st.v) ** 2
+        su, sv = wu.sum(), wv.sum()
+        k = max(n_max + 1 - depth, 0)
+        tu, tv = wu[k:].sum(), wv[k:].sum()
+        assert st.norm_sq() == pytest.approx(su * sv, rel=1e-13)
+        assert st.edge_mass(depth) == pytest.approx((tu * sv + su * tv - tu * tv) / (su * sv),
+                                                    rel=1e-12, abs=0.0)
+
+
+def test_bell_state_allocates_nothing():
+    # gamma = 17 gates at a cutoff past 10^16: norm and edge mass are closed
+    # forms, and only the factor arrays are refused by the pre-flight
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        st = build_bell_state(BellLabel.PHI_MINUS, 17.0, 10**16)
+        kept, mass = st.norm_sq(), st.edge_mass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
+    assert kept == pytest.approx(1.0, abs=1e-10) and 0.0 < mass < 1e-10
+    with pytest.raises(NumericError, match="GiB"):
+        st.u
 
 
 # -- state construction -----------------------------------------------------------
@@ -186,22 +231,27 @@ def test_dense_into_larger_basis():
 
 
 def test_storage_validation():
-    two = np.zeros(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one"):
         FourModeState(gamma=0.0, n_max=1)
-    with pytest.raises(ValueError):
-        FourModeState(gamma=0.0, n_max=1, pairing="cross", u=two, v=two, vector=np.zeros(16))
-    with pytest.raises(ValueError):
-        FourModeState(gamma=0.0, n_max=1, u=two, v=two)  # pairing missing
-    with pytest.raises(ValueError):
-        FourModeState(gamma=0.0, n_max=1, pairing="cross", u=two)  # v missing
-    # malformed storage is refused at construction, naming the expected length
+    with pytest.raises(ValueError, match="exactly one"):
+        FourModeState(gamma=0.0, n_max=1, pairing="cross", vector=np.zeros(16))
+    with pytest.raises(ValueError, match="pairing 'cross' or 'parallel'"):
+        FourModeState(gamma=0.0, n_max=1, pairing="diagonal")
+    # malformed storage is refused at construction, naming what is expected
     with pytest.raises(ValueError, match=r"length \(n_max \+ 1\)\^4 = 625"):
         FourModeState(gamma=0.0, n_max=4, vector=np.zeros(16))
-    with pytest.raises(ValueError, match=r"length n_max \+ 1 = 5"):
-        FourModeState(gamma=0.0, n_max=4, pairing="cross", u=np.zeros(5), v=np.zeros(3))
-    with pytest.raises(ValueError, match=r"length n_max \+ 1 = 5"):
-        FourModeState(gamma=0.0, n_max=4, pairing="cross", u=np.zeros((2, 3)), v=np.zeros(5))
+    with pytest.raises(ValueError, match="unit modulus"):
+        FourModeState(gamma=0.5, n_max=4, pairing="cross", step_v=1.5)
+    with pytest.raises(ValueError, match="unit modulus"):
+        FourModeState(gamma=0.5, n_max=4, pairing="cross", step_u=0.0)
+    with pytest.raises(ValueError, match="n_max"):
+        FourModeState(gamma=0.5, n_max=-1, pairing="cross")
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gain"):
+            build_bell_state(BellLabel.PSI_MINUS, bad, 4)
+    # past gamma of about 372, ln tanh(gamma)^2 itself rounds to 0
+    with pytest.raises(NumericError, match="rounds to 0"):
+        build_bell_state(BellLabel.PSI_MINUS, 400.0, 4)
 
 
 def test_amplitude_requires_table():
@@ -248,16 +298,19 @@ def test_sector_errors():
 def test_normalized_fixes_norm_and_phase():
     st = build_bell_state(BellLabel.PHI_MINUS, 0.7, 9)
     twisted = FourModeState(gamma=st.gamma, n_max=st.n_max, label=st.label,
-                            pairing=st.pairing, u=st.u * (2.0 * np.exp(0.3j)), v=st.v)
+                            pairing=st.pairing, scale=2.0 * np.exp(0.3j), step_v=st.step_v)
+    np.testing.assert_allclose(twisted.u, st.u * (2.0 * np.exp(0.3j)), rtol=1e-15)
     unit = twisted.normalized()
     assert unit.norm_sq() == pytest.approx(1.0, rel=1e-13)
     assert abs(unit.table[0, 0].imag) < 1e-15
     assert unit.table[0, 0].real > 0
+    # only the scale moves: the phase steps, and with them the table's shape, stay
+    assert (unit.step_u, unit.step_v) == (st.step_u, st.step_v)
+    np.testing.assert_allclose(unit.table, st.table / st.norm_sq() ** 0.5, rtol=1e-14)
 
 
 def test_normalize_zero_state_raises():
-    zero = FourModeState(gamma=0.0, n_max=2, pairing="cross",
-                         u=np.zeros(3, dtype=np.complex128), v=np.zeros(3, dtype=np.complex128))
+    zero = FourModeState(gamma=0.0, n_max=2, pairing="cross", scale=0.0)
     with pytest.raises(NumericError):
         zero.normalized()
 
@@ -310,6 +363,30 @@ def test_json_rejects_bad_entries():
     doc["amplitudes"] = [row for row in doc["amplitudes"] if row[0] + row[1] <= 3]
     with pytest.raises(ValueError, match="rank-one"):
         FourModeState.from_json_dict(doc)
+
+
+def test_json_refuses_rank_one_tables_off_the_closed_form():
+    # a rank-one table that is not scale * step_u^n step_v^m sqrt(lambda_n
+    # lambda_m) at the file's gain -- one column rescaled, or the gain
+    # changed -- has no closed-form storage and is refused
+    st = build_bell_state(BellLabel.PSI_PLUS, 0.3, 3)
+    doc = st.to_json_dict()
+    doc["amplitudes"] = [[n, m, re * (1.5 if m == 2 else 1.0), im]
+                         for n, m, re, im in doc["amplitudes"]]
+    with pytest.raises(ValueError, match="rank-one"):
+        FourModeState.from_json_dict(doc)
+    doc = st.to_json_dict()
+    doc["gamma"] = 0.31
+    with pytest.raises(ValueError, match="rank-one"):
+        FourModeState.from_json_dict(doc)
+    # a phase-stepped, rescaled state reads back in closed form
+    stepped = FourModeState(gamma=0.7, n_max=6, pairing="parallel", scale=0.5j,
+                            step_u=np.exp(0.4j), step_v=-1.0)
+    again = FourModeState.from_json(stepped.to_json())
+    assert again.vector is None and again.pairing == "cross"  # no label: cross pairing
+    assert again.scale == pytest.approx(0.5j, rel=1e-15)
+    assert again.step_u == pytest.approx(np.exp(0.4j), rel=1e-15) and again.step_v == -1.0
+    np.testing.assert_allclose(again.table, stepped.table, rtol=1e-14, atol=0)
 
 
 def test_json_requires_table_backing():

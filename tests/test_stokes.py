@@ -14,10 +14,13 @@ from macrobell.states import (
 )
 from macrobell.stokes import expectation, moments, variance_of_combination
 
-from macrobell.witnesses import WitnessKind, cutoff_for_edge_mass, witness_term_coeffs
+from macrobell.polarization import BasisTransform, apply_transform, retarder_jones
+from macrobell.witnesses import (WitnessKind, cutoff_for_edge_mass, evaluate_witness,
+                                 witness_term_coeffs)
 
 from oracles import (
     _table_moments,
+    factored_moments,
     kron_stokes,
     matvec_expectation,
     matvec_variance,
@@ -136,8 +139,7 @@ def test_error_paths():
     with pytest.raises(ValueError):
         expectation(s1a, np.zeros(basis.dim, dtype=np.complex128), basis)
     with pytest.raises(ValueError):
-        expectation(s1a, FourModeState(gamma=0.0, n_max=2, pairing="cross",
-                                       u=np.zeros(3, complex), v=np.zeros(3, complex)))
+        expectation(s1a, FourModeState(gamma=0.0, n_max=2, pairing="cross", scale=0.0))
     # state cutoff larger than the basis, for both storage forms
     big = build_bell_state(BellLabel.PSI_MINUS, 0.3, 4)
     with pytest.raises(ValueError):
@@ -153,12 +155,17 @@ def test_error_paths():
 
 def test_dense_guard():
     # the memory pre-flight refuses before allocating: a dense vector at
-    # cutoff 10^5 (10^20 amplitudes) and the factors at cutoff 10^12
+    # cutoff 10^5 (10^20 amplitudes), and at cutoff 10^12 the factors and
+    # the table, which the closed-form state itself never builds
     state = build_bell_state(BellLabel.PSI_MINUS, 0.5, 20)
     with pytest.raises(NumericError, match="GiB"):
         state.dense(FourModeBasis(100_000))
+    huge = build_bell_state(BellLabel.PSI_MINUS, 0.5, 1_000_000_000_000)
+    for view in ("u", "v", "table"):
+        with pytest.raises(NumericError, match="GiB"):
+            getattr(huge, view)
     with pytest.raises(NumericError, match="GiB"):
-        build_bell_state(BellLabel.PSI_MINUS, 0.5, 1_000_000_000_000)
+        huge.dense()
 
 
 _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
@@ -168,15 +175,17 @@ _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
 @given(n_max=hs.integers(0, 5), pad=hs.integers(0, 2),
        pairing=hs.sampled_from(["cross", "parallel"]),
        coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8),
-       seed=hs.integers(0, 2**32 - 1))
-def test_table_route_matches_kron_oracle(n_max, pad, pairing, coeffs, seed):
-    # random complex Schmidt factors, evaluated on their own cutoff or
-    # zero-padded into a larger basis, against kron-built operators
+       gamma=hs.floats(0.0, 2.0), seed=hs.integers(0, 2**32 - 1))
+def test_table_route_matches_kron_oracle(n_max, pad, pairing, coeffs, gamma, seed):
+    # random complex scales and phase steps, evaluated in closed form on
+    # their own cutoff or zero-padded into a larger basis, against
+    # kron-built operators on the table the state builds
     rng = np.random.default_rng(seed)
     d = n_max + 1
-    u, v = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
-    state = FourModeState(gamma=0.0, n_max=n_max, pairing=pairing, u=u, v=v)
-    vec = table_vector(np.outer(u, v), pairing, d + pad)
+    scale, step_u, step_v = complex(*rng.normal(size=2)), *np.exp(2j * np.pi * rng.uniform(size=2))
+    state = FourModeState(gamma=gamma, n_max=n_max, pairing=pairing,
+                          scale=scale, step_u=step_u, step_v=step_v)
+    vec = table_vector(state.table, pairing, d + pad)
     op = sum(c * kron_stokes(k, beam, d + pad) for (k, beam), c in coeffs.items())
     ov = op @ vec
     want_mean = matvec_expectation(op, vec)
@@ -204,3 +213,51 @@ def test_factored_route_matches_table_oracle():
             want = _table_moments(coeffs, state, None)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0])
+def test_closed_form_matches_factored_oracle(gamma):
+    # all 16 witness x state pairs at the gated cutoff: the O(1) closed form
+    # against sums over the factor arrays (tests/oracles.py), term by term
+    n_max = cutoff_for_edge_mass(gamma)
+    s0 = {(0, "a"): 1.0, (0, "b"): 1.0}
+
+    def close(got, want):
+        return abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    for label in BellLabel:
+        state = build_bell_state(label, gamma, n_max)
+        mean_s0 = factored_moments(s0, state, None)[0]
+        for kind in WitnessKind:
+            rep = evaluate_witness(kind, state)
+            terms = [m2 - m1 * m1 for m1, m2 in
+                     (factored_moments(c, state, None) for c in witness_term_coeffs(kind))]
+            assert close(rep.mean_s0, mean_s0)
+            assert close(rep.value, sum(terms) - 2.0 * mean_s0)
+            assert all(close(g, w) for g, w in zip(rep.variance_terms, terms))
+            if kind.matched_state is label:  # the hop planes cancel exactly
+                assert rep.variance_terms == (0.0, 0.0, 0.0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(label=hs.sampled_from(list(BellLabel)), gamma=hs.floats(0.0, 5.0),
+       n_max=hs.integers(0, 12), pad=hs.integers(0, 2),
+       retarder=hs.one_of(hs.none(), hs.tuples(hs.sampled_from([0.0, 90.0]),
+                                               hs.floats(0.0, 2 * math.pi),
+                                               hs.sampled_from(["a", "b", "both"]))),
+       coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8))
+def test_closed_form_moments_match_factor_arrays(label, gamma, n_max, pad, retarder, coeffs):
+    # Bell states, or Bell states whose H or V modes a retarder has given a
+    # phase per photon (a phase-stepped closed form), at small cutoffs
+    # where the truncation is severe, against the factor-array oracle
+    state = build_bell_state(label, gamma, n_max)
+    if retarder is not None:
+        angle, delta, target = retarder
+        state = apply_transform(state, BasisTransform("retarder", target,
+                                                      retarder_jones(angle, delta)))
+        assert state.vector is None  # stays in closed form
+    basis = FourModeBasis(n_max + pad)
+    got = moments(coeffs, state, basis)
+    want = factored_moments(coeffs, state, basis)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))

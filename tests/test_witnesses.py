@@ -118,6 +118,42 @@ def test_cutoff_for_edge_mass_closed_form_matches_loop():
         cutoff_for_edge_mass(25.0)  # tanh(25)^2 == 1 in double precision
 
 
+def test_cutoff_for_edge_mass_reads_log_q_not_rounded_q():
+    # on a 1e-4 grid over (0, 3] the cutoff is the one math.log of the
+    # rounded tanh(gamma)^2 gives; past gamma of about 15 that rounding
+    # dominates ln q (-43 % at gamma = 19), and the cutoff follows a
+    # 50-digit evaluation of ln tanh(gamma)^2 instead, an exact int past 2^53
+    import decimal
+
+    tol = 1e-10
+    head = math.log(tol / (1.0 + math.sqrt(1.0 - tol)))
+    for gamma in np.arange(1, 30_001) * 1e-4:
+        rounded = max(2, math.floor(head / math.log(math.tanh(gamma) ** 2)) + 2) + 2
+        assert cutoff_for_edge_mass(gamma) == rounded, gamma
+    for gamma in (15.0, 17.0, 18.5, 19.0):
+        with decimal.localcontext(decimal.Context(prec=50)):
+            d_tol, x = decimal.Decimal(tol), decimal.Decimal(-2.0 * gamma).exp()
+            bound = (d_tol / (1 + (1 - d_tol).sqrt())).ln() / (2 * ((1 - x) / (1 + x)).ln())
+            want = int(bound.to_integral_value(rounding=decimal.ROUND_FLOOR)) + 4
+        got = cutoff_for_edge_mass(gamma)
+        assert type(got) is int and abs(got - want) <= 1e-14 * want, (gamma, got, want)
+    assert cutoff_for_edge_mass(19.0) > 2**53
+
+
+def test_cross_witness_matrix_allocates_nothing():
+    # gamma = 10 gates at cutoff 2.7e9; the closed form holds O(1) numbers
+    import tracemalloc
+
+    cross_witness_matrix(10.0)  # first call: imports and caches outside the guard
+    tracemalloc.start()
+    try:
+        cross_witness_matrix(10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+
+
 def test_cross_witness_matrix_structure():
     mat, kinds, labels = cross_witness_matrix(0.5)
     n0 = mean_photons_per_mode(0.5)
