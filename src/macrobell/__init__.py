@@ -65,15 +65,12 @@ from .truncation import (
 )
 from .simulate import (
     FedorovEstimate,
-    MeasurementSetting,
-    PulseRecord,
     SimConfig,
     SweepPoint,
     SweepResult,
     efficiency_sweep,
     estimate_fedorov,
     estimate_witness,
-    sample_pulse,
     witness_under_loss,
 )
 
@@ -96,7 +93,6 @@ __all__ = [
     "CompressionPoint", "alpha_from_epsilon", "compression_scan",
     "cutoff_for_epsilon", "dimension_scan", "epsilon_from_cutoff",
     "occupancy_at_epsilon", "subspace_dimension", "truncated_kbar",
-    "FedorovEstimate", "MeasurementSetting", "PulseRecord", "SimConfig",
-    "SweepPoint", "SweepResult", "efficiency_sweep", "estimate_fedorov",
-    "estimate_witness", "sample_pulse", "witness_under_loss",
+    "FedorovEstimate", "SimConfig", "SweepPoint", "SweepResult",
+    "efficiency_sweep", "estimate_fedorov", "estimate_witness", "witness_under_loss",
 ]

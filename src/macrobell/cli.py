@@ -162,8 +162,13 @@ def _check_bounds(cfg: dict) -> None:
     """Refuse out-of-range scalar inputs and unwritable outputs before any work starts."""
     import os
 
-    if cfg.get("cutoff") is not None and cfg["cutoff"] <= 0:
-        raise UsageError(f"cutoff must be positive, got {cfg['cutoff']}")
+    cutoff = cfg.get("cutoff")
+    if cutoff is not None and cutoff <= 0:
+        raise UsageError(f"cutoff must be positive, got {cutoff}")
+    # the closed-form moments take the square of the level count as a float
+    if cutoff is not None and (cutoff + 1) ** 2 > sys.float_info.max:
+        raise UsageError(f"cutoff must be below {math.sqrt(sys.float_info.max):.4g}, "
+                         f"got one of {len(str(cutoff))} digits")
     gamma = cfg.get("gamma", 0.0)
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise UsageError(f"gamma must be finite and nonnegative, got {gamma!r}")

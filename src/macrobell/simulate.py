@@ -16,14 +16,17 @@ per mode.
 Reproducibility: pulses are generated in fixed blocks of
 ``BLOCK_PULSES``; each block owns a counter-addressed Philox stream
 keyed by (seed; block, series, run), so the blocks fix the RNG stream
-and a seed gives the same bytes on every run.  Each block is reduced as
-it is drawn: a witness series holds only its per-pulse readouts and
-totals (and writes its pulse log block by block), never a count table;
-the width-ratio estimate keeps one contiguous row per detector.  At
-eta = 1 no thinning variates are drawn (they would come last in a
-block's own stream, so skipping them moves no count).  The stream and
-every output byte are the same as when counts were stored one row per
-pulse.
+and a seed gives the same bytes on every run.  At eta = 1 no thinning
+variates are drawn (they would come last in a block's own stream, so
+skipping them moves no count).
+
+Memory is set by the block, not by the pulse count: each block is
+reduced to sums as it is drawn and then dropped.  A witness series keeps
+its exact integer sums (n, sum x, sum x^2, sum t) and the central sums
+its jackknife needs, merged block by block (:class:`_SeriesSums`); a
+width-ratio run keeps per partner-bin counts and exact integer sums
+(:class:`_PartnerBins`), whose length grows with the largest partner
+count seen and is checked against free memory before it does.
 """
 
 from __future__ import annotations
@@ -52,26 +55,21 @@ LOG_CHUNK_PULSES = 1024
 #: analyzer plate angles (hwp_deg, qwp_deg) realizing each Stokes component
 CANONICAL_SETTINGS = {1: (0.0, 0.0), 2: (22.5, 45.0), 3: (0.0, 45.0)}
 
+#: peak bytes per pulse of a witness block: the geometric draws, four thinned
+#: detector rows, the int64 readout and totals and three float64 buffers
+#: (tracemalloc: 125 at eta < 1, 81 at eta = 1)
+BLOCK_BYTES_PER_PULSE = 128
+
+#: bytes per partner bin of a width-ratio run: (pulses, sum x, sum x^2) as int64
+#: for each of the H and V sides, twice over while a table grows
+PARTNER_BIN_BYTES = 96
+
+_INT64_LIMIT = 2**63
+
 
 def count_pairing(label: BellLabel, component: int) -> str:
     """'cross' or 'parallel' pairing of the counts of Stokes component 1..3."""
     return "cross" if matched_witness(label).signs[component - 1] > 0 else "parallel"
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Analyzer wave-plate angles, applied identically to both beams."""
-
-    hwp_deg: float
-    qwp_deg: float
-
-    @property
-    def component(self) -> int | None:
-        """Stokes component this setting realizes, if canonical."""
-        for comp, (h, q) in CANONICAL_SETTINGS.items():
-            if abs(self.hwp_deg - h) < 1e-12 and abs(self.qwp_deg - q) < 1e-12:
-                return comp
-        return None
 
 
 @dataclass
@@ -119,118 +117,96 @@ def _count_blocks(config: SimConfig, pairing: str, series: int, run: int):
         yield lo, rows
 
 
-def _sample_series_counts(
-    config: SimConfig, pairing: str, series: int, run: int
-) -> np.ndarray:
-    """Detected counts (pulses, 4) = (x_a, y_a, x_b, y_b) for one series.
-
-    Filled as a (4, pulses) buffer, one contiguous row per detector; the
-    result is its transposed view.
-    """
-    cols = np.empty((4, config.pulses), dtype=np.int64)
-    for lo, rows in _count_blocks(config, pairing, series, run):
-        cols[:, lo:lo + BLOCK_PULSES] = rows
-    return cols.T
-
-
-# -- single-pulse view ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    """Detected counts of one pulse in the analyzer basis.
-
-    ``counts`` holds (x_a, y_a, x_b, y_b): the two polarizing-splitter
-    outputs per beam after the wave plates.  The per-beam readouts are
-    the detector differences.
-    """
-
-    pulse_id: int
-    counts: tuple[int, int, int, int]
-    setting: MeasurementSetting
-
-    @property
-    def readout_a(self) -> int:
-        return self.counts[0] - self.counts[1]
-
-    @property
-    def readout_b(self) -> int:
-        return self.counts[2] - self.counts[3]
-
-    @property
-    def total(self) -> int:
-        return int(sum(self.counts))
-
-
-def sample_pulse(
-    label: BellLabel,
-    gamma: float,
-    setting: MeasurementSetting,
-    eta: float,
-    rng: Generator,
-    pulse_id: int = 0,
-) -> PulseRecord:
-    """One pulse through the closed-form sampling path.
-
-    Draws the pair occupation (n, m) from the joint law
-    ``lambda_n lambda_m``, assigns perfectly correlated raw counts per
-    the state's pairing for the setting's Stokes component, then thins
-    each mode independently with probability ``eta``.
-    """
-    if isinstance(label, str):
-        label = BellLabel(label)
-    comp = setting.component
-    if comp is None:
-        raise ValueError("setting does not realize a canonical Stokes component")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must be in (0, 1]")
-    q = geometric_ratio(gamma)
-    n = int(rng.geometric(1.0 - q)) - 1
-    m = int(rng.geometric(1.0 - q)) - 1
-    ideal = paired_modes(n, m, count_pairing(label, comp))
-    detected = tuple(int(rng.binomial(k, eta)) for k in ideal)
-    return PulseRecord(pulse_id=pulse_id, counts=detected, setting=setting)
-
-
 # -- witness estimation --------------------------------------------------------
 
 
-def _jackknife_series(readout: np.ndarray, totals: np.ndarray):
-    """One series' statistic theta = Var(readout) - (2/3) mean(totals).
+def _merge_central(na: int, a: tuple, nb: int, b: tuple) -> tuple:
+    """Central sums of the union of two disjoint pulse sets.
 
-    Returns (var, mean_total, theta, sigma_theta, sigma_var) with the
-    errors from a delete-one-pulse jackknife, fully vectorized from the
-    leave-one-out sums.
+    Each set is ``(mean_x, mean_t, M2, M3, M4, C11, C21, E2)`` with
+    ``M_k = sum d^k``, ``C11 = sum d e``, ``C21 = sum d^2 e`` and
+    ``E2 = sum e^2`` about its own means (d = x - mean_x, e = t - mean_t).
+    These are the pairwise update formulas of Chan, Golub & LeVeque (1983)
+    and Pebay (SAND2008-6212); C21 follows as M3 does, with one of the
+    three deviations taken in t.
     """
-    x = readout.astype(np.float64)
-    t = totals.astype(np.float64)
-    n = x.size
-    S1, S2, T1 = x.sum(), float(x @ x), t.sum()
-    mean_full = T1 / n
-    var_full = (S2 - S1 * S1 / n) / (n - 1) if n > 1 else 0.0
-    theta_full = var_full - (2.0 / 3.0) * mean_full
-    if n < 3:
-        return var_full, mean_full, theta_full, math.inf, math.inf
+    mxa, mta, m2a, m3a, m4a, c11a, c21a, e2a = a
+    mxb, mtb, m2b, m3b, m4b, c11b, c21b, e2b = b
+    n = na + nb
+    fa, fb = na / n, nb / n
+    w = na * fb  # na nb / n
+    dx, dt = mxb - mxa, mtb - mta
+    return (
+        mxa + fb * dx,
+        mta + fb * dt,
+        m2a + m2b + dx * dx * w,
+        m3a + m3b + dx**3 * w * (fa - fb) + 3.0 * dx * (fa * m2b - fb * m2a),
+        m4a + m4b + dx**4 * w * (fa * fa - fa * fb + fb * fb)
+        + 6.0 * dx * dx * (fa * fa * m2b + fb * fb * m2a) + 4.0 * dx * (fa * m3b - fb * m3a),
+        c11a + c11b + dx * dt * w,
+        c21a + c21b + dx * dx * dt * w * (fa - fb) + dt * (fa * m2b - fb * m2a)
+        + 2.0 * dx * (fa * c11b - fb * c11a),
+        e2a + e2b + dt * dt * w,
+    )
 
-    # leave-one-out statistics in place on the two copies and one more buffer,
-    # with the roundings of (s2 - s1 s1 / m) / (m - 1) - (2/3) t1 / m
-    m = n - 1.0
-    var_del = np.square(x)
-    np.subtract(S2, var_del, out=var_del)
-    s1 = np.subtract(S1, x, out=x)
-    np.square(s1, out=s1)
-    s1 /= m
-    var_del -= s1
-    var_del /= m - 1.0
-    theta_del = np.subtract(T1, t, out=t)
-    theta_del /= m
-    theta_del *= 2.0 / 3.0
-    np.subtract(var_del, theta_del, out=theta_del)
-    theta_del -= theta_del.mean()
-    var_del -= var_del.mean()
-    sigma_theta = math.sqrt((n - 1) / n * np.sum(np.square(theta_del, out=theta_del)))
-    sigma_var = math.sqrt((n - 1) / n * np.sum(np.square(var_del, out=var_del)))
-    return var_full, mean_full, theta_full, sigma_theta, sigma_var
+
+class _SeriesSums:
+    """Streamed statistic theta = Var(readout) - (2/3) mean(totals) of one series.
+
+    :meth:`add` takes one block of int64 readouts x and totals t.  The
+    exact sums n, sum x, sum x^2 and sum t are int64 per block and Python
+    ints across blocks; the central sums about the running means are
+    float64 per block and merged by :func:`_merge_central`.
+    """
+
+    def __init__(self):
+        self.n = self.s1 = self.s2 = self.t1 = 0
+        self.central: tuple | None = None
+        self._buf = np.empty((3, BLOCK_PULSES))
+
+    def add(self, x: np.ndarray, t: np.ndarray) -> None:
+        size = x.size
+        big = int(t.max())  # |x| <= t pulse by pulse
+        if big * big * size < _INT64_LIMIT:
+            s1, s2, t1 = int(x.sum()), int(x @ x), int(t.sum())
+        else:  # Python ints, exact past int64
+            xs = x.tolist()
+            s1, s2, t1 = sum(xs), sum(v * v for v in xs), sum(t.tolist())
+        self.s1 += s1
+        self.s2 += s2
+        self.t1 += t1
+        mx, mt = s1 / size, t1 / size
+        d = np.subtract(x, mx, out=self._buf[0, :size])
+        e = np.subtract(t, mt, out=self._buf[1, :size])
+        d2 = np.multiply(d, d, out=self._buf[2, :size])
+        block = (mx, mt, float(d @ d), float(d2 @ d), float(d2 @ d2),
+                 float(d @ e), float(d2 @ e), float(e @ e))
+        self.central = (block if self.central is None
+                        else _merge_central(self.n, self.central, size, block))
+        self.n += size
+
+    def statistics(self) -> tuple:
+        """(var, mean_total, theta, sigma_theta, sigma_var) with delete-one jackknife errors.
+
+        With d = x - mean x and e = t - mean t, the delete-one statistic
+        is ``theta_i - mean = -c (d_i^2 - M2/n) + k e_i`` with
+        ``c = n/((n-1)(n-2))`` and ``k = (2/3)/(n-1)``, so
+        ``sigma_theta^2 = (n-1)/n [c^2 (M4 - M2^2/n) - 2 c k C21 + k^2 E2]``
+        and ``sigma_var^2`` is its first term.
+        """
+        n = self.n
+        s1, s2 = float(self.s1), float(self.s2)
+        mean_full = float(self.t1) / n
+        var_full = (s2 - s1 * s1 / n) / (n - 1) if n > 1 else 0.0
+        theta_full = var_full - (2.0 / 3.0) * mean_full
+        if n < 3:
+            return var_full, mean_full, theta_full, math.inf, math.inf
+        _, _, m2, _, m4, _, c21, e2 = self.central
+        c, k = n / ((n - 1) * (n - 2)), (2.0 / 3.0) / (n - 1)
+        spread = c * c * (m4 - m2 * m2 / n)
+        sigma_theta = math.sqrt(max((n - 1) / n * (spread - 2.0 * c * k * c21 + k * k * e2), 0.0))
+        sigma_var = math.sqrt(max((n - 1) / n * spread, 0.0))
+        return var_full, mean_full, theta_full, sigma_theta, sigma_var
 
 
 def _write_pulse_log(fh, series: int, first: int, rows) -> None:
@@ -270,8 +246,8 @@ def estimate_witness(
     unbiased estimate of sum Var(S_i^a + s_i S_i^b) - 2 <S_0> at the
     detected-photon level.
     """
-    # peak: int64 readout and totals plus the jackknife's three float64 buffers
-    check_memory(config.pulses, "witness estimate", 40, "pulses")
+    check_memory(min(config.pulses, BLOCK_PULSES), "witness estimate",
+                 BLOCK_BYTES_PER_PULSE, "pulses per block")
     kind = kind or matched_witness(config.label)
     signs = kind.signs
     log_fh = open(pulse_log, "wb") if pulse_log else None
@@ -282,28 +258,29 @@ def estimate_witness(
     degenerate = []
     theta_sum = 0.0
     mean_s0_acc = 0.0
+    readout = np.empty(BLOCK_PULSES, dtype=np.int64)
+    totals = np.empty(BLOCK_PULSES, dtype=np.int64)
     try:
         for series, sign in enumerate(signs):
             # counts always follow the state's own pairing; a mismatched witness
             # only changes the sign in the readout combination below
             pairing = count_pairing(config.label, series + 1)
-            # each block is reduced as it is drawn, so no count table is held
-            readout = np.empty(config.pulses, dtype=np.int64)
-            totals = np.empty(config.pulses, dtype=np.int64)
+            sums = _SeriesSums()
             add_b, sub_b = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
             for lo, (xa, ya, xb, yb) in _count_blocks(config, pairing, series, run):
-                r = readout[lo:lo + BLOCK_PULSES]
-                t = totals[lo:lo + BLOCK_PULSES]
+                r = readout[:xa.size]
+                t = totals[:xa.size]
                 np.subtract(xa, ya, out=r)  # (xa - ya) + sign * (xb - yb), exact in int64
                 add_b(r, xb, out=r)
                 sub_b(r, yb, out=r)
                 np.add(xa, ya, out=t)
                 t += xb
                 t += yb
+                sums.add(r, t)
                 if log_fh is not None:
                     _write_pulse_log(log_fh, series, series * config.pulses + lo,
                                      (xa, ya, xb, yb))
-            var_full, mean_full, theta, s_theta, s_var = _jackknife_series(readout, totals)
+            var_full, mean_full, theta, s_theta, s_var = sums.statistics()
             if var_full == 0.0 and mean_full == 0.0:
                 degenerate.append(series + 1)
             variance_terms.append(var_full)
@@ -373,54 +350,78 @@ class FedorovEstimate:
     meta: dict = field(default_factory=dict)
 
 
-def _marginal_width(samples: np.ndarray, convention) -> float:
-    from .measures import WidthConvention
+class _PartnerBins:
+    """Per partner-count bin of one detector: its pulses, sum x and sum x^2.
 
-    conv = WidthConvention(convention) if isinstance(convention, str) else convention
-    if conv is WidthConvention.SQRT2_STDDEV:
-        return math.sqrt(2.0) * float(samples.mean())
-    return float(samples.std(ddof=1))
-
-
-def _conditional_width(values: np.ndarray, partners: np.ndarray, bin_width: int) -> float:
-    """Count-weighted std of values across binned partner counts, >= 1 count.
-
-    Partner counts are grouped into intervals of ``bin_width``; the
-    conditional histogram of ``values`` within each occupied interval
-    contributes its standard deviation, weighted by occupancy.  Bins in
-    the observed partner range with no usable statistics are skipped
-    with a warning.  Perfect correlation concentrates each conditional
-    on a point, so the width is floored at one count.
+    A pulse falls in bin k when its partner count lies in
+    ``[k w, (k+1) w)`` for bin width w.  The sums are exact: int64 while
+    ``pulses * max(x)^2`` stays below 2**63, which bounds every bin's sum
+    of squares, and Python ints from the block that would pass it.  The
+    table grows with the largest partner bin seen, after
+    :func:`~macrobell.states.check_memory` admits the new length.
     """
-    bins = partners // bin_width
-    bins -= bins.min() if bins.size else 0
-    span = int(bins.max(initial=-1)) + 1
-    # a stable sort gives one permutation for any key dtype; spans under 2**16 sort by radix
-    key = bins.astype(np.min_scalar_type(span))
-    del bins  # each array goes as soon as it is spent, which bounds the peak
-    order = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[order])) + 1
-    del key
-    v_sorted = values[order].astype(np.float64)
-    del order
-    groups = np.split(v_sorted, cuts)
-    total = 0.0
-    weight = 0.0
-    skipped = 0
-    for grp in groups:
-        if grp.size >= 2:
-            total += grp.size * grp.std(ddof=1)
-            weight += grp.size
-        else:
-            skipped += 1
-    empty = span - len(groups)
-    if skipped or empty > 0:
-        log.warning(
-            "conditional histograms: %d empty and %d singleton partner bin(s) skipped",
-            max(empty, 0), skipped,
-        )
-    width = total / weight if weight > 0 else 0.0
-    return max(width, 1.0)
+
+    def __init__(self, bin_width: int):
+        self.bin_width = bin_width
+        self.count = np.zeros(0, dtype=np.int64)
+        self.sums = np.zeros((2, 0), dtype=np.int64)  # sum x, sum x^2 per bin
+        self.pulses = self.largest = 0
+
+    def add(self, values: np.ndarray, partners: np.ndarray) -> None:
+        bins = partners // self.bin_width
+        grow = int(bins.max()) + 1 - self.count.size
+        if grow > 0:
+            check_memory(self.count.size + grow, "width-ratio estimate", PARTNER_BIN_BYTES,
+                         "partner bins")
+            self.count = np.pad(self.count, (0, grow))
+            self.sums = np.pad(self.sums, ((0, 0), (0, grow)))
+        self.pulses += values.size
+        self.largest = max(self.largest, int(values.max()))
+        if self.sums.dtype != object and self.pulses * self.largest**2 >= _INT64_LIMIT:
+            self.sums = self.sums.astype(object)
+        if self.sums.dtype == object:
+            values = values.astype(object)
+        np.add.at(self.count, bins, 1)
+        np.add.at(self.sums[0], bins, values)
+        np.add.at(self.sums[1], bins, values * values)
+
+    def marginal_width(self, convention) -> float:
+        from .measures import WidthConvention
+
+        conv = WidthConvention(convention) if isinstance(convention, str) else convention
+        n, s1, s2 = self.pulses, int(self.sums[0].sum()), int(self.sums[1].sum())
+        if conv is WidthConvention.SQRT2_STDDEV:
+            return math.sqrt(2.0) * (s1 / n)
+        return math.sqrt((n * s2 - s1 * s1) / (n * (n - 1))) if n > 1 else math.nan
+
+    def conditional_width(self) -> float:
+        """Count-weighted std of the values across partner bins, >= 1 count.
+
+        Each bin with at least two pulses contributes its standard
+        deviation (ddof 1), weighted by occupancy.  Bins in the observed
+        partner range with no usable statistics are skipped with a
+        warning.  Perfect correlation concentrates each conditional on a
+        point, so the width is floored at one count.  The weighted sum is
+        formed in integers to 2**-64 of its value, then rounded once.
+        """
+        occupied = np.flatnonzero(self.count)
+        used = occupied[self.count[occupied] >= 2]
+        empty = int(occupied[-1] - occupied[0]) + 1 - occupied.size if occupied.size else 0
+        skipped = occupied.size - used.size
+        if skipped or empty:
+            log.warning(
+                "conditional histograms: %d empty and %d singleton partner bin(s) skipped",
+                empty, skipped,
+            )
+        n = self.count[used].tolist()
+        if not n:
+            return 1.0
+        # n_b sd_b = sqrt(n_b (n_b S2_b - S1_b^2) / (n_b - 1)), in fixed point 2**-shift
+        shift = 64 + len(n).bit_length()
+        total = sum(math.isqrt((k * (k * q - p * p) << 2 * shift) // (k - 1))
+                    for k, p, q in zip(n, self.sums[0, used].tolist(),
+                                       self.sums[1, used].tolist()))
+        return max(total / (sum(n) << shift), 1.0)
 
 
 def estimate_fedorov(
@@ -434,16 +435,16 @@ def estimate_fedorov(
     ratios, each marginal width over conditional width, the latter
     floored at one bin.
     """
-    # peak: four int64 count rows, the sort order and the sorted values as int64 and float64
-    check_memory(config.pulses, "width-ratio estimate", 56, "pulses")
     pairing = count_pairing(config.label, 1)
-    counts = _sample_series_counts(config, pairing, series=0, run=run)
-    xa, ya, xb, yb = counts.T
-    partner_h, partner_v = paired_modes(xb, yb, pairing)[2:]
-    mw_h = _marginal_width(xa, convention)
-    cw_h = _conditional_width(xa, partner_h, config.bin_width)
-    mw_v = _marginal_width(ya, convention)
-    cw_v = _conditional_width(ya, partner_v, config.bin_width)
+    side_h, side_v = _PartnerBins(config.bin_width), _PartnerBins(config.bin_width)
+    for _, (xa, ya, xb, yb) in _count_blocks(config, pairing, series=0, run=run):
+        partner_h, partner_v = paired_modes(xb, yb, pairing)[2:]
+        side_h.add(xa, partner_h)
+        side_v.add(ya, partner_v)
+    mw_h = side_h.marginal_width(convention)
+    cw_h = side_h.conditional_width()
+    mw_v = side_v.marginal_width(convention)
+    cw_v = side_v.conditional_width()
     conv = convention if isinstance(convention, str) else convention.value
     return FedorovEstimate(
         ratio=(mw_h / cw_h) * (mw_v / cw_v),
@@ -462,6 +463,7 @@ def estimate_fedorov(
             "seed": config.seed,
             "bin_width": config.bin_width,
             "run": run,
+            "partner_bins": max(side_h.count.size, side_v.count.size),
         },
     )
 

@@ -6,13 +6,18 @@ loops, full ``(n, m)`` amplitude tables, term-by-term tail sums and
 dense eigensolves -- deliberately a
 different construction from the library's stride arithmetic and closed
 forms, so that agreement between the two is a meaningful check rather
-than a tautology.  The simulation references repeat the library's
-arithmetic with a full count table, a full-length temporary per
-expression and an int64 sort, so there the two must agree exactly.
+than a tautology.  The simulation oracles are the library's former
+full-table routes: a (pulses, 4) count table per series, the
+leave-one-out jackknife and the sort-based conditional width, plus a
+one-pulse-at-a-time sampler; the exact references repeat their
+statistics in rational arithmetic.
 """
 
 import json
+import logging
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +25,13 @@ from scipy.sparse.linalg import expm_multiply
 
 from macrobell.basis import FourModeBasis
 from macrobell.polarization import BasisTransform, apply_transform, half_wave_plate, quarter_wave_plate
-from macrobell.simulate import count_pairing
+from macrobell.simulate import (
+    BLOCK_PULSES,
+    CANONICAL_SETTINGS,
+    _count_blocks,
+    count_pairing,
+    matched_witness,
+)
 from macrobell.states import (
     BellLabel,
     FourModeState,
@@ -33,6 +44,8 @@ from macrobell.states import (
     schmidt_spectrum,
 )
 from macrobell.stokes import _TERMS
+
+log = logging.getLogger(__name__)
 
 
 def mode_annihilator(d: int) -> sp.csr_matrix:
@@ -97,9 +110,8 @@ def bell_vector(sign: int, pairing: str, gamma: float, n_max: int) -> np.ndarray
 
 
 def edge_mass_cutoff(gamma: float, tol: float = 1e-10, margin: int = 2) -> int:
-    """Smallest per-mode cutoff passing the witness edge-mass gate, by
-    stepping the cutoff until the mass ``1 - (1 - q^(n-1))^2`` drops
-    below ``tol``."""
+    """``cutoff_for_edge_mass`` by stepping the cutoff until the untruncated
+    tail mass ``1 - (1 - q^(n-1))^2`` drops below ``tol``."""
     q = math.tanh(gamma) ** 2
     if q == 0.0:
         return 2
@@ -195,15 +207,25 @@ def tensor_route_matrix(coeffs: dict, d: int) -> np.ndarray:
     return out
 
 
+def _sample_series_counts(config, pairing: str, series: int, run: int) -> np.ndarray:
+    """Detected counts (pulses, 4) = (x_a, y_a, x_b, y_b) for one series.
+
+    Filled as a (4, pulses) buffer, one contiguous row per detector; the
+    result is its transposed view.
+    """
+    cols = np.empty((4, config.pulses), dtype=np.int64)
+    for lo, rows in _count_blocks(config, pairing, series, run):
+        cols[:, lo:lo + BLOCK_PULSES] = rows
+    return cols.T
+
+
 def pulse_log_bytes(config, run: int = 0) -> bytes:
     """The NDJSON pulse log of ``estimate_witness``, one ``json.dumps`` per pulse.
 
-    Re-draws each series' counts from the library's block sampler and
-    serializes every pulse record on its own, the reference for the
-    library's chunked template writer.
+    Re-draws each series' counts as a full count table and serializes
+    every pulse record on its own, the reference for the library's
+    chunked template writer.
     """
-    from macrobell.simulate import CANONICAL_SETTINGS, _sample_series_counts, count_pairing
-
     lines = []
     for series in range(3):
         comp = series + 1
@@ -222,12 +244,11 @@ def pulse_log_bytes(config, run: int = 0) -> bytes:
 def witness_reference(config, kind=None, run: int = 0) -> tuple:
     """``estimate_witness`` reducing each series' full (pulses, 4) count table.
 
-    Returns (value, value_error, variance_terms, variance_errors, mean_s0).
-    The library reduces each block as it is drawn instead; integer sums
-    are exact, so the two must agree exactly.
+    Returns (value, value_error, variance_terms, variance_errors, mean_s0):
+    the values from :func:`_jackknife_series`, whose integer sums are exact
+    on every route, so they must agree exactly with the library's, and the
+    errors from :func:`jackknife_exact`, each rounded once.
     """
-    from macrobell.simulate import _jackknife_series, _sample_series_counts, matched_witness
-
     kind = kind or matched_witness(config.label)
     variance_terms, theta_sigmas, var_sigmas = [], [], []
     theta_sum = mean_s0 = 0.0
@@ -237,7 +258,8 @@ def witness_reference(config, kind=None, run: int = 0) -> tuple:
         readout = xa - ya
         readout += sign * (xb - yb)
         totals = xa + ya + xb + yb
-        var_full, mean_full, theta, s_theta, s_var = _jackknife_series(readout, totals)
+        var_full, mean_full, theta = _jackknife_series(readout, totals)[:3]
+        s_theta, s_var = map(float, jackknife_exact(readout, totals))
         variance_terms.append(var_full)
         theta_sigmas.append(s_theta)
         var_sigmas.append(s_var)
@@ -247,11 +269,12 @@ def witness_reference(config, kind=None, run: int = 0) -> tuple:
     return float(theta_sum), float(sigma), tuple(variance_terms), tuple(var_sigmas), float(mean_s0)
 
 
-def jackknife_reference(readout: np.ndarray, totals: np.ndarray):
-    """``_jackknife_series`` as full-length temporaries, one per expression.
+def _jackknife_series(readout: np.ndarray, totals: np.ndarray):
+    """One series' statistic theta = Var(readout) - (2/3) mean(totals).
 
-    The library computes the same float64 operations in the same order in
-    place, so the two must agree exactly, not to a tolerance.
+    Returns (var, mean_total, theta, sigma_theta, sigma_var) with the
+    errors from a delete-one-pulse jackknife, fully vectorized from the
+    leave-one-out sums.
     """
     x = readout.astype(np.float64)
     t = totals.astype(np.float64)
@@ -262,29 +285,52 @@ def jackknife_reference(readout: np.ndarray, totals: np.ndarray):
     theta_full = var_full - (2.0 / 3.0) * mean_full
     if n < 3:
         return var_full, mean_full, theta_full, math.inf, math.inf
+
+    # leave-one-out statistics in place on the two copies and one more buffer,
+    # with the roundings of (s2 - s1 s1 / m) / (m - 1) - (2/3) t1 / m
     m = n - 1.0
-    s1 = S1 - x
-    s2 = S2 - x * x
-    t1 = T1 - t
-    var_del = (s2 - s1 * s1 / m) / (m - 1.0)
-    mean_del = t1 / m
-    theta_del = var_del - (2.0 / 3.0) * mean_del
-    sigma_theta = math.sqrt((n - 1) / n * np.sum((theta_del - theta_del.mean()) ** 2))
-    sigma_var = math.sqrt((n - 1) / n * np.sum((var_del - var_del.mean()) ** 2))
+    var_del = np.square(x)
+    np.subtract(S2, var_del, out=var_del)
+    s1 = np.subtract(S1, x, out=x)
+    np.square(s1, out=s1)
+    s1 /= m
+    var_del -= s1
+    var_del /= m - 1.0
+    theta_del = np.subtract(T1, t, out=t)
+    theta_del /= m
+    theta_del *= 2.0 / 3.0
+    np.subtract(var_del, theta_del, out=theta_del)
+    theta_del -= theta_del.mean()
+    var_del -= var_del.mean()
+    sigma_theta = math.sqrt((n - 1) / n * np.sum(np.square(theta_del, out=theta_del)))
+    sigma_var = math.sqrt((n - 1) / n * np.sum(np.square(var_del, out=var_del)))
     return var_full, mean_full, theta_full, sigma_theta, sigma_var
 
 
-def conditional_width_reference(values: np.ndarray, partners: np.ndarray, bin_width: int):
-    """``_conditional_width`` sorting the int64 bin numbers themselves.
+def _conditional_width(values: np.ndarray, partners: np.ndarray, bin_width: int) -> float:
+    """Count-weighted std of values across binned partner counts, >= 1 count.
 
-    Returns (width, empty bins, singleton bins); the library sorts a
-    narrowed key stably, which must give the same permutation.
+    Partner counts are grouped into intervals of ``bin_width``; the
+    conditional histogram of ``values`` within each occupied interval
+    contributes its standard deviation, weighted by occupancy.  Bins in
+    the observed partner range with no usable statistics are skipped
+    with a warning.  Perfect correlation concentrates each conditional
+    on a point, so the width is floored at one count.
     """
     bins = partners // bin_width
-    order = np.argsort(bins, kind="stable")
-    b_sorted = bins[order]
-    groups = np.split(values[order].astype(np.float64), np.flatnonzero(np.diff(b_sorted)) + 1)
-    total = weight = 0.0
+    bins -= bins.min() if bins.size else 0
+    span = int(bins.max(initial=-1)) + 1
+    # a stable sort gives one permutation for any key dtype; spans under 2**16 sort by radix
+    key = bins.astype(np.min_scalar_type(span))
+    del bins  # each array goes as soon as it is spent, which bounds the peak
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    del key
+    v_sorted = values[order].astype(np.float64)
+    del order
+    groups = np.split(v_sorted, cuts)
+    total = 0.0
+    weight = 0.0
     skipped = 0
     for grp in groups:
         if grp.size >= 2:
@@ -292,9 +338,140 @@ def conditional_width_reference(values: np.ndarray, partners: np.ndarray, bin_wi
             weight += grp.size
         else:
             skipped += 1
-    span = int(b_sorted[-1] - b_sorted[0]) + 1 if b_sorted.size else 0
+    empty = span - len(groups)
+    if skipped or empty > 0:
+        log.warning(
+            "conditional histograms: %d empty and %d singleton partner bin(s) skipped",
+            max(empty, 0), skipped,
+        )
     width = total / weight if weight > 0 else 0.0
-    return max(width, 1.0), max(span - len(groups), 0), skipped
+    return max(width, 1.0)
+
+
+def _sqrt_fraction(value: Fraction, bits: int = 160) -> Fraction:
+    """sqrt(value) to 2**-bits relative, from an integer square root."""
+    return Fraction(math.isqrt(value.numerator * value.denominator << 2 * bits),
+                    value.denominator << bits)
+
+
+def jackknife_exact(readout: np.ndarray, totals: np.ndarray) -> tuple[Fraction, Fraction]:
+    """(sigma_theta, sigma_var) of one series in rational arithmetic.
+
+    Straight from the delete-one definition: without pulse i the
+    variance is ``N_i / D`` with ``N_i = (n-1)(S2 - x_i^2) - (S1 - x_i)^2``
+    and ``D = (n-1)(n-2)``, and theta is ``Q_i / (3 D)`` with
+    ``Q_i = 3 N_i - 2 (n-2)(T1 - t_i)``, all integers (as Python ints).
+    Only the final square roots are approximated, to 2**-160.
+    """
+    x, t = readout.astype(object), totals.astype(object)
+    n = x.size
+    s1, s2, t1 = x.sum(), (x * x).sum(), t.sum()
+    var_num = (n - 1) * (s2 - x * x) - (s1 - x) ** 2
+    theta_num = 3 * var_num - 2 * (n - 2) * (t1 - t)
+    den = (n - 1) * (n - 2)
+
+    def sigma(num, scale):
+        spread = n * (num * num).sum() - num.sum() ** 2
+        return _sqrt_fraction(Fraction((n - 1) * spread, n * n * scale * scale))
+
+    return sigma(theta_num, 3 * den), sigma(var_num, den)
+
+
+def conditional_width_exact(values: np.ndarray, partners: np.ndarray, bin_width: int):
+    """The conditional width in rational arithmetic, with its skipped bins.
+
+    Returns (width, empty bins, singleton bins); each bin's variance is
+    exact and its square root good to 2**-160.
+    """
+    groups: dict[int, list[int]] = {}
+    for b, v in zip((partners // bin_width).tolist(), values.tolist()):
+        groups.setdefault(b, []).append(v)
+    total, weight = Fraction(0), 0
+    for vals in groups.values():
+        k = len(vals)
+        if k >= 2:
+            mean = Fraction(sum(vals), k)
+            total += k * _sqrt_fraction(sum((v - mean) ** 2 for v in vals) / (k - 1))
+            weight += k
+    span = max(groups) - min(groups) + 1 if groups else 0
+    singles = sum(len(vals) == 1 for vals in groups.values())
+    width = total / weight if weight else Fraction(0)
+    return max(width, Fraction(1)), span - len(groups), singles
+
+
+# -- single-pulse view -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MeasurementSetting:
+    """Analyzer wave-plate angles, applied identically to both beams."""
+
+    hwp_deg: float
+    qwp_deg: float
+
+    @property
+    def component(self) -> int | None:
+        """Stokes component this setting realizes, if canonical."""
+        for comp, (h, q) in CANONICAL_SETTINGS.items():
+            if abs(self.hwp_deg - h) < 1e-12 and abs(self.qwp_deg - q) < 1e-12:
+                return comp
+        return None
+
+
+@dataclass(frozen=True)
+class PulseRecord:
+    """Detected counts of one pulse in the analyzer basis.
+
+    ``counts`` holds (x_a, y_a, x_b, y_b): the two polarizing-splitter
+    outputs per beam after the wave plates.  The per-beam readouts are
+    the detector differences.
+    """
+
+    pulse_id: int
+    counts: tuple[int, int, int, int]
+    setting: MeasurementSetting
+
+    @property
+    def readout_a(self) -> int:
+        return self.counts[0] - self.counts[1]
+
+    @property
+    def readout_b(self) -> int:
+        return self.counts[2] - self.counts[3]
+
+    @property
+    def total(self) -> int:
+        return int(sum(self.counts))
+
+
+def sample_pulse(
+    label: BellLabel,
+    gamma: float,
+    setting: MeasurementSetting,
+    eta: float,
+    rng: np.random.Generator,
+    pulse_id: int = 0,
+) -> PulseRecord:
+    """One pulse through the closed-form sampling path.
+
+    Draws the pair occupation (n, m) from the joint law
+    ``lambda_n lambda_m``, assigns perfectly correlated raw counts per
+    the state's pairing for the setting's Stokes component, then thins
+    each mode independently with probability ``eta``.
+    """
+    if isinstance(label, str):
+        label = BellLabel(label)
+    comp = setting.component
+    if comp is None:
+        raise ValueError("setting does not realize a canonical Stokes component")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must be in (0, 1]")
+    q = geometric_ratio(gamma)
+    n = int(rng.geometric(1.0 - q)) - 1
+    m = int(rng.geometric(1.0 - q)) - 1
+    ideal = paired_modes(n, m, count_pairing(label, comp))
+    detected = tuple(int(rng.binomial(k, eta)) for k in ideal)
+    return PulseRecord(pulse_id=pulse_id, counts=detected, setting=setting)
 
 
 def epsilon_brute_force(gamma: float, n_total: int, rel_tol: float = 1e-18) -> float:

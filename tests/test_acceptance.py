@@ -26,7 +26,6 @@ from macrobell.measures import (
 )
 from macrobell.simulate import (
     SimConfig,
-    _sample_series_counts,
     estimate_fedorov,
     estimate_witness,
     matched_witness,
@@ -218,7 +217,7 @@ def test_criterion_09_ideal_simulation_statistics():
           f"exact {exact.value:.6f} at cutoff {n_max}, z = {z:.2f}")
     assert z <= 3.0
 
-    counts = _sample_series_counts(cfg, "cross", series=0, run=0)
+    counts = oracles._sample_series_counts(cfg, "cross", series=0, run=0)
     q = math.tanh(1.0) ** 2
     kmax = 0
     while cfg.pulses * q ** (kmax + 2) >= 5.0:

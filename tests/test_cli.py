@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import HealthCheck, given, settings, strategies as hs
 from macrobell import cli
 from macrobell.basis import FourModeBasis
 from macrobell.measures import fedorov_ratio, gain_scan
-from macrobell.simulate import witness_under_loss
+from macrobell.simulate import (
+    BLOCK_BYTES_PER_PULSE,
+    BLOCK_PULSES,
+    PARTNER_BIN_BYTES,
+    SimConfig,
+    estimate_fedorov,
+    witness_under_loss,
+)
 from macrobell.states import BellLabel, NumericError, build_bell_state
 from macrobell.truncation import dimension_scan
 from macrobell.witnesses import WitnessKind, cross_witness_matrix, cutoff_for_edge_mass, evaluate_witness
@@ -177,6 +185,8 @@ def test_empty_grid_is_usage_error():
     ["witness", "--cutoff", "0"],
     ["witness", "--cutoff", "-3"],
     ["crosswitness", "--cutoff", "0"],
+    ["witness", "--cutoff", "1" + "0" * 400],
+    ["crosswitness", "--cutoff", "1" + "0" * 400],
     ["witness", "--gamma", "nan"],
     ["witness", "--gamma", "-1"],
     ["crosswitness", "--gamma", "inf"],
@@ -411,11 +421,24 @@ def test_huge_cutoff_is_answered(argv):
     assert manifest["cutoff"] == 1_000_000_000_000 and manifest["edge_mass"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["witness", "crosswitness"])
+def test_largest_cutoff_is_answered(command, capsys):
+    # the closed-form moments square the level count as a float: the largest
+    # cutoff whose square fits is answered, the next one is a usage error
+    largest = math.isqrt(int(sys.float_info.max)) - 1
+    assert cli.main([command, "--cutoff", str(largest), "--out", "big.csv"]) == 0
+    capsys.readouterr()
+    assert cli.main([command, "--cutoff", str(largest + 1), "--out", "big.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cutoff must be below 1.341e+154")
+    assert err.count("\n") == 1
+
+
 def test_memory_preflight_reads_available_memory(monkeypatch, capsys):
     # with 1 kB reported free the default psi-minus witness still runs, as
     # its closed form allocates nothing; a Schmidt factor at its cutoff 19
-    # (an estimated 3.2 kB) and a 100-pulse sampled witness (4 kB) are
-    # refused before anything runs
+    # (an estimated 3.2 kB) and a 100-pulse sampled witness (a 12.8 kB
+    # block) are refused before anything runs
     from macrobell import states
 
     monkeypatch.setattr(states, "available_memory", lambda: 1_000)
@@ -429,23 +452,45 @@ def test_memory_preflight_reads_available_memory(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, pulse_bytes", [
-    (["witness", "--simulate", "--pulse-log", "p.ndjson"], 40),
-    (["sweep-eta", "--eta-points", "2"], 40),
-    (["fedorov"], 56),
-])
-def test_sampled_run_memory_preflight(monkeypatch, capsys, argv, pulse_bytes):
-    # free memory for exactly 1000 pulses at the estimate's peak bytes per
-    # pulse: 1001 pulses are refused before any file is opened, 1000 run
+@pytest.mark.parametrize("argv", [
+    ["witness", "--simulate", "--pulse-log", "p.ndjson"],
+    ["sweep-eta", "--eta-points", "2"],
+], ids=" ".join)
+def test_sampled_witness_memory_is_one_block(monkeypatch, capsys, argv):
+    # a sampled witness holds one block of pulses at a time: free memory for
+    # exactly one block runs two blocks and a pulse, a byte less is refused
+    # before any file is opened
     from macrobell import states
 
-    monkeypatch.setattr(states, "available_memory", lambda: 1000 * pulse_bytes)
-    assert cli.main([*argv, "--pulses", "1001", "--out", "big.csv"]) == 3
+    need, pulses = BLOCK_PULSES * BLOCK_BYTES_PER_PULSE, str(2 * BLOCK_PULSES + 1)
+    monkeypatch.setattr(states, "available_memory", lambda: need - 1)
+    assert cli.main([*argv, "--pulses", pulses, "--out", "big.csv"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "1e+03 pulses" in err and "available memory" in err
-    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "4.1e+03 pulses per block" in err
+    assert "available memory" in err and err.count("\n") == 1
     assert not os.path.exists("big.csv") and not os.path.exists("p.ndjson")
-    assert cli.main([*argv, "--pulses", "1000", "--out", "ok.csv"]) == 0
+    monkeypatch.setattr(states, "available_memory", lambda: need)
+    assert cli.main([*argv, "--pulses", pulses, "--out", "ok.csv"]) == 0
+
+
+def test_sampled_run_memory_preflight(monkeypatch, capsys):
+    # a width-ratio run grows only its partner-bin sums, up to its largest
+    # partner count: about 3e5 bins at gain 6 and bin width 1.  Free memory
+    # for exactly the bins it reaches runs it; a byte less is refused before
+    # the sums grow past it, with no output
+    from macrobell import states
+
+    argv = ["fedorov", "--gamma", "6", "--pulses", "1000", "--seed", "3", "--bin-width", "1"]
+    cfg = SimConfig(label="psi-minus", gamma=6.0, pulses=1000, seed=3, bin_width=1)
+    need = estimate_fedorov(cfg).meta["partner_bins"] * PARTNER_BIN_BYTES
+    monkeypatch.setattr(states, "available_memory", lambda: need - 1)
+    assert cli.main([*argv, "--out", "big.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: width-ratio estimate: ") and "partner bins" in err
+    assert "available memory" in err and err.count("\n") == 1
+    assert not os.path.exists("big.csv")
+    monkeypatch.setattr(states, "available_memory", lambda: need)
+    assert cli.main([*argv, "--out", "ok.csv"]) == 0
 
 
 def test_arithmetic_overflow_is_numeric_refusal(capsys):

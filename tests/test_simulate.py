@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,31 +16,49 @@ from macrobell.simulate import (
     CANONICAL_SETTINGS,
     LOG_CHUNK_PULSES,
     FedorovEstimate,
-    MeasurementSetting,
     SimConfig,
-    _conditional_width,
-    _jackknife_series,
-    _sample_series_counts,
+    _PartnerBins,
+    _SeriesSums,
     count_pairing,
     efficiency_sweep,
     estimate_fedorov,
     estimate_witness,
     matched_witness,
-    sample_pulse,
     witness_under_loss,
 )
 from macrobell.states import BellLabel, build_bell_state, mean_photons_per_mode, schmidt_spectrum
 from macrobell.witnesses import WitnessKind
 from oracles import (
+    MeasurementSetting,
+    _conditional_width,
+    _jackknife_series,
+    _sample_series_counts,
     analyzer_distribution,
     analyzer_jones,
-    conditional_width_reference,
-    jackknife_reference,
+    conditional_width_exact,
+    jackknife_exact,
     pairing_distribution,
     pulse_log_bytes,
     sample_analyzer_counts,
+    sample_pulse,
     witness_reference,
 )
+
+
+def _streamed_series(readout: np.ndarray, totals: np.ndarray) -> tuple:
+    """The library's per-series statistics, fed one block at a time."""
+    sums = _SeriesSums()
+    for lo in range(0, readout.size, BLOCK_PULSES):
+        sums.add(readout[lo:lo + BLOCK_PULSES], totals[lo:lo + BLOCK_PULSES])
+    return sums.statistics()
+
+
+def _streamed_width(values: np.ndarray, partners: np.ndarray, bin_width: int) -> float:
+    """The library's conditional width, fed one block at a time."""
+    bins = _PartnerBins(bin_width)
+    for lo in range(0, values.size, BLOCK_PULSES):
+        bins.add(values[lo:lo + BLOCK_PULSES], partners[lo:lo + BLOCK_PULSES])
+    return bins.conditional_width()
 
 
 # -- configuration and settings -------------------------------------------------------
@@ -146,9 +165,9 @@ def test_determinism_same_seed_and_worker_count_invariance():
 
 def test_jackknife_matches_explicit_delete_one():
     rng = np.random.default_rng(17)
-    x = rng.integers(-5, 6, 200).astype(np.float64)
-    t = rng.integers(0, 20, 200).astype(np.float64)
-    var, mean, theta, s_theta, s_var = _jackknife_series(x, t)
+    x = rng.integers(-5, 6, 200)
+    t = rng.integers(0, 20, 200)
+    var, mean, theta, s_theta, s_var = _streamed_series(x, t)
     assert var == pytest.approx(np.var(x, ddof=1), rel=1e-12)
     assert mean == pytest.approx(t.mean(), rel=1e-12)
     assert theta == pytest.approx(var - (2.0 / 3.0) * mean, rel=1e-12)
@@ -165,8 +184,7 @@ def test_jackknife_matches_explicit_delete_one():
 
 
 def test_jackknife_tiny_series():
-    var, mean, theta, s_theta, s_var = _jackknife_series(
-        np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    var, mean, theta, s_theta, s_var = _streamed_series(np.array([1, 2]), np.array([3, 4]))
     assert math.isinf(s_theta) and math.isinf(s_var)
 
 
@@ -195,16 +213,19 @@ def test_sampled_stream_is_pinned(pairing, eta, run):
 
 
 def test_estimates_are_pinned():
+    # values are pinned to the digit; the jackknife errors and the width
+    # ratio to 1e-12, the rounding of the leave-one-out and sort routes
+    # that first printed them
     base = dict(label="phi-minus", gamma=2.5, pulses=2 * BLOCK_PULSES + 1, seed=5)
     matched = estimate_witness(SimConfig(eta=1.0, **base), run=1)
-    assert (repr(matched.value), repr(matched.value_error)) == (
-        "-291.1358476748444", "1.3323331057311578")
+    assert repr(matched.value) == "-291.1358476748444"
+    assert matched.value_error == pytest.approx(float("1.3323331057311578"), rel=1e-12)
     crossed = estimate_witness(SimConfig(eta=0.85, **base), kind=WitnessKind.W_S, run=1)
-    assert (repr(crossed.value), repr(crossed.value_error)) == (
-        "15830.873227981472", "281.8143243517508")
+    assert repr(crossed.value) == "15830.873227981472"
+    assert crossed.value_error == pytest.approx(float("281.8143243517508"), rel=1e-12)
     for eta, ratio in ((1.0, "2683.896316034523"), (0.85, "278.15878781804196")):
         est = estimate_fedorov(SimConfig(eta=eta, bin_width=1, **base), run=1)
-        assert repr(float(est.ratio)) == ratio
+        assert est.ratio == pytest.approx(float(ratio), rel=1e-12)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -215,22 +236,74 @@ def test_jackknife_matches_reference_exactly(pulses, sign):
     readout = (xa - ya) + sign * (xb - yb)
     totals = xa + ya + xb + yb
     kept = readout.copy(), totals.copy()
-    assert _jackknife_series(readout, totals) == jackknife_reference(readout, totals)
-    # the in-place route works on copies, never on the caller's arrays
+    got, want = _streamed_series(readout, totals), _jackknife_series(readout, totals)
+    assert got[:3] == want[:3]  # var, mean and theta from the same exact sums
+    assert got[3:] == pytest.approx(want[3:], rel=1e-12)
+    # the streamed route reads the caller's arrays, never writes them
     assert np.array_equal(readout, kept[0]) and np.array_equal(totals, kept[1])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_streamed_sigmas_beat_leave_one_out(sign):
+    # the leave-one-out route subtracts one pulse from sums over all of them,
+    # so its rounding grows with the pulse count; central sums do not.  The
+    # bound on the streamed route is at least ten times below what the
+    # leave-one-out route misses the exact errors by
+    bound = 1e-15
+    cfg = SimConfig(label="psi-plus", gamma=1.5, eta=0.85, pulses=20_001, seed=8)
+    xa, ya, xb, yb = _sample_series_counts(cfg, "parallel", series=0, run=0).T
+    readout, totals = (xa - ya) + sign * (xb - yb), xa + ya + xb + yb
+    exact = jackknife_exact(readout, totals)
+    new = _streamed_series(readout, totals)[3:]
+    old = _jackknife_series(readout, totals)[3:]
+    for got, was, want in zip(new, old, exact):
+        assert abs(Fraction(got) - want) <= bound * want
+        assert abs(Fraction(was) - want) >= 10 * bound * want
+
+
+def test_streamed_width_beats_sort_route():
+    # each bin's variance is exact and the weighted sum is rounded once, so
+    # the width is within half an ulp; the sort route accumulates float
+    # roundings over the 667 used partner bins of this run and misses by 34
+    # half-ulps (by 4 to 39 over the few runs tried)
+    cfg = SimConfig(label="psi-minus", gamma=3.0, eta=0.9, pulses=200_000, seed=4)
+    xa, _, _, yb = _sample_series_counts(cfg, "cross", series=0, run=0).T
+    exact = conditional_width_exact(xa, yb, 1)[0]
+    new, old = _streamed_width(xa, yb, 1), _conditional_width(xa, yb, 1)
+    bound = math.ulp(new) / 2
+    assert abs(Fraction(new) - exact) <= bound
+    assert abs(Fraction(old) - exact) >= 10 * bound
+
+
+def test_streamed_sums_stay_exact_past_int64():
+    # counts of 2**36 and more square past int64 within one block: the
+    # series sums and the partner-bin sums go on in Python ints
+    rng = np.random.default_rng(5)
+    totals = rng.integers(2**36, 2**37, 1000)
+    readout = totals - 2 * rng.integers(0, 2**36, 1000)
+    sums = _SeriesSums()
+    sums.add(readout, totals)
+    xs = readout.tolist()
+    assert (sums.s1, sums.s2, sums.t1) == (sum(xs), sum(v * v for v in xs), sum(totals.tolist()))
+    for got, want in zip(sums.statistics()[3:], jackknife_exact(readout, totals)):
+        assert abs(Fraction(got) - want) <= 1e-15 * want
+    values, partners = rng.integers(2**32, 2**33, 5000), rng.integers(0, 50, 5000)
+    width, exact = _streamed_width(values, partners, 1), conditional_width_exact(values, partners, 1)
+    assert abs(Fraction(width) - exact[0]) <= math.ulp(width) / 2
 
 
 @pytest.mark.parametrize("bin_width, scale", [(1, 1), (200, 1), (1, 2**17)])
 def test_conditional_width_matches_int64_sort(caplog, bin_width, scale):
-    # scale 2**17 spreads the partners over a span of at least 2**16 bins,
-    # past the 16-bit keys, so the wide-key sort runs
+    # scale 2**17 spreads the partners over a span of at least 2**16 bins:
+    # past the 16-bit keys of the sort route, and a long partner-bin table
     cfg = SimConfig(label="psi-minus", gamma=2.0, eta=0.85, pulses=50_000, seed=4)
     xa, _, _, yb = _sample_series_counts(cfg, "cross", series=0, run=0).T
     partners = yb * scale + xa % scale
     assert int(partners.max() - partners.min()) // bin_width >= (2**16 if scale > 1 else 0)
-    width, empty, singles = conditional_width_reference(xa, partners, bin_width)
+    _, empty, singles = conditional_width_exact(xa, partners, bin_width)
     with caplog.at_level("WARNING", logger="macrobell.simulate"):
-        assert _conditional_width(xa, partners, bin_width) == width
+        width = _streamed_width(xa, partners, bin_width)
+    assert width == pytest.approx(_conditional_width(xa, partners, bin_width), rel=1e-12)
     if empty or singles:
         assert f"{empty} empty and {singles} singleton" in caplog.text
     else:
@@ -244,36 +317,41 @@ def test_conditional_width_matches_int64_sort(caplog, bin_width, scale):
 def test_streamed_witness_matches_count_table(label, kind, eta, pulses):
     # psi-minus pairs every series crossed, phi-plus mixes both pairings; W_T1
     # mismatches both states, so readouts take both signs
+    # the errors go to the exact reference (1.7e-15 off at most here): the
+    # leave-one-out route misses it by up to 1.4e-12 at 100,001 pulses
     cfg = SimConfig(label=label, gamma=1.5, eta=eta, pulses=pulses, seed=9)
     rep = estimate_witness(cfg, kind=kind, run=1)
-    assert (rep.value, rep.value_error, rep.variance_terms, rep.variance_errors,
-            rep.mean_s0) == witness_reference(cfg, kind, run=1)
+    value, value_error, terms, errors, mean_s0 = witness_reference(cfg, kind, run=1)
+    assert (rep.value, rep.variance_terms, rep.mean_s0) == (value, terms, mean_s0)
+    assert (rep.value_error, *rep.variance_errors) == pytest.approx(
+        (value_error, *errors), rel=1e-14)
 
 
-def _peak_bytes_per_pulse(estimate, cfg) -> float:
+def _peak_growth(estimate, cfg) -> int:
+    """Traced peak bytes at ten times ``cfg.pulses`` less the peak at ``cfg.pulses``."""
     estimate(replace(cfg, pulses=10))  # first-call imports stay out of the peak
-    tracemalloc.start()
-    try:
-        estimate(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / cfg.pulses
+    peaks = []
+    for pulses in (cfg.pulses, 10 * cfg.pulses):
+        tracemalloc.start()
+        try:
+            estimate(replace(cfg, pulses=pulses))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[1] - peaks[0]
 
 
 def test_estimate_witness_memory_per_pulse():
-    # 40 bytes per pulse: the int64 readout and totals and the jackknife's
-    # three float64 buffers; blocks are reduced as drawn, so no count table
+    # blocks are reduced to sums as drawn, so 2M pulses peak as 200k do
     cfg = SimConfig(label="psi-minus", gamma=0.5, eta=0.85, pulses=200_000, seed=3)
-    assert _peak_bytes_per_pulse(estimate_witness, cfg) <= 48
+    assert abs(_peak_growth(estimate_witness, cfg)) <= 2**20
 
 
 def test_estimate_fedorov_memory_per_pulse():
-    # 56 bytes per pulse: the (4, pulses) int64 count table, then the sort
-    # order and the sorted values as int64 and float64
+    # only the partner-bin sums grow, with the largest partner count
     cfg = SimConfig(label="psi-minus", gamma=1.5, eta=0.85, pulses=200_000, seed=3,
                     bin_width=1)
-    assert _peak_bytes_per_pulse(estimate_fedorov, cfg) <= 60
+    assert abs(_peak_growth(estimate_fedorov, cfg)) <= 2**20
 
 
 def test_sampled_marginal_photon_law():

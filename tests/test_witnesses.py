@@ -13,6 +13,7 @@ from macrobell.states import (
 )
 from macrobell.stokes import expectation, variance_of_combination
 from macrobell.witnesses import (
+    EDGE_MASS_TOL,
     WitnessKind,
     cross_witness_matrix,
     cutoff_for_edge_mass,
@@ -94,10 +95,17 @@ def test_edge_mass_gate_refuses_hot_cutoff():
 
 
 def test_cutoff_for_edge_mass_passes_gate():
-    for gamma in (0.3, 0.5, 1.0):
+    # every Bell state passes the gate at the returned cutoff; the smallest
+    # passing cutoff, where the kept state's own edge mass crosses, is lower
+    smallest = {0.5: 17, 1.0: 44, 3.0: 1997, 6.0: 561_441}
+    for gamma in (0.3, 0.5, 1.0, 3.0, 6.0):
         n_max = cutoff_for_edge_mass(gamma)
-        state = build_bell_state(WitnessKind.W_S.matched_state, gamma, n_max)
-        assert state.edge_mass(depth=2) <= 1e-10
+        for label in BellLabel:
+            assert build_bell_state(label, gamma, n_max).edge_mass(depth=2) <= EDGE_MASS_TOL
+        if gamma in smallest:
+            k = smallest[gamma]
+            mass = [build_bell_state(BellLabel.PSI_MINUS, gamma, n).edge_mass() for n in (k - 1, k)]
+            assert mass[1] <= EDGE_MASS_TOL < mass[0] and k < n_max
     assert cutoff_for_edge_mass(0.0) == 2
 
 
