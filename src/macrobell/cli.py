@@ -294,9 +294,7 @@ def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
         if cfg["eta"] != 1.0:
             raise UsageError("exact evaluation assumes unit efficiency; "
                              "pass --simulate to model eta < 1")
-        n_max = cfg["cutoff"]
-        if n_max is None:
-            n_max = 4 if gamma == 0.0 else cutoff_for_edge_mass(gamma)
+        n_max = cfg["cutoff"] or cutoff_for_edge_mass(gamma)
         state = build_bell_state(label, gamma, n_max)
         rep = evaluate_witness(kind, state)
         row = ["exact", kind.value, shown, gamma, n_max, 1.0,

@@ -21,8 +21,9 @@ four-mode measure is the square of the pair one.
   unconditional beam distribution width over conditional width, the
   conditional width being a single bin for perfectly correlated beams.
   The truncated law has mean ``N0 - (n_max+1) t / (1-t)`` and variance
-  ``N0 (N0+1) - (n_max+1)^2 t / (1-t)^2``; the differences lose relative
-  accuracy only when ``n_max`` is far below N0.
+  ``N0 (N0+1) - (n_max+1)^2 t / (1-t)^2``, formed without these differences
+  by :func:`macrobell.states._photon_moments`.  ``1 - t`` and ``1 - sqrt t``
+  are ``-expm1`` of ``ln t = (n_max + 1) ln q``, never 1 minus a rounded t.
 """
 
 from __future__ import annotations
@@ -32,23 +33,23 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .states import NumericError, _log_q, mean_photons_per_mode
+from .states import NumericError, _log_q, _photon_moments, mean_photons_per_mode
 
 
-def _tail_mass(gamma: float, n_max: int | None) -> float:
-    """t = q^(n_max + 1), the pair spectrum mass beyond the cutoff (0 without one)."""
+def _log_tail(gamma: float, n_max: int | None) -> float:
+    """ln t = (n_max + 1) ln q, t the pair spectrum mass beyond the cutoff (-inf without one)."""
     log_q = _log_q(gamma)
-    if n_max is None:
-        return 0.0
-    if n_max < 0:
+    if n_max is not None and n_max < 0:
         raise ValueError(f"cutoff must be nonnegative, got {n_max!r}")
-    return math.exp((n_max + 1) * log_q)
+    return -math.inf if n_max is None else (n_max + 1) * log_q
 
 
 def _log_trace_norm(gamma: float, n_max: int | None, four_mode: bool) -> float:
     """ln ||rho^PT||_1 = 2 gamma + ln((1 - sqrt t) / (1 + sqrt t)) per pair."""
-    s = math.sqrt(_tail_mass(gamma, n_max))
-    pair = 2.0 * gamma + math.log1p(-s) - math.log1p(s)
+    half = _log_tail(gamma, n_max) / 2.0
+    s = math.exp(half)
+    log_gap = math.log1p(-s) if s < 0.5 else math.log(-math.expm1(half))  # ln(1 - s)
+    pair = 2.0 * gamma + log_gap - math.log1p(s)
     return 2.0 * pair if four_mode else pair
 
 
@@ -69,8 +70,9 @@ def log_negativity(gamma: float, n_max: int | None = None, four_mode: bool = Tru
 
 def kbar(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
     """Effective mode number: (1 + 2 N0)(1 - t)/(1 + t) per pair, squared for four modes."""
-    t = _tail_mass(gamma, n_max)
-    k_pair = (1.0 + 2.0 * mean_photons_per_mode(gamma)) * ((1.0 - t) / (1.0 + t))
+    log_t = _log_tail(gamma, n_max)
+    k_pair = (1.0 + 2.0 * mean_photons_per_mode(gamma)) * (-math.expm1(log_t)
+                                                          / (1.0 + math.exp(log_t)))
     return k_pair * k_pair if four_mode else k_pair
 
 
@@ -79,11 +81,11 @@ def kbar(gamma: float, n_max: int | None = None, four_mode: bool = True) -> floa
 
 def photon_number_moments(gamma: float, n_max: int | None = None) -> tuple[float, float]:
     """(mean, variance) of one mode's photon number, renormalized to the cutoff."""
-    t = _tail_mass(gamma, n_max)
+    _log_tail(gamma, n_max)  # refuses a bad gain or cutoff
+    if n_max is not None:
+        return _photon_moments(gamma, n_max + 1)
     n0 = mean_photons_per_mode(gamma)
-    c = 0.0 if n_max is None else (n_max + 1) / (1.0 - t)
-    # both differences cancel to zero at n_max = 0 and may round below it
-    return max(0.0, n0 - c * t), max(0.0, n0 * (n0 + 1.0) - c * c * t)
+    return n0, n0 * (n0 + 1.0)
 
 
 class WidthConvention(enum.Enum):
@@ -205,6 +207,9 @@ def gain_scan(n0_grid, convention: WidthConvention = WidthConvention.SQRT2_STDDE
                 f"N0={n0!r} is below 1.5e-154, where N0^2 (the scale of the width "
                 f"ratio and of the normalizations) underflows a double"
             )
+        if 16.0 * n0 * n0 > sys.float_info.max:
+            raise NumericError(f"N0={n0!r} is above 3.35e153, where e^(4 gamma) ~ 16 N0^2 "
+                               "(the scale of the negativity) overflows a double")
         rep = measure_report(gamma_for_mean_photons(float(n0)), convention=convention)
         neg, k, fr = rep.negativity, rep.kbar, rep.fedorov_ratio
         if n0 >= 1.0 and not neg > k > fr:

@@ -40,7 +40,8 @@ import numpy as np
 # numpy imports numpy.random on first use; importing it here keeps that cost in start-up
 from numpy.random import Generator, Philox, SeedSequence
 
-from .states import BellLabel, check_memory, geometric_ratio, mean_photons_per_mode, paired_modes
+from .states import (BellLabel, NumericError, _log_q, check_memory, geometric_ratio,
+                     mean_photons_per_mode, paired_modes)
 from .witnesses import WitnessKind, WitnessReport, matched_witness
 
 log = logging.getLogger(__name__)
@@ -84,6 +85,10 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.label, str):
             self.label = BellLabel(self.label)
+        _log_q(self.gamma)  # refuses a gain that is negative or not finite
+        if geometric_ratio(self.gamma) == 1.0:
+            raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={self.gamma}: "
+                               "no photon-number law to sample")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
         if self.pulses < 1:

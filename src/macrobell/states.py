@@ -35,6 +35,7 @@ import enum
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -137,8 +138,7 @@ def schmidt_spectrum(gamma: float, n_max: int) -> np.ndarray:
     ``gamma >= 0``; 0 gives the vacuum spectrum (1, 0, 0, ...).  The
     weights sum to 1 - tanh(gamma)^{2(n_max+1)}.
     """
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    _log_q(gamma)  # refuses a gain that is negative or not finite
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     q = math.tanh(gamma) ** 2
@@ -153,12 +153,16 @@ def _photon_moments(gamma: float, n_levels: int) -> tuple[float, float]:
     y/2)^2)``, y = -ln q.  Below y = 1 the poles 1/z, 1/z^2 that cancel
     between the terms are taken out first; below z = 1 the rest is ``-e /
     (z (z + e))``, ``-f / (z^2 (z^2 + f))`` with series of positive terms
-    ``e = expm1(z) - z``, ``f = 2 cosh(z) - 2 - z^2``, so nothing cancels."""
+    ``e = expm1(z) - z``, ``f = 2 cosh(z) - 2 - z^2``, so nothing cancels (below
+    z = 1e-20 they are at their limits -1/2, -1/12).  A K^2 past the float
+    range is applied as K (K jk), or as ``(K / z)^2`` once only the pole is left."""
     y = -_log_q(gamma)
     poles = int(y < 1.0)
     parts = []
     for z in (y, n_levels * y):
-        if poles and z < 1.0:
+        if poles and z < 1e-20:
+            parts.append((-0.5, -1.0 / 12.0))
+        elif poles and z < 1.0:
             term, e, f = z * z / 2.0, 0.0, 0.0
             for k in range(2, 22):
                 e, f = e + term, f + (2.0 * term if k % 2 == 0 and k > 2 else 0.0)
@@ -168,7 +172,10 @@ def _photon_moments(gamma: float, n_levels: int) -> tuple[float, float]:
             inv = 1.0 / math.expm1(z) if z < 700.0 else 0.0
             parts.append((inv - poles / z, inv * (1.0 + inv) - poles / (z * z)))
     (h1, j1), (hk, jk) = parts
-    return h1 - n_levels * hk, j1 - n_levels * n_levels * jk
+    if n_levels * n_levels <= sys.float_info.max:
+        return h1 - n_levels * hk, j1 - n_levels * n_levels * jk
+    return h1 - n_levels * hk, j1 - (n_levels * (n_levels * jk) if z < 700.0
+                                     else -poles * (n_levels / z) ** 2)
 
 
 class BellLabel(enum.Enum):

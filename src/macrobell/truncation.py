@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import NumericError, _log_q, geometric_ratio
+from .measures import gamma_for_mean_photons, kbar
+from .states import _log_q, geometric_ratio
 
 #: largest total-photon cutoff a budget may ask for
 MAX_CUTOFF = 1_000_000
@@ -138,8 +139,6 @@ def kbar_truncation_bounds(gamma: float, n_total: int) -> tuple[float, float]:
     either end within a few ulps once eps underflows, so comparisons
     should allow ~1e-12 relative slack.
     """
-    from .measures import kbar
-
     eps = epsilon_from_cutoff(gamma, n_total)
     if eps == 1.0:  # as truncated_kbar: no K^T to bound, and kbar can overflow
         raise ValueError(f"epsilon rounds to 1 at gamma {gamma}, cutoff {n_total}")
@@ -167,7 +166,7 @@ def compression_scan(n0: float, epsilon_grid) -> list[CompressionPoint]:
     the achieved (not the target) epsilon is reported next to the
     retained dimension and the truncated effective mode number.
     """
-    gamma = math.asinh(math.sqrt(n0))
+    gamma = gamma_for_mean_photons(n0)
     out = []
     for eps in epsilon_grid:
         n_tot = cutoff_for_epsilon(gamma, float(eps))
@@ -187,14 +186,12 @@ def compression_scan(n0: float, epsilon_grid) -> list[CompressionPoint]:
     return out
 
 
-def dimension_scan(n0_list, epsilon_grid, check_gain_invariance: bool = True) -> list[CompressionPoint]:
+def dimension_scan(n0_list, epsilon_grid) -> list[CompressionPoint]:
     """Long-format occupancy table over gains x truncation targets.
 
     One CompressionPoint per (N0, epsilon) combination, epsilon-major
-    within each gain.  When enabled (and the grid touches [0.01, 0.9]),
-    the N0=10 and N0=100 occupancy curves are compared on the grid and
-    required to coincide within 1%: past moderate gain the curve
-    depends on epsilon only.
+    within each gain.  Past moderate gain the occupancy depends on
+    epsilon only (see :func:`occupancy_at_epsilon`).
     """
     n0_list = [float(v) for v in n0_list]
     epsilon_grid = [float(e) for e in epsilon_grid]
@@ -203,35 +200,22 @@ def dimension_scan(n0_list, epsilon_grid, check_gain_invariance: bool = True) ->
     rows: list[CompressionPoint] = []
     for n0 in n0_list:
         rows.extend(compression_scan(n0, epsilon_grid))
-    if check_gain_invariance:
-        probe = [e for e in epsilon_grid if 0.01 <= e <= 0.9]
-        if probe:
-            lo = occupancy_at_epsilon(10.0, probe)
-            hi = occupancy_at_epsilon(100.0, probe)
-            drift = float(np.max(np.abs(hi - lo) / lo))
-            if drift > 0.01:
-                raise NumericError(
-                    f"occupancy curves at N0=10 and N0=100 drift {drift:.2%} > 1%"
-                )
     return rows
 
 
-def occupancy_curve(n0: float, n_lo: int | None = None, n_hi: int | None = None):
-    """(achieved_epsilon, occupancy) sampled over every integer cutoff.
+def occupancy_curve(n0: float):
+    """(achieved_epsilon, occupancy) at every integer cutoff from the one
+    reaching epsilon 0.95 to the one reaching 1e-3.
 
     Dense in epsilon, for curve-level comparisons across gains: the
     integer-cutoff grid makes fixed epsilon targets land on slightly
     different achieved epsilons at different N0, so curves should be
     compared through interpolation on this locus.
     """
-    gamma = math.asinh(math.sqrt(n0))
-    if n_lo is None:
-        n_lo = cutoff_for_epsilon(gamma, 0.95)
-    if n_hi is None:
-        n_hi = cutoff_for_epsilon(gamma, 1e-3)
-    eps = np.array([epsilon_from_cutoff(gamma, n) for n in range(n_lo, n_hi + 1)])
-    occ = np.array([truncated_kbar(gamma, n) / subspace_dimension(n)
-                    for n in range(n_lo, n_hi + 1)])
+    gamma = gamma_for_mean_photons(n0)
+    cutoffs = range(cutoff_for_epsilon(gamma, 0.95), cutoff_for_epsilon(gamma, 1e-3) + 1)
+    eps = np.array([epsilon_from_cutoff(gamma, n) for n in cutoffs])
+    occ = np.array([truncated_kbar(gamma, n) / subspace_dimension(n) for n in cutoffs])
     return eps, occ
 
 

@@ -143,14 +143,10 @@ def cutoff_for_edge_mass(gamma: float, tol: float = EDGE_MASS_TOL, margin: int =
     against 44 at gamma = 1, 2,396 against 1,997 at gamma = 3 and 965,099
     against 561,441 at gamma = 6.
     """
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    q = math.tanh(gamma) ** 2
-    if q == 0.0:
-        return 2
-    if q == 1.0:
+    log_q = _log_q(gamma)  # refuses a gain that is negative or not finite
+    if math.tanh(gamma) ** 2 == 1.0:
         raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff")
-    bound = math.log(tol / (1.0 + math.sqrt(1.0 - tol))) / _log_q(gamma)
+    bound = math.log(tol / (1.0 + math.sqrt(1.0 - tol))) / log_q
     return max(2, math.floor(bound) + 2) + margin
 
 

@@ -10,13 +10,15 @@ than a tautology.  The simulation oracles are the library's former
 full-table routes: a (pulses, 4) count table per series, the
 leave-one-out jackknife and the sort-based conditional width, plus a
 one-pulse-at-a-time sampler; the exact references repeat their
-statistics in rational arithmetic.
+statistics in rational arithmetic.  The truncated thermal law is
+referenced in stdlib ``decimal`` arithmetic.
 """
 
 import json
 import logging
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -113,8 +115,6 @@ def edge_mass_cutoff(gamma: float, tol: float = 1e-10, margin: int = 2) -> int:
     """``cutoff_for_edge_mass`` by stepping the cutoff until the untruncated
     tail mass ``1 - (1 - q^(n-1))^2`` drops below ``tol``."""
     q = math.tanh(gamma) ** 2
-    if q == 0.0:
-        return 2
     n = 2
     while True:
         mass = 1.0 - (1.0 - q ** (n - 1)) ** 2
@@ -156,6 +156,54 @@ def count_moments(p: np.ndarray) -> tuple[float, float]:
     n = np.arange(p.size, dtype=np.float64)
     mean = float(np.sum(n * p))
     return mean, float(np.sum((n - mean) ** 2 * p))
+
+
+def thermal_law_decimal(gamma: float, n_max: int) -> dict:
+    """Mean, variance, Schmidt number K and partial-transpose trace norm of
+    one pair's truncated thermal law, q^n on n = 0..n_max (n_max <= 200),
+    summed term by term in 60-digit decimal arithmetic on the exact binary
+    gamma, with ``sqrt q = tanh(gamma) = (1 - x) / (1 + x)``, x = e^(-2 gamma)."""
+    if not 0 <= n_max <= 200:
+        raise ValueError("term-by-term sums stop at n_max = 200")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = (-2 * Decimal(gamma)).exp()
+        r = (1 - x) / (1 + x)
+        roots = [r**n for n in range(n_max + 1)]
+        w = [a * a for a in roots]
+        total = sum(w)
+        mean = sum(n * wn for n, wn in enumerate(w)) / total
+        second = sum(n * n * wn for n, wn in enumerate(w)) / total
+        return {"mean": mean, "var": second - mean * mean,
+                "kbar": total * total / sum(wn * wn for wn in w),
+                "trace_norm": sum(roots) ** 2 / total}
+
+
+def thermal_moments_decimal(gamma: float, n_levels: int) -> tuple[Decimal, Decimal]:
+    """Mean and variance of n under q^n on n = 0..K-1 (K = n_levels) from
+    ``1/expm1(y) - K/expm1(K y)`` and ``1/(4 sinh(y/2)^2) - K^2/(4 sinh(K
+    y/2)^2)`` in decimal arithmetic, y = -ln q = 2 (ln(1 + x) - ln(1 - x)),
+    x = e^(-2 gamma) on the exact binary gamma.  Each difference cancels up
+    to 2 |log10 y| digits and each ``exp(z) - 1`` loses up to |log10 y|, so
+    40 + 3 |log10 y| digits are carried; past K y = 1e5 the K terms are
+    below 1e-43000 of the first and are dropped."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = (-2 * Decimal(gamma)).exp()
+        ctx.prec = 40 + 3 * max(1, -(2 * x).adjusted())  # y ~ 4 x for small x
+        y = 2 * ((1 + x).ln() - (1 - x).ln())
+        ctx.prec = 40 + 3 * abs(y.adjusted())
+        y = +y  # rounded to the working precision, so that K y is exact at K = 1
+
+        def terms(z: Decimal, scale: Decimal) -> tuple[Decimal, Decimal]:
+            if z > 100_000:
+                return Decimal(0), Decimal(0)
+            em1 = z.exp() - 1
+            return scale / em1, scale * scale * z.exp() / (em1 * em1)
+
+        k = Decimal(n_levels)
+        (h1, j1), (hk, jk) = terms(y, Decimal(1)), terms(k * y, k)
+        return h1 - hk, j1 - jk
 
 
 #: dense-eigensolver guard: the partial transpose is (da*db) square

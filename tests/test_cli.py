@@ -494,10 +494,34 @@ def test_sampled_run_memory_preflight(monkeypatch, capsys):
 
 
 def test_arithmetic_overflow_is_numeric_refusal(capsys):
-    # e^{4 gamma} overflows a double past N0 of about 1e154
-    assert cli.main(["measures", "--n0-grid", "1e200", "--out", "m.csv"]) == 3
+    # e^{4 gamma} ~ 16 N0^2 overflows a double just past N0 = 3.35e153: the
+    # run is refused in one line that names N0, before any output is written
+    assert cli.main(["measures", "--n0-grid", "3.3e153", "--out", "m.csv"]) == 0
+    row = _read_csv("m.csv")[0]
+    assert float(row["negativity"]) == pytest.approx(16.0 * 3.3e153**2, rel=1e-12)
+    for n0 in ("3.4e153", "1e200", "1e300"):
+        capsys.readouterr()
+        assert cli.main(["measures", "--n0-grid", n0, "--out", "r.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: N0={float(n0)!r} is above 3.35e153, where e^(4 gamma) ~ "
+                       "16 N0^2 (the scale of the negativity) overflows a double\n")
+        assert not os.path.exists("r.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--simulate", "--pulse-log", "p.ndjson"],
+    ["witness", "--pulses", "1000", "--pulse-log", "p.ndjson"],
+    ["fedorov"],
+    ["sweep-eta", "--eta-points", "2"],
+], ids=" ".join)
+def test_sampled_runs_past_the_tanh_limit_are_refused_by_name(argv, capsys):
+    # tanh(19.1)^2 rounds to 1: the sampled runs are refused, as the exact
+    # ones are, in one line naming the gain and before any file is opened
+    assert cli.main([*argv, "--gamma", "19.1", "--out", "s.csv"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == ("error: tanh(gamma)^2 rounds to 1 at gamma=19.1: "
+                   "no photon-number law to sample\n")
+    assert not os.path.exists("s.csv") and not os.path.exists("p.ndjson")
 
 
 @pytest.mark.parametrize("n0, measures_code", [("1e-300", 3), ("1e-40", 0)])
@@ -585,7 +609,7 @@ def test_exact_manifest_records_cutoff_and_edge_mass(argv):
     csv_bytes = open("e.csv", "rb").read()
     manifest = json.load(open("e.csv.manifest.json"))
     gamma = manifest["config"]["gamma"] if argv[1:3] != ["--state", "vacuum"] else 0.0
-    cutoff = manifest["config"]["cutoff"] or (4 if gamma == 0.0 else cutoff_for_edge_mass(gamma))
+    cutoff = manifest["config"]["cutoff"] or cutoff_for_edge_mass(gamma)
     assert manifest["cutoff"] == cutoff
     assert manifest["edge_mass"] == build_bell_state(BellLabel.PSI_MINUS, gamma, cutoff).edge_mass()
     assert 0.0 <= manifest["edge_mass"] <= 1e-10
@@ -594,6 +618,25 @@ def test_exact_manifest_records_cutoff_and_edge_mass(argv):
     # the manifest still reproduces the run byte for byte
     assert cli.run_from_manifest("e.csv.manifest.json") == 0
     assert open("e.csv", "rb").read() == csv_bytes
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--state", "vacuum"],
+    ["witness", "--gamma", "0"],
+    ["witness", "--gamma", "1e-300"],
+    ["crosswitness", "--gamma", "0"],
+], ids=" ".join)
+def test_zero_gain_cutoff_is_the_same_for_every_command(argv):
+    # cutoff_for_edge_mass decides the zero-gain cutoff (2 + margin) for all;
+    # every value stays 0
+    assert cli.main(argv + ["--out", "z.csv"]) == 0
+    assert json.load(open("z.csv.manifest.json"))["cutoff"] == 4
+    rows = _read_csv("z.csv")
+    if argv[0] == "witness":
+        assert int(rows[0]["cutoff"]) == 4
+        assert float(rows[0]["value"]) == 0.0
+    else:
+        assert all(float(v) == 0.0 for r in rows for k, v in r.items() if k != "witness")
 
 
 def test_sampled_manifest_has_no_cutoff():

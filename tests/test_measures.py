@@ -26,6 +26,7 @@ from oracles import (
     pt_eigenvalues,
     pt_trace_norm,
     schmidt_number,
+    thermal_law_decimal,
 )
 
 
@@ -161,13 +162,45 @@ def test_photon_number_distributions():
     assert var == pytest.approx(want_var, rel=1e-12)
     n0 = mean_photons_per_mode(0.7)
     assert photon_number_moments(0.7) == (n0, n0 * (n0 + 1.0))
-    # a single retained level pins the count: zero width, not a domain error;
-    # the closed form cancels terms of size N0^2 to get there
-    for gamma in (0.1, 1.0, 3.0):
-        scale = (1.0 + mean_photons_per_mode(gamma)) ** 2
-        mean, var = photon_number_moments(gamma, 0)
-        assert 0.0 <= mean <= 1e-13 * scale and 0.0 <= var <= 1e-13 * scale
-        assert 0.0 <= fedorov_ratio(gamma, 0, "stddev") <= 1e-13 * scale
+    # a single retained level pins the count: zero width exactly, since the
+    # two terms of each moment coincide there
+    for gamma in (0.1, 1.0, 3.0, 15.0):
+        assert photon_number_moments(gamma, 0) == (0.0, 0.0)
+        assert fedorov_ratio(gamma, 0, "stddev") == 0.0
+    # at N0 = 6.6e9 six levels are nearly uniform: 2 (5/2)^2 = 12.5
+    assert fedorov_ratio(12.0, 5) == pytest.approx(12.4999999956, rel=1e-11)
+
+
+#: cutoffs from far below N0 (the tail t = q^(n_max+1) within 4e-13 of 1
+#: at gamma = 15, n_max = 0) to far past it
+_SHORT_CUTOFF_GRID = [(g, n) for g in (0.5, 1.0, 3.0, 5.0, 8.0, 10.0, 12.0, 15.0)
+                      for n in (0, 1, 2, 5, 20, 200)]
+
+
+def _assert_close(got: float, want, what) -> None:
+    want = float(want)
+    err = abs(got - want) / abs(want) if want else abs(got)
+    assert err <= 1e-14, (what, got, want, err)
+
+
+@pytest.mark.parametrize("gamma, n_max", _SHORT_CUTOFF_GRID)
+def test_measures_against_decimal_reference_at_short_cutoffs(gamma, n_max):
+    # every measure of the renormalized truncated law, pair and four-mode,
+    # within 1e-14 of term-by-term decimal sums (1e-14 absolute where it is 0)
+    ref = thermal_law_decimal(gamma, n_max)
+    mean, var, k, tn = ref["mean"], ref["var"], ref["kbar"], ref["trace_norm"]
+    got_mean, got_var = photon_number_moments(gamma, n_max)
+    _assert_close(got_mean, mean, "mean")
+    _assert_close(got_var, var, "variance")
+    for four_mode, power in ((False, 1), (True, 2)):
+        what = (gamma, n_max, four_mode)
+        _assert_close(kbar(gamma, n_max, four_mode), k**power, ("kbar", what))
+        _assert_close(trace_norm(gamma, n_max, four_mode), tn**power, ("trace norm", what))
+        _assert_close(negativity(gamma, n_max, four_mode), tn**power - 1, ("negativity", what))
+        _assert_close(fedorov_ratio(gamma, n_max, "stddev", four_mode),
+                      var.sqrt() ** power, ("stddev ratio", what))
+        _assert_close(fedorov_ratio(gamma, n_max, "sqrt2-stddev", four_mode),
+                      (2 * mean * mean).sqrt() ** power, ("sqrt2 ratio", what))
 
 
 def test_distribution_validation():

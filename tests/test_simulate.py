@@ -26,7 +26,8 @@ from macrobell.simulate import (
     matched_witness,
     witness_under_loss,
 )
-from macrobell.states import BellLabel, build_bell_state, mean_photons_per_mode, schmidt_spectrum
+from macrobell.states import (BellLabel, NumericError, build_bell_state, mean_photons_per_mode,
+                              schmidt_spectrum)
 from macrobell.witnesses import WitnessKind
 from oracles import (
     MeasurementSetting,
@@ -71,6 +72,14 @@ def test_sim_config_validation():
     for bad in ({"eta": 0.0}, {"eta": 1.2}, {"pulses": 0}, {"bin_width": 0}):
         with pytest.raises(ValueError):
             SimConfig(label="psi-minus", gamma=0.5, **bad)
+    for bad_gamma in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gain must be finite and nonnegative"):
+            SimConfig(label="psi-minus", gamma=bad_gamma)
+    # past gamma ~ 19.06 the geometric law has no representable ratio below 1
+    assert SimConfig(label="psi-minus", gamma=19.0).gamma == 19.0
+    for big in (19.1, 25.0):
+        with pytest.raises(NumericError, match=f"rounds to 1 at gamma={big}"):
+            SimConfig(label="psi-minus", gamma=big)
 
 
 def test_measurement_setting_components():

@@ -1,5 +1,6 @@
 import math
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from macrobell.states import (
     FourModeState,
     NumericError,
     TruncationMassError,
+    _photon_moments,
     build_bell_state,
     geometric_ratio,
     mean_photons_per_mode,
@@ -18,7 +20,7 @@ from macrobell.states import (
     sector_weights,
 )
 
-from oracles import bell_vector, evolve_from_vacuum
+from oracles import bell_vector, evolve_from_vacuum, thermal_law_decimal, thermal_moments_decimal
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -150,6 +152,33 @@ def test_closed_forms_match_factor_sums():
         assert st.norm_sq() == pytest.approx(su * sv, rel=1e-13)
         assert st.edge_mass(depth) == pytest.approx((tu * sv + su * tv - tu * tv) / (su * sv),
                                                     rel=1e-12, abs=0.0)
+
+
+def test_photon_moments_against_decimal_reference():
+    # the O(1) truncated mean and variance over every gain and level count
+    # the measures ask for: gamma up to 177.44 (N0 = 3.3e153) and K up to
+    # 2.1e155 (their cutoffs there), through the underflow of z^4 (from
+    # gamma ~ 93.8) and past K^2 ~ 1.8e308, within 1e-14 of decimal sums
+    rng = np.random.default_rng(11)
+    pairs = [(g, int(10.0 ** e)) for g, e in zip(
+        np.concatenate([rng.uniform(1e-3, 177.44, 300), 10.0 ** rng.uniform(-3, 2.249, 300)]),
+        rng.uniform(0.0, math.log10(2.1e155), 600))]
+    pairs += [(177.44, int(2.1e155)), (177.44, 1), (177.44, 2), (93.83, 10), (1e-3, 1),
+              (1e-3, int(2.1e155)), (1.0, int(2.1e155)), (2.0, int(1.4e154)), (0.7, 2**511)]
+    for gamma, k in pairs:
+        want = thermal_moments_decimal(gamma, k)
+        for got, ref in zip(_photon_moments(gamma, k), want):
+            ref = float(ref)
+            assert math.isfinite(got), (gamma, k)
+            err = abs(got - ref) / ref if ref else abs(got)
+            assert err <= 1e-14, (gamma, k, got, ref)
+    # the closed-form reference is the term-by-term sum where both exist
+    for gamma in (1e-3, 0.5, 3.0, 15.0):
+        for n_max in (0, 1, 7, 200):
+            sums = thermal_law_decimal(gamma, n_max)
+            mean, var = thermal_moments_decimal(gamma, n_max + 1)
+            assert abs(mean - sums["mean"]) <= Decimal("1e-30") * (1 + sums["mean"])
+            assert abs(var - sums["var"]) <= Decimal("1e-30") * (1 + sums["var"])
 
 
 def test_bell_state_allocates_nothing():

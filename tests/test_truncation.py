@@ -255,7 +255,9 @@ def test_dimension_scan_shape_and_validation():
 
 
 def test_occupancy_is_gain_invariant_past_moderate_gain():
-    probe = np.geomspace(0.01, 0.9, 9)
+    # a dense grid over [0.01, 0.9] that holds the CLI's default targets
+    default = [0.9, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01]
+    probe = np.union1d(np.geomspace(0.01, 0.9, 401), default)
     lo = occupancy_at_epsilon(10.0, probe)
     hi = occupancy_at_epsilon(100.0, probe)
     assert np.max(np.abs(hi - lo) / lo) < 0.01

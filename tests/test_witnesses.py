@@ -106,7 +106,9 @@ def test_cutoff_for_edge_mass_passes_gate():
             k = smallest[gamma]
             mass = [build_bell_state(BellLabel.PSI_MINUS, gamma, n).edge_mass() for n in (k - 1, k)]
             assert mass[1] <= EDGE_MASS_TOL < mass[0] and k < n_max
-    assert cutoff_for_edge_mass(0.0) == 2
+    # zero gain gets no special case: the formula gives 2 + margin there too
+    for gamma in (0.0, 1e-300, 1e-9):
+        assert cutoff_for_edge_mass(gamma) == 4
 
 
 def test_cutoff_for_edge_mass_closed_form_matches_loop():
