@@ -15,7 +15,6 @@ import argparse
 
 import numpy as np
 
-from macrobell.basis import FourModeBasis
 from macrobell.simulate import matched_witness
 from macrobell.states import BellLabel, build_bell_state, mean_photons_per_mode
 from macrobell.witnesses import (
@@ -39,11 +38,10 @@ def main():
           + " ".join(f"{lbl.value:>12}" for lbl in BellLabel))
     for gamma in (0.1, 0.25, 0.5, 0.75, 1.0):
         n_max = cutoff_for_edge_mass(gamma)
-        basis = FourModeBasis(n_max)
         row = []
         for label in BellLabel:
             state = build_bell_state(label, gamma, n_max)
-            rep = evaluate_witness(matched_witness(label), state, basis=basis)
+            rep = evaluate_witness(matched_witness(label), state)
             row.append(rep.value)
         n0 = mean_photons_per_mode(gamma)
         print(f"{gamma:>6.2f} {n0:>8.4f} {-8 * n0:>12.6f} "
@@ -64,13 +62,12 @@ def main():
     print()
 
     battery = product_state_battery(args.battery_seed)
-    basis = FourModeBasis(12)
-    gaps = [(separability_gap(ens, basis), name) for name, ens in battery]
+    gaps = [(separability_gap(ens), name) for name, ens in battery]
     worst_gap, worst_name = min(gaps)
     print(f"separability bound on {len(battery)} product/separable states:")
     print(f"  most negative gap {worst_gap:.3e} ({worst_name})")
     print(f"  (>= 0 up to roundoff: no separable state beats any witness)")
-    ent = separability_gap(build_bell_state(BellLabel.PSI_MINUS, 0.5, 12), basis)
+    ent = separability_gap(build_bell_state(BellLabel.PSI_MINUS, 0.5, 12))
     print(f"  entangled reference (psi-minus, gamma 0.5): gap {ent:.4f}")
 
 

@@ -239,7 +239,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -328,8 +328,10 @@ def _cmd_measures(cfg: dict) -> list[str]:
               "label": "measure value", "scale": "log"},
         "width_convention": cfg["convention"],
         "asymptotes": {"negativity": "16*N0^2", "kbar": "4*N0^2", "fedorov": "2*N0^2"},
-        "points": [{k: r[k] for k in ("n0", "gamma", "cutoff", "negativity_norm",
-                                      "kbar_norm", "fedorov_norm")} for r in rows],
+        # a normalization undefined at N0 = 0 (NaN) is written as null
+        "points": [{k: None if math.isnan(r[k]) else r[k]
+                    for k in ("n0", "gamma", "cutoff", "negativity_norm", "kbar_norm",
+                              "fedorov_norm")} for r in rows],
     })
     print(f"scanned {len(rows)} gains; wrote {cfg['out']}")
     return [cfg["out"], descriptor]
@@ -388,7 +390,7 @@ def _cmd_crosswitness(cfg: dict) -> tuple[list[str], dict]:
     return [cfg["out"]], {"cutoff": n_max, "edge_mass": mass}
 
 
-def _cmd_fedorov(cfg: dict) -> list[str]:
+def _cmd_fedorov(cfg: dict) -> tuple[list[str], dict | None]:
     """simulated photon-number width ratio"""
     from .measures import WidthConvention, fedorov_ratio
     from .simulate import SimConfig, estimate_fedorov
@@ -413,19 +415,23 @@ def _cmd_fedorov(cfg: dict) -> list[str]:
     print(f"width ratio = {est.ratio:.6g} (exact {exact:.6g}, "
           f"deviation {rel_deviation:.3%})")
     print(f"wrote {cfg['out']}")
-    return [cfg["out"]]
+    return [cfg["out"]], None if exact else {
+        "rel_deviation_note": "undefined (nan): the exact width ratio is 0"}
 
 
 def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
     """witness vs detection efficiency"""
+    from .states import check_memory
     from .witnesses import WitnessKind
-    from .simulate import SimConfig, efficiency_sweep
+    from .simulate import SWEEP_BYTES_PER_POINT, SimConfig, efficiency_sweep
 
     if cfg["eta_grid"]:
         grid = _parse_grid(cfg["eta_grid"], "eta")
         if not all(0.0 < eta <= 1.0 for eta in grid):
             raise UsageError(f"eta grid values must lie in (0, 1], got {grid}")
     else:
+        check_memory(cfg["eta_points"], "efficiency sweep", SWEEP_BYTES_PER_POINT,
+                     "grid points")
         grid = list(np.linspace(cfg["eta_min"], cfg["eta_max"], cfg["eta_points"]))
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
                     pulses=cfg["pulses"], seed=cfg["seed"], bin_width=cfg["bin_width"])

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FourModeBasis
 from .states import (BellLabel, FourModeState, NumericError, build_bell_state,
                      geometric_factors, paired_modes)
 
@@ -150,8 +149,7 @@ def apply_transform(state: FourModeState, transform: BasisTransform) -> FourMode
     is real positive.
     """
     d = state.n_levels
-    basis = FourModeBasis(state.n_max)
-    psi = state.dense(basis).reshape(d * d, d * d)  # rows: beam a, cols: beam b
+    psi = state.dense().reshape(d * d, d * d)  # rows: beam a, cols: beam b
     norm_before = float(np.sum(np.abs(psi) ** 2))
     t = beam_transform_matrix(transform.jones, state.n_max)
     if transform.target in (BEAM_A, BOTH_BEAMS):

@@ -65,6 +65,10 @@ BLOCK_BYTES_PER_PULSE = 128
 #: for each of the H and V sides, twice over while a table grows
 PARTNER_BIN_BYTES = 96
 
+#: bytes per grid point of an efficiency sweep: the grid as numpy scalars and
+#: floats, its SweepPoint and its CSV row (tracemalloc: 360)
+SWEEP_BYTES_PER_POINT = 384
+
 _INT64_LIMIT = 2**63
 
 
@@ -367,7 +371,8 @@ class _PartnerBins:
     """
 
     def __init__(self, bin_width: int):
-        self.bin_width = bin_width
+        # counts stay below 2**63, so a wider bin bins exactly as this one
+        self.bin_width = min(bin_width, _INT64_LIMIT - 1)
         self.count = np.zeros(0, dtype=np.int64)
         self.sums = np.zeros((2, 0), dtype=np.int64)  # sum x, sum x^2 per bin
         self.pulses = self.largest = 0

@@ -40,8 +40,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import FourModeBasis
-
 
 class NumericError(RuntimeError):
     """A numerical invariant failed (non-convergence, complex leakage...)."""
@@ -239,8 +237,9 @@ class FourModeState:
       ``|n,m>_a|n,m>_b`` ('parallel') has amplitude ``u_n v_m`` for ``n,
       m <= n_max``, ``u_n = scale step_u^n sqrt(lambda_n)`` and ``v_m =
       step_v^m sqrt(lambda_m)``, with unit phase steps.
-    * ``vector`` -- dense amplitudes over :class:`FourModeBasis`, from
-      polarization transforms that leave the closed form.
+    * ``vector`` -- dense amplitudes over
+      :class:`~macrobell.basis.FourModeBasis`, from polarization transforms
+      that leave the closed form.
 
     States may be unnormalized (truncation removes mass); consumers
     divide by the norm.
@@ -333,30 +332,17 @@ class FourModeState:
 
     # -- dense expansion ---------------------------------------------------
 
-    def dense(self, basis: FourModeBasis | None = None) -> np.ndarray:
-        """Amplitudes over the flattened four-mode enumeration.
-
-        The target basis may have a larger cutoff than the state; the
-        extra entries are zero.
-        """
-        basis = basis or FourModeBasis(self.n_max)
-        if basis.n_max < self.n_max:
-            raise ValueError("target basis cutoff smaller than the state's")
-        check_memory(basis.dim, f"dense vector at cutoff {basis.n_max}")
+    def dense(self) -> np.ndarray:
+        """Amplitudes over the flattened four-mode enumeration of
+        :class:`~macrobell.basis.FourModeBasis`, at the state's own cutoff."""
+        check_memory(self.n_levels**4, f"dense vector at cutoff {self.n_max}")
         if self.vector is not None:
-            if basis.n_max == self.n_max:
-                return self.vector.astype(np.complex128, copy=True)
-            src = FourModeBasis(self.n_max)
-            occ = src.occupations()
-            out = np.zeros(basis.dim, dtype=np.complex128)
-            out[basis.index(occ[0], occ[1], occ[2], occ[3])] = self.vector
-            return out
+            return self.vector.astype(np.complex128, copy=True)
         n = np.arange(self.n_levels)
         nn, mm = np.meshgrid(n, n, indexing="ij")
-        idx = basis.index(*paired_modes(nn, mm, self.pairing))
-        out = np.zeros(basis.dim, dtype=np.complex128)
-        out[idx.ravel()] = self.table.ravel()
-        return out
+        out = np.zeros((self.n_levels,) * 4, dtype=np.complex128)
+        out[paired_modes(nn, mm, self.pairing)] = self.table
+        return out.reshape(-1)
 
     def edge_mass(self, depth: int = 2) -> float:
         """Fraction of the state's mass within `depth` photons of the cutoff.
@@ -378,12 +364,12 @@ class FourModeState:
 
     def fidelity(self, other: "FourModeState") -> float:
         """|<self|other>|^2 for the normalized states."""
+        k = min(self.n_levels, other.n_levels)  # beyond it one of the two is zero
         if self.vector is None and other.vector is None and self.pairing == other.pairing:
-            k = min(self.n_levels, other.n_levels)  # beyond it one of the two is zero
             ov = np.vdot(self.u[:k], other.u[:k]) * np.vdot(self.v[:k], other.v[:k])
         else:
-            basis = FourModeBasis(max(self.n_max, other.n_max))
-            ov = np.vdot(self.dense(basis), other.dense(basis))
+            ov = np.vdot(*(st.dense().reshape((st.n_levels,) * 4)[:k, :k, :k, :k]
+                           for st in (self, other)))
         return float(abs(ov) ** 2 / (self.norm_sq() * other.norm_sq()))
 
     # -- serialization -----------------------------------------------------

@@ -10,8 +10,8 @@ and likewise for beam ``b``; the compound-beam operators are the sums
 that no raising transition pushes past the cutoff) they satisfy the
 angular-momentum algebra ``[S_1, S_2] = 2i S_3`` and cyclic.
 
-Moments of a combination ``O = sum c S_k^beam`` on a pure state take one
-route per storage form of the state:
+Moments of a combination ``O = sum c S_k^beam`` on a pure state are taken
+at the state's own cutoff, by one route per storage form of the state:
 
 * a closed-form paired state is never expanded.  Every Stokes operator
   conserves each beam's photon number (Schwinger's two-boson picture),
@@ -36,7 +36,6 @@ import logging
 
 import numpy as np
 
-from .basis import FourModeBasis
 from .states import FourModeState, NumericError, _norm_sq, _photon_moments, geometric_ratio
 
 log = logging.getLogger(__name__)
@@ -86,21 +85,17 @@ def apply_combination_tensor(coeffs: dict, tensor: np.ndarray) -> np.ndarray:
 # -- moments -----------------------------------------------------------------
 
 
-def _as_vector(state, basis: FourModeBasis | None) -> tuple[np.ndarray, FourModeBasis]:
-    if isinstance(state, FourModeState):
-        if basis is None or basis.n_max == state.n_max:
-            return np.asarray(state.vector, dtype=np.complex128), FourModeBasis(state.n_max)
-        return state.dense(basis), basis
-    vec = np.asarray(state)
-    if basis is None:
-        n_levels = round(vec.size ** 0.25)
-        if n_levels**4 != vec.size:
-            raise ValueError("cannot infer basis from vector length")
-        basis = FourModeBasis(n_levels - 1)
-    return vec.astype(np.complex128, copy=False), basis
+def _as_vector(state) -> np.ndarray:
+    """The ``(d, d, d, d)`` amplitude tensor of a vector-backed state or a raw
+    vector, whose cutoff is read off its length."""
+    vec = np.asarray(state.vector if isinstance(state, FourModeState) else state)
+    d = round(vec.size ** 0.25)
+    if d**4 != vec.size:
+        raise ValueError("cannot infer basis from vector length")
+    return vec.astype(np.complex128, copy=False).reshape(d, d, d, d)
 
 
-def _closed_form_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
+def _closed_form_moments(coeffs: dict, state: FourModeState) -> tuple:
     """Normalized (<O>, <O^2>) of a closed-form paired state, in O(1).
 
     O psi has three orthogonal parts: ``(A n + B m) u_n v_m`` on the paired
@@ -112,11 +107,8 @@ def _closed_form_moments(coeffs: dict, state: FourModeState, basis: FourModeBasi
     factors shift into themselves, ``r = step_u sqrt(q) p``, ``q = step_v
     sqrt(q) s``, so a hop plane is ``sqrt(q) (ra step_v + rb step_u) p
     s^T`` -- exactly zero on a matched witness -- and every moment follows
-    from the mean and variance of n under lambda_n (``|p|^2 = M1 / q``); a
-    larger basis adds the top row and column the state's cutoff drops.
+    from the mean and variance of n under lambda_n (``|p|^2 = M1 / q``).
     """
-    if basis is not None and basis.n_max < state.n_max:
-        raise ValueError("target basis cutoff smaller than the state's")
     if state.scale == 0:
         raise ValueError("zero state")
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
@@ -133,54 +125,52 @@ def _closed_form_moments(coeffs: dict, state: FourModeState, basis: FourModeBasi
            + abs(rb.conjugate() * state.step_v + ra.conjugate() * state.step_u) ** 2)
     if hop and mean_n:
         second += hop * mean_n * (mean_n / geometric_ratio(state.gamma))
-    if (ra or rb) and basis is not None and basis.n_max > state.n_max:
-        top = state.n_levels * state._tail_share(state.n_max)
-        second += 2.0 * (abs(ra) ** 2 + abs(rb) ** 2) * top * mean_n
     return (a + b) * mean_n, second
 
 
-def _vector_moments(coeffs: dict, state, basis: FourModeBasis | None) -> tuple:
-    vec, basis = _as_vector(state, basis)
+def _vector_moments(coeffs: dict, state) -> tuple:
+    vec = _as_vector(state)
     den = _norm_sq(vec)
     if den == 0.0:
         raise ValueError("zero state")
-    d = basis.n_levels
-    ov = apply_combination_tensor(coeffs, vec.reshape(d, d, d, d)).reshape(-1)
+    ov = apply_combination_tensor(coeffs, vec)
     mean = np.vdot(vec, ov) / den
     if abs(mean.imag) > 1e-10 * max(1.0, abs(mean)):
         raise NumericError(f"combination mean: imaginary leakage {mean.imag:.3e}")
     return float(mean.real), _norm_sq(ov) / den
 
 
-def moments(coeffs: dict, state, basis: FourModeBasis | None = None) -> tuple[float, float]:
-    """(<O>, <O^2>) of O = sum c_k S_k on a pure state, normalized by <psi|psi>.
+def moments(coeffs: dict, state) -> tuple[float, float]:
+    """(<O>, <O^2>) of O = sum c_k S_k on a pure state, normalized by
+    <psi|psi>, at the state's own cutoff.
 
     ``coeffs`` maps ``(component, beam)`` to a real coefficient, e.g.
     ``{(2, 'a'): 1.0, (2, 'b'): -1.0}`` for ``S_2^a - S_2^b``.  ``state``
-    is a :class:`FourModeState` or a dense vector over ``basis``; since
-    O is Hermitian, ``<O^2>`` is ``||O psi||^2``, never an operator
-    product.
+    is a :class:`FourModeState` or a dense vector over
+    :class:`~macrobell.basis.FourModeBasis`, whose cutoff is read off its
+    length; since O is Hermitian, ``<O^2>`` is ``||O psi||^2``, never an
+    operator product.
     """
     unknown = set(coeffs) - set(_TERMS)
     if unknown:
         raise ValueError(f"Stokes terms must be (0..3, 'a'|'b'), got {unknown}")
     if isinstance(state, FourModeState) and state.vector is None:
-        return _closed_form_moments(coeffs, state, basis)
-    return _vector_moments(coeffs, state, basis)
+        return _closed_form_moments(coeffs, state)
+    return _vector_moments(coeffs, state)
 
 
-def expectation(coeffs: dict, state, basis: FourModeBasis | None = None) -> float:
+def expectation(coeffs: dict, state) -> float:
     """<O> / <psi|psi> for O = sum c_k S_k (see :func:`moments`)."""
-    return moments(coeffs, state, basis)[0]
+    return moments(coeffs, state)[0]
 
 
-def variance_of_combination(coeffs: dict, state, basis: FourModeBasis | None = None) -> float:
+def variance_of_combination(coeffs: dict, state) -> float:
     """Variance of O = sum c_k S_k on a pure state (see :func:`moments`).
 
     Tiny negative results from roundoff are clamped to zero (logged);
     negative values beyond roundoff raise :class:`NumericError`.
     """
-    mean, second = moments(coeffs, state, basis)
+    mean, second = moments(coeffs, state)
     var = second - mean * mean
     if var < 0.0:
         scale = max(second, 1.0)

@@ -73,19 +73,29 @@ def cutoff_for_epsilon(gamma: float, epsilon: float) -> int:
     if q == 0.0:
         return 0
     if q == 1.0:
-        raise ValueError(f"required cutoff exceeds {MAX_CUTOFF}")
+        raise _unreachable(gamma, epsilon)
     neg_log_q = -_log_q(gamma)
     c = 1.0 / (math.cosh(gamma) ** 2 * neg_log_q)  # 1 - q = 1 / cosh^2
     n = max(0, math.ceil(_solve_log1p(c, math.log(epsilon)) / neg_log_q) - 1)
     if n > MAX_CUTOFF + 1:  # past the bound even if rounding put n one too high
-        raise ValueError(f"required cutoff exceeds {MAX_CUTOFF}")
+        raise _unreachable(gamma, epsilon)
     while epsilon_from_cutoff(gamma, n) > epsilon:
         n += 1
     while n > 0 and epsilon_from_cutoff(gamma, n - 1) <= epsilon:
         n -= 1
     if n > MAX_CUTOFF:
-        raise ValueError(f"required cutoff exceeds {MAX_CUTOFF}")
+        raise _unreachable(gamma, epsilon)
     return n
+
+
+def _unreachable(gamma: float, epsilon: float) -> ValueError:
+    """The refusal of a target no cutoff up to ``MAX_CUTOFF`` reaches, naming
+    epsilon and N0 = sinh(gamma)^2 (past gamma ~ 355 only as that formula)."""
+    try:
+        n0 = f"{math.sinh(gamma) ** 2:.6g}"
+    except OverflowError:
+        n0 = f"sinh({gamma:g})^2"
+    return ValueError(f"epsilon={epsilon:g} at N0={n0}: required cutoff exceeds {MAX_CUTOFF}")
 
 
 def alpha_from_epsilon(epsilon: float) -> float:

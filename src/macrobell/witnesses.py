@@ -100,16 +100,11 @@ def witness_term_coeffs(kind: WitnessKind) -> list[dict]:
     ]
 
 
-def evaluate_witness(
-    kind: WitnessKind,
-    state: FourModeState,
-    basis: FourModeBasis | None = None,
-) -> WitnessReport:
-    """Exact witness value on a truncated state.
+def evaluate_witness(kind: WitnessKind, state: FourModeState) -> WitnessReport:
+    """Exact witness value on a truncated state, at the state's own cutoff.
 
     A closed-form state is evaluated in O(1), a vector-backed one
-    matrix-free (see the stokes module docstring);
-    ``basis`` may raise the cutoff above the state's.  Refuses (raises
+    matrix-free (see the stokes module docstring).  Refuses (raises
     :class:`TruncationMassError`) when the state keeps more than
     ``EDGE_MASS_TOL`` of its mass within two photons of the cutoff --
     variances would then be truncation artifacts rather than physics.
@@ -117,8 +112,8 @@ def evaluate_witness(
     mass = state.edge_mass(depth=2)
     if mass > EDGE_MASS_TOL:
         raise TruncationMassError(mass, EDGE_MASS_TOL)
-    terms = tuple(variance_of_combination(c, state, basis) for c in witness_term_coeffs(kind))
-    mean_s0 = expectation(_S0_TOTAL, state, basis)
+    terms = tuple(variance_of_combination(c, state) for c in witness_term_coeffs(kind))
+    mean_s0 = expectation(_S0_TOTAL, state)
     value = float(sum(terms) - 2.0 * mean_s0)
     return WitnessReport(
         kind=kind, value=value, variance_terms=terms, mean_s0=mean_s0,
@@ -153,8 +148,9 @@ def cutoff_for_edge_mass(gamma: float, tol: float = EDGE_MASS_TOL, margin: int =
 # -- separability -------------------------------------------------------------
 
 
-def separability_gap(state, basis: FourModeBasis | None = None) -> float:
-    """Var(S_1) + Var(S_2) + Var(S_3) - 2 <S_0> of the compound beam.
+def separability_gap(state) -> float:
+    """Var(S_1) + Var(S_2) + Var(S_3) - 2 <S_0> of the compound beam, at the
+    state's own cutoff.
 
     Negative only for beam-beam entangled states (this is the W_S
     pattern).  Accepts a FourModeState, a dense vector, or a mixed
@@ -167,12 +163,12 @@ def separability_gap(state, basis: FourModeBasis | None = None) -> float:
     ensemble = [(float(w), member) for w, member in state]
     if abs(sum(w for w, _ in ensemble) - 1.0) > 1e-12:
         raise ValueError("ensemble weights must sum to 1")
-    gap = -2.0 * sum(w * expectation(_S0_TOTAL, member, basis) for w, member in ensemble)
+    gap = -2.0 * sum(w * expectation(_S0_TOTAL, member) for w, member in ensemble)
     for i in (1, 2, 3):
         coeffs = {(i, "a"): 1.0, (i, "b"): 1.0}
         mean = second = 0.0
         for w, member in ensemble:
-            m1, m2 = moments(coeffs, member, basis)
+            m1, m2 = moments(coeffs, member)
             mean += w * m1
             second += w * m2
         gap += second - mean * mean

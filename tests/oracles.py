@@ -40,7 +40,6 @@ from macrobell.states import (
     NumericError,
     TruncationMassError,
     _norm_sq,
-    check_memory,
     geometric_ratio,
     paired_modes,
     schmidt_spectrum,
@@ -620,7 +619,7 @@ def _outer_pair_norm(x1, y1, x2, y2) -> float:
     return xx * _norm_sq(y1 + kappa * y2) + _norm_sq(x2 - kappa * x1) * _norm_sq(y2)
 
 
-def factored_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
+def factored_moments(coeffs: dict, state: FourModeState) -> tuple:
     """Normalized (<O>, <O^2>) from the Schmidt factor arrays of a paired state.
 
     With amplitudes ``u_n v_m``, O psi has three mutually orthogonal
@@ -637,15 +636,9 @@ def factored_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | 
     The mean comes from the paired part alone and ``<O^2> = ||O psi||^2``,
     each a sum over the arrays in O(n_max).  On a Bell state the two
     terms of a matched hop plane cancel to the last digit, which
-    :func:`_outer_pair_norm` survives.  A basis larger than the state's
-    cutoff zero-pads the factors, which moves the amputation to its edge.
+    :func:`_outer_pair_norm` survives.
     """
     u, v = state.u, state.v
-    if basis is not None and basis.n_max != state.n_max:
-        if basis.n_max < state.n_max:
-            raise ValueError("target basis cutoff smaller than the state's")
-        pad = (0, basis.n_max - state.n_max)
-        u, v = np.pad(u, pad), np.pad(v, pad)
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
     cross = state.pairing == "cross"
     su, sv = _norm_sq(u), _norm_sq(v)
@@ -670,7 +663,7 @@ def factored_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | 
     return mean, second / (su * sv)
 
 
-def _table_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | None) -> tuple:
+def _table_moments(coeffs: dict, state: FourModeState) -> tuple:
     """Normalized (<O>, <O^2>) straight from the (n, m) table.
 
     With T the table and 0 <= n, m <= n_max, O psi has three parts:
@@ -686,16 +679,9 @@ def _table_moments(coeffs: dict, state: FourModeState, basis: FourModeBasis | No
     pairing, ``rb = c2b - i c3b``, ``lb = c2b + i c3b`` (swapped for
     parallel pairing).  The three parts are mutually orthogonal, so the
     mean comes from the paired part alone and ``<O^2> = ||O psi||^2`` is
-    the sum of their squared norms.  A basis larger than the state's
-    cutoff zero-pads the table, which moves the amputation to its edge.
+    the sum of their squared norms.
     """
     table = state.table
-    if basis is not None and basis.n_max != state.n_max:
-        if basis.n_max < state.n_max:
-            raise ValueError("target basis cutoff smaller than the state's")
-        check_memory(basis.n_levels**2, f"amplitude table padded to cutoff {basis.n_max}")
-        pad = basis.n_max - state.n_max
-        table = np.pad(table, ((0, pad), (0, pad)))
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
     cross = state.pairing == "cross"
     weight = np.abs(table) ** 2
@@ -751,7 +737,7 @@ def analyzer_distribution(state: FourModeState, setting):
     tr = BasisTransform(kind="analyzer", target="both", jones=analyzer_jones(setting))
     rotated = apply_transform(state, tr)
     basis = FourModeBasis(state.n_max)
-    vec = rotated.dense(basis)
+    vec = rotated.dense()
     probs = np.abs(vec) ** 2
     probs = probs / probs.sum()
     return basis.occupations().T.copy(), probs

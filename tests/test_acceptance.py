@@ -110,10 +110,9 @@ def test_criterion_04_matched_witness_saturation():
     # is -2 <S_0>; the 4x4 cross table keeps its diagonal strictly negative
     gamma = 0.5
     n_max = cutoff_for_edge_mass(gamma)
-    basis = FourModeBasis(n_max)
     for label in BellLabel:
         state = build_bell_state(label, gamma, n_max)
-        rep = evaluate_witness(matched_witness(label), state, basis=basis)
+        rep = evaluate_witness(matched_witness(label), state)
         worst = max(abs(t) for t in rep.variance_terms)
         print(f"{label.value}: max variance term {worst:.2e}, "
               f"value {rep.value:.10f}, -2<S0> {-2 * rep.mean_s0:.10f}")
@@ -128,16 +127,15 @@ def test_criterion_04_matched_witness_saturation():
 def test_criterion_05_separable_battery_nonnegative():
     battery = product_state_battery(2024)
     assert len(battery) >= 20
-    basis = FourModeBasis(12)
     worst_name, worst = None, math.inf
     for name, ensemble in battery:
-        gap = separability_gap(ensemble, basis)
+        gap = separability_gap(ensemble)
         if gap < worst:
             worst_name, worst = name, gap
     print(f"{len(battery)} separable states; most negative gap "
           f"{worst:.3e} ({worst_name})")
     assert worst >= -1e-9
-    entangled = separability_gap(build_bell_state(BellLabel.PSI_MINUS, 0.5, 12), basis)
+    entangled = separability_gap(build_bell_state(BellLabel.PSI_MINUS, 0.5, 12))
     print(f"entangled reference gap {entangled:.6f}")
     assert entangled < -1.0
 
@@ -209,9 +207,7 @@ def test_criterion_09_ideal_simulation_statistics():
     rep = estimate_witness(cfg)
     assert rep.variance_terms == (0.0, 0.0, 0.0)
     n_max = cutoff_for_edge_mass(1.0)
-    exact = evaluate_witness(WitnessKind.W_T1,
-                             build_bell_state(BellLabel.PSI_PLUS, 1.0, n_max),
-                             basis=FourModeBasis(n_max))
+    exact = evaluate_witness(WitnessKind.W_T1, build_bell_state(BellLabel.PSI_PLUS, 1.0, n_max))
     z = abs(rep.value - exact.value) / rep.value_error
     print(f"sampled {rep.value:.6f} +- {rep.value_error:.6f}, "
           f"exact {exact.value:.6f} at cutoff {n_max}, z = {z:.2f}")

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hs
 
 from macrobell import cli
-from macrobell.basis import FourModeBasis
 from macrobell.measures import fedorov_ratio, gain_scan
 from macrobell.simulate import (
     BLOCK_BYTES_PER_PULSE,
     BLOCK_PULSES,
     PARTNER_BIN_BYTES,
+    SWEEP_BYTES_PER_POINT,
     SimConfig,
     estimate_fedorov,
     witness_under_loss,
@@ -27,6 +27,15 @@ from macrobell.witnesses import WitnessKind, cross_witness_matrix, cutoff_for_ed
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _read_strict_json(path):
+    """The document at ``path``, refusing the non-JSON NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
 
 
 @pytest.fixture(autouse=True)
@@ -50,8 +59,7 @@ def test_witness_exact_matches_library():
     assert len(rows) == 1
     row = rows[0]
     n_max = cutoff_for_edge_mass(0.4)
-    rep = evaluate_witness(WitnessKind.W_S, build_bell_state(BellLabel.PSI_PLUS, 0.4, n_max),
-                           basis=FourModeBasis(n_max))
+    rep = evaluate_witness(WitnessKind.W_S, build_bell_state(BellLabel.PSI_PLUS, 0.4, n_max))
     assert row["mode"] == "exact"
     assert row["witness"] == "W_S" and row["state"] == "psi-plus"
     assert int(row["cutoff"]) == n_max
@@ -124,6 +132,16 @@ def test_measures_outputs():
     assert {"n0", "gamma", "cutoff", "negativity_norm"} <= set(plot["points"][0])
 
 
+def test_undefined_normalization_is_null():
+    # at N0 = 0 the large-gain normalizations divide by zero: the descriptor
+    # writes null there, and every sidecar is strict JSON
+    assert cli.main(["measures", "--n0-grid", "0,1", "--out", "m.csv"]) == 0
+    zero, one = _read_strict_json("m.csv.plot.json")["points"]
+    for key in ("negativity_norm", "kbar_norm", "fedorov_norm"):
+        assert zero[key] is None and math.isfinite(one[key])
+    _read_strict_json("m.csv.manifest.json")
+
+
 # -- truncation -----------------------------------------------------------------
 
 
@@ -151,13 +169,14 @@ def test_truncation_single_epsilon():
     assert float(rows[0]["n0"]) == 10.0
 
 
-@pytest.mark.parametrize("n0, n_total", [("4e5", 671_339), ("6e5", None)])
+@pytest.mark.parametrize("n0, n_total", [("4e5", 671_339), ("6e5", None), ("1e300", None)])
 def test_truncation_cutoff_near_the_bound(n0, n_total, capsys):
     code = cli.main(["truncation", "--n0-grid", n0, "--epsilon", "0.5", "--out", "t.csv"])
     if n_total is None:
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "error: required cutoff exceeds 1000000\n"
+        assert err == (f"error: epsilon=0.5 at N0={float(n0):g}: "
+                       "required cutoff exceeds 1000000\n")
         return
     assert code == 0
     with open("t.csv.meta.json") as fh:
@@ -685,6 +704,20 @@ def test_fedorov_zero_gain_reports_undefined_deviation(capsys):
     assert float(row["exact_ratio"]) == 0.0
     assert row["rel_deviation"] == "nan"
     assert "deviation nan%" in capsys.readouterr().out
+    manifest = _read_strict_json("f0.csv.manifest.json")
+    assert manifest["rel_deviation_note"] == "undefined (nan): the exact width ratio is 0"
+    # a nonzero exact ratio leaves the manifest without the note
+    assert cli.main(["fedorov", "--gamma", "0.5", "--pulses", "1000", "--out", "f.csv"]) == 0
+    assert "rel_deviation_note" not in _read_strict_json("f.csv.manifest.json")
+
+
+def test_fedorov_bin_width_past_int64():
+    # partner counts stay below 2^63, so any wider bin holds every pulse,
+    # as a bin of width 2^62 does
+    argv = ["fedorov", "--pulses", "1000", "--seed", "3", "--bin-width"]
+    assert cli.main([*argv, "100000000000000000000000", "--out", "wide.csv"]) == 0
+    assert cli.main([*argv, "4611686018427387904", "--out", "ref.csv"]) == 0
+    assert _read_csv("wide.csv")[0]["ratio"] == _read_csv("ref.csv")[0]["ratio"]
 
 
 # -- sweep-eta --------------------------------------------------------------------
@@ -702,6 +735,23 @@ def test_sweep_eta_run():
     manifest = json.load(open("sw.csv.manifest.json"))
     assert "certification_threshold_eta" in manifest
     assert "zero_crossing_eta" in manifest
+
+
+def test_sweep_eta_grid_memory_preflight(monkeypatch, capsys):
+    # the grid is priced before numpy builds it: 10^12 points are refused in
+    # one line (numpy's linspace would fail with a traceback), and so are 3
+    # points when free memory is a byte short of them
+    from macrobell import states
+
+    argv = ["sweep-eta", "--pulses", "10", "--out", "sw.csv", "--eta-points"]
+    for points, free in (("1000000000000", None), ("3", 3 * SWEEP_BYTES_PER_POINT - 1)):
+        if free is not None:
+            monkeypatch.setattr(states, "available_memory", lambda: free)
+        assert cli.main([*argv, points]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: efficiency sweep: {float(points):.3g} grid points")
+        assert "available memory" in err and err.count("\n") == 1
+        assert not os.path.exists("sw.csv")
 
 
 def test_sweep_eta_mismatched_witness_exact_column():

@@ -233,11 +233,11 @@ def test_norm_is_retained_mass_per_mode():
 def test_dense_ket_placement():
     basis = FourModeBasis(4)
     st = build_bell_state(BellLabel.PSI_PLUS, 0.5, 4)
-    vec = st.dense(basis)
+    vec = st.dense()
     assert vec[basis.index(2, 1, 1, 2)] == pytest.approx(st.amplitude(2, 1))
     assert vec[basis.index(2, 1, 2, 1)] == 0.0
     st = build_bell_state(BellLabel.PHI_PLUS, 0.5, 4)
-    vec = st.dense(basis)
+    vec = st.dense()
     assert vec[basis.index(2, 1, 2, 1)] == pytest.approx(st.amplitude(2, 1))
     assert vec[basis.index(2, 1, 1, 2)] == 0.0
 
@@ -247,16 +247,9 @@ def test_dense_matches_independent_loop():
     for label in BellLabel:
         st = build_bell_state(label, gamma, n_max)
         ref = bell_vector(label.sign, label.pairing, gamma, n_max)
-        assert np.allclose(st.dense(), ref, atol=1e-14)
-
-
-def test_dense_into_larger_basis():
-    st = build_bell_state(BellLabel.PSI_MINUS, 0.4, 3)
-    vec = st.dense(FourModeBasis(5))
-    assert vec.size == 6**4
-    assert float(np.vdot(vec, vec).real) == pytest.approx(st.norm_sq(), rel=1e-13)
-    with pytest.raises(ValueError):
-        st.dense(FourModeBasis(2))
+        vec = st.dense()
+        assert np.allclose(vec, ref, atol=1e-14)
+        assert float(np.vdot(vec, vec).real) == pytest.approx(st.norm_sq(), rel=1e-13)
 
 
 def test_storage_validation():
@@ -352,10 +345,14 @@ def test_fidelity_table_and_dense_routes():
     assert f < 1.0
     densified = FourModeState(gamma=b.gamma, n_max=b.n_max, vector=b.dense())
     assert a.fidelity(densified) == pytest.approx(f, rel=1e-12)
-    # factors at different cutoffs overlap on the shorter one's levels
+    # factors at different cutoffs overlap on the shorter one's levels, and
+    # so do dense tensors, in either argument order and storage form
     c = build_bell_state(BellLabel.PSI_PLUS, 0.5, 10)
-    densified = FourModeState(gamma=c.gamma, n_max=c.n_max, vector=c.dense())
-    assert a.fidelity(c) == pytest.approx(a.fidelity(densified), rel=1e-12)
+    a_vec = FourModeState(gamma=a.gamma, n_max=a.n_max, vector=a.dense())
+    c_vec = FourModeState(gamma=c.gamma, n_max=c.n_max, vector=c.dense())
+    pair = a.fidelity(c)
+    for x, y in ((a, c_vec), (c_vec, a), (a_vec, c_vec), (c_vec, a_vec)):
+        assert x.fidelity(y) == pytest.approx(pair, rel=1e-12)
 
 
 # -- serialization -------------------------------------------------------------------

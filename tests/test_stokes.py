@@ -71,7 +71,7 @@ def test_expectation_against_dense_arithmetic():
     for component in range(4):
         dense = kron_stokes(component, "a", basis.n_levels).toarray()
         want = (vec.conj() @ dense @ vec).real / (vec.conj() @ vec).real
-        assert expectation({(component, "a"): 1.0}, vec, basis) == pytest.approx(want, rel=1e-12)
+        assert expectation({(component, "a"): 1.0}, vec) == pytest.approx(want, rel=1e-12)
 
 
 def test_s0_expectation_is_total_mean_photons():
@@ -90,9 +90,9 @@ def test_eigenstate_moments_exact():
     basis = FourModeBasis(3)
     vec = np.zeros(basis.dim, dtype=np.complex128)
     vec[basis.index(2, 1, 0, 0)] = 1.0
-    assert variance_of_combination({(1, "a"): 1.0}, vec, basis=basis) == 0.0
-    assert expectation({(1, "a"): 1.0}, vec, basis) == 1.0
-    assert variance_of_combination({(2, "a"): 1.0}, vec, basis=basis) == pytest.approx(7.0, rel=1e-14)
+    assert variance_of_combination({(1, "a"): 1.0}, vec) == 0.0
+    assert expectation({(1, "a"): 1.0}, vec) == 1.0
+    assert variance_of_combination({(2, "a"): 1.0}, vec) == pytest.approx(7.0, rel=1e-14)
 
 
 def test_variance_methods_agree_on_random_states():
@@ -103,17 +103,16 @@ def test_variance_methods_agree_on_random_states():
     op = sum(c * kron_stokes(k, beam, basis.n_levels) for (k, beam), c in coeffs.items())
     for _ in range(10):
         vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-        vt = variance_of_combination(coeffs, vec, basis=basis)
+        vt = variance_of_combination(coeffs, vec)
         assert vt == pytest.approx(matvec_variance(op, vec), rel=1e-11)
 
 
 def test_variance_golden_and_method_agreement():
     # frozen from an independent kron-ladder evaluation at this exact cutoff;
     # the factored route and the tensor route (on the dense vector) both hit it
-    basis = FourModeBasis(15)
     state = build_bell_state(BellLabel.PSI_MINUS, 0.5, 15)
     for form in (state, state.dense()):
-        v = variance_of_combination({(1, "a"): 1.0}, form, basis=basis)
+        v = variance_of_combination({(1, "a"): 1.0}, form)
         assert v == pytest.approx(GOLDEN_VAR_S1A_PSI_MINUS, rel=1e-12)
     # infinite-cutoff value is 2 N0 (N0 + 1); truncation shifts the 9th digit
     n0 = math.sinh(0.5) ** 2
@@ -122,30 +121,22 @@ def test_variance_golden_and_method_agreement():
 
 def test_variance_matches_matvec_oracle():
     d = 6
-    basis = FourModeBasis(d - 1)
     st = build_bell_state(BellLabel.PHI_PLUS, 0.35, d - 1)
-    vec = st.dense(basis)
+    vec = st.dense()
     for component in (1, 2, 3):
         op = kron_stokes(component, "a", d) + kron_stokes(component, "b", d)
         want = matvec_variance(op, vec)
-        got = variance_of_combination({(component, "a"): 1.0, (component, "b"): 1.0},
-                                      st, basis=basis)
+        got = variance_of_combination({(component, "a"): 1.0, (component, "b"): 1.0}, st)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
 def test_error_paths():
-    basis = FourModeBasis(2)
     s1a = {(1, "a"): 1.0}
     with pytest.raises(ValueError):
-        expectation(s1a, np.zeros(basis.dim, dtype=np.complex128), basis)
+        expectation(s1a, np.zeros(FourModeBasis(2).dim, dtype=np.complex128))
     with pytest.raises(ValueError):
         expectation(s1a, FourModeState(gamma=0.0, n_max=2, pairing="cross", scale=0.0))
-    # state cutoff larger than the basis, for both storage forms
     big = build_bell_state(BellLabel.PSI_MINUS, 0.3, 4)
-    with pytest.raises(ValueError):
-        expectation(s1a, big, basis)
-    with pytest.raises(ValueError):
-        expectation(s1a, FourModeState(gamma=0.3, n_max=4, vector=big.dense()), basis)
     with pytest.raises(ValueError):
         variance_of_combination(s1a, np.ones(7))  # not a 4th power
     for bad in ({(4, "a"): 1.0}, {(1, "c"): 1.0}):
@@ -157,9 +148,8 @@ def test_dense_guard():
     # the memory pre-flight refuses before allocating: a dense vector at
     # cutoff 10^5 (10^20 amplitudes), and at cutoff 10^12 the factors and
     # the table, which the closed-form state itself never builds
-    state = build_bell_state(BellLabel.PSI_MINUS, 0.5, 20)
     with pytest.raises(NumericError, match="GiB"):
-        state.dense(FourModeBasis(100_000))
+        build_bell_state(BellLabel.PSI_MINUS, 0.5, 100_000).dense()
     huge = build_bell_state(BellLabel.PSI_MINUS, 0.5, 1_000_000_000_000)
     for view in ("u", "v", "table"):
         with pytest.raises(NumericError, match="GiB"):
@@ -172,25 +162,24 @@ _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(n_max=hs.integers(0, 5), pad=hs.integers(0, 2),
-       pairing=hs.sampled_from(["cross", "parallel"]),
+@given(n_max=hs.integers(0, 5), pairing=hs.sampled_from(["cross", "parallel"]),
        coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8),
        gamma=hs.floats(0.0, 2.0), seed=hs.integers(0, 2**32 - 1))
-def test_table_route_matches_kron_oracle(n_max, pad, pairing, coeffs, gamma, seed):
-    # random complex scales and phase steps, evaluated in closed form on
-    # their own cutoff or zero-padded into a larger basis, against
-    # kron-built operators on the table the state builds
+def test_table_route_matches_kron_oracle(n_max, pairing, coeffs, gamma, seed):
+    # random complex scales and phase steps, evaluated in closed form at
+    # their own cutoff, against kron-built operators on the table the
+    # state builds
     rng = np.random.default_rng(seed)
     d = n_max + 1
     scale, step_u, step_v = complex(*rng.normal(size=2)), *np.exp(2j * np.pi * rng.uniform(size=2))
     state = FourModeState(gamma=gamma, n_max=n_max, pairing=pairing,
                           scale=scale, step_u=step_u, step_v=step_v)
-    vec = table_vector(state.table, pairing, d + pad)
-    op = sum(c * kron_stokes(k, beam, d + pad) for (k, beam), c in coeffs.items())
+    vec = table_vector(state.table, pairing, d)
+    op = sum(c * kron_stokes(k, beam, d) for (k, beam), c in coeffs.items())
     ov = op @ vec
     want_mean = matvec_expectation(op, vec)
     want_second = float(np.vdot(ov, ov).real / np.vdot(vec, vec).real)
-    mean, second = moments(coeffs, state, FourModeBasis(n_max + pad))
+    mean, second = moments(coeffs, state)
     scale = max(1.0, want_second)
     assert abs(mean - want_mean) <= 1e-12 * scale
     assert abs(second - want_second) <= 1e-12 * scale
@@ -210,7 +199,7 @@ def test_factored_route_matches_table_oracle():
         for items in sorted(maps):
             coeffs = dict(items)
             got = moments(coeffs, state)
-            want = _table_moments(coeffs, state, None)
+            want = _table_moments(coeffs, state)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
@@ -227,11 +216,11 @@ def test_closed_form_matches_factored_oracle(gamma):
 
     for label in BellLabel:
         state = build_bell_state(label, gamma, n_max)
-        mean_s0 = factored_moments(s0, state, None)[0]
+        mean_s0 = factored_moments(s0, state)[0]
         for kind in WitnessKind:
             rep = evaluate_witness(kind, state)
             terms = [m2 - m1 * m1 for m1, m2 in
-                     (factored_moments(c, state, None) for c in witness_term_coeffs(kind))]
+                     (factored_moments(c, state) for c in witness_term_coeffs(kind))]
             assert close(rep.mean_s0, mean_s0)
             assert close(rep.value, sum(terms) - 2.0 * mean_s0)
             assert all(close(g, w) for g, w in zip(rep.variance_terms, terms))
@@ -241,12 +230,12 @@ def test_closed_form_matches_factored_oracle(gamma):
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(label=hs.sampled_from(list(BellLabel)), gamma=hs.floats(0.0, 5.0),
-       n_max=hs.integers(0, 12), pad=hs.integers(0, 2),
+       n_max=hs.integers(0, 12),
        retarder=hs.one_of(hs.none(), hs.tuples(hs.sampled_from([0.0, 90.0]),
                                                hs.floats(0.0, 2 * math.pi),
                                                hs.sampled_from(["a", "b", "both"]))),
        coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8))
-def test_closed_form_moments_match_factor_arrays(label, gamma, n_max, pad, retarder, coeffs):
+def test_closed_form_moments_match_factor_arrays(label, gamma, n_max, retarder, coeffs):
     # Bell states, or Bell states whose H or V modes a retarder has given a
     # phase per photon (a phase-stepped closed form), at small cutoffs
     # where the truncation is severe, against the factor-array oracle
@@ -256,8 +245,7 @@ def test_closed_form_moments_match_factor_arrays(label, gamma, n_max, pad, retar
         state = apply_transform(state, BasisTransform("retarder", target,
                                                       retarder_jones(angle, delta)))
         assert state.vector is None  # stays in closed form
-    basis = FourModeBasis(n_max + pad)
-    got = moments(coeffs, state, basis)
-    want = factored_moments(coeffs, state, basis)
+    got = moments(coeffs, state)
+    want = factored_moments(coeffs, state)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * max(1.0, abs(w))

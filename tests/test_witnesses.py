@@ -31,11 +31,10 @@ GOLDEN_WS_ON_PSI_PLUS = 3.3520688331205752
 GOLDEN_WS_ON_PSI_MINUS = -2.1723225368661323
 
 
-def _assemble_witness(kind, state, basis):
+def _assemble_witness(kind, state):
     """Witness value from public parts, bypassing the edge-mass gate."""
-    terms = [variance_of_combination(c, state, basis=basis)
-             for c in witness_term_coeffs(kind)]
-    s0 = expectation({(0, "a"): 1.0, (0, "b"): 1.0}, state, basis)
+    terms = [variance_of_combination(c, state) for c in witness_term_coeffs(kind)]
+    s0 = expectation({(0, "a"): 1.0, (0, "b"): 1.0}, state)
     return sum(terms) - 2.0 * s0
 
 
@@ -60,10 +59,9 @@ def test_term_coeff_maps():
 def test_matched_pairs_saturate():
     gamma = 0.5
     n_max = cutoff_for_edge_mass(gamma)
-    basis = FourModeBasis(n_max)
     for kind in WitnessKind:
         state = build_bell_state(kind.matched_state, gamma, n_max)
-        rep = evaluate_witness(kind, state, basis=basis)
+        rep = evaluate_witness(kind, state)
         assert max(rep.variance_terms) <= 1e-9
         assert rep.value == pytest.approx(-2.0 * rep.mean_s0, rel=1e-12)
         assert rep.value == pytest.approx(rep.recomputed_value(), abs=1e-12)
@@ -73,11 +71,10 @@ def test_matched_pairs_saturate():
 
 
 def test_golden_values_at_fixed_cutoff():
-    basis = FourModeBasis(15)
     psim = build_bell_state(BellLabel.PSI_MINUS, 0.5, 15)
     psip = build_bell_state(BellLabel.PSI_PLUS, 0.5, 15)
-    got_plus = _assemble_witness(WitnessKind.W_S, psip, basis)
-    got_minus = _assemble_witness(WitnessKind.W_S, psim, basis)
+    got_plus = _assemble_witness(WitnessKind.W_S, psip)
+    got_minus = _assemble_witness(WitnessKind.W_S, psim)
     assert got_plus == pytest.approx(GOLDEN_WS_ON_PSI_PLUS, rel=1e-12)
     assert got_minus == pytest.approx(GOLDEN_WS_ON_PSI_MINUS, rel=1e-12)
     # infinite-cutoff values: 16 N0^2 + 8 N0 and -8 N0
@@ -202,7 +199,7 @@ def test_separable_battery_nonnegative():
     battery = product_state_battery(seed=2024, n_states=24)
     assert len(battery) >= 20
     for name, ensemble in battery:
-        gap = separability_gap(ensemble, basis=FourModeBasis(12))
+        gap = separability_gap(ensemble)
         assert gap >= -1e-9, name
 
 
@@ -212,9 +209,9 @@ def test_entangled_state_violates():
 
 
 def test_ensemble_weights_must_sum_to_one():
-    basis = FourModeBasis(2)
+    vacuum = FourModeBasis(2).vacuum()
     with pytest.raises(ValueError):
-        separability_gap([(0.4, basis.vacuum()), (0.4, basis.vacuum())], basis=basis)
+        separability_gap([(0.4, vacuum), (0.4, vacuum)])
 
 
 # -- local-unitary structure ------------------------------------------------------
@@ -241,9 +238,8 @@ def test_substitution_carries_wt1_to_wt2_exactly():
 def test_mismatched_witness_is_positive():
     gamma = 0.5
     n_max = cutoff_for_edge_mass(gamma)
-    basis = FourModeBasis(n_max)
     state = build_bell_state(BellLabel.PSI_MINUS, gamma, n_max)
-    rep = evaluate_witness(WitnessKind.W_T2, state, basis=basis)
+    rep = evaluate_witness(WitnessKind.W_T2, state)
     assert rep.value > 0.0
 
 
