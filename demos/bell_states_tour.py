@@ -2,8 +2,9 @@
 """Tour of the four macroscopic Bell states.
 
 Builds each of the four polarization Bell states of bright squeezed
-vacuum in a truncated Fock space and prints the leading Fock amplitudes
-and the thermal pair weights.  Run it with no arguments:
+vacuum in a truncated Fock space and prints the leading Fock amplitudes,
+the thermal pair weights and the local wave plates that carry one Bell
+state into another.  Run it with no arguments:
 
     python3 demos/bell_states_tour.py
 """
@@ -12,6 +13,13 @@ import argparse
 
 import numpy as np
 
+from macrobell.polarization import (
+    apply_transform,
+    identify_bell_state,
+    pi_phase_on_bh,
+    polarization_rotator,
+    quarter_wave_plate,
+)
 from macrobell.states import (
     BellLabel,
     build_bell_state,
@@ -65,6 +73,16 @@ def main():
     lam = schmidt_spectrum(gamma, n_max)
     print("thermal weights lambda_n = q^n (1-q):",
           " ".join(f"{v:.4f}" for v in lam[:6]), "...")
+    print()
+
+    print(f"Bell-family relations at gamma = {gamma}:")
+    for source, transform, text in (
+            (BellLabel.PSI_MINUS, pi_phase_on_bh(), "pi phase on b_H"),
+            (BellLabel.PSI_PLUS, quarter_wave_plate(45.0), "quarter-wave plates at 45 deg"),
+            (BellLabel.PSI_PLUS, polarization_rotator(45.0), "45 deg rotators")):
+        out = apply_transform(build_bell_state(source, gamma, n_max), transform)
+        found = identify_bell_state(out)
+        print(f"  {text:>30}: {source.value} -> {found.value if found else 'no Bell state'}")
 
 
 if __name__ == "__main__":

@@ -169,6 +169,13 @@ def _check_bounds(cfg: dict) -> None:
     if cutoff is not None and (cutoff + 1) ** 2 > sys.float_info.max:
         raise UsageError(f"cutoff must be below {math.sqrt(sys.float_info.max):.4g}, "
                          f"got one of {len(str(cutoff))} digits")
+    if "simulate" in cfg:  # witness: the exact and sampled routes take disjoint options
+        sampled = cfg["simulate"] or cfg["pulses"] is not None
+        if sampled and cutoff is not None:
+            raise UsageError("cutoff applies to the exact witness; sampling has no cutoff")
+        if not sampled and cfg["pulse_log"]:
+            raise UsageError("the exact witness writes no pulse log; "
+                             "pass --simulate to record one")
     gamma = cfg.get("gamma", 0.0)
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise UsageError(f"gamma must be finite and nonnegative, got {gamma!r}")

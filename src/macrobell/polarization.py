@@ -1,4 +1,4 @@
-"""Linear polarization optics acting on the truncated four-mode space.
+"""Linear polarization optics acting on the four-mode states.
 
 Jones conventions (documented here once; everything downstream relies on
 them):
@@ -15,19 +15,24 @@ them):
 * ``pi_phase_on_bh()`` puts a pi phase on the ``b_H`` mode only
   (``diag(-1, 1)`` on beam *b*).
 
-With these conventions the Bell-family relations hold exactly, not just
-up to photon-number-dependent phases: the pi phase on ``b_H`` maps
-psi-minus to psi-plus; quarter-wave plates at 45 deg in both beams map
-psi-plus to phi-plus; a 45 deg polarization rotation of both beams maps
-psi-plus to phi-minus.
+The creation operators of a beam transform with the columns of its Jones
+matrix, ``a_j^+ -> sum_i J_ij a_i^+``, so a paired state whose coupling
+``sum C_ij a_i^+ b_j^+`` has ``C`` = ``[[0, su], [sv, 0]]`` (cross) or
+``diag(su, sv)`` (parallel) acquires the coupling ``J_a C J_b^T``.  With
+these conventions the Bell-family relations hold exactly, not just up to
+photon-number-dependent phases: the pi phase on ``b_H`` maps psi-minus to
+psi-plus; quarter-wave plates at 45 deg in both beams map psi-plus to
+phi-plus; a 45 deg polarization rotation of both beams maps psi-plus to
+phi-minus.
 
 All angles in the public API are in degrees, matching how wave-plate
 settings are quoted in the lab.
 
-A 2x2 mode transform conserves the photon number of its beam, so it acts
-block-diagonally on fixed-total-photon sectors; each block is the
-symmetric-power representation of the Jones matrix, built here by
-binomial expansion of the transformed creation operators.
+A transform never expands a state: its Jones matrix is composed into the
+state's per-beam frame (see :class:`~macrobell.states.FourModeState`),
+and a frame with one nonzero entry per row and column -- a phase plate,
+an H/V swap or both -- is folded exactly into the closed form's pairing
+and phase steps.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (BellLabel, FourModeState, NumericError, build_bell_state,
-                     geometric_factors, paired_modes)
+from .states import BellLabel, FourModeState
 
 BEAM_A, BEAM_B, BOTH_BEAMS = "a", "b", "both"
 
@@ -94,93 +98,53 @@ def pi_phase_on_bh() -> BasisTransform:
     return BasisTransform("pi-phase-bh", BEAM_B, np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex))
 
 
-# -- sector machinery --------------------------------------------------------
-
-
-def sector_matrix(jones: np.ndarray, n: int) -> np.ndarray:
-    """Action of a 2x2 mode unitary on the n-photon sector of one beam.
-
-    Basis ordering inside the sector is ``|k, n-k>`` for k = 0..n (k
-    photons in H).  The creation operators transform with the columns of
-    the Jones matrix; expanding ``(J_HH aH+ + J_VH aV+)^k (J_HV aH+ +
-    J_VV aV+)^{n-k}`` binomially gives the matrix column of ``|k, n-k>``.
-    """
-    out = np.zeros((n + 1, n + 1), dtype=complex)
-    lf = np.array([math.lgamma(k + 1.0) for k in range(n + 2)]) / 2.0  # log sqrt(k!)
-    for k in range(n + 1):
-        # coefficient polynomials in aH+ of the two binomials
-        p1 = np.array([math.comb(k, i) * jones[0, 0] ** i * jones[1, 0] ** (k - i)
-                       for i in range(k + 1)])
-        p2 = np.array([math.comb(n - k, i) * jones[0, 1] ** i * jones[1, 1] ** (n - k - i)
-                       for i in range(n - k + 1)])
-        poly = np.convolve(p1, p2)  # index j: amplitude on (aH+)^j (aV+)^{n-j}
-        j = np.arange(n + 1)
-        norm = np.exp(lf[j] + lf[n - j] - lf[k] - lf[n - k])
-        out[:, k] = poly * norm
-    return out
-
-
-def beam_transform_matrix(jones: np.ndarray, n_max: int) -> np.ndarray:
-    """Dense transform on one beam's flattened (n_H, n_V) two-mode space.
-
-    Sectors with total photon number above ``n_max`` are only partially
-    representable under a per-mode cutoff; their blocks are the sector
-    unitary restricted to the representable kets, which is where a
-    transform can (slightly) leak norm for states with mass near the
-    cutoff.
-    """
-    d = n_max + 1
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for total in range(2 * n_max + 1):
-        kmin, kmax = max(0, total - n_max), min(total, n_max)
-        ks = np.arange(kmin, kmax + 1)
-        flat = ks * d + (total - ks)  # (n_H, n_V) -> n_H * d + n_V
-        out[np.ix_(flat, flat)] = sector_matrix(jones, total)[np.ix_(ks, ks)]
-    return out
-
-
 def apply_transform(state: FourModeState, transform: BasisTransform) -> FourModeState:
-    """Apply a polarization transform, sector by sector, to a truncated state.
+    """Apply a polarization transform in O(1), at any gain and cutoff.
 
-    The result is in closed form whenever one paired subspace holds all its
-    mass as a geometric table at the state's gain (as for the Bell-family
-    relations), else vector-backed, a rank-one table included.  It keeps
-    the input's norm, with the global phase fixed so the vacuum amplitude
-    is real positive.
+    Each targeted beam's frame becomes ``transform.jones @ J``.  A frame
+    with one nonzero entry per row and column (|entry| <= 1e-14 counts as
+    zero) is folded into the closed form: ``diag(x, y)`` multiplies the
+    phase steps, ``[[0, x], [y, 0]]`` also swaps H and V, which flips the
+    pairing.  The result keeps the input's norm and is unlabelled, with
+    the global phase fixed so the vacuum amplitude is real positive.
     """
-    d = state.n_levels
-    psi = state.dense().reshape(d * d, d * d)  # rows: beam a, cols: beam b
-    norm_before = float(np.sum(np.abs(psi) ** 2))
-    t = beam_transform_matrix(transform.jones, state.n_max)
-    if transform.target in (BEAM_A, BOTH_BEAMS):
-        psi = t @ psi
-    if transform.target in (BEAM_B, BOTH_BEAMS):
-        psi = psi @ t.T
-    norm_after = float(np.sum(np.abs(psi) ** 2))
-    if not abs(norm_after - norm_before) <= 1e-10 * max(norm_before, 1e-300):
-        raise NumericError(
-            f"transform leaked norm {norm_before - norm_after:.3e}: state has "
-            f"appreciable mass in sectors the per-mode cutoff cannot represent"
-        )
-    vec = psi.reshape(-1)
-    # global phase: vacuum amplitude real positive
-    if abs(vec[0]) > 0:
-        vec = vec * (abs(vec[0]) / vec[0])
-    # closed form if one paired subspace carries all the mass as a geometric table
-    nn, mm = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    for pairing in ("cross", "parallel"):
-        table = vec.reshape(d, d, d, d)[paired_modes(nn, mm, pairing)]
-        if abs(float(np.sum(np.abs(table) ** 2)) - norm_after) <= 1e-12 * norm_after:
-            params = geometric_factors(table, state.gamma)
-            if params is not None:
-                return FourModeState(state.gamma, state.n_max, None, pairing, *params)
-    return FourModeState(gamma=state.gamma, n_max=state.n_max, vector=vec)
+    pairing, su, sv = state.pairing, state.step_u, state.step_v
+    frames = list(state.jones)
+    for i, beam in enumerate((BEAM_A, BEAM_B)):
+        if transform.target not in (beam, BOTH_BEAMS):
+            continue
+        jones = transform.jones if frames[i] is None else transform.jones @ frames[i]
+        nonzero = np.abs(jones) > 1e-14
+        if not (nonzero.sum(axis=0) == 1).all() or not (nonzero.sum(axis=1) == 1).all():
+            frames[i] = jones
+            continue
+        frames[i] = None
+        swap = not nonzero[0, 0]
+        x, y = (jones[0, 1], jones[1, 0]) if swap else (jones[0, 0], jones[1, 1])
+        if beam == BEAM_A and swap:  # |n, m>_a -> y^n x^m |m, n>_a
+            su, sv = sv, su
+        elif beam == BEAM_B and (pairing == "parallel") == swap:
+            x, y = y, x  # beam b carries u's photons in V when cross-paired
+        su, sv = su * x, sv * y
+        if swap:
+            pairing = "parallel" if pairing == "cross" else "cross"
+    return FourModeState(state.gamma, state.n_max, None, pairing, abs(state.scale),
+                         su, sv, tuple(frames))
+
+
+def _coupling(pairing: str, su: complex, sv: complex, jones=(None, None)) -> np.ndarray:
+    """The pair coupling ``C``, the state being ``~ exp(tanh(gamma) sum C_ij
+    a_i^+ b_j^+) |0>`` (i, j over H, V), seen through the frame ``jones``."""
+    c = np.array([[0, su], [sv, 0]] if pairing == "cross" else [[su, 0], [0, sv]], dtype=complex)
+    ja, jb = (np.eye(2) if j is None else j for j in jones)
+    return ja @ c @ np.transpose(jb)
 
 
 def identify_bell_state(state: FourModeState, tol: float = 1e-9) -> BellLabel | None:
-    """Label whose closed-form state matches `state` up to global phase."""
+    """Label whose closed-form state matches `state` up to global phase, in
+    O(1): the label's coupling matrix equals the state's to ``tol``."""
+    got = _coupling(state.pairing, state.step_u, state.step_v, state.jones)
     for label in BellLabel:
-        ref = build_bell_state(label, state.gamma, state.n_max)
-        if 1.0 - state.fidelity(ref) <= tol:
+        if np.abs(_coupling(label.pairing, 1.0, label.sign) - got).max() <= tol:
             return label
     return None

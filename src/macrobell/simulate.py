@@ -84,7 +84,7 @@ class SimConfig:
     eta: float = 1.0
     pulses: int = 100_000
     seed: int = 0
-    bin_width: int = 200  # partner-count bin width for conditional histograms
+    bin_width: int = 1  # partner-count bin width for conditional histograms
 
     def __post_init__(self):
         if isinstance(self.label, str):

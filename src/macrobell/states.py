@@ -27,6 +27,9 @@ sqrt(lambda_m)`` (``w_u = 1``, ``w_v = sign`` for the Bell labels).  A
 state is stored as the scale ``a`` and the unit phase steps, so its norm
 and edge mass are closed forms at any cutoff; the factors, the table and
 :meth:`FourModeState.dense` are built on request, behind the pre-flight.
+Local polarization optics add a per-beam Jones frame: the state is then
+this closed form seen through wave plates, and only the frame-invariant
+quantities (norm, edge mass, Stokes moments) are read off it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,15 +234,16 @@ def geometric_factors(table: np.ndarray, gamma: float) -> tuple | None:
 
 @dataclass
 class FourModeState:
-    """A (possibly truncated) state of the four modes, in one of two forms:
+    """A (possibly truncated) paired state of the four modes, in closed form:
+    ket ``|n,m>_a|m,n>_b`` ('cross' pairing) resp. ``|n,m>_a|n,m>_b``
+    ('parallel') has amplitude ``u_n v_m`` for ``n, m <= n_max``, ``u_n =
+    scale step_u^n sqrt(lambda_n)`` and ``v_m = step_v^m sqrt(lambda_m)``,
+    with unit phase steps.
 
-    * ``pairing`` -- closed form: ket ``|n,m>_a|m,n>_b`` ('cross') resp.
-      ``|n,m>_a|n,m>_b`` ('parallel') has amplitude ``u_n v_m`` for ``n,
-      m <= n_max``, ``u_n = scale step_u^n sqrt(lambda_n)`` and ``v_m =
-      step_v^m sqrt(lambda_m)``, with unit phase steps.
-    * ``vector`` -- dense amplitudes over
-      :class:`~macrobell.basis.FourModeBasis`, from polarization transforms
-      that leave the closed form.
+    ``jones = (J_a, J_b)`` is each beam's polarization frame: the state is
+    the closed form after wave plates with these unitary Jones matrices
+    (None: the H/V frame).  A framed state refuses the H/V-basis views
+    (factors, table, amplitudes, dense vector, JSON, sectors, fidelity).
 
     States may be unnormalized (truncation removes mass); consumers
     divide by the norm.
@@ -252,24 +256,29 @@ class FourModeState:
     scale: complex = 1.0
     step_u: complex = 1.0
     step_v: complex = 1.0
-    vector: np.ndarray | None = field(default=None, repr=False)
+    jones: tuple = (None, None)
 
     def __post_init__(self):
-        log_q = _log_q(self.gamma)  # refuses a gain that is negative or not finite
-        d = self.n_max + 1
-        if self.n_max < 0 or (self.pairing is None) == (self.vector is None):
-            raise ValueError(f"need n_max >= 0 (got {self.n_max}) and exactly one of "
-                             "pairing (closed form) or vector")
-        if self.vector is not None and np.shape(self.vector) != (d**4,):
-            raise ValueError(f"vector must have length (n_max + 1)^4 = {d**4}, "
-                             f"got shape {np.shape(self.vector)}")
-        if self.vector is None and self.pairing not in ("cross", "parallel"):
-            raise ValueError("closed-form storage requires pairing 'cross' or 'parallel'")
-        if max(abs(abs(w) - 1.0) for w in (self.step_u, self.step_v)) > 1e-12:
-            raise ValueError(f"phase steps need unit modulus: {self.step_u!r}, {self.step_v!r}")
-        if self.vector is None and log_q == 0.0:
+        if _log_q(self.gamma) == 0.0:  # also refuses a gain that is negative or not finite
             raise NumericError(f"ln tanh(gamma)^2 rounds to 0 at gamma={self.gamma}: "
                                "no representable weights")
+        if self.n_max < 0 or self.pairing not in ("cross", "parallel"):
+            raise ValueError(f"need n_max >= 0 (got {self.n_max}) and pairing 'cross' "
+                             f"or 'parallel' (got {self.pairing!r})")
+        if max(abs(abs(w) - 1.0) for w in (self.step_u, self.step_v)) > 1e-12:
+            raise ValueError(f"phase steps need unit modulus: {self.step_u!r}, {self.step_v!r}")
+        if len(self.jones) != 2 or any(
+                np.shape(j) != (2, 2) or np.abs(np.conj(j).T @ j - np.eye(2)).max() > 1e-10
+                for j in self.jones if j is not None):
+            raise ValueError(f"jones must be two unitary 2x2 matrices or None, got {self.jones!r}")
+
+    def _hv_view(self, what: str) -> None:
+        """Refuse an H/V-basis view of a state seen through wave plates."""
+        framed = [f"J_{beam} = {np.round(j, 6).tolist()}"
+                  for beam, j in zip("ab", self.jones) if j is not None]
+        if framed:
+            raise ValueError(f"{what} is an H/V-basis view, but the state is seen through "
+                             f"the polarization frame {', '.join(framed)}")
 
     # -- basic quantities -------------------------------------------------
 
@@ -278,22 +287,21 @@ class FourModeState:
         return self.n_max + 1
 
     @property
-    def u(self) -> np.ndarray | None:
-        """Schmidt factor ``u``, built on request (None if vector-backed)."""
-        if self.vector is None:
-            return self.scale * _geometric_factor(self.gamma, self.n_max, self.step_u)
+    def u(self) -> np.ndarray:
+        """Schmidt factor ``u``, built on request."""
+        self._hv_view("u")
+        return self.scale * _geometric_factor(self.gamma, self.n_max, self.step_u)
 
     @property
-    def v(self) -> np.ndarray | None:
-        """Schmidt factor ``v``, built on request (None if vector-backed)."""
-        if self.vector is None:
-            return _geometric_factor(self.gamma, self.n_max, self.step_v)
+    def v(self) -> np.ndarray:
+        """Schmidt factor ``v``, built on request."""
+        self._hv_view("v")
+        return _geometric_factor(self.gamma, self.n_max, self.step_v)
 
     @property
-    def table(self) -> np.ndarray | None:
-        """Read-only ``(n, m)`` table ``u_n v_m``, built on request (None if vector-backed)."""
-        if self.vector is not None:
-            return None
+    def table(self) -> np.ndarray:
+        """Read-only ``(n, m)`` table ``u_n v_m``, built on request."""
+        self._hv_view("table")
         check_memory(self.n_levels**2, f"amplitude table at cutoff {self.n_max}")
         out = np.outer(self.u, self.v)
         out.flags.writeable = False
@@ -309,35 +317,28 @@ class FourModeState:
                 / math.expm1(self.n_levels * log_q))
 
     def norm_sq(self) -> float:
-        if self.vector is None:
-            return abs(self.scale) ** 2 * math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
-        return float(np.sum(np.abs(self.vector) ** 2))
+        return abs(self.scale) ** 2 * math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
 
     def amplitude(self, n: int, m: int) -> complex:
-        """Amplitude ``u_n v_m`` of table entry (n, m) (closed-form states only)."""
-        if self.vector is not None:
-            raise ValueError("state is not factored")
+        """Amplitude ``u_n v_m`` of table entry (n, m)."""
+        self._hv_view("amplitude")
         return complex(self.u[n] * self.v[m])
 
     def normalized(self) -> "FourModeState":
-        """Unit-norm copy with the global phase fixed: amplitude(0,0) (or the
-        vacuum component) rotated to the positive real axis when nonzero."""
+        """Unit-norm copy with the global phase fixed: the vacuum amplitude,
+        that of entry (0, 0) in any frame, rotated to the positive real axis."""
         nrm = math.sqrt(self.norm_sq())
         if nrm == 0.0:
             raise NumericError("cannot normalize the zero state")
-        if self.vector is None:  # amplitude(0, 0) has the phase of the scale
-            return replace(self, scale=abs(self.scale) / nrm)
-        ref = self.vector[0]
-        return replace(self, vector=self.vector / (nrm * (ref / abs(ref) if abs(ref) else 1.0)))
+        return replace(self, scale=abs(self.scale) / nrm)
 
     # -- dense expansion ---------------------------------------------------
 
     def dense(self) -> np.ndarray:
         """Amplitudes over the flattened four-mode enumeration of
         :class:`~macrobell.basis.FourModeBasis`, at the state's own cutoff."""
+        self._hv_view("dense")
         check_memory(self.n_levels**4, f"dense vector at cutoff {self.n_max}")
-        if self.vector is not None:
-            return self.vector.astype(np.complex128, copy=True)
         n = np.arange(self.n_levels)
         nn, mm = np.meshgrid(n, n, indexing="ij")
         out = np.zeros((self.n_levels,) * 4, dtype=np.complex128)
@@ -345,40 +346,33 @@ class FourModeState:
         return out.reshape(-1)
 
     def edge_mass(self, depth: int = 2) -> float:
-        """Fraction of the state's mass within `depth` photons of the cutoff.
+        """Fraction of the state's mass within `depth` photons of the cutoff,
+        in the frame where it is truncated (the closed form's, in any frame).
 
-        ``depth=2`` means any mode occupation in {n_max-1, n_max}.  In closed
-        form it is ``f (2 - f)`` from each factor's tail share ``f``, never
-        one minus the interior, which would lose the tiny masses the gate compares.
+        ``depth=2`` means any mode occupation in {n_max-1, n_max}.  It is
+        ``f (2 - f)`` from each factor's tail share ``f``, never one minus
+        the interior, which would lose the tiny masses the gate compares.
         """
-        k = max(self.n_levels - depth, 0)
-        if self.vector is None:
-            f = self._tail_share(k) if self.scale != 0 else 0.0
-            return f * (2.0 - f)
-        w = np.abs(self.vector.reshape((self.n_levels,) * 4)) ** 2
-        total = w.sum()
-        if total == 0.0:
-            return 0.0
-        w[(slice(k),) * 4] = 0.0
-        return float(w.sum() / total)
+        f = self._tail_share(max(self.n_levels - depth, 0)) if self.scale != 0 else 0.0
+        return f * (2.0 - f)
 
     def fidelity(self, other: "FourModeState") -> float:
         """|<self|other>|^2 for the normalized states."""
+        for st in (self, other):
+            st._hv_view("fidelity")
         k = min(self.n_levels, other.n_levels)  # beyond it one of the two is zero
-        if self.vector is None and other.vector is None and self.pairing == other.pairing:
+        if self.pairing == other.pairing:
             ov = np.vdot(self.u[:k], other.u[:k]) * np.vdot(self.v[:k], other.v[:k])
-        else:
-            ov = np.vdot(*(st.dense().reshape((st.n_levels,) * 4)[:k, :k, :k, :k]
-                           for st in (self, other)))
+        else:  # the two pairings share only the kets with n = m
+            ov = np.vdot(self.u[:k] * self.v[:k], other.u[:k] * other.v[:k])
         return float(abs(ov) ** 2 / (self.norm_sq() * other.norm_sq()))
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
         """Schema: {label, gamma, cutoff, amplitudes: [[n, m, re, im], ...]}."""
+        self._hv_view("to_json_dict")
         table = self.table
-        if table is None:
-            raise ValueError("only factored states serialize to the (n, m) schema")
         rows = [[n, m, float(a.real), float(a.imag)]
                 for (n, m), a in np.ndenumerate(table) if a != 0.0]
         return {
@@ -439,8 +433,7 @@ def project_total_sector(state: FourModeState, n: int) -> tuple[float, np.ndarra
     (all zero if empty); for psi-minus they are the maximally entangled
     ``(-1)^m / sqrt(n+1)``, with weight ``(n+1) tanh(gamma)^{2n} / cosh(gamma)^4``.
     """
-    if state.vector is not None:
-        raise ValueError("sector projection requires a factored state")
+    state._hv_view("project_total_sector")
     if not (0 <= n <= state.n_max):
         raise ValueError(f"sector {n} outside 0..{state.n_max}")
     m = np.arange(n + 1)
@@ -453,4 +446,5 @@ def project_total_sector(state: FourModeState, n: int) -> tuple[float, np.ndarra
 
 def sector_weights(state: FourModeState) -> np.ndarray:
     """Weights of all complete total-photon sectors n = 0..n_max."""
+    state._hv_view("sector_weights")
     return np.array([project_total_sector(state, n)[0] for n in range(state.n_levels)])

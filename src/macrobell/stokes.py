@@ -10,19 +10,27 @@ and likewise for beam ``b``; the compound-beam operators are the sums
 that no raising transition pushes past the cutoff) they satisfy the
 angular-momentum algebra ``[S_1, S_2] = 2i S_3`` and cyclic.
 
-Moments of a combination ``O = sum c S_k^beam`` on a pure state are taken
-at the state's own cutoff, by one route per storage form of the state:
+Per beam ``S_k = a^+ sigma_k a`` with ``a = (a_H, a_V)``, ``sigma_0 = 1``,
+``sigma_1 = diag(1, -1)``, ``sigma_2 = X`` and ``sigma_3 = Y``.
 
-* a closed-form paired state is never expanded.  Every Stokes operator
-  conserves each beam's photon number (Schwinger's two-boson picture),
-  so ``O`` keeps the paired kets (``S_0`` and ``S_1`` are diagonal) or
-  moves one photon between H and V of one beam, onto one of two "defect"
-  planes.  The geometric factors shift into themselves, so each part of
-  ``O psi`` is one outer product, and ``<O>``, ``<O^2>`` follow in O(1)
-  from the mean and variance of the truncated thermal law.
-* a vector-backed state (from a polarization transform) is reshaped to
-  its ``(d, d, d, d)`` amplitude tensor and ``O psi`` is applied
-  matrix-free.
+Moments of a combination ``O = sum c S_k^beam`` on a pure state are taken
+at the state's own cutoff, by one route per input:
+
+* a :class:`~macrobell.states.FourModeState` is never expanded.  Every
+  Stokes operator conserves each beam's photon number (Schwinger's
+  two-boson picture), so ``O`` keeps the paired kets (``S_0`` and ``S_1``
+  are diagonal) or moves one photon between H and V of one beam, onto
+  one of two "defect" planes.  The geometric factors shift into
+  themselves, so each part of ``O psi`` is one outer product, and
+  ``<O>``, ``<O^2>`` follow in O(1) from the mean and variance of the
+  truncated thermal law.  A beam seen through a Jones frame ``J`` rotates
+  its Stokes vector instead: ``U_J^+ S_k U_J = sum_l R_kl S_l`` with
+  ``R_kl = tr(sigma_l J^+ sigma_k J) / 2``, so the closed form is read at
+  the coefficients ``c'_l = sum_k c_k R_kl``, with O cut at the cutoff of
+  the frame where the state is truncated.
+* a raw dense vector over :class:`~macrobell.basis.FourModeBasis` is
+  reshaped to its ``(d, d, d, d)`` amplitude tensor and ``O psi`` is
+  applied matrix-free.
 
 No operator matrix is ever built here.  The tests tabulate the
 matrix-free route column by column to check its Hermiticity, its
@@ -45,6 +53,8 @@ BEAMS = ("a", "b")
 _BEAM_MODES = {"a": (0, 1), "b": (2, 3)}
 #: every (component, beam) a coefficient map may name
 _TERMS = tuple((k, beam) for k in range(4) for beam in BEAMS)
+#: sigma_1, sigma_2, sigma_3 of S_1, S_2, S_3
+_PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
 
 
 # -- matrix-free application -------------------------------------------------
@@ -86,13 +96,28 @@ def apply_combination_tensor(coeffs: dict, tensor: np.ndarray) -> np.ndarray:
 
 
 def _as_vector(state) -> np.ndarray:
-    """The ``(d, d, d, d)`` amplitude tensor of a vector-backed state or a raw
-    vector, whose cutoff is read off its length."""
-    vec = np.asarray(state.vector if isinstance(state, FourModeState) else state)
+    """The ``(d, d, d, d)`` amplitude tensor of a raw vector, whose cutoff is
+    read off its length."""
+    vec = np.asarray(state)
     d = round(vec.size ** 0.25)
     if d**4 != vec.size:
         raise ValueError("cannot infer basis from vector length")
     return vec.astype(np.complex128, copy=False).reshape(d, d, d, d)
+
+
+def _through_frame(coeffs: dict, jones: tuple) -> dict:
+    """The coefficients of O on the closed form behind the Jones frames:
+    ``c'_l = sum_k c_k R_kl`` per framed beam, ``S_0`` unchanged."""
+    if jones[0] is None and jones[1] is None:
+        return coeffs
+    out = dict(coeffs)
+    for beam, j in zip(BEAMS, jones):
+        if j is not None:
+            j = np.asarray(j)
+            rot = 0.5 * np.einsum("lij,kji->kl", _PAULI, j.conj().T @ _PAULI @ j).real
+            c = np.array([float(coeffs.get((k, beam), 0.0)) for k in (1, 2, 3)])
+            out.update({(k, beam): float(x) for k, x in zip((1, 2, 3), c @ rot)})
+    return out
 
 
 def _closed_form_moments(coeffs: dict, state: FourModeState) -> tuple:
@@ -146,7 +171,7 @@ def moments(coeffs: dict, state) -> tuple[float, float]:
 
     ``coeffs`` maps ``(component, beam)`` to a real coefficient, e.g.
     ``{(2, 'a'): 1.0, (2, 'b'): -1.0}`` for ``S_2^a - S_2^b``.  ``state``
-    is a :class:`FourModeState` or a dense vector over
+    is a :class:`FourModeState`, in any frame, or a dense vector over
     :class:`~macrobell.basis.FourModeBasis`, whose cutoff is read off its
     length; since O is Hermitian, ``<O^2>`` is ``||O psi||^2``, never an
     operator product.
@@ -154,8 +179,8 @@ def moments(coeffs: dict, state) -> tuple[float, float]:
     unknown = set(coeffs) - set(_TERMS)
     if unknown:
         raise ValueError(f"Stokes terms must be (0..3, 'a'|'b'), got {unknown}")
-    if isinstance(state, FourModeState) and state.vector is None:
-        return _closed_form_moments(coeffs, state)
+    if isinstance(state, FourModeState):
+        return _closed_form_moments(_through_frame(coeffs, state.jones), state)
     return _vector_moments(coeffs, state)
 
 

@@ -103,8 +103,8 @@ def witness_term_coeffs(kind: WitnessKind) -> list[dict]:
 def evaluate_witness(kind: WitnessKind, state: FourModeState) -> WitnessReport:
     """Exact witness value on a truncated state, at the state's own cutoff.
 
-    A closed-form state is evaluated in O(1), a vector-backed one
-    matrix-free (see the stokes module docstring).  Refuses (raises
+    Evaluated in O(1) in any polarization frame (see the stokes module
+    docstring).  Refuses (raises
     :class:`TruncationMassError`) when the state keeps more than
     ``EDGE_MASS_TOL`` of its mass within two photons of the cutoff --
     variances would then be truncation artifacts rather than physics.

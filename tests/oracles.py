@@ -2,8 +2,9 @@
 
 Everything here is assembled from single-mode ladder matrices chained
 with scipy.sparse.kron, a sparse matrix exponential, explicit index
-loops, full ``(n, m)`` amplitude tables, term-by-term tail sums and
-dense eigensolves -- deliberately a
+loops, full ``(n, m)`` amplitude tables, term-by-term tail sums,
+sector-by-sector polarization transforms of dense vectors and dense
+eigensolves -- deliberately a
 different construction from the library's stride arithmetic and closed
 forms, so that agreement between the two is a meaningful check rather
 than a tautology.  The simulation oracles are the library's former
@@ -17,7 +18,7 @@ referenced in stdlib ``decimal`` arithmetic.
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from macrobell.basis import FourModeBasis
-from macrobell.polarization import BasisTransform, apply_transform, half_wave_plate, quarter_wave_plate
+from macrobell.polarization import half_wave_plate, quarter_wave_plate
 from macrobell.simulate import (
     BLOCK_PULSES,
     CANONICAL_SETTINGS,
@@ -108,6 +109,125 @@ def bell_vector(sign: int, pairing: str, gamma: float, n_max: int) -> np.ndarray
     table = np.array([[(sign**m) * math.sqrt(lam[n] * lam[m]) for m in range(d)]
                       for n in range(d)])
     return table_vector(table, pairing, d)
+
+
+def vector_edge_mass(vec: np.ndarray, depth: int = 2) -> float:
+    """Fraction of a dense vector's mass with any mode occupation within
+    ``depth`` photons of its cutoff, summed over the four-mode tensor."""
+    d = round(vec.size ** 0.25)
+    w = np.abs(vec.reshape((d,) * 4)) ** 2
+    total = w.sum()
+    if total == 0.0:
+        return 0.0
+    w[(slice(max(d - depth, 0)),) * 4] = 0.0
+    return float(w.sum() / total)
+
+
+def vector_fidelity(x: np.ndarray, y: np.ndarray) -> float:
+    """|<x|y>|^2 / (<x|x> <y|y>) of two dense vectors, each at the cutoff its
+    length gives; beyond the smaller cutoff one of the two is zero."""
+    dx, dy = (round(v.size ** 0.25) for v in (x, y))
+    k = min(dx, dy)
+    ov = np.vdot(x.reshape((dx,) * 4)[:k, :k, :k, :k], y.reshape((dy,) * 4)[:k, :k, :k, :k])
+    return float(abs(ov) ** 2 / (_norm_sq(x) * _norm_sq(y)))
+
+
+def sector_matrix(jones: np.ndarray, n: int) -> np.ndarray:
+    """Action of a 2x2 mode unitary on the n-photon sector of one beam.
+
+    Basis ordering inside the sector is ``|k, n-k>`` for k = 0..n (k
+    photons in H).  The creation operators transform with the columns of
+    the Jones matrix; expanding ``(J_HH aH+ + J_VH aV+)^k (J_HV aH+ +
+    J_VV aV+)^{n-k}`` binomially gives the matrix column of ``|k, n-k>``.
+    """
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    lf = np.array([math.lgamma(k + 1.0) for k in range(n + 2)]) / 2.0  # log sqrt(k!)
+    for k in range(n + 1):
+        # coefficient polynomials in aH+ of the two binomials
+        p1 = np.array([math.comb(k, i) * jones[0, 0] ** i * jones[1, 0] ** (k - i)
+                       for i in range(k + 1)])
+        p2 = np.array([math.comb(n - k, i) * jones[0, 1] ** i * jones[1, 1] ** (n - k - i)
+                       for i in range(n - k + 1)])
+        poly = np.convolve(p1, p2)  # index j: amplitude on (aH+)^j (aV+)^{n-j}
+        j = np.arange(n + 1)
+        norm = np.exp(lf[j] + lf[n - j] - lf[k] - lf[n - k])
+        out[:, k] = poly * norm
+    return out
+
+
+def beam_transform_matrix(jones: np.ndarray, n_max: int) -> np.ndarray:
+    """Dense transform on one beam's flattened (n_H, n_V) two-mode space.
+
+    Sectors with total photon number above ``n_max`` are only partially
+    representable under a per-mode cutoff; their blocks are the sector
+    unitary restricted to the representable kets, which is where a
+    transform can leak norm.
+    """
+    d = n_max + 1
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for total in range(2 * n_max + 1):
+        kmin, kmax = max(0, total - n_max), min(total, n_max)
+        ks = np.arange(kmin, kmax + 1)
+        flat = ks * d + (total - ks)  # (n_H, n_V) -> n_H * d + n_V
+        out[np.ix_(flat, flat)] = sector_matrix(jones, total)[np.ix_(ks, ks)]
+    return out
+
+
+def _through_frames(psi: np.ndarray, jones: tuple, n_max: int) -> np.ndarray:
+    """A ``(d*d, d*d)`` amplitude matrix (rows: beam a) with each beam's
+    Jones matrix applied sector by sector over ``n_max + 1`` levels per mode."""
+    ja, jb = jones
+    if ja is not None:
+        psi = beam_transform_matrix(np.asarray(ja), n_max) @ psi
+    if jb is not None:
+        psi = psi @ beam_transform_matrix(np.asarray(jb), n_max).T
+    return psi
+
+
+def lifted_vector(state: FourModeState, n_max: int | None = None) -> np.ndarray:
+    """Dense amplitudes of a state, in any frame, over ``n_max + 1`` levels
+    per mode (default: the state's own cutoff).
+
+    The closed form's table is placed by an explicit per-ket loop and each
+    beam's Jones frame applied sector by sector.  A beam sector of ``t``
+    photons needs ``t`` levels per mode, so a lift at the state's own cutoff
+    can lose norm; losing more than 1e-10 of it is refused.  At twice the
+    state's cutoff every sector fits and nothing is lost.
+    """
+    n_max = state.n_max if n_max is None else n_max
+    if n_max < state.n_max:
+        raise ValueError(f"cannot lift cutoff {state.n_max} into {n_max}")
+    d = n_max + 1
+    table = replace(state, jones=(None, None)).table
+    psi = table_vector(table, state.pairing, d).reshape(d * d, d * d)
+    norm_before = _norm_sq(psi)
+    psi = _through_frames(psi, state.jones, n_max)
+    leak = norm_before - _norm_sq(psi)
+    if not abs(leak) <= 1e-10 * norm_before:
+        raise NumericError(f"lift leaked norm {leak:.3e}: the frame moves mass into "
+                           f"sectors the per-mode cutoff {n_max} cannot represent")
+    return psi.reshape(-1)
+
+
+def framed_moments(coeffs: dict, state: FourModeState) -> tuple:
+    """Normalized (<O>, <O^2>) of a state in any frame, from its lift at
+    twice its cutoff, where every beam sector fits and O is exact.
+
+    ``<O> = <psi|O psi>``; ``<O^2>`` is the squared norm of ``O psi``
+    taken back through the inverse frames and cut to the state's own
+    cutoff: O compressed to the cutoff in the frame where the state is
+    truncated, as the library's moments are.
+    """
+    from macrobell.stokes import apply_combination_tensor
+
+    n_max, k = 2 * state.n_max, state.n_levels
+    d = n_max + 1
+    psi = lifted_vector(state, n_max)
+    o_psi = apply_combination_tensor(coeffs, psi.reshape((d,) * 4)).reshape(d * d, d * d)
+    den = _norm_sq(psi)
+    inverse = tuple(None if j is None else np.conj(j).T for j in state.jones)
+    back = _through_frames(o_psi, inverse, n_max).reshape((d,) * 4)[:k, :k, :k, :k]
+    return float(np.vdot(psi, o_psi.reshape(-1)).real) / den, _norm_sq(back) / den
 
 
 def edge_mass_cutoff(gamma: float, tol: float = 1e-10, margin: int = 2) -> int:
@@ -579,8 +699,9 @@ def _pair_creation_generator(label: BellLabel, gamma: float, basis: FourModeBasi
 
 def evolve_from_vacuum(
     label: BellLabel, gamma: float, n_max: int, steps: int = 1
-) -> FourModeState:
-    """Bell state by numerically exponentiating the two-process Hamiltonian.
+) -> np.ndarray:
+    """Bell state, as a dense vector, by numerically exponentiating the
+    two-process Hamiltonian.
 
     This is the independent cross-check of :func:`build_bell_state`: the
     generator ``gamma (K+ - K-)`` is applied to the vacuum with a
@@ -600,15 +721,14 @@ def evolve_from_vacuum(
     drift = abs(float(vec @ vec) - 1.0)
     if drift > 1e-8:
         raise NumericError(f"unitarity drift {drift:.3e} in truncated evolution")
-    state = FourModeState(gamma=gamma, n_max=n_max, label=None, vector=vec.astype(np.complex128))
-    leak = state.edge_mass(depth=2)
+    leak = vector_edge_mass(vec, depth=2)
     if leak > 1e-8:
         raise TruncationMassError(
             leak, 1e-8,
             f"evolved state puts mass {leak:.3e} within two photons of the "
             f"cutoff {n_max}; raise the cutoff or lower gamma",
         )
-    return state
+    return vec.astype(np.complex128)
 
 
 def _outer_pair_norm(x1, y1, x2, y2) -> float:
@@ -730,17 +850,15 @@ def analyzer_jones(setting) -> np.ndarray:
 def analyzer_distribution(state: FourModeState, setting):
     """Joint count probabilities straight from the transformed amplitudes.
 
-    Rotates the state through the setting's plates on both beams and
-    reads |amplitude|^2 in the H/V number basis -- the generic (slow)
-    route that the library's ``count_pairing`` shortcuts.
+    Lifts the state through the setting's plates on both beams and reads
+    |amplitude|^2 in the H/V number basis -- the generic (slow) route that
+    the library's ``count_pairing`` shortcuts.
     """
-    tr = BasisTransform(kind="analyzer", target="both", jones=analyzer_jones(setting))
-    rotated = apply_transform(state, tr)
-    basis = FourModeBasis(state.n_max)
-    vec = rotated.dense()
+    jones = analyzer_jones(setting)
+    vec = lifted_vector(replace(state, jones=(jones, jones)))
     probs = np.abs(vec) ** 2
     probs = probs / probs.sum()
-    return basis.occupations().T.copy(), probs
+    return FourModeBasis(state.n_max).occupations().T.copy(), probs
 
 
 def sample_analyzer_counts(

@@ -191,7 +191,7 @@ def test_criterion_08_evolution_reaches_bell_state():
     t0 = time.perf_counter()
     evolved = oracles.evolve_from_vacuum(BellLabel.PSI_MINUS, 0.3, 30)
     target = build_bell_state(BellLabel.PSI_MINUS, 0.3, 30)
-    fid = evolved.fidelity(target)
+    fid = oracles.vector_fidelity(evolved, target.dense())
     elapsed = time.perf_counter() - t0
     print(f"fidelity {fid:.12f} (deficit {1 - fid:.2e}), wall {elapsed:.2f} s")
     assert fid >= 1.0 - 1e-8

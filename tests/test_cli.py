@@ -29,6 +29,15 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _read_manifest(path):
+    """The run manifest at ``path``; every file it lists as an output exists."""
+    with open(path) as fh:
+        manifest = json.load(fh)
+    missing = [out for out in manifest["outputs"] if not os.path.isfile(out)]
+    assert not missing, f"{path} lists outputs that were not written: {missing}"
+    return manifest
+
+
 def _read_strict_json(path):
     """The document at ``path``, refusing the non-JSON NaN and Infinity tokens."""
     def refuse(token):
@@ -68,7 +77,7 @@ def test_witness_exact_matches_library():
     assert float(row["value"]) == rep.value
     assert tuple(float(row[f"var_{i}"]) for i in (1, 2, 3)) == rep.variance_terms
     assert float(row["mean_s0"]) == rep.mean_s0
-    manifest = json.load(open("w.csv.manifest.json"))
+    manifest = _read_manifest("w.csv.manifest.json")
     assert manifest["command"] == "witness"
     assert manifest["outputs"] == ["w.csv"]
     assert manifest["config"]["state"] == "psi-plus"
@@ -105,7 +114,7 @@ def test_witness_pulses_flag_implies_simulation():
     assert _read_csv("w.csv")[0]["mode"] == "simulated"
     lines = open("p.ndjson").read().splitlines()
     assert len(lines) == 3 * 300
-    manifest = json.load(open("w.csv.manifest.json"))
+    manifest = _read_manifest("w.csv.manifest.json")
     assert manifest["outputs"] == ["w.csv", "p.ndjson"]
 
 
@@ -239,11 +248,15 @@ def test_malformed_input_is_one_line_usage_error(argv, capsys):
     ("witness", None, ["--out", "nowhere/w.csv"]),
     ("witness", None, ["--out", "."]),
     ("witness", None, ["--pulses", "100", "--pulse-log", "nowhere/p.ndjson"]),
+    ("witness", None, ["--pulse-log", "p.ndjson"]),
+    ("witness", "[witness]\npulse_log = p.ndjson\n", []),
+    ("witness", None, ["--simulate", "--pulses", "100", "--cutoff", "5"]),
     ("fedorov", "[fedorov]\nstate = foo\n", []),
     ("measures", "[measures]\nconvention = foo\n", []),
     ("witness", "[witness]\nwitness = foo\n", []),
 ], ids=["no-section", "duplicate-key", "gamma-abc", "seed-none", "bad-interpolation",
         "missing-config", "out-dir-missing", "out-is-dir", "pulse-log-dir-missing",
+        "exact-pulse-log", "exact-pulse-log-ini", "simulated-cutoff",
         "state-foo", "convention-foo", "witness-foo"])
 def test_config_and_path_errors_are_one_line_usage_errors(command, ini, argv, capsys):
     if ini is not None:
@@ -256,7 +269,7 @@ def test_config_and_path_errors_are_one_line_usage_errors(command, ini, argv, ca
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1
-    assert not os.path.exists("w.csv")
+    assert not os.path.exists("w.csv") and not os.path.exists("p.ndjson")
 
 
 #: a few dozen examples each; every example runs in the same temporary directory
@@ -357,6 +370,10 @@ _PINNED_VALUES = {
 }
 
 
+#: options of the sampled witness alone, pinned together with --simulate
+_SAMPLED_ONLY = {("witness", "pulse_log")}
+
+
 def _typed(cfg):
     return {key: (value, type(value)) for key, value in cfg.items()}
 
@@ -373,10 +390,13 @@ def test_flag_inventory_is_pinned(command):
     for key in pinned:
         raw, want = _PINNED_VALUES[key]
         flag = "--" + key.replace("_", "-")
+        sampled = (command, key) in _SAMPLED_ONLY
         argv = [command, flag] if key == "simulate" else [command, flag, raw]
+        argv += ["--simulate"] if sampled else []
         assert _typed(cli._resolve_config(parser.parse_args(argv)))[key] == _typed({key: want})[key]
         with open("pin.ini", "w") as fh:
-            fh.write(f"[{command}]\n{key.replace('_', '-')} = {raw}\n")
+            fh.write(f"[{command}]\n{key.replace('_', '-')} = {raw}\n"
+                     + ("simulate = yes\n" if sampled else ""))
         cfg = cli._resolve_config(parser.parse_args([command, "--config", "pin.ini"]))
         assert _typed(cfg)[key] == _typed({key: want})[key]
 
@@ -436,7 +456,7 @@ def test_huge_cutoff_is_answered(argv):
     want = np.where(np.eye(*big.shape, dtype=bool), -8.0 * n0, 16.0 * n0 * n0 + 8.0 * n0)
     assert np.all(np.abs(big / want - 1.0) <= 1e-13)
     assert np.all(np.abs(gated / big - 1.0) <= 1e-10)
-    manifest = json.load(open("big.csv.manifest.json"))
+    manifest = _read_manifest("big.csv.manifest.json")
     assert manifest["cutoff"] == 1_000_000_000_000 and manifest["edge_mass"] == 0.0
 
 
@@ -626,7 +646,7 @@ def test_witnesses_in_closed_form_up_to_the_tanh_limit(gamma, capsys):
 def test_exact_manifest_records_cutoff_and_edge_mass(argv):
     assert cli.main(argv + ["--out", "e.csv"]) == 0
     csv_bytes = open("e.csv", "rb").read()
-    manifest = json.load(open("e.csv.manifest.json"))
+    manifest = _read_manifest("e.csv.manifest.json")
     gamma = manifest["config"]["gamma"] if argv[1:3] != ["--state", "vacuum"] else 0.0
     cutoff = manifest["config"]["cutoff"] or cutoff_for_edge_mass(gamma)
     assert manifest["cutoff"] == cutoff
@@ -660,7 +680,7 @@ def test_zero_gain_cutoff_is_the_same_for_every_command(argv):
 
 def test_sampled_manifest_has_no_cutoff():
     assert cli.main(["witness", "--pulses", "1000", "--out", "s.csv"]) == 0
-    manifest = json.load(open("s.csv.manifest.json"))
+    manifest = _read_manifest("s.csv.manifest.json")
     assert "cutoff" not in manifest and "edge_mass" not in manifest
 
 
@@ -732,7 +752,7 @@ def test_sweep_eta_run():
     for r in rows:
         assert float(r["exact"]) == witness_under_loss(0.8, float(r["eta"]))
         assert r["certifies"] in ("0", "1")
-    manifest = json.load(open("sw.csv.manifest.json"))
+    manifest = _read_manifest("sw.csv.manifest.json")
     assert "certification_threshold_eta" in manifest
     assert "zero_crossing_eta" in manifest
 
@@ -783,7 +803,7 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     assert [float(r["N0"]) for r in rows] == [1.0, 2.0]  # grid from the file
     plot = json.load(open("m.csv.plot.json"))
     assert plot["width_convention"] == "sqrt2-stddev"  # flag beats the file
-    manifest = json.load(open("m.csv.manifest.json"))
+    manifest = _read_manifest("m.csv.manifest.json")
     assert manifest["config"]["n0_grid"] == "1,2"
 
 

@@ -1,33 +1,33 @@
+import itertools
 import math
-import os
-import subprocess
-import sys
+import timeit
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import macrobell
-from macrobell.basis import FourModeBasis
 from macrobell.polarization import (
     BasisTransform,
     apply_transform,
-    beam_transform_matrix,
     half_wave_plate,
     identify_bell_state,
     pi_phase_on_bh,
     polarization_rotator,
     quarter_wave_plate,
     retarder_jones,
-    sector_matrix,
     unitarity_defect,
 )
 from macrobell.states import (
     BellLabel,
-    FourModeState,
     NumericError,
     build_bell_state,
-    geometric_ratio,
+    mean_photons_per_mode,
+    project_total_sector,
+    sector_weights,
 )
+from macrobell.witnesses import cutoff_for_edge_mass, evaluate_witness, matched_witness
+
+from oracles import beam_transform_matrix, lifted_vector, sector_matrix, vector_fidelity
 
 
 # -- Jones matrices -----------------------------------------------------------
@@ -71,7 +71,7 @@ def test_transform_validation():
         BasisTransform("x", "a", np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
 
 
-# -- sector lift ---------------------------------------------------------------
+# -- sector lift (the oracle in tests/oracles.py) -----------------------------
 
 
 def test_sector_matrix_unitary_battery():
@@ -103,12 +103,20 @@ def test_beam_transform_conserves_photon_number():
 # -- Bell-family relations --------------------------------------------------------
 
 
+def _framed(state):
+    return [beam for beam, j in zip("ab", state.jones) if j is not None]
+
+
+def _norm_sq(vec):
+    return float(np.vdot(vec, vec).real)
+
+
 def test_pi_phase_swaps_psi_states():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.5, 10)
     out = apply_transform(st, pi_phase_on_bh())
     ref = build_bell_state(BellLabel.PSI_PLUS, 0.5, 10)
     assert 1.0 - out.fidelity(ref) < 1e-12
-    assert out.table is not None  # stays on the paired subspace
+    assert not _framed(out)  # a phase plate folds into the closed form
     assert identify_bell_state(out) is BellLabel.PSI_PLUS
     back = apply_transform(out, pi_phase_on_bh())
     assert 1.0 - back.fidelity(st) < 1e-12
@@ -118,31 +126,62 @@ def test_qwp45_maps_psi_plus_to_phi_plus():
     gamma, n_max = 0.4, 14
     st = build_bell_state(BellLabel.PSI_PLUS, gamma, n_max)
     out = apply_transform(st, quarter_wave_plate(45.0))
+    assert _framed(out) == ["a", "b"]
+    assert identify_bell_state(out) is BellLabel.PHI_PLUS
     ref = build_bell_state(BellLabel.PHI_PLUS, gamma, n_max)
-    tail = geometric_ratio(gamma) ** (n_max + 1)
-    assert 1.0 - out.fidelity(ref) <= 10.0 * tail + 1e-9
+    # the lift at twice the cutoff holds every sector of the framed state
+    assert 1.0 - vector_fidelity(lifted_vector(out, 2 * n_max), ref.dense()) < 1e-12
 
 
 def test_rotator45_maps_psi_plus_to_phi_minus():
     gamma, n_max = 0.4, 14
     st = build_bell_state(BellLabel.PSI_PLUS, gamma, n_max)
     out = apply_transform(st, polarization_rotator(45.0))
+    assert identify_bell_state(out) is BellLabel.PHI_MINUS
     ref = build_bell_state(BellLabel.PHI_MINUS, gamma, n_max)
-    tail = geometric_ratio(gamma) ** (n_max + 1)
-    assert 1.0 - out.fidelity(ref) <= 10.0 * tail + 1e-9
+    assert 1.0 - vector_fidelity(lifted_vector(out, 2 * n_max), ref.dense()) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [6.0, 17.0])
+def test_bell_family_relations_at_high_gain(gamma):
+    # the three relations at the gated cutoff, far past any dense lift:
+    # identified by the coupling matrix, and by the matched witness at -8 N0
+    n_max = cutoff_for_edge_mass(gamma)
+    n0 = mean_photons_per_mode(gamma)
+    for source, transform, target in (
+            (BellLabel.PSI_MINUS, pi_phase_on_bh(), BellLabel.PSI_PLUS),
+            (BellLabel.PSI_PLUS, quarter_wave_plate(45.0), BellLabel.PHI_PLUS),
+            (BellLabel.PSI_PLUS, polarization_rotator(45.0), BellLabel.PHI_MINUS)):
+        out = apply_transform(build_bell_state(source, gamma, n_max), transform)
+        assert identify_bell_state(out) is target
+        kind = matched_witness(target)
+        rep = evaluate_witness(kind, out)
+        # -2 <S_0> of the truncated state, which is -8 N0 up to the truncation
+        want = evaluate_witness(kind, build_bell_state(target, gamma, n_max)).value
+        assert abs(rep.value - want) <= 1e-12 * 8.0 * n0
+        assert abs(rep.value + 2.0 * rep.mean_s0) <= 1e-12 * 8.0 * n0
+        assert rep.value == pytest.approx(-8.0 * n0, rel=1e-8)
+        # O(1) in the cutoff: the best of 20 runs stays under a millisecond
+        assert min(timeit.repeat(lambda: evaluate_witness(kind, out), number=1, repeat=20)) < 1e-3
 
 
 def test_identify_round_trip():
     for label in BellLabel:
         st = build_bell_state(label, 0.35, 8)
         assert identify_bell_state(st) is label
+    # a phase on the coupling is a photon-number phase, not a global one
+    twisted = apply_transform(build_bell_state(BellLabel.PSI_PLUS, 0.35, 8),
+                              BasisTransform("phase", "a", np.exp(0.3j) * np.eye(2)))
+    assert identify_bell_state(twisted) is None
 
 
 def test_generic_transform_preserves_norm():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.3, 10)
     out = apply_transform(st, half_wave_plate(13.0, target="a"))
-    assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-10)
-    assert out.vector is not None  # leaves the paired subspaces
+    assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-13)
+    assert out.edge_mass() == st.edge_mass()  # frame-invariant
+    assert _framed(out) == ["a"]  # leaves the paired subspaces
+    assert _norm_sq(lifted_vector(out, 2 * st.n_max)) == pytest.approx(st.norm_sq(), rel=1e-13)
 
 
 def test_phase_retarder_keeps_the_closed_form():
@@ -152,46 +191,71 @@ def test_phase_retarder_keeps_the_closed_form():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.6, 9)
     for target, steps in (("a", (1.0, -np.exp(0.7j))), ("b", (np.exp(0.7j), -1.0))):
         out = apply_transform(st, BasisTransform("retarder", target, retarder_jones(0.0, 0.7)))
-        assert out.vector is None and out.pairing == "cross"
+        assert not _framed(out) and out.pairing == "cross"
         assert out.step_u == pytest.approx(steps[0], abs=1e-14)
         assert out.step_v == pytest.approx(steps[1], abs=1e-14)
         assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-13)
 
 
-def test_rank_one_table_off_the_closed_form_stays_a_vector():
-    # |1, 0>_a |0, 1>_b is a rank-one cross-paired table (one entry at
-    # (n, m) = (1, 0)) but not a squeezed-vacuum pair: no closed form
-    basis = FourModeBasis(3)
-    vec = np.zeros(basis.dim, dtype=np.complex128)
-    vec[basis.index(1, 0, 0, 1)] = 1.0
-    out = apply_transform(FourModeState(gamma=0.5, n_max=3, vector=vec), pi_phase_on_bh())
-    assert out.vector is not None
-    np.testing.assert_array_equal(out.vector, vec)
+_MONOMIAL = {
+    "phase": retarder_jones(0.0, 0.7),
+    "phase90": retarder_jones(90.0, 1.9),
+    "swap": half_wave_plate(45.0).jones,
+    "rotator90": polarization_rotator(90.0).jones,
+    "swap-phase": np.array([[0.0, np.exp(0.4j)], [np.exp(-1.3j), 0.0]]),
+}
 
 
-_LEAK_CASE = """
-import numpy as np
-from macrobell.basis import FourModeBasis
-from macrobell.polarization import apply_transform, half_wave_plate
-from macrobell.states import FourModeState
-vec = np.zeros(5 ** 4, dtype=np.complex128)
-vec[FourModeBasis(4).index(4, 4, 0, 0)] = 1.0
-apply_transform(FourModeState(gamma=0.5, n_max=4, vector=vec), half_wave_plate(22.5))
-"""
+def test_folded_transforms_match_the_lift():
+    # phase plates and H/V swaps fold into the pairing and phase steps; the
+    # folded closed form equals the sector-by-sector lift of the frame
+    for (name, jones), label in itertools.product(_MONOMIAL.items(), BellLabel):
+        st = build_bell_state(label, 0.5, 8)
+        for target, frame in (("a", (jones, None)), ("b", (None, jones)),
+                              ("both", (jones, jones))):
+            out = apply_transform(st, BasisTransform(name, target, jones))
+            assert not _framed(out)
+            want = lifted_vector(replace(st, jones=frame))
+            np.testing.assert_allclose(out.dense(), want, rtol=0, atol=5e-15, err_msg=name)
 
 
-def test_transform_norm_leak_is_refused():
-    # |4,4> on beam a at n_max=4: a half-wave plate at 22.5 deg spreads the
-    # eight photons over (n_H, 8 - n_H), and 86% of the norm falls outside
-    # the per-mode cutoff
-    vec = np.zeros(5 ** 4, dtype=np.complex128)
-    vec[FourModeBasis(4).index(4, 4, 0, 0)] = 1.0
-    state = FourModeState(gamma=0.5, n_max=4, vector=vec)
-    with pytest.raises(NumericError, match="leaked norm 8.59"):
-        apply_transform(state, half_wave_plate(22.5))
-    # the refusal survives python -O, which strips assert statements
-    src = os.path.dirname(os.path.dirname(macrobell.__file__))
-    proc = subprocess.run([sys.executable, "-O", "-c", _LEAK_CASE], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode != 0
-    assert "NumericError: transform leaked norm" in proc.stderr
+def test_frames_compose():
+    # two quarter-wave plates at 45 deg are a half-wave plate at 45 deg, an
+    # H/V swap: the frame folds back into the closed form
+    st = build_bell_state(BellLabel.PSI_MINUS, 0.4, 6)
+    once = apply_transform(st, quarter_wave_plate(45.0, target="b"))
+    assert _framed(once) == ["b"]
+    twice = apply_transform(once, quarter_wave_plate(45.0, target="b"))
+    assert not _framed(twice) and twice.pairing == "parallel"
+    want = lifted_vector(replace(st, jones=(None, half_wave_plate(45.0).jones)))
+    assert 1.0 - vector_fidelity(twice.dense(), want) < 1e-13
+
+
+def test_framed_state_refuses_hv_views():
+    st = build_bell_state(BellLabel.PSI_PLUS, 0.5, 6)
+    out = apply_transform(st, quarter_wave_plate(45.0))
+    views = {
+        "u": lambda s: s.u, "v": lambda s: s.v, "table": lambda s: s.table,
+        "amplitude": lambda s: s.amplitude(0, 0), "dense": lambda s: s.dense(),
+        "to_json_dict": lambda s: s.to_json_dict(),
+        "project_total_sector": lambda s: project_total_sector(s, 1),
+        "sector_weights": sector_weights, "fidelity": lambda s: s.fidelity(s),
+    }
+    for name, view in views.items():
+        with pytest.raises(ValueError, match=f"^{name} is an H/V-basis view.*frame J_a"):
+            view(out)
+    # the frame-invariant quantities stay
+    assert out.normalized().norm_sq() == pytest.approx(1.0, rel=1e-14)
+    assert out.edge_mass() == st.edge_mass()
+
+
+def test_transform_never_refuses():
+    # at cutoff 4 and gamma 1.5 a half-wave plate at 22.5 deg sends most of
+    # the high sectors past the per-mode cutoff: the library keeps the
+    # framed state exact, while a dense lift at that cutoff leaks norm
+    st = build_bell_state(BellLabel.PSI_MINUS, 1.5, 4)
+    out = apply_transform(st, half_wave_plate(22.5))
+    assert out.norm_sq() == st.norm_sq()
+    with pytest.raises(NumericError, match="lift leaked norm"):
+        lifted_vector(out)
+    assert _norm_sq(lifted_vector(out, 8)) == pytest.approx(st.norm_sq(), rel=1e-13)

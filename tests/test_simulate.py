@@ -514,6 +514,16 @@ def test_estimate_fedorov_matches_analytic():
     assert est.meta["bin_width"] == 1 and est.meta["seed"] == 6
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_default_config_estimates_the_width_ratio(seed):
+    # the library default bins partner counts one by one, as the fedorov
+    # command does: a default-configured estimate lands within 5% of the
+    # exact ratio (at the old default of 200 it read 0.04 of it)
+    est = estimate_fedorov(SimConfig(BellLabel.PSI_MINUS, 1.5, pulses=20_000, seed=seed))
+    assert est.meta["bin_width"] == 1
+    assert est.ratio == pytest.approx(fedorov_ratio(1.5), rel=0.05)
+
+
 def test_estimate_fedorov_coarse_bins_degrade_ratio():
     fine = estimate_fedorov(SimConfig(label="psi-minus", gamma=1.2, pulses=50_000,
                                       seed=6, bin_width=1))

@@ -20,7 +20,17 @@ from macrobell.states import (
     sector_weights,
 )
 
-from oracles import bell_vector, evolve_from_vacuum, thermal_law_decimal, thermal_moments_decimal
+from oracles import (
+    bell_vector,
+    evolve_from_vacuum,
+    thermal_law_decimal,
+    thermal_moments_decimal,
+    vector_edge_mass,
+    vector_fidelity,
+)
+
+#: a quarter-wave plate at 45 degrees, which no phase step can absorb
+_QWP45 = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -123,8 +133,7 @@ def test_memory_preflight_boundary(monkeypatch):
 def test_edge_mass_routes_agree():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.9, 7)
     via_factors = st.edge_mass(depth=2)
-    vec_state = FourModeState(gamma=st.gamma, n_max=st.n_max, vector=st.dense())
-    assert vec_state.edge_mass(depth=2) == pytest.approx(via_factors, rel=1e-12)
+    assert vector_edge_mass(st.dense(), depth=2) == pytest.approx(via_factors, rel=1e-12)
     assert via_factors > 1e-10  # gamma too hot for this cutoff, mass visible
     # the tail-sum form against the closed form 1 - (1 - f)^2, f being each
     # factor's share of its kept mass at levels n_max - 1 and n_max
@@ -253,15 +262,14 @@ def test_dense_matches_independent_loop():
 
 
 def test_storage_validation():
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(ValueError, match="pairing 'cross' or 'parallel'"):
         FourModeState(gamma=0.0, n_max=1)
-    with pytest.raises(ValueError, match="exactly one"):
-        FourModeState(gamma=0.0, n_max=1, pairing="cross", vector=np.zeros(16))
     with pytest.raises(ValueError, match="pairing 'cross' or 'parallel'"):
         FourModeState(gamma=0.0, n_max=1, pairing="diagonal")
-    # malformed storage is refused at construction, naming what is expected
-    with pytest.raises(ValueError, match=r"length \(n_max \+ 1\)\^4 = 625"):
-        FourModeState(gamma=0.0, n_max=4, vector=np.zeros(16))
+    # malformed frames are refused at construction, naming what is expected
+    for jones in ((np.eye(2),), (np.eye(3), None), (None, 2.0 * np.eye(2))):
+        with pytest.raises(ValueError, match="two unitary 2x2 matrices or None"):
+            FourModeState(gamma=0.5, n_max=4, pairing="cross", jones=jones)
     with pytest.raises(ValueError, match="unit modulus"):
         FourModeState(gamma=0.5, n_max=4, pairing="cross", step_v=1.5)
     with pytest.raises(ValueError, match="unit modulus"):
@@ -277,9 +285,9 @@ def test_storage_validation():
 
 
 def test_amplitude_requires_table():
-    vec_state = FourModeState(gamma=0.0, n_max=1, vector=FourModeBasis(1).vacuum())
-    with pytest.raises(ValueError):
-        vec_state.amplitude(0, 0)
+    framed = FourModeState(gamma=0.5, n_max=1, pairing="cross", jones=(None, _QWP45))
+    with pytest.raises(ValueError, match="amplitude is an H/V-basis view.*J_b"):
+        framed.amplitude(0, 0)
 
 
 # -- sectors -----------------------------------------------------------------------
@@ -309,9 +317,9 @@ def test_sector_errors():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.5, 6)
     with pytest.raises(ValueError):
         project_total_sector(st, 7)
-    vec_state = FourModeState(gamma=0.0, n_max=1, vector=FourModeBasis(1).vacuum())
-    with pytest.raises(ValueError):
-        project_total_sector(vec_state, 0)
+    framed = FourModeState(gamma=0.5, n_max=1, pairing="cross", jones=(_QWP45, None))
+    with pytest.raises(ValueError, match="H/V-basis view.*J_a"):
+        project_total_sector(framed, 0)
 
 
 # -- normalization / fidelity -------------------------------------------------------
@@ -343,16 +351,17 @@ def test_fidelity_table_and_dense_routes():
     b = build_bell_state(BellLabel.PSI_PLUS, 0.5, 8)
     f = a.fidelity(b)
     assert f < 1.0
-    densified = FourModeState(gamma=b.gamma, n_max=b.n_max, vector=b.dense())
-    assert a.fidelity(densified) == pytest.approx(f, rel=1e-12)
+    assert vector_fidelity(a.dense(), b.dense()) == pytest.approx(f, rel=1e-12)
     # factors at different cutoffs overlap on the shorter one's levels, and
-    # so do dense tensors, in either argument order and storage form
-    c = build_bell_state(BellLabel.PSI_PLUS, 0.5, 10)
-    a_vec = FourModeState(gamma=a.gamma, n_max=a.n_max, vector=a.dense())
-    c_vec = FourModeState(gamma=c.gamma, n_max=c.n_max, vector=c.dense())
-    pair = a.fidelity(c)
-    for x, y in ((a, c_vec), (c_vec, a), (a_vec, c_vec), (c_vec, a_vec)):
-        assert x.fidelity(y) == pytest.approx(pair, rel=1e-12)
+    # so do dense tensors, in either argument order; the two pairings
+    # overlap on their shared kets n = m alone
+    rng = np.random.default_rng(5)
+    for pairing in ("cross", "parallel"):
+        c = FourModeState(gamma=0.5, n_max=10, pairing=pairing, scale=0.3 - 0.8j,
+                          step_u=np.exp(1j * rng.uniform(0, 6)), step_v=np.exp(1j * rng.uniform(0, 6)))
+        for x, y in ((a, c), (c, a), (b, c)):
+            want = vector_fidelity(x.dense(), y.dense())
+            assert x.fidelity(y) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 # -- serialization -------------------------------------------------------------------
@@ -409,16 +418,16 @@ def test_json_refuses_rank_one_tables_off_the_closed_form():
     stepped = FourModeState(gamma=0.7, n_max=6, pairing="parallel", scale=0.5j,
                             step_u=np.exp(0.4j), step_v=-1.0)
     again = FourModeState.from_json(stepped.to_json())
-    assert again.vector is None and again.pairing == "cross"  # no label: cross pairing
+    assert again.jones == (None, None) and again.pairing == "cross"  # no label: cross pairing
     assert again.scale == pytest.approx(0.5j, rel=1e-15)
     assert again.step_u == pytest.approx(np.exp(0.4j), rel=1e-15) and again.step_v == -1.0
     np.testing.assert_allclose(again.table, stepped.table, rtol=1e-14, atol=0)
 
 
 def test_json_requires_table_backing():
-    vec_state = FourModeState(gamma=0.0, n_max=1, vector=FourModeBasis(1).vacuum())
-    with pytest.raises(ValueError):
-        vec_state.to_json_dict()
+    framed = FourModeState(gamma=0.5, n_max=1, pairing="cross", jones=(_QWP45, _QWP45))
+    with pytest.raises(ValueError, match="to_json_dict is an H/V-basis view"):
+        framed.to_json_dict()
 
 
 # -- Hamiltonian evolution cross-check -------------------------------------------------
@@ -428,13 +437,13 @@ def test_evolution_matches_closed_form_all_labels():
     for label in BellLabel:
         ev = evolve_from_vacuum(label, 0.3, 12)
         ref = build_bell_state(label, 0.3, 12)
-        assert 1.0 - ev.fidelity(ref) <= 1e-9
+        assert 1.0 - vector_fidelity(ev, ref.dense()) <= 1e-9
 
 
 def test_evolution_substeps_agree():
     one = evolve_from_vacuum(BellLabel.PSI_PLUS, 0.3, 10, steps=1)
     three = evolve_from_vacuum(BellLabel.PSI_PLUS, 0.3, 10, steps=3)
-    assert 1.0 - one.fidelity(three) <= 1e-10
+    assert 1.0 - vector_fidelity(one, three) <= 1e-10
     with pytest.raises(ValueError):
         evolve_from_vacuum(BellLabel.PSI_PLUS, 0.3, 10, steps=0)
 

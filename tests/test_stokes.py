@@ -21,7 +21,9 @@ from macrobell.witnesses import (WitnessKind, cutoff_for_edge_mass, evaluate_wit
 from oracles import (
     _table_moments,
     factored_moments,
+    framed_moments,
     kron_stokes,
+    lifted_vector,
     matvec_expectation,
     matvec_variance,
     table_vector,
@@ -231,21 +233,48 @@ def test_closed_form_matches_factored_oracle(gamma):
 @settings(max_examples=150, deadline=None, database=None)
 @given(label=hs.sampled_from(list(BellLabel)), gamma=hs.floats(0.0, 5.0),
        n_max=hs.integers(0, 12),
-       retarder=hs.one_of(hs.none(), hs.tuples(hs.sampled_from([0.0, 90.0]),
+       retarder=hs.one_of(hs.none(), hs.tuples(hs.floats(-90.0, 90.0),
                                                hs.floats(0.0, 2 * math.pi),
                                                hs.sampled_from(["a", "b", "both"]))),
        coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8))
 def test_closed_form_moments_match_factor_arrays(label, gamma, n_max, retarder, coeffs):
-    # Bell states, or Bell states whose H or V modes a retarder has given a
-    # phase per photon (a phase-stepped closed form), at small cutoffs
-    # where the truncation is severe, against the factor-array oracle
+    # Bell states, or Bell states seen through a retarder at any angle, at
+    # small cutoffs where the truncation is severe: closed forms against the
+    # factor-array oracle, framed states against their lift at twice the
+    # cutoff, where every beam sector fits
     state = build_bell_state(label, gamma, n_max)
     if retarder is not None:
         angle, delta, target = retarder
         state = apply_transform(state, BasisTransform("retarder", target,
                                                       retarder_jones(angle, delta)))
-        assert state.vector is None  # stays in closed form
     got = moments(coeffs, state)
-    want = factored_moments(coeffs, state)
+    if all(j is None for j in state.jones):
+        want = factored_moments(coeffs, state)
+    else:
+        want = framed_moments(coeffs, state)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5])
+def test_framed_moments_match_the_lift(gamma):
+    # every Bell state through random retarders on each beam, at cutoff 22:
+    # the closed form at rotated coefficients against the tensor route on
+    # the sector-by-sector lift at the state's own cutoff
+    rng = np.random.default_rng(16)
+    n_max = 22
+    maps = [c for kind in WitnessKind for c in witness_term_coeffs(kind)]
+    maps += [dict(zip(((k, b) for k in range(4) for b in "ab"), rng.normal(size=8)))
+             for _ in range(3)]
+    for label in BellLabel:
+        state = build_bell_state(label, gamma, n_max)
+        for target in ("a", "b", "a"):
+            jones = retarder_jones(rng.uniform(-90.0, 90.0), rng.uniform(0.0, 2 * math.pi))
+            state = apply_transform(state, BasisTransform("retarder", target, jones))
+        assert all(j is not None for j in state.jones)
+        vec = lifted_vector(state)
+        for coeffs in maps:
+            got, want = moments(coeffs, state), moments(coeffs, vec)
+            scale = max(1.0, want[1])
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * scale
