@@ -68,8 +68,8 @@ def main():
     print()
 
     est = estimate_fedorov(SimConfig(label=args.label, gamma=args.gamma,
-                                     pulses=args.pulses, seed=args.seed,
-                                     bin_width=1))
+                                     pulses=args.pulses, seed=args.seed),
+                           bin_width=1)
     exact_pair = fedorov_ratio(args.gamma, four_mode=False)
     print("sampled width ratios (per polarization pair):")
     print(f"  H: {est.ratio_h:.4f}   V: {est.ratio_v:.4f}   "

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MODE_NAMES = ("a_H", "a_V", "b_H", "b_V")
-
 
 class FourModeBasis:
     """Number-state enumeration of four bosonic modes with a shared cutoff."""
@@ -30,18 +28,10 @@ class FourModeBasis:
         self.n_max = int(n_max)
         self.n_levels = self.n_max + 1
         self.dim = self.n_levels**4
-        # Strides for (a_H, a_V, b_H, b_V) in the flattened index.
-        d = self.n_levels
-        self.strides = (d**3, d**2, d, 1)
         self._occupations: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"FourModeBasis(n_max={self.n_max})"
-
-    def index(self, n_ah, n_av, n_bh, n_bv):
-        """Flattened index of one ket; accepts scalars or arrays."""
-        s = self.strides
-        return n_ah * s[0] + n_av * s[1] + n_bh * s[2] + n_bv * s[3]
 
     def occupations(self) -> np.ndarray:
         """(4, dim) int array: occupation of every mode for every ket."""
@@ -60,13 +50,3 @@ class FourModeBasis:
         vec = np.zeros(self.dim, dtype=dtype)
         vec[0] = 1.0
         return vec
-
-    def interior_mask(self, margin: int = 1) -> np.ndarray:
-        """Kets with every occupation <= n_max - margin.
-
-        Commutation relations of the truncated Stokes operators hold
-        exactly only on this sub-block; the cutoff edge rows see
-        amputated raising transitions.
-        """
-        occ = self.occupations()
-        return (occ <= self.n_max - margin).all(axis=0)

@@ -13,7 +13,9 @@ Every command writes a CSV (numbers at 17 significant digits) plus a JSON
 run manifest (resolved configuration, seed, package version, outputs,
 duration) next to it, so any result can be reproduced bit-for-bit with
 ``run_from_manifest``.  A ``--config`` INI file supplies defaults per
-command section; explicit flags win.
+command section; explicit flags win.  Where a command has two routes (exact or
+sampled ``witness``, a listed or evenly spaced ``sweep-eta`` grid, one or many
+``truncation`` targets), an option only the idle route reads must keep its default.
 
 Exit codes: 0 success, 2 usage error, 3 numeric/truncation failure, 4 an
 output that cannot be written (e.g. a full disk).
@@ -26,6 +28,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -67,13 +70,7 @@ _WITNESS = _Opt("witness", help="default: the matched witness",
 _CONVENTION = _Opt("convention", "sqrt2-stddev", choices=("stddev", "sqrt2-stddev"))
 _N0_GRID = _Opt("n0_grid", help="comma-separated N0 values")
 #: the sampling options of witness, fedorov and sweep-eta
-_SAMPLING = (
-    _STATE, _GAMMA,
-    _Opt("pulses", 100_000, int, "pulse count"),
-    _Opt("seed", 0, int),
-    _Opt("bin_width", 200, int, "partner-count bin width for conditional histograms"),
-    _Opt("workers", 1, int, "accepted for compatibility; sampling is serial"),
-)
+_SAMPLING = (_STATE, _GAMMA, _Opt("pulses", 100_000, int, "pulse count"), _Opt("seed", 0, int))
 
 #: the one flag and INI-key inventory: name, builtin default, type, help, choices
 _OPTIONS: dict[str, dict[str, _Opt]] = {
@@ -82,6 +79,8 @@ _OPTIONS: dict[str, dict[str, _Opt]] = {
         _Opt("simulate", False, bool, "Monte-Carlo estimation instead of exact "
                                       "evaluation (implied by --pulses)"),
         _ETA, _Opt("pulse_log", help="NDJSON per-pulse record path"),
+        # sampling is serial; the flag stays while perfbench/run.py passes it
+        _Opt("workers", 1, int, "accepted for compatibility; sampling is serial"),
         gamma=0.5, pulses=None, out="witness.csv"),
     "measures": _options(_N0_GRID, _CONVENTION, n0_grid="1,2,5,10,20,50,100",
                          out="measures.csv"),
@@ -90,8 +89,10 @@ _OPTIONS: dict[str, dict[str, _Opt]] = {
         _Opt("epsilon_grid", "0.9,0.5,0.2,0.1,0.05,0.02,0.01"),
         n0_grid="10", out="truncation.csv"),
     "crosswitness": _options(_GAMMA, _CUTOFF, gamma=0.5, out="crosswitness.csv"),
-    "fedorov": _options(*_SAMPLING, _ETA, _CONVENTION,
-                        gamma=1.5, pulses=1_000_000, bin_width=1, out="fedorov.csv"),
+    "fedorov": _options(
+        *_SAMPLING, _ETA, _CONVENTION,
+        _Opt("bin_width", 1, int, "partner-count bin width for conditional histograms"),
+        gamma=1.5, pulses=1_000_000, out="fedorov.csv"),
     "sweep-eta": _options(
         *_SAMPLING, _Opt("eta_grid", "", help="comma-separated efficiencies"),
         _Opt("eta_min", 0.15, float), _Opt("eta_max", 0.95, float),
@@ -100,6 +101,14 @@ _OPTIONS: dict[str, dict[str, _Opt]] = {
 
 #: builtin defaults per command
 _DEFAULTS = {cmd: {k: o.default for k, o in opts.items()} for cmd, opts in _OPTIONS.items()}
+
+#: route-exclusive options: command -> (the options that pick the first route when
+#: set, the options only the first route reads, the options only the other reads)
+_ROUTES = {
+    "witness": (("simulate", "pulses"), ("seed", "workers", "pulse_log", "eta"), ("cutoff",)),
+    "sweep-eta": (("eta_grid",), (), ("eta_min", "eta_max", "eta_points")),
+    "truncation": (("epsilon",), (), ("epsilon_grid",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for o in opts.values():
             kind = (dict(action="store_const", const=True) if o.type is bool
                     else dict(type=o.type, choices=o.choices))
-            p.add_argument("--" + o.name.replace("_", "-"), dest=o.name, help=o.help, **kind)
+            p.add_argument(_flag(o.name), dest=o.name, help=o.help, **kind)
     return top
 
 
@@ -137,11 +146,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             if opt.choices and value is not None and value not in opt.choices:
                 raise UsageError(f"config key {key!r} must be one of "
                                  f"{', '.join(opt.choices)}, got {value!r}")
-    resolved = {}
-    for key, opt in opts.items():
-        cli_val = getattr(args, key, None)
-        resolved[key] = cli_val if cli_val is not None else file_vals.get(key, opt.default)
+    resolved = {key: file_vals.get(key, opt.default) for key, opt in opts.items()}
+    resolved.update((key, value) for key, value in vars(args).items()
+                    if key in opts and value is not None)
     _check_bounds(resolved)
+    if command in _ROUTES:
+        _check_routes(command, resolved)
     return resolved
 
 
@@ -160,8 +170,6 @@ def _read_config(path: str, command: str) -> list[tuple[str, str]]:
 
 def _check_bounds(cfg: dict) -> None:
     """Refuse out-of-range scalar inputs and unwritable outputs before any work starts."""
-    import os
-
     cutoff = cfg.get("cutoff")
     if cutoff is not None and cutoff <= 0:
         raise UsageError(f"cutoff must be positive, got {cutoff}")
@@ -169,13 +177,6 @@ def _check_bounds(cfg: dict) -> None:
     if cutoff is not None and (cutoff + 1) ** 2 > sys.float_info.max:
         raise UsageError(f"cutoff must be below {math.sqrt(sys.float_info.max):.4g}, "
                          f"got one of {len(str(cutoff))} digits")
-    if "simulate" in cfg:  # witness: the exact and sampled routes take disjoint options
-        sampled = cfg["simulate"] or cfg["pulses"] is not None
-        if sampled and cutoff is not None:
-            raise UsageError("cutoff applies to the exact witness; sampling has no cutoff")
-        if not sampled and cfg["pulse_log"]:
-            raise UsageError("the exact witness writes no pulse log; "
-                             "pass --simulate to record one")
     gamma = cfg.get("gamma", 0.0)
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise UsageError(f"gamma must be finite and nonnegative, got {gamma!r}")
@@ -198,17 +199,34 @@ def _check_bounds(cfg: dict) -> None:
             raise UsageError(f"cannot write {key} {path!r}: not a file in an existing directory")
 
 
+def _first_route(command: str, cfg: dict) -> str | None:
+    """The option set in ``cfg`` that picks the first of ``command``'s routes, if any."""
+    return next((key for key in _ROUTES[command][0]
+                 if cfg[key] is not False and cfg[key] not in (None, "")), None)
+
+
+def _check_routes(command: str, cfg: dict) -> None:
+    """Refuse an option away from its default on a route that does not read it."""
+    pickers, first, other = _ROUTES[command]
+    picked = _first_route(command, cfg)
+    for key in (k for k in (other if picked else first) if cfg[k] != _DEFAULTS[command][k]):
+        raise UsageError(f"{_flag(key)} is not read with {_flag(picked)}" if picked else
+                         f"{_flag(key)} is read only with {' or '.join(map(_flag, pickers))}")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _convert(opt: _Opt, raw: str):
     """An INI value as the option's type; ``none`` or nothing is None."""
     raw = raw.strip()
     if raw.lower() in ("none", ""):
         return None
     if opt.type is bool:
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise UsageError(f"boolean config key {opt.name!r} got {raw!r}")
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise UsageError(f"boolean config key {opt.name!r} got {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     try:
         return opt.type(raw)
     except ValueError as exc:
@@ -260,9 +278,8 @@ def _write_manifest(command: str, cfg: dict, outputs: list[str], t0: float,
         "package_version": __version__,
         "outputs": outputs,
         "duration_s": round(time.time() - t0, 3),
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
     _write_json(path, doc)
     return path
 
@@ -273,34 +290,26 @@ def _write_manifest(command: str, cfg: dict, outputs: list[str], t0: float,
 def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
     """exact or sampled entanglement witness"""
     from .states import build_bell_state
-    from .witnesses import WitnessKind, cutoff_for_edge_mass, evaluate_witness
+    from .witnesses import cutoff_for_edge_mass, evaluate_witness
     from .simulate import SimConfig, estimate_witness, matched_witness
 
-    if cfg["state"] == "vacuum":
-        label = BellLabel.PSI_MINUS  # sign is irrelevant at zero gain
-        gamma = 0.0
-        shown = "vacuum"
-    else:
-        label = BellLabel(cfg["state"])
-        gamma = cfg["gamma"]
-        shown = label.value
+    shown = cfg["state"]
+    vacuum = shown == "vacuum"
+    label = BellLabel.PSI_MINUS if vacuum else BellLabel(shown)  # no sign at zero gain
+    gamma = 0.0 if vacuum else cfg["gamma"]
     kind = WitnessKind(cfg["witness"]) if cfg["witness"] else matched_witness(label)
-    simulate = bool(cfg["simulate"]) or cfg["pulses"] is not None
+    simulate = _first_route("witness", cfg) is not None
     header = ["mode", "witness", "state", "gamma", "cutoff", "eta", "pulses", "seed",
               "value", "value_error", "var_1", "var_2", "var_3",
               "var_err_1", "var_err_2", "var_err_3", "mean_s0"]
     if simulate:
         pulses = cfg["pulses"] if cfg["pulses"] is not None else 100_000
-        sim = SimConfig(label=label, gamma=gamma, eta=cfg["eta"],
-                        pulses=pulses, seed=cfg["seed"], bin_width=cfg["bin_width"])
+        sim = SimConfig(label=label, gamma=gamma, eta=cfg["eta"], pulses=pulses, seed=cfg["seed"])
         rep = estimate_witness(sim, kind=kind, pulse_log=cfg["pulse_log"])
         row = ["simulated", kind.value, shown, gamma, None, cfg["eta"],
                pulses, cfg["seed"], rep.value, rep.value_error,
                *rep.variance_terms, *rep.variance_errors, rep.mean_s0]
     else:
-        if cfg["eta"] != 1.0:
-            raise UsageError("exact evaluation assumes unit efficiency; "
-                             "pass --simulate to model eta < 1")
         n_max = cfg["cutoff"] or cutoff_for_edge_mass(gamma)
         state = build_bell_state(label, gamma, n_max)
         rep = evaluate_witness(kind, state)
@@ -311,13 +320,11 @@ def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
     print(f"{kind.value} on {shown} at gamma={gamma}: value = {rep.value:.9g}"
           + (f" +- {rep.value_error:.3g}" if rep.value_error is not None else ""))
     print(f"wrote {cfg['out']}")
-    files = [cfg["out"]]
-    if cfg.get("pulse_log"):
-        files.append(cfg["pulse_log"])
+    files = [cfg["out"]] + ([cfg["pulse_log"]] if cfg["pulse_log"] else [])
     return files, (None if simulate else {"cutoff": n_max, "edge_mass": rep.meta["edge_mass"]})
 
 
-def _cmd_measures(cfg: dict) -> list[str]:
+def _cmd_measures(cfg: dict) -> tuple[list[str], None]:
     """entanglement measures across mean photon number"""
     from .measures import WidthConvention, gain_scan
 
@@ -341,15 +348,15 @@ def _cmd_measures(cfg: dict) -> list[str]:
                               "fedorov_norm")} for r in rows],
     })
     print(f"scanned {len(rows)} gains; wrote {cfg['out']}")
-    return [cfg["out"], descriptor]
+    return [cfg["out"], descriptor], None
 
 
-def _cmd_truncation(cfg: dict) -> list[str]:
+def _cmd_truncation(cfg: dict) -> tuple[list[str], None]:
     """error budget and subspace size for photon-number cutoffs"""
     from .truncation import dimension_scan
 
     n0_list = _parse_grid(cfg["n0_grid"], "N0")
-    targets = [cfg["epsilon"]] if cfg["epsilon"] is not None else _parse_grid(
+    targets = [cfg["epsilon"]] if _first_route("truncation", cfg) else _parse_grid(
         cfg["epsilon_grid"], "epsilon")
     if not all(0.0 < eps < 1.0 for eps in targets):
         raise UsageError(f"epsilon targets must lie in (0, 1), got {targets}")
@@ -375,7 +382,7 @@ def _cmd_truncation(cfg: dict) -> list[str]:
     print(f"N0={p.n0:g}: eps<={p.epsilon_target:g} needs total cutoff "
           f"{p.n_total} (dim {p.dimension}, K^T/dim = {p.occupancy:.4f})")
     print(f"wrote {cfg['out']}")
-    return [cfg["out"], meta_path]
+    return [cfg["out"], meta_path], None
 
 
 def _cmd_crosswitness(cfg: dict) -> tuple[list[str], dict]:
@@ -403,9 +410,8 @@ def _cmd_fedorov(cfg: dict) -> tuple[list[str], dict | None]:
     from .simulate import SimConfig, estimate_fedorov
 
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
-                    eta=cfg["eta"], pulses=cfg["pulses"], seed=cfg["seed"],
-                    bin_width=cfg["bin_width"])
-    est = estimate_fedorov(sim, convention=cfg["convention"])
+                    eta=cfg["eta"], pulses=cfg["pulses"], seed=cfg["seed"])
+    est = estimate_fedorov(sim, convention=cfg["convention"], bin_width=cfg["bin_width"])
     exact = fedorov_ratio(cfg["gamma"], convention=WidthConvention(cfg["convention"]))
     rel_deviation = abs(est.ratio - exact) / exact if exact else math.nan
     header = ["state", "gamma", "eta", "pulses", "seed", "bin_width", "convention",
@@ -429,10 +435,9 @@ def _cmd_fedorov(cfg: dict) -> tuple[list[str], dict | None]:
 def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
     """witness vs detection efficiency"""
     from .states import check_memory
-    from .witnesses import WitnessKind
     from .simulate import SWEEP_BYTES_PER_POINT, SimConfig, efficiency_sweep
 
-    if cfg["eta_grid"]:
+    if _first_route("sweep-eta", cfg):
         grid = _parse_grid(cfg["eta_grid"], "eta")
         if not all(0.0 < eta <= 1.0 for eta in grid):
             raise UsageError(f"eta grid values must lie in (0, 1], got {grid}")
@@ -441,22 +446,17 @@ def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
                      "grid points")
         grid = list(np.linspace(cfg["eta_min"], cfg["eta_max"], cfg["eta_points"]))
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
-                    pulses=cfg["pulses"], seed=cfg["seed"], bin_width=cfg["bin_width"])
+                    pulses=cfg["pulses"], seed=cfg["seed"])
     kind = WitnessKind(cfg["witness"]) if cfg["witness"] else None
     result = efficiency_sweep(sim, grid, kind=kind)
     header = ["eta", "value", "sigma", "certifies", "exact"]
-    rows = [[p.eta, p.value, p.sigma, int(p.certifies), p.exact]
-            for p in result.points]
+    rows = [[p.eta, p.value, p.sigma, int(p.certifies), p.exact] for p in result.points]
     _write_csv(cfg["out"], header, rows)
-    if result.certification_threshold is None:
-        print("no grid point certifies entanglement at 3 sigma")
-    else:
-        print(f"certified down to eta = {result.certification_threshold:.4f} "
-              "(3 sigma below zero)")
-    if result.zero_crossing is None:
-        print("no zero crossing bracketed by the grid")
-    else:
-        print(f"witness crosses zero near eta = {result.zero_crossing:.4f} (ideal 1/3)")
+    threshold, crossing = result.certification_threshold, result.zero_crossing
+    print("no grid point certifies entanglement at 3 sigma" if threshold is None
+          else f"certified down to eta = {threshold:.4f} (3 sigma below zero)")
+    print("no zero crossing bracketed by the grid" if crossing is None
+          else f"witness crosses zero near eta = {crossing:.4f} (ideal 1/3)")
     print(f"wrote {cfg['out']}")
     return [cfg["out"]], {
         "certification_threshold_eta": result.certification_threshold,
@@ -482,8 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.time()
     try:
         cfg = _resolve_config(args)
-        result = _COMMANDS[args.command](cfg)
-        outputs, extra = result if isinstance(result, tuple) else (result, None)
+        outputs, extra = _COMMANDS[args.command](cfg)
         manifest = _write_manifest(args.command, cfg, outputs, t0, extra)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -498,19 +497,20 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+#: (command, key) pairs that older manifests record but no option reads any more
+_RETIRED_KEYS = (("witness", "bin_width"), ("sweep-eta", "bin_width"),
+                 ("fedorov", "workers"), ("sweep-eta", "workers"))
+
+
 def run_from_manifest(path: str) -> int:
     """Re-execute the run a manifest describes (same outputs, same bytes)."""
     with open(path) as fh:
         doc = json.load(fh)
     argv = [doc["command"]]
     for key, value in sorted(doc["config"].items()):
-        if value is None or value is False:
+        if value is None or value is False or (doc["command"], key) in _RETIRED_KEYS:
             continue
-        flag = f"--{key.replace('_', '-')}"
-        if value is True:
-            argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
+        argv.extend([_flag(key)] if value is True else [_flag(key), str(value)])
     return main(argv)
 
 

@@ -84,7 +84,6 @@ class SimConfig:
     eta: float = 1.0
     pulses: int = 100_000
     seed: int = 0
-    bin_width: int = 1  # partner-count bin width for conditional histograms
 
     def __post_init__(self):
         if isinstance(self.label, str):
@@ -97,8 +96,6 @@ class SimConfig:
             raise ValueError("eta must be in (0, 1]")
         if self.pulses < 1:
             raise ValueError("need at least 1 pulse")
-        if self.bin_width < 1:
-            raise ValueError("bin width must be >= 1")
 
 
 # -- block sampling ------------------------------------------------------------
@@ -311,7 +308,6 @@ def estimate_witness(
         "eta": config.eta,
         "pulses": config.pulses,
         "seed": config.seed,
-        "bin_width": config.bin_width,
         "run": run,
     }
     if degenerate:
@@ -435,7 +431,7 @@ class _PartnerBins:
 
 
 def estimate_fedorov(
-    config: SimConfig, convention="sqrt2-stddev", run: int = 0
+    config: SimConfig, convention="sqrt2-stddev", bin_width: int = 1, run: int = 0
 ) -> FedorovEstimate:
     """Width-ratio estimate from an H/V-basis photocounting series.
 
@@ -443,10 +439,13 @@ def estimate_fedorov(
     the state correlates it to (cross: b_V, parallel: b_H); same for
     the V count.  The four-mode ratio is the product of the two pair
     ratios, each marginal width over conditional width, the latter
-    floored at one bin.
+    floored at one count.  Partner counts are binned ``bin_width`` at a
+    time for the conditional histograms.
     """
+    if bin_width < 1:
+        raise ValueError("bin width must be >= 1")
     pairing = count_pairing(config.label, 1)
-    side_h, side_v = _PartnerBins(config.bin_width), _PartnerBins(config.bin_width)
+    side_h, side_v = _PartnerBins(bin_width), _PartnerBins(bin_width)
     for _, (xa, ya, xb, yb) in _count_blocks(config, pairing, series=0, run=run):
         partner_h, partner_v = paired_modes(xb, yb, pairing)[2:]
         side_h.add(xa, partner_h)
@@ -471,7 +470,7 @@ def estimate_fedorov(
             "eta": config.eta,
             "pulses": config.pulses,
             "seed": config.seed,
-            "bin_width": config.bin_width,
+            "bin_width": bin_width,
             "run": run,
             "partner_bins": max(side_h.count.size, side_v.count.size),
         },

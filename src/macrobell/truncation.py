@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import gamma_for_mean_photons, kbar
+from .measures import gamma_for_mean_photons
 from .states import _log_q, geometric_ratio
 
 #: largest total-photon cutoff a budget may ask for
@@ -138,22 +138,6 @@ def truncated_kbar(gamma: float, n_total: int) -> float:
     bracket = -math.expm1(log_t) + math.exp(log_t) * (n_total + 1) * math.expm1(log_x)
     one_minus_q = 1.0 / math.cosh(gamma) ** 2
     return (1.0 - eps) ** 2 * (1.0 + q) ** 2 / (one_minus_q ** 2 * bracket)
-
-
-def kbar_truncation_bounds(gamma: float, n_total: int) -> tuple[float, float]:
-    """(lower, upper) sandwich for truncated_kbar in terms of the full K.
-
-    ((1-eps)/(1+eps))^2 K  <=  K^T  <=  (1 - eps) K.
-
-    Exact-arithmetic bounds; numerical evaluations of K^T can graze
-    either end within a few ulps once eps underflows, so comparisons
-    should allow ~1e-12 relative slack.
-    """
-    eps = epsilon_from_cutoff(gamma, n_total)
-    if eps == 1.0:  # as truncated_kbar: no K^T to bound, and kbar can overflow
-        raise ValueError(f"epsilon rounds to 1 at gamma {gamma}, cutoff {n_total}")
-    k = kbar(gamma)
-    return (((1.0 - eps) / (1.0 + eps)) ** 2 * k, (1.0 - eps) * k)
 
 
 @dataclass

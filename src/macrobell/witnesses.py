@@ -88,9 +88,6 @@ class WitnessReport:
     value_error: float | None = None
     meta: dict = field(default_factory=dict)
 
-    def recomputed_value(self) -> float:
-        return float(sum(self.variance_terms) - 2.0 * self.mean_s0)
-
 
 def witness_term_coeffs(kind: WitnessKind) -> list[dict]:
     """The three (component, beam) -> coefficient maps of a witness kind."""

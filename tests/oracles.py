@@ -27,6 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from macrobell.basis import FourModeBasis
+from macrobell.measures import kbar
 from macrobell.polarization import half_wave_plate, quarter_wave_plate
 from macrobell.simulate import (
     BLOCK_PULSES,
@@ -46,6 +47,7 @@ from macrobell.states import (
     schmidt_spectrum,
 )
 from macrobell.stokes import _TERMS
+from macrobell.truncation import epsilon_from_cutoff
 
 log = logging.getLogger(__name__)
 
@@ -665,6 +667,48 @@ def epsilon_brute_force(gamma: float, n_total: int, rel_tol: float = 1e-18) -> f
             return acc + term
 
 
+def kbar_truncation_bounds(gamma: float, n_total: int) -> tuple[float, float]:
+    """(lower, upper) sandwich for ``truncated_kbar`` in terms of the full K.
+
+    ((1-eps)/(1+eps))^2 K  <=  K^T  <=  (1 - eps) K.
+
+    Exact-arithmetic bounds; numerical evaluations of K^T can graze
+    either end within a few ulps once eps underflows, so comparisons
+    should allow ~1e-12 relative slack.
+    """
+    eps = epsilon_from_cutoff(gamma, n_total)
+    if eps == 1.0:  # as truncated_kbar: no K^T to bound, and kbar can overflow
+        raise ValueError(f"epsilon rounds to 1 at gamma {gamma}, cutoff {n_total}")
+    k = kbar(gamma)
+    return (((1.0 - eps) / (1.0 + eps)) ** 2 * k, (1.0 - eps) * k)
+
+
+def recomputed_value(report) -> float:
+    """A witness value from its parts: sum of the variance terms minus 2 <S_0>."""
+    return float(sum(report.variance_terms) - 2.0 * report.mean_s0)
+
+
+def mode_strides(n_levels: int) -> tuple[int, int, int, int]:
+    """Strides of (a_H, a_V, b_H, b_V) in the flattened four-mode index."""
+    return (n_levels**3, n_levels**2, n_levels, 1)
+
+
+def ket_index(n_levels: int, n_ah, n_av, n_bh, n_bv):
+    """Flattened index of one four-mode ket (a_H slowest); scalars or arrays."""
+    s = mode_strides(n_levels)
+    return n_ah * s[0] + n_av * s[1] + n_bh * s[2] + n_bv * s[3]
+
+
+def interior_mask(basis: FourModeBasis, margin: int = 1) -> np.ndarray:
+    """Kets with every occupation <= n_max - margin.
+
+    Commutation relations of the truncated Stokes operators hold exactly
+    only on this sub-block; the cutoff edge rows see amputated raising
+    transitions.
+    """
+    return (basis.occupations() <= basis.n_max - margin).all(axis=0)
+
+
 def _pair_creation_generator(label: BellLabel, gamma: float, basis: FourModeBasis) -> sp.csr_matrix:
     """Sparse anti-Hermitian generator gamma*(K+ - K-) of the label's Hamiltonian.
 
@@ -672,7 +716,7 @@ def _pair_creation_generator(label: BellLabel, gamma: float, basis: FourModeBasi
     K+ = aH+ bH+ + sign * aV+ bV+   (parallel pairing, phi labels)
     """
     occ = basis.occupations()
-    s = basis.strides
+    s = mode_strides(basis.n_levels)
     if label.pairing == "cross":
         pairs = [((0, 3), 1.0), ((1, 2), float(label.sign))]
     else:

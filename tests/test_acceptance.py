@@ -39,7 +39,6 @@ from macrobell.truncation import (
     alpha_from_epsilon,
     cutoff_for_epsilon,
     epsilon_from_cutoff,
-    kbar_truncation_bounds,
     occupancy_at_epsilon,
     subspace_dimension,
     truncated_kbar,
@@ -170,7 +169,7 @@ def test_criterion_07_truncation_budget():
         n = int(rng.integers(1, 60))
         closed = epsilon_from_cutoff(g, n)
         assert closed == pytest.approx(oracles.epsilon_brute_force(g, n), rel=1e-12)
-        lo, hi = kbar_truncation_bounds(g, n)
+        lo, hi = oracles.kbar_truncation_bounds(g, n)
         assert lo * (1 - 1e-12) <= truncated_kbar(g, n) <= hi * (1 + 1e-12)
     probe = np.geomspace(0.01, 0.9, 9)
     drift = np.max(np.abs(occupancy_at_epsilon(100.0, probe)
@@ -274,8 +273,8 @@ def test_criterion_11_width_ratio():
         norm = ratio / (2.0 * n0 * n0)
         print(f"N0={n0:g}: four-mode width ratio / 2 N0^2 = {norm:.4f}")
         assert 0.95 <= norm <= 1.05
-    est = estimate_fedorov(SimConfig(label="psi-minus", gamma=1.5,
-                                     pulses=1_000_000, seed=5, bin_width=1))
+    est = estimate_fedorov(SimConfig(label="psi-minus", gamma=1.5, pulses=1_000_000, seed=5),
+                           bin_width=1)
     exact_pair = fedorov_ratio(1.5, four_mode=False)
     print(f"simulated pair ratios {est.ratio_h:.4f} / {est.ratio_v:.4f} "
           f"vs exact {exact_pair:.4f}")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -230,12 +231,47 @@ def test_empty_grid_is_usage_error():
     ["sweep-eta", "--eta-grid", "0,0.5"],
     ["sweep-eta", "--eta-points", "0"],
     ["witness", "--simulate", "--pulses", "100", "--seed", "-1"],
+    # an option that only the idle route of its command reads
+    ["witness", "--seed", "7"],
+    ["witness", "--eta", "0.5"],
+    ["sweep-eta", "--eta-grid", "0.5", "--eta-points", "3"],
+    ["truncation", "--epsilon", "0.1", "--epsilon-grid", "0.2"],
 ], ids=" ".join)
 def test_malformed_input_is_one_line_usage_error(argv, capsys):
-    assert cli.main(argv + ["--out", "bad.csv"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ")
-    assert err.count("\n") == 1
+    # refused alike as flags and as the INI section of the command
+    with open("bad.ini", "w") as fh:
+        fh.write(_as_ini(argv))
+    for run in (argv, [argv[0], "--config", "bad.ini"]):
+        assert cli.main(run + ["--out", "bad.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+        assert not os.path.exists("bad.csv") and not os.path.exists("p.ndjson")
+
+
+def _as_ini(argv):
+    """The options of the command line ``argv`` as an INI section of its command."""
+    lines, rest = [f"[{argv[0]}]"], argv[1:]
+    while rest:
+        key, rest = rest[0][2:], rest[1:]
+        value = "yes" if not rest or rest[0].startswith("--") else rest.pop(0)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--simulate", "--bin-width", "5"],
+    ["sweep-eta", "--workers", "1"],
+    ["fedorov", "--workers", "1"],
+], ids=" ".join)
+def test_retired_flags_are_refused(argv, capsys):
+    # no route reads them: argparse refuses the flag, and the INI key is unknown
+    assert _exit_code(argv + ["--out", "r.csv"]) == 2
+    with open("r.ini", "w") as fh:
+        fh.write(_as_ini(argv))
+    assert cli.main([argv[0], "--config", "r.ini", "--out", "r.csv"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not os.path.exists("r.csv")
 
 
 @pytest.mark.parametrize("command, ini, argv", [
@@ -335,7 +371,7 @@ _PINNED_DEFAULTS = {
     "witness": {
         "state": "psi-minus", "gamma": 0.5, "cutoff": None, "witness": None,
         "simulate": False, "eta": 1.0, "pulses": None, "seed": 0,
-        "bin_width": 200, "workers": 1, "pulse_log": None, "out": "witness.csv",
+        "workers": 1, "pulse_log": None, "out": "witness.csv",
     },
     "measures": {
         "n0_grid": "1,2,5,10,20,50,100", "convention": "sqrt2-stddev",
@@ -349,13 +385,13 @@ _PINNED_DEFAULTS = {
     "crosswitness": {"gamma": 0.5, "cutoff": None, "out": "crosswitness.csv"},
     "fedorov": {
         "state": "psi-minus", "gamma": 1.5, "eta": 1.0, "pulses": 1_000_000,
-        "seed": 0, "bin_width": 1, "workers": 1, "convention": "sqrt2-stddev",
+        "seed": 0, "bin_width": 1, "convention": "sqrt2-stddev",
         "out": "fedorov.csv",
     },
     "sweep-eta": {
         "state": "psi-minus", "gamma": 0.8, "eta_grid": "", "eta_min": 0.15,
         "eta_max": 0.95, "eta_points": 9, "pulses": 100_000, "seed": 0,
-        "bin_width": 200, "workers": 1, "witness": None, "out": "sweep_eta.csv",
+        "witness": None, "out": "sweep_eta.csv",
     },
 }
 #: per key, a raw value and what both its flag and its INI key must make of it
@@ -371,7 +407,8 @@ _PINNED_VALUES = {
 
 
 #: options of the sampled witness alone, pinned together with --simulate
-_SAMPLED_ONLY = {("witness", "pulse_log")}
+_SAMPLED_ONLY = {("witness", "pulse_log"), ("witness", "seed"), ("witness", "eta"),
+                 ("witness", "workers")}
 
 
 def _typed(cfg):
@@ -520,8 +557,8 @@ def test_sampled_run_memory_preflight(monkeypatch, capsys):
     from macrobell import states
 
     argv = ["fedorov", "--gamma", "6", "--pulses", "1000", "--seed", "3", "--bin-width", "1"]
-    cfg = SimConfig(label="psi-minus", gamma=6.0, pulses=1000, seed=3, bin_width=1)
-    need = estimate_fedorov(cfg).meta["partner_bins"] * PARTNER_BIN_BYTES
+    cfg = SimConfig(label="psi-minus", gamma=6.0, pulses=1000, seed=3)
+    need = estimate_fedorov(cfg, bin_width=1).meta["partner_bins"] * PARTNER_BIN_BYTES
     monkeypatch.setattr(states, "available_memory", lambda: need - 1)
     assert cli.main([*argv, "--out", "big.csv"]) == 3
     err = capsys.readouterr().err
@@ -843,3 +880,67 @@ def test_manifest_round_trip_and_worker_invariance(monkeypatch):
                                  "--workers", "4"]) == 0
     assert open("c4.csv", "rb").read() == csv_bytes
     assert open("pl4.ndjson", "rb").read() == log_bytes
+
+
+#: manifests in the format written before --bin-width left witness and sweep-eta
+#: and --workers left fedorov and sweep-eta, with the CSV each run wrote
+_OLDER_MANIFESTS = [
+    ("witness", {"bin_width": 200, "cutoff": None, "eta": 1.0, "gamma": 0.5, "out": "w.csv",
+                 "pulse_log": None, "pulses": None, "seed": 0, "simulate": False,
+                 "state": "psi-minus", "witness": None, "workers": 1},
+     "mode,witness,state,gamma,cutoff,eta,pulses,seed,value,value_error,var_1,var_2,var_3,"
+     "var_err_1,var_err_2,var_err_3,mean_s0\n"
+     "exact,W_S,psi-minus,0.5,19,1,,,-2.1723225392547487,,0,0,0,,,,1.0861612696273744\n"),
+    ("witness", {"bin_width": 200, "cutoff": None, "eta": 0.9, "gamma": 0.5, "out": "s.csv",
+                 "pulse_log": "p.ndjson", "pulses": 300, "seed": 7, "simulate": True,
+                 "state": "psi-minus", "witness": None, "workers": 1},
+     "mode,witness,state,gamma,cutoff,eta,pulses,seed,value,value_error,var_1,var_2,var_3,"
+     "var_err_1,var_err_2,var_err_3,mean_s0\n"
+     "simulated,W_S,psi-minus,0.5,,0.90000000000000002,300,7,-1.6875994054254924,"
+     "0.10172287018260448,0.083333333333333343,0.086555183946488284,0.10028985507246377,"
+     "0.01966835385879856,0.016242362018815962,0.021022936396838002,0.97888888888888881\n"),
+    ("fedorov", {"bin_width": 1, "convention": "sqrt2-stddev", "eta": 1.0, "gamma": 1.5,
+                 "out": "f.csv", "pulses": 500, "seed": 3, "state": "psi-minus", "workers": 1},
+     "state,gamma,eta,pulses,seed,bin_width,convention,ratio,ratio_h,ratio_v,"
+     "marginal_width_h,conditional_width_h,marginal_width_v,conditional_width_v,"
+     "exact_ratio,rel_deviation\n"
+     "psi-minus,1.5,1,500,3,1,sqrt2-stddev,35.21052000000001,5.9821233688381934,"
+     "5.8859568465968222,5.9821233688381934,1,5.8859568465968222,1,41.11124703483619,"
+     "0.14353072359581107\n"),
+    ("sweep-eta", {"bin_width": 200, "eta_grid": "0.5,0.9", "eta_max": 0.95, "eta_min": 0.15,
+                   "eta_points": 9, "gamma": 0.8, "out": "sw.csv", "pulses": 300, "seed": 5,
+                   "state": "psi-minus", "witness": None, "workers": 1},
+     "eta,value,sigma,certifies,exact\n"
+     "0.5,-0.95531029357116293,0.17833840890573363,1,-0.78873223559744265\n"
+     "0.90000000000000002,-4.9274842066146416,0.19888245593561021,1,-4.8270412818563493\n"),
+]
+#: SHA-256 of the pulse log the sampled witness above wrote
+_OLDER_PULSE_LOG_SHA256 = "264c13d569ad71c9df3a85dce179e85f71b737a6406ed41bde5a85e4b82b4e33"
+
+
+@pytest.mark.parametrize("command, config, csv_text", _OLDER_MANIFESTS,
+                         ids=[f"{c}-{cfg['out']}" for c, cfg, _ in _OLDER_MANIFESTS])
+def test_older_manifests_rerun_to_the_same_bytes(command, config, csv_text):
+    # the retired keys are dropped on re-run; every other key is read as before
+    with open("old.manifest.json", "w") as fh:
+        json.dump({"command": command, "config": config, "seed": config["seed"]}, fh)
+    assert cli.run_from_manifest("old.manifest.json") == 0
+    with open(config["out"], newline="") as fh:
+        assert fh.read() == csv_text
+    if config.get("pulse_log"):
+        with open(config["pulse_log"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == _OLDER_PULSE_LOG_SHA256
+    manifest = _read_manifest(config["out"] + ".manifest.json")
+    assert manifest["config"] == {k: v for k, v in config.items()
+                                  if (command, k) not in cli._RETIRED_KEYS}
+
+
+@pytest.mark.parametrize("command, key", [("measures", "workers"), ("crosswitness", "bin_width"),
+                                          ("fedorov", "bogus")])
+def test_manifest_with_an_unknown_key_is_refused(command, key):
+    config = dict(cli._DEFAULTS[command], **{key: 1})
+    with open("bad.manifest.json", "w") as fh:
+        json.dump({"command": command, "config": config}, fh)
+    with pytest.raises(SystemExit) as exc:
+        cli.run_from_manifest("bad.manifest.json")
+    assert exc.value.code == 2

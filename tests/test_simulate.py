@@ -40,6 +40,7 @@ from oracles import (
     jackknife_exact,
     pairing_distribution,
     pulse_log_bytes,
+    recomputed_value,
     sample_analyzer_counts,
     sample_pulse,
     witness_reference,
@@ -69,9 +70,11 @@ def test_sim_config_validation():
     cfg = SimConfig(label="psi-minus", gamma=0.5)
     assert cfg.label is BellLabel.PSI_MINUS
     assert cfg.eta == 1.0 and cfg.pulses == 100_000
-    for bad in ({"eta": 0.0}, {"eta": 1.2}, {"pulses": 0}, {"bin_width": 0}):
+    for bad in ({"eta": 0.0}, {"eta": 1.2}, {"pulses": 0}):
         with pytest.raises(ValueError):
             SimConfig(label="psi-minus", gamma=0.5, **bad)
+    with pytest.raises(ValueError, match="bin width"):
+        estimate_fedorov(cfg, bin_width=0)
     for bad_gamma in (-1.0, -1e-300, math.nan, math.inf):
         with pytest.raises(ValueError, match="gain must be finite and nonnegative"):
             SimConfig(label="psi-minus", gamma=bad_gamma)
@@ -151,7 +154,7 @@ def test_matched_run_has_exactly_zero_variance_terms():
     assert rep.kind is WitnessKind.W_S
     assert rep.variance_terms == (0.0, 0.0, 0.0)
     assert rep.value < 0.0
-    assert rep.value == pytest.approx(rep.recomputed_value(), rel=1e-12)
+    assert rep.value == pytest.approx(recomputed_value(rep), rel=1e-12)
     assert rep.meta["source"] == "simulation"
     assert rep.meta["label"] == "psi-minus"
 
@@ -233,7 +236,7 @@ def test_estimates_are_pinned():
     assert repr(crossed.value) == "15830.873227981472"
     assert crossed.value_error == pytest.approx(float("281.8143243517508"), rel=1e-12)
     for eta, ratio in ((1.0, "2683.896316034523"), (0.85, "278.15878781804196")):
-        est = estimate_fedorov(SimConfig(eta=eta, bin_width=1, **base), run=1)
+        est = estimate_fedorov(SimConfig(eta=eta, **base), bin_width=1, run=1)
         assert est.ratio == pytest.approx(float(ratio), rel=1e-12)
 
 
@@ -358,8 +361,7 @@ def test_estimate_witness_memory_per_pulse():
 
 def test_estimate_fedorov_memory_per_pulse():
     # only the partner-bin sums grow, with the largest partner count
-    cfg = SimConfig(label="psi-minus", gamma=1.5, eta=0.85, pulses=200_000, seed=3,
-                    bin_width=1)
+    cfg = SimConfig(label="psi-minus", gamma=1.5, eta=0.85, pulses=200_000, seed=3)
     assert abs(_peak_growth(estimate_fedorov, cfg)) <= 2**20
 
 
@@ -501,8 +503,8 @@ def test_sample_analyzer_counts_identities_and_thinning():
 
 
 def test_estimate_fedorov_matches_analytic():
-    cfg = SimConfig(label="psi-minus", gamma=1.2, pulses=100_000, seed=6, bin_width=1)
-    est = estimate_fedorov(cfg)
+    cfg = SimConfig(label="psi-minus", gamma=1.2, pulses=100_000, seed=6)
+    est = estimate_fedorov(cfg, bin_width=1)
     assert isinstance(est, FedorovEstimate)
     exact_pair = fedorov_ratio(1.2, four_mode=False)
     assert est.ratio_h == pytest.approx(exact_pair, rel=0.03)
@@ -525,10 +527,9 @@ def test_default_config_estimates_the_width_ratio(seed):
 
 
 def test_estimate_fedorov_coarse_bins_degrade_ratio():
-    fine = estimate_fedorov(SimConfig(label="psi-minus", gamma=1.2, pulses=50_000,
-                                      seed=6, bin_width=1))
-    coarse = estimate_fedorov(SimConfig(label="psi-minus", gamma=1.2, pulses=50_000,
-                                        seed=6, bin_width=200))
+    cfg = SimConfig(label="psi-minus", gamma=1.2, pulses=50_000, seed=6)
+    fine = estimate_fedorov(cfg, bin_width=1)
+    coarse = estimate_fedorov(cfg, bin_width=200)
     assert coarse.conditional_width_h > 1.0
     assert coarse.ratio < fine.ratio
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from decimal import Decimal
@@ -23,6 +24,8 @@ from macrobell.states import (
 from oracles import (
     bell_vector,
     evolve_from_vacuum,
+    interior_mask,
+    ket_index,
     thermal_law_decimal,
     thermal_moments_decimal,
     vector_edge_mass,
@@ -92,17 +95,17 @@ def test_basis_index_occupations_round_trip():
     basis = FourModeBasis(3)
     occ = basis.occupations()
     idx = np.arange(basis.dim)
-    assert np.array_equal(basis.index(occ[0], occ[1], occ[2], occ[3]), idx)
-    assert basis.index(1, 2, 3, 0) == ((1 * 4 + 2) * 4 + 3) * 4 + 0
+    assert np.array_equal(ket_index(basis.n_levels, occ[0], occ[1], occ[2], occ[3]), idx)
+    assert ket_index(basis.n_levels, 1, 2, 3, 0) == ((1 * 4 + 2) * 4 + 3) * 4 + 0
 
 
 def test_basis_vacuum_and_interior():
     basis = FourModeBasis(2)
     vac = basis.vacuum()
     assert vac[0] == 1.0 and np.sum(np.abs(vac)) == 1.0
-    mask = basis.interior_mask()
-    occ = basis.occupations()
-    assert np.array_equal(mask, (occ <= 1).all(axis=0))
+    # the kets with occupation 0 or 1 in each of the four modes
+    interior = [ket_index(3, *ket) for ket in itertools.product(range(2), repeat=4)]
+    assert np.array_equal(np.flatnonzero(interior_mask(basis)), interior)
     with pytest.raises(ValueError):
         FourModeBasis(-1)
 
@@ -243,12 +246,12 @@ def test_dense_ket_placement():
     basis = FourModeBasis(4)
     st = build_bell_state(BellLabel.PSI_PLUS, 0.5, 4)
     vec = st.dense()
-    assert vec[basis.index(2, 1, 1, 2)] == pytest.approx(st.amplitude(2, 1))
-    assert vec[basis.index(2, 1, 2, 1)] == 0.0
+    assert vec[ket_index(basis.n_levels, 2, 1, 1, 2)] == pytest.approx(st.amplitude(2, 1))
+    assert vec[ket_index(basis.n_levels, 2, 1, 2, 1)] == 0.0
     st = build_bell_state(BellLabel.PHI_PLUS, 0.5, 4)
     vec = st.dense()
-    assert vec[basis.index(2, 1, 2, 1)] == pytest.approx(st.amplitude(2, 1))
-    assert vec[basis.index(2, 1, 1, 2)] == 0.0
+    assert vec[ket_index(basis.n_levels, 2, 1, 2, 1)] == pytest.approx(st.amplitude(2, 1))
+    assert vec[ket_index(basis.n_levels, 2, 1, 1, 2)] == 0.0
 
 
 def test_dense_matches_independent_loop():

@@ -15,13 +15,12 @@ from macrobell.truncation import (
     cutoff_for_epsilon,
     dimension_scan,
     epsilon_from_cutoff,
-    kbar_truncation_bounds,
     occupancy_at_epsilon,
     occupancy_curve,
     subspace_dimension,
     truncated_kbar,
 )
-from oracles import epsilon_brute_force
+from oracles import epsilon_brute_force, kbar_truncation_bounds
 
 
 def _brute_truncated_kbar(gamma: float, n_total: int) -> float:

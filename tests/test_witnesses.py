@@ -23,7 +23,7 @@ from macrobell.witnesses import (
     witness_term_coeffs,
 )
 
-from oracles import edge_mass_cutoff, tensor_route_matrix
+from oracles import edge_mass_cutoff, recomputed_value, tensor_route_matrix
 
 #: frozen references at gamma = 0.5, per-mode cutoff 15, from an independent
 #: kron-ladder evaluation (matvec moments only)
@@ -64,7 +64,7 @@ def test_matched_pairs_saturate():
         rep = evaluate_witness(kind, state)
         assert max(rep.variance_terms) <= 1e-9
         assert rep.value == pytest.approx(-2.0 * rep.mean_s0, rel=1e-12)
-        assert rep.value == pytest.approx(rep.recomputed_value(), abs=1e-12)
+        assert rep.value == pytest.approx(recomputed_value(rep), abs=1e-12)
         assert rep.value < 0.0
         # -2<S_0> = -8 N0 up to truncation
         assert rep.value == pytest.approx(-8.0 * mean_photons_per_mode(gamma), rel=1e-7)
