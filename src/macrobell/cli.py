@@ -13,9 +13,8 @@ Every command writes a CSV (numbers at 17 significant digits) plus a JSON
 run manifest (resolved configuration, seed, package version, outputs,
 duration) next to it, so any result can be reproduced bit-for-bit with
 ``run_from_manifest``.  A ``--config`` INI file supplies defaults per
-command section; explicit flags win.  Where a command has two routes (exact or
-sampled ``witness``, a listed or evenly spaced ``sweep-eta`` grid, one or many
-``truncation`` targets), an option only the idle route reads must keep its default.
+command section; explicit flags win.  ``witness`` has two routes, exact and
+sampled; an option only the idle route reads must keep its default.
 
 Exit codes: 0 success, 2 usage error, 3 numeric/truncation failure, 4 an
 output that cannot be written (e.g. a full disk).
@@ -32,8 +31,6 @@ import os
 import sys
 import time
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .states import BellLabel, NumericError, TruncationMassError
@@ -84,19 +81,18 @@ _OPTIONS: dict[str, dict[str, _Opt]] = {
         gamma=0.5, pulses=None, out="witness.csv"),
     "measures": _options(_N0_GRID, _CONVENTION, n0_grid="1,2,5,10,20,50,100",
                          out="measures.csv"),
-    "truncation": _options(
-        _N0_GRID, _Opt("epsilon", type=float, help="single target (otherwise a grid scan)"),
-        _Opt("epsilon_grid", "0.9,0.5,0.2,0.1,0.05,0.02,0.01"),
-        n0_grid="10", out="truncation.csv"),
+    "truncation": _options(_N0_GRID, _Opt("epsilon_grid", "0.9,0.5,0.2,0.1,0.05,0.02,0.01"),
+                           n0_grid="10", out="truncation.csv"),
     "crosswitness": _options(_GAMMA, _CUTOFF, gamma=0.5, out="crosswitness.csv"),
     "fedorov": _options(
         *_SAMPLING, _ETA, _CONVENTION,
         _Opt("bin_width", 1, int, "partner-count bin width for conditional histograms"),
         gamma=1.5, pulses=1_000_000, out="fedorov.csv"),
     "sweep-eta": _options(
-        *_SAMPLING, _Opt("eta_grid", "", help="comma-separated efficiencies"),
-        _Opt("eta_min", 0.15, float), _Opt("eta_max", 0.95, float),
-        _Opt("eta_points", 9, int), _WITNESS, gamma=0.8, out="sweep_eta.csv"),
+        *_SAMPLING, _Opt("eta_grid", help="comma-separated efficiencies"), _WITNESS,
+        # nine efficiencies from 0.15 to 0.95, as numpy.linspace spaces them
+        eta_grid="0.15,0.25,0.35,0.44999999999999996,0.5499999999999999,0.6499999999999999,"
+                 "0.75,0.85,0.95", gamma=0.8, out="sweep_eta.csv"),
 }
 
 #: builtin defaults per command
@@ -106,8 +102,6 @@ _DEFAULTS = {cmd: {k: o.default for k, o in opts.items()} for cmd, opts in _OPTI
 #: set, the options only the first route reads, the options only the other reads)
 _ROUTES = {
     "witness": (("simulate", "pulses"), ("seed", "workers", "pulse_log", "eta"), ("cutoff",)),
-    "sweep-eta": (("eta_grid",), (), ("eta_min", "eta_max", "eta_points")),
-    "truncation": (("epsilon",), (), ("epsilon_grid",)),
 }
 
 
@@ -120,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
     for command, opts in _OPTIONS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        # one spelling per option: no abbreviation, so --epsilon is not --epsilon-grid
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
         p.add_argument("--config", help=f"INI file; section [{command}] supplies defaults")
         for o in opts.values():
             kind = (dict(action="store_const", const=True) if o.type is bool
@@ -141,7 +136,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 raise UsageError(f"unknown config key {key!r} for command {command!r}")
             opt = opts[key]
             value = file_vals[key] = _convert(opt, raw)
-            if value is None and opt.default not in (None, ""):
+            if value is None and opt.default is not None:
                 raise UsageError(f"config key {key!r} needs a value")
             if opt.choices and value is not None and value not in opt.choices:
                 raise UsageError(f"config key {key!r} must be one of "
@@ -180,14 +175,12 @@ def _check_bounds(cfg: dict) -> None:
     gamma = cfg.get("gamma", 0.0)
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise UsageError(f"gamma must be finite and nonnegative, got {gamma!r}")
-    for key in ("eta", "eta_min", "eta_max"):
-        if not 0.0 < cfg.get(key, 1.0) <= 1.0:
-            raise UsageError(f"{key} must lie in (0, 1], got {cfg[key]!r}")
+    if not 0.0 < cfg.get("eta", 1.0) <= 1.0:
+        raise UsageError(f"eta must lie in (0, 1], got {cfg['eta']!r}")
     if cfg.get("pulses") is not None and cfg["pulses"] < 3:
         raise UsageError(f"jackknife errors need at least 3 pulses, got {cfg['pulses']}")
-    for key in ("bin_width", "eta_points"):
-        if cfg.get(key, 1) < 1:
-            raise UsageError(f"{key} must be at least 1, got {cfg[key]}")
+    if cfg.get("bin_width", 1) < 1:
+        raise UsageError(f"bin_width must be at least 1, got {cfg['bin_width']}")
     if cfg.get("seed", 0) < 0:
         raise UsageError(f"seed must be nonnegative, got {cfg['seed']}")
     workers, cpus = cfg.get("workers", 1), os.cpu_count() or 1
@@ -202,11 +195,13 @@ def _check_bounds(cfg: dict) -> None:
 def _first_route(command: str, cfg: dict) -> str | None:
     """The option set in ``cfg`` that picks the first of ``command``'s routes, if any."""
     return next((key for key in _ROUTES[command][0]
-                 if cfg[key] is not False and cfg[key] not in (None, "")), None)
+                 if cfg[key] is not False and cfg[key] is not None), None)
 
 
 def _check_routes(command: str, cfg: dict) -> None:
-    """Refuse an option away from its default on a route that does not read it."""
+    """Refuse an option away from its default where the run does not read it."""
+    if cfg["state"] == "vacuum" and cfg["gamma"] != _DEFAULTS[command]["gamma"]:
+        raise UsageError("--gamma is not read with --state vacuum, whose gain is 0")
     pickers, first, other = _ROUTES[command]
     picked = _first_route(command, cfg)
     for key in (k for k in (other if picked else first) if cfg[k] != _DEFAULTS[command][k]):
@@ -356,8 +351,7 @@ def _cmd_truncation(cfg: dict) -> tuple[list[str], None]:
     from .truncation import dimension_scan
 
     n0_list = _parse_grid(cfg["n0_grid"], "N0")
-    targets = [cfg["epsilon"]] if _first_route("truncation", cfg) else _parse_grid(
-        cfg["epsilon_grid"], "epsilon")
+    targets = _parse_grid(cfg["epsilon_grid"], "epsilon")
     if not all(0.0 < eps < 1.0 for eps in targets):
         raise UsageError(f"epsilon targets must lie in (0, 1), got {targets}")
     points = dimension_scan(n0_list, targets)
@@ -437,14 +431,10 @@ def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
     from .states import check_memory
     from .simulate import SWEEP_BYTES_PER_POINT, SimConfig, efficiency_sweep
 
-    if _first_route("sweep-eta", cfg):
-        grid = _parse_grid(cfg["eta_grid"], "eta")
-        if not all(0.0 < eta <= 1.0 for eta in grid):
-            raise UsageError(f"eta grid values must lie in (0, 1], got {grid}")
-    else:
-        check_memory(cfg["eta_points"], "efficiency sweep", SWEEP_BYTES_PER_POINT,
-                     "grid points")
-        grid = list(np.linspace(cfg["eta_min"], cfg["eta_max"], cfg["eta_points"]))
+    grid = _parse_grid(cfg["eta_grid"], "eta")
+    if not all(0.0 < eta <= 1.0 for eta in grid):
+        raise UsageError(f"eta grid values must lie in (0, 1], got {grid}")
+    check_memory(len(grid), "efficiency sweep", SWEEP_BYTES_PER_POINT, "grid points")
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
                     pulses=cfg["pulses"], seed=cfg["seed"])
     kind = WitnessKind(cfg["witness"]) if cfg["witness"] else None
@@ -498,17 +488,36 @@ def main(argv: list[str] | None = None) -> int:
 
 
 #: (command, key) pairs that older manifests record but no option reads any more
-_RETIRED_KEYS = (("witness", "bin_width"), ("sweep-eta", "bin_width"),
-                 ("fedorov", "workers"), ("sweep-eta", "workers"))
+_RETIRED_KEYS = (("witness", "bin_width"), ("sweep-eta", "bin_width"), ("fedorov", "workers"),
+                 ("sweep-eta", "workers"), ("truncation", "epsilon"), ("sweep-eta", "eta_min"),
+                 ("sweep-eta", "eta_max"), ("sweep-eta", "eta_points"))
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace(start, stop, num)`` as floats, bit for bit."""
+    delta, div = stop - start, max(num - 1, 1)
+    step = delta / div
+    grid = [(i / div * delta if step == 0 else i * step) + start for i in range(num)]
+    return grid[:-1] + [stop] if num > 1 else grid
 
 
 def run_from_manifest(path: str) -> int:
     """Re-execute the run a manifest describes (same outputs, same bytes)."""
     with open(path) as fh:
         doc = json.load(fh)
-    argv = [doc["command"]]
-    for key, value in sorted(doc["config"].items()):
-        if value is None or value is False or (doc["command"], key) in _RETIRED_KEYS:
+    command, config = doc["command"], doc["config"]
+    # older runs ignored a vacuum witness's gain; a retired single epsilon target
+    # or evenly spaced efficiency grid re-runs as the grid the run used
+    if command == "witness" and config.get("state") == "vacuum":
+        config["gamma"] = _DEFAULTS[command]["gamma"]
+    if command == "truncation" and config.get("epsilon") is not None:
+        config["epsilon_grid"] = repr(config["epsilon"])
+    if command == "sweep-eta" and "eta_points" in config and not config.get("eta_grid"):
+        grid = _linspace(config["eta_min"], config["eta_max"], config["eta_points"])
+        config["eta_grid"] = ",".join(map(repr, grid))
+    argv = [command]
+    for key, value in sorted(config.items()):
+        if value is None or value is False or (command, key) in _RETIRED_KEYS:
             continue
         argv.extend([_flag(key)] if value is True else [_flag(key), str(value)])
     return main(argv)

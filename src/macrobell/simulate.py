@@ -510,6 +510,8 @@ def efficiency_sweep(
     at three jackknife sigma; the zero crossing interpolates where the
     estimate itself changes sign (None if not bracketed).
     """
+    if config.eta != 1.0:  # the grid sets each point's eta
+        raise ValueError(f"efficiency_sweep needs config.eta 1.0, got {config.eta!r}")
     etas = [float(e) for e in eta_grid]
     if any(not 0.0 < e <= 1.0 for e in etas):
         raise ValueError("efficiency grid must lie in (0, 1]")

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as hs
+from hypothesis import HealthCheck, example, given, settings, strategies as hs
 
 from macrobell import cli
 from macrobell.measures import fedorov_ratio, gain_scan
@@ -86,7 +86,8 @@ def test_witness_exact_matches_library():
 
 
 def test_witness_vacuum_row():
-    assert cli.main(["witness", "--state", "vacuum", "--out", "v.csv"]) == 0
+    # the default gain is accepted and not read; any other is a usage error
+    assert cli.main(["witness", "--state", "vacuum", "--gamma", "0.5", "--out", "v.csv"]) == 0
     row = _read_csv("v.csv")[0]
     assert row["state"] == "vacuum"
     assert float(row["gamma"]) == 0.0
@@ -172,7 +173,7 @@ def test_truncation_outputs():
 
 
 def test_truncation_single_epsilon():
-    assert cli.main(["truncation", "--epsilon", "0.05", "--out", "t1.csv"]) == 0
+    assert cli.main(["truncation", "--epsilon-grid", "0.05", "--out", "t1.csv"]) == 0
     rows = _read_csv("t1.csv")
     assert len(rows) == 1
     assert float(rows[0]["epsilon"]) == 0.05
@@ -181,7 +182,7 @@ def test_truncation_single_epsilon():
 
 @pytest.mark.parametrize("n0, n_total", [("4e5", 671_339), ("6e5", None), ("1e300", None)])
 def test_truncation_cutoff_near_the_bound(n0, n_total, capsys):
-    code = cli.main(["truncation", "--n0-grid", n0, "--epsilon", "0.5", "--out", "t.csv"])
+    code = cli.main(["truncation", "--n0-grid", n0, "--epsilon-grid", "0.5", "--out", "t.csv"])
     if n_total is None:
         assert code == 3
         err = capsys.readouterr().err
@@ -194,7 +195,7 @@ def test_truncation_cutoff_near_the_bound(n0, n_total, capsys):
 
 
 def test_truncation_bad_epsilon_is_usage_error():
-    assert cli.main(["truncation", "--epsilon", "1.5", "--out", "t.csv"]) == 2
+    assert cli.main(["truncation", "--epsilon-grid", "1.5", "--out", "t.csv"]) == 2
 
 
 def test_empty_grid_is_usage_error():
@@ -208,8 +209,8 @@ def test_empty_grid_is_usage_error():
     ["measures", "--n0-grid", "1,abc"],
     ["truncation", "--n0-grid", "inf"],
     ["truncation", "--n0-grid", "-1"],
-    ["truncation", "--epsilon", "0"],
-    ["truncation", "--epsilon", "nan"],
+    ["truncation", "--epsilon-grid", "0"],
+    ["truncation", "--epsilon-grid", "nan"],
     ["truncation", "--epsilon-grid", "0.1,1"],
     ["witness", "--cutoff", "0"],
     ["witness", "--cutoff", "-3"],
@@ -227,15 +228,14 @@ def test_empty_grid_is_usage_error():
     ["witness", "--simulate", "--pulses", "100", "--eta", "0"],
     ["fedorov", "--eta", "0"],
     ["fedorov", "--bin-width", "0"],
-    ["sweep-eta", "--eta-min", "2"],
+    ["sweep-eta", "--eta-grid", "2"],
     ["sweep-eta", "--eta-grid", "0,0.5"],
-    ["sweep-eta", "--eta-points", "0"],
     ["witness", "--simulate", "--pulses", "100", "--seed", "-1"],
     # an option that only the idle route of its command reads
     ["witness", "--seed", "7"],
     ["witness", "--eta", "0.5"],
-    ["sweep-eta", "--eta-grid", "0.5", "--eta-points", "3"],
-    ["truncation", "--epsilon", "0.1", "--epsilon-grid", "0.2"],
+    # a gain the vacuum does not read
+    ["witness", "--state", "vacuum", "--gamma", "3"],
 ], ids=" ".join)
 def test_malformed_input_is_one_line_usage_error(argv, capsys):
     # refused alike as flags and as the INI section of the command
@@ -263,9 +263,14 @@ def _as_ini(argv):
     ["witness", "--simulate", "--bin-width", "5"],
     ["sweep-eta", "--workers", "1"],
     ["fedorov", "--workers", "1"],
+    ["truncation", "--epsilon", "0.05"],
+    ["sweep-eta", "--eta-points", "3"],
+    ["sweep-eta", "--eta-min", "0.2"],
+    ["sweep-eta", "--eta-max", "0.9"],
 ], ids=" ".join)
 def test_retired_flags_are_refused(argv, capsys):
-    # no route reads them: argparse refuses the flag, and the INI key is unknown
+    # no route reads them: argparse refuses the flag (and takes no abbreviation,
+    # so --epsilon is not read as --epsilon-grid), and the INI key is unknown
     assert _exit_code(argv + ["--out", "r.csv"]) == 2
     with open("r.ini", "w") as fh:
         fh.write(_as_ini(argv))
@@ -365,6 +370,8 @@ def test_config_text_resolves_or_is_usage_error(ini, command):
     assert set(cfg) == set(cli._DEFAULTS[command])
 
 
+#: the nine efficiencies numpy.linspace(0.15, 0.95, 9) gives, each parsing back exactly
+_DEFAULT_ETA_GRID = ",".join(map(repr, np.linspace(0.15, 0.95, 9).tolist()))
 #: every subcommand's flags and builtin defaults, as released before the option
 #: table; a flag, INI key or default the table drops or renames fails below
 _PINNED_DEFAULTS = {
@@ -378,8 +385,7 @@ _PINNED_DEFAULTS = {
         "out": "measures.csv",
     },
     "truncation": {
-        "n0_grid": "10", "epsilon": None,
-        "epsilon_grid": "0.9,0.5,0.2,0.1,0.05,0.02,0.01",
+        "n0_grid": "10", "epsilon_grid": "0.9,0.5,0.2,0.1,0.05,0.02,0.01",
         "out": "truncation.csv",
     },
     "crosswitness": {"gamma": 0.5, "cutoff": None, "out": "crosswitness.csv"},
@@ -389,9 +395,8 @@ _PINNED_DEFAULTS = {
         "out": "fedorov.csv",
     },
     "sweep-eta": {
-        "state": "psi-minus", "gamma": 0.8, "eta_grid": "", "eta_min": 0.15,
-        "eta_max": 0.95, "eta_points": 9, "pulses": 100_000, "seed": 0,
-        "witness": None, "out": "sweep_eta.csv",
+        "state": "psi-minus", "gamma": 0.8, "eta_grid": _DEFAULT_ETA_GRID,
+        "pulses": 100_000, "seed": 0, "witness": None, "out": "sweep_eta.csv",
     },
 }
 #: per key, a raw value and what both its flag and its INI key must make of it
@@ -400,9 +405,8 @@ _PINNED_VALUES = {
     "witness": ("W_T2", "W_T2"), "simulate": ("yes", True), "eta": ("0.5", 0.5),
     "pulses": ("7", 7), "seed": ("7", 7), "bin_width": ("7", 7), "workers": ("1", 1),
     "pulse_log": ("p.ndjson", "p.ndjson"), "out": ("o.csv", "o.csv"),
-    "n0_grid": ("3", "3"), "convention": ("stddev", "stddev"), "epsilon": ("0.5", 0.5),
-    "epsilon_grid": ("0.5", "0.5"), "eta_grid": ("0.5", "0.5"), "eta_min": ("0.5", 0.5),
-    "eta_max": ("0.5", 0.5), "eta_points": ("7", 7),
+    "n0_grid": ("3", "3"), "convention": ("stddev", "stddev"),
+    "epsilon_grid": ("0.5", "0.5"), "eta_grid": ("0.5", "0.5"),
 }
 
 
@@ -530,7 +534,7 @@ def test_memory_preflight_reads_available_memory(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["witness", "--simulate", "--pulse-log", "p.ndjson"],
-    ["sweep-eta", "--eta-points", "2"],
+    ["sweep-eta", "--eta-grid", "0.5,0.9"],
 ], ids=" ".join)
 def test_sampled_witness_memory_is_one_block(monkeypatch, capsys, argv):
     # a sampled witness holds one block of pulses at a time: free memory for
@@ -588,7 +592,7 @@ def test_arithmetic_overflow_is_numeric_refusal(capsys):
     ["witness", "--simulate", "--pulse-log", "p.ndjson"],
     ["witness", "--pulses", "1000", "--pulse-log", "p.ndjson"],
     ["fedorov"],
-    ["sweep-eta", "--eta-points", "2"],
+    ["sweep-eta", "--eta-grid", "0.5"],
 ], ids=" ".join)
 def test_sampled_runs_past_the_tanh_limit_are_refused_by_name(argv, capsys):
     # tanh(19.1)^2 rounds to 1: the sampled runs are refused, as the exact
@@ -795,20 +799,17 @@ def test_sweep_eta_run():
 
 
 def test_sweep_eta_grid_memory_preflight(monkeypatch, capsys):
-    # the grid is priced before numpy builds it: 10^12 points are refused in
-    # one line (numpy's linspace would fail with a traceback), and so are 3
-    # points when free memory is a byte short of them
+    # the grid is priced before any point runs: 3 points are refused in one
+    # line when free memory is a byte short of them
     from macrobell import states
 
-    argv = ["sweep-eta", "--pulses", "10", "--out", "sw.csv", "--eta-points"]
-    for points, free in (("1000000000000", None), ("3", 3 * SWEEP_BYTES_PER_POINT - 1)):
-        if free is not None:
-            monkeypatch.setattr(states, "available_memory", lambda: free)
-        assert cli.main([*argv, points]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: efficiency sweep: {float(points):.3g} grid points")
-        assert "available memory" in err and err.count("\n") == 1
-        assert not os.path.exists("sw.csv")
+    monkeypatch.setattr(states, "available_memory", lambda: 3 * SWEEP_BYTES_PER_POINT - 1)
+    assert cli.main(["sweep-eta", "--pulses", "10", "--out", "sw.csv",
+                     "--eta-grid", "0.2,0.5,0.9"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: efficiency sweep: 3 grid points")
+    assert "available memory" in err and err.count("\n") == 1
+    assert not os.path.exists("sw.csv")
 
 
 def test_sweep_eta_mismatched_witness_exact_column():
@@ -883,14 +884,15 @@ def test_manifest_round_trip_and_worker_invariance(monkeypatch):
 
 
 #: manifests in the format written before --bin-width left witness and sweep-eta
-#: and --workers left fedorov and sweep-eta, with the CSV each run wrote
+#: and --workers left fedorov and sweep-eta, with the CSV each run wrote and
+#: what the re-run records in place of a retired spelling
 _OLDER_MANIFESTS = [
     ("witness", {"bin_width": 200, "cutoff": None, "eta": 1.0, "gamma": 0.5, "out": "w.csv",
                  "pulse_log": None, "pulses": None, "seed": 0, "simulate": False,
                  "state": "psi-minus", "witness": None, "workers": 1},
      "mode,witness,state,gamma,cutoff,eta,pulses,seed,value,value_error,var_1,var_2,var_3,"
      "var_err_1,var_err_2,var_err_3,mean_s0\n"
-     "exact,W_S,psi-minus,0.5,19,1,,,-2.1723225392547487,,0,0,0,,,,1.0861612696273744\n"),
+     "exact,W_S,psi-minus,0.5,19,1,,,-2.1723225392547487,,0,0,0,,,,1.0861612696273744\n", {}),
     ("witness", {"bin_width": 200, "cutoff": None, "eta": 0.9, "gamma": 0.5, "out": "s.csv",
                  "pulse_log": "p.ndjson", "pulses": 300, "seed": 7, "simulate": True,
                  "state": "psi-minus", "witness": None, "workers": 1},
@@ -898,7 +900,7 @@ _OLDER_MANIFESTS = [
      "var_err_1,var_err_2,var_err_3,mean_s0\n"
      "simulated,W_S,psi-minus,0.5,,0.90000000000000002,300,7,-1.6875994054254924,"
      "0.10172287018260448,0.083333333333333343,0.086555183946488284,0.10028985507246377,"
-     "0.01966835385879856,0.016242362018815962,0.021022936396838002,0.97888888888888881\n"),
+     "0.01966835385879856,0.016242362018815962,0.021022936396838002,0.97888888888888881\n", {}),
     ("fedorov", {"bin_width": 1, "convention": "sqrt2-stddev", "eta": 1.0, "gamma": 1.5,
                  "out": "f.csv", "pulses": 500, "seed": 3, "state": "psi-minus", "workers": 1},
      "state,gamma,eta,pulses,seed,bin_width,convention,ratio,ratio_h,ratio_v,"
@@ -906,24 +908,68 @@ _OLDER_MANIFESTS = [
      "exact_ratio,rel_deviation\n"
      "psi-minus,1.5,1,500,3,1,sqrt2-stddev,35.21052000000001,5.9821233688381934,"
      "5.8859568465968222,5.9821233688381934,1,5.8859568465968222,1,41.11124703483619,"
-     "0.14353072359581107\n"),
+     "0.14353072359581107\n", {}),
     ("sweep-eta", {"bin_width": 200, "eta_grid": "0.5,0.9", "eta_max": 0.95, "eta_min": 0.15,
                    "eta_points": 9, "gamma": 0.8, "out": "sw.csv", "pulses": 300, "seed": 5,
                    "state": "psi-minus", "witness": None, "workers": 1},
      "eta,value,sigma,certifies,exact\n"
      "0.5,-0.95531029357116293,0.17833840890573363,1,-0.78873223559744265\n"
-     "0.90000000000000002,-4.9274842066146416,0.19888245593561021,1,-4.8270412818563493\n"),
+     "0.90000000000000002,-4.9274842066146416,0.19888245593561021,1,-4.8270412818563493\n", {}),
+    # written before --epsilon and --eta-min/--eta-max/--eta-points left, and
+    # before a vacuum witness refused a gain: a single target re-runs as a
+    # one-element grid, an evenly spaced efficiency grid as its listed values
+    ("truncation", {"epsilon": 0.05, "epsilon_grid": "0.9,0.5,0.2,0.1,0.05,0.02,0.01",
+                    "n0_grid": "10", "out": "t.csv"},
+     "epsilon,n0,ratio\n0.050000000000000003,10,0.3141964171582794\n",
+     {"epsilon_grid": "0.05"}),
+    ("sweep-eta", {"eta_grid": "", "eta_max": 0.95, "eta_min": 0.15, "eta_points": 3,
+                   "gamma": 0.8, "out": "sw3.csv", "pulses": 300, "seed": 5,
+                   "state": "psi-minus", "witness": None},
+     "eta,value,sigma,certifies,exact\n"
+     "0.14999999999999999,0.25124489037532527,0.099500370862618107,0,0.26028163774715607\n"
+     "0.54999999999999993,-1.5002675585284277,0.14610156726594989,1,-1.1278870969043426\n"
+     "0.94999999999999996,-5.4260906726124123,0.20410338950130891,1,-5.5447876162500211\n",
+     {"eta_grid": "0.15,0.5499999999999999,0.95"}),
+    ("sweep-eta", {"eta_grid": "", "eta_max": 0.9, "eta_min": 0.2, "eta_points": 4,
+                   "gamma": 0.8, "out": "sw4.csv", "pulses": 300, "seed": 5,
+                   "state": "psi-minus", "witness": None},
+     "eta,value,sigma,certifies,exact\n"
+     "0.20000000000000001,0.18309921962095899,0.10261428160314051,0,0.25239431539118162\n"
+     "0.43333333333333335,-0.55362318840579705,0.13606541039736458,1,-0.41014076251067028\n"
+     "0.66666666666666663,-2.2308138238573019,0.16091140033668888,1,-2.1032859615931803\n"
+     "0.90000000000000002,-4.5504905239687847,0.18984958749608596,1,-4.8270412818563493\n",
+     {"eta_grid": "0.2,0.43333333333333335,0.6666666666666666,0.9"}),
+    ("sweep-eta", {"eta_grid": "", "eta_max": 0.95, "eta_min": 0.15, "eta_points": 9,
+                   "gamma": 0.8, "out": "sw9.csv", "pulses": 300, "seed": 5,
+                   "state": "psi-minus", "witness": None},
+     "eta,value,sigma,certifies,exact\n"
+     "0.14999999999999999,0.25124489037532527,0.099500370862618107,0,0.26028163774715607\n"
+     "0.25,-0.0093385358602748325,0.089464874543285805,0,0.19718305889936066\n"
+     "0.34999999999999998,-0.2027313266443701,0.12311434860435395,0,-0.055211256491820786\n"
+     "0.44999999999999996,-0.67432181345224806,0.13729842896666997,1,-0.49690130842638863\n"
+     "0.54999999999999993,-1.051542177629134,0.16665415802119068,1,-1.1278870969043426\n"
+     "0.64999999999999991,-2.0281568190263837,0.1601677898251524,1,-1.9481686219256826\n"
+     "0.75,-2.9535005574136006,0.18559448713794865,1,-2.9577458834904102\n"
+     "0.84999999999999998,-4.3839279078409508,0.18968248499789106,1,-4.1566188815985221\n"
+     "0.94999999999999996,-5.621330360460794,0.21647544044852909,1,-5.5447876162500211\n",
+     {"eta_grid": _DEFAULT_ETA_GRID}),
+    ("witness", {"cutoff": None, "eta": 1.0, "gamma": 3.0, "out": "v.csv", "pulse_log": None,
+                 "pulses": None, "seed": 0, "simulate": False, "state": "vacuum",
+                 "witness": None, "workers": 1},
+     "mode,witness,state,gamma,cutoff,eta,pulses,seed,value,value_error,var_1,var_2,var_3,"
+     "var_err_1,var_err_2,var_err_3,mean_s0\n"
+     "exact,W_S,vacuum,0,4,1,,,0,,0,0,0,,,,0\n", {"gamma": 0.5}),
 ]
 #: SHA-256 of the pulse log the sampled witness above wrote
 _OLDER_PULSE_LOG_SHA256 = "264c13d569ad71c9df3a85dce179e85f71b737a6406ed41bde5a85e4b82b4e33"
 
 
-@pytest.mark.parametrize("command, config, csv_text", _OLDER_MANIFESTS,
-                         ids=[f"{c}-{cfg['out']}" for c, cfg, _ in _OLDER_MANIFESTS])
-def test_older_manifests_rerun_to_the_same_bytes(command, config, csv_text):
+@pytest.mark.parametrize("command, config, csv_text, rerun", _OLDER_MANIFESTS,
+                         ids=[f"{c}-{cfg['out']}" for c, cfg, _, _ in _OLDER_MANIFESTS])
+def test_older_manifests_rerun_to_the_same_bytes(command, config, csv_text, rerun):
     # the retired keys are dropped on re-run; every other key is read as before
     with open("old.manifest.json", "w") as fh:
-        json.dump({"command": command, "config": config, "seed": config["seed"]}, fh)
+        json.dump({"command": command, "config": config, "seed": config.get("seed")}, fh)
     assert cli.run_from_manifest("old.manifest.json") == 0
     with open(config["out"], newline="") as fh:
         assert fh.read() == csv_text
@@ -931,8 +977,17 @@ def test_older_manifests_rerun_to_the_same_bytes(command, config, csv_text):
         with open(config["pulse_log"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == _OLDER_PULSE_LOG_SHA256
     manifest = _read_manifest(config["out"] + ".manifest.json")
-    assert manifest["config"] == {k: v for k, v in config.items()
-                                  if (command, k) not in cli._RETIRED_KEYS}
+    assert manifest["config"] == {k: v for k, v in {**config, **rerun}.items()
+                                  if k in cli._DEFAULTS[command]}
+
+
+@_FUZZ
+@given(start=hs.floats(0.0, 1.0, exclude_min=True), stop=hs.floats(0.0, 1.0, exclude_min=True),
+       num=hs.integers(1, 40))
+@example(start=5e-324, stop=1e-323, num=7)  # the step underflows to 0
+@example(start=0.5, stop=0.5, num=3)
+def test_older_eta_grids_are_spaced_as_numpy_spaced_them(start, stop, num):
+    assert cli._linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
 
 
 @pytest.mark.parametrize("command, key", [("measures", "workers"), ("crosswitness", "bin_width"),

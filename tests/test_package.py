@@ -53,7 +53,7 @@ def test_import_loads_no_scipy(module):
 
 
 @pytest.mark.parametrize("argv", [
-    ["truncation", "--n0-grid", "10,1e3", "--epsilon", "0.1"],
+    ["truncation", "--n0-grid", "10,1e3", "--epsilon-grid", "0.1"],
     ["witness", "--gamma", "6"],
 ], ids=" ".join)
 def test_cli_runs_without_scipy(argv, tmp_path, no_scipy_env):

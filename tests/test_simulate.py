@@ -555,3 +555,10 @@ def test_efficiency_sweep_grid_validation():
         efficiency_sweep(cfg, [0.5, 1.2])
     with pytest.raises(ValueError):
         efficiency_sweep(cfg, [0.0, 0.5])
+
+
+def test_efficiency_sweep_refuses_a_config_eta():
+    # each grid point sets its own efficiency, so one in the config would be dropped
+    cfg = SimConfig(label="psi-minus", gamma=0.8, eta=0.3, pulses=100, seed=0)
+    with pytest.raises(ValueError, match="config.eta 1.0, got 0.3"):
+        efficiency_sweep(cfg, [0.5])
