@@ -31,7 +31,8 @@ from macrobell.states import (
 
 def leading_amplitudes(state, k=6):
     """The k largest |amplitude| table entries as (ket, amplitude) pairs."""
-    table = state.table
+    root = np.sqrt(schmidt_spectrum(state.gamma, state.n_max))
+    table = np.outer(root, root * float(state.label.sign) ** np.arange(state.n_levels))
     flat = np.argsort(-np.abs(table).ravel())
     out = []
     for idx in flat[:k]:

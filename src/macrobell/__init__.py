@@ -17,9 +17,7 @@ from .states import (
     build_bell_state,
     geometric_ratio,
     mean_photons_per_mode,
-    project_total_sector,
     schmidt_spectrum,
-    sector_weights,
 )
 from .polarization import (
     BasisTransform,
@@ -79,8 +77,7 @@ __all__ = [
     "FourModeBasis",
     "BellLabel", "FourModeState", "NumericError", "TruncationMassError",
     "build_bell_state", "geometric_ratio",
-    "mean_photons_per_mode", "project_total_sector", "schmidt_spectrum",
-    "sector_weights",
+    "mean_photons_per_mode", "schmidt_spectrum",
     "BasisTransform", "apply_transform", "half_wave_plate",
     "identify_bell_state", "pi_phase_on_bh", "polarization_rotator",
     "quarter_wave_plate",

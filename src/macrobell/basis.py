@@ -9,9 +9,9 @@ Kets are flattened C-style (``a_H`` slowest, ``b_V`` fastest)::
 
     index = ((n_ah * D + n_av) * D + n_bh) * D + n_bv,   D = n_max + 1
 
-Dense expansions of closed-form states and the raw vectors the Stokes
-moments accept (product states, the Hamiltonian-evolution cross-check)
-run on this enumeration; polarization frames never need it.
+The raw vectors the Stokes moments accept (product states, and in the
+tests the dense lifts of closed-form states) run on this enumeration;
+closed-form states and polarization frames never need it.
 """
 
 from __future__ import annotations

@@ -24,22 +24,20 @@ is carried as metadata.
 The ``(n, m)`` amplitude table is rank one, ``u_n v_m``, and both Schmidt
 factors are geometric: ``u_n = a w_u^n sqrt(lambda_n)``, ``v_m = w_v^m
 sqrt(lambda_m)`` (``w_u = 1``, ``w_v = sign`` for the Bell labels).  A
-state is stored as the scale ``a`` and the unit phase steps, so its norm
-and edge mass are closed forms at any cutoff; the factors, the table and
-:meth:`FourModeState.dense` are built on request, behind the pre-flight.
-Local polarization optics add a per-beam Jones frame: the state is then
-this closed form seen through wave plates, and only the frame-invariant
-quantities (norm, edge mass, Stokes moments) are read off it.
+state is stored as the scale ``a`` and the unit phase steps: its norm,
+edge mass and Stokes moments are closed forms at any cutoff, and no
+amplitude array is ever built.  Local polarization optics add a per-beam
+Jones frame: the state is then this closed form seen through wave
+plates, and the same quantities are read off it in any frame.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +59,6 @@ class TruncationMassError(ValueError):
         super().__init__(text)
 
 
-#: complex amplitudes a Stokes-moment route holds at its peak, per
-#: amplitude of the state it works on (with headroom over tracemalloc)
-PEAK_ARRAYS = 10
-
-
 def available_memory() -> int:
     """Bytes free for new allocations: ``MemAvailable`` from
     ``/proc/meminfo`` where the kernel reports it, else physical memory."""
@@ -79,11 +72,10 @@ def available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_memory(count: int, what: str, item_bytes: int = PEAK_ARRAYS * 16,
-                 unit: str = "amplitudes") -> None:
-    """Refuse work on ``count`` items that cannot fit: at ``item_bytes`` per
-    item (by default ``PEAK_ARRAYS`` complex128 arrays per amplitude) past
-    :func:`available_memory`, raise :class:`NumericError` before allocating."""
+def check_memory(count: int, what: str, item_bytes: int, unit: str) -> None:
+    """Refuse work on ``count`` items (``unit``) that cannot fit: at
+    ``item_bytes`` per item past :func:`available_memory`, raise
+    :class:`NumericError` before allocating."""
     need = item_bytes * count
     have = available_memory()
     if need > have:
@@ -210,28 +202,6 @@ def _norm_sq(arr: np.ndarray) -> float:
     return float(np.vdot(arr, arr).real)
 
 
-def _geometric_factor(gamma: float, n_max: int, step=1.0) -> np.ndarray:
-    check_memory(n_max + 1, f"Schmidt factor at cutoff {n_max}")
-    root = np.sqrt(schmidt_spectrum(gamma, n_max))
-    return root if step == 1.0 else root * step ** np.arange(n_max + 1)
-
-
-def geometric_factors(table: np.ndarray, gamma: float) -> tuple | None:
-    """``(scale, step_u, step_v)`` of an ``(n, m)`` table that is, to 1e-12
-    of its squared norm, ``scale step_u^n step_v^m sqrt(lambda_n lambda_m)``
-    at this gain, else None; read off entries (0, 0), (1, 0) and (0, 1)."""
-    n_max = table.shape[0] - 1
-    scale = complex(table[0, 0]) / _geometric_factor(gamma, 0)[0] ** 2  # u_0 v_0 as built
-    if scale == 0:
-        return None
-    steps = []
-    for entry in (table[1:2, 0], table[0, 1:2]):
-        w = complex(entry[0]) / scale if entry.size and entry[0] else 1.0
-        steps.append((w / abs(w)).real if w.imag == 0 else w / abs(w))
-    fit = scale * np.outer(*(_geometric_factor(gamma, n_max, w) for w in steps))
-    return (scale, *steps) if _norm_sq(table - fit) <= 1e-12 * _norm_sq(table) else None
-
-
 @dataclass
 class FourModeState:
     """A (possibly truncated) paired state of the four modes, in closed form:
@@ -242,8 +212,7 @@ class FourModeState:
 
     ``jones = (J_a, J_b)`` is each beam's polarization frame: the state is
     the closed form after wave plates with these unitary Jones matrices
-    (None: the H/V frame).  A framed state refuses the H/V-basis views
-    (factors, table, amplitudes, dense vector, JSON, sectors, fidelity).
+    (None: the H/V frame).
 
     States may be unnormalized (truncation removes mass); consumers
     divide by the norm.
@@ -272,40 +241,11 @@ class FourModeState:
                 for j in self.jones if j is not None):
             raise ValueError(f"jones must be two unitary 2x2 matrices or None, got {self.jones!r}")
 
-    def _hv_view(self, what: str) -> None:
-        """Refuse an H/V-basis view of a state seen through wave plates."""
-        framed = [f"J_{beam} = {np.round(j, 6).tolist()}"
-                  for beam, j in zip("ab", self.jones) if j is not None]
-        if framed:
-            raise ValueError(f"{what} is an H/V-basis view, but the state is seen through "
-                             f"the polarization frame {', '.join(framed)}")
-
     # -- basic quantities -------------------------------------------------
 
     @property
     def n_levels(self) -> int:
         return self.n_max + 1
-
-    @property
-    def u(self) -> np.ndarray:
-        """Schmidt factor ``u``, built on request."""
-        self._hv_view("u")
-        return self.scale * _geometric_factor(self.gamma, self.n_max, self.step_u)
-
-    @property
-    def v(self) -> np.ndarray:
-        """Schmidt factor ``v``, built on request."""
-        self._hv_view("v")
-        return _geometric_factor(self.gamma, self.n_max, self.step_v)
-
-    @property
-    def table(self) -> np.ndarray:
-        """Read-only ``(n, m)`` table ``u_n v_m``, built on request."""
-        self._hv_view("table")
-        check_memory(self.n_levels**2, f"amplitude table at cutoff {self.n_max}")
-        out = np.outer(self.u, self.v)
-        out.flags.writeable = False
-        return out
 
     def _tail_share(self, k: int) -> float:
         """Each factor's share of its kept mass at levels ``k..n_max``,
@@ -319,32 +259,6 @@ class FourModeState:
     def norm_sq(self) -> float:
         return abs(self.scale) ** 2 * math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
 
-    def amplitude(self, n: int, m: int) -> complex:
-        """Amplitude ``u_n v_m`` of table entry (n, m)."""
-        self._hv_view("amplitude")
-        return complex(self.u[n] * self.v[m])
-
-    def normalized(self) -> "FourModeState":
-        """Unit-norm copy with the global phase fixed: the vacuum amplitude,
-        that of entry (0, 0) in any frame, rotated to the positive real axis."""
-        nrm = math.sqrt(self.norm_sq())
-        if nrm == 0.0:
-            raise NumericError("cannot normalize the zero state")
-        return replace(self, scale=abs(self.scale) / nrm)
-
-    # -- dense expansion ---------------------------------------------------
-
-    def dense(self) -> np.ndarray:
-        """Amplitudes over the flattened four-mode enumeration of
-        :class:`~macrobell.basis.FourModeBasis`, at the state's own cutoff."""
-        self._hv_view("dense")
-        check_memory(self.n_levels**4, f"dense vector at cutoff {self.n_max}")
-        n = np.arange(self.n_levels)
-        nn, mm = np.meshgrid(n, n, indexing="ij")
-        out = np.zeros((self.n_levels,) * 4, dtype=np.complex128)
-        out[paired_modes(nn, mm, self.pairing)] = self.table
-        return out.reshape(-1)
-
     def edge_mass(self, depth: int = 2) -> float:
         """Fraction of the state's mass within `depth` photons of the cutoff,
         in the frame where it is truncated (the closed form's, in any frame).
@@ -355,60 +269,6 @@ class FourModeState:
         """
         f = self._tail_share(max(self.n_levels - depth, 0)) if self.scale != 0 else 0.0
         return f * (2.0 - f)
-
-    def fidelity(self, other: "FourModeState") -> float:
-        """|<self|other>|^2 for the normalized states."""
-        for st in (self, other):
-            st._hv_view("fidelity")
-        k = min(self.n_levels, other.n_levels)  # beyond it one of the two is zero
-        if self.pairing == other.pairing:
-            ov = np.vdot(self.u[:k], other.u[:k]) * np.vdot(self.v[:k], other.v[:k])
-        else:  # the two pairings share only the kets with n = m
-            ov = np.vdot(self.u[:k] * self.v[:k], other.u[:k] * other.v[:k])
-        return float(abs(ov) ** 2 / (self.norm_sq() * other.norm_sq()))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Schema: {label, gamma, cutoff, amplitudes: [[n, m, re, im], ...]}."""
-        self._hv_view("to_json_dict")
-        table = self.table
-        rows = [[n, m, float(a.real), float(a.imag)]
-                for (n, m), a in np.ndenumerate(table) if a != 0.0]
-        return {
-            "label": self.label.value if self.label else None,
-            "gamma": self.gamma,
-            "cutoff": self.n_max,
-            "amplitudes": rows,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FourModeState":
-        """Read the (n, m) schema; the table must be a closed form at its gain."""
-        label = BellLabel(data["label"]) if data.get("label") else None
-        n_max = int(data["cutoff"])
-        gamma = float(data["gamma"])
-        check_memory((n_max + 1) ** 2, f"amplitude table at cutoff {n_max}")
-        table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-        for n, m, re, im in data["amplitudes"]:
-            n, m = int(n), int(m)
-            if not (0 <= n <= n_max and 0 <= m <= n_max):
-                raise ValueError(f"amplitude entry ({n},{m}) outside cutoff {n_max}")
-            table[n, m] = complex(re, im)
-        if not np.isfinite(table).all():
-            raise ValueError("non-finite amplitude in state file")
-        params = geometric_factors(table, gamma)  # (scale, step_u, step_v)
-        if params is None:
-            raise ValueError("state file amplitudes are not the rank-one (n, m) table "
-                             "of a squeezed-vacuum pair at its gain")
-        return cls(gamma, n_max, label, label.pairing if label else "cross", *params)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourModeState":
-        return cls.from_json_dict(json.loads(text))
 
 
 def build_bell_state(label: BellLabel, gamma: float, n_max: int) -> FourModeState:
@@ -421,30 +281,3 @@ def build_bell_state(label: BellLabel, gamma: float, n_max: int) -> FourModeStat
     """
     return FourModeState(gamma=gamma, n_max=n_max, label=label, pairing=label.pairing,
                          step_v=float(label.sign))
-
-
-def project_total_sector(state: FourModeState, n: int) -> tuple[float, np.ndarray]:
-    """Weight and normalized amplitudes of the fixed-total-photon sector.
-
-    Sector ``n`` collects the kets with ``n`` photons in beam *a* (and,
-    by pairing, ``n`` in beam *b*); its basis is indexed by
-    ``m = 0..n`` photons in the second Schmidt index.  Returns the sector's
-    squared mass in the (unnormalized) state and its unit-norm amplitudes
-    (all zero if empty); for psi-minus they are the maximally entangled
-    ``(-1)^m / sqrt(n+1)``, with weight ``(n+1) tanh(gamma)^{2n} / cosh(gamma)^4``.
-    """
-    state._hv_view("project_total_sector")
-    if not (0 <= n <= state.n_max):
-        raise ValueError(f"sector {n} outside 0..{state.n_max}")
-    m = np.arange(n + 1)
-    amps = state.u[n - m] * state.v[m]
-    weight = float(np.sum(np.abs(amps) ** 2))
-    if weight > 0.0:
-        amps = amps / math.sqrt(weight)
-    return weight, amps.astype(np.complex128)
-
-
-def sector_weights(state: FourModeState) -> np.ndarray:
-    """Weights of all complete total-photon sectors n = 0..n_max."""
-    state._hv_view("sector_weights")
-    return np.array([project_total_sector(state, n)[0] for n in range(state.n_levels)])

@@ -35,7 +35,8 @@ at the state's own cutoff, by one route per input:
 No operator matrix is ever built here.  The tests tabulate the
 matrix-free route column by column to check its Hermiticity, its
 agreement with kron-built operators, the su(2) algebra above and the
-conjugation between witnesses, and the closed form against factor-array sums.
+conjugation between witnesses, and the closed form against sums over
+factor arrays they build from the state's parameters.
 """
 
 from __future__ import annotations

@@ -151,13 +151,15 @@ def separability_gap(state) -> float:
 
     Negative only for beam-beam entangled states (this is the W_S
     pattern).  Accepts a FourModeState, a dense vector, or a mixed
-    state as an iterable of ``(weight, vector)`` pairs (weights
-    summing to 1); mixing can only increase the gap, so separable
-    mixtures of product vectors stay >= 0.
+    state as an iterable of ``(weight, vector)`` pairs (finite,
+    nonnegative weights summing to 1); mixing can only increase the gap,
+    so separable mixtures of product vectors stay >= 0.
     """
     if isinstance(state, (FourModeState, np.ndarray)):
         state = [(1.0, state)]
     ensemble = [(float(w), member) for w, member in state]
+    if not all(0.0 <= w < math.inf for w, _ in ensemble):
+        raise ValueError("ensemble weights must be finite and nonnegative")
     if abs(sum(w for w, _ in ensemble) - 1.0) > 1e-12:
         raise ValueError("ensemble weights must sum to 1")
     gap = -2.0 * sum(w * expectation(_S0_TOTAL, member) for w, member in ensemble)

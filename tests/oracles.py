@@ -2,16 +2,16 @@
 
 Everything here is assembled from single-mode ladder matrices chained
 with scipy.sparse.kron, a sparse matrix exponential, explicit index
-loops, full ``(n, m)`` amplitude tables, term-by-term tail sums,
+loops, Schmidt factors and full ``(n, m)`` amplitude tables built entry
+by entry from a state's parameters, term-by-term tail sums,
 sector-by-sector polarization transforms of dense vectors and dense
-eigensolves -- deliberately a
-different construction from the library's stride arithmetic and closed
-forms, so that agreement between the two is a meaningful check rather
-than a tautology.  The simulation oracles are the library's former
-full-table routes: a (pulses, 4) count table per series, the
-leave-one-out jackknife and the sort-based conditional width, plus a
-one-pulse-at-a-time sampler; the exact references repeat their
-statistics in rational arithmetic.  The truncated thermal law is
+eigensolves -- deliberately a different construction from the library's
+stride arithmetic and closed forms, so that agreement between the two is
+a meaningful check rather than a tautology.  The simulation oracles are
+the library's former full-table routes: a (pulses, 4) count table per
+series, the leave-one-out jackknife and the sort-based conditional
+width, plus a one-pulse-at-a-time sampler; the exact references repeat
+their statistics in rational arithmetic.  The truncated thermal law is
 referenced in stdlib ``decimal`` arithmetic.
 """
 
@@ -42,9 +42,7 @@ from macrobell.states import (
     NumericError,
     TruncationMassError,
     _norm_sq,
-    geometric_ratio,
     paired_modes,
-    schmidt_spectrum,
 )
 from macrobell.stokes import _TERMS
 from macrobell.truncation import epsilon_from_cutoff
@@ -186,6 +184,23 @@ def _through_frames(psi: np.ndarray, jones: tuple, n_max: int) -> np.ndarray:
     return psi
 
 
+def factors(state: FourModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt factors ``(u, v)`` of a state's closed form, in the frame
+    where it is truncated: ``u_n = scale step_u^n sqrt(q^n (1 - q))`` and
+    ``v_m = step_v^m sqrt(q^m (1 - q))`` for n, m = 0..n_max, q = tanh(gamma)^2,
+    each entry built on its own from the state's parameters."""
+    q = math.tanh(state.gamma) ** 2
+    root = [math.sqrt(q**k * (1.0 - q)) for k in range(state.n_levels)]
+    u = np.array([state.scale * state.step_u**k * r for k, r in enumerate(root)])
+    v = np.array([state.step_v**k * r for k, r in enumerate(root)])
+    return u, v
+
+
+def amplitude_table(state: FourModeState) -> np.ndarray:
+    """The ``(n, m)`` amplitude table ``u_n v_m`` of a state's closed form."""
+    return np.outer(*factors(state))
+
+
 def lifted_vector(state: FourModeState, n_max: int | None = None) -> np.ndarray:
     """Dense amplitudes of a state, in any frame, over ``n_max + 1`` levels
     per mode (default: the state's own cutoff).
@@ -200,8 +215,7 @@ def lifted_vector(state: FourModeState, n_max: int | None = None) -> np.ndarray:
     if n_max < state.n_max:
         raise ValueError(f"cannot lift cutoff {state.n_max} into {n_max}")
     d = n_max + 1
-    table = replace(state, jones=(None, None)).table
-    psi = table_vector(table, state.pairing, d).reshape(d * d, d * d)
+    psi = table_vector(amplitude_table(state), state.pairing, d).reshape(d * d, d * d)
     norm_before = _norm_sq(psi)
     psi = _through_frames(psi, state.jones, n_max)
     leak = norm_before - _norm_sq(psi)
@@ -635,7 +649,7 @@ def sample_pulse(
         raise ValueError("setting does not realize a canonical Stokes component")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    q = geometric_ratio(gamma)
+    q = math.tanh(gamma) ** 2
     n = int(rng.geometric(1.0 - q)) - 1
     m = int(rng.geometric(1.0 - q)) - 1
     ideal = paired_modes(n, m, count_pairing(label, comp))
@@ -650,7 +664,7 @@ def epsilon_brute_force(gamma: float, n_total: int, rel_tol: float = 1e-18) -> f
     ``rel_tol`` relative to the accumulated tail (the neglected
     remainder is then O(rel_tol * q / (1-q)) relative).
     """
-    q = geometric_ratio(gamma)
+    q = math.tanh(gamma) ** 2
     if q == 0.0:
         return 0.0
     acc = 0.0
@@ -779,7 +793,9 @@ def _outer_pair_norm(x1, y1, x2, y2) -> float:
     """||x1 y1^T + x2 y2^T||^2 without cancellation: splitting x2 into
     kappa x1 plus a part orthogonal to x1 leaves two orthogonal outer products."""
     xx = _norm_sq(x1)
-    kappa = np.vdot(x1, x2) / xx if xx else 0.0
+    # Python's complex division divides by a subnormal xx directly; numpy's
+    # takes its reciprocal first, which overflows
+    kappa = complex(np.vdot(x1, x2)) / xx if xx else 0.0
     return xx * _norm_sq(y1 + kappa * y2) + _norm_sq(x2 - kappa * x1) * _norm_sq(y2)
 
 
@@ -802,7 +818,7 @@ def factored_moments(coeffs: dict, state: FourModeState) -> tuple:
     terms of a matched hop plane cancel to the last digit, which
     :func:`_outer_pair_norm` survives.
     """
-    u, v = state.u, state.v
+    u, v = factors(state)
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
     cross = state.pairing == "cross"
     su, sv = _norm_sq(u), _norm_sq(v)
@@ -845,7 +861,7 @@ def _table_moments(coeffs: dict, state: FourModeState) -> tuple:
     mean comes from the paired part alone and ``<O^2> = ||O psi||^2`` is
     the sum of their squared norms.
     """
-    table = state.table
+    table = amplitude_table(state)
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
     cross = state.pairing == "cross"
     weight = np.abs(table) ** 2
@@ -876,8 +892,7 @@ def pairing_distribution(label: BellLabel, component: int, gamma: float, n_max: 
 
     Returns (support, probs): support rows are (x_a, y_a, x_b, y_b).
     """
-    lam = schmidt_spectrum(gamma, n_max)
-    lam = lam / lam.sum()
+    lam = pair_spectrum(gamma, n_max)
     n = np.arange(n_max + 1, dtype=np.int64)
     nn, mm = np.meshgrid(n, n, indexing="ij")
     support = np.stack(paired_modes(nn.ravel(), mm.ravel(), count_pairing(label, component)),

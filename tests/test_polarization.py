@@ -22,8 +22,6 @@ from macrobell.states import (
     NumericError,
     build_bell_state,
     mean_photons_per_mode,
-    project_total_sector,
-    sector_weights,
 )
 from macrobell.witnesses import cutoff_for_edge_mass, evaluate_witness, matched_witness
 
@@ -115,11 +113,11 @@ def test_pi_phase_swaps_psi_states():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.5, 10)
     out = apply_transform(st, pi_phase_on_bh())
     ref = build_bell_state(BellLabel.PSI_PLUS, 0.5, 10)
-    assert 1.0 - out.fidelity(ref) < 1e-12
+    assert 1.0 - vector_fidelity(lifted_vector(out), lifted_vector(ref)) < 1e-12
     assert not _framed(out)  # a phase plate folds into the closed form
     assert identify_bell_state(out) is BellLabel.PSI_PLUS
     back = apply_transform(out, pi_phase_on_bh())
-    assert 1.0 - back.fidelity(st) < 1e-12
+    assert 1.0 - vector_fidelity(lifted_vector(back), lifted_vector(st)) < 1e-12
 
 
 def test_qwp45_maps_psi_plus_to_phi_plus():
@@ -130,7 +128,7 @@ def test_qwp45_maps_psi_plus_to_phi_plus():
     assert identify_bell_state(out) is BellLabel.PHI_PLUS
     ref = build_bell_state(BellLabel.PHI_PLUS, gamma, n_max)
     # the lift at twice the cutoff holds every sector of the framed state
-    assert 1.0 - vector_fidelity(lifted_vector(out, 2 * n_max), ref.dense()) < 1e-12
+    assert 1.0 - vector_fidelity(lifted_vector(out, 2 * n_max), lifted_vector(ref)) < 1e-12
 
 
 def test_rotator45_maps_psi_plus_to_phi_minus():
@@ -139,7 +137,7 @@ def test_rotator45_maps_psi_plus_to_phi_minus():
     out = apply_transform(st, polarization_rotator(45.0))
     assert identify_bell_state(out) is BellLabel.PHI_MINUS
     ref = build_bell_state(BellLabel.PHI_MINUS, gamma, n_max)
-    assert 1.0 - vector_fidelity(lifted_vector(out, 2 * n_max), ref.dense()) < 1e-12
+    assert 1.0 - vector_fidelity(lifted_vector(out, 2 * n_max), lifted_vector(ref)) < 1e-12
 
 
 @pytest.mark.parametrize("gamma", [6.0, 17.0])
@@ -216,7 +214,7 @@ def test_folded_transforms_match_the_lift():
             out = apply_transform(st, BasisTransform(name, target, jones))
             assert not _framed(out)
             want = lifted_vector(replace(st, jones=frame))
-            np.testing.assert_allclose(out.dense(), want, rtol=0, atol=5e-15, err_msg=name)
+            np.testing.assert_allclose(lifted_vector(out), want, rtol=0, atol=5e-15, err_msg=name)
 
 
 def test_frames_compose():
@@ -228,25 +226,7 @@ def test_frames_compose():
     twice = apply_transform(once, quarter_wave_plate(45.0, target="b"))
     assert not _framed(twice) and twice.pairing == "parallel"
     want = lifted_vector(replace(st, jones=(None, half_wave_plate(45.0).jones)))
-    assert 1.0 - vector_fidelity(twice.dense(), want) < 1e-13
-
-
-def test_framed_state_refuses_hv_views():
-    st = build_bell_state(BellLabel.PSI_PLUS, 0.5, 6)
-    out = apply_transform(st, quarter_wave_plate(45.0))
-    views = {
-        "u": lambda s: s.u, "v": lambda s: s.v, "table": lambda s: s.table,
-        "amplitude": lambda s: s.amplitude(0, 0), "dense": lambda s: s.dense(),
-        "to_json_dict": lambda s: s.to_json_dict(),
-        "project_total_sector": lambda s: project_total_sector(s, 1),
-        "sector_weights": sector_weights, "fidelity": lambda s: s.fidelity(s),
-    }
-    for name, view in views.items():
-        with pytest.raises(ValueError, match=f"^{name} is an H/V-basis view.*frame J_a"):
-            view(out)
-    # the frame-invariant quantities stay
-    assert out.normalized().norm_sq() == pytest.approx(1.0, rel=1e-14)
-    assert out.edge_mass() == st.edge_mass()
+    assert 1.0 - vector_fidelity(lifted_vector(twice), want) < 1e-13
 
 
 def test_transform_never_refuses():

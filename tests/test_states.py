@@ -16,24 +16,22 @@ from macrobell.states import (
     build_bell_state,
     geometric_ratio,
     mean_photons_per_mode,
-    project_total_sector,
     schmidt_spectrum,
-    sector_weights,
 )
 
 from oracles import (
+    amplitude_table,
     bell_vector,
     evolve_from_vacuum,
+    factors,
     interior_mask,
     ket_index,
+    lifted_vector,
     thermal_law_decimal,
     thermal_moments_decimal,
     vector_edge_mass,
     vector_fidelity,
 )
-
-#: a quarter-wave plate at 45 degrees, which no phase step can absorb
-_QWP45 = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -111,23 +109,18 @@ def test_basis_vacuum_and_interior():
 
 
 def test_memory_preflight_boundary(monkeypatch):
-    # the estimate is PEAK_ARRAYS complex128 arrays; exactly filling the
-    # reported free memory passes, one amplitude more is refused
+    # the estimate is the item count times the caller's bytes per item;
+    # exactly filling the reported free memory passes, one item more is
+    # refused, naming the count and its unit
     from macrobell import states
 
-    monkeypatch.setattr(states, "available_memory", lambda: states.PEAK_ARRAYS * 16 * 1000)
-    states.check_memory(1000, "probe")
-    with pytest.raises(NumericError, match="available memory"):
-        states.check_memory(1001, "probe")
-    # a closed-form state allocates nothing; each Schmidt factor built from
-    # it is priced on its own: 1000 amplitudes fit, 1001 do not
-    fits = build_bell_state(BellLabel.PSI_MINUS, 0.5, 999)
-    assert fits.u.size == fits.v.size == 1000
-    too_big = build_bell_state(BellLabel.PSI_MINUS, 0.5, 1000)
-    assert too_big.norm_sq() == pytest.approx(1.0, rel=1e-15)
-    for factor in ("u", "v"):
-        with pytest.raises(NumericError, match="Schmidt factor at cutoff 1000"):
-            getattr(too_big, factor)
+    monkeypatch.setattr(states, "available_memory", lambda: 160 * 1000)
+    states.check_memory(1000, "probe", 160, "items")
+    with pytest.raises(NumericError, match="probe: 1e\\+03 items .*available memory"):
+        states.check_memory(1001, "probe", 160, "items")
+    # a closed-form state allocates nothing, at any cutoff
+    assert build_bell_state(BellLabel.PSI_MINUS, 0.5, 1000).norm_sq() == pytest.approx(
+        1.0, rel=1e-15)
     monkeypatch.undo()
     pages = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert 0 < states.available_memory() <= pages
@@ -136,7 +129,7 @@ def test_memory_preflight_boundary(monkeypatch):
 def test_edge_mass_routes_agree():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.9, 7)
     via_factors = st.edge_mass(depth=2)
-    assert vector_edge_mass(st.dense(), depth=2) == pytest.approx(via_factors, rel=1e-12)
+    assert vector_edge_mass(lifted_vector(st), depth=2) == pytest.approx(via_factors, rel=1e-12)
     assert via_factors > 1e-10  # gamma too hot for this cutoff, mass visible
     # the tail-sum form against the closed form 1 - (1 - f)^2, f being each
     # factor's share of its kept mass at levels n_max - 1 and n_max
@@ -146,8 +139,8 @@ def test_edge_mass_routes_agree():
 
 
 def test_closed_forms_match_factor_sums():
-    # norm and edge mass in closed form against sums over the factor arrays
-    # (totals s, tail sums t: (t_u s_v + s_u t_v - t_u t_v) / (s_u s_v)),
+    # norm and edge mass in closed form against sums over the oracle's factor
+    # arrays (totals s, tail sums t: (t_u s_v + s_u t_v - t_u t_v) / (s_u s_v)),
     # on random scales and phase steps
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -157,7 +150,7 @@ def test_closed_forms_match_factor_sums():
                            scale=complex(*rng.normal(size=2)),
                            step_u=np.exp(2j * np.pi * rng.uniform()),
                            step_v=np.exp(2j * np.pi * rng.uniform()))
-        wu, wv = np.abs(st.u) ** 2, np.abs(st.v) ** 2
+        wu, wv = (np.abs(f) ** 2 for f in factors(st))
         su, sv = wu.sum(), wv.sum()
         k = max(n_max + 1 - depth, 0)
         tu, tv = wu[k:].sum(), wv[k:].sum()
@@ -195,7 +188,7 @@ def test_photon_moments_against_decimal_reference():
 
 def test_bell_state_allocates_nothing():
     # gamma = 17 gates at a cutoff past 10^16: norm and edge mass are closed
-    # forms, and only the factor arrays are refused by the pre-flight
+    # forms
     import tracemalloc
 
     tracemalloc.start()
@@ -207,8 +200,6 @@ def test_bell_state_allocates_nothing():
         tracemalloc.stop()
     assert peak < 16_000
     assert kept == pytest.approx(1.0, abs=1e-10) and 0.0 < mass < 1e-10
-    with pytest.raises(NumericError, match="GiB"):
-        st.u
 
 
 # -- state construction -----------------------------------------------------------
@@ -218,11 +209,11 @@ def test_bell_table_amplitudes():
     gamma, n_max = 0.6, 8
     lam = schmidt_spectrum(gamma, n_max)
     for label in BellLabel:
-        st = build_bell_state(label, gamma, n_max)
+        table = amplitude_table(build_bell_state(label, gamma, n_max))
         for n in (0, 1, 3):
             for m in (0, 2, 5):
                 want = (label.sign**m) * math.sqrt(lam[n] * lam[m])
-                assert st.amplitude(n, m) == pytest.approx(want, abs=1e-15)
+                assert table[n, m] == pytest.approx(want, abs=1e-15)
 
 
 def test_label_properties():
@@ -242,24 +233,12 @@ def test_norm_is_retained_mass_per_mode():
     assert st.norm_sq() == pytest.approx(kept * kept, rel=1e-12)
 
 
-def test_dense_ket_placement():
-    basis = FourModeBasis(4)
-    st = build_bell_state(BellLabel.PSI_PLUS, 0.5, 4)
-    vec = st.dense()
-    assert vec[ket_index(basis.n_levels, 2, 1, 1, 2)] == pytest.approx(st.amplitude(2, 1))
-    assert vec[ket_index(basis.n_levels, 2, 1, 2, 1)] == 0.0
-    st = build_bell_state(BellLabel.PHI_PLUS, 0.5, 4)
-    vec = st.dense()
-    assert vec[ket_index(basis.n_levels, 2, 1, 2, 1)] == pytest.approx(st.amplitude(2, 1))
-    assert vec[ket_index(basis.n_levels, 2, 1, 1, 2)] == 0.0
-
-
 def test_dense_matches_independent_loop():
     gamma, n_max = 0.45, 5
     for label in BellLabel:
         st = build_bell_state(label, gamma, n_max)
         ref = bell_vector(label.sign, label.pairing, gamma, n_max)
-        vec = st.dense()
+        vec = lifted_vector(st)
         assert np.allclose(vec, ref, atol=1e-14)
         assert float(np.vdot(vec, vec).real) == pytest.approx(st.norm_sq(), rel=1e-13)
 
@@ -287,150 +266,34 @@ def test_storage_validation():
         build_bell_state(BellLabel.PSI_MINUS, 400.0, 4)
 
 
-def test_amplitude_requires_table():
-    framed = FourModeState(gamma=0.5, n_max=1, pairing="cross", jones=(None, _QWP45))
-    with pytest.raises(ValueError, match="amplitude is an H/V-basis view.*J_b"):
-        framed.amplitude(0, 0)
-
-
 # -- sectors -----------------------------------------------------------------------
+
+
+def _sectors(st):
+    """Total-photon sectors of a state's (n, m) table: sector n holds the
+    entries (n - m, m), m = 0..n, the kets with n photons in beam a."""
+    table = amplitude_table(st)
+    return [table[n - np.arange(n + 1), np.arange(n + 1)] for n in range(st.n_levels)]
 
 
 def test_sector_weights_law():
     gamma, n_max = 0.9, 14
     st = build_bell_state(BellLabel.PSI_MINUS, gamma, n_max)
     q = geometric_ratio(gamma)
-    w = sector_weights(st)
-    for n in range(n_max + 1):
-        assert w[n] == pytest.approx((n + 1) * q**n * (1 - q) ** 2, rel=1e-12)
+    for n, amps in enumerate(_sectors(st)):
+        w = float(np.sum(np.abs(amps) ** 2))
+        assert w == pytest.approx((n + 1) * q**n * (1 - q) ** 2, rel=1e-12)
 
 
 def test_singlet_like_sector_amplitudes():
-    st = build_bell_state(BellLabel.PSI_MINUS, 0.5, 6)
-    _, amps = project_total_sector(st, 1)
-    assert np.allclose(amps, np.array([1.0, -1.0]) / math.sqrt(2.0), atol=1e-15)
+    sectors = [amps / np.linalg.norm(amps)
+               for amps in _sectors(build_bell_state(BellLabel.PSI_MINUS, 0.5, 6))]
+    assert np.allclose(sectors[1], np.array([1.0, -1.0]) / math.sqrt(2.0), atol=1e-15)
     # the alternating maximally-entangled pattern in every sector
     for n in range(2, 5):
-        _, amps = project_total_sector(st, n)
+        amps = sectors[n]
         want = np.array([(-1.0) ** m for m in range(n + 1)]) / math.sqrt(n + 1.0)
         assert np.allclose(amps, want, atol=1e-14)
-
-
-def test_sector_errors():
-    st = build_bell_state(BellLabel.PSI_MINUS, 0.5, 6)
-    with pytest.raises(ValueError):
-        project_total_sector(st, 7)
-    framed = FourModeState(gamma=0.5, n_max=1, pairing="cross", jones=(_QWP45, None))
-    with pytest.raises(ValueError, match="H/V-basis view.*J_a"):
-        project_total_sector(framed, 0)
-
-
-# -- normalization / fidelity -------------------------------------------------------
-
-
-def test_normalized_fixes_norm_and_phase():
-    st = build_bell_state(BellLabel.PHI_MINUS, 0.7, 9)
-    twisted = FourModeState(gamma=st.gamma, n_max=st.n_max, label=st.label,
-                            pairing=st.pairing, scale=2.0 * np.exp(0.3j), step_v=st.step_v)
-    np.testing.assert_allclose(twisted.u, st.u * (2.0 * np.exp(0.3j)), rtol=1e-15)
-    unit = twisted.normalized()
-    assert unit.norm_sq() == pytest.approx(1.0, rel=1e-13)
-    assert abs(unit.table[0, 0].imag) < 1e-15
-    assert unit.table[0, 0].real > 0
-    # only the scale moves: the phase steps, and with them the table's shape, stay
-    assert (unit.step_u, unit.step_v) == (st.step_u, st.step_v)
-    np.testing.assert_allclose(unit.table, st.table / st.norm_sq() ** 0.5, rtol=1e-14)
-
-
-def test_normalize_zero_state_raises():
-    zero = FourModeState(gamma=0.0, n_max=2, pairing="cross", scale=0.0)
-    with pytest.raises(NumericError):
-        zero.normalized()
-
-
-def test_fidelity_table_and_dense_routes():
-    a = build_bell_state(BellLabel.PSI_MINUS, 0.5, 8)
-    assert a.fidelity(a) == pytest.approx(1.0, rel=1e-13)
-    b = build_bell_state(BellLabel.PSI_PLUS, 0.5, 8)
-    f = a.fidelity(b)
-    assert f < 1.0
-    assert vector_fidelity(a.dense(), b.dense()) == pytest.approx(f, rel=1e-12)
-    # factors at different cutoffs overlap on the shorter one's levels, and
-    # so do dense tensors, in either argument order; the two pairings
-    # overlap on their shared kets n = m alone
-    rng = np.random.default_rng(5)
-    for pairing in ("cross", "parallel"):
-        c = FourModeState(gamma=0.5, n_max=10, pairing=pairing, scale=0.3 - 0.8j,
-                          step_u=np.exp(1j * rng.uniform(0, 6)), step_v=np.exp(1j * rng.uniform(0, 6)))
-        for x, y in ((a, c), (c, a), (b, c)):
-            want = vector_fidelity(x.dense(), y.dense())
-            assert x.fidelity(y) == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-
-# -- serialization -------------------------------------------------------------------
-
-
-def test_json_round_trip():
-    st = build_bell_state(BellLabel.PHI_MINUS, 0.8, 7)
-    again = FourModeState.from_json(st.to_json())
-    assert again.label is BellLabel.PHI_MINUS
-    assert again.gamma == st.gamma
-    assert again.n_max == st.n_max
-    # reading factors the table through its largest entry: a product and
-    # a quotient of stored entries, so each entry is back to 6 roundings
-    np.testing.assert_allclose(again.table, st.table, rtol=3 * np.finfo(float).eps, atol=0)
-
-
-def test_json_rejects_bad_entries():
-    st = build_bell_state(BellLabel.PSI_PLUS, 0.3, 3)
-    doc = st.to_json_dict()
-    doc["amplitudes"][0] = [9, 0, 0.1, 0.0]  # outside the cutoff
-    with pytest.raises(ValueError):
-        FourModeState.from_json_dict(doc)
-    doc = st.to_json_dict()
-    doc["amplitudes"][0] = [0, 0, math.nan, 0.0]
-    with pytest.raises(ValueError):
-        FourModeState.from_json_dict(doc)
-    # the (n, m) schema only carries rank-one tables u_n v_m; a file with
-    # one entry off the product (or a total-photon triangle) is refused
-    doc = st.to_json_dict()
-    doc["amplitudes"][1][2] *= 1.5
-    with pytest.raises(ValueError, match="rank-one"):
-        FourModeState.from_json_dict(doc)
-    doc = st.to_json_dict()
-    doc["amplitudes"] = [row for row in doc["amplitudes"] if row[0] + row[1] <= 3]
-    with pytest.raises(ValueError, match="rank-one"):
-        FourModeState.from_json_dict(doc)
-
-
-def test_json_refuses_rank_one_tables_off_the_closed_form():
-    # a rank-one table that is not scale * step_u^n step_v^m sqrt(lambda_n
-    # lambda_m) at the file's gain -- one column rescaled, or the gain
-    # changed -- has no closed-form storage and is refused
-    st = build_bell_state(BellLabel.PSI_PLUS, 0.3, 3)
-    doc = st.to_json_dict()
-    doc["amplitudes"] = [[n, m, re * (1.5 if m == 2 else 1.0), im]
-                         for n, m, re, im in doc["amplitudes"]]
-    with pytest.raises(ValueError, match="rank-one"):
-        FourModeState.from_json_dict(doc)
-    doc = st.to_json_dict()
-    doc["gamma"] = 0.31
-    with pytest.raises(ValueError, match="rank-one"):
-        FourModeState.from_json_dict(doc)
-    # a phase-stepped, rescaled state reads back in closed form
-    stepped = FourModeState(gamma=0.7, n_max=6, pairing="parallel", scale=0.5j,
-                            step_u=np.exp(0.4j), step_v=-1.0)
-    again = FourModeState.from_json(stepped.to_json())
-    assert again.jones == (None, None) and again.pairing == "cross"  # no label: cross pairing
-    assert again.scale == pytest.approx(0.5j, rel=1e-15)
-    assert again.step_u == pytest.approx(np.exp(0.4j), rel=1e-15) and again.step_v == -1.0
-    np.testing.assert_allclose(again.table, stepped.table, rtol=1e-14, atol=0)
-
-
-def test_json_requires_table_backing():
-    framed = FourModeState(gamma=0.5, n_max=1, pairing="cross", jones=(_QWP45, _QWP45))
-    with pytest.raises(ValueError, match="to_json_dict is an H/V-basis view"):
-        framed.to_json_dict()
 
 
 # -- Hamiltonian evolution cross-check -------------------------------------------------
@@ -440,7 +303,7 @@ def test_evolution_matches_closed_form_all_labels():
     for label in BellLabel:
         ev = evolve_from_vacuum(label, 0.3, 12)
         ref = build_bell_state(label, 0.3, 12)
-        assert 1.0 - vector_fidelity(ev, ref.dense()) <= 1e-9
+        assert 1.0 - vector_fidelity(ev, lifted_vector(ref)) <= 1e-9
 
 
 def test_evolution_substeps_agree():

@@ -8,7 +8,6 @@ from macrobell.basis import FourModeBasis
 from macrobell.states import (
     BellLabel,
     FourModeState,
-    NumericError,
     build_bell_state,
     schmidt_spectrum,
 )
@@ -20,6 +19,7 @@ from macrobell.witnesses import (WitnessKind, cutoff_for_edge_mass, evaluate_wit
 
 from oracles import (
     _table_moments,
+    amplitude_table,
     factored_moments,
     framed_moments,
     interior_mask,
@@ -115,7 +115,7 @@ def test_variance_golden_and_method_agreement():
     # frozen from an independent kron-ladder evaluation at this exact cutoff;
     # the factored route and the tensor route (on the dense vector) both hit it
     state = build_bell_state(BellLabel.PSI_MINUS, 0.5, 15)
-    for form in (state, state.dense()):
+    for form in (state, lifted_vector(state)):
         v = variance_of_combination({(1, "a"): 1.0}, form)
         assert v == pytest.approx(GOLDEN_VAR_S1A_PSI_MINUS, rel=1e-12)
     # infinite-cutoff value is 2 N0 (N0 + 1); truncation shifts the 9th digit
@@ -126,7 +126,7 @@ def test_variance_golden_and_method_agreement():
 def test_variance_matches_matvec_oracle():
     d = 6
     st = build_bell_state(BellLabel.PHI_PLUS, 0.35, d - 1)
-    vec = st.dense()
+    vec = lifted_vector(st)
     for component in (1, 2, 3):
         op = kron_stokes(component, "a", d) + kron_stokes(component, "b", d)
         want = matvec_variance(op, vec)
@@ -148,20 +148,6 @@ def test_error_paths():
             variance_of_combination(bad, big)
 
 
-def test_dense_guard():
-    # the memory pre-flight refuses before allocating: a dense vector at
-    # cutoff 10^5 (10^20 amplitudes), and at cutoff 10^12 the factors and
-    # the table, which the closed-form state itself never builds
-    with pytest.raises(NumericError, match="GiB"):
-        build_bell_state(BellLabel.PSI_MINUS, 0.5, 100_000).dense()
-    huge = build_bell_state(BellLabel.PSI_MINUS, 0.5, 1_000_000_000_000)
-    for view in ("u", "v", "table"):
-        with pytest.raises(NumericError, match="GiB"):
-            getattr(huge, view)
-    with pytest.raises(NumericError, match="GiB"):
-        huge.dense()
-
-
 _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
 
 
@@ -171,14 +157,14 @@ _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
        gamma=hs.floats(0.0, 2.0), seed=hs.integers(0, 2**32 - 1))
 def test_table_route_matches_kron_oracle(n_max, pairing, coeffs, gamma, seed):
     # random complex scales and phase steps, evaluated in closed form at
-    # their own cutoff, against kron-built operators on the table the
-    # state builds
+    # their own cutoff, against kron-built operators on the oracle's
+    # amplitude table of the state
     rng = np.random.default_rng(seed)
     d = n_max + 1
     scale, step_u, step_v = complex(*rng.normal(size=2)), *np.exp(2j * np.pi * rng.uniform(size=2))
     state = FourModeState(gamma=gamma, n_max=n_max, pairing=pairing,
                           scale=scale, step_u=step_u, step_v=step_v)
-    vec = table_vector(state.table, pairing, d)
+    vec = table_vector(amplitude_table(state), pairing, d)
     op = sum(c * kron_stokes(k, beam, d) for (k, beam), c in coeffs.items())
     ov = op @ vec
     want_mean = matvec_expectation(op, vec)

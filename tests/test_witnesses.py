@@ -23,7 +23,13 @@ from macrobell.witnesses import (
     witness_term_coeffs,
 )
 
-from oracles import edge_mass_cutoff, recomputed_value, tensor_route_matrix
+from oracles import (
+    edge_mass_cutoff,
+    ket_index,
+    lifted_vector,
+    recomputed_value,
+    tensor_route_matrix,
+)
 
 #: frozen references at gamma = 0.5, per-mode cutoff 15, from an independent
 #: kron-ladder evaluation (matvec moments only)
@@ -181,7 +187,7 @@ def test_table_route_matches_tensor_route():
     n_max = cutoff_for_edge_mass(gamma)
     for label in BellLabel:
         state = build_bell_state(label, gamma, n_max)
-        vec = state.dense()
+        vec = lifted_vector(state)
         tensor = {(k, s): variance_of_combination({(k, "a"): 1.0, (k, "b"): float(s)}, vec)
                   for k in (1, 2, 3) for s in (1, -1)}
         mean_s0 = expectation({(0, "a"): 1.0, (0, "b"): 1.0}, vec)
@@ -212,6 +218,15 @@ def test_ensemble_weights_must_sum_to_one():
     vacuum = FourModeBasis(2).vacuum()
     with pytest.raises(ValueError):
         separability_gap([(0.4, vacuum), (0.4, vacuum)])
+    # weights that sum to 1 but are no mixture: a negative one would report
+    # this combination of product vectors as entangled (gap -2), and a NaN
+    # one passes the sum check
+    one_photon = np.zeros_like(vacuum)
+    one_photon[ket_index(3, 1, 0, 0, 0)] = 1.0
+    for ensemble in ([(2.0, one_photon), (-1.0, vacuum)],
+                     [(math.nan, vacuum), (1.0, vacuum)]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            separability_gap(ensemble)
 
 
 # -- local-unitary structure ------------------------------------------------------
