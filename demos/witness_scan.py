@@ -13,8 +13,6 @@ product and separable-mixture states.
 
 import argparse
 
-import numpy as np
-
 from macrobell.simulate import matched_witness
 from macrobell.states import BellLabel, build_bell_state, mean_photons_per_mode
 from macrobell.witnesses import (

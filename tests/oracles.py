@@ -402,26 +402,30 @@ def _sample_series_counts(config, pairing: str, series: int, run: int) -> np.nda
     return cols.T
 
 
+def pulse_records(series: int, first: int, counts) -> bytes:
+    """NDJSON records of pulses ``first, first+1, ...`` of a series, one
+    ``json.dumps`` each, from the (pulses, 4) table ``counts``."""
+    comp = series + 1
+    h, qw = CANONICAL_SETTINGS[comp]
+    setting = {"hwp_deg": h, "qwp_deg": qw, "component": comp}
+    return "".join(json.dumps({
+        "pulse_id": first + j,
+        "setting": setting,
+        "counts": row,
+    }, separators=(",", ":")) + "\n" for j, row in enumerate(np.asarray(counts).tolist())).encode()
+
+
 def pulse_log_bytes(config, run: int = 0) -> bytes:
     """The NDJSON pulse log of ``estimate_witness``, one ``json.dumps`` per pulse.
 
     Re-draws each series' counts as a full count table and serializes
     every pulse record on its own, the reference for the library's
-    chunked template writer.
+    block-at-a-time numpy writer.
     """
-    lines = []
-    for series in range(3):
-        comp = series + 1
-        counts = _sample_series_counts(config, count_pairing(config.label, comp), series, run)
-        h, qw = CANONICAL_SETTINGS[comp]
-        setting = {"hwp_deg": h, "qwp_deg": qw, "component": comp}
-        for j in range(config.pulses):
-            lines.append(json.dumps({
-                "pulse_id": series * config.pulses + j,
-                "setting": setting,
-                "counts": counts[j].tolist(),
-            }, separators=(",", ":")) + "\n")
-    return "".join(lines).encode()
+    return b"".join(
+        pulse_records(series, series * config.pulses, _sample_series_counts(
+            config, count_pairing(config.label, series + 1), series, run))
+        for series in range(3))
 
 
 def witness_reference(config, kind=None, run: int = 0) -> tuple:

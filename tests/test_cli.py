@@ -15,6 +15,7 @@ from macrobell.measures import fedorov_ratio, gain_scan
 from macrobell.simulate import (
     BLOCK_BYTES_PER_PULSE,
     BLOCK_PULSES,
+    LOG_BYTES_PER_PULSE,
     PARTNER_BIN_BYTES,
     SWEEP_BYTES_PER_POINT,
     SimConfig,
@@ -520,12 +521,13 @@ def test_memory_preflight_reads_available_memory(monkeypatch, capsys):
     ["sweep-eta", "--eta-grid", "0.5,0.9"],
 ], ids=" ".join)
 def test_sampled_witness_memory_is_one_block(monkeypatch, capsys, argv):
-    # a sampled witness holds one block of pulses at a time: free memory for
-    # exactly one block runs two blocks and a pulse, a byte less is refused
-    # before any file is opened
+    # a sampled witness holds one block of pulses at a time, and its pulse
+    # log one block of records: free memory for exactly one block runs two
+    # blocks and a pulse, a byte less is refused before any file is opened
     from macrobell import states
 
-    need, pulses = BLOCK_PULSES * BLOCK_BYTES_PER_PULSE, str(2 * BLOCK_PULSES + 1)
+    per_pulse = BLOCK_BYTES_PER_PULSE + (LOG_BYTES_PER_PULSE if "--pulse-log" in argv else 0)
+    need, pulses = BLOCK_PULSES * per_pulse, str(2 * BLOCK_PULSES + 1)
     monkeypatch.setattr(states, "available_memory", lambda: need - 1)
     assert cli.main([*argv, "--pulses", pulses, "--out", "big.csv"]) == 3
     err = capsys.readouterr().err

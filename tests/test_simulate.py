@@ -1,6 +1,9 @@
+import functools
 import hashlib
+import io
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -9,16 +12,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from macrobell.basis import FourModeBasis
 from macrobell.measures import fedorov_ratio
 from macrobell.simulate import (
     BLOCK_PULSES,
     CANONICAL_SETTINGS,
-    LOG_CHUNK_PULSES,
     FedorovEstimate,
     SimConfig,
     _PartnerBins,
     _SeriesSums,
+    _write_pulse_log,
     count_pairing,
     efficiency_sweep,
     estimate_fedorov,
@@ -40,6 +42,7 @@ from oracles import (
     jackknife_exact,
     pairing_distribution,
     pulse_log_bytes,
+    pulse_records,
     recomputed_value,
     sample_analyzer_counts,
     sample_pulse,
@@ -359,6 +362,13 @@ def test_estimate_witness_memory_per_pulse():
     assert abs(_peak_growth(estimate_witness, cfg)) <= 2**20
 
 
+def test_logged_witness_memory_per_pulse():
+    # the pulse log is written a block at a time, so it grows no buffer either
+    cfg = SimConfig(label="psi-minus", gamma=0.5, eta=0.85, pulses=200_000, seed=3)
+    logged = functools.partial(estimate_witness, pulse_log=os.devnull)
+    assert abs(_peak_growth(logged, cfg)) <= 2**20
+
+
 def test_estimate_fedorov_memory_per_pulse():
     # only the partner-bin sums grow, with the largest partner count
     cfg = SimConfig(label="psi-minus", gamma=1.5, eta=0.85, pulses=200_000, seed=3)
@@ -441,13 +451,12 @@ def test_pulse_log_format(tmp_path):
 
 
 @pytest.mark.parametrize("run", [1, 2])
-@pytest.mark.parametrize("pulses", [1, 3, LOG_CHUNK_PULSES - 1, LOG_CHUNK_PULSES,
-                                    LOG_CHUNK_PULSES + 1, BLOCK_PULSES + 1,
+@pytest.mark.parametrize("pulses", [1, 3, 1023, 1024, 1025, BLOCK_PULSES + 1,
                                     2 * BLOCK_PULSES + 1])
 def test_pulse_log_matches_per_pulse_reference(tmp_path, pulses, run):
     # gamma=2.5 (N0 ~ 37) gives multi-digit counts; the pulse counts straddle
-    # the log chunk and, at 4097 and 8193, the RNG blocks the log is written
-    # in; each run index keys its own Philox streams
+    # 1024 and, at 4097 and 8193, the RNG blocks the log is written in; each
+    # run index keys its own Philox streams
     cfg = SimConfig(label="phi-minus", gamma=2.5, eta=0.85, pulses=pulses, seed=5)
     path = tmp_path / "pulses.ndjson"
     estimate_witness(cfg, kind=WitnessKind.W_S, run=run, pulse_log=str(path))
@@ -455,6 +464,34 @@ def test_pulse_log_matches_per_pulse_reference(tmp_path, pulses, run):
     assert path.read_bytes() == expected
     if pulses > 1000:
         assert max(max(json.loads(line)["counts"]) for line in expected.splitlines()) >= 100
+
+
+def test_pulse_log_at_wide_counts(tmp_path):
+    # gamma=6 (N0 ~ 4e4): counts of five digits and more, two digit groups
+    cfg = SimConfig(label="psi-plus", gamma=6.0, eta=0.85, pulses=BLOCK_PULSES + 3, seed=11)
+    path = tmp_path / "pulses.ndjson"
+    estimate_witness(cfg, pulse_log=str(path))
+    expected = pulse_log_bytes(cfg)
+    assert path.read_bytes() == expected
+    assert max(max(json.loads(line)["counts"]) for line in expected.splitlines()) >= 10**4
+
+
+_EDGES = [0, 9, 10, 99, 100] + [10**k + d for k in range(3, 19) for d in (-1, 0)] + [2**63 - 1]
+
+
+@pytest.mark.parametrize("series", [0, 1, 2])
+def test_pulse_log_writer_at_width_edges(series):
+    # every digit count from 1 to 19 in every count field, pulse ids crossing
+    # 10^6 and 10^18 inside a block, a one-pulse block and an all-zero one
+    edges = np.array(_EDGES, dtype=np.int64)
+    counts = np.stack([np.roll(edges, 7 * c) for c in range(4)], axis=1)
+    first = 10**6 - 5
+    blocks = [(first, counts), (0, counts[-1:]), (10**18 - 1, counts[:2]),
+              (first, np.zeros((3, 4), dtype=np.int64))]
+    for lo, table in blocks:
+        fh = io.BytesIO()
+        _write_pulse_log(fh, series, lo, tuple(table.T))
+        assert fh.getvalue() == pulse_records(series, lo, table)
 
 
 # -- exact distributions and the generic analyzer route ------------------------------

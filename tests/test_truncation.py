@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from macrobell.states import geometric_ratio, mean_photons_per_mode
+from macrobell.states import geometric_ratio
 from macrobell.measures import gamma_for_mean_photons, kbar
 from macrobell.truncation import (
     MAX_CUTOFF,
