@@ -36,8 +36,6 @@ from .witnesses import (
     cutoff_for_edge_mass,
     evaluate_witness,
     matched_witness,
-    product_state_battery,
-    separability_gap,
 )
 from .measures import (
     MeasureReport,
@@ -84,7 +82,6 @@ __all__ = [
     "expectation", "variance_of_combination",
     "WitnessKind", "WitnessReport", "cross_witness_matrix",
     "cutoff_for_edge_mass", "evaluate_witness", "matched_witness",
-    "product_state_battery", "separability_gap",
     "MeasureReport", "WidthConvention", "fedorov_ratio", "gain_scan", "kbar",
     "log_negativity", "measure_report", "negativity", "trace_norm",
     "CompressionPoint", "alpha_from_epsilon", "compression_scan",

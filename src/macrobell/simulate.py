@@ -47,6 +47,7 @@ import numpy as np
 # numpy imports numpy.random on first use; importing it here keeps that cost in start-up
 from numpy.random import Generator, Philox, SeedSequence
 
+from .measures import WidthConvention
 from .states import (BellLabel, NumericError, _log_q, check_memory, geometric_ratio,
                      mean_photons_per_mode, paired_modes)
 from .witnesses import WitnessKind, WitnessReport, matched_witness
@@ -463,12 +464,9 @@ class _PartnerBins:
         np.add.at(self.sums[0], bins, values)
         np.add.at(self.sums[1], bins, values * values)
 
-    def marginal_width(self, convention) -> float:
-        from .measures import WidthConvention
-
-        conv = WidthConvention(convention) if isinstance(convention, str) else convention
+    def marginal_width(self, convention: WidthConvention) -> float:
         n, s1, s2 = self.pulses, int(self.sums[0].sum()), int(self.sums[1].sum())
-        if conv is WidthConvention.SQRT2_STDDEV:
+        if convention is WidthConvention.SQRT2_STDDEV:
             return math.sqrt(2.0) * (s1 / n)
         return math.sqrt((n * s2 - s1 * s1) / (n * (n - 1))) if n > 1 else math.nan
 
@@ -514,6 +512,7 @@ def estimate_fedorov(
     floored at one count.  Partner counts are binned ``bin_width`` at a
     time for the conditional histograms.
     """
+    convention = WidthConvention(convention)
     if bin_width < 1:
         raise ValueError("bin width must be >= 1")
     pairing = count_pairing(config.label, 1)
@@ -526,7 +525,6 @@ def estimate_fedorov(
     cw_h = side_h.conditional_width()
     mw_v = side_v.marginal_width(convention)
     cw_v = side_v.conditional_width()
-    conv = convention if isinstance(convention, str) else convention.value
     return FedorovEstimate(
         ratio=(mw_h / cw_h) * (mw_v / cw_v),
         ratio_h=mw_h / cw_h,
@@ -535,7 +533,7 @@ def estimate_fedorov(
         conditional_width_h=cw_h,
         marginal_width_v=mw_v,
         conditional_width_v=cw_v,
-        convention=conv,
+        convention=convention.value,
         meta={
             "label": config.label.value,
             "gamma": config.gamma,

@@ -198,10 +198,6 @@ class BellLabel(enum.Enum):
         }[self]
 
 
-def _norm_sq(arr: np.ndarray) -> float:
-    return float(np.vdot(arr, arr).real)
-
-
 @dataclass
 class FourModeState:
     """A (possibly truncated) paired state of the four modes, in closed form:

@@ -16,6 +16,9 @@ amplitude sign ``sigma``:
 so W_S = (+, +, +) is matched to psi-minus.  The witness value is
 ``sum_i Var(S_i^a + s_i S_i^b) - 2 <S_0>``; a negative value certifies
 entanglement, and on the matched state it equals ``-2 <S_0>``.
+Witnesses are evaluated on closed-form states only; the bound itself is
+checked in the tests (acceptance criterion 05), with kron-built
+operators, on a battery of product states and separable mixtures.
 
 The sign patterns are connected by local unitaries: conjugating W_S by
 ``exp(i pi n_bH)`` flips sigma, hence the beam-*b* sign of S_2 and S_3,
@@ -32,10 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import FourModeBasis
 from .states import (BellLabel, FourModeState, NumericError, TruncationMassError, _log_q,
                      build_bell_state)
-from .stokes import expectation, moments, variance_of_combination
+from .stokes import expectation, variance_of_combination
 
 #: gate for exact variance claims (see stokes module docstring)
 EDGE_MASS_TOL = 1e-10
@@ -140,89 +142,6 @@ def cutoff_for_edge_mass(gamma: float, tol: float = EDGE_MASS_TOL, margin: int =
         raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff")
     bound = math.log(tol / (1.0 + math.sqrt(1.0 - tol))) / log_q
     return max(2, math.floor(bound) + 2) + margin
-
-
-# -- separability -------------------------------------------------------------
-
-
-def separability_gap(state) -> float:
-    """Var(S_1) + Var(S_2) + Var(S_3) - 2 <S_0> of the compound beam, at the
-    state's own cutoff.
-
-    Negative only for beam-beam entangled states (this is the W_S
-    pattern).  Accepts a FourModeState, a dense vector, or a mixed
-    state as an iterable of ``(weight, vector)`` pairs (finite,
-    nonnegative weights summing to 1); mixing can only increase the gap,
-    so separable mixtures of product vectors stay >= 0.
-    """
-    if isinstance(state, (FourModeState, np.ndarray)):
-        state = [(1.0, state)]
-    ensemble = [(float(w), member) for w, member in state]
-    if not all(0.0 <= w < math.inf for w, _ in ensemble):
-        raise ValueError("ensemble weights must be finite and nonnegative")
-    if abs(sum(w for w, _ in ensemble) - 1.0) > 1e-12:
-        raise ValueError("ensemble weights must sum to 1")
-    gap = -2.0 * sum(w * expectation(_S0_TOTAL, member) for w, member in ensemble)
-    for i in (1, 2, 3):
-        coeffs = {(i, "a"): 1.0, (i, "b"): 1.0}
-        mean = second = 0.0
-        for w, member in ensemble:
-            m1, m2 = moments(coeffs, member)
-            mean += w * m1
-            second += w * m2
-        gap += second - mean * mean
-    return float(gap)
-
-
-def product_state_battery(seed: int, n_states: int = 24, n_max: int = 12) -> list:
-    """Named separable test states: coherent / Fock / thermal-like products.
-
-    Every entry is separable across the a|b beam split by construction:
-    pure products ``|beam a> (x) |beam b>``, or convex mixtures of such
-    products.  Returns ``[(name, ensemble), ...]`` with ensembles in the
-    format :func:`separability_gap` accepts.
-    """
-    rng = np.random.default_rng(seed)
-    d = n_max + 1
-    basis = FourModeBasis(n_max)
-    sqrt_factorial = np.exp(0.5 * np.array([math.lgamma(k + 1.0) for k in range(d)]))
-
-    def coherent_mode(alpha):
-        # exp(-|a|^2/2) a^n / sqrt(n!), renormalized after the cutoff
-        if alpha == 0:
-            amp = np.zeros(d, complex)
-            amp[0] = 1.0
-        else:
-            amp = np.exp(-abs(alpha) ** 2 / 2.0) * alpha ** np.arange(d) / sqrt_factorial
-        return amp / np.linalg.norm(amp)
-
-    def beam_vec(kind):
-        if kind == "coherent":
-            a1 = (rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
-            a2 = (rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
-            return np.kron(coherent_mode(a1), coherent_mode(a2))
-        vec = np.zeros(d * d, complex)
-        nh, nv = rng.integers(0, 4, size=2)
-        vec[nh * d + nv] = 1.0
-        return vec
-
-    battery = []
-    battery.append(("vacuum", [(1.0, basis.vacuum())]))
-    n_coh = max(8, n_states // 2)
-    for k in range(n_coh):
-        vec = np.kron(beam_vec("coherent"), beam_vec("coherent"))
-        battery.append((f"coherent-product-{k}", [(1.0, vec)]))
-    for k in range((n_states - n_coh) // 2):
-        vec = np.kron(beam_vec("fock"), beam_vec("fock"))
-        battery.append((f"fock-product-{k}", [(1.0, vec)]))
-    # thermal-like separable mixtures: convex combinations of product kets
-    while len(battery) < n_states + 1:
-        parts = []
-        weights = rng.dirichlet(np.ones(4))
-        for w in weights:
-            parts.append((float(w), np.kron(beam_vec("fock"), beam_vec("fock"))))
-        battery.append((f"thermal-mixture-{len(battery)}", parts))
-    return battery
 
 
 # -- cross-witness table ------------------------------------------------------

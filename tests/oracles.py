@@ -12,9 +12,13 @@ the library's former full-table routes: a (pulses, 4) count table per
 series, the leave-one-out jackknife and the sort-based conditional
 width, plus a one-pulse-at-a-time sampler; the exact references repeat
 their statistics in rational arithmetic.  The truncated thermal law is
-referenced in stdlib ``decimal`` arithmetic.
+referenced in stdlib ``decimal`` arithmetic.  The kron-built Stokes
+operators are the one dense reference for Stokes moments, and the only
+route that takes product states: the separability bound is checked with
+them on a seeded battery of product states and separable mixtures.
 """
 
+import functools
 import json
 import logging
 import math
@@ -41,13 +45,16 @@ from macrobell.states import (
     FourModeState,
     NumericError,
     TruncationMassError,
-    _norm_sq,
     paired_modes,
 )
 from macrobell.stokes import _TERMS
 from macrobell.truncation import epsilon_from_cutoff
 
 log = logging.getLogger(__name__)
+
+
+def _norm_sq(arr: np.ndarray) -> float:
+    return float(np.vdot(arr, arr).real)
 
 
 def mode_annihilator(d: int) -> sp.csr_matrix:
@@ -69,8 +76,11 @@ def kron_mode_operator(op: sp.spmatrix, slot: int, d: int) -> sp.csr_matrix:
     return out
 
 
+@functools.cache
 def kron_stokes(component: int, beam: str, d: int) -> sp.csr_matrix:
-    """Stokes operator built from kron-lifted ladder products."""
+    """Stokes operator built from kron-lifted ladder products over d levels
+    per mode.  Cached and shared between callers, so never modify the result
+    in place; the eight of one cutoff hold about 80 MB at d = 25."""
     a = mode_annihilator(d)
     num = (a.conj().T @ a).tocsr()
     h, v = (0, 1) if beam == "a" else (2, 3)
@@ -85,6 +95,92 @@ def kron_stokes(component: int, beam: str, d: int) -> sp.csr_matrix:
     if component == 3:
         return (1j * (av.conj().T @ ah - ah.conj().T @ av)).tocsr()
     raise ValueError(component)
+
+
+def kron_combination(coeffs: dict, d: int) -> sp.csr_matrix:
+    """O = sum c S_k^beam over d levels per mode, from :func:`kron_stokes`."""
+    return sum(c * kron_stokes(k, beam, d) for (k, beam), c in coeffs.items())
+
+
+def kron_apply(coeffs: dict, vec: np.ndarray) -> np.ndarray:
+    """O psi for O = sum c S_k^beam on a dense vector, at the cutoff its
+    length gives, one :func:`kron_stokes` term at a time."""
+    d = round(vec.size ** 0.25)
+    return sum(c * (kron_stokes(k, beam, d) @ vec) for (k, beam), c in coeffs.items())
+
+
+def kron_moments(coeffs: dict, vec: np.ndarray) -> tuple[float, float]:
+    """Normalized (<O>, <O^2>) of O = sum c S_k^beam on a dense vector, from
+    :func:`kron_apply`; O is Hermitian, so ``<O^2> = ||O psi||^2``."""
+    o_vec = kron_apply(coeffs, vec)
+    den = _norm_sq(vec)
+    return float(np.vdot(vec, o_vec).real) / den, _norm_sq(o_vec) / den
+
+
+def separability_gap(ensemble) -> float:
+    """Var(S_1) + Var(S_2) + Var(S_3) - 2 <S_0> of the compound beam on a
+    mixture ``[(weight, vector), ...]`` of dense vectors, with kron-built
+    operators at the cutoff the vectors' length gives.  Mixing can only
+    raise the variances, so separable mixtures of product vectors stay >= 0.
+    """
+    gap = 0.0
+    for i in range(4):
+        parts = [(w, kron_moments({(i, "a"): 1.0, (i, "b"): 1.0}, vec)) for w, vec in ensemble]
+        mean = sum(w * m1 for w, (m1, _) in parts)
+        if i == 0:
+            gap -= 2.0 * mean
+        else:
+            gap += sum(w * m2 for w, (_, m2) in parts) - mean * mean
+    return float(gap)
+
+
+def product_state_battery(seed: int, n_states: int = 24, n_max: int = 12) -> list:
+    """Named separable test states: coherent / Fock / thermal-like products.
+
+    Every entry is separable across the a|b beam split by construction:
+    pure products ``|beam a> (x) |beam b>``, or convex mixtures of such
+    products.  Returns ``[(name, ensemble), ...]`` with ensembles in the
+    format :func:`separability_gap` takes.
+    """
+    rng = np.random.default_rng(seed)
+    d = n_max + 1
+    sqrt_factorial = np.exp(0.5 * np.array([math.lgamma(k + 1.0) for k in range(d)]))
+
+    def coherent_mode(alpha):
+        # exp(-|a|^2/2) a^n / sqrt(n!), renormalized after the cutoff
+        if alpha == 0:
+            amp = np.zeros(d, complex)
+            amp[0] = 1.0
+        else:
+            amp = np.exp(-abs(alpha) ** 2 / 2.0) * alpha ** np.arange(d) / sqrt_factorial
+        return amp / np.linalg.norm(amp)
+
+    def beam_vec(kind):
+        if kind == "coherent":
+            a1 = (rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
+            a2 = (rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
+            return np.kron(coherent_mode(a1), coherent_mode(a2))
+        vec = np.zeros(d * d, complex)
+        nh, nv = rng.integers(0, 4, size=2)
+        vec[nh * d + nv] = 1.0
+        return vec
+
+    battery = [("vacuum", [(1.0, FourModeBasis(n_max).vacuum())])]
+    n_coh = max(8, n_states // 2)
+    for k in range(n_coh):
+        vec = np.kron(beam_vec("coherent"), beam_vec("coherent"))
+        battery.append((f"coherent-product-{k}", [(1.0, vec)]))
+    for k in range((n_states - n_coh) // 2):
+        vec = np.kron(beam_vec("fock"), beam_vec("fock"))
+        battery.append((f"fock-product-{k}", [(1.0, vec)]))
+    # thermal-like separable mixtures: convex combinations of product kets
+    while len(battery) < n_states + 1:
+        parts = []
+        weights = rng.dirichlet(np.ones(4))
+        for w in weights:
+            parts.append((float(w), np.kron(beam_vec("fock"), beam_vec("fock"))))
+        battery.append((f"thermal-mixture-{len(battery)}", parts))
+    return battery
 
 
 def table_vector(table: np.ndarray, pairing: str, d: int) -> np.ndarray:
@@ -234,12 +330,10 @@ def framed_moments(coeffs: dict, state: FourModeState) -> tuple:
     cutoff: O compressed to the cutoff in the frame where the state is
     truncated, as the library's moments are.
     """
-    from macrobell.stokes import apply_combination_tensor
-
     n_max, k = 2 * state.n_max, state.n_levels
     d = n_max + 1
     psi = lifted_vector(state, n_max)
-    o_psi = apply_combination_tensor(coeffs, psi.reshape((d,) * 4)).reshape(d * d, d * d)
+    o_psi = kron_apply(coeffs, psi).reshape(d * d, d * d)
     den = _norm_sq(psi)
     inverse = tuple(None if j is None else np.conj(j).T for j in state.jones)
     back = _through_frames(o_psi, inverse, n_max).reshape((d,) * 4)[:k, :k, :k, :k]
@@ -367,27 +461,6 @@ def pt_eigenvalues(amplitude_matrix: np.ndarray) -> np.ndarray:
 def pt_trace_norm(amplitude_matrix: np.ndarray) -> float:
     """||rho^PT||_1 as the absolute eigenvalue sum of the dense solve."""
     return float(np.abs(pt_eigenvalues(amplitude_matrix)).sum())
-
-
-def tensor_route_matrix(coeffs: dict, d: int) -> np.ndarray:
-    """Dense matrix of the library's matrix-free ``apply_combination_tensor``
-    over d levels per mode, tabulated column by column (d**4 applications,
-    so keep d <= 6).
-
-    Not an oracle: it exposes the production route at the matrix level so
-    that operator identities can be checked on it and against the
-    kron-built operators above.
-    """
-    from macrobell.stokes import apply_combination_tensor
-
-    dim = d**4
-    out = np.empty((dim, dim), dtype=np.complex128)
-    unit = np.zeros(dim, dtype=np.complex128)
-    for col in range(dim):
-        unit[col] = 1.0
-        out[:, col] = apply_combination_tensor(coeffs, unit.reshape(d, d, d, d)).ravel()
-        unit[col] = 0.0
-    return out
 
 
 def _sample_series_counts(config, pairing: str, series: int, run: int) -> np.ndarray:

@@ -49,8 +49,6 @@ from macrobell.witnesses import (
     cross_witness_matrix,
     cutoff_for_edge_mass,
     evaluate_witness,
-    product_state_battery,
-    separability_gap,
     witness_term_coeffs,
 )
 
@@ -125,32 +123,36 @@ def test_criterion_04_matched_witness_saturation():
 
 
 def test_criterion_05_separable_battery_nonnegative():
-    battery = product_state_battery(2024)
+    # Var(S_1) + Var(S_2) + Var(S_3) - 2 <S_0> with kron-built operators at
+    # 13 levels per mode, on product states and separable mixtures, and on
+    # the dense lift of psi-minus at the same cutoff
+    battery = oracles.product_state_battery(2024)
     assert len(battery) >= 20
     worst_name, worst = None, math.inf
     for name, ensemble in battery:
-        gap = separability_gap(ensemble)
+        gap = oracles.separability_gap(ensemble)
         if gap < worst:
             worst_name, worst = name, gap
     print(f"{len(battery)} separable states; most negative gap "
           f"{worst:.3e} ({worst_name})")
     assert worst >= -1e-9
-    entangled = separability_gap(build_bell_state(BellLabel.PSI_MINUS, 0.5, 12))
+    psi_minus = oracles.lifted_vector(build_bell_state(BellLabel.PSI_MINUS, 0.5, 12))
+    entangled = oracles.separability_gap([(1.0, psi_minus)])
     print(f"entangled reference gap {entangled:.6f}")
     assert entangled < -1.0
 
 
 def test_criterion_06_local_unitary_structure():
     # conjugating the W_S terms by the pi-phase unitary (-1)^n_bH gives the
-    # W_T1 terms exactly on the matrix-free route; the wave-plate
+    # W_T1 terms exactly on kron-built operators; the wave-plate
     # substitution S_1 -> S_3, S_3 -> -S_1 reverses the sign pattern, which
     # carries W_T1 onto W_T2 (the S_1 term negated, its variance unchanged)
     d = 6
     u = np.where(FourModeBasis(d - 1).occupations()[2] % 2 == 0, 1.0, -1.0)
     pairs = zip(witness_term_coeffs(WitnessKind.W_S), witness_term_coeffs(WitnessKind.W_T1))
     for ws, wt1 in pairs:
-        conjugated = u[:, None] * oracles.tensor_route_matrix(ws, d) * u[None, :]
-        assert np.array_equal(conjugated, oracles.tensor_route_matrix(wt1, d))
+        conjugated = u[:, None] * oracles.kron_combination(ws, d).toarray() * u[None, :]
+        assert np.array_equal(conjugated, oracles.kron_combination(wt1, d).toarray())
     t1, t2 = WitnessKind.W_T1.signs, WitnessKind.W_T2.signs
     print(f"W_T1 signs {t1}, W_T2 signs {t2}")
     assert t2 == t1[::-1]

@@ -25,7 +25,7 @@ from macrobell.states import (
 )
 from macrobell.witnesses import cutoff_for_edge_mass, evaluate_witness, matched_witness
 
-from oracles import beam_transform_matrix, lifted_vector, sector_matrix, vector_fidelity
+from oracles import _norm_sq, beam_transform_matrix, lifted_vector, sector_matrix, vector_fidelity
 
 
 # -- Jones matrices -----------------------------------------------------------
@@ -103,10 +103,6 @@ def test_beam_transform_conserves_photon_number():
 
 def _framed(state):
     return [beam for beam, j in zip("ab", state.jones) if j is not None]
-
-
-def _norm_sq(vec):
-    return float(np.vdot(vec, vec).real)
 
 
 def test_pi_phase_swaps_psi_states():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from macrobell import simulate
 from macrobell.measures import fedorov_ratio
 from macrobell.simulate import (
     BLOCK_PULSES,
@@ -569,6 +570,18 @@ def test_estimate_fedorov_coarse_bins_degrade_ratio():
     coarse = estimate_fedorov(cfg, bin_width=200)
     assert coarse.conditional_width_h > 1.0
     assert coarse.ratio < fine.ratio
+
+
+def test_estimate_fedorov_refuses_a_bad_convention_before_sampling(monkeypatch):
+    # the convention is read before any pulse is drawn: were sampling to
+    # start, the patched sampler would raise its own error first
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the convention")
+
+    monkeypatch.setattr(simulate, "_count_blocks", no_sampling)
+    cfg = SimConfig("psi-minus", 1.5, pulses=2_000_000)
+    with pytest.raises(ValueError, match="'bogus' is not a valid WidthConvention"):
+        estimate_fedorov(cfg, convention="bogus")
 
 
 # -- efficiency sweep -----------------------------------------------------------------

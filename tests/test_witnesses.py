@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from macrobell.basis import FourModeBasis
 from macrobell.states import (
     BellLabel,
     NumericError,
@@ -18,18 +17,10 @@ from macrobell.witnesses import (
     cross_witness_matrix,
     cutoff_for_edge_mass,
     evaluate_witness,
-    product_state_battery,
-    separability_gap,
     witness_term_coeffs,
 )
 
-from oracles import (
-    edge_mass_cutoff,
-    ket_index,
-    lifted_vector,
-    recomputed_value,
-    tensor_route_matrix,
-)
+from oracles import edge_mass_cutoff, recomputed_value
 
 #: frozen references at gamma = 0.5, per-mode cutoff 15, from an independent
 #: kron-ladder evaluation (matvec moments only)
@@ -179,68 +170,7 @@ def test_cross_witness_matrix_structure():
                 assert mat[i, j] == pytest.approx(16.0 * n0 * n0 + 8.0 * n0, rel=1e-7)
 
 
-def test_table_route_matches_tensor_route():
-    # every witness on every Bell state at gamma = 1.0 (cutoff 47): the
-    # table-native moments against the matrix-free tensor route applied to
-    # the same state expanded to a dense vector
-    gamma = 1.0
-    n_max = cutoff_for_edge_mass(gamma)
-    for label in BellLabel:
-        state = build_bell_state(label, gamma, n_max)
-        vec = lifted_vector(state)
-        tensor = {(k, s): variance_of_combination({(k, "a"): 1.0, (k, "b"): float(s)}, vec)
-                  for k in (1, 2, 3) for s in (1, -1)}
-        mean_s0 = expectation({(0, "a"): 1.0, (0, "b"): 1.0}, vec)
-        for kind in WitnessKind:
-            rep = evaluate_witness(kind, state)
-            terms = [tensor[k, s] for k, s in zip((1, 2, 3), kind.signs)]
-            scale = abs(rep.value) + rep.mean_s0
-            assert abs(rep.mean_s0 - mean_s0) <= 1e-12 * scale
-            assert abs(rep.value - (sum(terms) - 2.0 * mean_s0)) <= 1e-12 * scale
-            for got, want in zip(rep.variance_terms, terms):
-                assert abs(got - want) <= 1e-12 * scale
-
-
-def test_separable_battery_nonnegative():
-    battery = product_state_battery(seed=2024, n_states=24)
-    assert len(battery) >= 20
-    for name, ensemble in battery:
-        gap = separability_gap(ensemble)
-        assert gap >= -1e-9, name
-
-
-def test_entangled_state_violates():
-    st = build_bell_state(BellLabel.PSI_MINUS, 0.4, 12)
-    assert separability_gap(st) < -1.0
-
-
-def test_ensemble_weights_must_sum_to_one():
-    vacuum = FourModeBasis(2).vacuum()
-    with pytest.raises(ValueError):
-        separability_gap([(0.4, vacuum), (0.4, vacuum)])
-    # weights that sum to 1 but are no mixture: a negative one would report
-    # this combination of product vectors as entangled (gap -2), and a NaN
-    # one passes the sum check
-    one_photon = np.zeros_like(vacuum)
-    one_photon[ket_index(3, 1, 0, 0, 0)] = 1.0
-    for ensemble in ([(2.0, one_photon), (-1.0, vacuum)],
-                     [(math.nan, vacuum), (1.0, vacuum)]):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            separability_gap(ensemble)
-
-
 # -- local-unitary structure ------------------------------------------------------
-
-
-def test_conjugation_carries_ws_to_wt1_exactly():
-    # exp(i pi n_bH) is the diagonal (-1)^n_bH; conjugating the tabulated
-    # W_S terms by it flips S_2^b and S_3^b and gives the W_T1 terms exactly
-    d = 6
-    u = np.where(FourModeBasis(d - 1).occupations()[2] % 2 == 0, 1.0, -1.0)
-    pairs = zip(witness_term_coeffs(WitnessKind.W_S), witness_term_coeffs(WitnessKind.W_T1))
-    for ws, wt1 in pairs:
-        got = u[:, None] * tensor_route_matrix(ws, d) * u[None, :]
-        assert np.array_equal(got, tensor_route_matrix(wt1, d))
 
 
 def test_substitution_carries_wt1_to_wt2_exactly():
