@@ -12,6 +12,7 @@ from .basis import FourModeBasis
 from .states import (
     BellLabel,
     FourModeState,
+    InputError,
     NumericError,
     TruncationMassError,
     build_bell_state,
@@ -38,13 +39,11 @@ from .witnesses import (
     matched_witness,
 )
 from .measures import (
-    MeasureReport,
     WidthConvention,
     fedorov_ratio,
     gain_scan,
     kbar,
     log_negativity,
-    measure_report,
     negativity,
     trace_norm,
 )
@@ -73,7 +72,7 @@ from .simulate import (
 __all__ = [
     "__version__",
     "FourModeBasis",
-    "BellLabel", "FourModeState", "NumericError", "TruncationMassError",
+    "BellLabel", "FourModeState", "InputError", "NumericError", "TruncationMassError",
     "build_bell_state", "geometric_ratio",
     "mean_photons_per_mode", "schmidt_spectrum",
     "BasisTransform", "apply_transform", "half_wave_plate",
@@ -82,8 +81,8 @@ __all__ = [
     "expectation", "variance_of_combination",
     "WitnessKind", "WitnessReport", "cross_witness_matrix",
     "cutoff_for_edge_mass", "evaluate_witness", "matched_witness",
-    "MeasureReport", "WidthConvention", "fedorov_ratio", "gain_scan", "kbar",
-    "log_negativity", "measure_report", "negativity", "trace_norm",
+    "WidthConvention", "fedorov_ratio", "gain_scan", "kbar",
+    "log_negativity", "negativity", "trace_norm",
     "CompressionPoint", "alpha_from_epsilon", "compression_scan",
     "cutoff_for_epsilon", "dimension_scan", "epsilon_from_cutoff",
     "occupancy_at_epsilon", "subspace_dimension", "truncated_kbar",

@@ -16,8 +16,11 @@ duration) next to it, so any result can be reproduced bit-for-bit with
 command section; explicit flags win.  ``witness`` has two routes, exact and
 sampled; an option only the idle route reads must keep its default.
 
-Exit codes: 0 success, 2 usage error, 3 numeric/truncation failure, 4 an
-output that cannot be written (e.g. a full disk).
+Exit codes: 0 success; 2 malformed input, with a one-line message: a bad flag,
+config file, grid text or output path, or an argument out of the bounds the
+library keeps (``InputError``); 3 a numerical refusal (``NumericError``,
+``TruncationMassError``, any other ``ValueError`` or an ``ArithmeticError``);
+4 an output that cannot be written (e.g. a full disk).
 """
 
 from __future__ import annotations
@@ -33,12 +36,8 @@ import time
 from typing import NamedTuple
 
 from . import __version__
-from .states import BellLabel, NumericError, TruncationMassError
+from .states import BellLabel, InputError, NumericError
 from .witnesses import WitnessKind
-
-
-class UsageError(ValueError):
-    """Bad flag combination or malformed grid (exit code 2)."""
 
 
 class _Opt(NamedTuple):
@@ -98,12 +97,6 @@ _OPTIONS: dict[str, dict[str, _Opt]] = {
 #: builtin defaults per command
 _DEFAULTS = {cmd: {k: o.default for k, o in opts.items()} for cmd, opts in _OPTIONS.items()}
 
-#: route-exclusive options: command -> (the options that pick the first route when
-#: set, the options only the first route reads, the options only the other reads)
-_ROUTES = {
-    "witness": (("simulate", "pulses"), ("seed", "workers", "pulse_log", "eta"), ("cutoff",)),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -133,20 +126,18 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         for key, raw in _read_config(args.config, command):
             key = key.replace("-", "_")
             if key not in opts:
-                raise UsageError(f"unknown config key {key!r} for command {command!r}")
+                raise InputError(f"unknown config key {key!r} for command {command!r}")
             opt = opts[key]
             value = file_vals[key] = _convert(opt, raw)
             if value is None and opt.default is not None:
-                raise UsageError(f"config key {key!r} needs a value")
+                raise InputError(f"config key {key!r} needs a value")
             if opt.choices and value is not None and value not in opt.choices:
-                raise UsageError(f"config key {key!r} must be one of "
+                raise InputError(f"config key {key!r} must be one of "
                                  f"{', '.join(opt.choices)}, got {value!r}")
     resolved = {key: file_vals.get(key, opt.default) for key, opt in opts.items()}
     resolved.update((key, value) for key, value in vars(args).items()
                     if key in opts and value is not None)
     _check_bounds(resolved)
-    if command in _ROUTES:
-        _check_routes(command, resolved)
     return resolved
 
 
@@ -158,55 +149,24 @@ def _read_config(path: str, command: str) -> list[tuple[str, str]]:
             ini.read_file(fh)
         return ini.items(command) if ini.has_section(command) else []
     except (OSError, UnicodeError) as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+        raise InputError(f"cannot read config file: {exc}") from exc
     except configparser.Error as exc:
-        raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from exc
+        raise InputError(f"malformed config file: {' '.join(str(exc).split())}") from exc
 
 
 def _check_bounds(cfg: dict) -> None:
-    """Refuse out-of-range scalar inputs and unwritable outputs before any work starts."""
+    """Refuse what only the CLI knows to be wrong, before any work starts: a
+    cutoff that would read as "auto", more workers than CPUs, unwritable outputs."""
     cutoff = cfg.get("cutoff")
     if cutoff is not None and cutoff <= 0:
-        raise UsageError(f"cutoff must be positive, got {cutoff}")
-    # the closed-form moments take the square of the level count as a float
-    if cutoff is not None and (cutoff + 1) ** 2 > sys.float_info.max:
-        raise UsageError(f"cutoff must be below {math.sqrt(sys.float_info.max):.4g}, "
-                         f"got one of {len(str(cutoff))} digits")
-    gamma = cfg.get("gamma", 0.0)
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise UsageError(f"gamma must be finite and nonnegative, got {gamma!r}")
-    if not 0.0 < cfg.get("eta", 1.0) <= 1.0:
-        raise UsageError(f"eta must lie in (0, 1], got {cfg['eta']!r}")
-    if cfg.get("pulses") is not None and cfg["pulses"] < 3:
-        raise UsageError(f"jackknife errors need at least 3 pulses, got {cfg['pulses']}")
-    if cfg.get("bin_width", 1) < 1:
-        raise UsageError(f"bin_width must be at least 1, got {cfg['bin_width']}")
-    if cfg.get("seed", 0) < 0:
-        raise UsageError(f"seed must be nonnegative, got {cfg['seed']}")
+        raise InputError(f"cutoff must be positive, got {cutoff}")
     workers, cpus = cfg.get("workers", 1), os.cpu_count() or 1
     if not 1 <= workers <= cpus:
-        raise UsageError(f"workers must lie in 1..{cpus} (the CPU count), got {workers}")
+        raise InputError(f"workers must lie in 1..{cpus} (the CPU count), got {workers}")
     for key in ("out", "pulse_log"):
         path = cfg.get(key)
         if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
-            raise UsageError(f"cannot write {key} {path!r}: not a file in an existing directory")
-
-
-def _first_route(command: str, cfg: dict) -> str | None:
-    """The option set in ``cfg`` that picks the first of ``command``'s routes, if any."""
-    return next((key for key in _ROUTES[command][0]
-                 if cfg[key] is not False and cfg[key] is not None), None)
-
-
-def _check_routes(command: str, cfg: dict) -> None:
-    """Refuse an option away from its default where the run does not read it."""
-    if cfg["state"] == "vacuum" and cfg["gamma"] != _DEFAULTS[command]["gamma"]:
-        raise UsageError("--gamma is not read with --state vacuum, whose gain is 0")
-    pickers, first, other = _ROUTES[command]
-    picked = _first_route(command, cfg)
-    for key in (k for k in (other if picked else first) if cfg[k] != _DEFAULTS[command][k]):
-        raise UsageError(f"{_flag(key)} is not read with {_flag(picked)}" if picked else
-                         f"{_flag(key)} is read only with {' or '.join(map(_flag, pickers))}")
+            raise InputError(f"cannot write {key} {path!r}: not a file in an existing directory")
 
 
 def _flag(key: str) -> str:
@@ -220,24 +180,25 @@ def _convert(opt: _Opt, raw: str):
         return None
     if opt.type is bool:
         if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-            raise UsageError(f"boolean config key {opt.name!r} got {raw!r}")
+            raise InputError(f"boolean config key {opt.name!r} got {raw!r}")
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     try:
         return opt.type(raw)
     except ValueError as exc:
-        raise UsageError(f"config key {opt.name!r} must be a number, got {raw!r}") from exc
+        raise InputError(f"config key {opt.name!r} must be a number, got {raw!r}") from exc
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
+    """Outside text as a nonempty list of finite, nonnegative floats."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"malformed {what} grid {text!r}") from exc
+        raise InputError(f"malformed {what} grid {text!r}") from exc
     if not values:
-        raise UsageError(f"empty {what} grid")
+        raise InputError(f"empty {what} grid")
     for v in values:
         if not (math.isfinite(v) and v >= 0.0):
-            raise UsageError(f"{what} grid values must be finite and nonnegative, got {v!r}")
+            raise InputError(f"{what} grid values must be finite and nonnegative, got {v!r}")
     return values
 
 
@@ -288,12 +249,21 @@ def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
     from .witnesses import cutoff_for_edge_mass, evaluate_witness
     from .simulate import SimConfig, estimate_witness, matched_witness
 
-    shown = cfg["state"]
+    shown, default = cfg["state"], _DEFAULTS["witness"]
     vacuum = shown == "vacuum"
+    if vacuum and cfg["gamma"] != default["gamma"]:
+        raise InputError("--gamma is not read with --state vacuum, whose gain is 0")
+    # sampling is picked by --simulate or --pulses; an option only the idle route
+    # reads must keep its default
+    picked = "--simulate" if cfg["simulate"] else "--pulses" if cfg["pulses"] is not None else None
+    simulate = picked is not None
+    for key in ("cutoff",) if simulate else ("seed", "workers", "pulse_log", "eta"):
+        if cfg[key] != default[key]:
+            raise InputError(f"{_flag(key)} is not read with {picked}" if simulate
+                             else f"{_flag(key)} is read only with --simulate or --pulses")
     label = BellLabel.PSI_MINUS if vacuum else BellLabel(shown)  # no sign at zero gain
     gamma = 0.0 if vacuum else cfg["gamma"]
     kind = WitnessKind(cfg["witness"]) if cfg["witness"] else matched_witness(label)
-    simulate = _first_route("witness", cfg) is not None
     header = ["mode", "witness", "state", "gamma", "cutoff", "eta", "pulses", "seed",
               "value", "value_error", "var_1", "var_2", "var_3",
               "var_err_1", "var_err_2", "var_err_3", "mean_s0"]
@@ -352,8 +322,6 @@ def _cmd_truncation(cfg: dict) -> tuple[list[str], None]:
 
     n0_list = _parse_grid(cfg["n0_grid"], "N0")
     targets = _parse_grid(cfg["epsilon_grid"], "epsilon")
-    if not all(0.0 < eps < 1.0 for eps in targets):
-        raise UsageError(f"epsilon targets must lie in (0, 1), got {targets}")
     points = dimension_scan(n0_list, targets)
     header = ["epsilon", "n0", "ratio"]
     rows = [[p.epsilon_target, p.n0, p.occupancy] for p in points]
@@ -432,8 +400,6 @@ def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
     from .simulate import SWEEP_BYTES_PER_POINT, SimConfig, efficiency_sweep
 
     grid = _parse_grid(cfg["eta_grid"], "eta")
-    if not all(0.0 < eta <= 1.0 for eta in grid):
-        raise UsageError(f"eta grid values must lie in (0, 1], got {grid}")
     check_memory(len(grid), "efficiency sweep", SWEEP_BYTES_PER_POINT, "grid points")
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
                     pulses=cfg["pulses"], seed=cfg["seed"])
@@ -474,10 +440,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve_config(args)
         outputs, extra = _COMMANDS[args.command](cfg)
         manifest = _write_manifest(args.command, cfg, outputs, t0, extra)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationMassError, NumericError, ValueError, ArithmeticError) as exc:
+    except (NumericError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # e.g. a full disk under --out or --pulse-log

@@ -31,16 +31,15 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
-from .states import NumericError, _log_q, _photon_moments, mean_photons_per_mode
+from .states import InputError, NumericError, _log_q, _photon_moments, mean_photons_per_mode
 
 
 def _log_tail(gamma: float, n_max: int | None) -> float:
     """ln t = (n_max + 1) ln q, t the pair spectrum mass beyond the cutoff (-inf without one)."""
     log_q = _log_q(gamma)
     if n_max is not None and n_max < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {n_max!r}")
+        raise InputError(f"cutoff must be nonnegative, got {n_max!r}")
     return -math.inf if n_max is None else (n_max + 1) * log_q
 
 
@@ -126,27 +125,7 @@ def fedorov_ratio(
     return r_pair * r_pair if four_mode else r_pair
 
 
-# -- combined report and gain scan ---------------------------------------------
-
-
-@dataclass
-class MeasureReport:
-    """The four-mode measures at one gain, evaluated at a budgeted cutoff."""
-
-    gamma: float
-    n0: float
-    cutoff: int
-    negativity: float
-    log_negativity: float
-    kbar: float
-    fedorov_ratio: float
-    width_convention: WidthConvention
-
-    def __post_init__(self) -> None:
-        vals = (self.gamma, self.n0, self.negativity, self.log_negativity,
-                self.kbar, self.fedorov_ratio)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("measure report entries must be finite")
+# -- gain scan ----------------------------------------------------------------
 
 
 def cutoff_for_trace_norm(gamma: float, rel: float = 1e-13, floor: int = 8) -> int:
@@ -165,31 +144,10 @@ def cutoff_for_trace_norm(gamma: float, rel: float = 1e-13, floor: int = 8) -> i
     return max(floor, math.ceil(2.0 * math.log(budget) / log_q) - 1)
 
 
-def measure_report(
-    gamma: float,
-    n_max: int | None = None,
-    convention: WidthConvention = WidthConvention.SQRT2_STDDEV,
-) -> MeasureReport:
-    """Every four-mode measure at one gain (cutoff defaults to ``cutoff_for_trace_norm``)."""
-    convention = WidthConvention(convention)
-    if n_max is None:
-        n_max = cutoff_for_trace_norm(gamma)
-    return MeasureReport(
-        gamma=gamma,
-        n0=mean_photons_per_mode(gamma),
-        cutoff=n_max,
-        negativity=negativity(gamma, n_max),
-        log_negativity=log_negativity(gamma, n_max),
-        kbar=kbar(gamma, n_max),
-        fedorov_ratio=fedorov_ratio(gamma, n_max, convention),
-        width_convention=convention,
-    )
-
-
 def gamma_for_mean_photons(n0: float) -> float:
     """Invert N0 = sinh(gamma)^2."""
     if n0 < 0:
-        raise ValueError("mean photon number must be nonnegative")
+        raise InputError("mean photon number must be nonnegative")
     return math.asinh(math.sqrt(n0))
 
 
@@ -197,8 +155,8 @@ def gain_scan(n0_grid, convention: WidthConvention = WidthConvention.SQRT2_STDDE
     """All three measures across a grid of mean photon numbers.
 
     One row per N0 with the four-mode negativity, effective mode number
-    and width ratio, plus their large-gain normalizations (16 N0^2,
-    4 N0^2 and 2 N0^2).
+    and width ratio at the budgeted cutoff ``cutoff_for_trace_norm``, plus
+    their large-gain normalizations (16 N0^2, 4 N0^2 and 2 N0^2).
     """
     rows = []
     for n0 in n0_grid:
@@ -210,16 +168,20 @@ def gain_scan(n0_grid, convention: WidthConvention = WidthConvention.SQRT2_STDDE
         if 16.0 * n0 * n0 > sys.float_info.max:
             raise NumericError(f"N0={n0!r} is above 3.35e153, where e^(4 gamma) ~ 16 N0^2 "
                                "(the scale of the negativity) overflows a double")
-        rep = measure_report(gamma_for_mean_photons(float(n0)), convention=convention)
-        neg, k, fr = rep.negativity, rep.kbar, rep.fedorov_ratio
+        gamma = gamma_for_mean_photons(float(n0))
+        n_max = cutoff_for_trace_norm(gamma)
+        neg, k, fr = (negativity(gamma, n_max), kbar(gamma, n_max),
+                      fedorov_ratio(gamma, n_max, convention))
+        if not all(math.isfinite(v) for v in (neg, k, fr)):
+            raise NumericError(f"measures at N0={n0!r} must be finite")
         if n0 >= 1.0 and not neg > k > fr:
             raise NumericError(
                 f"measure ordering negativity > kbar > width-ratio broke at N0={n0}"
             )
         rows.append({
             "n0": float(n0),
-            "gamma": rep.gamma,
-            "cutoff": rep.cutoff,
+            "gamma": gamma,
+            "cutoff": n_max,
             "negativity": neg,
             "kbar": k,
             "fedorov": fr,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BellLabel, FourModeState
+from .states import BellLabel, FourModeState, InputError
 
 BEAM_A, BEAM_B, BOTH_BEAMS = "a", "b", "both"
 
@@ -69,10 +69,10 @@ class BasisTransform:
 
     def __post_init__(self):
         if self.target not in (BEAM_A, BEAM_B, BOTH_BEAMS):
-            raise ValueError(f"target must be 'a', 'b' or 'both', got {self.target!r}")
+            raise InputError(f"target must be 'a', 'b' or 'both', got {self.target!r}")
         defect = unitarity_defect(self.jones)
         if defect > 1e-12:
-            raise ValueError(f"Jones matrix not unitary (defect {defect:.2e})")
+            raise InputError(f"Jones matrix not unitary (defect {defect:.2e})")
 
 
 def unitarity_defect(jones: np.ndarray) -> float:

@@ -48,8 +48,8 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .measures import WidthConvention
-from .states import (BellLabel, NumericError, _log_q, check_memory, geometric_ratio,
-                     mean_photons_per_mode, paired_modes)
+from .states import (BellLabel, InputError, NumericError, _log_q, check_memory,
+                     geometric_ratio, mean_photons_per_mode, paired_modes)
 from .witnesses import WitnessKind, WitnessReport, matched_witness
 
 log = logging.getLogger(__name__)
@@ -108,9 +108,11 @@ class SimConfig:
             raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={self.gamma}: "
                                "no photon-number law to sample")
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
-        if self.pulses < 1:
-            raise ValueError("need at least 1 pulse")
+            raise InputError("eta must be in (0, 1]")
+        if self.pulses < 3:
+            raise InputError(f"jackknife errors need at least 3 pulses, got {self.pulses}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 # -- block sampling ------------------------------------------------------------
@@ -213,15 +215,13 @@ class _SeriesSums:
         is ``theta_i - mean = -c (d_i^2 - M2/n) + k e_i`` with
         ``c = n/((n-1)(n-2))`` and ``k = (2/3)/(n-1)``, so
         ``sigma_theta^2 = (n-1)/n [c^2 (M4 - M2^2/n) - 2 c k C21 + k^2 E2]``
-        and ``sigma_var^2`` is its first term.
+        and ``sigma_var^2`` is its first term; ``n >= 3``, as :class:`SimConfig` holds.
         """
         n = self.n
         s1, s2 = float(self.s1), float(self.s2)
         mean_full = float(self.t1) / n
-        var_full = (s2 - s1 * s1 / n) / (n - 1) if n > 1 else 0.0
+        var_full = (s2 - s1 * s1 / n) / (n - 1)
         theta_full = var_full - (2.0 / 3.0) * mean_full
-        if n < 3:
-            return var_full, mean_full, theta_full, math.inf, math.inf
         _, _, m2, _, m4, _, c21, e2 = self.central
         c, k = n / ((n - 1) * (n - 2)), (2.0 / 3.0) / (n - 1)
         spread = c * c * (m4 - m2 * m2 / n)
@@ -514,7 +514,7 @@ def estimate_fedorov(
     """
     convention = WidthConvention(convention)
     if bin_width < 1:
-        raise ValueError("bin width must be >= 1")
+        raise InputError("bin width must be >= 1")
     pairing = count_pairing(config.label, 1)
     side_h, side_v = _PartnerBins(bin_width), _PartnerBins(bin_width)
     for _, (xa, ya, xb, yb) in _count_blocks(config, pairing, series=0, run=run):
@@ -581,10 +581,10 @@ def efficiency_sweep(
     estimate itself changes sign (None if not bracketed).
     """
     if config.eta != 1.0:  # the grid sets each point's eta
-        raise ValueError(f"efficiency_sweep needs config.eta 1.0, got {config.eta!r}")
+        raise InputError(f"efficiency_sweep needs config.eta 1.0, got {config.eta!r}")
     etas = [float(e) for e in eta_grid]
     if any(not 0.0 < e <= 1.0 for e in etas):
-        raise ValueError("efficiency grid must lie in (0, 1]")
+        raise InputError("efficiency grid must lie in (0, 1]")
     matched = kind in (None, matched_witness(config.label))
     points = []
     for i, eta in enumerate(etas):

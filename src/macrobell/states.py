@@ -46,6 +46,10 @@ class NumericError(RuntimeError):
     """A numerical invariant failed (non-convergence, complex leakage...)."""
 
 
+class InputError(ValueError):
+    """A caller's argument lies outside the quantity's domain (exit code 2)."""
+
+
 class TruncationMassError(ValueError):
     """Too much amplitude mass near the cutoff for the requested claim."""
 
@@ -98,7 +102,7 @@ def paired_modes(n, m, pairing: str) -> tuple:
         return n, m, m, n
     if pairing == "parallel":
         return n, m, n, m
-    raise ValueError(f"unknown pairing {pairing!r}")
+    raise InputError(f"unknown pairing {pairing!r}")
 
 
 def mean_photons_per_mode(gamma: float) -> float:
@@ -116,7 +120,7 @@ def _log_q(gamma: float) -> float:
     x = e^(-2 gamma) where q nears 1, 2 ln tanh(gamma) where x > 1/2 (the
     rounding of x would be amplified by 1 / (1 - x) there)."""
     if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gain must be finite and nonnegative, got {gamma!r}")
+        raise InputError(f"gain must be finite and nonnegative, got {gamma!r}")
     if gamma == 0.0:
         return -math.inf
     x = math.exp(-2.0 * gamma)
@@ -133,7 +137,7 @@ def schmidt_spectrum(gamma: float, n_max: int) -> np.ndarray:
     """
     _log_q(gamma)  # refuses a gain that is negative or not finite
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise InputError(f"n_max must be >= 0, got {n_max}")
     q = math.tanh(gamma) ** 2
     if q == 0.0:
         return (np.arange(n_max + 1) == 0).astype(np.float64)
@@ -227,9 +231,10 @@ class FourModeState:
         if _log_q(self.gamma) == 0.0:  # also refuses a gain that is negative or not finite
             raise NumericError(f"ln tanh(gamma)^2 rounds to 0 at gamma={self.gamma}: "
                                "no representable weights")
-        if self.n_max < 0 or self.pairing not in ("cross", "parallel"):
-            raise ValueError(f"need n_max >= 0 (got {self.n_max}) and pairing 'cross' "
-                             f"or 'parallel' (got {self.pairing!r})")
+        # past the float range, n_max + 1 no longer converts in the closed forms
+        if not 0 <= self.n_max < sys.float_info.max or self.pairing not in ("cross", "parallel"):
+            raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max}) "
+                             f"and pairing 'cross' or 'parallel' (got {self.pairing!r})")
         if max(abs(abs(w) - 1.0) for w in (self.step_u, self.step_v)) > 1e-12:
             raise ValueError(f"phase steps need unit modulus: {self.step_u!r}, {self.step_v!r}")
         if len(self.jones) != 2 or any(

@@ -40,7 +40,7 @@ import logging
 
 import numpy as np
 
-from .states import FourModeState, NumericError, _photon_moments, geometric_ratio
+from .states import FourModeState, InputError, NumericError, _photon_moments, geometric_ratio
 
 log = logging.getLogger(__name__)
 
@@ -108,9 +108,11 @@ def moments(coeffs: dict, state: FourModeState) -> tuple[float, float]:
     is a :class:`FourModeState` in any frame; since O is Hermitian,
     ``<O^2>`` is ``||O psi||^2``, never an operator product.
     """
+    if not isinstance(state, FourModeState):
+        raise InputError(f"state must be a FourModeState, got {type(state).__name__}")
     unknown = set(coeffs) - set(_TERMS)
     if unknown:
-        raise ValueError(f"Stokes terms must be (0..3, 'a'|'b'), got {unknown}")
+        raise InputError(f"Stokes terms must be (0..3, 'a'|'b'), got {unknown}")
     return _closed_form_moments(_through_frame(coeffs, state.jones), state)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import gamma_for_mean_photons
-from .states import _log_q, geometric_ratio
+from .states import InputError, _log_q, geometric_ratio
 
 #: largest total-photon cutoff a budget may ask for
 MAX_CUTOFF = 1_000_000
@@ -68,7 +68,7 @@ def cutoff_for_epsilon(gamma: float, epsilon: float) -> int:
     rounding cannot leave it one off.
     """
     if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon target must be in (0, 1)")
+        raise InputError("epsilon target must be in (0, 1)")
     q = geometric_ratio(gamma)
     if q == 0.0:
         return 0
@@ -105,7 +105,7 @@ def alpha_from_epsilon(epsilon: float) -> float:
     achieving ``epsilon`` approaches ``alpha * N0`` as N0 grows.
     """
     if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
+        raise InputError("epsilon must be in (0, 1)")
     return _solve_log1p(1.0, math.log(epsilon))
 
 
@@ -161,18 +161,20 @@ def compression_scan(n0: float, epsilon_grid) -> list[CompressionPoint]:
     retained dimension and the truncated effective mode number.
     """
     gamma = gamma_for_mean_photons(n0)
+    # every target is checked (InputError) before a budget can be refused as unreachable
+    targets = [(float(eps), alpha_from_epsilon(float(eps))) for eps in epsilon_grid]
     out = []
-    for eps in epsilon_grid:
-        n_tot = cutoff_for_epsilon(gamma, float(eps))
+    for eps, alpha in targets:
+        n_tot = cutoff_for_epsilon(gamma, eps)
         kt = truncated_kbar(gamma, n_tot)
         dim = subspace_dimension(n_tot)
         out.append(CompressionPoint(
             gamma=gamma,
             n0=float(n0),
-            epsilon_target=float(eps),
+            epsilon_target=eps,
             n_total=n_tot,
             achieved_epsilon=epsilon_from_cutoff(gamma, n_tot),
-            alpha=alpha_from_epsilon(float(eps)),
+            alpha=alpha,
             dimension=dim,
             kbar_truncated=kt,
             occupancy=kt / dim,
@@ -190,7 +192,7 @@ def dimension_scan(n0_list, epsilon_grid) -> list[CompressionPoint]:
     n0_list = [float(v) for v in n0_list]
     epsilon_grid = [float(e) for e in epsilon_grid]
     if not n0_list or not epsilon_grid:
-        raise ValueError("gain and epsilon grids must be nonempty")
+        raise InputError("gain and epsilon grids must be nonempty")
     rows: list[CompressionPoint] = []
     for n0 in n0_list:
         rows.extend(compression_scan(n0, epsilon_grid))

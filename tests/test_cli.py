@@ -22,7 +22,7 @@ from macrobell.simulate import (
     estimate_fedorov,
     witness_under_loss,
 )
-from macrobell.states import BellLabel, build_bell_state
+from macrobell.states import BellLabel, InputError, build_bell_state
 from macrobell.truncation import dimension_scan
 from macrobell.witnesses import WitnessKind, cross_witness_matrix, cutoff_for_edge_mass, evaluate_witness
 
@@ -214,6 +214,8 @@ def test_empty_grid_is_usage_error():
     ["truncation", "--epsilon-grid", "0"],
     ["truncation", "--epsilon-grid", "nan"],
     ["truncation", "--epsilon-grid", "0.1,1"],
+    # a bad target is input, even after one that no cutoff reaches
+    ["truncation", "--n0-grid", "1e300", "--epsilon-grid", "0.5,1.5"],
     ["witness", "--cutoff", "0"],
     ["witness", "--cutoff", "-3"],
     ["crosswitness", "--cutoff", "0"],
@@ -367,7 +369,7 @@ def test_config_text_resolves_or_is_usage_error(ini, command):
     args = cli._build_parser().parse_args([command, "--config", "fuzz.ini"])
     try:
         cfg = cli._resolve_config(args)
-    except cli.UsageError:
+    except InputError:
         return
     assert set(cfg) == set(cli._DEFAULTS[command])
 
@@ -466,38 +468,51 @@ def test_workers_beyond_cpu_count_is_usage_error(capsys):
 _HUGE_CUTOFF = [
     ["witness", "--gamma", "0.5", "--cutoff", "1000000000000"],
     ["crosswitness", "--cutoff", "1000000000000"],
+    ["witness", "--gamma", "0.5", "--cutoff", str(10**200)],
+    ["crosswitness", "--cutoff", str(10**200)],
 ]
 
 
-@pytest.mark.parametrize("argv", _HUGE_CUTOFF, ids=" ".join)
-def test_huge_cutoff_is_answered(argv):
-    # at cutoff 10^12 nothing is left to truncate: the table is the paper's
-    # -8 N0 on the diagonal and 16 N0^2 + 8 N0 off it to rounding, and the
-    # gated default run is within the edge-mass tolerance of it
-    assert cli.main(argv + ["--out", "big.csv"]) == 0
-    assert cli.main(argv[:-2] + ["--out", "gated.csv"]) == 0
+def _paper_table(command, path):
+    """The witness table a run wrote at gamma 0.5, over the paper's: -8 N0 on
+    the diagonal and 16 N0^2 + 8 N0 off it, which a cutoff of 10^12 and up
+    leaves nothing to truncate from."""
     n0 = math.sinh(0.5) ** 2
-    table = lambda path: np.array([[float(r["value"])] if argv[0] == "witness" else
-                                   [float(v) for k, v in r.items() if k != "witness"]
-                                   for r in _read_csv(path)])
-    big, gated = table("big.csv"), table("gated.csv")
-    want = np.where(np.eye(*big.shape, dtype=bool), -8.0 * n0, 16.0 * n0 * n0 + 8.0 * n0)
-    assert np.all(np.abs(big / want - 1.0) <= 1e-13)
+    got = np.array([[float(r["value"])] if command == "witness" else
+                    [float(v) for k, v in r.items() if k != "witness"]
+                    for r in _read_csv(path)])
+    want = np.where(np.eye(*got.shape, dtype=bool), -8.0 * n0, 16.0 * n0 * n0 + 8.0 * n0)
+    return got, got / want - 1.0
+
+
+@pytest.mark.parametrize("argv", _HUGE_CUTOFF,
+                         ids=lambda argv: " ".join(argv).replace(str(10**200), "10**200"))
+def test_huge_cutoff_is_answered(argv):
+    # past 10^12 the table stays the 10^12 one, and the gated default run is
+    # within the edge-mass tolerance of it
+    assert cli.main(argv + ["--out", "big.csv"]) == 0
+    assert cli.main(argv[:-1] + ["1000000000000", "--out", "ref.csv"]) == 0
+    assert cli.main(argv[:-2] + ["--out", "gated.csv"]) == 0
+    big, rel = _paper_table(argv[0], "big.csv")
+    assert np.all(np.abs(rel) <= 1e-13)
+    ref, gated = _paper_table(argv[0], "ref.csv")[0], _paper_table(argv[0], "gated.csv")[0]
+    assert np.all(np.abs(big / ref - 1.0) <= 1e-13)
     assert np.all(np.abs(gated / big - 1.0) <= 1e-10)
     manifest = _read_manifest("big.csv.manifest.json")
-    assert manifest["cutoff"] == 1_000_000_000_000 and manifest["edge_mass"] == 0.0
+    assert manifest["cutoff"] == int(argv[-1]) and manifest["edge_mass"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["witness", "crosswitness"])
 def test_largest_cutoff_is_answered(command, capsys):
-    # the closed-form moments square the level count as a float: the largest
-    # cutoff whose square fits is answered, the next one is a usage error
-    largest = math.isqrt(int(sys.float_info.max)) - 1
+    # the library takes any cutoff whose level count n_max + 1 is within the
+    # float range; the next one is a usage error that names it
+    largest = int(sys.float_info.max) - 1
     assert cli.main([command, "--cutoff", str(largest), "--out", "big.csv"]) == 0
+    assert np.all(np.abs(_paper_table(command, "big.csv")[1]) <= 1e-13)
     capsys.readouterr()
     assert cli.main([command, "--cutoff", str(largest + 1), "--out", "big.csv"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error: cutoff must be below 1.341e+154")
+    assert err.startswith("usage error: ") and f"(got {largest + 1})" in err
     assert err.count("\n") == 1
 
 

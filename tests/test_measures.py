@@ -12,12 +12,11 @@ from macrobell.measures import (
     gamma_for_mean_photons,
     kbar,
     log_negativity,
-    measure_report,
     negativity,
     photon_number_moments,
     trace_norm,
 )
-from macrobell.states import mean_photons_per_mode
+from macrobell.states import InputError, mean_photons_per_mode
 
 from oracles import (
     bell_vector,
@@ -45,11 +44,11 @@ def test_schmidt_number_uniform_and_squaring():
 
 def test_schmidt_number_validation():
     for bad_gamma in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             kbar(bad_gamma)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             trace_norm(bad_gamma, n_max=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         kbar(0.5, n_max=-1)
 
 
@@ -137,7 +136,7 @@ def test_negativity_numeric_routes_and_guard():
     # exactly that of the renormalized truncated state
     dense = pt_trace_norm(np.diag(np.sqrt(pair_spectrum(1.0, 10))))
     assert trace_norm(1.0, n_max=10, four_mode=False) == pytest.approx(dense, rel=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         negativity(0.5, n_max=-1)
 
 
@@ -204,9 +203,9 @@ def test_measures_against_decimal_reference_at_short_cutoffs(gamma, n_max):
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         photon_number_moments(-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         photon_number_moments(0.5, n_max=-3)
     with pytest.raises(ValueError):
         fedorov_ratio(0.5, convention="fwhm")
@@ -245,16 +244,20 @@ def test_fedorov_ratio_conventions_and_asymptotes():
 
 
 def test_measure_report_consistency():
-    rep = measure_report(0.5)
-    assert rep.n0 == pytest.approx(mean_photons_per_mode(0.5), rel=1e-14)
-    assert rep.cutoff == cutoff_for_trace_norm(0.5)
-    assert rep.kbar == pytest.approx(kbar(0.5), rel=1e-12)
-    assert rep.negativity == pytest.approx(negativity(0.5), rel=1e-12)
-    assert rep.log_negativity == pytest.approx(2.0 / math.log(2), rel=1e-12)
-    assert rep.width_convention is WidthConvention.SQRT2_STDDEV
-    rep2 = measure_report(0.5, convention="stddev")
-    assert rep2.width_convention is WidthConvention.STDDEV
-    assert rep2.fedorov_ratio != rep.fedorov_ratio
+    # a gain_scan row holds each measure at the budgeted cutoff of its gain
+    n0 = mean_photons_per_mode(0.5)
+    (row,) = gain_scan([n0])
+    gamma, n_max = gamma_for_mean_photons(n0), cutoff_for_trace_norm(0.5)
+    assert row["n0"] == n0 and row["gamma"] == gamma == pytest.approx(0.5, rel=1e-14)
+    assert row["cutoff"] == n_max == cutoff_for_trace_norm(gamma)
+    assert row["negativity"] == negativity(gamma, n_max)
+    assert row["kbar"] == kbar(gamma, n_max)
+    assert row["fedorov"] == fedorov_ratio(gamma, n_max, WidthConvention.SQRT2_STDDEV)
+    assert row["kbar"] == pytest.approx(kbar(0.5), rel=1e-12)
+    assert row["negativity"] == pytest.approx(negativity(0.5), rel=1e-12)
+    assert log_negativity(gamma, n_max) == pytest.approx(2.0 / math.log(2), rel=1e-12)
+    (row2,) = gain_scan([n0], convention="stddev")
+    assert row2["fedorov"] == fedorov_ratio(gamma, n_max, "stddev") != row["fedorov"]
 
 
 @pytest.mark.parametrize("n0", [1.0, 10.0, 1e6])
@@ -288,7 +291,7 @@ def test_gamma_inversion_round_trip():
     for n0 in (0.0, 0.5, 3.0, 100.0):
         assert mean_photons_per_mode(gamma_for_mean_photons(n0)) == pytest.approx(
             n0, rel=1e-12, abs=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         gamma_for_mean_photons(-1.0)
 
 

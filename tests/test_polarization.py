@@ -19,6 +19,7 @@ from macrobell.polarization import (
 )
 from macrobell.states import (
     BellLabel,
+    InputError,
     NumericError,
     build_bell_state,
     mean_photons_per_mode,
@@ -63,9 +64,9 @@ def test_pi_phase_matrix():
 
 
 def test_transform_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         BasisTransform("x", "c", np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         BasisTransform("x", "a", np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
 
 

@@ -29,8 +29,8 @@ from macrobell.simulate import (
     matched_witness,
     witness_under_loss,
 )
-from macrobell.states import (BellLabel, NumericError, build_bell_state, mean_photons_per_mode,
-                              schmidt_spectrum)
+from macrobell.states import (BellLabel, InputError, NumericError, build_bell_state,
+                              mean_photons_per_mode, schmidt_spectrum)
 from macrobell.witnesses import WitnessKind
 from oracles import (
     MeasurementSetting,
@@ -74,13 +74,15 @@ def test_sim_config_validation():
     cfg = SimConfig(label="psi-minus", gamma=0.5)
     assert cfg.label is BellLabel.PSI_MINUS
     assert cfg.eta == 1.0 and cfg.pulses == 100_000
-    for bad in ({"eta": 0.0}, {"eta": 1.2}, {"pulses": 0}):
-        with pytest.raises(ValueError):
+    # the jackknife needs 3 pulses, and the Philox key a nonnegative seed
+    for bad in ({"eta": 0.0}, {"eta": 1.2}, {"pulses": 0}, {"pulses": 2}, {"seed": -1}):
+        with pytest.raises(InputError):
             SimConfig(label="psi-minus", gamma=0.5, **bad)
-    with pytest.raises(ValueError, match="bin width"):
+    assert SimConfig(label="psi-minus", gamma=0.5, pulses=3).pulses == 3
+    with pytest.raises(InputError, match="bin width"):
         estimate_fedorov(cfg, bin_width=0)
     for bad_gamma in (-1.0, -1e-300, math.nan, math.inf):
-        with pytest.raises(ValueError, match="gain must be finite and nonnegative"):
+        with pytest.raises(InputError, match="gain must be finite and nonnegative"):
             SimConfig(label="psi-minus", gamma=bad_gamma)
     # past gamma ~ 19.06 the geometric law has no representable ratio below 1
     assert SimConfig(label="psi-minus", gamma=19.0).gamma == 19.0
@@ -197,11 +199,6 @@ def test_jackknife_matches_explicit_delete_one():
     want_s_var = math.sqrt((n - 1) / n * np.sum((var_del - var_del.mean()) ** 2))
     assert s_theta == pytest.approx(want_s_theta, rel=1e-10)
     assert s_var == pytest.approx(want_s_var, rel=1e-10)
-
-
-def test_jackknife_tiny_series():
-    var, mean, theta, s_theta, s_var = _streamed_series(np.array([1, 2]), np.array([3, 4]))
-    assert math.isinf(s_theta) and math.isinf(s_var)
 
 
 # sha256 of the (pulses, 4) counts of series 1 at gamma 2.5, seed 5 and
@@ -432,6 +429,14 @@ def test_witness_under_loss_formula():
     assert witness_under_loss(0.9, 0.2) > 0.0  # certification lost below 1/3
 
 
+def test_refused_config_opens_no_pulse_log(tmp_path):
+    # a negative seed is refused before any pulse is drawn or any log opened
+    path = tmp_path / "p.ndjson"
+    with pytest.raises(InputError, match="seed must be nonnegative"):
+        estimate_witness(SimConfig("psi-minus", 0.5, pulses=10, seed=-1), pulse_log=str(path))
+    assert not path.exists()
+
+
 def test_pulse_log_format(tmp_path):
     cfg = SimConfig(label="psi-plus", gamma=0.5, pulses=50, seed=7)
     path = tmp_path / "pulses.ndjson"
@@ -452,12 +457,12 @@ def test_pulse_log_format(tmp_path):
 
 
 @pytest.mark.parametrize("run", [1, 2])
-@pytest.mark.parametrize("pulses", [1, 3, 1023, 1024, 1025, BLOCK_PULSES + 1,
+@pytest.mark.parametrize("pulses", [3, 1023, 1024, 1025, BLOCK_PULSES + 1,
                                     2 * BLOCK_PULSES + 1])
 def test_pulse_log_matches_per_pulse_reference(tmp_path, pulses, run):
     # gamma=2.5 (N0 ~ 37) gives multi-digit counts; the pulse counts straddle
-    # 1024 and, at 4097 and 8193, the RNG blocks the log is written in; each
-    # run index keys its own Philox streams
+    # 1024 and, at 4097 and 8193, the RNG blocks the log is written in, the
+    # last of them a one-pulse block; each run index keys its own Philox streams
     cfg = SimConfig(label="phi-minus", gamma=2.5, eta=0.85, pulses=pulses, seed=5)
     path = tmp_path / "pulses.ndjson"
     estimate_witness(cfg, kind=WitnessKind.W_S, run=run, pulse_log=str(path))
@@ -601,14 +606,14 @@ def test_efficiency_sweep_threshold_and_crossing():
 
 def test_efficiency_sweep_grid_validation():
     cfg = SimConfig(label="psi-minus", gamma=0.8, pulses=100, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         efficiency_sweep(cfg, [0.5, 1.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         efficiency_sweep(cfg, [0.0, 0.5])
 
 
 def test_efficiency_sweep_refuses_a_config_eta():
     # each grid point sets its own efficiency, so one in the config would be dropped
     cfg = SimConfig(label="psi-minus", gamma=0.8, eta=0.3, pulses=100, seed=0)
-    with pytest.raises(ValueError, match="config.eta 1.0, got 0.3"):
+    with pytest.raises(InputError, match="config.eta 1.0, got 0.3"):
         efficiency_sweep(cfg, [0.5])

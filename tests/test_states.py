@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -10,6 +11,7 @@ from macrobell.basis import FourModeBasis
 from macrobell.states import (
     BellLabel,
     FourModeState,
+    InputError,
     NumericError,
     TruncationMassError,
     _photon_moments,
@@ -61,9 +63,9 @@ def test_spectrum_vacuum():
 
 def test_spectrum_domain_errors():
     for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             schmidt_spectrum(bad, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         schmidt_spectrum(0.5, -1)
 
 
@@ -244,9 +246,9 @@ def test_dense_matches_independent_loop():
 
 
 def test_storage_validation():
-    with pytest.raises(ValueError, match="pairing 'cross' or 'parallel'"):
+    with pytest.raises(InputError, match="pairing 'cross' or 'parallel'"):
         FourModeState(gamma=0.0, n_max=1)
-    with pytest.raises(ValueError, match="pairing 'cross' or 'parallel'"):
+    with pytest.raises(InputError, match="pairing 'cross' or 'parallel'"):
         FourModeState(gamma=0.0, n_max=1, pairing="diagonal")
     # malformed frames are refused at construction, naming what is expected
     for jones in ((np.eye(2),), (np.eye(3), None), (None, 2.0 * np.eye(2))):
@@ -256,10 +258,15 @@ def test_storage_validation():
         FourModeState(gamma=0.5, n_max=4, pairing="cross", step_v=1.5)
     with pytest.raises(ValueError, match="unit modulus"):
         FourModeState(gamma=0.5, n_max=4, pairing="cross", step_u=0.0)
-    with pytest.raises(ValueError, match="n_max"):
+    with pytest.raises(InputError, match="n_max"):
         FourModeState(gamma=0.5, n_max=-1, pairing="cross")
+    # n_max + 1 levels must convert to a float: the largest cutoff is answered
+    largest = int(sys.float_info.max) - 1
+    assert FourModeState(gamma=0.5, n_max=largest, pairing="cross").edge_mass() == 0.0
+    with pytest.raises(InputError, match=f"got {largest + 1}"):
+        FourModeState(gamma=0.5, n_max=largest + 1, pairing="cross")
     for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="gain"):
+        with pytest.raises(InputError, match="gain"):
             build_bell_state(BellLabel.PSI_MINUS, bad, 4)
     # past gamma of about 372, ln tanh(gamma)^2 itself rounds to 0
     with pytest.raises(NumericError, match="rounds to 0"):

@@ -8,6 +8,7 @@ from macrobell.basis import FourModeBasis
 from macrobell.states import (
     BellLabel,
     FourModeState,
+    InputError,
     build_bell_state,
     schmidt_spectrum,
 )
@@ -97,8 +98,12 @@ def test_error_paths():
         expectation(s1a, FourModeState(gamma=0.0, n_max=2, pairing="cross", scale=0.0))
     big = build_bell_state(BellLabel.PSI_MINUS, 0.3, 4)
     for bad in ({(4, "a"): 1.0}, {(1, "c"): 1.0}):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             variance_of_combination(bad, big)
+    # a raw amplitude vector is not a state: the refusal names the type it takes
+    for call in (expectation, variance_of_combination):
+        with pytest.raises(InputError, match="FourModeState, got ndarray"):
+            call({(1, "a"): 1.0}, np.ones(16))
 
 
 _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from macrobell.states import geometric_ratio
+from macrobell.states import InputError, geometric_ratio
 from macrobell.measures import gamma_for_mean_photons, kbar
 from macrobell.truncation import (
     MAX_CUTOFF,
@@ -110,11 +110,12 @@ def test_cutoff_for_epsilon_minimality():
     assert cutoff_for_epsilon(gamma_for_mean_photons(4e5), 0.5) == 671_339
     assert cutoff_for_epsilon(gamma_for_mean_photons(5.9e5), 0.5) == 990_225
     for n0 in (6e5, 1e20):  # at 1e20, q = tanh^2 gamma rounds to 1
-        with pytest.raises(ValueError, match=f"exceeds {MAX_CUTOFF}"):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_CUTOFF}") as refused:
             cutoff_for_epsilon(gamma_for_mean_photons(n0), 0.5)
+        assert not isinstance(refused.value, InputError)  # a numerical refusal
     assert cutoff_for_epsilon(0.0, 0.5) == 0
     for bad in (0.0, 1.0, 1.5, -0.1):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             cutoff_for_epsilon(0.5, bad)
 
 
@@ -130,7 +131,7 @@ def test_alpha_solver():
     alphas = [alpha_from_epsilon(e) for e in (0.9, 0.5, 0.1, 1e-3, 1e-9)]
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
     for bad in (0.0, 1.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             alpha_from_epsilon(bad)
 
 
@@ -247,9 +248,9 @@ def test_dimension_scan_shape_and_validation():
     assert len(rows) == 6
     assert [p.n0 for p in rows] == [10.0] * 3 + [100.0] * 3
     assert [p.epsilon_target for p in rows] == [0.5, 0.1, 0.02] * 2
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         dimension_scan([], [0.1])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         dimension_scan([10.0], [])
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from macrobell.states import (
     BellLabel,
+    InputError,
     NumericError,
     TruncationMassError,
     build_bell_state,
@@ -114,9 +115,9 @@ def test_cutoff_for_edge_mass_closed_form_matches_loop():
             got = cutoff_for_edge_mass(gamma, tol=tol, margin=margin)
             assert got == edge_mass_cutoff(gamma, tol=tol, margin=margin), (gamma, tol)
     assert cutoff_for_edge_mass(3.0) == 2396
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         cutoff_for_edge_mass(float("nan"))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         cutoff_for_edge_mass(-1.0)
     with pytest.raises(NumericError):
         cutoff_for_edge_mass(25.0)  # tanh(25)^2 == 1 in double precision
