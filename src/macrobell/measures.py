@@ -28,11 +28,11 @@ four-mode measure is the square of the pair one.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 
-from .states import InputError, NumericError, _log_q, _photon_moments, mean_photons_per_mode
+from .states import (Choice, InputError, NumericError, _log_q, _photon_moments,
+                     mean_photons_per_mode)
 
 
 def _log_tail(gamma: float, n_max: int | None) -> float:
@@ -87,7 +87,7 @@ def photon_number_moments(gamma: float, n_max: int | None = None) -> tuple[float
     return n0, n0 * (n0 + 1.0)
 
 
-class WidthConvention(enum.Enum):
+class WidthConvention(Choice):
     """How 'width' of a photon-number distribution is defined.
 
     STDDEV:       discrete standard deviation.

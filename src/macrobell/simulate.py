@@ -16,9 +16,13 @@ per mode.
 Reproducibility: pulses are generated in fixed blocks of
 ``BLOCK_PULSES``; each block owns a counter-addressed Philox stream
 keyed by (seed; block, series, run), so the blocks fix the RNG stream
-and a seed gives the same bytes on every run.  At eta = 1 no thinning
-variates are drawn (they would come last in a block's own stream, so
-skipping them moves no count).
+and a seed gives the same bytes on every run.  One generator per series
+is re-keyed to each block's counter (:func:`_count_blocks`).  Thinning
+is one binomial call per beam over its nonzero counts: numpy draws no
+variate for a zero count, so the stream is the same as thinning each
+detector row in turn.  At eta = 1 no thinning variates are drawn (they
+would come last in a block's own stream, so skipping them moves no
+count).
 
 Memory is set by the block, not by the pulse count: each block is
 reduced to sums as it is drawn and then dropped.  A witness series keeps
@@ -61,9 +65,11 @@ BLOCK_PULSES = 4096
 #: analyzer plate angles (hwp_deg, qwp_deg) realizing each Stokes component
 CANONICAL_SETTINGS = {1: (0.0, 0.0), 2: (22.5, 45.0), 3: (0.0, 45.0)}
 
-#: peak bytes per pulse of a witness block: the geometric draws, four thinned
-#: detector rows, the int64 readout and totals and three float64 buffers
-#: (tracemalloc: 125 at eta < 1, 81 at eta = 1)
+#: peak bytes per pulse of a witness block: the two beams' int64 counts, the
+#: nonzero counts a beam thins, their index and their draws, the int64 readout
+#: and totals and three float64 buffers (tracemalloc of a 4096-pulse estimate:
+#: 125 at gamma 6 and eta 0.5, where every count draws, 89 at gamma 0.5 and eta
+#: 0.85, 73 at eta = 1)
 BLOCK_BYTES_PER_PULSE = 128
 
 #: peak bytes per pulse of writing a block's pulse log: the digit-group table
@@ -85,6 +91,9 @@ SWEEP_BYTES_PER_POINT = 384
 LOG_PIECE_BYTES = 1 << 14
 
 _INT64_LIMIT = 2**63
+
+#: pulses turned into Python ints at a time where a block's sums pass int64
+_INT_PIECE = 256
 
 
 def count_pairing(label: BellLabel, component: int) -> str:
@@ -122,22 +131,43 @@ def _count_blocks(config: SimConfig, pairing: str, series: int, run: int):
     """Detected counts of one series, one ``BLOCK_PULSES`` block at a time.
 
     Yields ``(lo, (x_a, y_a, x_b, y_b))`` with the block's first pulse
-    index and one int64 array per detector.  At eta = 1 the rows alias
-    the two geometric draws, so they are read, never written.
+    index and one int64 array per detector.  The rows are views of two
+    per-series buffers, each beam's (x, y), that the next block overwrites,
+    so a caller reduces or copies them before it asks for the next.  At
+    eta = 1 the rows alias the geometric draws, so they are read, never
+    written.
+
+    One generator serves the series: each block re-keys it to the counter
+    (0, block, series, run) of the seed's key, the state a fresh
+    ``Philox(counter=, key=)`` has, so every block still reads its own
+    stream.  That stream is one ``geometric`` call for n and then m, and
+    one ``binomial`` call per beam; numpy draws nothing for a zero count,
+    so thinning only the nonzero counts reads the same variates, in the
+    same order, as thinning every detector row in turn.
     """
     p_geom = 1.0 - geometric_ratio(config.gamma)
     key = SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
+    bitgen = Philox(counter=np.array([0, 0, series, run], dtype=np.uint64), key=key)
+    rng = Generator(bitgen)
+    fresh = bitgen.state  # an unused Philox: empty buffer, no spare 32 bits
+    # each beam's (x, y) counts, overwritten block after block; beam b only under loss
+    beam_a = np.empty(2 * BLOCK_PULSES, dtype=np.int64)
+    beam_b = np.empty_like(beam_a) if config.eta < 1.0 else None
     for lo in range(0, config.pulses, BLOCK_PULSES):
-        # counter-addressed stream: one Philox per (seed; block, series, run)
-        counter = np.array([0, lo // BLOCK_PULSES, series, run], dtype=np.uint64)
-        rng = Generator(Philox(counter=counter, key=key))
+        fresh["state"]["counter"][1] = lo // BLOCK_PULSES
+        bitgen.state = fresh
         size = min(config.pulses - lo, BLOCK_PULSES)
-        n = rng.geometric(p_geom, size) - 1
-        m = rng.geometric(p_geom, size) - 1
-        rows = paired_modes(n, m, pairing)
-        if config.eta < 1.0:  # fixed thinning order: x_a, y_a, x_b, y_b
-            rows = tuple(rng.binomial(k, config.eta) for k in rows)
-        yield lo, rows
+        a = np.subtract(rng.geometric(p_geom, 2 * size), 1, out=beam_a[:2 * size])  # n, then m
+        n, m = a[:size], a[size:]
+        if config.eta == 1.0:
+            yield lo, paired_modes(n, m, pairing)
+            continue
+        # thinning order x_a, y_a, x_b, y_b
+        b = np.concatenate(paired_modes(n, m, pairing)[2:], out=beam_b[:2 * size])
+        for beam in (a, b):
+            drawing = (beam > 0).nonzero()[0]
+            beam[drawing] = rng.binomial(beam[drawing], config.eta)
+        yield lo, (n, m, b[:size], b[size:])
 
 
 # -- witness estimation --------------------------------------------------------
@@ -192,9 +222,13 @@ class _SeriesSums:
         big = int(t.max())  # |x| <= t pulse by pulse
         if big * big * size < _INT64_LIMIT:
             s1, s2, t1 = int(x.sum()), int(x @ x), int(t.sum())
-        else:  # Python ints, exact past int64
-            xs = x.tolist()
-            s1, s2, t1 = sum(xs), sum(v * v for v in xs), sum(t.tolist())
+        else:  # Python ints, exact past int64, a short list at a time
+            s1 = s2 = t1 = 0
+            for lo in range(0, size, _INT_PIECE):
+                xs = x[lo:lo + _INT_PIECE].tolist()
+                s1 += sum(xs)
+                s2 += sum(v * v for v in xs)
+                t1 += sum(t[lo:lo + _INT_PIECE].tolist())
         self.s1 += s1
         self.s2 += s2
         self.t1 += t1
@@ -311,6 +345,36 @@ def _write_pulse_log(fh, series: int, first: int, rows) -> None:
     fh.write(b"]}\n")
 
 
+def _series_statistics(config: SimConfig, series: int, sign: int, run: int, log_fh) -> tuple:
+    """:meth:`_SeriesSums.statistics` of one series, each block reduced as it is drawn.
+
+    The readout is (x_a - y_a) + sign (x_b - y_b) and the total
+    x_a + y_a + x_b + y_b, exact in int64; each block goes to the open
+    pulse log ``log_fh`` as well, if there is one.  No buffer of the
+    series outlives the call, so the next series' blocks never overlap it.
+    """
+    # counts always follow the state's own pairing; a mismatched witness
+    # only changes the sign in the readout combination below
+    pairing = count_pairing(config.label, series + 1)
+    sums = _SeriesSums()
+    readout = np.empty(BLOCK_PULSES, dtype=np.int64)
+    totals = np.empty(BLOCK_PULSES, dtype=np.int64)
+    add_b, sub_b = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
+    for lo, (xa, ya, xb, yb) in _count_blocks(config, pairing, series, run):
+        r = readout[:xa.size]
+        t = totals[:xa.size]
+        np.subtract(xa, ya, out=r)  # (xa - ya) + sign * (xb - yb), exact in int64
+        add_b(r, xb, out=r)
+        sub_b(r, yb, out=r)
+        np.add(xa, ya, out=t)
+        t += xb
+        t += yb
+        sums.add(r, t)
+        if log_fh is not None:
+            _write_pulse_log(log_fh, series, series * config.pulses + lo, (xa, ya, xb, yb))
+    return sums.statistics()
+
+
 def estimate_witness(
     config: SimConfig,
     kind: WitnessKind | None = None,
@@ -337,29 +401,10 @@ def estimate_witness(
     degenerate = []
     theta_sum = 0.0
     mean_s0_acc = 0.0
-    readout = np.empty(BLOCK_PULSES, dtype=np.int64)
-    totals = np.empty(BLOCK_PULSES, dtype=np.int64)
     try:
         for series, sign in enumerate(signs):
-            # counts always follow the state's own pairing; a mismatched witness
-            # only changes the sign in the readout combination below
-            pairing = count_pairing(config.label, series + 1)
-            sums = _SeriesSums()
-            add_b, sub_b = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
-            for lo, (xa, ya, xb, yb) in _count_blocks(config, pairing, series, run):
-                r = readout[:xa.size]
-                t = totals[:xa.size]
-                np.subtract(xa, ya, out=r)  # (xa - ya) + sign * (xb - yb), exact in int64
-                add_b(r, xb, out=r)
-                sub_b(r, yb, out=r)
-                np.add(xa, ya, out=t)
-                t += xb
-                t += yb
-                sums.add(r, t)
-                if log_fh is not None:
-                    _write_pulse_log(log_fh, series, series * config.pulses + lo,
-                                     (xa, ya, xb, yb))
-            var_full, mean_full, theta, s_theta, s_var = sums.statistics()
+            var_full, mean_full, theta, s_theta, s_var = _series_statistics(
+                config, series, sign, run, log_fh)
             if var_full == 0.0 and mean_full == 0.0:
                 degenerate.append(series + 1)
             variance_terms.append(var_full)

@@ -175,7 +175,16 @@ def _photon_moments(gamma: float, n_levels: int) -> tuple[float, float]:
                                      else -poles * (n_levels / z) ** 2)
 
 
-class BellLabel(enum.Enum):
+class Choice(enum.Enum):
+    """An enum whose members a caller names by value: an unknown value is an InputError."""
+
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(repr(member.value) for member in cls)
+        raise InputError(f"{value!r} is not a valid {cls.__name__}; choose from {names}")
+
+
+class BellLabel(Choice):
     PSI_PLUS = "psi-plus"
     PSI_MINUS = "psi-minus"
     PHI_PLUS = "phi-plus"
@@ -236,11 +245,11 @@ class FourModeState:
             raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max}) "
                              f"and pairing 'cross' or 'parallel' (got {self.pairing!r})")
         if max(abs(abs(w) - 1.0) for w in (self.step_u, self.step_v)) > 1e-12:
-            raise ValueError(f"phase steps need unit modulus: {self.step_u!r}, {self.step_v!r}")
+            raise InputError(f"phase steps need unit modulus: {self.step_u!r}, {self.step_v!r}")
         if len(self.jones) != 2 or any(
                 np.shape(j) != (2, 2) or np.abs(np.conj(j).T @ j - np.eye(2)).max() > 1e-10
                 for j in self.jones if j is not None):
-            raise ValueError(f"jones must be two unitary 2x2 matrices or None, got {self.jones!r}")
+            raise InputError(f"jones must be two unitary 2x2 matrices or None, got {self.jones!r}")
 
     # -- basic quantities -------------------------------------------------
 

@@ -29,13 +29,12 @@ the sign pattern and turns W_T1 into W_T2.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import (BellLabel, FourModeState, NumericError, TruncationMassError, _log_q,
+from .states import (BellLabel, Choice, FourModeState, NumericError, TruncationMassError, _log_q,
                      build_bell_state)
 from .stokes import expectation, variance_of_combination
 
@@ -46,7 +45,7 @@ EDGE_MASS_TOL = 1e-10
 _S0_TOTAL = {(0, "a"): 1.0, (0, "b"): 1.0}
 
 
-class WitnessKind(enum.Enum):
+class WitnessKind(Choice):
     W_S = "W_S"
     W_T1 = "W_T1"
     W_T2 = "W_T2"

@@ -10,9 +10,10 @@ stride arithmetic and closed forms, so that agreement between the two is
 a meaningful check rather than a tautology.  The simulation oracles are
 the library's former full-table routes: a (pulses, 4) count table per
 series, the leave-one-out jackknife and the sort-based conditional
-width, plus a one-pulse-at-a-time sampler; the exact references repeat
-their statistics in rational arithmetic.  The truncated thermal law is
-referenced in stdlib ``decimal`` arithmetic.  The kron-built Stokes
+width, plus a one-pulse-at-a-time sampler and the block sampler as first
+written, a fresh Philox and four whole-row thinning calls per block; the
+exact references repeat their statistics in rational arithmetic.  The
+truncated thermal law is referenced in stdlib ``decimal`` arithmetic.  The kron-built Stokes
 operators are the one dense reference for Stokes moments, and the only
 route that takes product states: the separability bound is checked with
 them on a seeded battery of product states and separable mixtures.
@@ -28,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.random import Generator, Philox, SeedSequence
 from scipy.sparse.linalg import expm_multiply
 
 from macrobell.basis import FourModeBasis
@@ -45,6 +47,7 @@ from macrobell.states import (
     FourModeState,
     NumericError,
     TruncationMassError,
+    geometric_ratio,
     paired_modes,
 )
 from macrobell.stokes import _TERMS
@@ -461,6 +464,28 @@ def pt_eigenvalues(amplitude_matrix: np.ndarray) -> np.ndarray:
 def pt_trace_norm(amplitude_matrix: np.ndarray) -> float:
     """||rho^PT||_1 as the absolute eigenvalue sum of the dense solve."""
     return float(np.abs(pt_eigenvalues(amplitude_matrix)).sum())
+
+
+def reference_count_blocks(config, pairing: str, series: int, run: int):
+    """The library's ``_count_blocks`` as first written, block for block.
+
+    Each block builds a fresh ``Philox`` at counter (0, block, series, run),
+    draws n and then m in two ``geometric`` calls, and thins the four
+    detector rows x_a, y_a, x_b, y_b in four whole-row ``binomial`` calls,
+    zeros included.  Yields ``(lo, (x_a, y_a, x_b, y_b))`` in new arrays.
+    """
+    p_geom = 1.0 - geometric_ratio(config.gamma)
+    key = SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
+    for lo in range(0, config.pulses, BLOCK_PULSES):
+        counter = np.array([0, lo // BLOCK_PULSES, series, run], dtype=np.uint64)
+        rng = Generator(Philox(counter=counter, key=key))
+        size = min(config.pulses - lo, BLOCK_PULSES)
+        n = rng.geometric(p_geom, size) - 1
+        m = rng.geometric(p_geom, size) - 1
+        rows = paired_modes(n, m, pairing)
+        if config.eta < 1.0:
+            rows = tuple(rng.binomial(k, config.eta) for k in rows)
+        yield lo, rows
 
 
 def _sample_series_counts(config, pairing: str, series: int, run: int) -> np.ndarray:

@@ -207,7 +207,7 @@ def test_distribution_validation():
         photon_number_moments(-0.1)
     with pytest.raises(InputError):
         photon_number_moments(0.5, n_max=-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="'fwhm' is not a valid WidthConvention"):
         fedorov_ratio(0.5, convention="fwhm")
 
 

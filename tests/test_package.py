@@ -11,6 +11,10 @@ from pathlib import Path
 import pytest
 
 import macrobell
+from macrobell.measures import WidthConvention, gain_scan
+from macrobell.simulate import SimConfig
+from macrobell.states import BellLabel, InputError
+from macrobell.witnesses import WitnessKind
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -32,6 +36,34 @@ def test_every_export_resolves():
     for name in macrobell.__all__:
         assert getattr(macrobell, name) is not None, name
     assert len(set(macrobell.__all__)) == len(macrobell.__all__)
+
+
+# a caller's unknown name is an InputError (exit code 2 at the command line),
+# not the plain ValueError of an enum lookup; test_measures, test_simulate and
+# test_states hold fedorov_ratio, estimate_fedorov and FourModeState to it
+CALLER_ERRORS = {
+    "BellLabel('foo')": (lambda: BellLabel("foo"), "'foo' is not a valid BellLabel"),
+    "SimConfig('foo', 0.5)": (lambda: SimConfig("foo", 0.5), "'foo' is not a valid BellLabel"),
+    "WitnessKind('W_X')": (lambda: WitnessKind("W_X"), "'W_X' is not a valid WitnessKind"),
+    "WidthConvention('fwhm')": (lambda: WidthConvention("fwhm"),
+                                "'fwhm' is not a valid WidthConvention"),
+    "gain_scan(convention='fwhm')": (lambda: gain_scan([1.0], convention="fwhm"),
+                                     "'fwhm' is not a valid WidthConvention"),
+}
+
+
+@pytest.mark.parametrize("call", CALLER_ERRORS)
+def test_caller_errors_are_input_errors(call):
+    refuse, message = CALLER_ERRORS[call]
+    with pytest.raises(InputError, match=re.escape(message)):
+        refuse()
+
+
+def test_unknown_name_lists_the_choices():
+    with pytest.raises(InputError, match="choose from 'stddev', 'sqrt2-stddev'"):
+        WidthConvention("fwhm")
+    assert BellLabel("psi-minus") is BellLabel.PSI_MINUS
+    assert WitnessKind(WitnessKind.W_S) is WitnessKind.W_S
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

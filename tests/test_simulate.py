@@ -15,12 +15,14 @@ from scipy import stats
 from macrobell import simulate
 from macrobell.measures import fedorov_ratio
 from macrobell.simulate import (
+    BLOCK_BYTES_PER_PULSE,
     BLOCK_PULSES,
     CANONICAL_SETTINGS,
     FedorovEstimate,
     SimConfig,
     _PartnerBins,
     _SeriesSums,
+    _count_blocks,
     _write_pulse_log,
     count_pairing,
     efficiency_sweep,
@@ -45,6 +47,7 @@ from oracles import (
     pulse_log_bytes,
     pulse_records,
     recomputed_value,
+    reference_count_blocks,
     sample_analyzer_counts,
     sample_pulse,
     witness_reference,
@@ -201,28 +204,67 @@ def test_jackknife_matches_explicit_delete_one():
     assert s_var == pytest.approx(want_s_var, rel=1e-10)
 
 
-# sha256 of the (pulses, 4) counts of series 1 at gamma 2.5, seed 5 and
-# 2 * BLOCK_PULSES + 1 pulses, as the row-per-pulse sampler drew them
+# sha256 of the (pulses, 4) counts of series 1 at seed 5 and 2 * BLOCK_PULSES + 1
+# pulses, keyed (gain, pairing, eta, run): the gain-2.5 rows as the row-per-pulse
+# sampler drew them, the gain-0.5 rows (the benchmark's efficiency) and the
+# gain-6 rows (binomial thinning past its inversion range) as the block sampler
+# with a fresh Philox and four thinning calls per block drew them
 PINNED_COUNTS = {
-    ("cross", 1.0, 0): "ac2a3bd1cdd6e0ed88e9c9eeafb8c28eb52b32a8df3e99a912c16aace6f5bb23",
-    ("cross", 1.0, 1): "206bece02b57540f6bd31b8bcdf988ebf9440cdd646970b7c6d8eb9faf0568f1",
-    ("cross", 0.85, 0): "9bb3fd7b5eb4276dd825a27e12c2f80329c061d85f7c76155fa5df9614d58a8e",
-    ("cross", 0.85, 1): "dee474c1ed06ce2c69d2e39c1efe7b4dfd71f20b0d39615148f10b70cd94de96",
-    ("parallel", 1.0, 0): "840e3cb40529f79d0e92074bcbdd20d62c8f663770e83db994a064c94ceeb58e",
-    ("parallel", 1.0, 1): "d4c65f9a17f3eb35b1d88b6c63f70b0d9571e9b03a55ab54571e385c0264bb1c",
-    ("parallel", 0.85, 0): "8b706875afd73883722f850a56753b392cae11bceee4b605b060ca80beeefc33",
-    ("parallel", 0.85, 1): "07d1d6c59a7a2eade39d8b58da132da62f1c2ff678ec574d5ac5fb31b14ea3e9",
+    (2.5, "cross", 1.0, 0): "ac2a3bd1cdd6e0ed88e9c9eeafb8c28eb52b32a8df3e99a912c16aace6f5bb23",
+    (2.5, "cross", 1.0, 1): "206bece02b57540f6bd31b8bcdf988ebf9440cdd646970b7c6d8eb9faf0568f1",
+    (2.5, "cross", 0.85, 0): "9bb3fd7b5eb4276dd825a27e12c2f80329c061d85f7c76155fa5df9614d58a8e",
+    (2.5, "cross", 0.85, 1): "dee474c1ed06ce2c69d2e39c1efe7b4dfd71f20b0d39615148f10b70cd94de96",
+    (2.5, "parallel", 1.0, 0): "840e3cb40529f79d0e92074bcbdd20d62c8f663770e83db994a064c94ceeb58e",
+    (2.5, "parallel", 1.0, 1): "d4c65f9a17f3eb35b1d88b6c63f70b0d9571e9b03a55ab54571e385c0264bb1c",
+    (2.5, "parallel", 0.85, 0): "8b706875afd73883722f850a56753b392cae11bceee4b605b060ca80beeefc33",
+    (2.5, "parallel", 0.85, 1): "07d1d6c59a7a2eade39d8b58da132da62f1c2ff678ec574d5ac5fb31b14ea3e9",
+    (0.5, "cross", 0.85, 0): "9b295b33dfd9e8ef6c870e97d276306c0c02302ee201f13a6114515e5945691d",
+    (0.5, "cross", 0.85, 1): "6344d03423ad7136280d82dbb06abd53d0cde7a87a2767187490d80f909b2b4d",
+    (0.5, "parallel", 0.85, 0): "e1ad5f95fb61c86a9be7ca22b194ca9d28fcd93d3ddfbb09e242553be5434ac1",
+    (0.5, "parallel", 0.85, 1): "56d6b047d606c574dccede2838c62f778b856c2759edce59b2d9b52f76b7d596",
+    (6.0, "cross", 0.5, 0): "38eeed8f52355f91a1c1a9bd160380679062e7efcd7be72d6530d334c672d824",
+    (6.0, "cross", 0.5, 1): "bb41f974f88ba7fe8f22f87bf2e77007b6bac421e8ac82b8a9759c7b5156d3c2",
+    (6.0, "parallel", 0.5, 0): "ca5f97c3dad88bc208e6c27ea5419ab9ea49300bff83ab4b4425f5f20085b641",
+    (6.0, "parallel", 0.5, 1): "5901a2d947faa168cf57e61493dc9a128fbbe48adbe022de4aeed4213336695d",
 }
 
 
-@pytest.mark.parametrize("pairing, eta, run", sorted(PINNED_COUNTS))
-def test_sampled_stream_is_pinned(pairing, eta, run):
+def _pin_id(key: tuple) -> str:
+    gamma, *rest = key  # the gain-2.5 pins were the first, named without their gain
+    return "-".join(map(str, rest if gamma == 2.5 else key))
+
+
+@pytest.mark.parametrize("gamma, pairing, eta, run", sorted(PINNED_COUNTS),
+                         ids=[_pin_id(key) for key in sorted(PINNED_COUNTS)])
+def test_sampled_stream_is_pinned(gamma, pairing, eta, run):
     # any change to the draws, their order or the stream keying moves these
-    cfg = SimConfig(label="phi-minus", gamma=2.5, eta=eta, pulses=2 * BLOCK_PULSES + 1, seed=5)
+    cfg = SimConfig(label="phi-minus", gamma=gamma, eta=eta, pulses=2 * BLOCK_PULSES + 1,
+                    seed=5)
     counts = _sample_series_counts(cfg, pairing, series=1, run=run)
     assert counts.shape == (cfg.pulses, 4) and counts.dtype == np.int64
     digest = hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest()
-    assert digest == PINNED_COUNTS[pairing, eta, run]
+    assert digest == PINNED_COUNTS[gamma, pairing, eta, run]
+
+
+@pytest.mark.parametrize("pairing", ["cross", "parallel"])
+@pytest.mark.parametrize("eta", [1.0, 0.85, 0.5, 0.15])
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.8, 1.0, 1.1, 1.2, 1.5, 2.5, 6.0, 12.0])
+def test_block_stream_matches_four_call_sampler(gamma, eta, pairing):
+    # one re-keyed generator and one thinning call per beam must draw what a
+    # fresh Philox and four whole-row calls per block drew.  The gains span
+    # numpy's geometric search (gamma <= 1.1) and inversion (>= 1.2) samplers,
+    # its binomial inversion and BTPE regimes, and beams with most counts zero
+    # or none; the last block is partial
+    cfg = SimConfig("phi-minus", gamma, eta=eta, pulses=2 * BLOCK_PULSES + 7, seed=11)
+    blocks = 0
+    for (lo, rows), (ref_lo, ref_rows) in zip(_count_blocks(cfg, pairing, 1, 2),
+                                              reference_count_blocks(cfg, pairing, 1, 2),
+                                              strict=True):
+        assert lo == ref_lo
+        for row, ref in zip(rows, ref_rows, strict=True):
+            assert row.dtype == ref.dtype and np.array_equal(row, ref)
+        blocks += 1
+    assert blocks == 3
 
 
 def test_estimates_are_pinned():
@@ -352,6 +394,23 @@ def _peak_growth(estimate, cfg) -> int:
         finally:
             tracemalloc.stop()
     return peaks[1] - peaks[0]
+
+
+@pytest.mark.parametrize("gamma, eta", [(6.0, 0.5), (12.0, 0.5), (0.5, 0.85), (0.5, 1.0)])
+def test_block_peak_is_within_the_preflight(gamma, eta):
+    # estimate_witness pre-flights BLOCK_BYTES_PER_PULSE for each pulse of a
+    # block: at gain 6 every count draws a thinning variate, the largest
+    # gather, and at 12 the block sums pass int64 as well
+    cfg = SimConfig(label="psi-minus", gamma=gamma, eta=eta, pulses=BLOCK_PULSES, seed=3)
+    estimate_witness(cfg)  # first-call caches are not the block's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimate_witness(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_BYTES_PER_PULSE * BLOCK_PULSES, peak / BLOCK_PULSES
 
 
 def test_estimate_witness_memory_per_pulse():
@@ -585,7 +644,7 @@ def test_estimate_fedorov_refuses_a_bad_convention_before_sampling(monkeypatch):
 
     monkeypatch.setattr(simulate, "_count_blocks", no_sampling)
     cfg = SimConfig("psi-minus", 1.5, pulses=2_000_000)
-    with pytest.raises(ValueError, match="'bogus' is not a valid WidthConvention"):
+    with pytest.raises(InputError, match="'bogus' is not a valid WidthConvention"):
         estimate_fedorov(cfg, convention="bogus")
 
 

@@ -252,11 +252,11 @@ def test_storage_validation():
         FourModeState(gamma=0.0, n_max=1, pairing="diagonal")
     # malformed frames are refused at construction, naming what is expected
     for jones in ((np.eye(2),), (np.eye(3), None), (None, 2.0 * np.eye(2))):
-        with pytest.raises(ValueError, match="two unitary 2x2 matrices or None"):
+        with pytest.raises(InputError, match="two unitary 2x2 matrices or None"):
             FourModeState(gamma=0.5, n_max=4, pairing="cross", jones=jones)
-    with pytest.raises(ValueError, match="unit modulus"):
+    with pytest.raises(InputError, match="unit modulus"):
         FourModeState(gamma=0.5, n_max=4, pairing="cross", step_v=1.5)
-    with pytest.raises(ValueError, match="unit modulus"):
+    with pytest.raises(InputError, match="unit modulus"):
         FourModeState(gamma=0.5, n_max=4, pairing="cross", step_u=0.0)
     with pytest.raises(InputError, match="n_max"):
         FourModeState(gamma=0.5, n_max=-1, pairing="cross")
