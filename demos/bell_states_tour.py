@@ -40,7 +40,7 @@ def leading_amplitudes(state, k=6):
         amp = table[n, m]
         if abs(amp) < 1e-14:
             break
-        ket = (n, m, m, n) if state.pairing == "cross" else (n, m, n, m)
+        ket = (n, m, m, n) if state.label.pairing == "cross" else (n, m, n, m)
         out.append((ket, amp))
     return out
 
@@ -63,7 +63,7 @@ def main():
 
     for label in BellLabel:
         state = build_bell_state(label, gamma, n_max)
-        print(f"{label.value:>10}: {state.pairing} pairing, Schmidt form in "
+        print(f"{label.value:>10}: {label.pairing} pairing, Schmidt form in "
               f"{label.natural_basis}, norm deficit "
               f"{abs(1.0 - state.norm_sq()):.1e}")
         for ket, amp in leading_amplitudes(state):

@@ -17,22 +17,20 @@ them):
 
 The creation operators of a beam transform with the columns of its Jones
 matrix, ``a_j^+ -> sum_i J_ij a_i^+``, so a paired state whose coupling
-``sum C_ij a_i^+ b_j^+`` has ``C`` = ``[[0, su], [sv, 0]]`` (cross) or
-``diag(su, sv)`` (parallel) acquires the coupling ``J_a C J_b^T``.  With
-these conventions the Bell-family relations hold exactly, not just up to
-photon-number-dependent phases: the pi phase on ``b_H`` maps psi-minus to
-psi-plus; quarter-wave plates at 45 deg in both beams map psi-plus to
-phi-plus; a 45 deg polarization rotation of both beams maps psi-plus to
-phi-minus.
+``sum C_ij a_i^+ b_j^+`` is ``C_0 = [[0, 1], [1, 0]]`` (psi-plus, the
+closed form of :class:`~macrobell.states.FourModeState`) acquires the
+coupling ``J_a C_0 J_b^T``.  Each Bell label is such a frame on beam *b*
+(see ``BellLabel.frame``).  With these conventions the Bell-family
+relations hold exactly, not just up to photon-number-dependent phases:
+the pi phase on ``b_H`` maps psi-minus to psi-plus; quarter-wave plates
+at 45 deg in both beams map psi-plus to phi-plus; a 45 deg polarization
+rotation of both beams maps psi-plus to phi-minus.
 
 All angles in the public API are in degrees, matching how wave-plate
 settings are quoted in the lab.
 
 A transform never expands a state: its Jones matrix is composed into the
-state's per-beam frame (see :class:`~macrobell.states.FourModeState`),
-and a frame with one nonzero entry per row and column -- a phase plate,
-an H/V swap or both -- is folded exactly into the closed form's pairing
-and phase steps.
+state's per-beam frame.
 """
 
 from __future__ import annotations
@@ -99,52 +97,29 @@ def pi_phase_on_bh() -> BasisTransform:
 
 
 def apply_transform(state: FourModeState, transform: BasisTransform) -> FourModeState:
-    """Apply a polarization transform in O(1), at any gain and cutoff.
-
-    Each targeted beam's frame becomes ``transform.jones @ J``.  A frame
-    with one nonzero entry per row and column (|entry| <= 1e-14 counts as
-    zero) is folded into the closed form: ``diag(x, y)`` multiplies the
-    phase steps, ``[[0, x], [y, 0]]`` also swaps H and V, which flips the
-    pairing.  The result keeps the input's norm and is unlabelled, with
-    the global phase fixed so the vacuum amplitude is real positive.
-    """
-    pairing, su, sv = state.pairing, state.step_u, state.step_v
+    """Apply a polarization transform in O(1), at any gain and cutoff: each
+    targeted beam's frame ``J`` becomes ``transform.jones @ J``.  The result
+    keeps the input's norm and is unlabelled."""
     frames = list(state.jones)
     for i, beam in enumerate((BEAM_A, BEAM_B)):
-        if transform.target not in (beam, BOTH_BEAMS):
-            continue
-        jones = transform.jones if frames[i] is None else transform.jones @ frames[i]
-        nonzero = np.abs(jones) > 1e-14
-        if not (nonzero.sum(axis=0) == 1).all() or not (nonzero.sum(axis=1) == 1).all():
-            frames[i] = jones
-            continue
-        frames[i] = None
-        swap = not nonzero[0, 0]
-        x, y = (jones[0, 1], jones[1, 0]) if swap else (jones[0, 0], jones[1, 1])
-        if beam == BEAM_A and swap:  # |n, m>_a -> y^n x^m |m, n>_a
-            su, sv = sv, su
-        elif beam == BEAM_B and (pairing == "parallel") == swap:
-            x, y = y, x  # beam b carries u's photons in V when cross-paired
-        su, sv = su * x, sv * y
-        if swap:
-            pairing = "parallel" if pairing == "cross" else "cross"
-    return FourModeState(state.gamma, state.n_max, None, pairing, abs(state.scale),
-                         su, sv, tuple(frames))
+        if transform.target in (beam, BOTH_BEAMS):
+            frames[i] = transform.jones if frames[i] is None else transform.jones @ frames[i]
+    return FourModeState(state.gamma, state.n_max, None, tuple(frames))
 
 
-def _coupling(pairing: str, su: complex, sv: complex, jones=(None, None)) -> np.ndarray:
+def _coupling(jones: tuple) -> np.ndarray:
     """The pair coupling ``C``, the state being ``~ exp(tanh(gamma) sum C_ij
-    a_i^+ b_j^+) |0>`` (i, j over H, V), seen through the frame ``jones``."""
-    c = np.array([[0, su], [sv, 0]] if pairing == "cross" else [[su, 0], [0, sv]], dtype=complex)
+    a_i^+ b_j^+) |0>`` (i, j over H, V): ``J_a C_0 J_b^T`` for the frames
+    ``jones``, with ``C_0 = [[0, 1], [1, 0]]`` the closed form's."""
     ja, jb = (np.eye(2) if j is None else j for j in jones)
-    return ja @ c @ np.transpose(jb)
+    return ja @ np.array([[0.0, 1.0], [1.0, 0.0]]) @ np.transpose(jb)
 
 
 def identify_bell_state(state: FourModeState, tol: float = 1e-9) -> BellLabel | None:
-    """Label whose closed-form state matches `state` up to global phase, in
-    O(1): the label's coupling matrix equals the state's to ``tol``."""
-    got = _coupling(state.pairing, state.step_u, state.step_v, state.jones)
+    """Label whose state is `state`, in O(1): the coupling matrix of the
+    label's frame equals the state's to ``tol``."""
+    got = _coupling(state.jones)
     for label in BellLabel:
-        if np.abs(_coupling(label.pairing, 1.0, label.sign) - got).max() <= tol:
+        if np.abs(_coupling((None, label.frame)) - got).max() <= tol:
             return label
     return None

@@ -65,17 +65,19 @@ BLOCK_PULSES = 4096
 #: analyzer plate angles (hwp_deg, qwp_deg) realizing each Stokes component
 CANONICAL_SETTINGS = {1: (0.0, 0.0), 2: (22.5, 45.0), 3: (0.0, 45.0)}
 
-#: peak bytes per pulse of a witness block: the two beams' int64 counts, the
-#: nonzero counts a beam thins, their index and their draws, the int64 readout
-#: and totals and three float64 buffers (tracemalloc of a 4096-pulse estimate:
-#: 125 at gamma 6 and eta 0.5, where every count draws, 89 at gamma 0.5 and eta
-#: 0.85, 73 at eta = 1)
+#: peak bytes per pulse of a witness or width-ratio block: the two beams' int64
+#: counts, the nonzero counts a beam thins, their index and their draws, the
+#: int64 readout and totals and three float64 buffers, or the partner bins and
+#: their sums (tracemalloc of a 4096-pulse witness estimate: 125 at gamma 6 and
+#: eta 0.5, where every count draws, 89 at gamma 0.5 and eta 0.85, 73 at eta = 1;
+#: of a width-ratio estimate: 85 at gamma 6 or 12 and eta 0.5, 33 at gamma 12
+#: and eta = 1)
 BLOCK_BYTES_PER_PULSE = 128
 
 #: peak bytes per pulse of writing a block's pulse log: the digit-group table
-#: and its bytes before and after the NUL padding is dropped (tracemalloc: 328
-#: at 19-digit ids and counts, 100 at gamma 0.5)
-LOG_BYTES_PER_PULSE = 384
+#: and its text after the NUL padding is dropped (tracemalloc: 228 at 19-digit
+#: ids and counts, 108 at six-digit counts, 85 at gamma 0.5)
+LOG_BYTES_PER_PULSE = 256
 
 #: bytes per partner bin of a width-ratio run: (pulses, sum x, sum x^2) as int64
 #: for each of the H and V sides, twice over while a table grows
@@ -285,7 +287,7 @@ def _digit_groups() -> np.ndarray:
     return groups
 
 
-def _pulse_digits(first: int, rows) -> bytes:
+def _pulse_digits(first: int, rows) -> bytearray:
     """``\\n<pulse id>|<x_a>,<y_a>,<x_b>,<y_b>`` for each pulse of a block.
 
     Each of the five numbers is cut into four-digit groups, least
@@ -293,15 +295,16 @@ def _pulse_digits(first: int, rows) -> bytes:
     :func:`_digit_groups`.  A number gets one group more than the widest value
     of its field in the block needs, so its leading group opens with a NUL
     byte, which carries the separator before the number.  The (pulses,
-    groups) table is filled one group column at a time, and one
-    ``bytes.translate`` drops its NUL padding.
+    groups) table, a view of one ``bytearray``, is filled one group column at
+    a time, and one ``bytearray.translate`` drops its NUL padding.
     """
     text_of = _digit_groups()
     size = rows[0].size
     fields = [(np.arange(first, first + size, dtype=np.int64), first + size - 1)]
     fields += [(row, int(row.max())) for row in rows]
     ngroups = [len(str(top)) // 4 + 1 for _, top in fields]
-    table = np.empty((size, sum(ngroups)), dtype="<u4")
+    text = bytearray(4 * size * sum(ngroups))
+    table = np.frombuffer(text, dtype="<u4").reshape(size, sum(ngroups))
     col = 0
     for (value, _), groups, sep in zip(fields, ngroups, b"\n|,,,"):
         last = col + groups - 1
@@ -315,7 +318,7 @@ def _pulse_digits(first: int, rows) -> bytes:
         lead += sep
         table[:, col] = lead
         col += groups
-    return table.tobytes().translate(None, b"\0")
+    return text.translate(None, b"\0")
 
 
 def _write_pulse_log(fh, series: int, first: int, rows) -> None:
@@ -503,11 +506,15 @@ class _PartnerBins:
         self.largest = max(self.largest, int(values.max()))
         if self.sums.dtype != object and self.pulses * self.largest**2 >= _INT64_LIMIT:
             self.sums = self.sums.astype(object)
-        if self.sums.dtype == object:
-            values = values.astype(object)
         np.add.at(self.count, bins, 1)
-        np.add.at(self.sums[0], bins, values)
-        np.add.at(self.sums[1], bins, values * values)
+        if self.sums.dtype != object:
+            np.add.at(self.sums[0], bins, values)
+            np.add.at(self.sums[1], bins, values * values)
+            return
+        for lo in range(0, values.size, _INT_PIECE):  # Python ints a piece at a time
+            part, where = values[lo:lo + _INT_PIECE].astype(object), bins[lo:lo + _INT_PIECE]
+            np.add.at(self.sums[0], where, part)
+            np.add.at(self.sums[1], where, part * part)
 
     def marginal_width(self, convention: WidthConvention) -> float:
         n, s1, s2 = self.pulses, int(self.sums[0].sum()), int(self.sums[1].sum())
@@ -560,6 +567,8 @@ def estimate_fedorov(
     convention = WidthConvention(convention)
     if bin_width < 1:
         raise InputError("bin width must be >= 1")
+    check_memory(min(config.pulses, BLOCK_PULSES), "width-ratio estimate",
+                 BLOCK_BYTES_PER_PULSE, "pulses per block")
     pairing = count_pairing(config.label, 1)
     side_h, side_v = _PartnerBins(bin_width), _PartnerBins(bin_width)
     for _, (xa, ya, xb, yb) in _count_blocks(config, pairing, series=0, run=run):

@@ -21,14 +21,14 @@ cross-paired (Schmidt) form in their natural polarization bases instead
 (circular for phi-plus, +/-45 degrees linear for phi-minus); that basis
 is carried as metadata.
 
-The ``(n, m)`` amplitude table is rank one, ``u_n v_m``, and both Schmidt
-factors are geometric: ``u_n = a w_u^n sqrt(lambda_n)``, ``v_m = w_v^m
-sqrt(lambda_m)`` (``w_u = 1``, ``w_v = sign`` for the Bell labels).  A
-state is stored as the scale ``a`` and the unit phase steps: its norm,
+All four are one state seen through local optics.  The psi-plus table is
+rank one, ``u_n v_m`` with ``u_n = v_n = sqrt(lambda_n)``, so its norm,
 edge mass and Stokes moments are closed forms at any cutoff, and no
-amplitude array is ever built.  Local polarization optics add a per-beam
-Jones frame: the state is then this closed form seen through wave
-plates, and the same quantities are read off it in any frame.
+amplitude array is ever built.  A state is that closed form seen
+through a Jones frame per beam (wave plates, see
+:mod:`macrobell.polarization`); each Bell label is a beam-*b* frame: a pi
+phase on ``b_H`` for the minus labels, then an H/V swap for the phi
+labels.  The same quantities are read off the closed form in any frame.
 """
 
 from __future__ import annotations
@@ -201,6 +201,18 @@ class BellLabel(Choice):
         return "cross" if self in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS) else "parallel"
 
     @property
+    def frame(self) -> np.ndarray | None:
+        """Beam-*b* Jones frame that turns the psi-plus closed form into this
+        state, ``(X if parallel else 1) diag(sign, 1)``: a pi phase on ``b_H``
+        for the minus labels, then an H/V swap for the phi labels; None for
+        psi-plus.  Exact literals, so no rounding reaches the witnesses."""
+        if self is BellLabel.PSI_PLUS:
+            return None
+        return np.array({BellLabel.PSI_MINUS: [[-1.0, 0.0], [0.0, 1.0]],
+                         BellLabel.PHI_PLUS: [[0.0, 1.0], [1.0, 0.0]],
+                         BellLabel.PHI_MINUS: [[0.0, 1.0], [-1.0, 0.0]]}[self])
+
+    @property
     def natural_basis(self) -> str:
         """Polarization basis in which the state takes the cross-paired Schmidt form."""
         return {
@@ -213,27 +225,20 @@ class BellLabel(Choice):
 
 @dataclass
 class FourModeState:
-    """A (possibly truncated) paired state of the four modes, in closed form:
-    ket ``|n,m>_a|m,n>_b`` ('cross' pairing) resp. ``|n,m>_a|n,m>_b``
-    ('parallel') has amplitude ``u_n v_m`` for ``n, m <= n_max``, ``u_n =
-    scale step_u^n sqrt(lambda_n)`` and ``v_m = step_v^m sqrt(lambda_m)``,
-    with unit phase steps.
+    """A (possibly truncated) state of the four modes, in closed form: the
+    psi-plus kets ``|n,m>_a|m,n>_b`` with amplitude ``u_n v_m`` for ``n, m
+    <= n_max``, ``u_n = sqrt(lambda_n)``, ``v_m = sqrt(lambda_m)``, seen
+    through ``jones = (J_a, J_b)``, each beam's polarization frame: the
+    state is the closed form after wave plates with these unitary Jones
+    matrices (None: the H/V frame).
 
-    ``jones = (J_a, J_b)`` is each beam's polarization frame: the state is
-    the closed form after wave plates with these unitary Jones matrices
-    (None: the H/V frame).
-
-    States may be unnormalized (truncation removes mass); consumers
-    divide by the norm.
+    States are unnormalized (truncation removes mass); consumers divide
+    by the norm.
     """
 
     gamma: float
     n_max: int
     label: BellLabel | None = None
-    pairing: str | None = None
-    scale: complex = 1.0
-    step_u: complex = 1.0
-    step_v: complex = 1.0
     jones: tuple = (None, None)
 
     def __post_init__(self):
@@ -241,11 +246,8 @@ class FourModeState:
             raise NumericError(f"ln tanh(gamma)^2 rounds to 0 at gamma={self.gamma}: "
                                "no representable weights")
         # past the float range, n_max + 1 no longer converts in the closed forms
-        if not 0 <= self.n_max < sys.float_info.max or self.pairing not in ("cross", "parallel"):
-            raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max}) "
-                             f"and pairing 'cross' or 'parallel' (got {self.pairing!r})")
-        if max(abs(abs(w) - 1.0) for w in (self.step_u, self.step_v)) > 1e-12:
-            raise InputError(f"phase steps need unit modulus: {self.step_u!r}, {self.step_v!r}")
+        if not 0 <= self.n_max < sys.float_info.max:
+            raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max})")
         if len(self.jones) != 2 or any(
                 np.shape(j) != (2, 2) or np.abs(np.conj(j).T @ j - np.eye(2)).max() > 1e-10
                 for j in self.jones if j is not None):
@@ -267,7 +269,7 @@ class FourModeState:
                 / math.expm1(self.n_levels * log_q))
 
     def norm_sq(self) -> float:
-        return abs(self.scale) ** 2 * math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
+        return math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
 
     def edge_mass(self, depth: int = 2) -> float:
         """Fraction of the state's mass within `depth` photons of the cutoff,
@@ -277,17 +279,14 @@ class FourModeState:
         ``f (2 - f)`` from each factor's tail share ``f``, never one minus
         the interior, which would lose the tiny masses the gate compares.
         """
-        f = self._tail_share(max(self.n_levels - depth, 0)) if self.scale != 0 else 0.0
+        f = self._tail_share(max(self.n_levels - depth, 0))
         return f * (2.0 - f)
 
 
 def build_bell_state(label: BellLabel, gamma: float, n_max: int) -> FourModeState:
-    """One of the four macroscopic Bell states, in closed form at any cutoff.
-
-    ``u_n = sqrt(lambda_n)`` and ``v_m = (sign)^m sqrt(lambda_m)`` on the
-    kets fixed by the label's pairing (phase steps 1 and ``sign``), with
+    """One of the four macroscopic Bell states, in closed form at any cutoff:
+    the psi-plus closed form seen through the label's beam-*b* frame, with
     nothing allocated; see the module docstring.  It is left unnormalized:
     its squared norm is the retained probability mass ``(1 - q^(n_max+1))^2``.
     """
-    return FourModeState(gamma=gamma, n_max=n_max, label=label, pairing=label.pairing,
-                         step_v=float(label.sign))
+    return FourModeState(gamma=gamma, n_max=n_max, label=label, jones=(None, label.frame))

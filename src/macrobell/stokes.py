@@ -17,18 +17,20 @@ Moments of a combination ``O = sum c S_k^beam`` on a pure
 :class:`~macrobell.states.FourModeState` are taken at the state's own
 cutoff, and the state is never expanded.  Every Stokes operator
 conserves each beam's photon number (Schwinger's two-boson picture), so
-``O`` keeps the paired kets (``S_0`` and ``S_1`` are diagonal) or moves
-one photon between H and V of one beam, onto one of two "defect" planes.
-The geometric factors shift into themselves, so each part of ``O psi``
-is one outer product, and ``<O>``, ``<O^2>`` follow in O(1) from the
-mean and variance of the truncated thermal law.  A beam seen through a
-Jones frame ``J`` rotates its Stokes vector instead: ``U_J^+ S_k U_J =
-sum_l R_kl S_l`` with ``R_kl = tr(sigma_l J^+ sigma_k J) / 2``, so the
-closed form is read at the coefficients ``c'_l = sum_k c_k R_kl``, with
-O cut at the cutoff of the frame where the state is truncated.
+on the psi-plus closed form ``O`` keeps the paired kets (``S_0`` and
+``S_1`` are diagonal) or moves one photon between H and V of one beam,
+onto one of two "defect" planes.  The geometric factors shift into
+themselves, so each part of ``O psi`` is one outer product, and ``<O>``,
+``<O^2>`` follow in O(1) from the mean and variance of the truncated
+thermal law.  A beam seen through a Jones frame ``J`` -- a Bell label's
+beam-*b* frame, or wave plates -- rotates its Stokes vector instead:
+``U_J^+ S_k U_J = sum_l R_kl S_l`` with ``R_kl = tr(sigma_l J^+ sigma_k
+J) / 2``, so the closed form is read at the coefficients ``c'_l = sum_k
+c_k R_kl``, with O cut at the cutoff of the frame where the state is
+truncated.
 
 No operator matrix is ever built here.  The tests check the closed form
-against sums over factor arrays they build from the state's parameters
+against sums over factor arrays they build from a Bell state's label
 and against kron-built operators on the state's dense lift, the one
 dense reference, on which they also check the su(2) algebra above and
 the conjugation between witnesses.
@@ -49,6 +51,9 @@ BEAMS = ("a", "b")
 _TERMS = tuple((k, beam) for k in range(4) for beam in BEAMS)
 #: sigma_1, sigma_2, sigma_3 of S_1, S_2, S_3
 _PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+#: R_kl = tr(sigma_l J^+ sigma_k J) / 2 as a linear map of the outer product
+#: J_ni conj(J_mj), flattened (k, l) by (n, i, m, j)
+_ROTATION = 0.5 * np.einsum("lij,kmn->klnimj", _PAULI, _PAULI).reshape(9, 16)
 
 
 def _through_frame(coeffs: dict, jones: tuple) -> dict:
@@ -59,41 +64,33 @@ def _through_frame(coeffs: dict, jones: tuple) -> dict:
     out = dict(coeffs)
     for beam, j in zip(BEAMS, jones):
         if j is not None:
-            j = np.asarray(j)
-            rot = 0.5 * np.einsum("lij,kji->kl", _PAULI, j.conj().T @ _PAULI @ j).real
+            rot = (_ROTATION @ np.multiply.outer(j, np.conj(j)).reshape(16)).real.reshape(3, 3)
             c = np.array([float(coeffs.get((k, beam), 0.0)) for k in (1, 2, 3)])
             out.update({(k, beam): float(x) for k, x in zip((1, 2, 3), c @ rot)})
     return out
 
 
 def _closed_form_moments(coeffs: dict, state: FourModeState) -> tuple:
-    """Normalized (<O>, <O^2>) of a closed-form paired state, in O(1).
+    """Normalized (<O>, <O^2>) of the psi-plus closed form, in O(1).
 
     O psi has three orthogonal parts: ``(A n + B m) u_n v_m`` on the paired
-    kets (``A, B = c0 +- c1``, ``c0 = c0a + c0b``, ``c1 = c1a -+ c1b``, -
-    for cross pairing), and ``ra p q^T + rb r s^T``, ``conj(rb) p q^T +
-    conj(ra) r s^T`` on the two hop planes (``p_i, r_i = sqrt(i+1) (u_i,
-    u_{i+1})``, ``q_j, s_j = sqrt(j+1) (v_{j+1}, v_j)``, ``ra = c2a - i
-    c3a``, ``rb = c2b - i c3b``, conjugated for parallel pairing).  The
-    factors shift into themselves, ``r = step_u sqrt(q) p``, ``q = step_v
-    sqrt(q) s``, so a hop plane is ``sqrt(q) (ra step_v + rb step_u) p
-    s^T`` -- exactly zero on a matched witness -- and every moment follows
-    from the mean and variance of n under lambda_n (``|p|^2 = M1 / q``).
+    kets (``A, B = c0 +- c1``, ``c0 = c0a + c0b``, ``c1 = c1a - c1b``), and
+    ``ra p q^T + rb r s^T``, ``conj(rb) p q^T + conj(ra) r s^T`` on the two
+    hop planes (``p_i, r_i = sqrt(i+1) (u_i, u_{i+1})``, ``q_j, s_j =
+    sqrt(j+1) (v_{j+1}, v_j)``, ``ra = c2a - i c3a``, ``rb = c2b - i
+    c3b``).  The factors shift into themselves, ``r = sqrt(q) p``, ``q =
+    sqrt(q) s``, so the hop planes are ``sqrt(q) (ra + rb) p s^T`` and its
+    conjugate -- exactly zero on a matched witness -- and every moment
+    follows from the mean and variance of n under lambda_n (``|p|^2 = M1
+    / q``).
     """
-    if state.scale == 0:
-        raise ValueError("zero state")
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
-    cross = state.pairing == "cross"
     c0 = c[0, "a"] + c[0, "b"]
-    c1 = c[1, "a"] - c[1, "b"] if cross else c[1, "a"] + c[1, "b"]
+    c1 = c[1, "a"] - c[1, "b"]
     a, b = c0 + c1, c0 - c1
-    ra, rb = complex(c[2, "a"], -c[3, "a"]), complex(c[2, "b"], -c[3, "b"])
-    if not cross:
-        rb = rb.conjugate()
     mean_n, var_n = _photon_moments(state.gamma, state.n_levels)
     second = (a * a + b * b) * var_n + (a + b) ** 2 * mean_n**2
-    hop = (abs(ra * state.step_v + rb * state.step_u) ** 2
-           + abs(rb.conjugate() * state.step_v + ra.conjugate() * state.step_u) ** 2)
+    hop = 2.0 * abs(complex(c[2, "a"] + c[2, "b"], c[3, "a"] + c[3, "b"])) ** 2
     if hop and mean_n:
         second += hop * mean_n * (mean_n / geometric_ratio(state.gamma))
     return (a + b) * mean_n, second

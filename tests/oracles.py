@@ -3,7 +3,7 @@
 Everything here is assembled from single-mode ladder matrices chained
 with scipy.sparse.kron, a sparse matrix exponential, explicit index
 loops, Schmidt factors and full ``(n, m)`` amplitude tables built entry
-by entry from a state's parameters, term-by-term tail sums,
+by entry from a Bell state's label, term-by-term tail sums,
 sector-by-sector polarization transforms of dense vectors and dense
 eigensolves -- deliberately a different construction from the library's
 stride arithmetic and closed forms, so that agreement between the two is
@@ -283,20 +283,34 @@ def _through_frames(psi: np.ndarray, jones: tuple, n_max: int) -> np.ndarray:
     return psi
 
 
-def factors(state: FourModeState) -> tuple[np.ndarray, np.ndarray]:
-    """Schmidt factors ``(u, v)`` of a state's closed form, in the frame
-    where it is truncated: ``u_n = scale step_u^n sqrt(q^n (1 - q))`` and
-    ``v_m = step_v^m sqrt(q^m (1 - q))`` for n, m = 0..n_max, q = tanh(gamma)^2,
-    each entry built on its own from the state's parameters."""
+def _h_v_form(state: FourModeState) -> tuple[str, int]:
+    """(pairing, sign) of a state's table in the H/V frame, read off its
+    label, never its frame; an unlabelled state must be unframed psi-plus."""
+    if state.label is not None:
+        return state.label.pairing, state.label.sign
+    if any(j is not None for j in state.jones):
+        raise ValueError("an unlabelled framed state has no H/V-frame table")
+    return "cross", 1
+
+
+def _schmidt_root(state: FourModeState) -> list:
+    """``sqrt(q^n (1 - q))`` for n = 0..n_max, q = tanh(gamma)^2, entry by entry."""
     q = math.tanh(state.gamma) ** 2
-    root = [math.sqrt(q**k * (1.0 - q)) for k in range(state.n_levels)]
-    u = np.array([state.scale * state.step_u**k * r for k, r in enumerate(root)])
-    v = np.array([state.step_v**k * r for k, r in enumerate(root)])
-    return u, v
+    return [math.sqrt(q**k * (1.0 - q)) for k in range(state.n_levels)]
+
+
+def factors(state: FourModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt factors ``(u, v)`` of a Bell state's H/V-frame table from its
+    label: ``u_n = sqrt(q^n (1 - q))`` and ``v_m = sign^m sqrt(q^m (1 - q))``
+    for n, m = 0..n_max, each entry built on its own."""
+    root = _schmidt_root(state)
+    sign = _h_v_form(state)[1]
+    return np.array(root), np.array([sign**k * r for k, r in enumerate(root)])
 
 
 def amplitude_table(state: FourModeState) -> np.ndarray:
-    """The ``(n, m)`` amplitude table ``u_n v_m`` of a state's closed form."""
+    """The ``(n, m)`` amplitude table ``u_n v_m`` of a Bell state in the H/V
+    frame, on the kets its label's pairing names."""
     return np.outer(*factors(state))
 
 
@@ -304,17 +318,18 @@ def lifted_vector(state: FourModeState, n_max: int | None = None) -> np.ndarray:
     """Dense amplitudes of a state, in any frame, over ``n_max + 1`` levels
     per mode (default: the state's own cutoff).
 
-    The closed form's table is placed by an explicit per-ket loop and each
-    beam's Jones frame applied sector by sector.  A beam sector of ``t``
-    photons needs ``t`` levels per mode, so a lift at the state's own cutoff
-    can lose norm; losing more than 1e-10 of it is refused.  At twice the
-    state's cutoff every sector fits and nothing is lost.
+    The psi-plus closed form's table is placed by an explicit per-ket loop
+    and each beam's Jones frame applied sector by sector.  A beam sector of
+    ``t`` photons needs ``t`` levels per mode, so a lift at the state's own
+    cutoff can lose norm; losing more than 1e-10 of it is refused.  At
+    twice the state's cutoff every sector fits and nothing is lost.
     """
     n_max = state.n_max if n_max is None else n_max
     if n_max < state.n_max:
         raise ValueError(f"cannot lift cutoff {state.n_max} into {n_max}")
     d = n_max + 1
-    psi = table_vector(amplitude_table(state), state.pairing, d).reshape(d * d, d * d)
+    root = _schmidt_root(state)
+    psi = table_vector(np.outer(root, root), "cross", d).reshape(d * d, d * d)
     norm_before = _norm_sq(psi)
     psi = _through_frames(psi, state.jones, n_max)
     leak = norm_before - _norm_sq(psi)
@@ -922,7 +937,7 @@ def factored_moments(coeffs: dict, state: FourModeState) -> tuple:
     """
     u, v = factors(state)
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
-    cross = state.pairing == "cross"
+    cross = _h_v_form(state)[0] == "cross"
     su, sv = _norm_sq(u), _norm_sq(v)
     if su * sv == 0.0:
         raise ValueError("zero state")
@@ -965,7 +980,7 @@ def _table_moments(coeffs: dict, state: FourModeState) -> tuple:
     """
     table = amplitude_table(state)
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
-    cross = state.pairing == "cross"
+    cross = _h_v_form(state)[0] == "cross"
     weight = np.abs(table) ** 2
     den = float(weight.sum())
     if den == 0.0:
@@ -1016,7 +1031,8 @@ def analyzer_distribution(state: FourModeState, setting):
     the library's ``count_pairing`` shortcuts.
     """
     jones = analyzer_jones(setting)
-    vec = lifted_vector(replace(state, jones=(jones, jones)))
+    vec = lifted_vector(replace(state, jones=tuple(jones if j is None else jones @ j
+                                                   for j in state.jones)))
     probs = np.abs(vec) ** 2
     probs = probs / probs.sum()
     return FourModeBasis(state.n_max).occupations().T.copy(), probs

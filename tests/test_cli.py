@@ -740,6 +740,49 @@ def test_crosswitness_table():
     assert all(got[i, j] > 0 for i in range(4) for j in range(4) if i != j)
 
 
+_WITNESS_HEADER = ("mode,witness,state,gamma,cutoff,eta,pulses,seed,value,value_error,"
+                   "var_1,var_2,var_3,var_err_1,var_err_2,var_err_3,mean_s0\n")
+#: the CSV text each exact-route command wrote, recorded before the Bell states
+#: became one closed form seen through beam-b frames
+_EXACT_PINS = [
+    (["witness", "--state", "psi-plus", "--gamma", "0.8"], _WITNESS_HEADER +
+     "exact,W_T1,psi-plus,0.80000000000000004,32,1,,,-6.309857884293935,,0,0,0,,,,"
+     "3.1549289421469675\n"),
+    (["witness", "--state", "psi-minus", "--gamma", "0.8"], _WITNESS_HEADER +
+     "exact,W_S,psi-minus,0.80000000000000004,32,1,,,-6.309857884293935,,0,0,0,,,,"
+     "3.1549289421469675\n"),
+    (["witness", "--state", "phi-plus", "--gamma", "0.8"], _WITNESS_HEADER +
+     "exact,W_T2,phi-plus,0.80000000000000004,32,1,,,-6.309857884293935,,0,0,0,,,,"
+     "3.1549289421469675\n"),
+    (["witness", "--state", "phi-minus", "--gamma", "0.8"], _WITNESS_HEADER +
+     "exact,W_T3,phi-minus,0.80000000000000004,32,1,,,-6.309857884293935,,0,0,0,,,,"
+     "3.1549289421469675\n"),
+    (["crosswitness", "--gamma", "0.5"],
+     "witness,psi-minus,psi-plus,phi-plus,phi-minus\n"
+     "W_S,-2.1723225392547487,3.3520688428808461,3.3520688427721606,3.3520688427721606\n"
+     "W_T1,3.3520688428808461,-2.1723225392547487,3.3520688427721606,3.3520688427721606\n"
+     "W_T2,3.3520688427721606,3.3520688427721606,-2.1723225392547487,3.3520688428808461\n"
+     "W_T3,3.3520688427721606,3.3520688427721606,3.3520688428808461,-2.1723225392547487\n"),
+    (["crosswitness", "--gamma", "17"],
+     "witness,psi-minus,psi-plus,phi-plus,phi-minus\n"
+     "W_S,-1166923483670993.2,3.4042760418571286e+29,3.4042759980140627e+29,"
+     "3.4042759980140627e+29\n"
+     "W_T1,3.4042760418571286e+29,-1166923483670993.2,3.4042759980140627e+29,"
+     "3.4042759980140627e+29\n"
+     "W_T2,3.4042759980140627e+29,3.4042759980140627e+29,-1166923483670993.2,"
+     "3.4042760418571286e+29\n"
+     "W_T3,3.4042759980140627e+29,3.4042759980140627e+29,3.4042760418571286e+29,"
+     "-1166923483670993.2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_text", _EXACT_PINS, ids=[" ".join(a) for a, _ in _EXACT_PINS])
+def test_exact_route_bytes_are_pinned(argv, csv_text):
+    assert cli.main(argv + ["--out", "e.csv"]) == 0
+    with open("e.csv", newline="") as fh:
+        assert fh.read() == csv_text
+
+
 # -- fedorov ----------------------------------------------------------------------
 
 

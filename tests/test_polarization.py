@@ -1,7 +1,6 @@
 import itertools
 import math
 import timeit
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +22,20 @@ from macrobell.states import (
     NumericError,
     build_bell_state,
     mean_photons_per_mode,
+    schmidt_spectrum,
 )
 from macrobell.witnesses import cutoff_for_edge_mass, evaluate_witness, matched_witness
 
-from oracles import _norm_sq, beam_transform_matrix, lifted_vector, sector_matrix, vector_fidelity
+from oracles import (
+    _norm_sq,
+    _through_frames,
+    beam_transform_matrix,
+    bell_vector,
+    lifted_vector,
+    sector_matrix,
+    table_vector,
+    vector_fidelity,
+)
 
 
 # -- Jones matrices -----------------------------------------------------------
@@ -111,7 +120,8 @@ def test_pi_phase_swaps_psi_states():
     out = apply_transform(st, pi_phase_on_bh())
     ref = build_bell_state(BellLabel.PSI_PLUS, 0.5, 10)
     assert 1.0 - vector_fidelity(lifted_vector(out), lifted_vector(ref)) < 1e-12
-    assert not _framed(out)  # a phase plate folds into the closed form
+    # the pi phase composes with psi-minus's own beam-b frame, exactly
+    assert _framed(out) == ["b"] and np.array_equal(out.jones[1], np.eye(2))
     assert identify_bell_state(out) is BellLabel.PSI_PLUS
     back = apply_transform(out, pi_phase_on_bh())
     assert 1.0 - vector_fidelity(lifted_vector(back), lifted_vector(st)) < 1e-12
@@ -175,20 +185,24 @@ def test_generic_transform_preserves_norm():
     out = apply_transform(st, half_wave_plate(13.0, target="a"))
     assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-13)
     assert out.edge_mass() == st.edge_mass()  # frame-invariant
-    assert _framed(out) == ["a"]  # leaves the paired subspaces
+    assert _framed(out) == ["a", "b"]  # beam b keeps psi-minus's frame
     assert _norm_sq(lifted_vector(out, 2 * st.n_max)) == pytest.approx(st.norm_sq(), rel=1e-13)
 
 
 def test_phase_retarder_keeps_the_closed_form():
-    # a retarder with its axis along H delays each V photon by delta: on a
-    # psi state that is a phase step exp(i delta) on v (beam a) or on u
-    # (beam b), and the result stays in closed form
-    st = build_bell_state(BellLabel.PSI_MINUS, 0.6, 9)
-    for target, steps in (("a", (1.0, -np.exp(0.7j))), ("b", (np.exp(0.7j), -1.0))):
-        out = apply_transform(st, BasisTransform("retarder", target, retarder_jones(0.0, 0.7)))
-        assert not _framed(out) and out.pairing == "cross"
-        assert out.step_u == pytest.approx(steps[0], abs=1e-14)
-        assert out.step_v == pytest.approx(steps[1], abs=1e-14)
+    # a retarder with its axis along H delays each V photon by delta: on
+    # psi-minus that is a phase exp(i delta m) (beam a) or exp(i delta n)
+    # (beam b) on the ket |n,m>_a|m,n>_b, and the lift of the composed frame
+    # is that table
+    gamma, n_max, delta = 0.6, 9, 0.7
+    st = build_bell_state(BellLabel.PSI_MINUS, gamma, n_max)
+    root = np.sqrt(schmidt_spectrum(gamma, n_max))
+    alt = (-1.0) ** np.arange(n_max + 1)
+    for target, u, v in (("a", root, alt * root * np.exp(1j * delta * np.arange(n_max + 1))),
+                         ("b", root * np.exp(1j * delta * np.arange(n_max + 1)), alt * root)):
+        out = apply_transform(st, BasisTransform("retarder", target, retarder_jones(0.0, delta)))
+        want = table_vector(np.outer(u, v), "cross", n_max + 1)
+        np.testing.assert_allclose(lifted_vector(out), want, rtol=0, atol=5e-15)
         assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-13)
 
 
@@ -201,28 +215,31 @@ _MONOMIAL = {
 }
 
 
-def test_folded_transforms_match_the_lift():
-    # phase plates and H/V swaps fold into the pairing and phase steps; the
-    # folded closed form equals the sector-by-sector lift of the frame
+def test_monomial_transforms_match_the_lift():
+    # phase plates and H/V swaps compose into each Bell state's frames; the
+    # lift of the result equals the plates applied sector by sector to the
+    # oracle's per-ket table of the label
+    gamma, n_max = 0.5, 8
+    d = n_max + 1
     for (name, jones), label in itertools.product(_MONOMIAL.items(), BellLabel):
-        st = build_bell_state(label, 0.5, 8)
+        st = build_bell_state(label, gamma, n_max)
+        table = bell_vector(label.sign, label.pairing, gamma, n_max).reshape(d * d, d * d)
         for target, frame in (("a", (jones, None)), ("b", (None, jones)),
                               ("both", (jones, jones))):
             out = apply_transform(st, BasisTransform(name, target, jones))
-            assert not _framed(out)
-            want = lifted_vector(replace(st, jones=frame))
+            want = _through_frames(table, frame, n_max).reshape(-1)
             np.testing.assert_allclose(lifted_vector(out), want, rtol=0, atol=5e-15, err_msg=name)
 
 
 def test_frames_compose():
     # two quarter-wave plates at 45 deg are a half-wave plate at 45 deg, an
-    # H/V swap: the frame folds back into the closed form
+    # H/V swap: on psi-minus's beam-b frame that makes phi-minus's
     st = build_bell_state(BellLabel.PSI_MINUS, 0.4, 6)
     once = apply_transform(st, quarter_wave_plate(45.0, target="b"))
-    assert _framed(once) == ["b"]
+    assert identify_bell_state(once) is None
     twice = apply_transform(once, quarter_wave_plate(45.0, target="b"))
-    assert not _framed(twice) and twice.pairing == "parallel"
-    want = lifted_vector(replace(st, jones=(None, half_wave_plate(45.0).jones)))
+    assert _framed(twice) == ["b"] and identify_bell_state(twice) is BellLabel.PHI_MINUS
+    want = lifted_vector(build_bell_state(BellLabel.PHI_MINUS, 0.4, 6))
     assert 1.0 - vector_fidelity(lifted_vector(twice), want) < 1e-13
 
 

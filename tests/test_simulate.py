@@ -18,6 +18,7 @@ from macrobell.simulate import (
     BLOCK_BYTES_PER_PULSE,
     BLOCK_PULSES,
     CANONICAL_SETTINGS,
+    LOG_BYTES_PER_PULSE,
     FedorovEstimate,
     SimConfig,
     _PartnerBins,
@@ -396,21 +397,48 @@ def _peak_growth(estimate, cfg) -> int:
     return peaks[1] - peaks[0]
 
 
-@pytest.mark.parametrize("gamma, eta", [(6.0, 0.5), (12.0, 0.5), (0.5, 0.85), (0.5, 1.0)])
-def test_block_peak_is_within_the_preflight(gamma, eta):
-    # estimate_witness pre-flights BLOCK_BYTES_PER_PULSE for each pulse of a
-    # block: at gain 6 every count draws a thinning variate, the largest
-    # gather, and at 12 the block sums pass int64 as well
+_PREFLIGHT_ROWS = [(estimate_witness, 6.0, 0.5), (estimate_witness, 12.0, 0.5),
+                   (estimate_witness, 0.5, 0.85), (estimate_witness, 0.5, 1.0),
+                   (estimate_fedorov, 12.0, 0.5), (estimate_fedorov, 12.0, 1.0),
+                   (estimate_fedorov, 6.0, 0.5)]
+
+
+@pytest.mark.parametrize("estimate, gamma, eta", _PREFLIGHT_ROWS,
+                         ids=[("" if f is estimate_witness else "fedorov-") + f"{g}-{e}"
+                              for f, g, e in _PREFLIGHT_ROWS])
+def test_block_peak_is_within_the_preflight(estimate, gamma, eta):
+    # estimate_witness and estimate_fedorov pre-flight BLOCK_BYTES_PER_PULSE
+    # for each pulse of a block: at gain 6 every count draws a thinning
+    # variate, the largest gather, and at 12 the block sums pass int64 as well
     cfg = SimConfig(label="psi-minus", gamma=gamma, eta=eta, pulses=BLOCK_PULSES, seed=3)
-    estimate_witness(cfg)  # first-call caches are not the block's
+    kwargs = {} if estimate is estimate_witness else {"bin_width": 2**40}
+    estimate(cfg, **kwargs)  # first-call caches are not the block's
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        estimate_witness(cfg)
+        estimate(cfg, **kwargs)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert peak <= BLOCK_BYTES_PER_PULSE * BLOCK_PULSES, peak / BLOCK_PULSES
+
+
+@pytest.mark.parametrize("first, top", [(0, 3), (10**18, 2**62)], ids=["small", "19-digit"])
+def test_pulse_log_peak_is_within_the_preflight(first, top):
+    # a logged estimate pre-flights LOG_BYTES_PER_PULSE more per pulse of a
+    # block: 19-digit ids and counts are the widest records
+    rng = np.random.default_rng(5)
+    rows = [rng.integers(0, top, BLOCK_PULSES, dtype=np.int64) for _ in range(4)]
+    with open(os.devnull, "wb") as fh:
+        _write_pulse_log(fh, 1, first, rows)  # first-call caches are not the block's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _write_pulse_log(fh, 1, first, rows)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peak <= LOG_BYTES_PER_PULSE * BLOCK_PULSES, peak / BLOCK_PULSES
 
 
 def test_estimate_witness_memory_per_pulse():

@@ -18,6 +18,7 @@ from macrobell.states import (
     build_bell_state,
     geometric_ratio,
     mean_photons_per_mode,
+    paired_modes,
     schmidt_spectrum,
 )
 
@@ -143,15 +144,12 @@ def test_edge_mass_routes_agree():
 def test_closed_forms_match_factor_sums():
     # norm and edge mass in closed form against sums over the oracle's factor
     # arrays (totals s, tail sums t: (t_u s_v + s_u t_v - t_u t_v) / (s_u s_v)),
-    # on random scales and phase steps
+    # on random labels, gains, cutoffs and depths
     rng = np.random.default_rng(7)
     for _ in range(200):
         gamma = rng.uniform(0.0, 4.0)
         n_max, depth = int(rng.integers(0, 60)), int(rng.integers(1, 4))
-        st = FourModeState(gamma=gamma, n_max=n_max, pairing="cross",
-                           scale=complex(*rng.normal(size=2)),
-                           step_u=np.exp(2j * np.pi * rng.uniform()),
-                           step_v=np.exp(2j * np.pi * rng.uniform()))
+        st = build_bell_state(list(BellLabel)[rng.integers(4)], gamma, n_max)
         wu, wv = (np.abs(f) ** 2 for f in factors(st))
         su, sv = wu.sum(), wv.sum()
         k = max(n_max + 1 - depth, 0)
@@ -208,14 +206,16 @@ def test_bell_state_allocates_nothing():
 
 
 def test_bell_table_amplitudes():
+    # each label's kets, read off the lift of its frame on the psi-plus
+    # closed form: (sign)^m sqrt(lambda_n lambda_m) where its pairing puts them
     gamma, n_max = 0.6, 8
     lam = schmidt_spectrum(gamma, n_max)
     for label in BellLabel:
-        table = amplitude_table(build_bell_state(label, gamma, n_max))
+        amps = lifted_vector(build_bell_state(label, gamma, n_max)).reshape((n_max + 1,) * 4)
         for n in (0, 1, 3):
             for m in (0, 2, 5):
                 want = (label.sign**m) * math.sqrt(lam[n] * lam[m])
-                assert table[n, m] == pytest.approx(want, abs=1e-15)
+                assert amps[paired_modes(n, m, label.pairing)] == pytest.approx(want, abs=1e-15)
 
 
 def test_label_properties():
@@ -236,35 +236,29 @@ def test_norm_is_retained_mass_per_mode():
 
 
 def test_dense_matches_independent_loop():
-    gamma, n_max = 0.45, 5
-    for label in BellLabel:
+    # the lift of each label's beam-b frame on the psi-plus closed form
+    # against the oracle's per-ket loop over the label's own pairing and
+    # sign: a wrong frame table fails here
+    for (gamma, n_max), label in itertools.product(((0.0, 3), (0.45, 5), (1.2, 7)), BellLabel):
         st = build_bell_state(label, gamma, n_max)
         ref = bell_vector(label.sign, label.pairing, gamma, n_max)
         vec = lifted_vector(st)
-        assert np.allclose(vec, ref, atol=1e-14)
+        assert np.allclose(vec, ref, rtol=0.0, atol=1e-14)
         assert float(np.vdot(vec, vec).real) == pytest.approx(st.norm_sq(), rel=1e-13)
 
 
 def test_storage_validation():
-    with pytest.raises(InputError, match="pairing 'cross' or 'parallel'"):
-        FourModeState(gamma=0.0, n_max=1)
-    with pytest.raises(InputError, match="pairing 'cross' or 'parallel'"):
-        FourModeState(gamma=0.0, n_max=1, pairing="diagonal")
     # malformed frames are refused at construction, naming what is expected
     for jones in ((np.eye(2),), (np.eye(3), None), (None, 2.0 * np.eye(2))):
         with pytest.raises(InputError, match="two unitary 2x2 matrices or None"):
-            FourModeState(gamma=0.5, n_max=4, pairing="cross", jones=jones)
-    with pytest.raises(InputError, match="unit modulus"):
-        FourModeState(gamma=0.5, n_max=4, pairing="cross", step_v=1.5)
-    with pytest.raises(InputError, match="unit modulus"):
-        FourModeState(gamma=0.5, n_max=4, pairing="cross", step_u=0.0)
+            FourModeState(gamma=0.5, n_max=4, jones=jones)
     with pytest.raises(InputError, match="n_max"):
-        FourModeState(gamma=0.5, n_max=-1, pairing="cross")
+        FourModeState(gamma=0.5, n_max=-1)
     # n_max + 1 levels must convert to a float: the largest cutoff is answered
     largest = int(sys.float_info.max) - 1
-    assert FourModeState(gamma=0.5, n_max=largest, pairing="cross").edge_mass() == 0.0
+    assert FourModeState(gamma=0.5, n_max=largest).edge_mass() == 0.0
     with pytest.raises(InputError, match=f"got {largest + 1}"):
-        FourModeState(gamma=0.5, n_max=largest + 1, pairing="cross")
+        FourModeState(gamma=0.5, n_max=largest + 1)
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(InputError, match="gain"):
             build_bell_state(BellLabel.PSI_MINUS, bad, 4)

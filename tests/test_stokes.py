@@ -20,7 +20,6 @@ from macrobell.witnesses import (WitnessKind, cutoff_for_edge_mass, evaluate_wit
 
 from oracles import (
     _table_moments,
-    amplitude_table,
     factored_moments,
     framed_moments,
     interior_mask,
@@ -30,7 +29,6 @@ from oracles import (
     lifted_vector,
     matvec_expectation,
     matvec_variance,
-    table_vector,
 )
 
 #: frozen reference values at gamma = 0.5, per-mode cutoff 15 (see test bodies)
@@ -93,9 +91,6 @@ def test_variance_matches_matvec_oracle():
 
 
 def test_error_paths():
-    s1a = {(1, "a"): 1.0}
-    with pytest.raises(ValueError):
-        expectation(s1a, FourModeState(gamma=0.0, n_max=2, pairing="cross", scale=0.0))
     big = build_bell_state(BellLabel.PSI_MINUS, 0.3, 4)
     for bad in ({(4, "a"): 1.0}, {(1, "c"): 1.0}):
         with pytest.raises(InputError):
@@ -110,20 +105,18 @@ _TERMS = hs.tuples(hs.integers(0, 3), hs.sampled_from("ab"))
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(n_max=hs.integers(0, 5), pairing=hs.sampled_from(["cross", "parallel"]),
+@given(n_max=hs.integers(0, 5), swaps=hs.tuples(hs.booleans(), hs.booleans()),
        coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8),
        gamma=hs.floats(0.0, 2.0), seed=hs.integers(0, 2**32 - 1))
-def test_table_route_matches_kron_oracle(n_max, pairing, coeffs, gamma, seed):
-    # random complex scales and phase steps, evaluated in closed form at
-    # their own cutoff, against kron-built operators on the oracle's
-    # amplitude table of the state
+def test_table_route_matches_kron_oracle(n_max, swaps, coeffs, gamma, seed):
+    # random phase plates, each beam's H/V swapped or not, evaluated in
+    # closed form at their own cutoff, against kron-built operators on the
+    # lift, which these frames keep within the cutoff
     rng = np.random.default_rng(seed)
-    d = n_max + 1
-    scale, step_u, step_v = complex(*rng.normal(size=2)), *np.exp(2j * np.pi * rng.uniform(size=2))
-    state = FourModeState(gamma=gamma, n_max=n_max, pairing=pairing,
-                          scale=scale, step_u=step_u, step_v=step_v)
-    vec = table_vector(amplitude_table(state), pairing, d)
-    want_mean, want_second = kron_moments(coeffs, vec)
+    jones = tuple(np.diag(np.exp(2j * np.pi * rng.uniform(size=2)))[::-1 if swap else 1]
+                  for swap in swaps)
+    state = FourModeState(gamma=gamma, n_max=n_max, jones=jones)
+    want_mean, want_second = kron_moments(coeffs, lifted_vector(state))
     mean, second = moments(coeffs, state)
     scale = max(1.0, want_second)
     assert abs(mean - want_mean) <= 1e-12 * scale
@@ -182,16 +175,16 @@ def test_closed_form_matches_factored_oracle(gamma):
        coeffs=hs.dictionaries(_TERMS, hs.floats(-2.0, 2.0), min_size=1, max_size=8))
 def test_closed_form_moments_match_factor_arrays(label, gamma, n_max, retarder, coeffs):
     # Bell states, or Bell states seen through a retarder at any angle, at
-    # small cutoffs where the truncation is severe: closed forms against the
-    # factor-array oracle, framed states against their lift at twice the
-    # cutoff, where every beam sector fits
+    # small cutoffs where the truncation is severe: Bell states against the
+    # factor-array oracle of their label, retarded states against their lift
+    # at twice the cutoff, where every beam sector fits
     state = build_bell_state(label, gamma, n_max)
     if retarder is not None:
         angle, delta, target = retarder
         state = apply_transform(state, BasisTransform("retarder", target,
                                                       retarder_jones(angle, delta)))
     got = moments(coeffs, state)
-    if all(j is None for j in state.jones):
+    if state.label is not None:
         want = factored_moments(coeffs, state)
     else:
         want = framed_moments(coeffs, state)
