@@ -98,7 +98,8 @@ _OPTIONS: dict[str, dict[str, _Opt]] = {
 _DEFAULTS = {cmd: {k: o.default for k, o in opts.items()} for cmd, opts in _OPTIONS.items()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand by name and help, the options of ``command`` only (None: all)."""
     top = argparse.ArgumentParser(
         prog="macrobell",
         description="four-mode bright squeezed-vacuum Bell states: "
@@ -106,10 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-    for command, opts in _OPTIONS.items():
+    for name, opts in _OPTIONS.items():
         # one spelling per option: no abbreviation, so --epsilon is not --epsilon-grid
-        p = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
-        p.add_argument("--config", help=f"INI file; section [{command}] supplies defaults")
+        fill = command in (None, name)
+        p = sub.add_parser(name, help=_COMMANDS[name].__doc__, allow_abbrev=False, add_help=fill)
+        if not fill:
+            continue
+        p.add_argument("--config", help=f"INI file; section [{name}] supplies defaults")
         for o in opts.values():
             kind = (dict(action="store_const", const=True) if o.type is bool
                     else dict(type=o.type, choices=o.choices))
@@ -431,7 +435,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in _OPTIONS else None)
     args = parser.parse_args(argv)
     if any(isinstance(value, list) for value in vars(args).values()):
         parser.error("an option value may not be '--'")  # argparse turns --opt=-- into []

@@ -20,11 +20,12 @@ matrix, ``a_j^+ -> sum_i J_ij a_i^+``, so a paired state whose coupling
 ``sum C_ij a_i^+ b_j^+`` is ``C_0 = [[0, 1], [1, 0]]`` (psi-plus, the
 closed form of :class:`~macrobell.states.FourModeState`) acquires the
 coupling ``J_a C_0 J_b^T``.  Each Bell label is such a frame on beam *b*
-(see ``BellLabel.frame``).  With these conventions the Bell-family
-relations hold exactly, not just up to photon-number-dependent phases:
-the pi phase on ``b_H`` maps psi-minus to psi-plus; quarter-wave plates
-at 45 deg in both beams map psi-plus to phi-plus; a 45 deg polarization
-rotation of both beams maps psi-plus to phi-minus.
+(see ``BellLabel.frame``; its Stokes rotation is ``BellLabel.signs``).
+With these conventions the Bell-family relations hold exactly, not just
+up to photon-number-dependent phases: the pi phase on ``b_H`` maps
+psi-minus to psi-plus; quarter-wave plates at 45 deg in both beams map
+psi-plus to phi-plus; a 45 deg polarization rotation of both beams maps
+psi-plus to phi-minus.
 
 All angles in the public API are in degrees, matching how wave-plate
 settings are quoted in the lab.

@@ -395,51 +395,28 @@ def estimate_witness(
     check_memory(min(config.pulses, BLOCK_PULSES), "witness estimate", per_pulse,
                  "pulses per block")
     kind = kind or matched_witness(config.label)
-    signs = kind.signs
     log_fh = open(pulse_log, "wb") if pulse_log else None
-
-    variance_terms = []
-    theta_sigmas = []
-    var_sigmas = []
-    degenerate = []
-    theta_sum = 0.0
-    mean_s0_acc = 0.0
     try:
-        for series, sign in enumerate(signs):
-            var_full, mean_full, theta, s_theta, s_var = _series_statistics(
-                config, series, sign, run, log_fh)
-            if var_full == 0.0 and mean_full == 0.0:
-                degenerate.append(series + 1)
-            variance_terms.append(var_full)
-            theta_sigmas.append(s_theta)
-            var_sigmas.append(s_var)
-            theta_sum += theta
-            mean_s0_acc += mean_full / 3.0
+        stats = [_series_statistics(config, series, sign, run, log_fh)
+                 for series, sign in enumerate(kind.signs)]
     finally:
         if log_fh is not None:
             log_fh.close()
-
+    variance_terms, means, thetas, theta_sigmas, var_sigmas = zip(*stats)
+    degenerate = [i + 1 for i, (var, mean) in enumerate(zip(variance_terms, means))
+                  if var == 0.0 and mean == 0.0]
+    meta = {"source": "simulation", "label": config.label.value, "gamma": config.gamma,
+            "eta": config.eta, "pulses": config.pulses, "seed": config.seed, "run": run}
     if degenerate:
         log.warning("series %s returned zero variance and zero mean", degenerate)
-    sigma = math.sqrt(sum(s * s for s in theta_sigmas))
-    meta = {
-        "source": "simulation",
-        "label": config.label.value,
-        "gamma": config.gamma,
-        "eta": config.eta,
-        "pulses": config.pulses,
-        "seed": config.seed,
-        "run": run,
-    }
-    if degenerate:
         meta["degenerate_series"] = degenerate
     return WitnessReport(
         kind=kind,
-        value=float(theta_sum),
-        variance_terms=tuple(variance_terms),
-        mean_s0=float(mean_s0_acc),
-        variance_errors=tuple(var_sigmas),
-        value_error=float(sigma),
+        value=float(sum(thetas, 0.0)),
+        variance_terms=variance_terms,
+        mean_s0=float(sum((mean / 3.0 for mean in means), 0.0)),
+        variance_errors=var_sigmas,
+        value_error=math.sqrt(sum(s * s for s in theta_sigmas)),
         meta=meta,
     )
 
@@ -580,24 +557,12 @@ def estimate_fedorov(
     mw_v = side_v.marginal_width(convention)
     cw_v = side_v.conditional_width()
     return FedorovEstimate(
-        ratio=(mw_h / cw_h) * (mw_v / cw_v),
-        ratio_h=mw_h / cw_h,
-        ratio_v=mw_v / cw_v,
-        marginal_width_h=mw_h,
-        conditional_width_h=cw_h,
-        marginal_width_v=mw_v,
-        conditional_width_v=cw_v,
-        convention=convention.value,
-        meta={
-            "label": config.label.value,
-            "gamma": config.gamma,
-            "eta": config.eta,
-            "pulses": config.pulses,
-            "seed": config.seed,
-            "bin_width": bin_width,
-            "run": run,
-            "partner_bins": max(side_h.count.size, side_v.count.size),
-        },
+        ratio=(mw_h / cw_h) * (mw_v / cw_v), ratio_h=mw_h / cw_h, ratio_v=mw_v / cw_v,
+        marginal_width_h=mw_h, conditional_width_h=cw_h,
+        marginal_width_v=mw_v, conditional_width_v=cw_v, convention=convention.value,
+        meta={"label": config.label.value, "gamma": config.gamma, "eta": config.eta,
+              "pulses": config.pulses, "seed": config.seed, "bin_width": bin_width,
+              "run": run, "partner_bins": max(side_h.count.size, side_v.count.size)},
     )
 
 

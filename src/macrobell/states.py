@@ -28,7 +28,11 @@ amplitude array is ever built.  A state is that closed form seen
 through a Jones frame per beam (wave plates, see
 :mod:`macrobell.polarization`); each Bell label is a beam-*b* frame: a pi
 phase on ``b_H`` for the minus labels, then an H/V swap for the phi
-labels.  The same quantities are read off the closed form in any frame.
+labels.  That frame flips the signs of beam *b*'s (S_1, S_2, S_3), and
+this sign triple (``BellLabel.signs``) is the one table from which the
+amplitude sign, the pairing, the frame, the witness signs and the sampled
+count pairings are read.  The same quantities are read off the closed
+form in any frame.
 """
 
 from __future__ import annotations
@@ -191,14 +195,22 @@ class BellLabel(Choice):
     PHI_MINUS = "phi-minus"
 
     @property
+    def signs(self) -> tuple[int, int, int]:
+        """The one sign table: the label's frame turns beam *b*'s (S_1, S_2, S_3)
+        of the psi-plus closed form into (s_1 S_1, s_2 S_2, s_3 S_3)."""
+        return {"psi-plus": (1, 1, 1), "psi-minus": (1, -1, -1),
+                "phi-plus": (-1, 1, -1), "phi-minus": (-1, -1, 1)}[self.value]
+
+    @property
     def sign(self) -> int:
-        """The (sign)^m alternation of the amplitude table."""
-        return +1 if self in (BellLabel.PSI_PLUS, BellLabel.PHI_PLUS) else -1
+        """The (sign)^m alternation of the amplitude table, ``s_2``."""
+        return self.signs[1]
 
     @property
     def pairing(self) -> str:
-        """H/V-basis pairing: 'cross' -> |n,m>_a|m,n>_b, 'parallel' -> |n,m>_a|n,m>_b."""
-        return "cross" if self in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS) else "parallel"
+        """H/V-basis pairing: 'cross' -> |n,m>_a|m,n>_b where ``s_1 = 1``, else
+        'parallel' -> |n,m>_a|n,m>_b."""
+        return "cross" if self.signs[0] > 0 else "parallel"
 
     @property
     def frame(self) -> np.ndarray | None:
@@ -208,9 +220,8 @@ class BellLabel(Choice):
         psi-plus.  Exact literals, so no rounding reaches the witnesses."""
         if self is BellLabel.PSI_PLUS:
             return None
-        return np.array({BellLabel.PSI_MINUS: [[-1.0, 0.0], [0.0, 1.0]],
-                         BellLabel.PHI_PLUS: [[0.0, 1.0], [1.0, 0.0]],
-                         BellLabel.PHI_MINUS: [[0.0, 1.0], [-1.0, 0.0]]}[self])
+        return np.array([[0.0, 1.0], [self.sign, 0.0]] if self.pairing == "parallel"
+                        else [[self.sign, 0.0], [0.0, 1.0]])
 
     @property
     def natural_basis(self) -> str:
@@ -230,7 +241,8 @@ class FourModeState:
     <= n_max``, ``u_n = sqrt(lambda_n)``, ``v_m = sqrt(lambda_m)``, seen
     through ``jones = (J_a, J_b)``, each beam's polarization frame: the
     state is the closed form after wave plates with these unitary Jones
-    matrices (None: the H/V frame).
+    matrices (None: the H/V frame).  A labelled state's frame is its
+    label's; another frame given with a label is refused.
 
     States are unnormalized (truncation removes mass); consumers divide
     by the norm.
@@ -239,7 +251,7 @@ class FourModeState:
     gamma: float
     n_max: int
     label: BellLabel | None = None
-    jones: tuple = (None, None)
+    jones: tuple | None = None  # None: the label's frame, or the H/V frame
 
     def __post_init__(self):
         if _log_q(self.gamma) == 0.0:  # also refuses a gain that is negative or not finite
@@ -248,7 +260,14 @@ class FourModeState:
         # past the float range, n_max + 1 no longer converts in the closed forms
         if not 0 <= self.n_max < sys.float_info.max:
             raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max})")
-        if len(self.jones) != 2 or any(
+        frames = (None, None if self.label is None else self.label.frame)
+        if self.label is not None and self.jones is not None and (len(self.jones) != 2 or not all(
+                np.array_equal(np.eye(2) if g is None else g, np.eye(2) if j is None else j)
+                for g, j in zip(self.jones, frames))):
+            raise InputError(f"jones {self.jones!r} is not the {self.label.value} frame")
+        if self.label is not None or self.jones is None:
+            self.jones = frames  # only frames from transforms need the unitarity check
+        elif len(self.jones) != 2 or any(
                 np.shape(j) != (2, 2) or np.abs(np.conj(j).T @ j - np.eye(2)).max() > 1e-10
                 for j in self.jones if j is not None):
             raise InputError(f"jones must be two unitary 2x2 matrices or None, got {self.jones!r}")
@@ -289,4 +308,4 @@ def build_bell_state(label: BellLabel, gamma: float, n_max: int) -> FourModeStat
     nothing allocated; see the module docstring.  It is left unnormalized:
     its squared norm is the retained probability mass ``(1 - q^(n_max+1))^2``.
     """
-    return FourModeState(gamma=gamma, n_max=n_max, label=label, jones=(None, label.frame))
+    return FourModeState(gamma=gamma, n_max=n_max, label=label)

@@ -22,12 +22,13 @@ on the psi-plus closed form ``O`` keeps the paired kets (``S_0`` and
 onto one of two "defect" planes.  The geometric factors shift into
 themselves, so each part of ``O psi`` is one outer product, and ``<O>``,
 ``<O^2>`` follow in O(1) from the mean and variance of the truncated
-thermal law.  A beam seen through a Jones frame ``J`` -- a Bell label's
-beam-*b* frame, or wave plates -- rotates its Stokes vector instead:
-``U_J^+ S_k U_J = sum_l R_kl S_l`` with ``R_kl = tr(sigma_l J^+ sigma_k
-J) / 2``, so the closed form is read at the coefficients ``c'_l = sum_k
-c_k R_kl``, with O cut at the cutoff of the frame where the state is
-truncated.
+thermal law.  A beam seen through a Jones frame ``J`` rotates its Stokes
+vector instead: ``U_J^+ S_k U_J = sum_l R_kl S_l`` with ``R_kl =
+tr(sigma_l J^+ sigma_k J) / 2``, so the closed form is read at the
+coefficients ``c'_l = sum_k c_k R_kl``, with O cut at the cutoff of the
+frame where the state is truncated.  A Bell label's frame rotates by its
+sign table, ``R = diag(BellLabel.signs)``, applied in plain Python; only
+the frames of wave plates take the 9 x 16 rotation.
 
 No operator matrix is ever built here.  The tests check the closed form
 against sums over factor arrays they build from a Bell state's label
@@ -57,10 +58,8 @@ _ROTATION = 0.5 * np.einsum("lij,kmn->klnimj", _PAULI, _PAULI).reshape(9, 16)
 
 
 def _through_frame(coeffs: dict, jones: tuple) -> dict:
-    """The coefficients of O on the closed form behind the Jones frames:
-    ``c'_l = sum_k c_k R_kl`` per framed beam, ``S_0`` unchanged."""
-    if jones[0] is None and jones[1] is None:
-        return coeffs
+    """The coefficients of O on the closed form behind an unlabelled state's
+    Jones frames: ``c'_l = sum_k c_k R_kl`` per framed beam, ``S_0`` unchanged."""
     out = dict(coeffs)
     for beam, j in zip(BEAMS, jones):
         if j is not None:
@@ -110,7 +109,12 @@ def moments(coeffs: dict, state: FourModeState) -> tuple[float, float]:
     unknown = set(coeffs) - set(_TERMS)
     if unknown:
         raise InputError(f"Stokes terms must be (0..3, 'a'|'b'), got {unknown}")
-    return _closed_form_moments(_through_frame(coeffs, state.jones), state)
+    if state.label is None:
+        return _closed_form_moments(_through_frame(coeffs, state.jones), state)
+    # a label's frame flips signs of beam b's S_1..S_3 (BellLabel.signs)
+    flips = {(k, "b"): s * coeffs[k, "b"]
+             for k, s in zip((1, 2, 3), state.label.signs) if (k, "b") in coeffs}
+    return _closed_form_moments({**coeffs, **flips}, state)
 
 
 def expectation(coeffs: dict, state: FourModeState) -> float:

@@ -8,10 +8,10 @@ with ``S_i = S_i^a + S_i^b``.  Replacing selected beam-*b* operators by
 their negatives gives three more inequalities.  Each sign pattern is
 violated maximally (all three variances vanish) by exactly one of the
 macroscopic Bell states, ``WitnessKind.matched_state``; the signs are
-read off that state's pairing ``p`` (+1 cross, -1 parallel) and
-amplitude sign ``sigma``:
+that state's beam-*b* sign triple (``BellLabel.signs``) times the
+pattern (+, -, -) that psi-plus violates maximally,
 
-    (s_1, s_2, s_3) = (p, -sigma, -p sigma),
+    (s_1, s_2, s_3) = (1, -1, -1) * matched_state.signs,
 
 so W_S = (+, +, +) is matched to psi-minus.  The witness value is
 ``sum_i Var(S_i^a + s_i S_i^b) - 2 <S_0>``; a negative value certifies
@@ -62,10 +62,8 @@ class WitnessKind(Choice):
 
     @property
     def signs(self) -> tuple[int, int, int]:
-        """(s_1, s_2, s_3) = (p, -sigma, -p sigma) of the matched state."""
-        label = self.matched_state
-        p = 1 if label.pairing == "cross" else -1
-        return (p, -label.sign, -p * label.sign)
+        """(s_1, s_2, s_3) = (1, -1, -1) times the matched state's sign triple."""
+        return tuple(w * s for w, s in zip((1, -1, -1), self.matched_state.signs))
 
 
 def matched_witness(label: BellLabel) -> WitnessKind:

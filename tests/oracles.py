@@ -1031,8 +1031,8 @@ def analyzer_distribution(state: FourModeState, setting):
     the library's ``count_pairing`` shortcuts.
     """
     jones = analyzer_jones(setting)
-    vec = lifted_vector(replace(state, jones=tuple(jones if j is None else jones @ j
-                                                   for j in state.jones)))
+    vec = lifted_vector(replace(state, label=None, jones=tuple(jones if j is None else jones @ j
+                                                               for j in state.jones)))
     probs = np.abs(vec) ** 2
     probs = probs / probs.sum()
     return FourModeBasis(state.n_max).occupations().T.copy(), probs

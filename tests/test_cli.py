@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -444,6 +445,61 @@ def test_flag_inventory_is_pinned(command):
                      + ("simulate = yes\n" if sampled else ""))
         cfg = cli._resolve_config(parser.parse_args([command, "--config", "pin.ini"]))
         assert _typed(cfg)[key] == _typed({key: want})[key]
+
+
+def _workflow_argv():
+    """The macrobell argument lists the CI workflow runs, shell lines left out."""
+    lines = (Path(__file__).resolve().parent.parent / ".github" / "workflows"
+             / "tests.yml").read_text().splitlines()
+    runs, inside = [], False
+    for line in map(str.strip, lines):
+        if line == "RUNS":
+            inside = False
+        elif (inside or line.startswith("macrobell ")) and "$" not in line:
+            runs.append(shlex.split(line.removeprefix("macrobell ")))
+        inside = inside or line.endswith(("<<RUNS", "<<'RUNS'"))
+    return runs
+
+
+def _refusals(command):
+    """Command lines argparse itself refuses: an unknown flag, a value that is
+    not the option's number or choice, a missing value and ``--opt=--``."""
+    yield [command, "--bogus"]
+    for o in cli._OPTIONS[command].values():
+        if o.type in (int, float):
+            yield [command, cli._flag(o.name), "x"]
+        if o.choices:
+            yield [command, cli._flag(o.name), "bogus"]
+        if o.type is not bool:
+            yield [command, cli._flag(o.name)]
+            yield [command, cli._flag(o.name) + "=--"]
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_the_parser_of_one_command_is_the_full_parser(command, monkeypatch, capsys):
+    # main fills in only the options of the command it runs; its help, its
+    # parses and its refusals are those of the parser that fills in all six
+    def subparser(parser):
+        return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+    one, full = cli._build_parser(command), cli._build_parser()
+    assert one.format_help() == full.format_help()
+    assert subparser(one).format_help() == subparser(full).format_help()
+    ci = [argv for argv in _workflow_argv() if argv[0] == command]
+    assert ci
+    for argv in ci:  # repr: a NaN gain is not equal to itself
+        assert repr(one.parse_args(argv)) == repr(full.parse_args(argv)), argv
+    build = cli._build_parser
+    for argv in [[command, "--help"], *_refusals(command)]:
+        got = _exit_code(argv), capsys.readouterr()
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+        assert (_exit_code(argv), capsys.readouterr()) == got, argv
+        monkeypatch.setattr(cli, "_build_parser", build)
+        assert got[0] == (0 if "--help" in argv else 2)
+
+
+def test_the_workflow_runs_every_command():
+    assert {argv[0] for argv in _workflow_argv()} >= set(cli._OPTIONS) | {"--help"}
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full-disk device")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -21,6 +22,9 @@ from macrobell.states import (
     paired_modes,
     schmidt_spectrum,
 )
+
+from macrobell.polarization import identify_bell_state
+from macrobell.witnesses import WitnessKind, evaluate_witness, matched_witness
 
 from oracles import (
     amplitude_table,
@@ -245,6 +249,30 @@ def test_dense_matches_independent_loop():
         vec = lifted_vector(st)
         assert np.allclose(vec, ref, rtol=0.0, atol=1e-14)
         assert float(np.vdot(vec, vec).real) == pytest.approx(st.norm_sq(), rel=1e-13)
+
+
+def test_a_label_is_the_state_it_names():
+    # a state built with a label is that Bell state: once it was psi-plus
+    # under the label's name (W_S +3.35 where psi-minus gives -2.17)
+    gamma, n_max = 0.5, 40
+    w_s = evaluate_witness(WitnessKind.W_S, FourModeState(gamma, n_max, BellLabel.PSI_MINUS))
+    assert w_s.value == pytest.approx(-2.1723225392609, rel=1e-12)
+    for label in BellLabel:
+        state = FourModeState(gamma, n_max, label)
+        report = evaluate_witness(matched_witness(label), state)
+        assert report.value == -2.0 * report.mean_s0 and report.meta["label"] == label.value
+        # the frame it carries is the label's
+        assert identify_bell_state(dataclasses.replace(state, label=None)) is label
+    # a label given another frame is refused, so label and frame never disagree
+    framed = build_bell_state(BellLabel.PHI_PLUS, gamma, n_max)
+    for label, jones in ((BellLabel.PSI_MINUS, (None, None)),
+                         (BellLabel.PSI_PLUS, framed.jones),
+                         (BellLabel.PHI_MINUS, (np.eye(2), framed.jones[1]))):
+        with pytest.raises(InputError, match=f"not the {label.value} frame"):
+            FourModeState(gamma, n_max, label, jones)
+    # the label's own frame, given again, is accepted: dataclasses.replace passes it
+    assert np.array_equal(dataclasses.replace(framed, n_max=7).jones[1], framed.jones[1])
+    assert FourModeState(gamma, 7, BellLabel.PSI_PLUS, (np.eye(2), None)).jones == (None, None)
 
 
 def test_storage_validation():

@@ -12,11 +12,13 @@ from macrobell.states import (
     build_bell_state,
     schmidt_spectrum,
 )
-from macrobell.stokes import expectation, moments, variance_of_combination
+from macrobell import stokes
+from macrobell.stokes import (_closed_form_moments, _through_frame, expectation, moments,
+                              variance_of_combination)
 
 from macrobell.polarization import BasisTransform, apply_transform, retarder_jones
-from macrobell.witnesses import (WitnessKind, cutoff_for_edge_mass, evaluate_witness,
-                                 witness_term_coeffs)
+from macrobell.witnesses import (WitnessKind, cross_witness_matrix, cutoff_for_edge_mass,
+                                 evaluate_witness, witness_term_coeffs)
 
 from oracles import (
     _table_moments,
@@ -214,3 +216,33 @@ def test_framed_moments_match_the_lift(gamma):
             scale = max(1.0, want[1])
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(label=hs.sampled_from(list(BellLabel)), gamma=hs.floats(0.0, 19.0),
+       n_max=hs.integers(0, 10**9),
+       coeffs=hs.fixed_dictionaries({key: hs.floats(-1e3, 1e3)
+                                     for key in ((k, b) for k in range(4) for b in "ab")}))
+def test_sign_table_matches_the_frame_rotation(label, gamma, n_max, coeffs):
+    # a labelled state multiplies beam b's coefficients by the label's sign
+    # triple; the 9 x 16 rotation of the label's frame gives the same bits
+    state = build_bell_state(label, gamma, n_max)
+    rotated = _through_frame(coeffs, state.jones)
+    assert moments(coeffs, state) == _closed_form_moments(rotated, state)
+
+
+def test_labelled_states_never_rotate_a_frame(monkeypatch):
+    # every witness on every Bell state, and the cross table, by the sign table alone
+    def refuse(coeffs, jones):
+        raise AssertionError("a labelled state took the frame rotation")
+
+    monkeypatch.setattr(stokes, "_through_frame", refuse)
+    for gamma in (0.0, 0.5, 2.5):
+        n_max = cutoff_for_edge_mass(gamma)
+        for label in BellLabel:
+            state = build_bell_state(label, gamma, n_max)
+            for kind in WitnessKind:
+                assert (evaluate_witness(kind, state).value < 0) == (kind.matched_state is label
+                                                                     and gamma > 0)
+        matrix = cross_witness_matrix(gamma, n_max)[0]
+        assert gamma == 0 or (np.diag(matrix) < 0).all()
