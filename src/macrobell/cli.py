@@ -16,6 +16,12 @@ duration) next to it, so any result can be reproduced bit-for-bit with
 command section; explicit flags win.  ``witness`` has two routes, exact and
 sampled; an option only the idle route reads must keep its default.
 
+A plain command line (a command, then ``--flag value`` pairs and bare boolean
+flags) is read straight off the option table, each value through its option's
+type and choices, into the namespace argparse would give; argparse is built
+only for help, errors and other spellings (``--flag=value``, a value that
+starts with ``-``), so it alone writes help, usage and error text.
+
 Exit codes: 0 success; 2 malformed input, with a one-line message: a bad flag,
 config file, grid text or output path, or an argument out of the bounds the
 library keeps (``InputError``); 3 a numerical refusal (``NumericError``,
@@ -98,8 +104,8 @@ _OPTIONS: dict[str, dict[str, _Opt]] = {
 _DEFAULTS = {cmd: {k: o.default for k, o in opts.items()} for cmd, opts in _OPTIONS.items()}
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand by name and help, the options of ``command`` only (None: all)."""
+def _build_parser() -> argparse.ArgumentParser:
+    """Every subcommand with its options, help and refusals."""
     top = argparse.ArgumentParser(
         prog="macrobell",
         description="four-mode bright squeezed-vacuum Bell states: "
@@ -109,16 +115,44 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name, opts in _OPTIONS.items():
         # one spelling per option: no abbreviation, so --epsilon is not --epsilon-grid
-        fill = command in (None, name)
-        p = sub.add_parser(name, help=_COMMANDS[name].__doc__, allow_abbrev=False, add_help=fill)
-        if not fill:
-            continue
+        p = sub.add_parser(name, help=_COMMANDS[name].__doc__, allow_abbrev=False)
         p.add_argument("--config", help=f"INI file; section [{name}] supplies defaults")
         for o in opts.values():
             kind = (dict(action="store_const", const=True) if o.type is bool
                     else dict(type=o.type, choices=o.choices))
             p.add_argument(_flag(o.name), dest=o.name, help=o.help, **kind)
     return top
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` gives a plain line, a
+    command then ``--flag value`` pairs and bare boolean flags, each value not
+    starting with ``-`` and passing its option's type and choices; None for any
+    other line, which argparse parses, refuses or answers with help."""
+    opts = _OPTIONS.get(argv[0]) if argv else None
+    if opts is None:
+        return None
+    flags = {"--config": _Opt("config"), **{_flag(k): o for k, o in opts.items()}}
+    args = {"command": argv[0], "config": None, **dict.fromkeys(opts)}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        opt = flags.get(token)
+        if opt is None:
+            return None
+        if opt.type is bool:
+            args[opt.name] = True
+            continue
+        raw = next(tokens, None)
+        if raw is None or raw.startswith("-"):
+            return None
+        try:
+            value = opt.type(raw)
+        except ValueError:
+            return None
+        if opt.choices and value not in opt.choices:
+            return None
+        args[opt.name] = value
+    return argparse.Namespace(**args)
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -436,10 +470,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv and argv[0] in _OPTIONS else None)
-    args = parser.parse_args(argv)
-    if any(isinstance(value, list) for value in vars(args).values()):
-        parser.error("an option value may not be '--'")  # argparse turns --opt=-- into []
+    args = _plain_args(argv)
+    if args is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if any(isinstance(value, list) for value in vars(args).values()):
+            parser.error("an option value may not be '--'")  # argparse turns --opt=-- into []
     t0 = time.time()
     try:
         cfg = _resolve_config(args)

@@ -234,7 +234,13 @@ class BellLabel(Choice):
         }[self]
 
 
-@dataclass
+def _same_frames(these, those) -> bool:
+    """Two per-beam frame pairs agree entry by entry (None: the identity)."""
+    return all(np.array_equal(np.eye(2) if g is None else g, np.eye(2) if j is None else j)
+               for g, j in zip(these, those))
+
+
+@dataclass(eq=False)
 class FourModeState:
     """A (possibly truncated) state of the four modes, in closed form: the
     psi-plus kets ``|n,m>_a|m,n>_b`` with amplitude ``u_n v_m`` for ``n, m
@@ -261,9 +267,8 @@ class FourModeState:
         if not 0 <= self.n_max < sys.float_info.max:
             raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max})")
         frames = (None, None if self.label is None else self.label.frame)
-        if self.label is not None and self.jones is not None and (len(self.jones) != 2 or not all(
-                np.array_equal(np.eye(2) if g is None else g, np.eye(2) if j is None else j)
-                for g, j in zip(self.jones, frames))):
+        if self.label is not None and self.jones is not None and (
+                len(self.jones) != 2 or not _same_frames(self.jones, frames)):
             raise InputError(f"jones {self.jones!r} is not the {self.label.value} frame")
         if self.label is not None or self.jones is None:
             self.jones = frames  # only frames from transforms need the unitarity check
@@ -271,6 +276,14 @@ class FourModeState:
                 np.shape(j) != (2, 2) or np.abs(np.conj(j).T @ j - np.eye(2)).max() > 1e-10
                 for j in self.jones if j is not None):
             raise InputError(f"jones must be two unitary 2x2 matrices or None, got {self.jones!r}")
+
+    def __eq__(self, other):
+        """Same gain, cutoff and label, and the same frames entry by entry
+        (None is the H/V frame, the identity)."""
+        if not isinstance(other, FourModeState):
+            return NotImplemented
+        return ((self.gamma, self.n_max, self.label) == (other.gamma, other.n_max, other.label)
+                and _same_frames(self.jones, other.jones))
 
     # -- basic quantities -------------------------------------------------
 

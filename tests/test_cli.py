@@ -1,8 +1,12 @@
+import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import shlex
 import sys
 from pathlib import Path
@@ -341,10 +345,70 @@ def _exit_code(argv):
 
 @_FUZZ
 @given(text=_GRID_TEXT, option=hs.sampled_from(
-    ["measures --n0-grid", "truncation --n0-grid", "truncation --epsilon-grid"]))
-def test_grid_text_never_escapes_main(text, option):
+    ["measures --n0-grid", "truncation --n0-grid", "truncation --epsilon-grid"]),
+    joined=hs.booleans())
+def test_grid_text_never_escapes_main(text, option, joined):
+    # --flag=text goes to argparse; --flag text, the plain spelling, to the reader
     command, flag = option.split()
-    assert _exit_code([command, f"{flag}={text}", "--out", "g.csv"]) in (0, 2, 3)
+    spelled = [f"{flag}={text}"] if joined else [flag, text]
+    assert _exit_code([command, *spelled, "--out", "g.csv"]) in (0, 2, 3)
+
+
+#: the tokens of command lines: every command's flags, bogus and misspelt flags,
+#: help and end-of-options, each flag with a value in one token, and values:
+#: numbers in several spellings (\u0663 is an Arabic-Indic three), every choice
+#: and a bogus one
+_FLAGS = sorted({cli._flag(key) for opts in cli._OPTIONS.values() for key in opts}
+                | {"--config", "--bogus", "--pulse_log", "--command", "--epsilon"})
+_VALUE = hs.sampled_from(sorted({
+    "-1", "-.5", "", "nan", "1_000", "\u0663", "0.5", "7", "2e3", "x", "bogus", "1,2", "o.csv",
+    *(c for opts in cli._OPTIONS.values() for o in opts.values() for c in o.choices or ())}))
+_TOKEN = hs.one_of(
+    hs.sampled_from(_FLAGS), _VALUE, hs.sampled_from(["-h", "--help", "--", "--version"]),
+    hs.builds("{}={}".format, hs.sampled_from(_FLAGS), _VALUE))
+
+
+#: values each type reads, besides the choices of an option that has them
+_READABLE = {int: ("7", "1_000", "\u0663"), float: ("0.5", "nan", "2e3", "\u0663"),
+             str: ("o.csv", "1,2", "")}
+
+
+def _pair(command):
+    """One of ``command``'s flags, now and then misspelt (underscores kept, or
+    abbreviated), with a value it mostly reads."""
+    def spellings(o):
+        flag = cli._flag(o.name)
+        return hs.sampled_from([flag] * 6 + ["--" + o.name, flag[:-1]])
+
+    return hs.sampled_from([cli._Opt("config"), *cli._OPTIONS[command].values()]).flatmap(
+        lambda o: hs.tuples(spellings(o), *(() if o.type is bool else [
+            hs.sampled_from(o.choices or _READABLE[o.type]) | _VALUE])))
+
+
+#: a command and then mostly its own flag-value pairs, or a few stray tokens
+_ARGV = hs.sampled_from(sorted(cli._OPTIONS)).flatmap(lambda command: hs.lists(
+    hs.one_of(_pair(command), _pair(command), _pair(command), hs.tuples(_TOKEN)),
+    max_size=4).map(lambda pairs: [command, *(t for pair in pairs for t in pair)])
+) | hs.lists(_TOKEN, max_size=4)
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(argv=_ARGV)
+@example(argv=["witness", "--state", "vacuum", "--simulate", "--gamma", "\u0663"])
+@example(argv=["sweep-eta", "--seed", "1_000", "--witness", "W_T2", "--seed", "nan"])
+@example(argv=["witness", "--gamma", "-1"])
+def test_the_reader_reads_what_argparse_reads(argv):
+    # main reads a plain line off the option table; each line it reads must
+    # give argparse's namespace (repr: NaN is not equal to itself), and a line
+    # argparse refuses or answers with help is never read
+    got = cli._plain_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            want = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        assert got is None, argv
+        return
+    assert got is None or repr(vars(got)) == repr(vars(want)), argv
 
 
 def test_double_dash_option_value_is_usage_error():
@@ -475,26 +539,48 @@ def _refusals(command):
             yield [command, cli._flag(o.name) + "=--"]
 
 
-@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
-def test_the_parser_of_one_command_is_the_full_parser(command, monkeypatch, capsys):
-    # main fills in only the options of the command it runs; its help, its
-    # parses and its refusals are those of the parser that fills in all six
-    def subparser(parser):
-        return next(a for a in parser._actions if a.dest == "command").choices[command]
+def _perfbench_argv():
+    """The command lines of one pass of every benchmark workload, traced."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import run
+    finally:
+        sys.path.pop(0)
+    ctx = run.Context(rng=random.Random(0), states=list(run.STATES), workers=2, trace=True)
+    return [inv.argv + ["--out", "out.csv"] for steps in run.WORKLOADS.values()
+            for build in steps for inv in build(ctx, 0).invocations]
 
-    one, full = cli._build_parser(command), cli._build_parser()
-    assert one.format_help() == full.format_help()
-    assert subparser(one).format_help() == subparser(full).format_help()
-    ci = [argv for argv in _workflow_argv() if argv[0] == command]
-    assert ci
-    for argv in ci:  # repr: a NaN gain is not equal to itself
-        assert repr(one.parse_args(argv)) == repr(full.parse_args(argv)), argv
-    build = cli._build_parser
+
+def test_plain_lines_build_no_parser(monkeypatch):
+    # the benchmark's lines are read, not run; the workflow's are run through
+    # main, all but help and a negative value, which are argparse's to parse
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an ArgumentParser was built")
+
+    bench = _perfbench_argv()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert {argv[0] for argv in bench} >= {"witness", "crosswitness", "measures", "truncation",
+                                           "fedorov", "sweep-eta"}
+    for argv in bench:
+        assert cli._plain_args(argv) is not None, argv
+    plain = [argv for argv in _workflow_argv()
+             if "--help" not in argv and not any(t.startswith("-") and not t.startswith("--")
+                                                 for t in argv)]
+    for argv in plain:
+        assert _exit_code(argv) in (0, 2), argv
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_the_parser_of_one_command_is_the_full_parser(command, capsys):
+    # main answers a command's help and each refusal with the full parser's
+    # own exit code and text
     for argv in [[command, "--help"], *_refusals(command)]:
         got = _exit_code(argv), capsys.readouterr()
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
-        assert (_exit_code(argv), capsys.readouterr()) == got, argv
-        monkeypatch.setattr(cli, "_build_parser", build)
+        parser = cli._build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+            parser.error("an option value may not be '--'")  # --opt=-- parses to []
+        assert got == (exc.value.code, capsys.readouterr()), argv
         assert got[0] == (0 if "--help" in argv else 2)
 
 

@@ -23,7 +23,12 @@ from macrobell.states import (
     schmidt_spectrum,
 )
 
-from macrobell.polarization import identify_bell_state
+from macrobell.polarization import (
+    apply_transform,
+    identify_bell_state,
+    pi_phase_on_bh,
+    quarter_wave_plate,
+)
 from macrobell.witnesses import WitnessKind, evaluate_witness, matched_witness
 
 from oracles import (
@@ -273,6 +278,25 @@ def test_a_label_is_the_state_it_names():
     # the label's own frame, given again, is accepted: dataclasses.replace passes it
     assert np.array_equal(dataclasses.replace(framed, n_max=7).jones[1], framed.jones[1])
     assert FourModeState(gamma, 7, BellLabel.PSI_PLUS, (np.eye(2), None)).jones == (None, None)
+
+
+def test_state_equality_compares_frames_entry_by_entry():
+    # every label but psi-plus carries a numpy frame, which once made == raise
+    for label in BellLabel:
+        state = build_bell_state(label, 0.5, 40)
+        assert state == build_bell_state(label, 0.5, 40) == FourModeState(0.5, 40, label)
+        assert state != build_bell_state(label, 0.5, 41)
+        assert state != build_bell_state(label, 0.6, 40)
+    assert build_bell_state(BellLabel.PSI_MINUS, 0.5, 40) != build_bell_state(
+        BellLabel.PSI_PLUS, 0.5, 40)
+    # framed states from transforms compare without raising
+    minus = build_bell_state(BellLabel.PSI_MINUS, 0.5, 40)
+    plus = apply_transform(minus, pi_phase_on_bh())
+    assert plus == apply_transform(minus, pi_phase_on_bh())
+    assert plus == FourModeState(0.5, 40, None, (None, np.eye(2)))  # None is the identity
+    assert plus != minus
+    assert plus != apply_transform(minus, quarter_wave_plate(45.0))
+    assert minus != "psi-minus"
 
 
 def test_storage_validation():
