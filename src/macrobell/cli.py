@@ -18,9 +18,13 @@ sampled; an option only the idle route reads must keep its default.
 
 A plain command line (a command, then ``--flag value`` pairs and bare boolean
 flags) is read straight off the option table, each value through its option's
-type and choices, into the namespace argparse would give; argparse is built
-only for help, errors and other spellings (``--flag=value``, a value that
-starts with ``-``), so it alone writes help, usage and error text.
+type and choices, into the namespace argparse would give; argparse is imported
+and built only for help, errors and other spellings (``--flag=value``, a value
+that starts with ``-``), so it alone writes help, usage and error text, and
+configparser only for ``--config``.  The modules the commands call are
+imported here at the top, ``simulate`` too, though only the sampled routes
+call it: its ``numpy.random`` import then counts as start-up, not as the time
+of a sampled run.
 
 Exit codes: 0 success; 2 malformed input, with a one-line message: a bad flag,
 config file, grid text or output path, or an argument out of the bounds the
@@ -31,19 +35,26 @@ library keeps (``InputError``); 3 a numerical refusal (``NumericError``,
 
 from __future__ import annotations
 
-import argparse
-import configparser
 import csv
 import json
 import math
 import os
 import sys
 import time
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .states import BellLabel, InputError, NumericError
-from .witnesses import WitnessKind
+from .measures import WidthConvention, fedorov_ratio, gain_scan
+from .simulate import (SWEEP_BYTES_PER_POINT, SimConfig, efficiency_sweep, estimate_fedorov,
+                       estimate_witness)
+from .states import BellLabel, InputError, NumericError, build_bell_state, check_memory
+from .truncation import dimension_scan
+from .witnesses import (WitnessKind, cross_witness_matrix, cutoff_for_edge_mass,
+                        evaluate_witness, matched_witness)
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class _Opt(NamedTuple):
@@ -106,6 +117,8 @@ _DEFAULTS = {cmd: {k: o.default for k, o in opts.items()} for cmd, opts in _OPTI
 
 def _build_parser() -> argparse.ArgumentParser:
     """Every subcommand with its options, help and refusals."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="macrobell",
         description="four-mode bright squeezed-vacuum Bell states: "
@@ -124,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     """The namespace ``_build_parser().parse_args(argv)`` gives a plain line, a
     command then ``--flag value`` pairs and bare boolean flags, each value not
     starting with ``-`` and passing its option's type and choices; None for any
@@ -152,10 +165,10 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
         if opt.choices and value not in opt.choices:
             return None
         args[opt.name] = value
-    return argparse.Namespace(**args)
+    return SimpleNamespace(**args)
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
+def _resolve_config(args: SimpleNamespace | argparse.Namespace) -> dict:
     """CLI flag > config-file entry > builtin default."""
     command = args.command
     opts = _OPTIONS[command]
@@ -181,6 +194,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 def _read_config(path: str, command: str) -> list[tuple[str, str]]:
     """(key, raw value) pairs of the INI file's section for ``command``."""
+    import configparser
+
     ini = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -213,6 +228,8 @@ def _flag(key: str) -> str:
 
 def _convert(opt: _Opt, raw: str):
     """An INI value as the option's type; ``none`` or nothing is None."""
+    import configparser
+
     raw = raw.strip()
     if raw.lower() in ("none", ""):
         return None
@@ -283,10 +300,6 @@ def _write_manifest(command: str, cfg: dict, outputs: list[str], t0: float,
 
 def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
     """exact or sampled entanglement witness"""
-    from .states import build_bell_state
-    from .witnesses import cutoff_for_edge_mass, evaluate_witness
-    from .simulate import SimConfig, estimate_witness, matched_witness
-
     shown, default = cfg["state"], _DEFAULTS["witness"]
     vacuum = shown == "vacuum"
     if vacuum and cfg["gamma"] != default["gamma"]:
@@ -329,8 +342,6 @@ def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
 
 def _cmd_measures(cfg: dict) -> tuple[list[str], None]:
     """entanglement measures across mean photon number"""
-    from .measures import WidthConvention, gain_scan
-
     grid = _parse_grid(cfg["n0_grid"], "N0")
     rows = gain_scan(grid, convention=WidthConvention(cfg["convention"]))
     header = ["N0", "negativity", "kbar", "fedorov"]
@@ -356,8 +367,6 @@ def _cmd_measures(cfg: dict) -> tuple[list[str], None]:
 
 def _cmd_truncation(cfg: dict) -> tuple[list[str], None]:
     """error budget and subspace size for photon-number cutoffs"""
-    from .truncation import dimension_scan
-
     n0_list = _parse_grid(cfg["n0_grid"], "N0")
     targets = _parse_grid(cfg["epsilon_grid"], "epsilon")
     points = dimension_scan(n0_list, targets)
@@ -387,9 +396,6 @@ def _cmd_truncation(cfg: dict) -> tuple[list[str], None]:
 
 def _cmd_crosswitness(cfg: dict) -> tuple[list[str], dict]:
     """4x4 witness-by-state table"""
-    from .states import build_bell_state
-    from .witnesses import cross_witness_matrix, cutoff_for_edge_mass
-
     n_max = cfg["cutoff"] or cutoff_for_edge_mass(cfg["gamma"])
     mat, kinds, labels = cross_witness_matrix(cfg["gamma"], n_max=n_max)
     header = ["witness"] + [l.value for l in labels]
@@ -406,9 +412,6 @@ def _cmd_crosswitness(cfg: dict) -> tuple[list[str], dict]:
 
 def _cmd_fedorov(cfg: dict) -> tuple[list[str], dict | None]:
     """simulated photon-number width ratio"""
-    from .measures import WidthConvention, fedorov_ratio
-    from .simulate import SimConfig, estimate_fedorov
-
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],
                     eta=cfg["eta"], pulses=cfg["pulses"], seed=cfg["seed"])
     est = estimate_fedorov(sim, convention=cfg["convention"], bin_width=cfg["bin_width"])
@@ -434,9 +437,6 @@ def _cmd_fedorov(cfg: dict) -> tuple[list[str], dict | None]:
 
 def _cmd_sweep_eta(cfg: dict) -> tuple[list[str], dict]:
     """witness vs detection efficiency"""
-    from .states import check_memory
-    from .simulate import SWEEP_BYTES_PER_POINT, SimConfig, efficiency_sweep
-
     grid = _parse_grid(cfg["eta_grid"], "eta")
     check_memory(len(grid), "efficiency sweep", SWEEP_BYTES_PER_POINT, "grid points")
     sim = SimConfig(label=BellLabel(cfg["state"]), gamma=cfg["gamma"],

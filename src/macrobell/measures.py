@@ -31,16 +31,19 @@ from __future__ import annotations
 import math
 import sys
 
-from .states import (Choice, InputError, NumericError, _log_q, _photon_moments,
+from .states import (Choice, InputError, NumericError, _log_q, _photon_moments, check_integer,
                      mean_photons_per_mode)
 
 
 def _log_tail(gamma: float, n_max: int | None) -> float:
     """ln t = (n_max + 1) ln q, t the pair spectrum mass beyond the cutoff (-inf without one)."""
     log_q = _log_q(gamma)
-    if n_max is not None and n_max < 0:
+    if n_max is None:
+        return -math.inf
+    check_integer(n_max, "cutoff")
+    if n_max < 0:
         raise InputError(f"cutoff must be nonnegative, got {n_max!r}")
-    return -math.inf if n_max is None else (n_max + 1) * log_q
+    return (n_max + 1) * log_q
 
 
 def _log_trace_norm(gamma: float, n_max: int | None, four_mode: bool) -> float:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BellLabel, FourModeState, InputError
+from .states import UNITARITY_TOL, BellLabel, FourModeState, InputError, unitarity_defect
 
 BEAM_A, BEAM_B, BOTH_BEAMS = "a", "b", "both"
 
@@ -70,12 +70,8 @@ class BasisTransform:
         if self.target not in (BEAM_A, BEAM_B, BOTH_BEAMS):
             raise InputError(f"target must be 'a', 'b' or 'both', got {self.target!r}")
         defect = unitarity_defect(self.jones)
-        if defect > 1e-12:
+        if defect > UNITARITY_TOL:
             raise InputError(f"Jones matrix not unitary (defect {defect:.2e})")
-
-
-def unitarity_defect(jones: np.ndarray) -> float:
-    return float(np.max(np.abs(jones.conj().T @ jones - np.eye(2))))
 
 
 def half_wave_plate(angle_deg: float, target: str = BOTH_BEAMS) -> BasisTransform:

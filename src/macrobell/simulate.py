@@ -52,7 +52,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .measures import WidthConvention
-from .states import (BellLabel, InputError, NumericError, _log_q, check_memory,
+from .states import (BellLabel, InputError, NumericError, _log_q, check_integer, check_memory,
                      geometric_ratio, mean_photons_per_mode, paired_modes)
 from .witnesses import WitnessKind, WitnessReport, matched_witness
 
@@ -98,6 +98,12 @@ _INT64_LIMIT = 2**63
 _INT_PIECE = 256
 
 
+def _check_efficiency(eta: float, message: str = "eta must be in (0, 1]") -> None:
+    """Refuse a detection efficiency outside (0, 1] with ``message``."""
+    if not 0.0 < eta <= 1.0:
+        raise InputError(message)
+
+
 def count_pairing(label: BellLabel, component: int) -> str:
     """'cross' or 'parallel' pairing of the counts of Stokes component 1..3."""
     return "cross" if matched_witness(label).signs[component - 1] > 0 else "parallel"
@@ -118,8 +124,9 @@ class SimConfig:
         if geometric_ratio(self.gamma) == 1.0:
             raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={self.gamma}: "
                                "no photon-number law to sample")
-        if not 0.0 < self.eta <= 1.0:
-            raise InputError("eta must be in (0, 1]")
+        _check_efficiency(self.eta)
+        check_integer(self.pulses, "pulses")
+        check_integer(self.seed, "seed")
         if self.pulses < 3:
             raise InputError(f"jackknife errors need at least 3 pulses, got {self.pulses}")
         if self.seed < 0:
@@ -430,6 +437,7 @@ def witness_under_loss(gamma: float, eta: float, matched: bool = True) -> float:
     witness flips the sign of two of its three terms, each of which then
     gains 8 eta^2 N0 (N0 + 1).
     """
+    _check_efficiency(eta)
     n0 = mean_photons_per_mode(gamma)
     value = 4.0 * eta * n0 * (1.0 - 3.0 * eta)
     if not matched:
@@ -602,8 +610,8 @@ def efficiency_sweep(
     if config.eta != 1.0:  # the grid sets each point's eta
         raise InputError(f"efficiency_sweep needs config.eta 1.0, got {config.eta!r}")
     etas = [float(e) for e in eta_grid]
-    if any(not 0.0 < e <= 1.0 for e in etas):
-        raise InputError("efficiency grid must lie in (0, 1]")
+    for eta in etas:
+        _check_efficiency(eta, "efficiency grid must lie in (0, 1]")
     matched = kind in (None, matched_witness(config.label))
     points = []
     for i, eta in enumerate(etas):

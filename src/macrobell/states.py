@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -94,6 +95,25 @@ def check_memory(count: int, what: str, item_bytes: int, unit: str) -> None:
         )
 
 
+def check_integer(value, what: str) -> None:
+    """Refuse a count that is not an integer: a float (even a whole one) or a
+    bool is an :class:`InputError`; Python and numpy integers pass (a plain
+    int without the slower abstract-class check)."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+#: largest entry of ``|J^+ J - 1|`` a Jones matrix may have and still count as unitary
+UNITARITY_TOL = 1e-12
+
+
+def unitarity_defect(jones) -> float:
+    """Largest entry of ``|J^+ J - 1|`` for a 2x2 Jones matrix ``J``."""
+    jones = np.asarray(jones)
+    return float(np.max(np.abs(jones.conj().T @ jones - np.eye(2))))
+
+
 def paired_modes(n, m, pairing: str) -> tuple:
     """Occupations ``(n_aH, n_aV, n_bH, n_bV)`` of table entry ``(n, m)``.
 
@@ -140,6 +160,7 @@ def schmidt_spectrum(gamma: float, n_max: int) -> np.ndarray:
     weights sum to 1 - tanh(gamma)^{2(n_max+1)}.
     """
     _log_q(gamma)  # refuses a gain that is negative or not finite
+    check_integer(n_max, "n_max")
     if n_max < 0:
         raise InputError(f"n_max must be >= 0, got {n_max}")
     q = math.tanh(gamma) ** 2
@@ -263,6 +284,7 @@ class FourModeState:
         if _log_q(self.gamma) == 0.0:  # also refuses a gain that is negative or not finite
             raise NumericError(f"ln tanh(gamma)^2 rounds to 0 at gamma={self.gamma}: "
                                "no representable weights")
+        check_integer(self.n_max, "n_max")
         # past the float range, n_max + 1 no longer converts in the closed forms
         if not 0 <= self.n_max < sys.float_info.max:
             raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max})")
@@ -273,9 +295,11 @@ class FourModeState:
         if self.label is not None or self.jones is None:
             self.jones = frames  # only frames from transforms need the unitarity check
         elif len(self.jones) != 2 or any(
-                np.shape(j) != (2, 2) or np.abs(np.conj(j).T @ j - np.eye(2)).max() > 1e-10
+                np.shape(j) != (2, 2) or unitarity_defect(j) > UNITARITY_TOL
                 for j in self.jones if j is not None):
             raise InputError(f"jones must be two unitary 2x2 matrices or None, got {self.jones!r}")
+        else:
+            self.jones = tuple(None if j is None else np.asarray(j) for j in self.jones)
 
     def __eq__(self, other):
         """Same gain, cutoff and label, and the same frames entry by entry

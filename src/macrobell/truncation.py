@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import gamma_for_mean_photons
-from .states import InputError, _log_q, geometric_ratio
+from .states import InputError, _log_q, check_integer, geometric_ratio
 
 #: largest total-photon cutoff a budget may ask for
 MAX_CUTOFF = 1_000_000
@@ -33,6 +33,7 @@ def epsilon_from_cutoff(gamma: float, n_total: int) -> float:
     """Dropped joint mass outside n + m <= n_total, in logs; the bracket
     N + 2 - (N + 1) q is 1 + (N + 1) (1 - q) with 1 - q = 4 x / (1 + x)^2,
     x = exp(-2 gamma), so no rounded q enters."""
+    check_integer(n_total, "n_total")
     if n_total < 0:
         return 1.0
     x = math.exp(-2.0 * gamma)
@@ -111,6 +112,7 @@ def alpha_from_epsilon(epsilon: float) -> float:
 
 def subspace_dimension(n_total: int) -> int:
     """Pair occupations (n, m) with n + m <= N: a triangle of (N+1)(N+2)/2."""
+    check_integer(n_total, "n_total")
     if n_total < 0:
         return 0
     return (n_total + 1) * (n_total + 2) // 2
@@ -127,6 +129,7 @@ def truncated_kbar(gamma: float, n_total: int) -> float:
 
     t = x^(N+1).
     """
+    check_integer(n_total, "n_total")
     q = geometric_ratio(gamma)
     if q == 0.0:
         return 1.0

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (BellLabel, Choice, FourModeState, NumericError, TruncationMassError, _log_q,
-                     build_bell_state)
+                     build_bell_state, check_integer)
 from .stokes import expectation, variance_of_combination
 
 #: gate for exact variance claims (see stokes module docstring)
@@ -135,6 +135,7 @@ def cutoff_for_edge_mass(gamma: float, tol: float = EDGE_MASS_TOL, margin: int =
     against 561,441 at gamma = 6.
     """
     log_q = _log_q(gamma)  # refuses a gain that is negative or not finite
+    check_integer(margin, "margin")
     if math.tanh(gamma) ** 2 == 1.0:
         raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff")
     bound = math.log(tol / (1.0 + math.sqrt(1.0 - tol))) / log_q

@@ -6,15 +6,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import macrobell
-from macrobell.measures import WidthConvention, gain_scan
-from macrobell.simulate import SimConfig
-from macrobell.states import BellLabel, InputError
-from macrobell.witnesses import WitnessKind
+from macrobell.measures import WidthConvention, fedorov_ratio, gain_scan, kbar, negativity
+from macrobell.simulate import SimConfig, estimate_witness, witness_under_loss
+from macrobell.states import BellLabel, FourModeState, InputError, schmidt_spectrum
+from macrobell.truncation import epsilon_from_cutoff, subspace_dimension, truncated_kbar
+from macrobell.witnesses import WitnessKind, cutoff_for_edge_mass
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -49,6 +52,35 @@ CALLER_ERRORS = {
                                 "'fwhm' is not a valid WidthConvention"),
     "gain_scan(convention='fwhm')": (lambda: gain_scan([1.0], convention="fwhm"),
                                      "'fwhm' is not a valid WidthConvention"),
+    # a cutoff, pulse count or seed is an integer, never a float or a bool
+    "FourModeState(0.5, 40.5)": (lambda: FourModeState(0.5, 40.5, BellLabel.PSI_MINUS),
+                                 "n_max must be an integer, got 40.5"),
+    "FourModeState(0.5, True)": (lambda: FourModeState(0.5, True, BellLabel.PSI_MINUS),
+                                 "n_max must be an integer, got True"),
+    "schmidt_spectrum(0.5, 2.5)": (lambda: schmidt_spectrum(0.5, 2.5),
+                                   "n_max must be an integer, got 2.5"),
+    "cutoff_for_edge_mass(0.5, margin=2.5)": (lambda: cutoff_for_edge_mass(0.5, margin=2.5),
+                                              "margin must be an integer, got 2.5"),
+    "kbar(0.5, 2.5)": (lambda: kbar(0.5, 2.5), "cutoff must be an integer, got 2.5"),
+    "fedorov_ratio(0.5, 2.5)": (lambda: fedorov_ratio(0.5, 2.5),
+                                "cutoff must be an integer, got 2.5"),
+    "negativity(0.5, 10.5)": (lambda: negativity(0.5, 10.5),
+                              "cutoff must be an integer, got 10.5"),
+    "subspace_dimension(2.5)": (lambda: subspace_dimension(2.5),
+                                "n_total must be an integer, got 2.5"),
+    "truncated_kbar(0.5, 2.5)": (lambda: truncated_kbar(0.5, 2.5),
+                                 "n_total must be an integer, got 2.5"),
+    "truncated_kbar(0.0, 2.5)": (lambda: truncated_kbar(0.0, 2.5),
+                                 "n_total must be an integer, got 2.5"),
+    "epsilon_from_cutoff(0.5, 2.0)": (lambda: epsilon_from_cutoff(0.5, 2.0),
+                                      "n_total must be an integer, got 2.0"),
+    "SimConfig(pulses=4100.5)": (lambda: SimConfig(BellLabel.PSI_PLUS, 0.5, pulses=4100.5),
+                                 "pulses must be an integer, got 4100.5"),
+    "SimConfig(seed=1.5)": (lambda: SimConfig(BellLabel.PSI_PLUS, 0.5, seed=1.5),
+                            "seed must be an integer, got 1.5"),
+    # an efficiency lies in (0, 1] wherever it is read
+    "witness_under_loss(0.5, 2.0)": (lambda: witness_under_loss(0.5, 2.0),
+                                     "eta must be in (0, 1]"),
 }
 
 
@@ -64,6 +96,15 @@ def test_unknown_name_lists_the_choices():
         WidthConvention("fwhm")
     assert BellLabel("psi-minus") is BellLabel.PSI_MINUS
     assert WitnessKind(WitnessKind.W_S) is WitnessKind.W_S
+
+
+def test_numpy_integers_are_counts():
+    # the integer check takes numpy's integers, which grids and arrays hand over
+    assert FourModeState(0.5, np.int64(40), BellLabel.PSI_MINUS).n_max == 40
+    assert kbar(0.5, np.int64(2)) == kbar(0.5, 2)
+    assert subspace_dimension(np.int32(2)) == 6
+    sim = SimConfig(BellLabel.PSI_PLUS, 0.5, pulses=np.int64(100), seed=np.uint8(3))
+    assert estimate_witness(sim).value == estimate_witness(replace(sim, pulses=100, seed=3)).value
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -82,6 +123,42 @@ def test_import_loads_no_scipy(module):
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this checkout."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_only_what_a_plain_line_runs():
+    # argparse (and its gettext) and configparser load only for help, refusals and
+    # --config; basis and polarization serve the library and the tests alone;
+    # simulate loads at start-up, so numpy.random is not paid inside a sampled run
+    loaded = set(_fresh_python("import sys, macrobell.cli; print(*sys.modules)").split())
+    assert not loaded & {"macrobell.basis", "macrobell.polarization", "argparse",
+                         "configparser", "gettext"}
+    assert {"macrobell.simulate", "numpy.random"} <= loaded
+
+
+def test_package_import_is_lazy():
+    # import macrobell loads no numpy; dir() lists every public name before any is
+    # imported, a submodule and every name resolve on access, an unknown one does not
+    out = _fresh_python("""
+import sys, macrobell
+print("numpy" in sys.modules, set(macrobell.__all__) <= set(dir(macrobell)))
+print(macrobell.simulate is sys.modules["macrobell.simulate"])
+print(all(getattr(macrobell, name) is getattr(sys.modules["macrobell." + module], name)
+          for module, names in macrobell._EXPORTS.items() for name in names.split()))
+try:
+    macrobell.no_such_name
+except AttributeError as exc:
+    print(exc)
+""")
+    assert out.splitlines() == ["False True", "True", "True",
+                                "module 'macrobell' has no attribute 'no_such_name'"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ from macrobell.polarization import (
 )
 from macrobell.states import (
     BellLabel,
+    FourModeState,
     InputError,
     NumericError,
     build_bell_state,
@@ -77,6 +78,22 @@ def test_transform_validation():
         BasisTransform("x", "c", np.eye(2, dtype=complex))
     with pytest.raises(InputError):
         BasisTransform("x", "a", np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
+
+
+def test_frames_and_transforms_share_one_unitarity_bound():
+    # a state's frame and a transform's Jones matrix pass or fail the same bound,
+    # and a frame given as nested lists is kept as an array
+    for defect, unitary in ((1e-11, False), (1e-13, True)):
+        near = [[1.0 + defect, 0.0], [0.0, 1.0]]
+        for build in (lambda: FourModeState(0.5, 4, jones=(None, near)),
+                      lambda: BasisTransform("x", "b", np.array(near))):
+            if unitary:
+                build()
+            else:
+                with pytest.raises(InputError):
+                    build()
+    state = FourModeState(0.5, 4, jones=(None, [[0.0, 1.0], [1.0, 0.0]]))
+    assert isinstance(state.jones[1], np.ndarray)
 
 
 # -- sector lift (the oracle in tests/oracles.py) -----------------------------
