@@ -15,11 +15,7 @@ import argparse
 
 import numpy as np
 
-from macrobell.truncation import (
-    alpha_from_epsilon,
-    compression_scan,
-    occupancy_at_epsilon,
-)
+from macrobell.truncation import alpha_from_epsilon, dimension_scan, occupancy_at_epsilon
 
 
 def main():
@@ -37,7 +33,7 @@ def main():
     print(f"{'N0':>6} {'eps':>8} {'cutoff N':>8} {'N/(a N0)':>9} "
           f"{'dim':>9} {'d/(a^2N0^2/2)':>13} {'occupancy':>10} {'K-bar kept':>11}")
     for n0 in args.n0:
-        for point in compression_scan(n0, args.epsilon):
+        for point in dimension_scan([n0], args.epsilon):
             a = point.alpha
             n_ratio = point.n_total / (a * n0)
             d_ratio = point.dimension / (a * a * n0 * n0 / 2.0)

@@ -12,6 +12,7 @@ conditional/unconditional width ratio.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def main():
     est = estimate_fedorov(SimConfig(label=args.label, gamma=args.gamma,
                                      pulses=args.pulses, seed=args.seed),
                            bin_width=1)
-    exact_pair = fedorov_ratio(args.gamma, four_mode=False)
+    exact_pair = math.sqrt(fedorov_ratio(args.gamma))
     print("sampled width ratios (per polarization pair):")
     print(f"  H: {est.ratio_h:.4f}   V: {est.ratio_v:.4f}   "
           f"exact {exact_pair:.4f}")

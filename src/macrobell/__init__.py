@@ -25,9 +25,8 @@ _EXPORTS = {
                  "evaluate_witness matched_witness",
     "measures": "WidthConvention fedorov_ratio gain_scan kbar log_negativity negativity "
                 "trace_norm",
-    "truncation": "CompressionPoint alpha_from_epsilon compression_scan cutoff_for_epsilon "
-                  "dimension_scan epsilon_from_cutoff occupancy_at_epsilon subspace_dimension "
-                  "truncated_kbar",
+    "truncation": "CompressionPoint alpha_from_epsilon cutoff_for_epsilon dimension_scan "
+                  "epsilon_from_cutoff occupancy_at_epsilon subspace_dimension truncated_kbar",
     "simulate": "FedorovEstimate SimConfig SweepPoint SweepResult efficiency_sweep "
                 "estimate_fedorov estimate_witness witness_under_loss",
 }

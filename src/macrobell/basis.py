@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .states import InputError, check_integer
+
 
 class FourModeBasis:
     """Number-state enumeration of four bosonic modes with a shared cutoff."""
 
     def __init__(self, n_max: int):
+        check_integer(n_max, "n_max")
         if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
+            raise InputError(f"n_max must be >= 0, got {n_max}")
         self.n_max = int(n_max)
         self.n_levels = self.n_max + 1
         self.dim = self.n_levels**4

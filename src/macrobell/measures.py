@@ -5,8 +5,9 @@ Everything here follows from the geometric Schmidt spectrum
 pair.  A per-mode cutoff ``n_max`` keeps ``n <= n_max`` and drops the
 mass ``t = q^(n_max + 1)``; every measure is that of the renormalized
 truncated state, and ``n_max=None`` means ``t = 0``, the untruncated
-limit.  The four-mode state factors into two identical pairs, so each
-four-mode measure is the square of the pair one.
+limit.  Each function returns the four-mode value; the state is two
+identical pairs, so the pair value is its square root (K, trace norm,
+width ratio) or, for the logarithmic negativity, half of it.
 
 * trace norm of the partial transpose: a pure state with Schmidt
   coefficients c_k has ``||rho^PT||_1 = (sum_k c_k)^2`` (Vidal & Werner,
@@ -46,36 +47,36 @@ def _log_tail(gamma: float, n_max: int | None) -> float:
     return (n_max + 1) * log_q
 
 
-def _log_trace_norm(gamma: float, n_max: int | None, four_mode: bool) -> float:
-    """ln ||rho^PT||_1 = 2 gamma + ln((1 - sqrt t) / (1 + sqrt t)) per pair."""
+def _log_trace_norm(gamma: float, n_max: int | None) -> float:
+    """ln ||rho^PT||_1, twice the pair's 2 gamma + ln((1 - sqrt t) / (1 + sqrt t))."""
     half = _log_tail(gamma, n_max) / 2.0
     s = math.exp(half)
     log_gap = math.log1p(-s) if s < 0.5 else math.log(-math.expm1(half))  # ln(1 - s)
     pair = 2.0 * gamma + log_gap - math.log1p(s)
-    return 2.0 * pair if four_mode else pair
+    return 2.0 * pair
 
 
-def trace_norm(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
+def trace_norm(gamma: float, n_max: int | None = None) -> float:
     """Partial-transpose trace norm across the beam split."""
-    return math.exp(_log_trace_norm(gamma, n_max, four_mode))
+    return math.exp(_log_trace_norm(gamma, n_max))
 
 
-def negativity(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
-    """N = ||rho^PT||_1 - 1; e^{4 gamma} - 1 for the four-mode state without a cutoff."""
-    return math.expm1(_log_trace_norm(gamma, n_max, four_mode))
+def negativity(gamma: float, n_max: int | None = None) -> float:
+    """N = ||rho^PT||_1 - 1; e^{4 gamma} - 1 without a cutoff."""
+    return math.expm1(_log_trace_norm(gamma, n_max))
 
 
-def log_negativity(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
-    """E_N = log2 ||rho^PT||_1; exactly 4 gamma / ln 2 for the four-mode state."""
-    return _log_trace_norm(gamma, n_max, four_mode) / math.log(2.0)
+def log_negativity(gamma: float, n_max: int | None = None) -> float:
+    """E_N = log2 ||rho^PT||_1; exactly 4 gamma / ln 2 without a cutoff."""
+    return _log_trace_norm(gamma, n_max) / math.log(2.0)
 
 
-def kbar(gamma: float, n_max: int | None = None, four_mode: bool = True) -> float:
-    """Effective mode number: (1 + 2 N0)(1 - t)/(1 + t) per pair, squared for four modes."""
+def kbar(gamma: float, n_max: int | None = None) -> float:
+    """Effective mode number: the square of the pair's (1 + 2 N0)(1 - t)/(1 + t)."""
     log_t = _log_tail(gamma, n_max)
     k_pair = (1.0 + 2.0 * mean_photons_per_mode(gamma)) * (-math.expm1(log_t)
                                                           / (1.0 + math.exp(log_t)))
-    return k_pair * k_pair if four_mode else k_pair
+    return k_pair * k_pair
 
 
 # -- photon-number correlation width ratio ------------------------------------
@@ -108,16 +109,14 @@ def fedorov_ratio(
     gamma: float,
     n_max: int | None = None,
     convention: WidthConvention = WidthConvention.SQRT2_STDDEV,
-    four_mode: bool = True,
 ) -> float:
     """Unconditional-over-conditional width ratio of the beam photon numbers.
 
     Per polarization pair the ratio is width(marginal) / 1 bin: fixing
     the partner count pins the mode to a single photon number.  The two
-    pairs are independent, so the four-mode ratio is the square of the
-    pair ratio.  Without a cutoff: sqrt(2) N0 per pair and 2 N0^2 for the
-    four-mode state under SQRT2_STDDEV; sqrt(N0 (N0+1)) per pair under
-    STDDEV.
+    pairs are independent, so the four-mode ratio returned here is the
+    square of the pair ratio.  Without a cutoff: 2 N0^2 under SQRT2_STDDEV
+    (sqrt(2) N0 per pair) and N0 (N0+1) under STDDEV.
     """
     convention = WidthConvention(convention)
     mean, var = photon_number_moments(gamma, n_max)
@@ -125,14 +124,21 @@ def fedorov_ratio(
         r_pair = math.sqrt(2.0) * mean
     else:
         r_pair = math.sqrt(var)
-    return r_pair * r_pair if four_mode else r_pair
+    return r_pair * r_pair
 
 
 # -- gain scan ----------------------------------------------------------------
 
 
-def cutoff_for_trace_norm(gamma: float, rel: float = 1e-13, floor: int = 8) -> int:
-    """Smallest n_max >= floor whose four-mode negativity is within ``rel`` of its limit.
+#: relative shortfall of the negativity that :func:`cutoff_for_trace_norm` allows
+TRACE_NORM_REL = 1e-13
+#: smallest cutoff :func:`cutoff_for_trace_norm` returns
+TRACE_NORM_FLOOR = 8
+
+
+def cutoff_for_trace_norm(gamma: float) -> int:
+    """Smallest n_max >= ``TRACE_NORM_FLOOR`` whose negativity is within
+    ``TRACE_NORM_REL`` of its limit, relative.
 
     Truncation lowers the four-mode trace norm by the factor
     ((1 - s)/(1 + s))^2 >= 1 - 4 s with s = sqrt(t) = q^((n_max+1)/2), so
@@ -142,9 +148,9 @@ def cutoff_for_trace_norm(gamma: float, rel: float = 1e-13, floor: int = 8) -> i
     """
     log_q = _log_q(gamma)
     if gamma == 0.0:
-        return floor
-    budget = rel * -math.expm1(-4.0 * gamma) / 4.0
-    return max(floor, math.ceil(2.0 * math.log(budget) / log_q) - 1)
+        return TRACE_NORM_FLOOR
+    budget = TRACE_NORM_REL * -math.expm1(-4.0 * gamma) / 4.0
+    return max(TRACE_NORM_FLOOR, math.ceil(2.0 * math.log(budget) / log_q) - 1)
 
 
 def gamma_for_mean_photons(n0: float) -> float:

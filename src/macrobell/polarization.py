@@ -112,11 +112,11 @@ def _coupling(jones: tuple) -> np.ndarray:
     return ja @ np.array([[0.0, 1.0], [1.0, 0.0]]) @ np.transpose(jb)
 
 
-def identify_bell_state(state: FourModeState, tol: float = 1e-9) -> BellLabel | None:
+def identify_bell_state(state: FourModeState) -> BellLabel | None:
     """Label whose state is `state`, in O(1): the coupling matrix of the
-    label's frame equals the state's to ``tol``."""
+    label's frame equals the state's to 1e-9 in every entry."""
     got = _coupling(state.jones)
     for label in BellLabel:
-        if np.abs(_coupling((None, label.frame)) - got).max() <= tol:
+        if np.abs(_coupling((None, label.frame)) - got).max() <= 1e-9:
             return label
     return None

@@ -550,6 +550,7 @@ def estimate_fedorov(
     time for the conditional histograms.
     """
     convention = WidthConvention(convention)
+    check_integer(bin_width, "bin_width")
     if bin_width < 1:
         raise InputError("bin width must be >= 1")
     check_memory(min(config.pulses, BLOCK_PULSES), "width-ratio estimate",

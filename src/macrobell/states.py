@@ -327,15 +327,15 @@ class FourModeState:
     def norm_sq(self) -> float:
         return math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
 
-    def edge_mass(self, depth: int = 2) -> float:
-        """Fraction of the state's mass within `depth` photons of the cutoff,
-        in the frame where it is truncated (the closed form's, in any frame).
+    def edge_mass(self) -> float:
+        """Fraction of the state's mass within two photons of the cutoff (any
+        mode occupation in {n_max-1, n_max}), the witness gate's measure, in
+        the frame where it is truncated (the closed form's, in any frame).
 
-        ``depth=2`` means any mode occupation in {n_max-1, n_max}.  It is
-        ``f (2 - f)`` from each factor's tail share ``f``, never one minus
+        It is ``f (2 - f)`` from each factor's tail share ``f``, never one minus
         the interior, which would lose the tiny masses the gate compares.
         """
-        f = self._tail_share(max(self.n_levels - depth, 0))
+        f = self._tail_share(self.n_max - 1)
         return f * (2.0 - f)
 
 

@@ -156,41 +156,15 @@ class CompressionPoint:
     occupancy: float  # kbar_truncated / dimension
 
 
-def compression_scan(n0: float, epsilon_grid) -> list[CompressionPoint]:
-    """Mode-number occupancy K^T / dim across truncation error targets.
-
-    For each target the minimal total-photon cutoff is selected, and
-    the achieved (not the target) epsilon is reported next to the
-    retained dimension and the truncated effective mode number.
-    """
-    gamma = gamma_for_mean_photons(n0)
-    # every target is checked (InputError) before a budget can be refused as unreachable
-    targets = [(float(eps), alpha_from_epsilon(float(eps))) for eps in epsilon_grid]
-    out = []
-    for eps, alpha in targets:
-        n_tot = cutoff_for_epsilon(gamma, eps)
-        kt = truncated_kbar(gamma, n_tot)
-        dim = subspace_dimension(n_tot)
-        out.append(CompressionPoint(
-            gamma=gamma,
-            n0=float(n0),
-            epsilon_target=eps,
-            n_total=n_tot,
-            achieved_epsilon=epsilon_from_cutoff(gamma, n_tot),
-            alpha=alpha,
-            dimension=dim,
-            kbar_truncated=kt,
-            occupancy=kt / dim,
-        ))
-    return out
-
-
 def dimension_scan(n0_list, epsilon_grid) -> list[CompressionPoint]:
-    """Long-format occupancy table over gains x truncation targets.
+    """Mode-number occupancy K^T / dim over gains x truncation targets.
 
     One CompressionPoint per (N0, epsilon) combination, epsilon-major
-    within each gain.  Past moderate gain the occupancy depends on
-    epsilon only (see :func:`occupancy_at_epsilon`).
+    within each gain.  For each target the minimal total-photon cutoff is
+    selected, and the achieved (not the target) epsilon is reported next
+    to the retained dimension and the truncated effective mode number.
+    Past moderate gain the occupancy depends on epsilon only (see
+    :func:`occupancy_at_epsilon`).
     """
     n0_list = [float(v) for v in n0_list]
     epsilon_grid = [float(e) for e in epsilon_grid]
@@ -198,7 +172,24 @@ def dimension_scan(n0_list, epsilon_grid) -> list[CompressionPoint]:
         raise InputError("gain and epsilon grids must be nonempty")
     rows: list[CompressionPoint] = []
     for n0 in n0_list:
-        rows.extend(compression_scan(n0, epsilon_grid))
+        gamma = gamma_for_mean_photons(n0)
+        # every target is checked (InputError) before a budget can be refused as unreachable
+        targets = [(eps, alpha_from_epsilon(eps)) for eps in epsilon_grid]
+        for eps, alpha in targets:
+            n_tot = cutoff_for_epsilon(gamma, eps)
+            kt = truncated_kbar(gamma, n_tot)
+            dim = subspace_dimension(n_tot)
+            rows.append(CompressionPoint(
+                gamma=gamma,
+                n0=n0,
+                epsilon_target=eps,
+                n_total=n_tot,
+                achieved_epsilon=epsilon_from_cutoff(gamma, n_tot),
+                alpha=alpha,
+                dimension=dim,
+                kbar_truncated=kt,
+                occupancy=kt / dim,
+            ))
     return rows
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (BellLabel, Choice, FourModeState, NumericError, TruncationMassError, _log_q,
-                     build_bell_state, check_integer)
+                     build_bell_state)
 from .stokes import expectation, variance_of_combination
 
 #: gate for exact variance claims (see stokes module docstring)
@@ -105,7 +105,7 @@ def evaluate_witness(kind: WitnessKind, state: FourModeState) -> WitnessReport:
     ``EDGE_MASS_TOL`` of its mass within two photons of the cutoff --
     variances would then be truncation artifacts rather than physics.
     """
-    mass = state.edge_mass(depth=2)
+    mass = state.edge_mass()
     if mass > EDGE_MASS_TOL:
         raise TruncationMassError(mass, EDGE_MASS_TOL)
     terms = tuple(variance_of_combination(c, state) for c in witness_term_coeffs(kind))
@@ -119,27 +119,26 @@ def evaluate_witness(kind: WitnessKind, state: FourModeState) -> WitnessReport:
     )
 
 
-def cutoff_for_edge_mass(gamma: float, tol: float = EDGE_MASS_TOL, margin: int = 2) -> int:
+def cutoff_for_edge_mass(gamma: float) -> int:
     """A per-mode cutoff that passes the witness edge-mass gate: sufficient,
     not the smallest.
 
     For the untruncated geometric spectrum the mass with either Schmidt
     index at ``n - 1`` or above is ``1 - (1 - q^{n-1})^2`` with
-    ``q = tanh(gamma)^2``.  It falls below ``tol`` exactly when
-    ``q^{n-1} < tol / (1 + sqrt(1 - tol))``, so the smallest such ``n >= 2``
-    is read off ``_log_q`` (past gamma ~ 15 the rounding of q would dominate
-    ``ln q``), plus ``margin`` levels; past 2^53 (gamma ~ 17.5) it stays an int.
+    ``q = tanh(gamma)^2``.  It falls below ``tol = EDGE_MASS_TOL`` exactly
+    when ``q^{n-1} < tol / (1 + sqrt(1 - tol))``, so the smallest such
+    ``n >= 2`` is read off ``_log_q`` (past gamma ~ 15 the rounding of q would
+    dominate ``ln q``), plus two levels; past 2^53 (gamma ~ 17.5) it stays an int.
     The gate itself weighs the kept, renormalized state, whose edge mass
     is smaller, so the result overshoots the smallest passing cutoff: 47
     against 44 at gamma = 1, 2,396 against 1,997 at gamma = 3 and 965,099
     against 561,441 at gamma = 6.
     """
     log_q = _log_q(gamma)  # refuses a gain that is negative or not finite
-    check_integer(margin, "margin")
     if math.tanh(gamma) ** 2 == 1.0:
         raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff")
-    bound = math.log(tol / (1.0 + math.sqrt(1.0 - tol))) / log_q
-    return max(2, math.floor(bound) + 2) + margin
+    bound = math.log(EDGE_MASS_TOL / (1.0 + math.sqrt(1.0 - EDGE_MASS_TOL))) / log_q
+    return max(2, math.floor(bound) + 2) + 2
 
 
 # -- cross-witness table ------------------------------------------------------

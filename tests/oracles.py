@@ -358,15 +358,15 @@ def framed_moments(coeffs: dict, state: FourModeState) -> tuple:
     return float(np.vdot(psi, o_psi.reshape(-1)).real) / den, _norm_sq(back) / den
 
 
-def edge_mass_cutoff(gamma: float, tol: float = 1e-10, margin: int = 2) -> int:
+def edge_mass_cutoff(gamma: float) -> int:
     """``cutoff_for_edge_mass`` by stepping the cutoff until the untruncated
-    tail mass ``1 - (1 - q^(n-1))^2`` drops below ``tol``."""
+    tail mass ``1 - (1 - q^(n-1))^2`` drops below 1e-10, plus two levels."""
     q = math.tanh(gamma) ** 2
     n = 2
     while True:
         mass = 1.0 - (1.0 - q ** (n - 1)) ** 2
-        if mass < tol:
-            return n + margin
+        if mass < 1e-10:
+            return n + 2
         n += 1
 
 

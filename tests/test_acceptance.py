@@ -74,9 +74,10 @@ def test_criterion_01_effective_mode_number_closed_form():
 def test_criterion_02_negativity_trace_norm():
     # closed-form truncated trace norm at gamma=0.5, cutoff 25, against the
     # dense partial-transpose eigensolve: pair trace norm -> e, four-mode
-    # negativity -> e^2 - 1
+    # negativity -> e^2 - 1; the pair trace norm is the square root of the
+    # four-mode one, the state being two identical pairs
     t0 = time.perf_counter()
-    tn_pair = trace_norm(0.5, n_max=25, four_mode=False)
+    tn_pair = math.sqrt(trace_norm(0.5, n_max=25))
     neg_four = negativity(0.5, n_max=25)
     dense = oracles.pt_trace_norm(np.diag(np.sqrt(oracles.pair_spectrum(0.5, 25))))
     rel_oracle = abs(tn_pair / dense - 1.0)
@@ -278,7 +279,7 @@ def test_criterion_11_width_ratio():
         assert 0.95 <= norm <= 1.05
     est = estimate_fedorov(SimConfig(label="psi-minus", gamma=1.5, pulses=1_000_000, seed=5),
                            bin_width=1)
-    exact_pair = fedorov_ratio(1.5, four_mode=False)
+    exact_pair = math.sqrt(fedorov_ratio(1.5))
     print(f"simulated pair ratios {est.ratio_h:.4f} / {est.ratio_v:.4f} "
           f"vs exact {exact_pair:.4f}")
     assert est.ratio_h == pytest.approx(exact_pair, rel=0.05)

@@ -849,7 +849,7 @@ def test_exact_manifest_records_cutoff_and_edge_mass(argv):
     ["crosswitness", "--gamma", "0"],
 ], ids=" ".join)
 def test_zero_gain_cutoff_is_the_same_for_every_command(argv):
-    # cutoff_for_edge_mass decides the zero-gain cutoff (2 + margin) for all;
+    # cutoff_for_edge_mass decides the zero-gain cutoff (2 plus two levels) for all;
     # every value stays 0
     assert cli.main(argv + ["--out", "z.csv"]) == 0
     assert json.loads(Path("z.csv.manifest.json").read_text())["cutoff"] == 4
@@ -918,11 +918,32 @@ _EXACT_PINS = [
 ]
 
 
-@pytest.mark.parametrize("argv, csv_text", _EXACT_PINS, ids=[" ".join(a) for a, _ in _EXACT_PINS])
-def test_exact_route_bytes_are_pinned(argv, csv_text):
+#: closed-form commands whose CSV, sidecar and stdout text under ``--out e.csv``
+#: sits in a folder of ``tests/pins``, recorded before the measures lost their
+#: pair switch and the truncation scan its single-gain twin
+_PIN_DIR = Path(__file__).resolve().parent / "pins"
+_CLOSED_FORM_PINS = [
+    (["measures", "--n0-grid", "0,1e-3,1,10,1e3,1e6,1e100,3.3e153"], "measures-n0-grid"),
+    (["measures", "--convention", "stddev"], "measures-stddev"),
+    (["truncation"], "truncation"),
+    (["truncation", "--n0-grid", "0,10,100,1000", "--epsilon-grid", "0.9,0.1,1e-6"],
+     "truncation-grids"),
+]
+_PINS = [(argv, {"e.csv": text}) for argv, text in _EXACT_PINS] + [
+    (argv, {pin.name: pin.read_bytes().decode() for pin in sorted((_PIN_DIR / folder).iterdir())})
+    for argv, folder in _CLOSED_FORM_PINS]
+
+
+@pytest.mark.parametrize("argv, texts", _PINS, ids=[" ".join(a) for a, _ in _PINS])
+def test_exact_route_bytes_are_pinned(argv, texts, capsys):
     assert cli.main(argv + ["--out", "e.csv"]) == 0
-    with open("e.csv", newline="") as fh:
-        assert fh.read() == csv_text
+    stdout = capsys.readouterr().out
+    for name, text in texts.items():
+        if name == "stdout.txt":
+            assert stdout == text
+        else:
+            with open(name, newline="") as fh:
+                assert fh.read() == text, name
 
 
 # -- fedorov ----------------------------------------------------------------------

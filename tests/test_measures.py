@@ -5,6 +5,8 @@ import pytest
 from scipy.stats import unitary_group
 
 from macrobell.measures import (
+    TRACE_NORM_FLOOR,
+    TRACE_NORM_REL,
     WidthConvention,
     cutoff_for_trace_norm,
     fedorov_ratio,
@@ -37,7 +39,7 @@ def test_schmidt_number_uniform_and_squaring():
     # the truncated closed form is K of the renormalized truncated spectrum,
     # squared for the four-mode state
     for gamma, n_max in ((0.3, 5), (0.8, 12), (1.5, 40)):
-        k_pair = kbar(gamma, n_max=n_max, four_mode=False)
+        k_pair = math.sqrt(kbar(gamma, n_max=n_max))
         assert k_pair == pytest.approx(schmidt_number(pair_spectrum(gamma, n_max)), rel=1e-12)
         assert kbar(gamma, n_max=n_max) == pytest.approx(k_pair * k_pair, rel=1e-15)
 
@@ -55,7 +57,7 @@ def test_schmidt_number_validation():
 def test_kbar_closed_form():
     for gamma in (0.2, 0.5, 1.0):
         n0 = mean_photons_per_mode(gamma)
-        assert kbar(gamma, four_mode=False) == pytest.approx(1 + 2 * n0, rel=1e-14)
+        assert math.sqrt(kbar(gamma)) == pytest.approx(1 + 2 * n0, rel=1e-14)
         assert kbar(gamma) == pytest.approx((1 + 2 * n0) ** 2, rel=1e-14)
         n_max = cutoff_for_trace_norm(gamma)
         assert kbar(gamma, n_max=n_max) == pytest.approx(kbar(gamma), rel=1e-12)
@@ -75,7 +77,7 @@ def test_purity_from_reduced_state_is_inverse_kbar():
     amp = np.diag(np.sqrt(p)) @ u.T
     rho = amp @ amp.conj().T
     purity = float(np.trace(rho @ rho).real)
-    assert 1.0 / purity == pytest.approx(kbar(0.8, n_max=30, four_mode=False), rel=1e-10)
+    assert 1.0 / purity == pytest.approx(math.sqrt(kbar(0.8, n_max=30)), rel=1e-10)
 
 
 # -- partial transpose --------------------------------------------------------------
@@ -94,7 +96,7 @@ def test_pt_spectrum_two_coefficient_case():
 def test_pt_structured_matches_dense():
     gamma, n_max = 0.4, 20
     dense = pt_trace_norm(np.diag(np.sqrt(pair_spectrum(gamma, n_max))))
-    assert trace_norm(gamma, n_max=n_max, four_mode=False) == pytest.approx(dense, rel=1e-12)
+    assert math.sqrt(trace_norm(gamma, n_max=n_max)) == pytest.approx(dense, rel=1e-12)
 
 
 def test_pt_dense_guard():
@@ -105,12 +107,14 @@ def test_pt_dense_guard():
 def test_pair_negativity_both_methods():
     gamma = 0.5
     dense = pt_trace_norm(np.diag(np.sqrt(pair_spectrum(gamma, 40))))
-    tn = trace_norm(gamma, n_max=40, four_mode=False)
+    # the four-mode state is two identical pairs: each pair measure is read
+    # off the four-mode one, the trace norm as its square root
+    tn = math.sqrt(trace_norm(gamma, n_max=40))
     assert tn == pytest.approx(dense, rel=1e-12)
     assert tn == pytest.approx(math.exp(2 * gamma), rel=1e-12)
-    assert negativity(gamma, n_max=40, four_mode=False) == pytest.approx(tn - 1.0, rel=1e-14)
-    assert log_negativity(gamma, n_max=40, four_mode=False) == pytest.approx(
-        2 * gamma / math.log(2), rel=1e-12)
+    log_pair = log_negativity(gamma, n_max=40) / 2
+    assert math.expm1(log_pair * math.log(2)) == pytest.approx(tn - 1.0, rel=1e-14)
+    assert log_pair == pytest.approx(2 * gamma / math.log(2), rel=1e-12)
 
 
 def test_four_mode_negativity_both_methods():
@@ -123,19 +127,18 @@ def test_four_mode_negativity_both_methods():
         dense = pt_trace_norm(amp)
         assert trace_norm(gamma, n_max=n_max) == pytest.approx(dense, rel=1e-12)
         assert negativity(gamma, n_max=n_max) == pytest.approx(dense - 1.0, rel=1e-12)
-    assert trace_norm(gamma) == pytest.approx(
-        trace_norm(gamma, four_mode=False) ** 2, rel=1e-15)
+    assert trace_norm(gamma) == pytest.approx(math.exp(4 * gamma), rel=1e-15)
     assert negativity(gamma) == pytest.approx(math.expm1(4 * gamma), rel=1e-15)
 
 
 def test_negativity_numeric_routes_and_guard():
-    tn_pair = trace_norm(0.5, n_max=40, four_mode=False)
+    tn_pair = math.sqrt(trace_norm(0.5, n_max=40))
     assert negativity(0.5, n_max=40) == pytest.approx(math.exp(4 * 0.5) - 1.0, rel=1e-12)
     assert negativity(0.5, n_max=40) == pytest.approx(tn_pair * tn_pair - 1.0, rel=1e-14)
     # a heavy tail (mass 2.4e-3 dropped) is no longer refused: the value is
     # exactly that of the renormalized truncated state
     dense = pt_trace_norm(np.diag(np.sqrt(pair_spectrum(1.0, 10))))
-    assert trace_norm(1.0, n_max=10, four_mode=False) == pytest.approx(dense, rel=1e-12)
+    assert math.sqrt(trace_norm(1.0, n_max=10)) == pytest.approx(dense, rel=1e-12)
     with pytest.raises(InputError):
         negativity(0.5, n_max=-1)
 
@@ -143,8 +146,6 @@ def test_negativity_numeric_routes_and_guard():
 def test_log_negativity_linear_in_gain():
     for gamma in (0.25, 0.5, 1.0):
         assert log_negativity(gamma) == pytest.approx(4 * gamma / math.log(2), rel=1e-14)
-        assert log_negativity(gamma, four_mode=False) == pytest.approx(
-            2 * gamma / math.log(2), rel=1e-14)
         n_max = cutoff_for_trace_norm(gamma)
         assert log_negativity(gamma, n_max=n_max) == pytest.approx(
             log_negativity(gamma), rel=1e-12)
@@ -185,21 +186,25 @@ def _assert_close(got: float, want, what) -> None:
 @pytest.mark.parametrize("gamma, n_max", _SHORT_CUTOFF_GRID)
 def test_measures_against_decimal_reference_at_short_cutoffs(gamma, n_max):
     # every measure of the renormalized truncated law, pair and four-mode,
-    # within 1e-14 of term-by-term decimal sums (1e-14 absolute where it is 0)
+    # within 1e-14 of term-by-term decimal sums (1e-14 absolute where it is 0);
+    # each pair value is read off the four-mode one (two identical pairs)
     ref = thermal_law_decimal(gamma, n_max)
     mean, var, k, tn = ref["mean"], ref["var"], ref["kbar"], ref["trace_norm"]
     got_mean, got_var = photon_number_moments(gamma, n_max)
     _assert_close(got_mean, mean, "mean")
     _assert_close(got_var, var, "variance")
-    for four_mode, power in ((False, 1), (True, 2)):
-        what = (gamma, n_max, four_mode)
-        _assert_close(kbar(gamma, n_max, four_mode), k**power, ("kbar", what))
-        _assert_close(trace_norm(gamma, n_max, four_mode), tn**power, ("trace norm", what))
-        _assert_close(negativity(gamma, n_max, four_mode), tn**power - 1, ("negativity", what))
-        _assert_close(fedorov_ratio(gamma, n_max, "stddev", four_mode),
-                      var.sqrt() ** power, ("stddev ratio", what))
-        _assert_close(fedorov_ratio(gamma, n_max, "sqrt2-stddev", four_mode),
-                      (2 * mean * mean).sqrt() ** power, ("sqrt2 ratio", what))
+    four = {
+        "kbar": (kbar(gamma, n_max), k),
+        "trace norm": (trace_norm(gamma, n_max), tn),
+        "stddev ratio": (fedorov_ratio(gamma, n_max, "stddev"), var.sqrt()),
+        "sqrt2 ratio": (fedorov_ratio(gamma, n_max, "sqrt2-stddev"), (2 * mean * mean).sqrt()),
+    }
+    for name, (got, want) in four.items():
+        _assert_close(got, want**2, (name, gamma, n_max, "four-mode"))
+        _assert_close(math.sqrt(got), want, (name, gamma, n_max, "pair"))
+    _assert_close(negativity(gamma, n_max), tn**2 - 1, ("negativity", gamma, n_max, "four-mode"))
+    pair_negativity = math.expm1(log_negativity(gamma, n_max) / 2 * math.log(2))
+    _assert_close(pair_negativity, tn - 1, ("negativity", gamma, n_max, "pair"))
 
 
 def test_distribution_validation():
@@ -216,15 +221,16 @@ def test_distribution_width_conventions():
     gamma = 0.9
     n0 = mean_photons_per_mode(gamma)
     n_max = cutoff_for_trace_norm(gamma)
-    assert fedorov_ratio(gamma, n_max, WidthConvention.STDDEV, four_mode=False) == pytest.approx(
+    # the pair ratio is the square root of the four-mode one
+    assert math.sqrt(fedorov_ratio(gamma, n_max, WidthConvention.STDDEV)) == pytest.approx(
         math.sqrt(n0 * (n0 + 1.0)), rel=1e-12)
-    assert fedorov_ratio(gamma, n_max, four_mode=False) == pytest.approx(
+    assert math.sqrt(fedorov_ratio(gamma, n_max)) == pytest.approx(
         math.sqrt(2.0) * n0, rel=1e-12)
     # at a short cutoff both widths follow the truncated law term by term
     mean, var = count_moments(pair_spectrum(gamma, 6))
-    assert fedorov_ratio(gamma, 6, "stddev", four_mode=False) == pytest.approx(
+    assert math.sqrt(fedorov_ratio(gamma, 6, "stddev")) == pytest.approx(
         math.sqrt(var), rel=1e-12)
-    assert fedorov_ratio(gamma, 6, four_mode=False) == pytest.approx(
+    assert math.sqrt(fedorov_ratio(gamma, 6)) == pytest.approx(
         math.sqrt(2.0) * mean, rel=1e-12)
 
 
@@ -232,9 +238,9 @@ def test_fedorov_ratio_conventions_and_asymptotes():
     gamma = 1.0
     n0 = mean_photons_per_mode(gamma)
     n_max = cutoff_for_trace_norm(gamma)
-    assert fedorov_ratio(gamma, four_mode=False) == pytest.approx(math.sqrt(2) * n0, rel=1e-14)
+    assert math.sqrt(fedorov_ratio(gamma)) == pytest.approx(math.sqrt(2) * n0, rel=1e-14)
     assert fedorov_ratio(gamma) == pytest.approx(2.0 * n0 * n0, rel=1e-14)
-    assert fedorov_ratio(gamma, convention="stddev", four_mode=False) == pytest.approx(
+    assert math.sqrt(fedorov_ratio(gamma, convention="stddev")) == pytest.approx(
         math.sqrt(n0 * (n0 + 1.0)), rel=1e-14)
     # truncated route converges to the closed form
     assert fedorov_ratio(gamma, n_max=n_max) == pytest.approx(fedorov_ratio(gamma), rel=1e-12)
@@ -296,11 +302,12 @@ def test_gamma_inversion_round_trip():
 
 
 def test_cutoff_for_trace_norm_property():
+    assert (TRACE_NORM_REL, TRACE_NORM_FLOOR) == (1e-13, 8)
     for gamma in (0.05, 0.3, 0.8, 1.5, 4.0):
-        n = cutoff_for_trace_norm(gamma, rel=1e-12)
+        n = cutoff_for_trace_norm(gamma)
         rel = 1.0 - negativity(gamma, n) / negativity(gamma)
-        assert 0.0 <= rel <= 1e-12
+        assert 0.0 <= rel <= 1e-13
         # minimal: one level fewer misses the budget (unless at the floor)
         if n > 8:
-            assert 1.0 - negativity(gamma, n - 1) / negativity(gamma) > 1e-12 * 0.9
+            assert 1.0 - negativity(gamma, n - 1) / negativity(gamma) > 1e-13 * 0.9
     assert cutoff_for_trace_norm(0.0) == 8  # floor

@@ -14,10 +14,11 @@ import pytest
 
 import macrobell
 from macrobell.measures import WidthConvention, fedorov_ratio, gain_scan, kbar, negativity
-from macrobell.simulate import SimConfig, estimate_witness, witness_under_loss
+from macrobell.basis import FourModeBasis
+from macrobell.simulate import SimConfig, estimate_fedorov, estimate_witness, witness_under_loss
 from macrobell.states import BellLabel, FourModeState, InputError, schmidt_spectrum
 from macrobell.truncation import epsilon_from_cutoff, subspace_dimension, truncated_kbar
-from macrobell.witnesses import WitnessKind, cutoff_for_edge_mass
+from macrobell.witnesses import WitnessKind
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -41,6 +42,9 @@ def test_every_export_resolves():
     assert len(set(macrobell.__all__)) == len(macrobell.__all__)
 
 
+#: a small width-ratio run, for the bin widths below
+_FEDOROV = SimConfig("psi-minus", 0.5, pulses=100, seed=1)
+
 # a caller's unknown name is an InputError (exit code 2 at the command line),
 # not the plain ValueError of an enum lookup; test_measures, test_simulate and
 # test_states hold fedorov_ratio, estimate_fedorov and FourModeState to it
@@ -52,15 +56,13 @@ CALLER_ERRORS = {
                                 "'fwhm' is not a valid WidthConvention"),
     "gain_scan(convention='fwhm')": (lambda: gain_scan([1.0], convention="fwhm"),
                                      "'fwhm' is not a valid WidthConvention"),
-    # a cutoff, pulse count or seed is an integer, never a float or a bool
+    # a cutoff, pulse count, seed or bin width is an integer, never a float or a bool
     "FourModeState(0.5, 40.5)": (lambda: FourModeState(0.5, 40.5, BellLabel.PSI_MINUS),
                                  "n_max must be an integer, got 40.5"),
     "FourModeState(0.5, True)": (lambda: FourModeState(0.5, True, BellLabel.PSI_MINUS),
                                  "n_max must be an integer, got True"),
     "schmidt_spectrum(0.5, 2.5)": (lambda: schmidt_spectrum(0.5, 2.5),
                                    "n_max must be an integer, got 2.5"),
-    "cutoff_for_edge_mass(0.5, margin=2.5)": (lambda: cutoff_for_edge_mass(0.5, margin=2.5),
-                                              "margin must be an integer, got 2.5"),
     "kbar(0.5, 2.5)": (lambda: kbar(0.5, 2.5), "cutoff must be an integer, got 2.5"),
     "fedorov_ratio(0.5, 2.5)": (lambda: fedorov_ratio(0.5, 2.5),
                                 "cutoff must be an integer, got 2.5"),
@@ -78,6 +80,12 @@ CALLER_ERRORS = {
                                  "pulses must be an integer, got 4100.5"),
     "SimConfig(seed=1.5)": (lambda: SimConfig(BellLabel.PSI_PLUS, 0.5, seed=1.5),
                             "seed must be an integer, got 1.5"),
+    "estimate_fedorov(bin_width=2.5)": (lambda: estimate_fedorov(_FEDOROV, bin_width=2.5),
+                                        "bin_width must be an integer, got 2.5"),
+    "estimate_fedorov(bin_width=True)": (lambda: estimate_fedorov(_FEDOROV, bin_width=True),
+                                         "bin_width must be an integer, got True"),
+    "FourModeBasis(2.5)": (lambda: FourModeBasis(2.5), "n_max must be an integer, got 2.5"),
+    "FourModeBasis(-1)": (lambda: FourModeBasis(-1), "n_max must be >= 0, got -1"),
     # an efficiency lies in (0, 1] wherever it is read
     "witness_under_loss(0.5, 2.0)": (lambda: witness_under_loss(0.5, 2.0),
                                      "eta must be in (0, 1]"),
@@ -105,6 +113,9 @@ def test_numpy_integers_are_counts():
     assert subspace_dimension(np.int32(2)) == 6
     sim = SimConfig(BellLabel.PSI_PLUS, 0.5, pulses=np.int64(100), seed=np.uint8(3))
     assert estimate_witness(sim).value == estimate_witness(replace(sim, pulses=100, seed=3)).value
+    assert (estimate_fedorov(_FEDOROV, bin_width=np.int64(2)).ratio
+            == estimate_fedorov(_FEDOROV, bin_width=2).ratio)
+    assert FourModeBasis(np.int32(2)).dim == FourModeBasis(2).dim == 81
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -636,7 +636,7 @@ def test_estimate_fedorov_matches_analytic():
     cfg = SimConfig(label="psi-minus", gamma=1.2, pulses=100_000, seed=6)
     est = estimate_fedorov(cfg, bin_width=1)
     assert isinstance(est, FedorovEstimate)
-    exact_pair = fedorov_ratio(1.2, four_mode=False)
+    exact_pair = math.sqrt(fedorov_ratio(1.2))
     assert est.ratio_h == pytest.approx(exact_pair, rel=0.03)
     assert est.ratio_v == pytest.approx(exact_pair, rel=0.03)
     assert est.conditional_width_h == 1.0  # perfect correlation, floored

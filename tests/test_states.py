@@ -140,7 +140,7 @@ def test_memory_preflight_boundary(monkeypatch):
 
 def test_edge_mass_routes_agree():
     st = build_bell_state(BellLabel.PSI_MINUS, 0.9, 7)
-    via_factors = st.edge_mass(depth=2)
+    via_factors = st.edge_mass()
     assert vector_edge_mass(lifted_vector(st), depth=2) == pytest.approx(via_factors, rel=1e-12)
     assert via_factors > 1e-10  # gamma too hot for this cutoff, mass visible
     # the tail-sum form against the closed form 1 - (1 - f)^2, f being each
@@ -152,20 +152,20 @@ def test_edge_mass_routes_agree():
 
 def test_closed_forms_match_factor_sums():
     # norm and edge mass in closed form against sums over the oracle's factor
-    # arrays (totals s, tail sums t: (t_u s_v + s_u t_v - t_u t_v) / (s_u s_v)),
-    # on random labels, gains, cutoffs and depths
+    # arrays (totals s, tail sums t at levels n_max - 1 and n_max:
+    # (t_u s_v + s_u t_v - t_u t_v) / (s_u s_v)), on random labels, gains and cutoffs
     rng = np.random.default_rng(7)
     for _ in range(200):
         gamma = rng.uniform(0.0, 4.0)
-        n_max, depth = int(rng.integers(0, 60)), int(rng.integers(1, 4))
+        n_max = int(rng.integers(0, 60))
         st = build_bell_state(list(BellLabel)[rng.integers(4)], gamma, n_max)
         wu, wv = (np.abs(f) ** 2 for f in factors(st))
         su, sv = wu.sum(), wv.sum()
-        k = max(n_max + 1 - depth, 0)
+        k = max(n_max - 1, 0)
         tu, tv = wu[k:].sum(), wv[k:].sum()
         assert st.norm_sq() == pytest.approx(su * sv, rel=1e-13)
-        assert st.edge_mass(depth) == pytest.approx((tu * sv + su * tv - tu * tv) / (su * sv),
-                                                    rel=1e-12, abs=0.0)
+        assert st.edge_mass() == pytest.approx((tu * sv + su * tv - tu * tv) / (su * sv),
+                                               rel=1e-12, abs=0.0)
 
 
 def test_photon_moments_against_decimal_reference():

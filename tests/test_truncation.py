@@ -11,7 +11,6 @@ from macrobell.truncation import (
     MAX_CUTOFF,
     CompressionPoint,
     alpha_from_epsilon,
-    compression_scan,
     cutoff_for_epsilon,
     dimension_scan,
     epsilon_from_cutoff,
@@ -208,8 +207,8 @@ def test_cutoff_tracks_alpha_n0():
 # -- scans ---------------------------------------------------------------------------
 
 
-def test_compression_scan_fields():
-    pts = compression_scan(20.0, [0.5, 0.1, 0.01])
+def test_dimension_scan_fields():
+    pts = dimension_scan([20.0], [0.5, 0.1, 0.01])
     assert [p.epsilon_target for p in pts] == [0.5, 0.1, 0.01]
     for p in pts:
         assert isinstance(p, CompressionPoint)

@@ -86,7 +86,7 @@ def test_edge_mass_gate_refuses_hot_cutoff():
     state = build_bell_state(BellLabel.PSI_PLUS, 0.5, 15)
     with pytest.raises(TruncationMassError):
         evaluate_witness(WitnessKind.W_S, state)
-    assert state.edge_mass(depth=2) > 1e-10
+    assert state.edge_mass() > 1e-10
 
 
 def test_cutoff_for_edge_mass_passes_gate():
@@ -96,12 +96,12 @@ def test_cutoff_for_edge_mass_passes_gate():
     for gamma in (0.3, 0.5, 1.0, 3.0, 6.0):
         n_max = cutoff_for_edge_mass(gamma)
         for label in BellLabel:
-            assert build_bell_state(label, gamma, n_max).edge_mass(depth=2) <= EDGE_MASS_TOL
+            assert build_bell_state(label, gamma, n_max).edge_mass() <= EDGE_MASS_TOL
         if gamma in smallest:
             k = smallest[gamma]
             mass = [build_bell_state(BellLabel.PSI_MINUS, gamma, n).edge_mass() for n in (k - 1, k)]
             assert mass[1] <= EDGE_MASS_TOL < mass[0] and k < n_max
-    # zero gain gets no special case: the formula gives 2 + margin there too
+    # zero gain gets no special case: the formula gives 2 plus two levels there too
     for gamma in (0.0, 1e-300, 1e-9):
         assert cutoff_for_edge_mass(gamma) == 4
 
@@ -110,10 +110,6 @@ def test_cutoff_for_edge_mass_closed_form_matches_loop():
     gains = np.concatenate([np.linspace(1e-4, 2.0, 4000), [1e-9, 0.5, 1.0, 3.0]])
     for gamma in gains:
         assert cutoff_for_edge_mass(gamma) == edge_mass_cutoff(gamma), gamma
-    for tol, margin in ((1e-6, 0), (1e-12, 3)):
-        for gamma in gains[::40]:
-            got = cutoff_for_edge_mass(gamma, tol=tol, margin=margin)
-            assert got == edge_mass_cutoff(gamma, tol=tol, margin=margin), (gamma, tol)
     assert cutoff_for_edge_mass(3.0) == 2396
     with pytest.raises(InputError):
         cutoff_for_edge_mass(float("nan"))
