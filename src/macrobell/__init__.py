@@ -15,11 +15,10 @@ __version__ = "0.1.0"
 
 #: the public names of each submodule, in ``__all__`` order
 _EXPORTS = {
-    "basis": "FourModeBasis",
     "states": "BellLabel FourModeState InputError NumericError TruncationMassError "
               "build_bell_state geometric_ratio mean_photons_per_mode schmidt_spectrum",
-    "polarization": "BasisTransform apply_transform half_wave_plate identify_bell_state "
-                    "pi_phase_on_bh polarization_rotator quarter_wave_plate",
+    "polarization": "apply_transform half_wave_plate identify_bell_state pi_phase_on_bh "
+                    "polarization_rotator quarter_wave_plate",
     "stokes": "expectation variance_of_combination",
     "witnesses": "WitnessKind WitnessReport cross_witness_matrix cutoff_for_edge_mass "
                  "evaluate_witness matched_witness",

@@ -30,20 +30,20 @@ psi-plus to phi-minus.
 All angles in the public API are in degrees, matching how wave-plate
 settings are quoted in the lab.
 
-A transform never expands a state: its Jones matrix is composed into the
-state's per-beam frame.
+A transform is a pair of Jones matrices ``(T_a, T_b)``, the same shape as
+``FourModeState.jones``, with None on a beam that has no plate; a custom
+plate on beam *a* is ``(J, None)``.  A transform never expands a state:
+each beam's matrix is composed into that beam's frame, and the state
+refuses a composed frame that is not unitary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import UNITARITY_TOL, BellLabel, FourModeState, InputError, unitarity_defect
-
-BEAM_A, BEAM_B, BOTH_BEAMS = "a", "b", "both"
+from .states import BellLabel, FourModeState, InputError
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -58,50 +58,42 @@ def retarder_jones(theta_deg: float, delta: float) -> np.ndarray:
     return _rotation(th) @ d @ _rotation(-th)
 
 
-@dataclass(frozen=True)
-class BasisTransform:
-    """A named 2x2 polarization transform applied to one or both beams."""
-
-    kind: str
-    target: str  # 'a', 'b' or 'both'
-    jones: np.ndarray
-
-    def __post_init__(self):
-        if self.target not in (BEAM_A, BEAM_B, BOTH_BEAMS):
-            raise InputError(f"target must be 'a', 'b' or 'both', got {self.target!r}")
-        defect = unitarity_defect(self.jones)
-        if defect > UNITARITY_TOL:
-            raise InputError(f"Jones matrix not unitary (defect {defect:.2e})")
+def _on(target: str, jones: np.ndarray) -> tuple:
+    """The transform ``(T_a, T_b)`` of the plate ``jones`` on beam 'a', 'b' or 'both'."""
+    if target not in ("a", "b", "both"):
+        raise InputError(f"target must be 'a', 'b' or 'both', got {target!r}")
+    return (None if target == "b" else jones, None if target == "a" else jones)
 
 
-def half_wave_plate(angle_deg: float, target: str = BOTH_BEAMS) -> BasisTransform:
-    return BasisTransform("hwp", target, retarder_jones(angle_deg, math.pi))
+def half_wave_plate(angle_deg: float, target: str = "both") -> tuple:
+    return _on(target, retarder_jones(angle_deg, math.pi))
 
 
-def quarter_wave_plate(angle_deg: float, target: str = BOTH_BEAMS) -> BasisTransform:
-    return BasisTransform("qwp", target, retarder_jones(angle_deg, math.pi / 2))
+def quarter_wave_plate(angle_deg: float, target: str = "both") -> tuple:
+    return _on(target, retarder_jones(angle_deg, math.pi / 2))
 
 
-def polarization_rotator(angle_deg: float, target: str = BOTH_BEAMS) -> BasisTransform:
+def polarization_rotator(angle_deg: float, target: str = "both") -> tuple:
     phi = math.radians(angle_deg)
     c, s = math.cos(phi), math.sin(phi)
-    return BasisTransform("rotator", target, np.array([[c, s], [-s, c]], dtype=complex))
+    return _on(target, np.array([[c, s], [-s, c]], dtype=complex))
 
 
-def pi_phase_on_bh() -> BasisTransform:
+def pi_phase_on_bh() -> tuple:
     """e^{i pi n_bH}: the local unitary linking psi-minus and psi-plus."""
-    return BasisTransform("pi-phase-bh", BEAM_B, np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex))
+    return _on("b", np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex))
 
 
-def apply_transform(state: FourModeState, transform: BasisTransform) -> FourModeState:
-    """Apply a polarization transform in O(1), at any gain and cutoff: each
-    targeted beam's frame ``J`` becomes ``transform.jones @ J``.  The result
-    keeps the input's norm and is unlabelled."""
-    frames = list(state.jones)
-    for i, beam in enumerate((BEAM_A, BEAM_B)):
-        if transform.target in (beam, BOTH_BEAMS):
-            frames[i] = transform.jones if frames[i] is None else transform.jones @ frames[i]
-    return FourModeState(state.gamma, state.n_max, None, tuple(frames))
+def apply_transform(state: FourModeState, transform: tuple) -> FourModeState:
+    """Apply a polarization transform ``(T_a, T_b)`` in O(1), at any gain and
+    cutoff: each beam's frame ``J`` becomes ``T @ J`` (None: no plate).  The
+    result keeps the input's norm and is unlabelled; a frame that is not
+    unitary is refused by :class:`~macrobell.states.FourModeState`."""
+    if len(transform) != 2 or any(t is not None and np.shape(t) != (2, 2) for t in transform):
+        raise InputError(f"a transform is a pair of 2x2 Jones matrices or None, got {transform!r}")
+    frames = tuple(j if t is None else t if j is None else t @ j
+                   for t, j in zip(transform, state.jones))
+    return FourModeState(state.gamma, state.n_max, None, frames)
 
 
 def _coupling(jones: tuple) -> np.ndarray:

@@ -118,8 +118,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.label, str):
-            self.label = BellLabel(self.label)
+        self.label = BellLabel(self.label)
         _log_q(self.gamma)  # refuses a gain that is negative or not finite
         if geometric_ratio(self.gamma) == 1.0:
             raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={self.gamma}: "
@@ -401,7 +400,7 @@ def estimate_witness(
     per_pulse = BLOCK_BYTES_PER_PULSE + (LOG_BYTES_PER_PULSE if pulse_log else 0)
     check_memory(min(config.pulses, BLOCK_PULSES), "witness estimate", per_pulse,
                  "pulses per block")
-    kind = kind or matched_witness(config.label)
+    kind = matched_witness(config.label) if kind is None else WitnessKind(kind)
     log_fh = open(pulse_log, "wb") if pulse_log else None
     try:
         stats = [_series_statistics(config, series, sign, run, log_fh)
@@ -438,6 +437,7 @@ def witness_under_loss(gamma: float, eta: float, matched: bool = True) -> float:
     gains 8 eta^2 N0 (N0 + 1).
     """
     _check_efficiency(eta)
+    _log_q(gamma)  # refuses a gain that is negative or not finite
     n0 = mean_photons_per_mode(gamma)
     value = 4.0 * eta * n0 * (1.0 - 3.0 * eta)
     if not matched:
@@ -606,14 +606,17 @@ def efficiency_sweep(
     index = grid position).  The certification threshold is the
     smallest sampled efficiency still resolving the witness below zero
     at three jackknife sigma; the zero crossing interpolates where the
-    estimate itself changes sign (None if not bracketed).
+    estimate itself changes sign (None if not bracketed).  The grid is
+    priced at ``SWEEP_BYTES_PER_POINT`` per point before any point runs.
     """
     if config.eta != 1.0:  # the grid sets each point's eta
         raise InputError(f"efficiency_sweep needs config.eta 1.0, got {config.eta!r}")
     etas = [float(e) for e in eta_grid]
+    check_memory(len(etas), "efficiency sweep", SWEEP_BYTES_PER_POINT, "grid points")
     for eta in etas:
         _check_efficiency(eta, "efficiency grid must lie in (0, 1]")
-    matched = kind in (None, matched_witness(config.label))
+    matched = matched_witness(config.label)
+    kind = matched if kind is None else WitnessKind(kind)
     points = []
     for i, eta in enumerate(etas):
         rep = estimate_witness(replace(config, eta=eta), kind=kind, run=i)
@@ -622,7 +625,7 @@ def efficiency_sweep(
             value=rep.value,
             sigma=rep.value_error,
             certifies=bool(rep.value + 3.0 * rep.value_error < 0.0),
-            exact=witness_under_loss(config.gamma, eta, matched),
+            exact=witness_under_loss(config.gamma, eta, kind is matched),
         ))
     certified = [p.eta for p in points if p.certifies]
     threshold = min(certified) if certified else None

@@ -288,6 +288,8 @@ class FourModeState:
         # past the float range, n_max + 1 no longer converts in the closed forms
         if not 0 <= self.n_max < sys.float_info.max:
             raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max})")
+        if self.label is not None:
+            self.label = BellLabel(self.label)
         frames = (None, None if self.label is None else self.label.frame)
         if self.label is not None and self.jones is not None and (
                 len(self.jones) != 2 or not _same_frames(self.jones, frames)):

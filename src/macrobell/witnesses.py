@@ -68,6 +68,7 @@ class WitnessKind(Choice):
 
 def matched_witness(label: BellLabel) -> WitnessKind:
     """The witness kind maximally violated by ``label``."""
+    label = BellLabel(label)
     return next(kind for kind in WitnessKind if kind.matched_state is label)
 
 
@@ -105,6 +106,7 @@ def evaluate_witness(kind: WitnessKind, state: FourModeState) -> WitnessReport:
     ``EDGE_MASS_TOL`` of its mass within two photons of the cutoff --
     variances would then be truncation artifacts rather than physics.
     """
+    kind = WitnessKind(kind)
     mass = state.edge_mass()
     if mass > EDGE_MASS_TOL:
         raise TruncationMassError(mass, EDGE_MASS_TOL)

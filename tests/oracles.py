@@ -1020,7 +1020,7 @@ def pairing_distribution(label: BellLabel, component: int, gamma: float, n_max: 
 def analyzer_jones(setting) -> np.ndarray:
     """Jones matrix of a ``MeasurementSetting``: the half-wave plate after
     the quarter-wave plate."""
-    return half_wave_plate(setting.hwp_deg).jones @ quarter_wave_plate(setting.qwp_deg).jones
+    return half_wave_plate(setting.hwp_deg, "a")[0] @ quarter_wave_plate(setting.qwp_deg, "a")[0]
 
 
 def analyzer_distribution(state: FourModeState, setting):

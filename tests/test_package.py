@@ -15,10 +15,12 @@ import pytest
 import macrobell
 from macrobell.measures import WidthConvention, fedorov_ratio, gain_scan, kbar, negativity
 from macrobell.basis import FourModeBasis
-from macrobell.simulate import SimConfig, estimate_fedorov, estimate_witness, witness_under_loss
-from macrobell.states import BellLabel, FourModeState, InputError, schmidt_spectrum
+from macrobell.simulate import (SimConfig, efficiency_sweep, estimate_fedorov, estimate_witness,
+                                witness_under_loss)
+from macrobell.states import (BellLabel, FourModeState, InputError, build_bell_state,
+                              schmidt_spectrum)
 from macrobell.truncation import epsilon_from_cutoff, subspace_dimension, truncated_kbar
-from macrobell.witnesses import WitnessKind
+from macrobell.witnesses import WitnessKind, evaluate_witness, matched_witness
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -40,10 +42,15 @@ def test_every_export_resolves():
     for name in macrobell.__all__:
         assert getattr(macrobell, name) is not None, name
     assert len(set(macrobell.__all__)) == len(macrobell.__all__)
+    # the dense Fock enumeration serves the tests and the benchmark alone
+    assert "FourModeBasis" not in macrobell.__all__
 
 
 #: a small width-ratio run, for the bin widths below
 _FEDOROV = SimConfig("psi-minus", 0.5, pulses=100, seed=1)
+
+#: a small gated state, for the witness kinds below
+_STATE = build_bell_state(BellLabel.PSI_MINUS, 0.5, 40)
 
 # a caller's unknown name is an InputError (exit code 2 at the command line),
 # not the plain ValueError of an enum lookup; test_measures, test_simulate and
@@ -51,7 +58,18 @@ _FEDOROV = SimConfig("psi-minus", 0.5, pulses=100, seed=1)
 CALLER_ERRORS = {
     "BellLabel('foo')": (lambda: BellLabel("foo"), "'foo' is not a valid BellLabel"),
     "SimConfig('foo', 0.5)": (lambda: SimConfig("foo", 0.5), "'foo' is not a valid BellLabel"),
+    "FourModeState(0.5, 4, 'foo')": (lambda: FourModeState(0.5, 4, "foo"),
+                                     "'foo' is not a valid BellLabel"),
+    "build_bell_state('foo')": (lambda: build_bell_state("foo", 0.5, 4),
+                                "'foo' is not a valid BellLabel"),
+    "matched_witness('foo')": (lambda: matched_witness("foo"), "'foo' is not a valid BellLabel"),
     "WitnessKind('W_X')": (lambda: WitnessKind("W_X"), "'W_X' is not a valid WitnessKind"),
+    "evaluate_witness('W_X')": (lambda: evaluate_witness("W_X", _STATE),
+                                "'W_X' is not a valid WitnessKind"),
+    "estimate_witness(kind='W_X')": (lambda: estimate_witness(_FEDOROV, kind="W_X"),
+                                     "'W_X' is not a valid WitnessKind"),
+    "efficiency_sweep(kind='W_X')": (lambda: efficiency_sweep(_FEDOROV, [0.5], kind="W_X"),
+                                     "'W_X' is not a valid WitnessKind"),
     "WidthConvention('fwhm')": (lambda: WidthConvention("fwhm"),
                                 "'fwhm' is not a valid WidthConvention"),
     "gain_scan(convention='fwhm')": (lambda: gain_scan([1.0], convention="fwhm"),
@@ -89,6 +107,11 @@ CALLER_ERRORS = {
     # an efficiency lies in (0, 1] wherever it is read
     "witness_under_loss(0.5, 2.0)": (lambda: witness_under_loss(0.5, 2.0),
                                      "eta must be in (0, 1]"),
+    # a gain is finite and nonnegative wherever it is read
+    **{f"witness_under_loss({gamma}, 0.5)": (
+        lambda gamma=gamma: witness_under_loss(gamma, 0.5),
+        f"gain must be finite and nonnegative, got {gamma!r}")
+       for gamma in (-1.0, math.inf, math.nan)},
 }
 
 
@@ -104,6 +127,12 @@ def test_unknown_name_lists_the_choices():
         WidthConvention("fwhm")
     assert BellLabel("psi-minus") is BellLabel.PSI_MINUS
     assert WitnessKind(WitnessKind.W_S) is WitnessKind.W_S
+    # every entry point that takes a label or a kind takes it by name too
+    assert matched_witness("psi-minus") is WitnessKind.W_S
+    assert FourModeState(0.5, 40, "psi-minus") == _STATE == build_bell_state("psi-minus", 0.5, 40)
+    assert evaluate_witness("W_S", _STATE) == evaluate_witness(WitnessKind.W_S, _STATE)
+    assert estimate_witness(_FEDOROV, kind="W_T1") == estimate_witness(_FEDOROV,
+                                                                       kind=WitnessKind.W_T1)
 
 
 def test_numpy_integers_are_counts():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from macrobell.polarization import (
-    BasisTransform,
     apply_transform,
     half_wave_plate,
     identify_bell_state,
@@ -14,7 +13,6 @@ from macrobell.polarization import (
     polarization_rotator,
     quarter_wave_plate,
     retarder_jones,
-    unitarity_defect,
 )
 from macrobell.states import (
     BellLabel,
@@ -24,6 +22,7 @@ from macrobell.states import (
     build_bell_state,
     mean_photons_per_mode,
     schmidt_spectrum,
+    unitarity_defect,
 )
 from macrobell.witnesses import cutoff_for_edge_mass, evaluate_witness, matched_witness
 
@@ -53,40 +52,55 @@ def test_half_wave_plate_matrix():
     t = math.radians(17.0)
     want = np.array([[math.cos(2 * t), math.sin(2 * t)],
                      [math.sin(2 * t), -math.cos(2 * t)]])
-    assert np.allclose(half_wave_plate(17.0).jones, want, atol=1e-15)
+    # a plate is the frame pair it applies: both beams by default, or one
+    for target, pair in (("both", half_wave_plate(17.0)), ("a", half_wave_plate(17.0, "a")),
+                         ("b", half_wave_plate(17.0, target="b"))):
+        for beam, jones in zip("ab", pair):
+            if target in (beam, "both"):
+                assert np.allclose(jones, want, atol=1e-15)
+            else:
+                assert jones is None
 
 
 def test_quarter_wave_plate_at_zero():
-    assert np.allclose(quarter_wave_plate(0.0).jones, np.diag([1.0, 1.0j]), atol=1e-15)
+    for jones in quarter_wave_plate(0.0):
+        assert np.allclose(jones, np.diag([1.0, 1.0j]), atol=1e-15)
 
 
 def test_rotator_matrix():
     phi = math.radians(30.0)
     c, s = math.cos(phi), math.sin(phi)
-    assert np.allclose(polarization_rotator(30.0).jones,
-                       np.array([[c, s], [-s, c]]), atol=1e-15)
+    for jones in polarization_rotator(30.0):
+        assert np.allclose(jones, np.array([[c, s], [-s, c]]), atol=1e-15)
 
 
 def test_pi_phase_matrix():
-    tr = pi_phase_on_bh()
-    assert tr.target == "b"
-    assert np.allclose(tr.jones, np.diag([-1.0, 1.0]))
+    ta, tb = pi_phase_on_bh()
+    assert ta is None
+    assert np.allclose(tb, np.diag([-1.0, 1.0]))
 
 
 def test_transform_validation():
-    with pytest.raises(InputError):
-        BasisTransform("x", "c", np.eye(2, dtype=complex))
-    with pytest.raises(InputError):
-        BasisTransform("x", "a", np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
+    st = build_bell_state(BellLabel.PSI_MINUS, 0.5, 4)
+    with pytest.raises(InputError, match="target must be 'a', 'b' or 'both', got 'c'"):
+        half_wave_plate(10.0, target="c")
+    with pytest.raises(InputError, match="jones must be two unitary 2x2 matrices"):
+        apply_transform(st, (np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex), None))
+    # a bare Jones matrix is not a pair of frames, nor are three matrices, nor a
+    # 3x3 plate on a beam whose frame is 2x2
+    for bad in (np.eye(2), (np.eye(2), None, None), (None, np.eye(3))):
+        with pytest.raises(InputError, match="a transform is a pair of 2x2 Jones matrices"):
+            apply_transform(st, bad)
 
 
 def test_frames_and_transforms_share_one_unitarity_bound():
     # a state's frame and a transform's Jones matrix pass or fail the same bound,
-    # and a frame given as nested lists is kept as an array
+    # the state's own, and a frame given as nested lists is kept as an array
     for defect, unitary in ((1e-11, False), (1e-13, True)):
         near = [[1.0 + defect, 0.0], [0.0, 1.0]]
         for build in (lambda: FourModeState(0.5, 4, jones=(None, near)),
-                      lambda: BasisTransform("x", "b", np.array(near))):
+                      lambda: apply_transform(FourModeState(0.5, 4), (None, np.array(near))),
+                      lambda: apply_transform(FourModeState(0.5, 4), (near, None))):
             if unitary:
                 build()
             else:
@@ -94,6 +108,8 @@ def test_frames_and_transforms_share_one_unitarity_bound():
                     build()
     state = FourModeState(0.5, 4, jones=(None, [[0.0, 1.0], [1.0, 0.0]]))
     assert isinstance(state.jones[1], np.ndarray)
+    assert isinstance(apply_transform(state, ([[0.0, 1.0], [1.0, 0.0]], None)).jones[0],
+                      np.ndarray)
 
 
 # -- sector lift (the oracle in tests/oracles.py) -----------------------------
@@ -193,7 +209,7 @@ def test_identify_round_trip():
         assert identify_bell_state(st) is label
     # a phase on the coupling is a photon-number phase, not a global one
     twisted = apply_transform(build_bell_state(BellLabel.PSI_PLUS, 0.35, 8),
-                              BasisTransform("phase", "a", np.exp(0.3j) * np.eye(2)))
+                              (np.exp(0.3j) * np.eye(2), None))
     assert identify_bell_state(twisted) is None
 
 
@@ -215,9 +231,12 @@ def test_phase_retarder_keeps_the_closed_form():
     st = build_bell_state(BellLabel.PSI_MINUS, gamma, n_max)
     root = np.sqrt(schmidt_spectrum(gamma, n_max))
     alt = (-1.0) ** np.arange(n_max + 1)
-    for target, u, v in (("a", root, alt * root * np.exp(1j * delta * np.arange(n_max + 1))),
-                         ("b", root * np.exp(1j * delta * np.arange(n_max + 1)), alt * root)):
-        out = apply_transform(st, BasisTransform("retarder", target, retarder_jones(0.0, delta)))
+    jones = retarder_jones(0.0, delta)
+    for plate, u, v in (((jones, None), root,
+                         alt * root * np.exp(1j * delta * np.arange(n_max + 1))),
+                        ((None, jones), root * np.exp(1j * delta * np.arange(n_max + 1)),
+                         alt * root)):
+        out = apply_transform(st, plate)
         want = table_vector(np.outer(u, v), "cross", n_max + 1)
         np.testing.assert_allclose(lifted_vector(out), want, rtol=0, atol=5e-15)
         assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-13)
@@ -226,8 +245,8 @@ def test_phase_retarder_keeps_the_closed_form():
 _MONOMIAL = {
     "phase": retarder_jones(0.0, 0.7),
     "phase90": retarder_jones(90.0, 1.9),
-    "swap": half_wave_plate(45.0).jones,
-    "rotator90": polarization_rotator(90.0).jones,
+    "swap": half_wave_plate(45.0, "a")[0],
+    "rotator90": polarization_rotator(90.0, "a")[0],
     "swap-phase": np.array([[0.0, np.exp(0.4j)], [np.exp(-1.3j), 0.0]]),
 }
 
@@ -241,9 +260,8 @@ def test_monomial_transforms_match_the_lift():
     for (name, jones), label in itertools.product(_MONOMIAL.items(), BellLabel):
         st = build_bell_state(label, gamma, n_max)
         table = bell_vector(label.sign, label.pairing, gamma, n_max).reshape(d * d, d * d)
-        for target, frame in (("a", (jones, None)), ("b", (None, jones)),
-                              ("both", (jones, jones))):
-            out = apply_transform(st, BasisTransform(name, target, jones))
+        for frame in ((jones, None), (None, jones), (jones, jones)):
+            out = apply_transform(st, frame)
             want = _through_frames(table, frame, n_max).reshape(-1)
             np.testing.assert_allclose(lifted_vector(out), want, rtol=0, atol=5e-15, err_msg=name)
 

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from macrobell import simulate
+from macrobell import simulate, states
 from macrobell.measures import fedorov_ratio
 from macrobell.simulate import (
     BLOCK_BYTES_PER_PULSE,
     BLOCK_PULSES,
     CANONICAL_SETTINGS,
     LOG_BYTES_PER_PULSE,
+    SWEEP_BYTES_PER_POINT,
     FedorovEstimate,
     SimConfig,
     _PartnerBins,
@@ -704,3 +705,23 @@ def test_efficiency_sweep_refuses_a_config_eta():
     cfg = SimConfig(label="psi-minus", gamma=0.8, eta=0.3, pulses=100, seed=0)
     with pytest.raises(InputError, match="config.eta 1.0, got 0.3"):
         efficiency_sweep(cfg, [0.5])
+
+
+def test_efficiency_sweep_prices_the_grid(monkeypatch):
+    # a library call is priced as the command line is: 3 points are refused
+    # before the first runs when free memory is a byte short of them
+    monkeypatch.setattr(states, "available_memory", lambda: 3 * SWEEP_BYTES_PER_POINT - 1)
+    cfg = SimConfig(label="psi-minus", gamma=0.8, pulses=100, seed=0)
+    with pytest.raises(NumericError, match="efficiency sweep: 3 grid points"):
+        efficiency_sweep(cfg, [0.2, 0.5, 0.9])
+
+
+def test_efficiency_sweep_takes_a_kind_by_name():
+    # the matched kind by name is the matched kind: same estimates, and the
+    # matched loss law in the exact column; a mismatched one by name adds its terms
+    cfg = SimConfig(label="psi-minus", gamma=0.8, pulses=100, seed=0)
+    default = efficiency_sweep(cfg, [0.5])
+    assert efficiency_sweep(cfg, [0.5], kind="W_S") == default
+    assert default.points[0].exact == witness_under_loss(0.8, 0.5)
+    mismatched = efficiency_sweep(cfg, [0.5], kind="W_T1").points[0]
+    assert mismatched.exact == witness_under_loss(0.8, 0.5, matched=False)
