@@ -2,8 +2,8 @@
 """Variance witnesses across the gain axis.
 
 For each gain on a small grid this script evaluates the matched witness
-on its Bell state and prints the value against the closed form -8 N0,
-then shows the full 4x4 witness-vs-state table at one gain (matched
+on its untruncated Bell state and prints the value against the closed
+form -8 N0, then shows the full 4x4 witness-vs-state table at one gain (matched
 entries negative on the diagonal, mismatched entries positive).  That
 separable states never go below zero is checked in the tests, on a
 battery of product states and separable mixtures (acceptance
@@ -16,7 +16,7 @@ import argparse
 
 from macrobell.simulate import matched_witness
 from macrobell.states import BellLabel, build_bell_state, mean_photons_per_mode
-from macrobell.witnesses import cross_witness_matrix, cutoff_for_edge_mass, evaluate_witness
+from macrobell.witnesses import cross_witness_matrix, evaluate_witness
 
 
 def main():
@@ -29,12 +29,8 @@ def main():
     print(f"{'gamma':>6} {'N0':>8} {'-8 N0':>12} "
           + " ".join(f"{lbl.value:>12}" for lbl in BellLabel))
     for gamma in (0.1, 0.25, 0.5, 0.75, 1.0):
-        n_max = cutoff_for_edge_mass(gamma)
-        row = []
-        for label in BellLabel:
-            state = build_bell_state(label, gamma, n_max)
-            rep = evaluate_witness(matched_witness(label), state)
-            row.append(rep.value)
+        row = [evaluate_witness(matched_witness(label), build_bell_state(label, gamma)).value
+               for label in BellLabel]
         n0 = mean_photons_per_mode(gamma)
         print(f"{gamma:>6.2f} {n0:>8.4f} {-8 * n0:>12.6f} "
               + " ".join(f"{v:>12.6f}" for v in row))

@@ -20,8 +20,8 @@ _EXPORTS = {
     "polarization": "apply_transform half_wave_plate identify_bell_state pi_phase_on_bh "
                     "polarization_rotator quarter_wave_plate",
     "stokes": "expectation variance_of_combination",
-    "witnesses": "WitnessKind WitnessReport cross_witness_matrix cutoff_for_edge_mass "
-                 "evaluate_witness matched_witness",
+    "witnesses": "WitnessKind WitnessReport cross_witness_matrix evaluate_witness "
+                 "matched_witness",
     "measures": "WidthConvention fedorov_ratio gain_scan kbar log_negativity negativity "
                 "trace_norm",
     "truncation": "CompressionPoint alpha_from_epsilon cutoff_for_epsilon dimension_scan "

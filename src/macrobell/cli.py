@@ -49,8 +49,7 @@ from .measures import WidthConvention, fedorov_ratio, gain_scan
 from .simulate import SimConfig, efficiency_sweep, estimate_fedorov, estimate_witness
 from .states import BellLabel, InputError, NumericError, build_bell_state
 from .truncation import dimension_scan
-from .witnesses import (WitnessKind, cross_witness_matrix, cutoff_for_edge_mass,
-                        evaluate_witness, matched_witness)
+from .witnesses import WitnessKind, cross_witness_matrix, evaluate_witness, matched_witness
 
 if TYPE_CHECKING:
     import argparse
@@ -76,7 +75,7 @@ def _options(*opts: _Opt, **defaults) -> dict[str, _Opt]:
 _STATE = _Opt("state", "psi-minus", choices=tuple(l.value for l in BellLabel))
 _GAMMA = _Opt("gamma", type=float)
 _ETA = _Opt("eta", 1.0, float, "detection efficiency")
-_CUTOFF = _Opt("cutoff", type=int, help="per-mode Fock cutoff (default: auto)")
+_CUTOFF = _Opt("cutoff", type=int, help="per-mode Fock cutoff (default: untruncated)")
 _WITNESS = _Opt("witness", help="default: the matched witness",
                 choices=tuple(k.value for k in WitnessKind))
 _CONVENTION = _Opt("convention", "sqrt2-stddev", choices=("stddev", "sqrt2-stddev"))
@@ -208,7 +207,7 @@ def _read_config(path: str, command: str) -> list[tuple[str, str]]:
 
 def _check_bounds(cfg: dict) -> None:
     """Refuse what only the CLI knows to be wrong, before any work starts: a
-    cutoff that would read as "auto", more workers than CPUs, unwritable outputs."""
+    cutoff below 1, more workers than CPUs, unwritable outputs."""
     cutoff = cfg.get("cutoff")
     if cutoff is not None and cutoff <= 0:
         raise InputError(f"cutoff must be positive, got {cutoff}")
@@ -325,10 +324,8 @@ def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
                pulses, cfg["seed"], rep.value, rep.value_error,
                *rep.variance_terms, *rep.variance_errors, rep.mean_s0]
     else:
-        n_max = cfg["cutoff"] or cutoff_for_edge_mass(gamma)
-        state = build_bell_state(label, gamma, n_max)
-        rep = evaluate_witness(kind, state)
-        row = ["exact", kind.value, shown, gamma, n_max, 1.0,
+        rep = evaluate_witness(kind, build_bell_state(label, gamma, cfg["cutoff"]))
+        row = ["exact", kind.value, shown, gamma, cfg["cutoff"], 1.0,
                None, None, rep.value, None, *rep.variance_terms,
                None, None, None, rep.mean_s0]
     _write_csv(cfg["out"], header, [row])
@@ -336,7 +333,7 @@ def _cmd_witness(cfg: dict) -> tuple[list[str], dict | None]:
           + (f" +- {rep.value_error:.3g}" if rep.value_error is not None else ""))
     print(f"wrote {cfg['out']}")
     files = [cfg["out"]] + ([cfg["pulse_log"]] if cfg["pulse_log"] else [])
-    return files, (None if simulate else {"cutoff": n_max, "edge_mass": rep.meta["edge_mass"]})
+    return files, None if simulate else {k: rep.meta[k] for k in ("cutoff", "edge_mass")}
 
 
 def _cmd_measures(cfg: dict) -> tuple[list[str], None]:
@@ -395,8 +392,7 @@ def _cmd_truncation(cfg: dict) -> tuple[list[str], None]:
 
 def _cmd_crosswitness(cfg: dict) -> tuple[list[str], dict]:
     """4x4 witness-by-state table"""
-    n_max = cfg["cutoff"] or cutoff_for_edge_mass(cfg["gamma"])
-    mat, kinds, labels = cross_witness_matrix(cfg["gamma"], n_max=n_max)
+    mat, kinds, labels = cross_witness_matrix(cfg["gamma"], cfg["cutoff"])
     header = ["witness"] + [l.value for l in labels]
     rows = [[k.value, *mat[i]] for i, k in enumerate(kinds)]
     _write_csv(cfg["out"], header, rows)
@@ -405,8 +401,8 @@ def _cmd_crosswitness(cfg: dict) -> tuple[list[str], dict]:
     print(f"gamma={cfg['gamma']}: diagonal negative: {diag_ok}; "
           f"off-diagonal positive: {off_ok}")
     print(f"wrote {cfg['out']}")
-    mass = build_bell_state(labels[0], cfg["gamma"], n_max).edge_mass()  # the same for all four
-    return [cfg["out"]], {"cutoff": n_max, "edge_mass": mass}
+    mass = build_bell_state(labels[0], cfg["gamma"], cfg["cutoff"]).edge_mass()  # same for all four
+    return [cfg["out"]], {"cutoff": cfg["cutoff"], "edge_mass": mass}
 
 
 def _cmd_fedorov(cfg: dict) -> tuple[list[str], dict | None]:
@@ -511,10 +507,13 @@ def run_from_manifest(path: str) -> int:
     with open(path) as fh:
         doc = json.load(fh)
     command, config = doc["command"], doc["config"]
-    # older runs ignored a vacuum witness's gain; a retired single epsilon target
-    # or evenly spaced efficiency grid re-runs as the grid the run used
+    # older runs ignored a vacuum witness's gain, and an exact witness without
+    # --cutoff ran at the cutoff the manifest records; a retired single epsilon
+    # target or evenly spaced efficiency grid re-runs as the grid the run used
     if command == "witness" and config.get("state") == "vacuum":
         config["gamma"] = _DEFAULTS[command]["gamma"]
+    if config.get("cutoff") is None and type(doc.get("cutoff")) is int:
+        config["cutoff"] = doc["cutoff"]
     if command == "truncation" and config.get("epsilon") is not None:
         config["epsilon_grid"] = repr(config["epsilon"])
     if command == "sweep-eta" and "eta_points" in config and not config.get("eta_grid"):

@@ -23,8 +23,8 @@ is carried as metadata.
 
 All four are one state seen through local optics.  The psi-plus table is
 rank one, ``u_n v_m`` with ``u_n = v_n = sqrt(lambda_n)``, so its norm,
-edge mass and Stokes moments are closed forms at any cutoff, and no
-amplitude array is ever built.  A state is that closed form seen
+edge mass and Stokes moments are closed forms at any cutoff, or none, and
+no amplitude array is ever built.  A state is that closed form seen
 through a Jones frame per beam (wave plates, see
 :mod:`macrobell.polarization`); each Bell label is a beam-*b* frame: a pi
 phase on ``b_H`` for the minus labels, then an H/V swap for the phi
@@ -130,8 +130,12 @@ def paired_modes(n, m, pairing: str) -> tuple:
 
 
 def mean_photons_per_mode(gamma: float) -> float:
-    """N0 = sinh(gamma)^2, the mean occupation of each of the four modes."""
-    return math.sinh(gamma) ** 2
+    """N0 = sinh(gamma)^2, the mean occupation of each of the four modes; past
+    gamma ~ 355, where N0 overflows a double, a :class:`NumericError`."""
+    try:
+        return math.sinh(gamma) ** 2
+    except OverflowError:
+        raise NumericError(f"N0 = sinh(gamma)^2 overflows a double at gamma={gamma!r}") from None
 
 
 def geometric_ratio(gamma: float) -> float:
@@ -263,9 +267,10 @@ def _same_frames(these, those) -> bool:
 
 @dataclass(eq=False)
 class FourModeState:
-    """A (possibly truncated) state of the four modes, in closed form: the
-    psi-plus kets ``|n,m>_a|m,n>_b`` with amplitude ``u_n v_m`` for ``n, m
-    <= n_max``, ``u_n = sqrt(lambda_n)``, ``v_m = sqrt(lambda_m)``, seen
+    """A state of the four modes, in closed form: the psi-plus kets
+    ``|n,m>_a|m,n>_b`` with amplitude ``u_n v_m`` for ``n, m <= n_max``
+    (every n, m when ``n_max`` is None, the untruncated state),
+    ``u_n = sqrt(lambda_n)``, ``v_m = sqrt(lambda_m)``, seen
     through ``jones = (J_a, J_b)``, each beam's polarization frame: the
     state is the closed form after wave plates with these unitary Jones
     matrices (None: the H/V frame).  A labelled state's frame is its
@@ -276,7 +281,7 @@ class FourModeState:
     """
 
     gamma: float
-    n_max: int
+    n_max: int | None = None
     label: BellLabel | None = None
     jones: tuple | None = None  # None: the label's frame, or the H/V frame
 
@@ -284,10 +289,11 @@ class FourModeState:
         if _log_q(self.gamma) == 0.0:  # also refuses a gain that is negative or not finite
             raise NumericError(f"ln tanh(gamma)^2 rounds to 0 at gamma={self.gamma}: "
                                "no representable weights")
-        check_integer(self.n_max, "n_max")
-        # past the float range, n_max + 1 no longer converts in the closed forms
-        if not 0 <= self.n_max < sys.float_info.max:
-            raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max})")
+        if self.n_max is not None:
+            check_integer(self.n_max, "n_max")
+            # past the float range, n_max + 1 no longer converts in the closed forms
+            if not 0 <= self.n_max < sys.float_info.max:
+                raise InputError(f"need 0 <= n_max < {sys.float_info.max:.4g} (got {self.n_max})")
         if self.label is not None:
             self.label = BellLabel(self.label)
         frames = (None, None if self.label is None else self.label.frame)
@@ -317,33 +323,42 @@ class FourModeState:
     def n_levels(self) -> int:
         return self.n_max + 1
 
-    def _tail_share(self, k: int) -> float:
-        """Each factor's share of its kept mass at levels ``k..n_max``,
-        ``q^k (1 - q^(n_max + 1 - k)) / (1 - q^(n_max + 1))``."""
-        if k <= 0:
-            return 1.0
-        log_q = _log_q(self.gamma)
-        return (math.exp(k * log_q) * math.expm1((self.n_levels - k) * log_q)
-                / math.expm1(self.n_levels * log_q))
-
     def norm_sq(self) -> float:
-        return math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
+        """The kept mass ``(1 - q^(n_max+1))^2``; 1 without a cutoff."""
+        return 1.0 if self.n_max is None else math.expm1(self.n_levels * _log_q(self.gamma)) ** 2
 
     def edge_mass(self) -> float:
         """Fraction of the state's mass within two photons of the cutoff (any
         mode occupation in {n_max-1, n_max}), the witness gate's measure, in
-        the frame where it is truncated (the closed form's, in any frame).
+        the frame where it is truncated (the closed form's, in any frame); 0
+        without a cutoff.
 
-        It is ``f (2 - f)`` from each factor's tail share ``f``, never one minus
+        It is ``f (2 - f)`` from each factor's share ``f = q^k (1 - q^2) / (1 -
+        q^(n_max+1))`` of its kept mass at ``k = n_max - 1`` and up, never one minus
         the interior, which would lose the tiny masses the gate compares.
         """
-        f = self._tail_share(self.n_max - 1)
+        if self.n_max is None:
+            return 0.0
+        k, log_q = self.n_max - 1, _log_q(self.gamma)
+        f = 1.0 if k <= 0 else (math.exp(k * log_q) * math.expm1(2.0 * log_q)
+                                / math.expm1(self.n_levels * log_q))
         return f * (2.0 - f)
 
+    def photon_moments(self) -> tuple[float, float, float]:
+        """Mean and variance of n under the kept lambda_n, and ``mean / q``, the sum
+        of ``(n + 1) lambda_n`` over the n that keep n + 1 within the cutoff.  Without
+        a cutoff they are N0, N0 (N0 + 1) and N0 + 1, formed without q, which
+        underflows to 0 at tiny gains where N0 does not."""
+        if self.n_max is None:
+            n0 = mean_photons_per_mode(self.gamma)
+            return n0, n0 * (n0 + 1.0), n0 + 1.0
+        mean, var = _photon_moments(self.gamma, self.n_levels)
+        return mean, var, mean / geometric_ratio(self.gamma) if mean else 0.0
 
-def build_bell_state(label: BellLabel, gamma: float, n_max: int) -> FourModeState:
-    """One of the four macroscopic Bell states, in closed form at any cutoff:
-    the psi-plus closed form seen through the label's beam-*b* frame, with
+
+def build_bell_state(label: BellLabel, gamma: float, n_max: int | None = None) -> FourModeState:
+    """One of the four macroscopic Bell states, in closed form at any cutoff or
+    none: the psi-plus closed form seen through the label's beam-*b* frame, with
     nothing allocated; see the module docstring.  It is left unnormalized:
     its squared norm is the retained probability mass ``(1 - q^(n_max+1))^2``.
     """

@@ -15,13 +15,13 @@ Per beam ``S_k = a^+ sigma_k a`` with ``a = (a_H, a_V)``, ``sigma_0 = 1``,
 
 Moments of a combination ``O = sum c S_k^beam`` on a pure
 :class:`~macrobell.states.FourModeState` are taken at the state's own
-cutoff, and the state is never expanded.  Every Stokes operator
-conserves each beam's photon number (Schwinger's two-boson picture), so
+cutoff (untruncated without one), and the state is never expanded.  Every
+Stokes operator conserves each beam's photon number (Schwinger's two-boson picture), so
 on the psi-plus closed form ``O`` keeps the paired kets (``S_0`` and
 ``S_1`` are diagonal) or moves one photon between H and V of one beam,
 onto one of two "defect" planes.  The geometric factors shift into
 themselves, so each part of ``O psi`` is one outer product, and ``<O>``,
-``<O^2>`` follow in O(1) from the mean and variance of the truncated
+``<O^2>`` follow in O(1) from the mean and variance of the (truncated)
 thermal law.  A beam seen through a Jones frame ``J`` rotates its Stokes
 vector instead: ``U_J^+ S_k U_J = sum_l R_kl S_l`` with ``R_kl =
 tr(sigma_l J^+ sigma_k J) / 2``, so the closed form is read at the
@@ -43,7 +43,7 @@ import logging
 
 import numpy as np
 
-from .states import FourModeState, InputError, NumericError, _photon_moments, geometric_ratio
+from .states import FourModeState, InputError, NumericError
 
 log = logging.getLogger(__name__)
 
@@ -80,24 +80,26 @@ def _closed_form_moments(coeffs: dict, state: FourModeState) -> tuple:
     c3b``).  The factors shift into themselves, ``r = sqrt(q) p``, ``q =
     sqrt(q) s``, so the hop planes are ``sqrt(q) (ra + rb) p s^T`` and its
     conjugate -- exactly zero on a matched witness -- and every moment
-    follows from the mean and variance of n under lambda_n (``|p|^2 = M1
-    / q``).
+    follows from the state's photon moments: the mean and variance of n
+    under lambda_n and ``|p|^2 = M1 / q``.  Zero ``A, B`` skip the variance,
+    which may overflow where a term that does not read it is finite.
     """
     c = {key: float(coeffs.get(key, 0.0)) for key in _TERMS}
     c0 = c[0, "a"] + c[0, "b"]
     c1 = c[1, "a"] - c[1, "b"]
     a, b = c0 + c1, c0 - c1
-    mean_n, var_n = _photon_moments(state.gamma, state.n_levels)
-    second = (a * a + b * b) * var_n + (a + b) ** 2 * mean_n**2
+    mean_n, var_n, p_sq = state.photon_moments()
+    mean = (a + b) * mean_n
+    second = (a * a + b * b) * var_n + mean * mean if a or b else 0.0
     hop = 2.0 * abs(complex(c[2, "a"] + c[2, "b"], c[3, "a"] + c[3, "b"])) ** 2
     if hop and mean_n:
-        second += hop * mean_n * (mean_n / geometric_ratio(state.gamma))
-    return (a + b) * mean_n, second
+        second += hop * mean_n * p_sq
+    return mean, second
 
 
 def moments(coeffs: dict, state: FourModeState) -> tuple[float, float]:
     """(<O>, <O^2>) of O = sum c_k S_k on a pure state, normalized by
-    <psi|psi>, at the state's own cutoff.
+    <psi|psi>, at the state's own cutoff or untruncated.
 
     ``coeffs`` maps ``(component, beam)`` to a real coefficient, e.g.
     ``{(2, 'a'): 1.0, (2, 'b'): -1.0}`` for ``S_2^a - S_2^b``.  ``state``

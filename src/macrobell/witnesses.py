@@ -15,7 +15,8 @@ pattern (+, -, -) that psi-plus violates maximally,
 
 so W_S = (+, +, +) is matched to psi-minus.  The witness value is
 ``sum_i Var(S_i^a + s_i S_i^b) - 2 <S_0>``; a negative value certifies
-entanglement, and on the matched state it equals ``-2 <S_0>``.
+entanglement, and on the matched state it equals ``-2 <S_0>``: -8 N0
+untruncated, where a mismatched witness reads 16 N0^2 + 8 N0.
 Witnesses are evaluated on closed-form states only; the bound itself is
 checked in the tests (acceptance criterion 05), with kron-built
 operators, on a battery of product states and separable mixtures.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import (BellLabel, Choice, FourModeState, NumericError, TruncationMassError, _log_q,
+from .states import (BellLabel, Choice, FourModeState, NumericError, TruncationMassError,
                      build_bell_state)
 from .stokes import expectation, variance_of_combination
 
@@ -98,13 +99,15 @@ def witness_term_coeffs(kind: WitnessKind) -> list[dict]:
 
 
 def evaluate_witness(kind: WitnessKind, state: FourModeState) -> WitnessReport:
-    """Exact witness value on a truncated state, at the state's own cutoff.
+    """Exact witness value on a state, untruncated or at its own cutoff.
 
     Evaluated in O(1) in any polarization frame (see the stokes module
     docstring).  Refuses (raises
-    :class:`TruncationMassError`) when the state keeps more than
+    :class:`TruncationMassError`) when a truncated state keeps more than
     ``EDGE_MASS_TOL`` of its mass within two photons of the cutoff --
-    variances would then be truncation artifacts rather than physics.
+    variances would then be truncation artifacts rather than physics --
+    and a value past the float range (:class:`NumericError`): a mismatched
+    witness, 16 N0^2 + 8 N0, overflows near gamma 177.4.
     """
     kind = WitnessKind(kind)
     mass = state.edge_mass()
@@ -113,6 +116,8 @@ def evaluate_witness(kind: WitnessKind, state: FourModeState) -> WitnessReport:
     terms = tuple(variance_of_combination(c, state) for c in witness_term_coeffs(kind))
     mean_s0 = expectation(_S0_TOTAL, state)
     value = float(sum(terms) - 2.0 * mean_s0)
+    if not math.isfinite(value):
+        raise NumericError(f"{kind.value} at gamma={state.gamma!r} overflows a double")
     return WitnessReport(
         kind=kind, value=value, variance_terms=terms, mean_s0=mean_s0,
         meta={"gamma": state.gamma, "cutoff": state.n_max, "edge_mass": mass,
@@ -121,42 +126,19 @@ def evaluate_witness(kind: WitnessKind, state: FourModeState) -> WitnessReport:
     )
 
 
-def cutoff_for_edge_mass(gamma: float) -> int:
-    """A per-mode cutoff that passes the witness edge-mass gate: sufficient,
-    not the smallest.
-
-    For the untruncated geometric spectrum the mass with either Schmidt
-    index at ``n - 1`` or above is ``1 - (1 - q^{n-1})^2`` with
-    ``q = tanh(gamma)^2``.  It falls below ``tol = EDGE_MASS_TOL`` exactly
-    when ``q^{n-1} < tol / (1 + sqrt(1 - tol))``, so the smallest such
-    ``n >= 2`` is read off ``_log_q`` (past gamma ~ 15 the rounding of q would
-    dominate ``ln q``), plus two levels; past 2^53 (gamma ~ 17.5) it stays an int.
-    The gate itself weighs the kept, renormalized state, whose edge mass
-    is smaller, so the result overshoots the smallest passing cutoff: 47
-    against 44 at gamma = 1, 2,396 against 1,997 at gamma = 3 and 965,099
-    against 561,441 at gamma = 6.
-    """
-    log_q = _log_q(gamma)  # refuses a gain that is negative or not finite
-    if math.tanh(gamma) ** 2 == 1.0:
-        raise NumericError(f"tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff")
-    bound = math.log(EDGE_MASS_TOL / (1.0 + math.sqrt(1.0 - EDGE_MASS_TOL))) / log_q
-    return max(2, math.floor(bound) + 2) + 2
-
-
 # -- cross-witness table ------------------------------------------------------
 
 
 def cross_witness_matrix(
     gamma: float, n_max: int | None = None
 ) -> tuple[np.ndarray, list[WitnessKind], list[BellLabel]]:
-    """All four witnesses on all four Bell states at one gain.
+    """All four witnesses on all four Bell states at one gain, untruncated
+    or at the cutoff ``n_max``.
 
     Returns (matrix, row_kinds, col_labels); rows are witness kinds,
     columns states.  The diagonal (matched pairs) is ``-2<S_0>``,
     negative for any gamma > 0.
     """
-    if n_max is None:
-        n_max = cutoff_for_edge_mass(gamma)
     kinds = list(WitnessKind)
     labels = [k.matched_state for k in kinds]
     out = np.empty((4, 4))

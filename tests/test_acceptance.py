@@ -47,7 +47,6 @@ from macrobell.truncation import (
 from macrobell.witnesses import (
     WitnessKind,
     cross_witness_matrix,
-    cutoff_for_edge_mass,
     evaluate_witness,
     witness_term_coeffs,
 )
@@ -106,17 +105,17 @@ def test_criterion_03_log_negativity_linearity():
 
 def test_criterion_04_matched_witness_saturation():
     # every matched witness saturates: variance terms vanish and the value
-    # is -2 <S_0>; the 4x4 cross table keeps its diagonal strictly negative
+    # is -2 <S_0> = -8 N0 on the untruncated state; the 4x4 cross table keeps
+    # its diagonal strictly negative
     gamma = 0.5
-    n_max = cutoff_for_edge_mass(gamma)
     for label in BellLabel:
-        state = build_bell_state(label, gamma, n_max)
-        rep = evaluate_witness(matched_witness(label), state)
+        rep = evaluate_witness(matched_witness(label), build_bell_state(label, gamma))
         worst = max(abs(t) for t in rep.variance_terms)
         print(f"{label.value}: max variance term {worst:.2e}, "
               f"value {rep.value:.10f}, -2<S0> {-2 * rep.mean_s0:.10f}")
-        assert worst <= 1e-9
-        assert rep.value == pytest.approx(-2.0 * rep.mean_s0, rel=1e-8)
+        assert worst == 0.0
+        assert rep.value == -2.0 * rep.mean_s0
+        assert rep.value == pytest.approx(-8.0 * mean_photons_per_mode(gamma), rel=1e-15)
         assert rep.value < 0.0
     mat, kinds, labels = cross_witness_matrix(gamma)
     print("cross-witness diagonal:", np.diag(mat))
@@ -209,11 +208,10 @@ def test_criterion_09_ideal_simulation_statistics():
     cfg = SimConfig(label="psi-plus", gamma=1.0, pulses=100_000, seed=42)
     rep = estimate_witness(cfg)
     assert rep.variance_terms == (0.0, 0.0, 0.0)
-    n_max = cutoff_for_edge_mass(1.0)
-    exact = evaluate_witness(WitnessKind.W_T1, build_bell_state(BellLabel.PSI_PLUS, 1.0, n_max))
+    exact = evaluate_witness(WitnessKind.W_T1, build_bell_state(BellLabel.PSI_PLUS, 1.0))
     z = abs(rep.value - exact.value) / rep.value_error
     print(f"sampled {rep.value:.6f} +- {rep.value_error:.6f}, "
-          f"exact {exact.value:.6f} at cutoff {n_max}, z = {z:.2f}")
+          f"exact {exact.value:.6f}, z = {z:.2f}")
     assert z <= 3.0
 
     counts = oracles._sample_series_counts(cfg, "cross", series=0, run=0)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from macrobell.simulate import (
 )
 from macrobell.states import BellLabel, InputError, build_bell_state
 from macrobell.truncation import dimension_scan
-from macrobell.witnesses import WitnessKind, cross_witness_matrix, cutoff_for_edge_mass, evaluate_witness
+from macrobell.witnesses import WitnessKind, cross_witness_matrix, evaluate_witness
 
 
 def _read_csv(path):
@@ -75,11 +76,10 @@ def test_witness_exact_matches_library():
     rows = _read_csv("w.csv")
     assert len(rows) == 1
     row = rows[0]
-    n_max = cutoff_for_edge_mass(0.4)
-    rep = evaluate_witness(WitnessKind.W_S, build_bell_state(BellLabel.PSI_PLUS, 0.4, n_max))
+    rep = evaluate_witness(WitnessKind.W_S, build_bell_state(BellLabel.PSI_PLUS, 0.4))
     assert row["mode"] == "exact"
     assert row["witness"] == "W_S" and row["state"] == "psi-plus"
-    assert int(row["cutoff"]) == n_max
+    assert row["cutoff"] == ""  # untruncated
     assert row["pulses"] == "" and row["value_error"] == ""
     # 17-significant-digit CSV floats round-trip doubles exactly
     assert float(row["value"]) == rep.value
@@ -539,16 +539,35 @@ def _refusals(command):
             yield [command, cli._flag(o.name) + "=--"]
 
 
-def _perfbench_argv():
-    """The command lines of one pass of every benchmark workload, traced."""
+def _perfbench():
+    """The benchmark's ``perfbench/run.py``, imported as it imports itself."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
         import run
     finally:
         sys.path.pop(0)
+    return run
+
+
+def _perfbench_argv():
+    """The command lines of one pass of every benchmark workload, traced."""
+    run = _perfbench()
     ctx = run.Context(rng=random.Random(0), states=list(run.STATES), workers=2, trace=True)
     return [inv.argv + ["--out", "out.csv"] for steps in run.WORKLOADS.values()
             for build in steps for inv in build(ctx, 0).invocations]
+
+
+@pytest.mark.parametrize("workload", ["exact-witness", "closed-forms"])
+def test_benchmark_traced_pass_reports_no_problem(workload, tmp_path):
+    # one pass of the workload as the benchmark traces it: each invocation in
+    # a fresh interpreter under perfbench/tracer.py, whose hooks read the
+    # library's results, and each output checked against the paper's laws
+    run = _perfbench()
+    ctx = run.Context(rng=random.Random(1), states=list(run.STATES), workers=1, trace=True)
+    for i, build in enumerate(run.WORKLOADS[workload]):
+        for j, inv in enumerate(build(ctx, 0).invocations):
+            record = run.run_invocation(inv, tmp_path / f"{i}-{j}", traced=True)
+            assert record["problems"] == [] and "layers" in record, (inv.argv, record)
 
 
 def test_plain_lines_build_no_parser(monkeypatch):
@@ -630,16 +649,16 @@ def _paper_table(command, path):
 @pytest.mark.parametrize("argv", _HUGE_CUTOFF,
                          ids=lambda argv: " ".join(argv).replace(str(10**200), "10**200"))
 def test_huge_cutoff_is_answered(argv):
-    # past 10^12 the table stays the 10^12 one, and the gated default run is
-    # within the edge-mass tolerance of it
+    # past 10^12 the table stays the 10^12 one, and the untruncated default
+    # run is the limit of both
     assert cli.main(argv + ["--out", "big.csv"]) == 0
     assert cli.main(argv[:-1] + ["1000000000000", "--out", "ref.csv"]) == 0
-    assert cli.main(argv[:-2] + ["--out", "gated.csv"]) == 0
+    assert cli.main(argv[:-2] + ["--out", "default.csv"]) == 0
     big, rel = _paper_table(argv[0], "big.csv")
     assert np.all(np.abs(rel) <= 1e-13)
-    ref, gated = _paper_table(argv[0], "ref.csv")[0], _paper_table(argv[0], "gated.csv")[0]
+    ref, default = _paper_table(argv[0], "ref.csv")[0], _paper_table(argv[0], "default.csv")[0]
     assert np.all(np.abs(big / ref - 1.0) <= 1e-13)
-    assert np.all(np.abs(gated / big - 1.0) <= 1e-10)
+    assert np.all(np.abs(default / big - 1.0) <= 1e-13)
     manifest = _read_manifest("big.csv.manifest.json")
     assert manifest["cutoff"] == int(argv[-1]) and manifest["edge_mass"] == 0.0
 
@@ -773,13 +792,13 @@ def test_tiny_gain_is_closed_form_or_named_refusal(n0, measures_code, capsys):
 
 
 def test_witness_reaches_macroscopic_gain():
-    # gamma = 3 (N0 = 100) and gamma = 6 (N0 = 4.1e4) run in closed form
-    for gamma, cutoff in (("3", 2396), ("6", 965_099)):
+    # gamma = 3 (N0 = 100) and gamma = 6 (N0 = 4.1e4) run in closed form, untruncated
+    for gamma in ("3", "6"):
         assert cli.main(["witness", "--gamma", gamma, "--out", "w.csv"]) == 0
         row = _read_csv("w.csv")[0]
         n0 = math.sinh(float(gamma)) ** 2
-        assert int(row["cutoff"]) == cutoff
-        assert abs(float(row["value"]) / (-8.0 * n0) - 1.0) <= 1e-8
+        assert row["cutoff"] == ""
+        assert abs(float(row["value"]) / (-8.0 * n0) - 1.0) <= 1e-15
     # the full 4x4 table at gamma = 6: -8 N0 on the diagonal, 16 N0^2 + 8 N0 off it
     assert cli.main(["crosswitness", "--gamma", "6", "--out", "x.csv"]) == 0
     n0 = math.sinh(6.0) ** 2
@@ -787,37 +806,47 @@ def test_witness_reaches_macroscopic_gain():
     got = np.array([[float(v) for k, v in r.items() if k != "witness"] for r in rows])
     diag = np.diag(got)
     off = got[~np.eye(4, dtype=bool)]
-    assert np.all(np.abs(diag / (-8.0 * n0) - 1.0) <= 1e-8)
-    assert np.all(np.abs(off / (16.0 * n0 * n0 + 8.0 * n0) - 1.0) <= 1e-7)
+    assert np.all(np.abs(diag / (-8.0 * n0) - 1.0) <= 1e-15)
+    assert np.all(np.abs(off / (16.0 * n0 * n0 + 8.0 * n0) - 1.0) <= 1e-15)
 
 
 @pytest.mark.parametrize("gamma", [6.0, 10.0, 15.0, 17.0, 17.5, 18.5, 19.0, 19.05, 19.1, 25.0])
-def test_witnesses_in_closed_form_up_to_the_tanh_limit(gamma, capsys):
-    # cutoffs 9.7e5 to 2.1e17 (exact ints past 2^53), N0 up to 8.8e15: -8 N0
-    # on the diagonal and 16 N0^2 + 8 N0 off it.  The gated truncation
-    # itself moves the values by 1.19e-9 (diagonal) and 1.53e-8 (the psi/phi
-    # cross pairs), as it does at gamma = 3, where the factor-array route
-    # gives the same gaps.  Past the gain where tanh(gamma)^2 rounds to 1
-    # (about 19.06) the run is refused in one line that says why.
+def test_witnesses_in_closed_form_up_to_the_tanh_limit(gamma):
+    # N0 up to 1.3e21: -8 N0 on the diagonal and 16 N0^2 + 8 N0 off it, to
+    # 1e-15, on the untruncated states, also past the gain where
+    # tanh(gamma)^2 rounds to 1 (about 19.06), which no cutoff reaches
     n0 = math.sinh(gamma) ** 2
-    code = cli.main(["crosswitness", "--gamma", str(gamma), "--out", "x.csv"])
-    err = capsys.readouterr().err
-    if gamma > 19.06:
-        assert code == 3
-        assert err == f"error: tanh(gamma)^2 rounds to 1 at gamma={gamma}: no finite cutoff\n"
-        return
-    assert code == 0
+    assert cli.main(["crosswitness", "--gamma", str(gamma), "--out", "x.csv"]) == 0
     got = np.array([[float(v) for k, v in r.items() if k != "witness"]
                     for r in _read_csv("x.csv")])
-    assert np.all(np.abs(np.diag(got) / (-8.0 * n0) - 1.0) <= 1e-8)
-    assert np.all(np.abs(got[~np.eye(4, dtype=bool)] / (16.0 * n0 * n0 + 8.0 * n0) - 1.0) <= 2e-8)
-    assert json.loads(Path("x.csv.manifest.json").read_text())["cutoff"] == cutoff_for_edge_mass(gamma)
+    assert np.all(np.abs(np.diag(got) / (-8.0 * n0) - 1.0) <= 1e-15)
+    assert np.all(np.abs(got[~np.eye(4, dtype=bool)] / (16.0 * n0 * n0 + 8.0 * n0) - 1.0)
+                  <= 1e-15)
+    manifest = json.loads(Path("x.csv.manifest.json").read_text())
+    assert manifest["cutoff"] is None and manifest["edge_mass"] == 0.0
     for label in BellLabel:
         assert cli.main(["witness", "--gamma", str(gamma), "--state", label.value,
                          "--out", "w.csv"]) == 0
         row = _read_csv("w.csv")[0]
-        assert int(row["cutoff"]) == cutoff_for_edge_mass(gamma)
-        assert abs(float(row["value"]) / (-8.0 * n0) - 1.0) <= 1e-8
+        assert row["cutoff"] == ""
+        assert abs(float(row["value"]) / (-8.0 * n0) - 1.0) <= 1e-15
+
+
+def test_witness_past_the_tanh_limit_and_refusal_past_the_float_range(capsys):
+    # gamma = 30 answers -8 N0; at gamma = 200, 16 N0^2 overflows a double
+    # and the table is refused in one line naming the gain, with no CSV
+    assert cli.main(["witness", "--gamma", "30", "--out", "w.csv"]) == 0
+    value = float(_read_csv("w.csv")[0]["value"])
+    assert value == pytest.approx(-2.2840147796313688e+26, rel=1e-15)
+    capsys.readouterr()
+    assert cli.main(["crosswitness", "--gamma", "200", "--out", "x.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: W_T1 at gamma=200.0 overflows a double\n"
+    assert not os.path.exists("x.csv")
+    # N0 itself overflows past gamma ~ 355
+    assert cli.main(["witness", "--gamma", "360", "--out", "w.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: N0 = sinh(gamma)^2 overflows a double at gamma=360.0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -827,16 +856,18 @@ def test_witnesses_in_closed_form_up_to_the_tanh_limit(gamma, capsys):
     ["crosswitness", "--gamma", "0.7", "--cutoff", "60"],
 ], ids=" ".join)
 def test_exact_manifest_records_cutoff_and_edge_mass(argv):
+    # without --cutoff the state is untruncated: cutoff null, edge mass 0
     assert cli.main(argv + ["--out", "e.csv"]) == 0
     csv_bytes = Path("e.csv").read_bytes()
     manifest = _read_manifest("e.csv.manifest.json")
     gamma = manifest["config"]["gamma"] if argv[1:3] != ["--state", "vacuum"] else 0.0
-    cutoff = manifest["config"]["cutoff"] or cutoff_for_edge_mass(gamma)
+    cutoff = manifest["config"]["cutoff"]
     assert manifest["cutoff"] == cutoff
     assert manifest["edge_mass"] == build_bell_state(BellLabel.PSI_MINUS, gamma, cutoff).edge_mass()
+    assert (manifest["edge_mass"] == 0.0) == (cutoff is None)
     assert 0.0 <= manifest["edge_mass"] <= 1e-10
     if argv[0] == "witness":
-        assert int(_read_csv("e.csv")[0]["cutoff"]) == cutoff
+        assert _read_csv("e.csv")[0]["cutoff"] == ("" if cutoff is None else str(cutoff))
     # the manifest still reproduces the run byte for byte
     assert cli.run_from_manifest("e.csv.manifest.json") == 0
     assert Path("e.csv").read_bytes() == csv_bytes
@@ -849,13 +880,13 @@ def test_exact_manifest_records_cutoff_and_edge_mass(argv):
     ["crosswitness", "--gamma", "0"],
 ], ids=" ".join)
 def test_zero_gain_cutoff_is_the_same_for_every_command(argv):
-    # cutoff_for_edge_mass decides the zero-gain cutoff (2 plus two levels) for all;
+    # no command truncates at zero gain (or any gain) without --cutoff;
     # every value stays 0
     assert cli.main(argv + ["--out", "z.csv"]) == 0
-    assert json.loads(Path("z.csv.manifest.json").read_text())["cutoff"] == 4
+    assert json.loads(Path("z.csv.manifest.json").read_text())["cutoff"] is None
     rows = _read_csv("z.csv")
     if argv[0] == "witness":
-        assert int(rows[0]["cutoff"]) == 4
+        assert rows[0]["cutoff"] == ""
         assert float(rows[0]["value"]) == 0.0
     else:
         assert all(float(v) == 0.0 for r in rows for k, v in r.items() if k != "witness")
@@ -884,37 +915,30 @@ def test_crosswitness_table():
 
 _WITNESS_HEADER = ("mode,witness,state,gamma,cutoff,eta,pulses,seed,value,value_error,"
                    "var_1,var_2,var_3,var_err_1,var_err_2,var_err_3,mean_s0\n")
-#: the CSV text each exact-route command wrote, recorded before the Bell states
-#: became one closed form seen through beam-b frames
+#: the CSV text each exact-route command writes, untruncated, re-recorded when
+#: the default route stopped truncating at a gated cutoff
 _EXACT_PINS = [
-    (["witness", "--state", "psi-plus", "--gamma", "0.8"], _WITNESS_HEADER +
-     "exact,W_T1,psi-plus,0.80000000000000004,32,1,,,-6.309857884293935,,0,0,0,,,,"
-     "3.1549289421469675\n"),
-    (["witness", "--state", "psi-minus", "--gamma", "0.8"], _WITNESS_HEADER +
-     "exact,W_S,psi-minus,0.80000000000000004,32,1,,,-6.309857884293935,,0,0,0,,,,"
-     "3.1549289421469675\n"),
-    (["witness", "--state", "phi-plus", "--gamma", "0.8"], _WITNESS_HEADER +
-     "exact,W_T2,phi-plus,0.80000000000000004,32,1,,,-6.309857884293935,,0,0,0,,,,"
-     "3.1549289421469675\n"),
-    (["witness", "--state", "phi-minus", "--gamma", "0.8"], _WITNESS_HEADER +
-     "exact,W_T3,phi-minus,0.80000000000000004,32,1,,,-6.309857884293935,,0,0,0,,,,"
-     "3.1549289421469675\n"),
+    *[(["witness", "--state", state, "--gamma", "0.8"], _WITNESS_HEADER +
+       f"exact,{kind},{state},0.80000000000000004,,1,,,-6.3098578847795412,,0,0,0,,,,"
+       "3.1549289423897706\n")
+      for kind, state in (("W_T1", "psi-plus"), ("W_S", "psi-minus"), ("W_T2", "phi-plus"),
+                          ("W_T3", "phi-minus"))],
     (["crosswitness", "--gamma", "0.5"],
      "witness,psi-minus,psi-plus,phi-plus,phi-minus\n"
-     "W_S,-2.1723225392547487,3.3520688428808461,3.3520688427721606,3.3520688427721606\n"
-     "W_T1,3.3520688428808461,-2.1723225392547487,3.3520688427721606,3.3520688427721606\n"
-     "W_T2,3.3520688427721606,3.3520688427721606,-2.1723225392547487,3.3520688428808461\n"
-     "W_T3,3.3520688427721606,3.3520688427721606,3.3520688428808461,-2.1723225392547487\n"),
+     "W_S,-2.1723225392609753,3.3520688429062884,3.3520688429062884,3.3520688429062884\n"
+     "W_T1,3.3520688429062884,-2.1723225392609753,3.3520688429062884,3.3520688429062884\n"
+     "W_T2,3.3520688429062884,3.3520688429062884,-2.1723225392609753,3.3520688429062884\n"
+     "W_T3,3.3520688429062884,3.3520688429062884,3.3520688429062884,-2.1723225392609753\n"),
     (["crosswitness", "--gamma", "17"],
      "witness,psi-minus,psi-plus,phi-plus,phi-minus\n"
-     "W_S,-1166923483670993.2,3.4042760418571286e+29,3.4042759980140627e+29,"
-     "3.4042759980140627e+29\n"
-     "W_T1,3.4042760418571286e+29,-1166923483670993.2,3.4042759980140627e+29,"
-     "3.4042759980140627e+29\n"
-     "W_T2,3.4042759980140627e+29,3.4042759980140627e+29,-1166923483670993.2,"
-     "3.4042760418571286e+29\n"
-     "W_T3,3.4042759980140627e+29,3.4042759980140627e+29,3.4042760418571286e+29,"
-     "-1166923483670993.2\n"),
+     "W_S,-1166923485054905.8,3.4042760499317288e+29,3.4042760499317288e+29,"
+     "3.4042760499317288e+29\n"
+     "W_T1,3.4042760499317288e+29,-1166923485054905.8,3.4042760499317288e+29,"
+     "3.4042760499317288e+29\n"
+     "W_T2,3.4042760499317288e+29,3.4042760499317288e+29,-1166923485054905.8,"
+     "3.4042760499317288e+29\n"
+     "W_T3,3.4042760499317288e+29,3.4042760499317288e+29,3.4042760499317288e+29,"
+     "-1166923485054905.8\n"),
 ]
 
 
@@ -944,6 +968,40 @@ def test_exact_route_bytes_are_pinned(argv, texts, capsys):
         else:
             with open(name, newline="") as fh:
                 assert fh.read() == text, name
+
+
+def _without_duration(text):
+    return re.sub(r'\n  "duration_s": [^\n]*', "", text)
+
+
+#: exact runs at a cutoff, whose CSV, manifest and stdout under ``--out e.csv``
+#: sit in ``tests/pins``, recorded when a run without --cutoff still truncated
+_CUTOFF_PINS = [(["witness", "--gamma", "0.8", "--cutoff", "32"], "witness-cutoff"),
+                (["crosswitness", "--gamma", "0.5", "--cutoff", "19"], "crosswitness-cutoff")]
+
+
+@pytest.mark.parametrize("argv, folder", _CUTOFF_PINS, ids=[f for _, f in _CUTOFF_PINS])
+def test_cutoff_runs_keep_their_bytes(argv, folder, capsys):
+    # --cutoff truncates as it did, byte for byte apart from the run's duration
+    pins = _PIN_DIR / folder
+    assert cli.main(argv + ["--out", "e.csv"]) == 0
+    assert capsys.readouterr().out == (pins / "stdout.txt").read_text()
+    assert Path("e.csv").read_bytes() == (pins / "e.csv").read_bytes()
+    assert (_without_duration(Path("e.csv.manifest.json").read_text())
+            == _without_duration((pins / "e.csv.manifest.json").read_text()))
+
+
+@pytest.mark.parametrize("folder", ["witness-default", "crosswitness-default"])
+def test_manifests_of_gated_default_runs_rerun_to_their_bytes(folder):
+    # a run without --cutoff once truncated at a gated cutoff, which its
+    # manifest records at the top level: the re-run asks for that cutoff
+    pins = _PIN_DIR / folder
+    Path("old.manifest.json").write_bytes((pins / "e.csv.manifest.json").read_bytes())
+    assert cli.run_from_manifest("old.manifest.json") == 0
+    assert Path("e.csv").read_bytes() == (pins / "e.csv").read_bytes()
+    manifest = _read_manifest("e.csv.manifest.json")
+    assert manifest["config"]["cutoff"] == manifest["cutoff"] == json.loads(
+        (pins / "e.csv.manifest.json").read_text())["cutoff"]
 
 
 # -- fedorov ----------------------------------------------------------------------
@@ -1098,7 +1156,8 @@ _OLDER_MANIFESTS = [
                  "state": "psi-minus", "witness": None, "workers": 1},
      "mode,witness,state,gamma,cutoff,eta,pulses,seed,value,value_error,var_1,var_2,var_3,"
      "var_err_1,var_err_2,var_err_3,mean_s0\n"
-     "exact,W_S,psi-minus,0.5,19,1,,,-2.1723225392547487,,0,0,0,,,,1.0861612696273744\n", {}),
+     "exact,W_S,psi-minus,0.5,19,1,,,-2.1723225392547487,,0,0,0,,,,1.0861612696273744\n",
+     {"cutoff": 19}),
     ("witness", {"bin_width": 200, "cutoff": None, "eta": 0.9, "gamma": 0.5, "out": "s.csv",
                  "pulse_log": "p.ndjson", "pulses": 300, "seed": 7, "simulate": True,
                  "state": "psi-minus", "witness": None, "workers": 1},
@@ -1164,8 +1223,11 @@ _OLDER_MANIFESTS = [
                  "witness": None, "workers": 1},
      "mode,witness,state,gamma,cutoff,eta,pulses,seed,value,value_error,var_1,var_2,var_3,"
      "var_err_1,var_err_2,var_err_3,mean_s0\n"
-     "exact,W_S,vacuum,0,4,1,,,0,,0,0,0,,,,0\n", {"gamma": 0.5}),
+     "exact,W_S,vacuum,0,4,1,,,0,,0,0,0,,,,0\n", {"gamma": 0.5, "cutoff": 4}),
 ]
+#: the top-level cutoff an exact witness manifest of that format records: the
+#: gated cutoff the run picked without --cutoff
+_OLDER_CUTOFFS = {"w.csv": 19, "v.csv": 4}
 #: SHA-256 of the pulse log the sampled witness above wrote
 _OLDER_PULSE_LOG_SHA256 = "264c13d569ad71c9df3a85dce179e85f71b737a6406ed41bde5a85e4b82b4e33"
 
@@ -1174,8 +1236,11 @@ _OLDER_PULSE_LOG_SHA256 = "264c13d569ad71c9df3a85dce179e85f71b737a6406ed41bde5a8
                          ids=[f"{c}-{cfg['out']}" for c, cfg, _, _ in _OLDER_MANIFESTS])
 def test_older_manifests_rerun_to_the_same_bytes(command, config, csv_text, rerun):
     # the retired keys are dropped on re-run; every other key is read as before
+    doc = {"command": command, "config": config, "seed": config.get("seed")}
+    if config["out"] in _OLDER_CUTOFFS:
+        doc["cutoff"] = _OLDER_CUTOFFS[config["out"]]
     with open("old.manifest.json", "w") as fh:
-        json.dump({"command": command, "config": config, "seed": config.get("seed")}, fh)
+        json.dump(doc, fh)
     assert cli.run_from_manifest("old.manifest.json") == 0
     with open(config["out"], newline="") as fh:
         assert fh.read() == csv_text

@@ -220,14 +220,19 @@ def test_cli_runs_without_scipy(argv, tmp_path, no_scipy_env):
 
 def test_readme_quick_start_runs(tmp_path, no_scipy_env):
     # the README's Python block, run as written with numpy alone: the
-    # witness at gamma = 0.5 and the gamma = 17 cutoff and witness it prints
+    # untruncated witness at gamma = 0.5 and 30, and the one at cutoff 19
     text = (ROOT / "README.md").read_text()
     block = re.search(r"## Library quick start\n+```python\n(.*?)```", text, re.S).group(1)
     proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, capture_output=True,
                           text=True, env=no_scipy_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    small, big = proc.stdout.split("\n")[:2]
-    assert float(small) == pytest.approx(-8.0 * math.sinh(0.5) ** 2, rel=1e-10)
-    cutoff, value = big.split()
-    assert int(cutoff) == 3459781992135850
-    assert float(value) == pytest.approx(-8.0 * math.sinh(17.0) ** 2, rel=1e-8)
+    small, big, cut = proc.stdout.split("\n")[:3]
+    assert float(small) == pytest.approx(-8.0 * math.sinh(0.5) ** 2, rel=1e-15)
+    assert float(big) == pytest.approx(-8.0 * math.sinh(30.0) ** 2, rel=1e-15)
+    cutoff, value = cut.split()
+    assert int(cutoff) == 19
+    assert float(value) == pytest.approx(-8.0 * math.sinh(0.5) ** 2, rel=1e-11)
+    # each printed value is the one its comment gives
+    for line, printed in zip(re.findall(r"# .*?(-?[0-9.]+(?:e[+-][0-9]+)?)$", block, re.M)[-3:],
+                             (small, big, value)):
+        assert float(line) == float(printed)

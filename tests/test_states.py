@@ -29,6 +29,8 @@ from macrobell.polarization import (
     pi_phase_on_bh,
     quarter_wave_plate,
 )
+from macrobell.measures import fedorov_ratio, kbar
+from macrobell.simulate import witness_under_loss
 from macrobell.witnesses import WitnessKind, evaluate_witness, matched_witness
 
 from oracles import (
@@ -317,6 +319,41 @@ def test_storage_validation():
     # past gamma of about 372, ln tanh(gamma)^2 itself rounds to 0
     with pytest.raises(NumericError, match="rounds to 0"):
         build_bell_state(BellLabel.PSI_MINUS, 400.0, 4)
+    with pytest.raises(NumericError, match="rounds to 0"):
+        build_bell_state(BellLabel.PSI_MINUS, 400.0)
+
+
+def test_untruncated_state():
+    # no cutoff: norm 1, edge mass 0 and the thermal law's moments N0,
+    # N0 (N0 + 1) and N0 + 1, also where q underflows (gamma 1e-160) and
+    # where N0 (N0 + 1) overflows (gamma 300)
+    for gamma in (0.0, 1e-160, 1e-3, 0.5, 30.0, 300.0):
+        st = FourModeState(gamma, None, BellLabel.PSI_MINUS)
+        n0 = mean_photons_per_mode(gamma)
+        assert st == build_bell_state(BellLabel.PSI_MINUS, gamma)
+        assert st == FourModeState(gamma, label="psi-minus")
+        assert st.n_max is None and st.norm_sq() == 1.0 and st.edge_mass() == 0.0
+        assert st.photon_moments() == (n0, n0 * (n0 + 1.0), n0 + 1.0)
+    assert st != build_bell_state(BellLabel.PSI_MINUS, 300.0, 10**300)  # a cutoff, however large
+    # they are the limit of the truncated ones
+    n0 = mean_photons_per_mode(0.5)
+    truncated = build_bell_state(BellLabel.PSI_MINUS, 0.5, 10**12).photon_moments()
+    for got, want in zip(truncated, (n0, n0 * (n0 + 1.0), n0 + 1.0)):
+        assert got == pytest.approx(want, rel=1e-14)
+    # a frame keeps the state untruncated
+    out = apply_transform(build_bell_state(BellLabel.PSI_PLUS, 0.5), quarter_wave_plate(45.0))
+    assert out.n_max is None and identify_bell_state(out) is BellLabel.PHI_PLUS
+
+
+def test_gains_past_the_double_range_are_refused_by_name():
+    # N0 = sinh(gamma)^2 overflows a double near gamma 355: every quantity
+    # that reads it refuses the gain by name rather than a bare OverflowError
+    message = r"N0 = sinh\(gamma\)\^2 overflows a double at gamma=400.0"
+    for call in (lambda: mean_photons_per_mode(400.0), lambda: kbar(400.0),
+                 lambda: fedorov_ratio(400.0), lambda: witness_under_loss(400.0, 0.5)):
+        with pytest.raises(NumericError, match=message):
+            call()
+    assert math.isfinite(mean_photons_per_mode(355.0))
 
 
 # -- sectors -----------------------------------------------------------------------

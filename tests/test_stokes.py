@@ -17,11 +17,12 @@ from macrobell.stokes import (_closed_form_moments, _through_frame, expectation,
                               variance_of_combination)
 
 from macrobell.polarization import apply_transform, retarder_jones
-from macrobell.witnesses import (WitnessKind, cross_witness_matrix, cutoff_for_edge_mass,
-                                 evaluate_witness, witness_term_coeffs)
+from macrobell.witnesses import (WitnessKind, cross_witness_matrix, evaluate_witness,
+                                 witness_term_coeffs)
 
 from oracles import (
     _table_moments,
+    cutoff_for_edge_mass,
     factored_moments,
     framed_moments,
     interior_mask,
@@ -238,8 +239,7 @@ def test_labelled_states_never_rotate_a_frame(monkeypatch):
         raise AssertionError("a labelled state took the frame rotation")
 
     monkeypatch.setattr(stokes, "_through_frame", refuse)
-    for gamma in (0.0, 0.5, 2.5):
-        n_max = cutoff_for_edge_mass(gamma)
+    for gamma, n_max in ((0.0, None), (0.5, None), (2.5, None), (0.5, 19)):
         for label in BellLabel:
             state = build_bell_state(label, gamma, n_max)
             for kind in WitnessKind:

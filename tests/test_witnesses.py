@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 from macrobell.states import (
     BellLabel,
-    InputError,
     NumericError,
     TruncationMassError,
     build_bell_state,
@@ -16,12 +16,11 @@ from macrobell.witnesses import (
     EDGE_MASS_TOL,
     WitnessKind,
     cross_witness_matrix,
-    cutoff_for_edge_mass,
     evaluate_witness,
     witness_term_coeffs,
 )
 
-from oracles import edge_mass_cutoff, recomputed_value
+from oracles import cutoff_for_edge_mass, recomputed_value
 
 #: frozen references at gamma = 0.5, per-mode cutoff 15, from an independent
 #: kron-ladder evaluation (matvec moments only)
@@ -56,16 +55,15 @@ def test_term_coeff_maps():
 
 def test_matched_pairs_saturate():
     gamma = 0.5
-    n_max = cutoff_for_edge_mass(gamma)
     for kind in WitnessKind:
-        state = build_bell_state(kind.matched_state, gamma, n_max)
-        rep = evaluate_witness(kind, state)
-        assert max(rep.variance_terms) <= 1e-9
-        assert rep.value == pytest.approx(-2.0 * rep.mean_s0, rel=1e-12)
+        rep = evaluate_witness(kind, build_bell_state(kind.matched_state, gamma))
+        assert rep.variance_terms == (0.0, 0.0, 0.0)
+        assert rep.value == -2.0 * rep.mean_s0
         assert rep.value == pytest.approx(recomputed_value(rep), abs=1e-12)
         assert rep.value < 0.0
-        # -2<S_0> = -8 N0 up to truncation
-        assert rep.value == pytest.approx(-8.0 * mean_photons_per_mode(gamma), rel=1e-7)
+        # -2<S_0> = -8 N0 on the untruncated state
+        assert rep.value == pytest.approx(-8.0 * mean_photons_per_mode(gamma), rel=1e-15)
+        assert rep.meta["cutoff"] is None and rep.meta["edge_mass"] == 0.0
 
 
 def test_golden_values_at_fixed_cutoff():
@@ -106,19 +104,6 @@ def test_cutoff_for_edge_mass_passes_gate():
         assert cutoff_for_edge_mass(gamma) == 4
 
 
-def test_cutoff_for_edge_mass_closed_form_matches_loop():
-    gains = np.concatenate([np.linspace(1e-4, 2.0, 4000), [1e-9, 0.5, 1.0, 3.0]])
-    for gamma in gains:
-        assert cutoff_for_edge_mass(gamma) == edge_mass_cutoff(gamma), gamma
-    assert cutoff_for_edge_mass(3.0) == 2396
-    with pytest.raises(InputError):
-        cutoff_for_edge_mass(float("nan"))
-    with pytest.raises(InputError):
-        cutoff_for_edge_mass(-1.0)
-    with pytest.raises(NumericError):
-        cutoff_for_edge_mass(25.0)  # tanh(25)^2 == 1 in double precision
-
-
 def test_cutoff_for_edge_mass_reads_log_q_not_rounded_q():
     # on a 1e-4 grid over (0, 3] the cutoff is the one math.log of the
     # rounded tanh(gamma)^2 gives; past gamma of about 15 that rounding
@@ -142,7 +127,7 @@ def test_cutoff_for_edge_mass_reads_log_q_not_rounded_q():
 
 
 def test_cross_witness_matrix_allocates_nothing():
-    # gamma = 10 gates at cutoff 2.7e9; the closed form holds O(1) numbers
+    # gamma = 10 has N0 = 1.2e8; the closed form holds O(1) numbers
     import tracemalloc
 
     cross_witness_matrix(10.0)  # first call: imports and caches outside the guard
@@ -162,9 +147,48 @@ def test_cross_witness_matrix_structure():
     for i in range(4):
         for j in range(4):
             if i == j:
-                assert mat[i, j] == pytest.approx(-8.0 * n0, rel=1e-7)
+                assert mat[i, j] == pytest.approx(-8.0 * n0, rel=1e-15)
             else:
-                assert mat[i, j] == pytest.approx(16.0 * n0 * n0 + 8.0 * n0, rel=1e-7)
+                assert mat[i, j] == pytest.approx(16.0 * n0 * n0 + 8.0 * n0, rel=1e-15)
+    # a cutoff truncates: at the gated 19 every entry is within 5e-11 of the law
+    truncated = cross_witness_matrix(0.5, 19)[0]
+    assert np.all(np.abs(truncated / mat - 1.0) <= 5e-11) and not np.array_equal(truncated, mat)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(gamma=hs.floats(0.01, 170.0))
+@example(gamma=0.01)
+@example(gamma=170.0)
+def test_untruncated_table_is_the_paper_law(gamma):
+    # -8 N0 on the diagonal and 16 N0^2 + 8 N0 off it, to 1e-15 relative
+    mat = cross_witness_matrix(gamma)[0]
+    n0 = mean_photons_per_mode(gamma)
+    want = np.where(np.eye(4, dtype=bool), -8.0 * n0, 16.0 * n0 * n0 + 8.0 * n0)
+    assert np.all(np.abs(mat / want - 1.0) <= 1e-15), (gamma, mat / want - 1.0)
+
+
+def test_untruncated_state_is_the_limit_of_large_cutoffs():
+    # a cutoff of 10^12 leaves nothing to truncate at gamma = 0.5: every
+    # witness on every state agrees with the untruncated one to 1e-13
+    for label in BellLabel:
+        for kind in WitnessKind:
+            want = evaluate_witness(kind, build_bell_state(label, 0.5)).value
+            got = evaluate_witness(kind, build_bell_state(label, 0.5, 10**12)).value
+            assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_a_value_past_the_float_range_is_refused_by_name():
+    # 16 N0^2 overflows near gamma 177.4; the matched witness, -8 N0, holds
+    # until N0 itself overflows near gamma 355
+    for gamma in (177.5, 200.0, 300.0):
+        with pytest.raises(NumericError, match=f"W_T1 at gamma={gamma!r} overflows a double"):
+            evaluate_witness(WitnessKind.W_T1, build_bell_state(BellLabel.PSI_MINUS, gamma))
+        rep = evaluate_witness(WitnessKind.W_S, build_bell_state(BellLabel.PSI_MINUS, gamma))
+        assert rep.value == pytest.approx(-8.0 * mean_photons_per_mode(gamma), rel=1e-15)
+    with pytest.raises(NumericError, match="overflows a double"):
+        cross_witness_matrix(200.0)
+    with pytest.raises(NumericError, match=r"N0 = sinh\(gamma\)\^2 overflows .* gamma=360.0"):
+        evaluate_witness(WitnessKind.W_S, build_bell_state(BellLabel.PSI_MINUS, 360.0))
 
 
 # -- local-unitary structure ------------------------------------------------------
@@ -178,10 +202,7 @@ def test_substitution_carries_wt1_to_wt2_exactly():
 
 
 def test_mismatched_witness_is_positive():
-    gamma = 0.5
-    n_max = cutoff_for_edge_mass(gamma)
-    state = build_bell_state(BellLabel.PSI_MINUS, gamma, n_max)
-    rep = evaluate_witness(WitnessKind.W_T2, state)
+    rep = evaluate_witness(WitnessKind.W_T2, build_bell_state(BellLabel.PSI_MINUS, 0.5))
     assert rep.value > 0.0
 
 
